@@ -139,18 +139,12 @@ impl GreedySelector {
                         veto_ok(l) && g.residual(l, dir) > 1e-9
                     })
                 })?;
-            let dirs = g.path_dirs(src, &path);
-            let bottleneck = path
-                .iter()
-                .zip(&dirs)
-                .map(|(&l, &d)| g.residual(l, d))
-                .fold(f64::INFINITY, f64::min);
-            let amount = remaining.min(bottleneck);
+            let amount = remaining.min(g.bottleneck(src, &path).ok()?);
             if amount <= 1e-9 {
                 return None;
             }
-            for (&l, &d) in path.iter().zip(&dirs) {
-                g.consume(l, d, amount);
+            g.consume_path(src, &path, amount).ok()?;
+            for &l in &path {
                 selected.insert(l);
             }
             remaining -= amount;
@@ -211,9 +205,8 @@ impl GreedySelector {
                 continue;
             }
             for (path, amount) in &f.paths {
-                let dirs = g.path_dirs(f.src, path);
-                for (&l, &d) in path.iter().zip(&dirs) {
-                    g.consume(l, d, *amount);
+                g.consume_path(f.src, path, *amount).ok()?;
+                for &l in path {
                     selected.insert(l);
                 }
             }

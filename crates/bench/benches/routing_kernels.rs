@@ -61,8 +61,9 @@ fn bench_fairness(c: &mut Criterion) {
         .iter()
         .flat_map(|f| {
             f.paths.iter().map(|(path, gbps)| {
-                let dirs = g.path_dirs(f.src, path);
-                AllocFlow { hops: path.iter().copied().zip(dirs).collect(), demand_gbps: *gbps }
+                let hops =
+                    g.hops(f.src, path).collect::<Result<_, _>>().expect("routed path chains");
+                AllocFlow { hops, demand_gbps: *gbps }
             })
         })
         .collect();

@@ -21,7 +21,7 @@
 //! must be re-routed in the residual capacity. It is used by the failure
 //! drills in the simulator, not by the auction constraints.
 
-use crate::graph::CapacityGraph;
+use crate::graph::{CapacityGraph, PathMiss};
 use crate::linkset::LinkSet;
 use crate::route::{route_tm, route_tm_with_veto, FlowRoute, RouteError, Routing};
 use poc_topology::{LinkId, PocTopology, RouterId};
@@ -63,6 +63,15 @@ pub enum FailReason {
     /// Constraint #3: backup connectivity exists but the simultaneous
     /// backup demands do not fit.
     BackupUnroutable { remaining_gbps: f64 },
+    /// A path of the base routing does not chain from its flow's source
+    /// over this topology, so there is no base load to fail over from.
+    BrokenPath(PathMiss),
+}
+
+impl From<PathMiss> for FailReason {
+    fn from(miss: PathMiss) -> Self {
+        FailReason::BrokenPath(miss)
+    }
 }
 
 impl FailReason {
@@ -96,6 +105,7 @@ impl std::fmt::Display for FailReason {
             FailReason::BackupUnroutable { remaining_gbps } => {
                 write!(f, "{remaining_gbps:.2} Gbps of backup demand unroutable")
             }
+            FailReason::BrokenPath(miss) => write!(f, "broken base routing: {miss}"),
         }
     }
 }
@@ -137,9 +147,8 @@ pub fn failing_single_path_scenarios(
     let mut g = CapacityGraph::new(topo, active);
     for flow in &base.flows {
         for (path, gbps) in &flow.paths {
-            let dirs = g.path_dirs(flow.src, path);
-            for (&l, &d) in path.iter().zip(&dirs) {
-                g.consume(l, d, *gbps);
+            if let Err(miss) = g.consume_path(flow.src, path, *gbps) {
+                return vec![((flow.src, flow.dst), miss.into())];
             }
         }
     }
@@ -149,32 +158,7 @@ pub fn failing_single_path_scenarios(
         }
         let Some(primary) = primary_of(flow) else { continue };
         let veto: HashSet<LinkId> = primary.iter().copied().collect();
-        // Release this flow's entire load (all its paths fail with the
-        // primary corridor, conservatively none of its placements survive).
-        for (path, gbps) in &flow.paths {
-            let dirs = g.path_dirs(flow.src, path);
-            for (&l, &d) in path.iter().zip(&dirs) {
-                g.release(l, d, *gbps);
-            }
-        }
-        let rerouted = reroute_demand(&mut g, topo, flow.src, flow.dst, flow.demand_gbps, &veto);
-        // Undo scenario edits: release what the reroute consumed, re-apply
-        // the base placement.
-        if let Ok(paths) = &rerouted {
-            for (path, gbps) in paths {
-                let dirs = g.path_dirs(flow.src, path);
-                for (&l, &d) in path.iter().zip(&dirs) {
-                    g.release(l, d, *gbps);
-                }
-            }
-        }
-        for (path, gbps) in &flow.paths {
-            let dirs = g.path_dirs(flow.src, path);
-            for (&l, &d) in path.iter().zip(&dirs) {
-                g.consume(l, d, *gbps);
-            }
-        }
-        if let Err(reason) = rerouted {
+        if let Err(reason) = fail_primary(&mut g, topo, flow, &veto) {
             failures.push(((flow.src, flow.dst), reason));
             if failures.len() >= max_failures {
                 break;
@@ -182,6 +166,29 @@ pub fn failing_single_path_scenarios(
         }
     }
     failures
+}
+
+/// One Constraint #2 scenario on the loaded graph `g`: release `flow`'s own
+/// load (all its paths fail with the primary corridor, conservatively none
+/// of its placements survive), try to re-route its full demand off `veto`,
+/// then undo both edits so `g` is back on the base placement.
+fn fail_primary(
+    g: &mut CapacityGraph<'_>,
+    topo: &PocTopology,
+    flow: &FlowRoute,
+    veto: &HashSet<LinkId>,
+) -> Result<(), FailReason> {
+    for (path, gbps) in &flow.paths {
+        g.release_path(flow.src, path, *gbps)?;
+    }
+    let rerouted = reroute_demand(g, topo, flow.src, flow.dst, flow.demand_gbps, veto);
+    if let Ok(paths) = &rerouted {
+        undo(g, flow.src, paths)?;
+    }
+    for (path, gbps) in &flow.paths {
+        g.consume_path(flow.src, path, *gbps)?;
+    }
+    rerouted.map(drop)
 }
 
 /// Constraint #3 check: route every flow off its own primary path, all at
@@ -246,38 +253,32 @@ fn reroute_demand(
                 )
             });
         let Some(path) = path else {
-            undo(g, src, &placed);
+            undo(g, src, &placed)?;
             return Err(FailReason::NoBackupRoute { pair: (src, dst), remaining_gbps: remaining });
         };
-        let dirs = g.path_dirs(src, &path);
-        let bottleneck =
-            path.iter().zip(&dirs).map(|(&l, &d)| g.residual(l, d)).fold(f64::INFINITY, f64::min);
-        let amount = remaining.min(bottleneck);
+        let amount = remaining.min(g.bottleneck(src, &path)?);
         if amount <= 1e-9 {
-            undo(g, src, &placed);
+            undo(g, src, &placed)?;
             return Err(FailReason::ZeroBackupResidual { pair: (src, dst) });
         }
-        for (&l, &d) in path.iter().zip(&dirs) {
-            g.consume(l, d, amount);
-        }
+        g.consume_path(src, &path, amount)?;
         remaining -= amount;
         placed.push((path, amount));
         splits += 1;
         if splits > MAX_REROUTE_SPLITS && remaining > 1e-9 {
-            undo(g, src, &placed);
+            undo(g, src, &placed)?;
             return Err(FailReason::SplitBudgetExceeded { pair: (src, dst) });
         }
     }
     Ok(placed)
 }
 
-fn undo(g: &mut CapacityGraph<'_>, src: RouterId, placed: &[(Vec<LinkId>, f64)]) {
-    for (path, gbps) in placed {
-        let dirs = g.path_dirs(src, path);
-        for (&l, &d) in path.iter().zip(&dirs) {
-            g.release(l, d, *gbps);
-        }
-    }
+fn undo(
+    g: &mut CapacityGraph<'_>,
+    src: RouterId,
+    placed: &[(Vec<LinkId>, f64)],
+) -> Result<(), PathMiss> {
+    placed.iter().try_for_each(|(path, gbps)| g.release_path(src, path, *gbps))
 }
 
 /// Physical fibre-cut analysis (used by the simulator's failure drills):
@@ -301,10 +302,7 @@ pub fn absorb_link_failure(
             if path.iter().any(|l| failed.contains(l)) {
                 displaced.push((flow.src, flow.dst, *gbps));
             } else {
-                let dirs = g.path_dirs(flow.src, path);
-                for (&l, &d) in path.iter().zip(&dirs) {
-                    g.consume(l, d, *gbps);
-                }
+                g.consume_path(flow.src, path, *gbps)?;
             }
         }
     }

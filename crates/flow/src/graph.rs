@@ -107,6 +107,34 @@ impl<'t> CapacityGraph<'t> {
         }
     }
 
+    /// The smallest residual along `path` walked from `src` (infinite for
+    /// an empty path): the most one more flow can put on it.
+    pub fn bottleneck(&self, src: RouterId, path: &[LinkId]) -> Result<f64, PathMiss> {
+        self.hops(src, path)
+            .try_fold(f64::INFINITY, |min, hop| hop.map(|(l, d)| min.min(self.residual(l, d))))
+    }
+
+    /// [`consume`](Self::consume) `gbps` on every hop of `path` from `src`.
+    /// A [`PathMiss`] leaves the hops before it consumed.
+    pub fn consume_path(
+        &mut self,
+        src: RouterId,
+        path: &[LinkId],
+        gbps: f64,
+    ) -> Result<(), PathMiss> {
+        self.hops(src, path).try_for_each(|hop| hop.map(|(l, d)| self.consume(l, d, gbps)))
+    }
+
+    /// [`release`](Self::release) `gbps` on every hop of `path` from `src`.
+    pub fn release_path(
+        &mut self,
+        src: RouterId,
+        path: &[LinkId],
+        gbps: f64,
+    ) -> Result<(), PathMiss> {
+        self.hops(src, path).try_for_each(|hop| hop.map(|(l, d)| self.release(l, d, gbps)))
+    }
+
     /// Load on `link` in `dir` (capacity − residual).
     pub fn load(&self, link: LinkId, dir: Dir) -> f64 {
         self.topo.link(link).capacity_gbps - self.residual(link, dir)
@@ -187,16 +215,58 @@ impl<'t> CapacityGraph<'t> {
         Some(path)
     }
 
+    /// Walk `path` from `src`, yielding each link with the direction it is
+    /// traversed in. Allocates nothing and borrows only the topology, so
+    /// the caller may [`consume`](Self::consume) along the way. A link not
+    /// incident to the router the walk has reached yields a [`PathMiss`].
+    pub fn hops<'p>(&self, src: RouterId, path: &'p [LinkId]) -> PathHops<'t, 'p> {
+        PathHops { topo: self.topo, at: src, links: path.iter() }
+    }
+
     /// The directions in which `path` traverses its links, starting at `src`.
-    pub fn path_dirs(&self, src: RouterId, path: &[LinkId]) -> Vec<Dir> {
-        let mut dirs = Vec::with_capacity(path.len());
-        let mut at = src;
-        for &l in path {
-            let dir = self.dir_from(l, at);
-            dirs.push(dir);
-            at = self.topo.link(l).other_end(at).expect("path not incident to current router");
-        }
-        dirs
+    pub fn path_dirs(&self, src: RouterId, path: &[LinkId]) -> Result<Vec<Dir>, PathMiss> {
+        self.hops(src, path).map(|hop| hop.map(|(_, dir)| dir)).collect()
+    }
+}
+
+/// A path that does not chain from its source: `link` is not incident to
+/// `at`, the router the walk had reached.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct PathMiss {
+    pub link: LinkId,
+    pub at: RouterId,
+}
+
+impl std::fmt::Display for PathMiss {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "path link {} is not incident to {}", self.link, self.at)
+    }
+}
+
+impl std::error::Error for PathMiss {}
+
+/// Iterator behind [`CapacityGraph::hops`].
+pub struct PathHops<'t, 'p> {
+    topo: &'t PocTopology,
+    at: RouterId,
+    links: std::slice::Iter<'p, LinkId>,
+}
+
+impl Iterator for PathHops<'_, '_> {
+    type Item = Result<(LinkId, Dir), PathMiss>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let &l = self.links.next()?;
+        let link = self.topo.link(l);
+        let (dir, next) = if link.a == self.at {
+            (Dir::Fwd, link.b)
+        } else if link.b == self.at {
+            (Dir::Rev, link.a)
+        } else {
+            return Some(Err(PathMiss { link: l, at: self.at }));
+        };
+        self.at = next;
+        Some(Ok((l, dir)))
     }
 }
 
@@ -295,11 +365,22 @@ mod tests {
         let path = g
             .shortest_path(RouterId(3), RouterId(0), |l, _| t.link(l).distance_km, |_, _| true)
             .unwrap();
-        let dirs = g.path_dirs(RouterId(3), &path);
+        let dirs = g.path_dirs(RouterId(3), &path).unwrap();
         assert_eq!(dirs.len(), path.len());
         // First hop leaves r3; stored endpoints are ordered a<b so r3 is `b`
         // on all its links → traversal starts Rev.
         assert_eq!(dirs[0], Dir::Rev);
+    }
+
+    #[test]
+    fn path_not_chaining_from_its_source_is_a_typed_miss() {
+        let t = two_bp_square();
+        let g = CapacityGraph::new(&t, &LinkSet::full(t.n_links()));
+        let l = (0..t.n_links())
+            .map(LinkId::from_index)
+            .find(|&l| t.link(l).other_end(RouterId(3)).is_none())
+            .unwrap();
+        assert_eq!(g.path_dirs(RouterId(3), &[l]), Err(PathMiss { link: l, at: RouterId(3) }));
     }
 
     #[test]

@@ -35,11 +35,14 @@ impl LinkSet {
 
     /// The full subset.
     pub fn full(universe: usize) -> Self {
-        let mut s = Self::empty(universe);
-        for i in 0..universe {
-            s.insert(LinkId::from_index(i));
+        let mut bits = vec![u64::MAX; universe.div_ceil(64)];
+        // Bits past the universe stay clear: `len`, `==` and `Hash` read
+        // whole words.
+        let tail = universe % 64;
+        if let Some(last) = bits.last_mut().filter(|_| tail != 0) {
+            *last = (1u64 << tail) - 1;
         }
-        s
+        Self { universe, bits }
     }
 
     /// Build from an iterator of link ids.
@@ -172,9 +175,12 @@ mod tests {
 
     #[test]
     fn full_and_empty() {
-        let f = LinkSet::full(100);
-        assert_eq!(f.len(), 100);
-        assert!(!f.is_empty());
+        for universe in [0, 1, 63, 64, 65, 100, 128] {
+            let f = LinkSet::full(universe);
+            assert_eq!(f.len(), universe);
+            assert_eq!(f, LinkSet::from_links(universe, (0..universe).map(LinkId::from_index)));
+        }
+        assert!(!LinkSet::full(100).is_empty());
         assert!(LinkSet::empty(100).is_empty());
     }
 

@@ -9,13 +9,13 @@
 //! `Routing` it returns is always genuinely feasible (capacities respected);
 //! it may only fail on instances an LP could still pack.
 
-use crate::graph::{CapacityGraph, Dir};
+use crate::graph::{CapacityGraph, Dir, PathMiss};
 use crate::linkset::LinkSet;
 use poc_topology::{LinkId, PocTopology, RouterId};
 use poc_traffic::TrafficMatrix;
 
 /// One routed demand: possibly split over several paths.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct FlowRoute {
     pub src: RouterId,
     pub dst: RouterId,
@@ -25,7 +25,7 @@ pub struct FlowRoute {
 }
 
 /// A complete feasible routing of a traffic matrix over an active link set.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Routing {
     pub flows: Vec<FlowRoute>,
     /// Directed load per link (indexed by link id): a→b and b→a.
@@ -211,6 +211,9 @@ pub(crate) fn place_flow(
         let link = topo.link(l);
         link.distance_km * if link.owner.is_virtual() { virtual_penalty } else { 1.0 }
     };
+    // Also what a path that does not chain from `src` comes to: it can
+    // carry nothing, so the remainder stays unplaced.
+    let unroutable = |remaining_gbps| RouteError::Unroutable { src, dst, remaining_gbps };
     let mut remaining = demand;
     let mut paths: Vec<(Vec<LinkId>, f64)> = Vec::new();
     let mut splits = 0;
@@ -238,37 +241,45 @@ pub(crate) fn place_flow(
                     return Err(if paths.is_empty() && !has_any_path(g, src, dst) {
                         RouteError::Disconnected { src, dst }
                     } else {
-                        RouteError::Unroutable { src, dst, remaining_gbps: remaining }
+                        unroutable(remaining)
                     });
                 };
-                let dirs = g.path_dirs(src, &p);
-                let bottleneck = p
-                    .iter()
-                    .zip(&dirs)
-                    .map(|(&l, &d)| g.residual(l, d))
-                    .fold(f64::INFINITY, f64::min);
+                let bottleneck = g.bottleneck(src, &p).map_err(|_| unroutable(remaining))?;
                 (p, remaining.min(bottleneck))
             }
         };
         if amount <= 1e-9 {
-            return Err(RouteError::Unroutable { src, dst, remaining_gbps: remaining });
+            return Err(unroutable(remaining));
         }
-        let dirs = g.path_dirs(src, &path);
-        for (&l, &d) in path.iter().zip(&dirs) {
-            g.consume(l, d, amount);
-            match d {
-                Dir::Fwd => routing.load_fwd[l.index()] += amount,
-                Dir::Rev => routing.load_rev[l.index()] += amount,
-            }
-        }
+        load_path(g, routing, src, &path, amount).map_err(|_| unroutable(remaining))?;
         remaining -= amount;
         paths.push((path, amount));
         splits += 1;
         if splits > MAX_SPLITS && remaining > 1e-9 {
-            return Err(RouteError::Unroutable { src, dst, remaining_gbps: remaining });
+            return Err(unroutable(remaining));
         }
     }
     Ok(FlowRoute { src, dst, demand_gbps: demand, paths })
+}
+
+/// Consume `amount` of residual along `path` from `src`, and record it in
+/// `routing`'s per-direction loads.
+pub(crate) fn load_path(
+    g: &mut CapacityGraph<'_>,
+    routing: &mut Routing,
+    src: RouterId,
+    path: &[LinkId],
+    amount: f64,
+) -> Result<(), PathMiss> {
+    for hop in g.hops(src, path) {
+        let (l, d) = hop?;
+        g.consume(l, d, amount);
+        match d {
+            Dir::Fwd => routing.load_fwd[l.index()] += amount,
+            Dir::Rev => routing.load_rev[l.index()] += amount,
+        }
+    }
+    Ok(())
 }
 
 fn has_any_path(g: &CapacityGraph<'_>, src: RouterId, dst: RouterId) -> bool {

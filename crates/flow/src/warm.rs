@@ -43,10 +43,10 @@
 //! [`FeasibilityCache`]: crate::FeasibilityCache
 
 use crate::failure::{survives_all_pairs_backup, survives_single_path_failures, ResilienceResult};
-use crate::graph::{CapacityGraph, Dir};
+use crate::graph::CapacityGraph;
 use crate::linkset::LinkSet;
 use crate::oracle::{AcceptabilityOracle, Constraint, FeasibilityOracle, Rejection};
-use crate::route::{place_flow, FlowRoute, Routing};
+use crate::route::{load_path, place_flow, FlowRoute, Routing};
 use poc_topology::{PocTopology, RouterId};
 use poc_traffic::TrafficMatrix;
 use std::collections::HashMap;
@@ -129,68 +129,77 @@ impl<'a> WarmOracle<'a> {
     /// fallback produced the verdict. This is the primitive behind the
     /// trait's `evaluate`; tests and benches use it to observe reuse.
     pub fn evaluate_traced(&self, links: &LinkSet) -> (Result<Routing, Rejection>, WarmOutcome) {
+        let mut slot = self.witness.lock();
+        let (res, outcome) = self.probe(&mut slot, links);
+        (res.cloned(), outcome)
+    }
+
+    /// One probe against the witness in `slot`, which the caller holds
+    /// locked for the duration. The witness is *taken*: a warm accept
+    /// moves its surviving flows into the new witness, a warm failure puts
+    /// it back untouched, and a cold accept replaces it. The accepted
+    /// routing is lent from the slot, so a verdict-only caller copies
+    /// nothing.
+    fn probe<'s>(
+        &self,
+        slot: &'s mut Option<Routing>,
+        links: &LinkSet,
+    ) -> (Result<&'s Routing, Rejection>, WarmOutcome) {
         let _span = poc_obs::span!("flow.warm.evaluate");
-        let witness = self.witness.lock().clone();
-        if let Some(prev) = witness {
-            if let Some((routing, reused, rerouted)) = self.try_warm(links, &prev) {
-                poc_obs::counter!("flow.warm.reused_flows").add(reused as u64);
-                poc_obs::counter!("flow.warm.rerouted_flows").add(rerouted as u64);
-                *self.witness.lock() = Some(routing.clone());
-                return (Ok(routing), WarmOutcome::Warm { reused, rerouted });
+        if let Some(prev) = slot.take() {
+            match self.try_warm(links, prev) {
+                Ok((routing, reused, rerouted)) => {
+                    return (Ok(slot.insert(routing)), WarmOutcome::Warm { reused, rerouted });
+                }
+                Err(prev) => *slot = Some(prev),
             }
         }
         poc_obs::counter!("flow.warm.fallbacks").inc();
-        let res = self.inner.evaluate(links);
-        if let Ok(routing) = &res {
-            *self.witness.lock() = Some(routing.clone());
-        }
-        (res, WarmOutcome::Cold)
+        (self.inner.evaluate(links).map(|routing| &*slot.insert(routing)), WarmOutcome::Cold)
     }
 
     /// Attempt a warm evaluation of `links` against witness `prev`:
-    /// `Some((routing, reused, rerouted))` only when the re-route succeeds
+    /// `Ok((routing, reused, rerouted))` only when the re-route succeeds
     /// *and* the warm base passes the constraint's resilience check. Any
-    /// failure returns `None` and the caller falls back to cold.
-    fn try_warm(&self, links: &LinkSet, prev: &Routing) -> Option<(Routing, usize, usize)> {
+    /// failure hands `prev` back exactly as it came in and the caller
+    /// falls back to cold.
+    fn try_warm(
+        &self,
+        links: &LinkSet,
+        mut prev: Routing,
+    ) -> Result<(Routing, usize, usize), Routing> {
         let topo = self.inner.topo();
         let n_flows = prev.flows.len();
 
-        // Partition the witness's flows: a flow survives iff every link of
-        // every path it uses is still active in the candidate set. This
-        // works for arbitrary candidate sets, not just subsets of the
+        // Partition the witness's flows by index: a flow survives iff every
+        // link of every path it uses is still active in the candidate set.
+        // This works for arbitrary candidate sets, not just subsets of the
         // witness's set — links the witness never used are irrelevant.
-        let mut survivors: Vec<&FlowRoute> = Vec::with_capacity(n_flows);
-        let mut invalidated: Vec<&FlowRoute> = Vec::new();
-        for flow in &prev.flows {
-            let alive = flow.paths.iter().all(|(path, _)| path.iter().all(|&l| links.contains(l)));
-            if alive {
-                survivors.push(flow);
-            } else {
-                invalidated.push(flow);
-            }
-        }
-        if n_flows > 0 && invalidated.len() as f64 > self.cfg.max_invalid_frac * n_flows as f64 {
-            return None;
+        let alive: Vec<bool> = prev
+            .flows
+            .iter()
+            .map(|f| f.paths.iter().all(|(path, _)| path.iter().all(|&l| links.contains(l))))
+            .collect();
+        let reused = alive.iter().filter(|&&a| a).count();
+        let rerouted = n_flows - reused;
+        if n_flows > 0 && rerouted as f64 > self.cfg.max_invalid_frac * n_flows as f64 {
+            return Err(prev);
         }
 
         // Rebuild residuals with the survivors' loads pre-consumed. The
         // survivors were simultaneously feasible in the witness, so this
-        // can never over-commit.
+        // can never over-commit. A witness path that does not chain over
+        // this topology aborts the warm attempt like any other failure.
         let mut g = CapacityGraph::new(topo, links);
         let mut routing = Routing {
             flows: Vec::with_capacity(n_flows),
             load_fwd: vec![0.0; topo.n_links()],
             load_rev: vec![0.0; topo.n_links()],
         };
-        for flow in &survivors {
+        for (flow, _) in prev.flows.iter().zip(&alive).filter(|(_, &a)| a) {
             for (path, amount) in &flow.paths {
-                let dirs = g.path_dirs(flow.src, path);
-                for (&l, &d) in path.iter().zip(&dirs) {
-                    g.consume(l, d, *amount);
-                    match d {
-                        Dir::Fwd => routing.load_fwd[l.index()] += *amount,
-                        Dir::Rev => routing.load_rev[l.index()] += *amount,
-                    }
+                if load_path(&mut g, &mut routing, flow.src, path, *amount).is_err() {
+                    return Err(prev);
                 }
             }
         }
@@ -199,9 +208,8 @@ impl<'a> WarmOracle<'a> {
         // witness order (which descends from the router's largest-first
         // ordering), with the same per-flow placement the full router
         // uses. Any placement failure aborts the warm attempt.
-        let (reused, rerouted) = (survivors.len(), invalidated.len());
         let mut placed: Vec<FlowRoute> = Vec::with_capacity(rerouted);
-        for (fi, flow) in invalidated.into_iter().enumerate() {
+        for (fi, (flow, _)) in prev.flows.iter().zip(&alive).filter(|(_, &a)| !a).enumerate() {
             match place_flow(
                 &mut g,
                 &mut routing,
@@ -213,10 +221,21 @@ impl<'a> WarmOracle<'a> {
                 1.0,
             ) {
                 Ok(f) => placed.push(f),
-                Err(_) => return None,
+                Err(_) => return Err(prev),
             }
         }
-        routing.flows.extend(survivors.into_iter().cloned());
+
+        // Move the survivors into the new routing, ahead of the re-placed
+        // flows; the invalidated originals wait aside in case the
+        // resilience check sends the witness back.
+        let mut invalidated: Vec<FlowRoute> = Vec::with_capacity(rerouted);
+        for (flow, &a) in std::mem::take(&mut prev.flows).into_iter().zip(&alive) {
+            if a {
+                routing.flows.push(flow);
+            } else {
+                invalidated.push(flow);
+            }
+        }
         routing.flows.extend(placed);
 
         // The warm base must still satisfy the constraint; resilience
@@ -235,7 +254,20 @@ impl<'a> WarmOracle<'a> {
                 )
             }
         };
-        ok.then_some((routing, reused, rerouted))
+        if !ok {
+            // Interleave the two halves back into witness order.
+            routing.flows.truncate(reused);
+            let (mut survivors, mut invalidated) =
+                (routing.flows.into_iter(), invalidated.into_iter());
+            prev.flows = alive
+                .iter()
+                .filter_map(|&a| if a { survivors.next() } else { invalidated.next() })
+                .collect();
+            return Err(prev);
+        }
+        poc_obs::counter!("flow.warm.reused_flows").add(reused as u64);
+        poc_obs::counter!("flow.warm.rerouted_flows").add(rerouted as u64);
+        Ok((routing, reused, rerouted))
     }
 }
 
@@ -257,7 +289,7 @@ impl AcceptabilityOracle for WarmOracle<'_> {
         if let Some(v) = self.memo.lock().get(links) {
             return *v;
         }
-        let verdict = self.evaluate_traced(links).0.is_ok();
+        let verdict = self.probe(&mut self.witness.lock(), links).0.is_ok();
         self.memo.lock().insert(links.clone(), verdict);
         verdict
     }
@@ -279,14 +311,17 @@ impl AcceptabilityOracle for WarmOracle<'_> {
         if self.memo.lock().get(links) == Some(&true) {
             return Vec::new();
         }
-        let witness = self.witness.lock().clone();
-        if let Some(prev) = witness {
-            if let Some((routing, reused, rerouted)) = self.try_warm(links, &prev) {
-                poc_obs::counter!("flow.warm.reused_flows").add(reused as u64);
-                poc_obs::counter!("flow.warm.rerouted_flows").add(rerouted as u64);
-                *self.witness.lock() = Some(routing);
-                self.memo.lock().insert(links.clone(), true);
-                return Vec::new();
+        {
+            let mut slot = self.witness.lock();
+            if let Some(prev) = slot.take() {
+                match self.try_warm(links, prev) {
+                    Ok((routing, _, _)) => {
+                        *slot = Some(routing);
+                        self.memo.lock().insert(links.clone(), true);
+                        return Vec::new();
+                    }
+                    Err(prev) => *slot = Some(prev),
+                }
             }
         }
         self.inner.failing_scenarios(links, max)

@@ -151,8 +151,8 @@ pub fn run_drill(
 
 use poc_flow::{AcceptabilityOracle, Constraint, WarmOracle};
 use poc_transition::{
-    execute_transition, plan_transition, PlanConfig, TransitionEvent, TransitionHooks,
-    TransitionOp, TransitionOutcome,
+    execute_transition, plan_transition, seeded_oracle, PlanConfig, TransitionError,
+    TransitionEvent, TransitionHooks, TransitionOp, TransitionOutcome,
 };
 use std::collections::HashSet;
 
@@ -227,13 +227,12 @@ impl std::error::Error for TransitionDrillError {}
 
 /// Hooks that deliver a scheduled batch of events at one poll and
 /// independently re-verify every state the executor applies. The
-/// verifier is its own [`WarmOracle`] (not the executor's), seeded with
-/// the pre-transition routing — exactly the fabric's position when the
-/// walk starts. It then follows the applied state sequence one link at a
-/// time, so its witness chain tracks the fabric, and any rejection it
-/// produces is a genuine safety violation — an unseeded or cold-only
-/// check would misreport feasible sets its greedy router happens not to
-/// pack.
+/// verifier is its own [`WarmOracle`] (not the executor's), seeded by
+/// the same [`seeded_oracle`] recipe as the planner and the executor. It
+/// then follows the applied state sequence one link at a time, so its
+/// witness chain tracks the fabric, and any rejection it produces is a
+/// genuine safety violation — an unseeded or cold-only check would
+/// misreport feasible sets its greedy router happens not to pack.
 struct DrillHooks<'a> {
     verifier: WarmOracle<'a>,
     events: Vec<TransitionEvent>,
@@ -316,13 +315,10 @@ pub fn run_transition_drill(
         .map(|&l| TransitionEvent::LinkCut(l))
         .chain(recalled_links.iter().map(|&l| TransitionEvent::Recall(l)))
         .collect();
-    let verifier = WarmOracle::new(topo, tm, constraint);
-    // Anchor the verifier's witness chain where the fabric actually is:
-    // traffic is routed on `from` when the walk begins (a successful
-    // evaluation installs its routing as the warm witness). A degraded
-    // `from` that no longer routes just leaves the chain unseeded — the
-    // first accepted probe seeds it instead.
-    let _ = verifier.evaluate(from);
+    // The verifier stands at the head of the same witness chain as the
+    // planner and the executor, and then follows the applied states.
+    let verifier = seeded_oracle(topo, tm, constraint, from, to)
+        .map_err(|r| TransitionDrillError::Plan(TransitionError::TargetInfeasible(r)))?;
     let mut hooks = DrillHooks {
         verifier,
         events,

@@ -628,8 +628,8 @@ impl<'t> Engine<'t> {
         let found = self
             .graph
             .shortest_path(src, dst, |l, _| distance[l.index()], |_, _| true)
-            .map(|path| {
-                let dirs = self.graph.path_dirs(src, &path);
+            .and_then(|path| {
+                let dirs = self.graph.path_dirs(src, &path).ok()?;
                 let id = (self.route_starts.len() - 1) as u32;
                 self.route_data.extend(path.iter().zip(dirs).map(|(&l, d)| {
                     (l.index() * 2
@@ -639,7 +639,7 @@ impl<'t> Engine<'t> {
                         }) as u32
                 }));
                 self.route_starts.push(self.route_data.len() as u32);
-                id
+                Some(id)
             });
         self.route_of.insert((src.0, dst.0), found);
         found

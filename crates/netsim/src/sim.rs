@@ -364,26 +364,24 @@ impl<'t> Simulator<'t> {
                 }
                 let g = CapacityGraph::new(self.topo, &surviving);
                 for (i, f) in self.flows.iter().enumerate() {
-                    // Pinned placement wins while all its links are up.
-                    let pinned_ok =
-                        f.pinned_path.as_ref().filter(|p| p.iter().all(|&l| up[l.index()]));
-                    let new_path = match pinned_ok {
-                        Some(p) => {
-                            let dirs = g.path_dirs(f.src, p);
-                            Some(p.iter().copied().zip(dirs).collect::<Vec<_>>())
-                        }
-                        None => g
-                            .shortest_path(
+                    // Pinned placement wins while all its links are up (and
+                    // it chains from the flow's source).
+                    let hops_of =
+                        |p: &[LinkId]| g.hops(f.src, p).collect::<Result<Vec<_>, _>>().ok();
+                    let new_path = f
+                        .pinned_path
+                        .as_ref()
+                        .filter(|p| p.iter().all(|&l| up[l.index()]))
+                        .and_then(|p| hops_of(p))
+                        .or_else(|| {
+                            g.shortest_path(
                                 f.src,
                                 f.dst,
                                 |l, _| self.topo.link(l).distance_km,
                                 |_, _| true,
                             )
-                            .map(|p| {
-                                let dirs = g.path_dirs(f.src, &p);
-                                p.into_iter().zip(dirs).collect::<Vec<_>>()
-                            }),
-                    };
+                            .and_then(|p| hops_of(&p))
+                        });
                     // A reroute is an event the *flow* experiences: only
                     // count it while the flow is active in this segment.
                     // An inactive flow still gets its path refreshed (it

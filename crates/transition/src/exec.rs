@@ -1,24 +1,26 @@
-//! Executing a transition plan: antichain verification, journaled steps,
+//! Executing a transition plan: ordered verification, journaled steps,
 //! mid-flight replanning, rollback.
 //!
 //! The executor walks the plan's homogeneous rounds (all-add / all-remove
-//! runs — the DAG's antichains: ops within a round commute). Before each
-//! round it polls [`TransitionHooks::poll_events`] for the outside world
-//! intruding — a link cut, a BP recall — and re-verifies the round's
-//! states concurrently (scoped threads sharing one warm oracle, the same
-//! pattern as the auction's parallel Clarke pivots). Anything off plan
-//! triggers a replan from the live state toward the (possibly shrunken)
-//! target; when no safe forward plan remains, the executor plans a
-//! rollback to the original set, and as a last resort force-restores it
-//! atomically.
+//! runs: ops within a round commute). Before each round it polls
+//! [`TransitionHooks::poll_events`] for the outside world intruding — a
+//! link cut, a BP recall — and re-verifies the round's states in plan
+//! order, one probe per step, on the oracle the planner's own seeding
+//! recipe produced ([`seeded_oracle`]). Warm verdicts depend on the
+//! witness chain; standing where the planner stood and probing what it
+//! probed, an undisturbed walk replays the chain the planner accepted.
+//! Anything off plan triggers a replan from the live state toward the
+//! (possibly shrunken) target; when no safe forward plan remains, the
+//! executor plans a rollback to the original set, and as a last resort
+//! force-restores it atomically.
 //!
 //! Application order is strictly the plan's canonical linearization:
 //! every step goes through [`TransitionHooks::apply_step`] so a control
 //! plane can journal it durably *before* mutating the lease book —
 //! that's what makes a crash at any point recoverable.
 
-use crate::plan::{plan_transition, PlanConfig, TransitionOp, TransitionPlan};
-use poc_flow::{AcceptabilityOracle, Constraint, LinkSet, WarmOracle};
+use crate::plan::{plan_transition, seeded_oracle, PlanConfig, TransitionOp, TransitionPlan};
+use poc_flow::{AcceptabilityOracle, Constraint, LinkSet};
 use poc_topology::{LinkId, PocTopology};
 use poc_traffic::TrafficMatrix;
 use serde::{Deserialize, Serialize};
@@ -139,23 +141,26 @@ pub fn execute_transition(
     let mut rollbacks = 0u32;
     let mut rolling_back = false;
 
-    // One warm oracle re-verifies every round; sharing it across the
-    // round's verification threads keeps its witness chain close to the
-    // states being probed (soundness does not depend on probe order — a
-    // warm accept is a genuine witness, and warm failures fall back
-    // cold).
-    let oracle = WarmOracle::new(topo, tm, constraint);
-
     'replan: loop {
+        // Every plan, the caller's and each replan's, is re-verified from
+        // the head of its own witness chain. A target that no longer
+        // passes verifies nothing, and the replan below reports it.
+        let oracle = seeded_oracle(topo, tm, constraint, &plan.from, &plan.to).ok();
         let states = plan.states();
         for round in plan.rounds() {
             // 1. Let the outside world intrude.
             let events = hooks.poll_events();
             let drifted = apply_events(&events, &mut current, &mut target, &mut original);
 
-            // 2. Re-verify this round's states concurrently (antichain
-            //    fan-out, mirroring the auction's parallel pivots).
-            let verified = !drifted && verify_round(&oracle, &states[round.clone()]);
+            // 2. Re-verify this round's states in plan order, one probe
+            //    per step.
+            let verified = !drifted
+                && oracle.as_ref().is_some_and(|oracle| {
+                    states[round.clone()].iter().all(|state| {
+                        let _span = poc_obs::span!("transition.verify");
+                        oracle.acceptable(state)
+                    })
+                });
 
             if drifted || !verified {
                 replans += 1;
@@ -254,50 +259,6 @@ fn apply_events(
         }
     }
     changed
-}
-
-/// Verify a round's states against the shared warm oracle: a concurrent
-/// fan-out first, then — only if the fan-out rejects something — a
-/// sequential re-walk of the round in plan order.
-///
-/// The retry is not redundancy, it is completeness. The warm oracle's
-/// witness is the *last* accepted routing, so unordered concurrent probes
-/// can warm-start far from the state they check, trip the invalidation
-/// guard, and land on the cold fallback — whose greedy packing is
-/// incomplete and can reject states the planner (probing the chain in
-/// order, each state one link from its witness) proved safe. Re-walking
-/// in plan order reproduces the planner's chain exactly; `evaluate`
-/// bypasses the verdict memo, so a spurious concurrent reject does not
-/// stick. A warm accept always carries a genuine routing witness, so the
-/// retry can only repair false rejections, never mask a real one.
-fn verify_round(oracle: &WarmOracle<'_>, states: &[LinkSet]) -> bool {
-    let fan_out_ok = if states.len() <= 1 {
-        states.iter().all(|s| oracle.acceptable(s))
-    } else {
-        std::thread::scope(|scope| {
-            // Capture the transition's trace context before fanning out, so
-            // per-state verification spans parent under the transition trace
-            // across the thread boundary.
-            let ctx = poc_obs::TraceCtx::current();
-            let handles: Vec<_> = states
-                .iter()
-                .map(|s| {
-                    scope.spawn(move || {
-                        let _trace = ctx.as_ref().map(poc_obs::TraceCtx::adopt);
-                        let _span = poc_obs::span!("transition.verify");
-                        oracle.acceptable(s)
-                    })
-                })
-                .collect();
-            handles.into_iter().all(|h| h.join().expect("verify thread panicked"))
-        })
-    };
-    if fan_out_ok {
-        return true;
-    }
-    poc_obs::counter!("transition.verify.retries").inc();
-    let _span = poc_obs::span!("transition.verify.sequential");
-    states.iter().all(|s| oracle.evaluate(s).is_ok())
 }
 
 #[cfg(test)]

@@ -15,11 +15,12 @@
 //!   repaired by backtracking; if no safe order exists at all, the typed
 //!   [`TransitionError::NoSafePlan`] says so rather than shipping an
 //!   unsafe plan.
-//! * [`exec::execute_transition`] runs a plan round by round (consecutive
-//!   same-kind operations form an antichain whose members are verified
-//!   concurrently), applying each step through [`exec::TransitionHooks`]
-//!   so a controller can journal it durably before touching the lease
-//!   book. Mid-flight events — link cuts, BP recalls — trigger a replan
+//! * [`exec::execute_transition`] runs a plan round by round (a round is
+//!   a run of consecutive same-kind operations), re-verifying each
+//!   round's states in plan order on an oracle seeded exactly as the
+//!   planner's was ([`plan::seeded_oracle`]), and applying each step
+//!   through [`exec::TransitionHooks`] so a controller can journal it
+//!   durably before touching the lease book. Mid-flight events — link cuts, BP recalls — trigger a replan
 //!   toward the (possibly shrunken) target; when no safe forward plan
 //!   remains, the executor plans a rollback to the original set, and as a
 //!   last resort force-restores it atomically.
@@ -36,4 +37,6 @@ pub use exec::{
     execute_transition, ExecError, TransitionEvent, TransitionHooks, TransitionOutcome,
     TransitionReport,
 };
-pub use plan::{plan_transition, PlanConfig, TransitionError, TransitionOp, TransitionPlan};
+pub use plan::{
+    plan_transition, seeded_oracle, PlanConfig, TransitionError, TransitionOp, TransitionPlan,
+};

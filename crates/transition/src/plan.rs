@@ -176,14 +176,8 @@ pub fn plan_transition(
     }
     let _span = poc_obs::span!("transition.plan");
 
-    let oracle = WarmOracle::new(topo, tm, constraint);
-    // The target anchors the search; its routing seeds the witness chain.
-    if let (Err(r), _) = oracle.evaluate_traced(to) {
-        return Err(TransitionError::TargetInfeasible(r));
-    }
-    // Prefer a witness near the *start* of the walk when one exists; a
-    // degraded `from` just leaves the target witness in place.
-    let _ = oracle.evaluate_traced(from);
+    let oracle =
+        seeded_oracle(topo, tm, constraint, from, to).map_err(TransitionError::TargetInfeasible)?;
 
     let budget = from.len().max(to.len()).saturating_add(cfg.max_extra_links.unwrap_or(usize::MAX));
 
@@ -203,6 +197,29 @@ pub fn plan_transition(
     } else {
         Err(TransitionError::NoSafePlan { explored: search.explored })
     }
+}
+
+/// The oracle a `from → to` walk is probed with, standing at the head of
+/// its witness chain. The target anchors the chain (it must pass, and its
+/// routing is the first witness); `from` is evaluated second, so a walk
+/// starts from a witness near its first step when `from` still routes, and
+/// from the target's when `from` is degraded.
+///
+/// Warm verdicts depend on the witness chain, so everyone who judges the
+/// states of one walk — the planner, the executor re-verifying its plan,
+/// a drill auditing the applied sequence — seeds here and then probes in
+/// walk order: the same chain gives the same verdicts.
+pub fn seeded_oracle<'a>(
+    topo: &'a PocTopology,
+    tm: &'a TrafficMatrix,
+    constraint: Constraint,
+    from: &LinkSet,
+    to: &LinkSet,
+) -> Result<WarmOracle<'a>, Rejection> {
+    let oracle = WarmOracle::new(topo, tm, constraint);
+    oracle.evaluate(to)?;
+    let _ = oracle.evaluate(from);
+    Ok(oracle)
 }
 
 struct Search<'a, 'o> {

@@ -273,7 +273,8 @@ proptest! {
 
 /// Rigorously verify a routing claimed as a feasibility witness for the
 /// active set `links`: every demand fully placed, only active links used,
-/// and per-(link, direction) loads within capacity.
+/// per-(link, direction) loads within capacity, and the routing's recorded
+/// loads equal to what its paths add up to.
 fn assert_genuine_witness(
     topo: &public_option_core::topology::PocTopology,
     links: &LinkSet,
@@ -292,7 +293,8 @@ fn assert_genuine_witness(
         assert!((placed - f.demand_gbps).abs() < 1e-6, "demand not fully placed");
         for (path, amt) in &f.paths {
             assert!(path.iter().all(|&l| links.contains(l)), "inactive link used");
-            for (&l, &d) in path.iter().zip(&g.path_dirs(f.src, path)) {
+            for hop in g.hops(f.src, path) {
+                let (l, d) = hop.expect("path chains from the flow's source");
                 match d {
                     Dir::Fwd => load_fwd[l.index()] += amt,
                     Dir::Rev => load_rev[l.index()] += amt,
@@ -303,23 +305,30 @@ fn assert_genuine_witness(
     for (i, link) in topo.links.iter().enumerate() {
         assert!(load_fwd[i] <= link.capacity_gbps + 1e-6, "over capacity fwd on link {i}");
         assert!(load_rev[i] <= link.capacity_gbps + 1e-6, "over capacity rev on link {i}");
+        assert!((load_fwd[i] - routing.load_fwd[i]).abs() < 1e-6, "recorded fwd load on link {i}");
+        assert!((load_rev[i] - routing.load_rev[i]).abs() < 1e-6, "recorded rev load on link {i}");
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
     /// Warm-pivot equivalence at every constraint level: over random
-    /// pivot-shaped probe sequences (a BP withdrawal followed by link
-    /// removals), the warm oracle's verdict must equal the from-scratch
-    /// oracle's. The single documented escape hatch is a warm accept where
-    /// the cold heuristic failed to pack — legal only because the warm
-    /// accept carries a routing witness, which this test re-verifies
-    /// rigorously (demands placed, active links only, capacities
-    /// respected). Accepted sets must also yield such a witness from
-    /// `route`.
+    /// probe chains (a BP withdrawal — the Clarke-pivot shape — followed
+    /// by batches of link toggles, so links leave and come back), the warm
+    /// oracle's verdict must equal the from-scratch oracle's. The single
+    /// documented escape hatch is a warm accept where the cold heuristic
+    /// failed to pack — legal only because the warm accept carries a
+    /// routing witness, which this test re-verifies rigorously (demands
+    /// placed, active links only, capacities respected).
+    ///
+    /// The witness is moved from probe to probe, never copied, so the chain
+    /// itself is checked too: after each accept the held witness is a
+    /// genuine routing of the accepted set, and after each reject (warm
+    /// attempt failed, cold said no) it is exactly the witness from before
+    /// the probe — flow order, paths and loads.
     #[test]
     fn warm_pivot_verdicts_equivalent_to_cold(
-        removals in prop::collection::vec(prop::collection::vec(0usize..12, 0..4), 1..6),
+        toggles in prop::collection::vec(prop::collection::vec(0usize..12, 0..4), 1..6),
         withdrawn_bp in 0u32..2,
         sample_every in 1usize..3,
     ) {
@@ -328,6 +337,8 @@ proptest! {
         let mut tm = TrafficMatrix::zero(topo.n_routers());
         tm.set(RouterId(0), RouterId(1), 10.0);
         tm.set(RouterId(1), RouterId(2), 5.0);
+        tm.set(RouterId(2), RouterId(3), 3.0);
+        tm.set(RouterId(3), RouterId(0), 2.0);
         let full = LinkSet::full(topo.n_links());
         for constraint in Constraint::paper_suite(sample_every) {
             let cold = FeasibilityOracle::new(&topo, &tm, constraint);
@@ -335,23 +346,26 @@ proptest! {
             if let Some(seed) = cold.route(&full) {
                 warm.seed(seed);
             }
-            // The probe walk: withdraw one BP (the Clarke-pivot shape),
-            // then keep removing random links — each prefix is a probe,
-            // exercising the witness chain across accepts and rejects.
+            // The probe walk: each prefix is a probe, exercising the
+            // witness chain across accepts and rejects.
             let mut probe = full.clone();
             for l in topo.links_of_bp(BpId(withdrawn_bp)) {
                 probe.remove(l);
             }
             let mut probes = vec![probe.clone()];
-            for batch in &removals {
-                for &l in batch {
-                    if l < topo.n_links() {
-                        probe.remove(LinkId::from_index(l));
+            for batch in &toggles {
+                for l in batch.iter().filter(|&&l| l < topo.n_links()).map(|&l| LinkId::from_index(l)) {
+                    if probe.contains(l) {
+                        probe.remove(l);
+                    } else {
+                        probe.insert(l);
                     }
                 }
                 probes.push(probe.clone());
             }
+            let mut probed = std::collections::HashSet::new();
             for p in &probes {
+                let before = warm.witness();
                 let wv = warm.acceptable(p);
                 let cv = cold.acceptable(p);
                 if wv != cv {
@@ -360,6 +374,14 @@ proptest! {
                         "warm may only be more complete than cold ({})",
                         constraint.label()
                     );
+                }
+                // A repeated set is answered from the verdict memo and
+                // leaves the witness where it was, accepted or not.
+                if wv && probed.insert(p.clone()) {
+                    let witness = warm.witness().expect("an accept leaves its routing as witness");
+                    assert_genuine_witness(&topo, p, &tm, &witness);
+                } else {
+                    prop_assert_eq!(&warm.witness(), &before, "witness disturbed ({})", constraint.label());
                 }
                 if wv {
                     let routing = warm.evaluate(p).expect("warm accept carries a witness");
@@ -503,11 +525,8 @@ proptest! {
                 |l, _| topo.link(l).distance_km,
                 |_, _| true,
             ) else { continue };
-            let dirs = g.path_dirs(src, &path);
-            flows.push(AllocFlow {
-                hops: path.into_iter().zip(dirs).collect(),
-                demand_gbps: d,
-            });
+            let hops = g.hops(src, &path).collect::<Result<_, _>>().unwrap();
+            flows.push(AllocFlow { hops, demand_gbps: d });
         }
         prop_assume!(!flows.is_empty());
         let rates = max_min_rates(&topo, &flows, None);
