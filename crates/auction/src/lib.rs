@@ -38,7 +38,4 @@ pub use select::{
     CompositeSelector, ExhaustiveSelector, ForwardGreedySelector, GreedySelector, SelectionResult,
     Selector,
 };
-pub use vcg::{
-    run_auction, run_auction_opts, run_auction_with, AuctionOutcome, BpSettlement, PivotMode,
-    PivotOracle, RoundOptions,
-};
+pub use vcg::{run_auction, AuctionOutcome, BpSettlement};

@@ -38,7 +38,7 @@ pub struct SelectionResult {
 ///
 /// `Send + Sync` is a supertrait so one selector instance can drive the
 /// auction's Clarke-pivot re-selections from parallel threads (see
-/// [`crate::vcg::PivotMode`]). Selectors are stateless between calls, so
+/// [`crate::vcg::run_auction`]). Selectors are stateless between calls, so
 /// the bound is free for all the implementations here.
 pub trait Selector: Send + Sync {
     /// Pick the cheapest subset of `available` acceptable to `oracle`,
@@ -449,17 +449,14 @@ impl Selector for GreedySelector {
         let mut rounds = 0;
         let mut fail_counts: std::collections::HashMap<(RouterId, RouterId), u32> =
             std::collections::HashMap::new();
-        let debug = std::env::var_os("POC_SELECT_DEBUG").is_some();
         loop {
             let failures = oracle.failing_scenarios(&selected, 1024);
-            if debug {
-                eprintln!(
-                    "[select] round {rounds}: {} failing scenarios, |SL|={} {:?}",
-                    failures.len(),
-                    selected.len(),
-                    failures.first(),
-                );
-            }
+            poc_obs::event!(
+                "auction.select.repair",
+                round = rounds,
+                failing = failures.len(),
+                selected = selected.len(),
+            );
             if failures.is_empty() {
                 break;
             }

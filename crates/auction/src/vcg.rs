@@ -19,61 +19,10 @@
 
 use crate::market::Market;
 use crate::select::{SelectionResult, Selector};
-use poc_flow::{
-    Constraint, FeasibilityCache, FeasibilityOracle, LinkSet, Routing, WarmConfig, WarmOracle,
-};
+use poc_flow::{Constraint, FeasibilityCache, FeasibilityOracle, LinkSet, Routing, WarmOracle};
 use poc_topology::BpId;
 use poc_traffic::TrafficMatrix;
 use serde::{Deserialize, Serialize};
-
-/// How the per-BP Clarke-pivot re-selections are scheduled.
-///
-/// The pivot runs are independent of each other (each re-selects over
-/// `OL − L_α` with fixed inputs), so they parallelize without changing
-/// results: both modes produce bit-identical settlements, asserted by the
-/// `vcg_pivot_modes_agree` property test. Cold feasibility verdicts are
-/// memoized in a [`FeasibilityCache`] shared across the pivot runs in
-/// either mode; warm pivots ([`PivotOracle::Warm`]) keep per-pivot state
-/// instead, seeded identically in both modes, so parity still holds.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
-pub enum PivotMode {
-    /// One pivot at a time, ascending BP id.
-    Sequential,
-    /// One thread per participating BP (scoped threads).
-    #[default]
-    Parallel,
-}
-
-/// Which acceptability oracle the per-BP pivot re-selections use.
-#[derive(Clone, Copy, PartialEq, Debug, Serialize, Deserialize)]
-pub enum PivotOracle {
-    /// From-scratch [`FeasibilityOracle`] sharing the round's verdict
-    /// cache. Every probe re-routes the full traffic matrix.
-    Cold,
-    /// Per-pivot [`WarmOracle`] seeded with the round's accepted routing:
-    /// probes re-route only the flows the candidate set invalidated,
-    /// falling back to a cold evaluation when more than
-    /// `max_invalid_frac` of them are hit (see
-    /// [`poc_flow::WarmConfig::max_invalid_frac`]). Warm accepts carry a
-    /// genuine routing witness, so verdicts may only be *more* complete
-    /// than cold ones, never less sound; each pivot's oracle is private
-    /// and deterministically seeded, keeping sequential and parallel
-    /// modes bit-identical.
-    Warm { max_invalid_frac: f64 },
-}
-
-impl Default for PivotOracle {
-    fn default() -> Self {
-        PivotOracle::Warm { max_invalid_frac: WarmConfig::default().max_invalid_frac }
-    }
-}
-
-/// Scheduling and oracle options for one auction round.
-#[derive(Clone, Copy, PartialEq, Debug, Default, Serialize, Deserialize)]
-pub struct RoundOptions {
-    pub mode: PivotMode,
-    pub pivot_oracle: PivotOracle,
-}
 
 /// One BP's auction settlement.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -156,53 +105,32 @@ impl std::fmt::Display for AuctionError {
 impl std::error::Error for AuctionError {}
 
 /// Run one auction round: select `SL`, then compute every BP's Clarke
-/// payment by re-selecting with that BP withdrawn. Pivot runs execute in
-/// parallel with warm-started oracles (the defaults of [`RoundOptions`]);
-/// use [`run_auction_with`] to pick the scheduling or
-/// [`run_auction_opts`] for full control.
+/// payment by re-selecting with that BP withdrawn.
+///
+/// The pivot re-selections are independent of each other (each
+/// re-selects over `OL − L_α` with fixed inputs), so each runs on its own
+/// scoped thread against a private [`WarmOracle`] seeded with the routing
+/// of `SL`. Private, identically seeded oracles make the outcome a pure
+/// function of the inputs: two rounds on the same inputs are
+/// bit-identical, which journal replay relies on (asserted by the
+/// `vcg_round_matches_one_at_a_time_reference` property test).
+///
+/// Metrics (global `poc-obs` registry): round wall time lands in the
+/// `auction.round.parallel` histogram, each pivot re-selection in
+/// `auction.pivot`; a successful round bumps `auction.round.count` and
+/// refreshes the `auction.pob.mean` gauge, a failed one bumps
+/// `auction.round.infeasible`. Pivots additionally feed the
+/// `flow.warm.reused_flows` / `flow.warm.rerouted_flows` /
+/// `flow.warm.fallbacks` counters. Instrumentation is lock-free on the
+/// pivot threads (pre-resolved atomic handles).
 pub fn run_auction(
     market: &Market<'_>,
     tm: &TrafficMatrix,
     constraint: Constraint,
     selector: &dyn Selector,
 ) -> Result<AuctionOutcome, AuctionError> {
-    run_auction_opts(market, tm, constraint, selector, RoundOptions::default())
-}
-
-/// As [`run_auction`], with explicit pivot scheduling (warm pivots).
-pub fn run_auction_with(
-    market: &Market<'_>,
-    tm: &TrafficMatrix,
-    constraint: Constraint,
-    selector: &dyn Selector,
-    mode: PivotMode,
-) -> Result<AuctionOutcome, AuctionError> {
-    run_auction_opts(market, tm, constraint, selector, RoundOptions { mode, ..Default::default() })
-}
-
-/// As [`run_auction`], with explicit scheduling and pivot-oracle choice.
-///
-/// Metrics (global `poc-obs` registry): round wall time lands in the
-/// `auction.round.sequential` / `auction.round.parallel` histogram for
-/// the chosen mode, each pivot re-selection in `auction.pivot`; a
-/// successful round bumps `auction.round.count` and refreshes the
-/// `auction.pob.mean` gauge, a failed one bumps
-/// `auction.round.infeasible`. Warm pivots additionally feed the
-/// `flow.warm.reused_flows` / `flow.warm.rerouted_flows` /
-/// `flow.warm.fallbacks` counters. Instrumentation is lock-free on the
-/// pivot threads (pre-resolved atomic handles).
-pub fn run_auction_opts(
-    market: &Market<'_>,
-    tm: &TrafficMatrix,
-    constraint: Constraint,
-    selector: &dyn Selector,
-    opts: RoundOptions,
-) -> Result<AuctionOutcome, AuctionError> {
-    let _round = match opts.mode {
-        PivotMode::Sequential => poc_obs::span!("auction.round.sequential"),
-        PivotMode::Parallel => poc_obs::span!("auction.round.parallel"),
-    };
-    let result = run_round(market, tm, constraint, selector, opts);
+    let _round = poc_obs::span!("auction.round.parallel");
+    let result = run_round(market, tm, constraint, selector);
     match &result {
         Ok(outcome) => {
             poc_obs::counter!("auction.round.count").inc();
@@ -217,32 +145,27 @@ pub fn run_auction_opts(
     result
 }
 
-/// The uninstrumented round body of [`run_auction_opts`].
+/// The uninstrumented round body of [`run_auction`].
 fn run_round(
     market: &Market<'_>,
     tm: &TrafficMatrix,
     constraint: Constraint,
     selector: &dyn Selector,
-    opts: RoundOptions,
 ) -> Result<AuctionOutcome, AuctionError> {
-    // One feasibility cache for the whole round: the initial selection and
-    // every cold re-selection probe heavily overlapping link sets. (Warm
-    // pivot oracles never touch it — their verdicts depend on per-pivot
-    // witness state and must not leak into a cache assumed pure.)
+    // The cache serves only the initial selection: pivot oracles never
+    // touch it — their verdicts depend on per-pivot witness state and must
+    // not leak into a cache assumed pure.
     let cache = FeasibilityCache::new();
     let oracle = FeasibilityOracle::with_cache(market.topo(), tm, constraint, &cache)
         .expect("a fresh cache has no prior instance binding");
     let sl: SelectionResult =
         selector.select(market, &oracle, market.offered()).ok_or(AuctionError::Infeasible)?;
 
-    // Warm pivots start from the round's accepted routing: one extra full
+    // Pivots start from the round's accepted routing: one extra full
     // evaluation of SL buys every pivot its reuse baseline. If SL somehow
     // fails to re-route (the selector accepted it, so it should not),
     // pivots simply start unseeded and answer their first probe cold.
-    let pivot_seed: Option<Routing> = match opts.pivot_oracle {
-        PivotOracle::Warm { .. } => oracle.route(&sl.links),
-        PivotOracle::Cold => None,
-    };
+    let pivot_seed: Option<Routing> = oracle.route(&sl.links);
 
     // Settle trivial BPs inline; queue a pivot job per BP with links in SL.
     let mut settlements: Vec<Option<BpSettlement>> = Vec::new();
@@ -271,62 +194,46 @@ fn run_round(
     let run_pivot = |bp: BpId, n_selected_links: usize, bid_cost: f64| {
         let _pivot = poc_obs::span!("auction.pivot", bp = bp.0);
         let without = market.offered_without(bp);
-        let sl_minus = match opts.pivot_oracle {
-            PivotOracle::Cold => selector.select(market, &oracle, &without),
-            PivotOracle::Warm { max_invalid_frac } => {
-                // A private oracle per pivot: identical seeding in both
-                // modes keeps sequential/parallel bit-identical.
-                let warm = WarmOracle::with_config(
-                    market.topo(),
-                    tm,
-                    constraint,
-                    WarmConfig { max_invalid_frac },
-                );
-                if let Some(seed) = &pivot_seed {
-                    warm.seed(seed.clone());
-                }
-                selector.select(market, &warm, &without)
-            }
+        // A private oracle per pivot, identically seeded: no pivot's
+        // verdicts depend on another's, or on thread timing.
+        let warm = WarmOracle::new(market.topo(), tm, constraint);
+        if let Some(seed) = &pivot_seed {
+            warm.seed(seed.clone());
         }
-        .ok_or(AuctionError::PivotInfeasible(bp))?;
+        let sl_minus =
+            selector.select(market, &warm, &without).ok_or(AuctionError::PivotInfeasible(bp))?;
         let raw_pivot = sl_minus.cost - sl.cost;
         let payment = bid_cost + raw_pivot.max(0.0);
         Ok(BpSettlement { bp, n_selected_links, bid_cost, raw_pivot, payment })
     };
 
-    let results: Vec<(usize, Result<BpSettlement, AuctionError>)> = match opts.mode {
-        PivotMode::Sequential => {
-            jobs.iter().map(|&(slot, bp, n, cost)| (slot, run_pivot(bp, n, cost))).collect()
-        }
-        PivotMode::Parallel => std::thread::scope(|scope| {
-            // Capture the round's trace context before fanning out:
-            // each pivot thread adopts it, so pivot spans parent to the
-            // round span across the thread boundary (a spawned thread
-            // starts with no context of its own).
-            let ctx = poc_obs::TraceCtx::current();
-            let handles: Vec<_> = jobs
-                .iter()
-                .map(|&(slot, bp, n, cost)| {
-                    let run_pivot = &run_pivot;
-                    (
-                        slot,
-                        scope.spawn(move || {
-                            let _trace = ctx.as_ref().map(poc_obs::TraceCtx::adopt);
-                            run_pivot(bp, n, cost)
-                        }),
-                    )
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|(slot, h)| (slot, h.join().expect("pivot thread panicked")))
-                .collect()
-        }),
-    };
+    let results: Vec<(usize, Result<BpSettlement, AuctionError>)> = std::thread::scope(|scope| {
+        // Capture the round's trace context before fanning out: each
+        // pivot thread adopts it, so pivot spans parent to the round span
+        // across the thread boundary (a spawned thread starts with no
+        // context of its own).
+        let ctx = poc_obs::TraceCtx::current();
+        let handles: Vec<_> = jobs
+            .iter()
+            .map(|&(slot, bp, n, cost)| {
+                let run_pivot = &run_pivot;
+                (
+                    slot,
+                    scope.spawn(move || {
+                        let _trace = ctx.as_ref().map(poc_obs::TraceCtx::adopt);
+                        run_pivot(bp, n, cost)
+                    }),
+                )
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|(slot, h)| (slot, h.join().expect("pivot thread panicked")))
+            .collect()
+    });
 
-    // Surface errors in ascending BP order so both modes report the same
-    // failure (parallel runs all pivots; sequential stops at the first —
-    // the first is what both agree on).
+    // Every pivot ran; joining in job order surfaces the failure of the
+    // lowest BP id, whichever thread finished first.
     for (slot, result) in results {
         settlements[slot] = Some(result?);
     }
@@ -459,14 +366,29 @@ mod tests {
     }
 
     #[test]
+    fn several_infeasible_pivots_report_the_lowest_bp() {
+        // r3 is reachable only over BP1, and 60G r0->r1 fits BP0's 100G
+        // links but not BP1's 40G detour: withdrawing either BP is
+        // infeasible, and the round must name BP0 whichever thread ends first.
+        let t = two_bp_square();
+        let m = Market::truthful(&t, 3.0);
+        let mut demand = TrafficMatrix::zero(t.n_routers());
+        demand.set(r(0), r(3), 5.0);
+        demand.set(r(0), r(1), 60.0);
+        for _ in 0..8 {
+            let err =
+                run_auction(&m, &demand, Constraint::BaseLoad, &ExhaustiveSelector).unwrap_err();
+            assert_eq!(err, AuctionError::PivotInfeasible(poc_topology::BpId(0)));
+        }
+    }
+
+    #[test]
     fn rounds_record_wall_time_and_pob_metrics() {
         let t = two_bp_square();
         let m = Market::truthful(&t, 3.0);
         let tm = tm(&t);
         let before = poc_obs::global().snapshot();
-        for mode in [PivotMode::Sequential, PivotMode::Parallel] {
-            run_auction_with(&m, &tm, Constraint::BaseLoad, &ExhaustiveSelector, mode).unwrap();
-        }
+        run_auction(&m, &tm, Constraint::BaseLoad, &ExhaustiveSelector).unwrap();
         let after = poc_obs::global().snapshot();
         // Counters and histograms are global and monotone, so assert on
         // deltas (other tests may run concurrently).
@@ -474,13 +396,12 @@ mod tests {
             after.histogram(name).map_or(0, |h| h.count)
                 - before.histogram(name).map_or(0, |h| h.count)
         };
-        assert!(hist_delta("auction.round.sequential") >= 1);
         assert!(hist_delta("auction.round.parallel") >= 1);
-        assert!(hist_delta("auction.pivot") >= 2, "both BPs pivot in each round");
+        assert!(hist_delta("auction.pivot") >= 2, "both BPs pivot in the round");
         assert!(
             after.counter("auction.round.count").unwrap_or(0)
                 - before.counter("auction.round.count").unwrap_or(0)
-                >= 2
+                >= 1
         );
         // Both BPs carry demand on this fixture, so the mean-PoB gauge was
         // refreshed with a finite value.

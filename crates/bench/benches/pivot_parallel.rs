@@ -1,94 +1,18 @@
-//! E-PP — Pivot parallelism: sequential vs. threaded Clarke-pivot phase.
+//! E-OBS — observability overhead on the VCG round.
 //!
 //! A VCG round runs one full re-selection per participating BP (the
-//! `C(SL_−α)` term of the pivot rule). Those re-selections are independent,
-//! so [`PivotMode::Parallel`] fans them out over `std::thread::scope` while
-//! sharing one memoized feasibility cache. This bench times the identical
-//! round under both modes and prints the speedup plus cache hit rates —
-//! the settlements themselves are asserted bit-identical by the
-//! `vcg_pivot_modes_agree` property test.
+//! `C(SL_−α)` term of the pivot rule), each on its own scoped thread. This
+//! bench times that round with the metrics registry and the flight
+//! recorder switched off and on, prints the overhead of each, and then
+//! runs the statistical timer on the registry pair.
 //!
-//! `POC_PAPER_SCALE=1 cargo bench -p poc-bench --bench pivot_parallel`
-//! prints the comparison on the full §3.3 instance (slow); the default
-//! prints the same comparison on the laptop-scale instance and then runs
-//! the statistical timer on it.
+//! `cargo bench -p poc-bench --bench pivot_parallel`; always the
+//! laptop-scale instance — paper-scale rounds are minutes long.
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
-use poc_auction::{run_auction_with, GreedySelector, Market, PivotMode};
-use poc_bench::report::{ModeSample, PivotModesReport, ScaleInfo};
-use poc_bench::{instance, paper_scale};
+use poc_auction::{run_auction, GreedySelector, Market};
 use poc_flow::Constraint;
 use std::time::{Duration, Instant};
-
-fn print_mode_comparison() {
-    let (topo, tm) = instance();
-    let market = Market::truthful(&topo, 3.0);
-    let selector = GreedySelector::with_prune_budget(if paper_scale() { 16 } else { 8 });
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    println!(
-        "\n=== E-PP / pivot parallelism: sequential vs parallel Clarke pivots ({} scale, {} core{}) ===",
-        if paper_scale() { "paper" } else { "small" },
-        cores,
-        if cores == 1 { "" } else { "s" }
-    );
-    if cores == 1 {
-        println!("(single-core host: parallel mode can only match sequential, not beat it)");
-    }
-    println!("{:<12}{:>14}{:>14}{:>10}", "constraint", "sequential", "parallel", "speedup");
-    let stride = if paper_scale() { 32 } else { 4 };
-    let mut mode_samples = Vec::new();
-    for c in [Constraint::BaseLoad, Constraint::SinglePathFailure { sample_every: stride }] {
-        let t0 = Instant::now();
-        let seq = run_auction_with(&market, &tm, c, &selector, PivotMode::Sequential);
-        let t_seq = t0.elapsed();
-        let t1 = Instant::now();
-        let par = run_auction_with(&market, &tm, c, &selector, PivotMode::Parallel);
-        let t_par = t1.elapsed();
-        match (seq, par) {
-            (Ok(s), Ok(p)) => {
-                assert_eq!(
-                    s.total_cost.to_bits(),
-                    p.total_cost.to_bits(),
-                    "modes must agree on C(SL)"
-                );
-                println!(
-                    "{:<12}{:>12.1}ms{:>12.1}ms{:>9.2}x   (|SL| = {}, {} settlements)",
-                    c.label(),
-                    t_seq.as_secs_f64() * 1e3,
-                    t_par.as_secs_f64() * 1e3,
-                    t_seq.as_secs_f64() / t_par.as_secs_f64().max(1e-9),
-                    s.selected.len(),
-                    s.settlements.len(),
-                );
-                mode_samples.push(ModeSample {
-                    constraint: c.label().to_string(),
-                    sequential_ms: t_seq.as_secs_f64() * 1e3,
-                    parallel_ms: t_par.as_secs_f64() * 1e3,
-                    speedup: t_seq.as_secs_f64() / t_par.as_secs_f64().max(1e-9),
-                });
-            }
-            (Err(e), _) | (_, Err(e)) => println!("{:<12}infeasible: {e}", c.label()),
-        }
-    }
-    // Emit the machine-readable artifact next to the printed table.
-    let report = PivotModesReport {
-        bench: "pivot_modes".into(),
-        scale: ScaleInfo {
-            preset: if paper_scale() { "paper" } else { "small" }.into(),
-            n_routers: topo.n_routers(),
-            n_links: topo.n_links(),
-            n_bps: topo.bps.len(),
-        },
-        cores,
-        samples: mode_samples,
-    };
-    let out =
-        std::env::var("POC_BENCH_MODES_OUT").unwrap_or_else(|_| "BENCH_pivot_modes.json".into());
-    match report.write(std::path::Path::new(&out)) {
-        Ok(()) => println!("mode comparison artifact -> {out}"),
-        Err(e) => eprintln!("could not write {out}: {e}"),
-    }
-}
 
 /// E-OBS — instrumentation overhead on the parallel pivot path.
 ///
@@ -103,10 +27,7 @@ fn print_metrics_overhead() {
     let market = Market::truthful(&topo, 3.0);
     let selector = GreedySelector::with_prune_budget(8);
     let reg = poc_obs::global();
-    let run = || {
-        run_auction_with(&market, &tm, Constraint::BaseLoad, &selector, PivotMode::Parallel)
-            .expect("feasible")
-    };
+    let run = || run_auction(&market, &tm, Constraint::BaseLoad, &selector).expect("feasible");
     let time = |reps: u32| {
         // Warm-up outside the timed window (thread pool spin-up, cache
         // registration, page faults).
@@ -169,29 +90,15 @@ fn small_bench_instance() -> (poc_topology::PocTopology, poc_traffic::TrafficMat
     (topo, tm)
 }
 
-fn bench_pivot_modes(c: &mut Criterion) {
-    // Timing always on the small instance — paper-scale rounds are minutes
-    // long and belong in the printed experiment above, not the timer.
+fn bench_round_overhead(c: &mut Criterion) {
     let (topo, tm) = small_bench_instance();
     let market = Market::truthful(&topo, 3.0);
     let selector = GreedySelector::with_prune_budget(8);
-    for (label, mode) in [("sequential", PivotMode::Sequential), ("parallel", PivotMode::Parallel)]
-    {
-        c.bench_with_input(BenchmarkId::new("vcg_round_baseload", label), &mode, |b, &mode| {
-            b.iter(|| {
-                run_auction_with(&market, &tm, Constraint::BaseLoad, &selector, mode)
-                    .expect("feasible")
-            })
-        });
-    }
-    // Same parallel round, with the observability registry live vs no-op.
+    // The same round with the observability registry no-op vs live.
     for (label, enabled) in [("metrics_noop", false), ("metrics_enabled", true)] {
         poc_obs::global().set_enabled(enabled);
         c.bench_with_input(BenchmarkId::new("vcg_round_parallel", label), &enabled, |b, _| {
-            b.iter(|| {
-                run_auction_with(&market, &tm, Constraint::BaseLoad, &selector, PivotMode::Parallel)
-                    .expect("feasible")
-            })
+            b.iter(|| run_auction(&market, &tm, Constraint::BaseLoad, &selector).expect("feasible"))
         });
     }
     poc_obs::global().set_enabled(true);
@@ -200,17 +107,11 @@ fn bench_pivot_modes(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10).measurement_time(Duration::from_secs(20));
-    targets = bench_pivot_modes
+    targets = bench_round_overhead
 }
 
 fn main() {
-    print_mode_comparison();
     print_metrics_overhead();
-    // CI smoke mode wants the printed experiments and the artifact, not
-    // the multi-minute statistical timer.
-    if std::env::var_os("POC_BENCH_QUICK").is_some() {
-        return;
-    }
     benches();
     criterion::Criterion::default().configure_from_args().final_summary();
 }

@@ -3,10 +3,10 @@
 //! The auction's dominant cost is the per-BP pivot runs (`SL_−α`). This
 //! bin measures exactly that kernel: one initial selection over the full
 //! offer, then a sample of BP withdrawals re-selected twice — cold (a
-//! from-scratch [`FeasibilityOracle`] sharing the round's verdict cache,
-//! i.e. [`poc_auction::PivotOracle::Cold`]) and warm (a [`WarmOracle`]
-//! seeded with the accepted routing, i.e. the default
-//! [`poc_auction::PivotOracle::Warm`]). Results land in a
+//! from-scratch [`FeasibilityOracle`] sharing the initial selection's
+//! verdict cache, the reference the warm path is measured against) and
+//! warm (a [`WarmOracle`] seeded with the accepted routing, which is what
+//! [`poc_auction::run_auction`] does). Results land in a
 //! schema-validated JSON artifact so CI and the ROADMAP's perf trajectory
 //! can diff runs.
 //!
@@ -21,16 +21,13 @@
 //! Usage: `bench_pivot` to measure, `bench_pivot --validate <path>` to
 //! re-read an emitted artifact and check its schema (exit 1 on failure).
 //! `--validate` accepts any artifact this workspace emits: the
-//! warm-vs-cold report (`"bench": "pivot"`), the mode-comparison
-//! report from the `pivot_parallel` bench (`"bench": "pivot_modes"`),
-//! the control-plane throughput report from `bench_ctrl`
+//! warm-vs-cold report (`"bench": "pivot"`), the control-plane throughput report from `bench_ctrl`
 //! (`"bench": "ctrl"`), or the packet-engine throughput report from
 //! `bench_dataplane` (`"bench": "dataplane"`).
 
 use poc_auction::{GreedySelector, Market, Selector};
 use poc_bench::report::{
-    CtrlBenchReport, DataplaneBenchReport, PivotBenchReport, PivotModesReport, PivotSample,
-    ScaleInfo,
+    CtrlBenchReport, DataplaneBenchReport, PivotBenchReport, PivotSample, ScaleInfo,
 };
 use poc_bench::{instance, paper_instance, scale_instance};
 use poc_flow::{Constraint, FeasibilityCache, FeasibilityOracle, WarmOracle};
@@ -68,52 +65,35 @@ fn main() {
                 return;
             }
             Err(pivot_err) => {
-                let as_modes =
-                    PivotModesReport::read(Path::new(path)).and_then(|r| r.validate().map(|()| r));
-                match as_modes {
+                let as_ctrl =
+                    CtrlBenchReport::read(Path::new(path)).and_then(|r| r.validate().map(|()| r));
+                match as_ctrl {
                     Ok(r) => {
                         println!(
-                            "{path}: valid pivot_modes artifact ({} constraints on {} preset, \
-                             {} cores)",
-                            r.samples.len(),
-                            r.scale.preset,
-                            r.cores
+                            "{path}: valid ctrl artifact ({} mode, {:.2}x over baseline)",
+                            r.mode, r.speedup
                         );
                         return;
                     }
-                    Err(modes_err) => {
-                        let as_ctrl = CtrlBenchReport::read(Path::new(path))
+                    Err(ctrl_err) => {
+                        let as_dp = DataplaneBenchReport::read(Path::new(path))
                             .and_then(|r| r.validate().map(|()| r));
-                        match as_ctrl {
+                        match as_dp {
                             Ok(r) => {
                                 println!(
-                                    "{path}: valid ctrl artifact ({} mode, {:.2}x over baseline)",
-                                    r.mode, r.speedup
+                                    "{path}: valid dataplane artifact ({} mode, \
+                                     {:.1}M events/sec)",
+                                    r.mode,
+                                    r.events_per_sec / 1e6
                                 );
                                 return;
                             }
-                            Err(ctrl_err) => {
-                                let as_dp = DataplaneBenchReport::read(Path::new(path))
-                                    .and_then(|r| r.validate().map(|()| r));
-                                match as_dp {
-                                    Ok(r) => {
-                                        println!(
-                                            "{path}: valid dataplane artifact ({} mode, \
-                                             {:.1}M events/sec)",
-                                            r.mode,
-                                            r.events_per_sec / 1e6
-                                        );
-                                        return;
-                                    }
-                                    Err(dp_err) => {
-                                        eprintln!("{path}: INVALID artifact");
-                                        eprintln!("  as pivot: {pivot_err}");
-                                        eprintln!("  as pivot_modes: {modes_err}");
-                                        eprintln!("  as ctrl: {ctrl_err}");
-                                        eprintln!("  as dataplane: {dp_err}");
-                                        std::process::exit(1);
-                                    }
-                                }
+                            Err(dp_err) => {
+                                eprintln!("{path}: INVALID artifact");
+                                eprintln!("  as pivot: {pivot_err}");
+                                eprintln!("  as ctrl: {ctrl_err}");
+                                eprintln!("  as dataplane: {dp_err}");
+                                std::process::exit(1);
                             }
                         }
                     }
@@ -152,8 +132,8 @@ fn main() {
     let constraint = Constraint::BaseLoad;
     let selector = GreedySelector::with_prune_budget(prune_budget);
 
-    // The round's initial selection, with the shared verdict cache every
-    // cold pivot will also use (mirrors PivotOracle::Cold in vcg).
+    // The round's initial selection, with the verdict cache every cold
+    // pivot will also use.
     let cache = FeasibilityCache::new();
     let oracle = FeasibilityOracle::with_cache(&topo, &tm, constraint, &cache)
         .expect("fresh cache has no binding");

@@ -99,73 +99,6 @@ impl PivotBenchReport {
     }
 }
 
-/// One constraint row of the sequential-vs-parallel mode comparison
-/// (`BENCH_pivot_modes.json`, emitted by the `pivot_parallel` bench).
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct ModeSample {
-    pub constraint: String,
-    pub sequential_ms: f64,
-    pub parallel_ms: f64,
-    pub speedup: f64,
-}
-
-/// The `BENCH_pivot_modes.json` artifact.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct PivotModesReport {
-    /// Artifact discriminator; always "pivot_modes".
-    pub bench: String,
-    pub scale: ScaleInfo,
-    pub cores: usize,
-    pub samples: Vec<ModeSample>,
-}
-
-impl PivotModesReport {
-    /// Structural validation mirroring [`PivotBenchReport::validate`], so
-    /// CI can gate the modes artifact with the same `--validate` pass.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.bench != "pivot_modes" {
-            return Err(format!(
-                "bench discriminator must be \"pivot_modes\", got {:?}",
-                self.bench
-            ));
-        }
-        if self.samples.is_empty() {
-            return Err("no mode samples recorded".into());
-        }
-        if self.scale.n_links == 0 || self.scale.n_routers == 0 || self.scale.n_bps == 0 {
-            return Err("scale info has zero-sized instance".into());
-        }
-        if self.cores == 0 {
-            return Err("cores must be positive".into());
-        }
-        for s in &self.samples {
-            if !(s.sequential_ms.is_finite()
-                && s.sequential_ms >= 0.0
-                && s.parallel_ms.is_finite()
-                && s.parallel_ms >= 0.0)
-            {
-                return Err(format!("non-finite timing for constraint {:?}", s.constraint));
-            }
-            if !(s.speedup.is_finite() && s.speedup > 0.0) {
-                return Err(format!(
-                    "speedup must be finite and positive for constraint {:?}, got {}",
-                    s.constraint, s.speedup
-                ));
-            }
-        }
-        Ok(())
-    }
-
-    pub fn write(&self, path: &std::path::Path) -> std::io::Result<()> {
-        std::fs::write(path, serde_json::to_string(self).expect("report serializes"))
-    }
-
-    pub fn read(path: &std::path::Path) -> Result<Self, String> {
-        let raw = std::fs::read_to_string(path).map_err(|e| format!("read {path:?}: {e}"))?;
-        serde_json::from_str(&raw).map_err(|e| format!("parse {path:?}: {e}"))
-    }
-}
-
 /// One measured phase of the control-plane throughput bench: a client
 /// fleet driving a live durable server end to end (TCP framing,
 /// admission, sharded apply, group-commit journal).
@@ -518,54 +451,6 @@ mod tests {
 
         let mut r = sample_report();
         r.cold_cache_hit_rate = 1.5;
-        assert!(r.validate().is_err());
-    }
-
-    fn sample_modes_report() -> PivotModesReport {
-        PivotModesReport {
-            bench: "pivot_modes".into(),
-            scale: ScaleInfo { preset: "small".into(), n_routers: 14, n_links: 220, n_bps: 10 },
-            cores: 8,
-            samples: vec![ModeSample {
-                constraint: "#1".into(),
-                sequential_ms: 120.0,
-                parallel_ms: 30.0,
-                speedup: 4.0,
-            }],
-        }
-    }
-
-    #[test]
-    fn modes_report_round_trips_and_validates() {
-        let r = sample_modes_report();
-        r.validate().unwrap();
-        let json = serde_json::to_string(&r).unwrap();
-        let back: PivotModesReport = serde_json::from_str(&json).unwrap();
-        back.validate().unwrap();
-        assert_eq!(back.samples.len(), 1);
-        assert_eq!(back.cores, 8);
-    }
-
-    #[test]
-    fn modes_validation_rejects_malformed_reports() {
-        let mut r = sample_modes_report();
-        r.bench = "pivot".into();
-        assert!(r.validate().is_err());
-
-        let mut r = sample_modes_report();
-        r.samples.clear();
-        assert!(r.validate().is_err());
-
-        let mut r = sample_modes_report();
-        r.cores = 0;
-        assert!(r.validate().is_err());
-
-        let mut r = sample_modes_report();
-        r.samples[0].parallel_ms = f64::INFINITY;
-        assert!(r.validate().is_err());
-
-        let mut r = sample_modes_report();
-        r.samples[0].speedup = 0.0;
         assert!(r.validate().is_err());
     }
 

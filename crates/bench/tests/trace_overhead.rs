@@ -13,7 +13,7 @@
 //! builds (`cargo test --release -p poc-bench` runs it for real, and CI
 //! does exactly that).
 
-use poc_auction::{run_auction_with, GreedySelector, Market, PivotMode};
+use poc_auction::{run_auction, GreedySelector, Market};
 use poc_flow::Constraint;
 use std::time::Instant;
 
@@ -28,7 +28,7 @@ fn traced_parallel_round_within_five_percent() {
     let market = Market::truthful(&topo, 3.0);
     let selector = GreedySelector::with_prune_budget(8);
     let run = || {
-        run_auction_with(&market, &tm, Constraint::BaseLoad, &selector, PivotMode::Parallel)
+        run_auction(&market, &tm, Constraint::BaseLoad, &selector)
             .expect("bench instance is feasible")
     };
 

@@ -34,7 +34,9 @@
 //!
 //! # Group commit
 //!
-//! [`GroupJournal`] is the concurrent append path: many mutation
+//! [`GroupJournal`] is the journal's one writer. Mutation threads hold
+//! only the shard or global state lock their request needs, so appends
+//! from different shards race and the journal synchronizes internally:
 //! threads append records (buffered, under the appender lock), then
 //! wait for a *commit leader* to fsync everything appended so far in
 //! one `fdatasync`. Under [`FsyncPolicy::Always`] each acknowledged
@@ -76,7 +78,7 @@ use poc_core::tos::TrafficPolicy;
 use serde::{Deserialize, Serialize};
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -531,18 +533,17 @@ pub fn scan(path: &Path) -> std::io::Result<ScanResult> {
 }
 
 // ---------------------------------------------------------------------------
-// The journal (append path)
+// The frame writer (file handle under the group journal)
 // ---------------------------------------------------------------------------
 
-/// The append handle. One per running server; appends happen under the
-/// controller state lock, so the journal itself needs no locking.
-pub struct Journal {
+/// The journal file handle: frames records onto the file and tracks frame
+/// boundaries. Private to [`GroupJournal`], which holds it under the
+/// appender lock and owns all policy-driven syncing; the writer itself
+/// syncs only where a crash point, a truncation or a rollback demands it.
+struct FrameWriter {
     file: File,
-    path: PathBuf,
-    policy: FsyncPolicy,
-    last_sync: Instant,
-    /// Appends since the last explicit sync (drives `Interval` syncs
-    /// and the `ctrl.journal.fsyncs` metric).
+    /// Appends since the last explicit sync (gates the
+    /// `ctrl.journal.fsyncs` metric).
     unsynced: u64,
     /// Byte length of the file after the last complete append, tracked
     /// arithmetically so the group-commit leader can record (and roll
@@ -550,37 +551,21 @@ pub struct Journal {
     end_pos: u64,
 }
 
-impl Journal {
+impl FrameWriter {
     /// Open `path` for appending, first truncating it to `valid_len`
     /// (the scan result) so a torn tail never precedes fresh records.
-    pub fn open(path: &Path, valid_len: u64, policy: FsyncPolicy) -> std::io::Result<Self> {
+    fn open(path: &Path, valid_len: u64) -> std::io::Result<Self> {
         let file =
             OpenOptions::new().create(true).truncate(false).read(true).write(true).open(path)?;
         file.set_len(valid_len)?;
         let mut file = file;
         file.seek(SeekFrom::Start(valid_len))?;
-        Ok(Self {
-            file,
-            path: path.to_path_buf(),
-            policy,
-            last_sync: Instant::now(),
-            unsynced: 0,
-            end_pos: valid_len,
-        })
+        Ok(Self { file, unsynced: 0, end_pos: valid_len })
     }
 
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Append one record, honouring the fsync policy and any armed
-    /// crash point. On success the record is at least OS-buffered (and
-    /// durable under `FsyncPolicy::Always`).
-    pub fn append(
-        &mut self,
-        record: &JournalRecord,
-        crash: &CrashSwitch,
-    ) -> Result<(), JournalError> {
+    /// Append one record, honouring any armed crash point. On success
+    /// the record is OS-buffered; durability is the caller's commit.
+    fn append(&mut self, record: &JournalRecord, crash: &CrashSwitch) -> Result<(), JournalError> {
         let _span = poc_obs::span!("ctrl.journal.append", event = record.event.label());
         let payload = serde_json::to_vec(record)
             .map_err(|e| JournalError::Io(std::io::Error::other(e.to_string())))?;
@@ -606,15 +591,6 @@ impl Journal {
         poc_obs::counter!("ctrl.journal.appends").inc();
         poc_obs::counter!("ctrl.journal.bytes").add(frame.len() as u64);
         self.unsynced += 1;
-        match self.policy {
-            FsyncPolicy::Always => self.sync()?,
-            FsyncPolicy::Interval(d) => {
-                if self.last_sync.elapsed() >= d {
-                    self.sync()?;
-                }
-            }
-            FsyncPolicy::Never => {}
-        }
 
         if crash.fire_if(CrashPoint::AfterAppend) {
             // Record durable, reply never sent: the exactly-once case.
@@ -625,14 +601,13 @@ impl Journal {
     }
 
     /// Force a data sync now (shutdown, or an explicit barrier).
-    pub fn sync(&mut self) -> std::io::Result<()> {
+    fn sync(&mut self) -> std::io::Result<()> {
         let _span = poc_obs::span!("ctrl.journal.fsync");
         self.file.sync_data()?;
         if self.unsynced > 0 {
             poc_obs::counter!("ctrl.journal.fsyncs").inc();
         }
         self.unsynced = 0;
-        self.last_sync = Instant::now();
         Ok(())
     }
 
@@ -640,11 +615,10 @@ impl Journal {
     /// snapshot. Plain `set_len(0)` is enough: a crash *before* this
     /// runs leaves already-snapshotted records behind, and recovery
     /// skips them by sequence number.
-    pub fn truncate_to_empty(&mut self) -> std::io::Result<()> {
+    fn truncate_to_empty(&mut self) -> std::io::Result<()> {
         self.file.set_len(0)?;
         self.file.seek(SeekFrom::Start(0))?;
         self.file.sync_data()?;
-        self.last_sync = Instant::now();
         self.unsynced = 0;
         self.end_pos = 0;
         Ok(())
@@ -660,18 +634,7 @@ impl Journal {
         self.file.sync_data()?;
         self.end_pos = len;
         self.unsynced = 0;
-        self.last_sync = Instant::now();
         Ok(())
-    }
-
-    /// Current byte length (tests).
-    pub fn len(&self) -> std::io::Result<u64> {
-        Ok(self.file.metadata()?.len())
-    }
-
-    /// Whether the journal file is empty.
-    pub fn is_empty(&self) -> std::io::Result<bool> {
-        Ok(self.len()? == 0)
     }
 }
 
@@ -686,7 +649,7 @@ fn relock<T>(r: Result<T, std::sync::PoisonError<T>>) -> T {
 }
 
 struct Appender {
-    journal: Journal,
+    writer: FrameWriter,
     /// Sequence number the next appended record gets.
     next_seq: u64,
 }
@@ -754,9 +717,7 @@ pub struct GroupJournal {
 
 impl GroupJournal {
     /// Open `path` at its scanned `valid_len`. `next_seq` seeds the
-    /// sequence counter (recovery's `last_seq + 1`). The inner journal
-    /// is opened with [`FsyncPolicy::Never`]: the commit protocol owns
-    /// all syncing.
+    /// sequence counter (recovery's `last_seq + 1`).
     pub fn open(
         path: &Path,
         valid_len: u64,
@@ -764,10 +725,10 @@ impl GroupJournal {
         next_seq: u64,
         fault: FsyncFault,
     ) -> std::io::Result<Self> {
-        let journal = Journal::open(path, valid_len, FsyncPolicy::Never)?;
-        let sync_handle = journal.file.try_clone()?;
+        let writer = FrameWriter::open(path, valid_len)?;
+        let sync_handle = writer.file.try_clone()?;
         Ok(Self {
-            appender: Mutex::new(Appender { journal, next_seq }),
+            appender: Mutex::new(Appender { writer, next_seq }),
             commit: Mutex::new(CommitState {
                 synced_seq: next_seq.saturating_sub(1),
                 synced_len: valid_len,
@@ -807,7 +768,7 @@ impl GroupJournal {
                 }
             }
             let seq = ap.next_seq;
-            match ap.journal.append(&JournalRecord { seq, event }, crash) {
+            match ap.writer.append(&JournalRecord { seq, event }, crash) {
                 Ok(()) => {}
                 Err(JournalError::Crashed(p)) => {
                     // The simulated process died inside the append. No
@@ -883,7 +844,7 @@ impl GroupJournal {
                 // publication): later arrivals with seq beyond it park
                 // on the next batch's queue.
                 relock(self.commit.lock()).target = ap.next_seq - 1;
-                (ap.next_seq - 1, ap.journal.end_pos)
+                (ap.next_seq - 1, ap.writer.end_pos)
             };
             let synced = if self.fault.take() {
                 Err(std::io::Error::other("injected fsync fault"))
@@ -928,7 +889,7 @@ impl GroupJournal {
                     poc_obs::counter!("ctrl.journal.batch_failures").inc();
                     let mut ap = relock(self.appender.lock());
                     let abort_hi = ap.next_seq - 1;
-                    let rolled = ap.journal.rollback_to(base_len);
+                    let rolled = ap.writer.rollback_to(base_len);
                     let mut done = relock(self.commit.lock());
                     done.leader = false;
                     done.gen = done.gen.wrapping_add(1);
@@ -958,10 +919,10 @@ impl GroupJournal {
     /// protocol but under both locks, so it composes with it.
     pub fn sync(&self) -> std::io::Result<()> {
         let mut ap = relock(self.appender.lock());
-        ap.journal.sync()?;
+        ap.writer.sync()?;
         let mut c = relock(self.commit.lock());
         c.synced_seq = ap.next_seq - 1;
-        c.synced_len = ap.journal.end_pos;
+        c.synced_len = ap.writer.end_pos;
         c.last_commit = Instant::now();
         // The frontier moved outside the leader protocol: drain both
         // queues so covered sleepers re-check it (a group commit only
@@ -976,7 +937,7 @@ impl GroupJournal {
     /// server holds every state lock across a checkpoint).
     pub fn truncate_to_empty(&self) -> std::io::Result<()> {
         let mut ap = relock(self.appender.lock());
-        ap.journal.truncate_to_empty()?;
+        ap.writer.truncate_to_empty()?;
         let mut c = relock(self.commit.lock());
         c.synced_seq = ap.next_seq - 1;
         c.synced_len = 0;
@@ -993,6 +954,7 @@ mod tests {
     use super::*;
     use poc_topology::RouterId;
     use proptest::prelude::*;
+    use std::path::PathBuf;
 
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("poc-journal-{}-{name}", std::process::id()));
@@ -1019,7 +981,7 @@ mod tests {
     }
 
     fn write_all(path: &Path, events: &[JournalEvent]) {
-        let mut j = Journal::open(path, 0, FsyncPolicy::Always).unwrap();
+        let mut j = FrameWriter::open(path, 0).unwrap();
         for (i, e) in events.iter().enumerate() {
             j.append(&rec(i as u64 + 1, e.clone()), &CrashSwitch::new()).unwrap();
         }
@@ -1133,7 +1095,7 @@ mod tests {
         assert!(s.torn_tail);
 
         // Re-open at the valid prefix and append a fresh record.
-        let mut j = Journal::open(&path, s.valid_len, FsyncPolicy::Always).unwrap();
+        let mut j = FrameWriter::open(&path, s.valid_len).unwrap();
         j.append(&rec(99, JournalEvent::RunAuction), &CrashSwitch::new()).unwrap();
         let s2 = scan(&path).unwrap();
         assert!(!s2.torn_tail, "tail was truncated before appending");
@@ -1149,7 +1111,7 @@ mod tests {
         let crash = CrashSwitch::new();
         crash.arm(CrashPoint::MidAppend);
         let s0 = scan(&path).unwrap();
-        let mut j = Journal::open(&path, s0.valid_len, FsyncPolicy::Always).unwrap();
+        let mut j = FrameWriter::open(&path, s0.valid_len).unwrap();
         let err = j.append(&rec(3, JournalEvent::RunBilling), &crash).unwrap_err();
         assert!(matches!(err, JournalError::Crashed(CrashPoint::MidAppend)), "{err:?}");
 
@@ -1163,9 +1125,10 @@ mod tests {
         let path = tmp("truncate");
         write_all(&path, &sample_events());
         let s = scan(&path).unwrap();
-        let mut j = Journal::open(&path, s.valid_len, FsyncPolicy::Never).unwrap();
+        let mut j = FrameWriter::open(&path, s.valid_len).unwrap();
         j.truncate_to_empty().unwrap();
-        assert!(j.is_empty().unwrap());
+        let emptied = scan(&path).unwrap();
+        assert!(emptied.records.is_empty() && emptied.valid_len == 0 && !emptied.torn_tail);
         j.append(&rec(7, JournalEvent::RunAuction), &CrashSwitch::new()).unwrap();
         let s = scan(&path).unwrap();
         assert_eq!(s.records.len(), 1);

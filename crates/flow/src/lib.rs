@@ -39,4 +39,4 @@ pub use oracle::{
     FeasibilityOracle, Rejection,
 };
 pub use route::{route_tm, RouteError, Routing};
-pub use warm::{WarmConfig, WarmOracle, WarmOutcome};
+pub use warm::{WarmOracle, WarmOutcome};

@@ -19,7 +19,7 @@
 //!   witness (capacities respected, all demands placed, resilience checked
 //!   on the warm base), so accepting on it is sound.
 //! - **Warm failure is never a rejection**: if the warm re-route fails, the
-//!   delta exceeds [`WarmConfig::max_invalid_frac`], or the warm base
+//!   delta exceeds `MAX_INVALID_FRAC` (half the flows), or the warm base
 //!   fails its resilience check, the oracle falls back to a full
 //!   from-scratch evaluation and returns *its* verdict.
 //!
@@ -34,9 +34,9 @@
 //! so a `WarmOracle` must be *private to one pivot*: the auction seeds one
 //! oracle per pivot from the round's initial accepted routing, and the
 //! selector drives it sequentially. Because every pivot starts from the
-//! same seed and replays a deterministic probe sequence, sequential and
-//! parallel pivot modes stay bit-identical. For the same reason the warm
-//! oracle never reads or writes the round-shared [`FeasibilityCache`]
+//! same seed and replays a deterministic probe sequence, a round's outcome
+//! does not depend on how its pivot threads interleave. For the same
+//! reason the warm oracle never reads or writes the round's [`FeasibilityCache`]
 //! (whose entries must be pure functions of the instance); it memoizes its
 //! own verdicts privately.
 //!
@@ -51,25 +51,14 @@ use poc_topology::{PocTopology, RouterId};
 use poc_traffic::TrafficMatrix;
 use std::collections::HashMap;
 
-/// Tuning for the warm start's fallback policy.
-#[derive(Clone, Copy, Debug)]
-pub struct WarmConfig {
-    /// Fall back to a from-scratch evaluation when more than this fraction
-    /// of the witness's flows is invalidated by the candidate set: with
-    /// little left to reuse, a warm attempt only adds overhead before the
-    /// inevitable full re-route.
-    pub max_invalid_frac: f64,
-}
-
-impl Default for WarmConfig {
-    fn default() -> Self {
-        // A pivot removes one BP's links (a few percent of a paper-scale
-        // instance), so genuine pivot probes invalidate a small fraction;
-        // at half the flows invalidated, warm reuse stops paying for
-        // itself.
-        Self { max_invalid_frac: 0.5 }
-    }
-}
+/// Fall back to a from-scratch evaluation when more than this fraction of
+/// the witness's flows is invalidated by the candidate set: with little
+/// left to reuse, a warm attempt only adds overhead before the inevitable
+/// full re-route. A pivot removes one BP's links (a few percent of a
+/// paper-scale instance), so genuine pivot probes invalidate a small
+/// fraction; at half the flows invalidated, warm reuse stops paying for
+/// itself.
+const MAX_INVALID_FRAC: f64 = 0.5;
 
 /// What the warm path did for one probe (exposed for tests and metrics).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -85,7 +74,6 @@ pub enum WarmOutcome {
 /// [`WarmOracle::seed`] for how the auction primes it.
 pub struct WarmOracle<'a> {
     inner: FeasibilityOracle<'a>,
-    cfg: WarmConfig,
     /// Last accepted routing (the warm-start witness).
     witness: parking_lot::Mutex<Option<Routing>>,
     /// Private verdict memo. Not the shared [`crate::FeasibilityCache`]:
@@ -96,18 +84,8 @@ pub struct WarmOracle<'a> {
 
 impl<'a> WarmOracle<'a> {
     pub fn new(topo: &'a PocTopology, tm: &'a TrafficMatrix, constraint: Constraint) -> Self {
-        Self::with_config(topo, tm, constraint, WarmConfig::default())
-    }
-
-    pub fn with_config(
-        topo: &'a PocTopology,
-        tm: &'a TrafficMatrix,
-        constraint: Constraint,
-        cfg: WarmConfig,
-    ) -> Self {
         Self {
             inner: FeasibilityOracle::new(topo, tm, constraint),
-            cfg,
             witness: parking_lot::Mutex::new(None),
             memo: parking_lot::Mutex::new(HashMap::new()),
         }
@@ -182,7 +160,7 @@ impl<'a> WarmOracle<'a> {
             .collect();
         let reused = alive.iter().filter(|&&a| a).count();
         let rerouted = n_flows - reused;
-        if n_flows > 0 && rerouted as f64 > self.cfg.max_invalid_frac * n_flows as f64 {
+        if n_flows > 0 && rerouted as f64 > MAX_INVALID_FRAC * n_flows as f64 {
             return Err(prev);
         }
 
@@ -448,13 +426,8 @@ mod tests {
         let full = LinkSet::full(t.n_links());
         let seed = FeasibilityOracle::new(&t, &tm, Constraint::BaseLoad).route(&full).unwrap();
         // Every flow invalidated (empty candidate intersects no witness
-        // path) → 100% invalid > any sane threshold → cold fallback.
-        let o = WarmOracle::with_config(
-            &t,
-            &tm,
-            Constraint::BaseLoad,
-            WarmConfig { max_invalid_frac: 0.4 },
-        );
+        // path) → 100% invalid > MAX_INVALID_FRAC → cold fallback.
+        let o = WarmOracle::new(&t, &tm, Constraint::BaseLoad);
         o.seed(seed.clone());
         // Drop every link the witness uses.
         let mut cand = full.clone();

@@ -18,7 +18,7 @@
 //! * [`TraceCtx::current`] captures the context as a value that can be
 //!   carried into a spawned thread and re-installed with
 //!   [`TraceCtx::adopt`] — this is how pivot spans parent to the round
-//!   span across the `PivotMode::Parallel` thread-scope boundary.
+//!   span across the auction round's thread-scope boundary.
 //!
 //! Closed spans land in the global [`FlightRecorder`] (bounded,
 //! drop-oldest; see [`crate::ring`]), which the control plane serves via
