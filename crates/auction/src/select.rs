@@ -223,7 +223,9 @@ impl GreedySelector {
                         _ => best = Some((path, *amount)),
                     }
                 }
-                best.expect("witness flow has at least one path").0.clone()
+                // A witness flow carrying no path (the oracle's `seed` is
+                // public) is a mismatch like any other: route from scratch.
+                best?.0.clone()
             } else {
                 self.select_demand(
                     market,
@@ -579,6 +581,29 @@ mod tests {
         assert!(oracle.acceptable(&greedy.links));
         assert!(oracle.acceptable(&exact.links));
         assert!(exact.cost <= greedy.cost + 1e-9, "exact is optimal");
+    }
+
+    #[test]
+    fn pathless_witness_flow_falls_back_to_the_full_routing_pass() {
+        let t = two_bp_square();
+        let m = Market::truthful(&t, 3.0);
+        // Both demands ride r2–r3, one per direction, so the smaller
+        // flow losing its witness paths below leaves no link for the
+        // misled warm oracle to prune that the larger does not pin.
+        let mut tm = TrafficMatrix::zero(t.n_routers());
+        tm.set(r(2), r(3), 10.0);
+        tm.set(r(3), r(2), 5.0);
+        let cold_oracle = FeasibilityOracle::new(&t, &tm, Constraint::BaseLoad);
+        let cold = GreedySelector::default().select(&m, &cold_oracle, m.offered()).unwrap();
+
+        let mut witness = witness_routing(&cold_oracle, &cold).expect("the selection routes");
+        assert_eq!((witness.flows[1].src, witness.flows[1].dst), (r(3), r(2)));
+        witness.flows[1].paths.clear();
+        let warm_oracle = poc_flow::WarmOracle::new(&t, &tm, Constraint::BaseLoad);
+        warm_oracle.seed(witness);
+        let warm = GreedySelector::default().select(&m, &warm_oracle, m.offered()).unwrap();
+        assert_eq!(warm.links, cold.links);
+        assert_eq!(warm.cost, cold.cost);
     }
 
     #[test]

@@ -1,15 +1,17 @@
-//! Shared fixtures for the benchmark harness.
+//! Shared fixtures for the criterion experiment benches.
 //!
 //! Every bench target regenerates one experiment from DESIGN.md's index:
 //! it prints the table/series the paper reports (on a laptop-scale
 //! instance by default; set `POC_PAPER_SCALE=1` for the full §3.3
 //! instance) and then times the computational kernel behind it.
+//!
+//! Performance is not measured here: that is the package under
+//! `src/bin/benchmark/` (`BENCHMARK.json` at the repository root), which
+//! is not part of this crate or the workspace.
 
 use poc_topology::zoo::{attach_external_isps, ExternalIspConfig};
 use poc_topology::{CostModel, PocTopology, ZooConfig, ZooGenerator};
 use poc_traffic::{TrafficMatrix, TrafficScenario};
-
-pub mod report;
 
 /// Whether to run experiment prints at the paper's full scale.
 pub fn paper_scale() -> bool {
@@ -33,17 +35,5 @@ pub fn paper_instance() -> (PocTopology, TrafficMatrix) {
     let mut topo = ZooGenerator::new(ZooConfig::paper()).generate();
     attach_external_isps(&mut topo, &ExternalIspConfig::default(), &CostModel::default());
     let tm = TrafficScenario::paper_default().generate(&topo);
-    (topo, tm)
-}
-
-/// The ROADMAP's stress instance: 100+ BPs offering 10k+ links
-/// ([`ZooConfig::scale`]) plus the default external ISPs, with the
-/// paper's aggregate demand. This is where warm-started pivots are
-/// supposed to pay off — `bench_pivot` measures them here.
-pub fn scale_instance() -> (PocTopology, TrafficMatrix) {
-    let mut topo = ZooGenerator::new(ZooConfig::scale()).generate();
-    attach_external_isps(&mut topo, &ExternalIspConfig::default(), &CostModel::default());
-    let tm =
-        TrafficScenario { total_gbps: 24000.0, ..TrafficScenario::paper_default() }.generate(&topo);
     (topo, tm)
 }

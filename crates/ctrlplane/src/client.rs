@@ -182,6 +182,9 @@ impl PocClient {
         let stream = TcpStream::connect_timeout(&addr, config.connect_timeout)?;
         stream.set_read_timeout(Some(config.read_timeout))?;
         stream.set_write_timeout(Some(config.write_timeout))?;
+        // Every frame is one complete message: never hold it back waiting
+        // for the peer's (possibly delayed) ACK of the previous one.
+        stream.set_nodelay(true)?;
         Ok(stream)
     }
 

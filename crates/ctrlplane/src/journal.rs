@@ -172,37 +172,29 @@ pub enum JournalEvent {
 }
 
 impl JournalEvent {
-    /// The journal event for a request, or `None` for read-only
-    /// requests (which are never journaled).
-    pub fn from_request(request: &crate::proto::Request) -> Option<Self> {
+    /// The journal event a replayable mutation is recorded as — the one
+    /// table of which requests those are. `None` for read-only requests
+    /// (never journaled) and for `BeginTransition`, which journals a
+    /// transaction of `Transition*` records of its own
+    /// (`crate::transition`).
+    pub fn from_request(request: crate::proto::Request) -> Option<Self> {
         use crate::proto::Request;
         match request {
-            Request::Attach { name, role } => {
-                Some(JournalEvent::Attach { name: name.clone(), role: role.clone() })
-            }
+            Request::Attach { name, role } => Some(JournalEvent::Attach { name, role }),
             Request::ReportUsage { entity, gbps } => {
-                Some(JournalEvent::ReportUsage { entity: *entity, gbps: *gbps })
+                Some(JournalEvent::ReportUsage { entity, gbps })
             }
             Request::RunAuction => Some(JournalEvent::RunAuction),
             Request::RunBilling => Some(JournalEvent::RunBilling),
-            Request::RecallLink { bp, link, notice_periods } => Some(JournalEvent::RecallLink {
-                bp: *bp,
-                link: *link,
-                notice_periods: *notice_periods,
-            }),
-            Request::ReviewPolicy { policy } => {
-                Some(JournalEvent::ReviewPolicy { policy: policy.clone() })
+            Request::RecallLink { bp, link, notice_periods } => {
+                Some(JournalEvent::RecallLink { bp, link, notice_periods })
             }
-            Request::BeginTransition { max_extra_links, demand_scale } => {
-                Some(JournalEvent::TransitionBegun {
-                    max_extra_links: *max_extra_links,
-                    demand_scale: *demand_scale,
-                })
-            }
+            Request::ReviewPolicy { policy } => Some(JournalEvent::ReviewPolicy { policy }),
             // The trace envelope is transparent: a traced mutation
             // journals as the bare mutation (replay never re-traces).
-            Request::Traced { request, .. } => Self::from_request(request),
-            Request::Ping
+            Request::Traced { request, .. } => Self::from_request(*request),
+            Request::BeginTransition { .. }
+            | Request::Ping
             | Request::GetOutcome
             | Request::GetBalance { .. }
             | Request::GetPath { .. }
@@ -211,33 +203,6 @@ impl JournalEvent {
             | Request::Metrics
             | Request::TransitionStatus
             | Request::Trace { .. } => None,
-        }
-    }
-
-    /// The request this event journals, for replay through the same
-    /// application path live requests take. `None` for transition
-    /// records: a `TransitionStep` is a *fragment* of a
-    /// `BeginTransition`, not a request of its own, so recovery replays
-    /// the transition family through its dedicated path
-    /// (`crate::transition::ReplayTracker`) instead of the live request
-    /// handler.
-    pub fn into_request(self) -> Option<crate::proto::Request> {
-        use crate::proto::Request;
-        match self {
-            JournalEvent::Attach { name, role } => Some(Request::Attach { name, role }),
-            JournalEvent::ReportUsage { entity, gbps } => {
-                Some(Request::ReportUsage { entity, gbps })
-            }
-            JournalEvent::RunAuction => Some(Request::RunAuction),
-            JournalEvent::RunBilling => Some(Request::RunBilling),
-            JournalEvent::RecallLink { bp, link, notice_periods } => {
-                Some(Request::RecallLink { bp, link, notice_periods })
-            }
-            JournalEvent::ReviewPolicy { policy } => Some(Request::ReviewPolicy { policy }),
-            JournalEvent::TransitionBegun { .. }
-            | JournalEvent::TransitionStep { .. }
-            | JournalEvent::TransitionCommitted
-            | JournalEvent::TransitionAborted => None,
         }
     }
 

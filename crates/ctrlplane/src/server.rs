@@ -398,7 +398,7 @@ fn try_reserve_slot(active: &AtomicI64, max: i64) -> bool {
 }
 
 /// Rebuild in-memory state from a state directory: restore the newest
-/// valid snapshot, then replay the journal suffix through [`apply`] —
+/// valid snapshot, then replay the journal suffix through [`mutate`] —
 /// the same path live requests take, so an event that failed validation
 /// live fails identically on replay.
 fn recover(
@@ -439,9 +439,8 @@ fn recover(
         if txn.absorb(shared, &event) {
             continue;
         }
-        if let Some(request) = event.into_request() {
-            let _ = apply(shared, request);
-        }
+        // Replay journals nothing, so no crash point can fire here.
+        let _ = mutate(shared, event, false);
     }
     shared.durability = Some(recovered.durability);
     shared.recovery = Some(recovered.info);
@@ -545,6 +544,10 @@ fn serve_connection(
 ) -> Result<(), CodecError> {
     stream.set_read_timeout(Some(READ_POLL))?;
     stream.set_write_timeout(Some(config.write_timeout))?;
+    // Replies to pipelined requests go out as they are produced: with
+    // Nagle on, the second reply of a batch waits for the peer's delayed
+    // ACK of the first (≈ 40 ms per batch on Linux).
+    stream.set_nodelay(true)?;
     let last_byte = Cell::new(Instant::now());
     // Persistent buffered reader: a request's length prefix and payload
     // usually arrive in one segment, so framing costs one `read(2)`
@@ -710,12 +713,10 @@ fn maybe_checkpoint(shared: &Shared) -> Result<(), CrashPoint> {
     }
 }
 
-/// Handle one request end-to-end: route it to the locks it needs,
-/// journal mutating events *before* applying them (under those same
-/// locks — the determinism contract in [`crate::shard`]), then apply.
-/// `Err(point)` means an armed [`CrashPoint`] fired — the simulated
-/// process is dead and the caller must stop the server without
-/// replying.
+/// Handle one request end-to-end: reads and `BeginTransition` here,
+/// the replayable mutations through [`mutate`]. `Err(point)` means an
+/// armed [`CrashPoint`] fired — the simulated process is dead and the
+/// caller must stop the server without replying.
 fn handle(shared: &Shared, request: Request) -> Result<Response, CrashPoint> {
     match request {
         // Lock-free: health and observability.
@@ -735,66 +736,6 @@ fn handle(shared: &Shared, request: Request) -> Result<Response, CrashPoint> {
         // The envelope never reaches handle() from the wire (the serve
         // loop unwraps it), but replay safety demands a total function.
         Request::Traced { request, .. } => handle(shared, *request),
-        // The hot path: one shard lock, no global state.
-        Request::ReportUsage { entity, gbps } => {
-            let _span = poc_obs::span!("ctrl.shard.apply", op = "report_usage");
-            let mut shard = shared.state.shard(entity).lock();
-            if let Some(refusal) =
-                journal_event(shared, JournalEvent::ReportUsage { entity, gbps })?
-            {
-                return Ok(refusal);
-            }
-            Ok(apply_usage(&mut shard, entity, gbps))
-        }
-        // Global mutations that touch usage/authorization state take
-        // every lock; the rest take only the global lock.
-        Request::Attach { name, role } => {
-            let (mut g, mut shards) = shared.state.lock_all();
-            if let Some(refusal) = journal_event(
-                shared,
-                JournalEvent::Attach { name: name.clone(), role: role.clone() },
-            )? {
-                return Ok(refusal);
-            }
-            Ok(apply_attach(&mut g, &mut shards, &name, &role))
-        }
-        Request::RunBilling => {
-            let (mut g, mut shards) = shared.state.lock_all();
-            if let Some(refusal) = journal_event(shared, JournalEvent::RunBilling)? {
-                return Ok(refusal);
-            }
-            Ok(apply_billing(&mut g, &mut shards))
-        }
-        Request::RunAuction => {
-            let mut g = shared.state.global.lock();
-            if let Some(refusal) = journal_event(shared, JournalEvent::RunAuction)? {
-                return Ok(refusal);
-            }
-            Ok(apply_auction(&mut g))
-        }
-        Request::RecallLink { bp, link, notice_periods } => {
-            let mut g = shared.state.global.lock();
-            if let Some(refusal) =
-                journal_event(shared, JournalEvent::RecallLink { bp, link, notice_periods })?
-            {
-                return Ok(refusal);
-            }
-            let found = g.poc.recall_link(
-                poc_topology::BpId(bp),
-                poc_topology::LinkId(link),
-                notice_periods,
-            );
-            Ok(Response::RecallDone { found, reauction_needed: g.poc.reauction_needed() })
-        }
-        Request::ReviewPolicy { policy } => {
-            let mut g = shared.state.global.lock();
-            if let Some(refusal) =
-                journal_event(shared, JournalEvent::ReviewPolicy { policy: policy.clone() })?
-            {
-                return Ok(refusal);
-            }
-            Ok(Response::PolicyVerdict(g.poc.review_policy(&policy)))
-        }
         Request::BeginTransition { max_extra_links, demand_scale } => {
             // The whole migration runs under the global lock: planning,
             // per-step journaling, and lease-book mutation. Concurrent
@@ -850,50 +791,82 @@ fn handle(shared: &Shared, request: Request) -> Result<Response, CrashPoint> {
                     .collect(),
             ))
         }
+        // The six replayable mutations: `from_request` is the table of
+        // what they are, `mutate` of what each locks and applies.
+        mutation => match JournalEvent::from_request(mutation) {
+            Some(event) => mutate(shared, event, true),
+            None => Ok(Response::Error { message: "not a mutation".into() }),
+        },
     }
 }
 
-/// Apply one request to in-memory state *without* journaling: the
-/// journal-replay path. Live requests go through [`handle`], which
-/// journals first and then applies through the same `apply_*` functions
-/// below — that shared tail is what makes replay deterministic.
-fn apply(shared: &Shared, request: Request) -> Response {
-    match request {
-        Request::ReportUsage { entity, gbps } => {
-            let mut shard = shared.state.shard(entity).lock();
-            apply_usage(&mut shard, entity, gbps)
+/// Apply one replayable mutation under the locks it needs. `live`
+/// requests journal first — write-ahead, under those same locks (the
+/// determinism contract in [`crate::shard`]) — and a journaling refusal
+/// is returned without applying; journal replay passes `live = false`
+/// and only applies. Both then run the same `apply_*` function, which is
+/// what makes replay deterministic: an event that failed validation live
+/// fails identically when replayed. `Err(point)` means an armed
+/// [`CrashPoint`] fired.
+fn mutate(shared: &Shared, event: JournalEvent, live: bool) -> Result<Response, CrashPoint> {
+    let journal = || if live { journal_event(shared, event.clone()) } else { Ok(None) };
+    Ok(match &event {
+        // The hot path: one shard lock, no global state.
+        JournalEvent::ReportUsage { entity, gbps } => {
+            let _span = poc_obs::span!("ctrl.shard.apply", op = "report_usage");
+            let mut shard = shared.state.shard(*entity).lock();
+            match journal()? {
+                Some(refusal) => refusal,
+                None => apply_usage(&mut shard, *entity, *gbps),
+            }
         }
-        Request::Attach { name, role } => {
+        // Global mutations that touch usage/authorization state take
+        // every lock; the rest take only the global lock.
+        JournalEvent::Attach { name, role } => {
             let (mut g, mut shards) = shared.state.lock_all();
-            apply_attach(&mut g, &mut shards, &name, &role)
+            match journal()? {
+                Some(refusal) => refusal,
+                None => apply_attach(&mut g, &mut shards, name, role),
+            }
         }
-        Request::RunBilling => {
+        JournalEvent::RunBilling => {
             let (mut g, mut shards) = shared.state.lock_all();
-            apply_billing(&mut g, &mut shards)
+            match journal()? {
+                Some(refusal) => refusal,
+                None => apply_billing(&mut g, &mut shards),
+            }
         }
-        Request::RunAuction => {
+        JournalEvent::RunAuction => {
             let mut g = shared.state.global.lock();
-            apply_auction(&mut g)
+            match journal()? {
+                Some(refusal) => refusal,
+                None => apply_auction(&mut g),
+            }
         }
-        Request::RecallLink { bp, link, notice_periods } => {
+        JournalEvent::RecallLink { bp, link, notice_periods } => {
             let mut g = shared.state.global.lock();
-            let found = g.poc.recall_link(
-                poc_topology::BpId(bp),
-                poc_topology::LinkId(link),
-                notice_periods,
-            );
-            Response::RecallDone { found, reauction_needed: g.poc.reauction_needed() }
+            match journal()? {
+                Some(refusal) => refusal,
+                None => apply_recall(&mut g, *bp, *link, *notice_periods),
+            }
         }
-        Request::ReviewPolicy { policy } => {
+        JournalEvent::ReviewPolicy { policy } => {
             let mut g = shared.state.global.lock();
-            Response::PolicyVerdict(g.poc.review_policy(&policy))
+            match journal()? {
+                Some(refusal) => refusal,
+                None => Response::PolicyVerdict(g.poc.review_policy(policy)),
+            }
         }
-        Request::Traced { request, .. } => apply(shared, *request),
-        // Non-mutating requests are never journaled, and BeginTransition
-        // replays through the transition tracker (its journal events have
-        // no request form) — but replay safety demands a total function.
-        other => Response::Error { message: format!("not a mutation: {}", other.name()) },
-    }
+        // A transition record is a fragment of a `BeginTransition`, not a
+        // mutation of its own: live, `crate::transition::run_transition`
+        // journals them; on replay its `ReplayTracker` absorbs them.
+        JournalEvent::TransitionBegun { .. }
+        | JournalEvent::TransitionStep { .. }
+        | JournalEvent::TransitionCommitted
+        | JournalEvent::TransitionAborted => {
+            Response::Error { message: format!("not a replayable mutation: {}", event.label()) }
+        }
+    })
 }
 
 /// Validate and record one usage report on its shard. Validation runs
@@ -943,6 +916,12 @@ fn apply_attach(
         }
         Err(e) => Response::Error { message: e.to_string() },
     }
+}
+
+fn apply_recall(g: &mut Global, bp: u32, link: u32, notice_periods: u32) -> Response {
+    let found =
+        g.poc.recall_link(poc_topology::BpId(bp), poc_topology::LinkId(link), notice_periods);
+    Response::RecallDone { found, reauction_needed: g.poc.reauction_needed() }
 }
 
 fn apply_auction(g: &mut Global) -> Response {

@@ -36,6 +36,41 @@ fn ping_pong() {
     let _ = join.join();
 }
 
+/// Replies to pipelined requests must not wait on the peer's delayed
+/// ACK: without `TCP_NODELAY` on the server's socket, the second `Pong`
+/// of every batch sits in Nagle's buffer for one delayed ACK (≈ 40 ms on
+/// Linux), so 20 batches take most of a second instead of milliseconds.
+#[test]
+fn pipelined_requests_do_not_stall_on_delayed_acks() {
+    use poc_ctrlplane::codec::{read_frame, write_frame};
+    use poc_ctrlplane::{Request, Response};
+    const BATCHES: usize = 20;
+    const PIPELINED: usize = 16;
+
+    let (handle, join) = start_server();
+    let mut stream = std::net::TcpStream::connect(handle.local_addr).unwrap();
+    stream.set_nodelay(true).unwrap();
+    stream.set_read_timeout(Some(std::time::Duration::from_secs(10))).unwrap();
+    let started = std::time::Instant::now();
+    for _ in 0..BATCHES {
+        for _ in 0..PIPELINED {
+            write_frame(&mut stream, &Request::Ping).unwrap();
+        }
+        for _ in 0..PIPELINED {
+            let reply: Response = read_frame(&mut stream).unwrap();
+            assert_eq!(reply, Response::Pong);
+        }
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < std::time::Duration::from_millis(400),
+        "{} pipelined pings took {elapsed:?}: replies are waiting on delayed ACKs",
+        BATCHES * PIPELINED
+    );
+    handle.shutdown();
+    let _ = join.join();
+}
+
 #[test]
 fn full_lifecycle_attach_auction_usage_billing() {
     let (handle, join) = start_server();
