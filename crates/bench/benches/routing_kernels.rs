@@ -1,11 +1,16 @@
 //! Micro-benchmarks of the substrate kernels everything else is built on:
 //! LinkSet algebra, single-source shortest path, full-matrix routing,
 //! forwarding-table installation, and max-min fair allocation.
+//!
+//! The `*_selected` cases are shaped like the auction's hot path, the
+//! selector's prune loop: a graph over a selection rather than the whole
+//! offer, and a matrix the set just fails to carry.
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
+use poc_auction::{GreedySelector, Market, Selector};
 use poc_bench::{instance, paper_instance};
 use poc_core::fabric::ForwardingState;
-use poc_flow::{route_tm, CapacityGraph, LinkSet};
+use poc_flow::{route_tm, CapacityGraph, Constraint, FeasibilityOracle, LinkSet};
 use poc_netsim::fairness::{max_min_rates, AllocFlow};
 use poc_topology::RouterId;
 use std::time::Duration;
@@ -42,6 +47,47 @@ fn bench_route_tm(c: &mut Criterion) {
     });
 }
 
+/// The kernels on what a prune probe hands them: the greedy selection, and
+/// that selection less its dearest link that the matrix cannot spare.
+fn bench_selected(c: &mut Criterion) {
+    let (topo, tm) = instance();
+    let market = Market::truthful(&topo, 3.0);
+    let oracle = FeasibilityOracle::new(&topo, &tm, Constraint::BaseLoad);
+    let selected = GreedySelector::default()
+        .select(&market, &oracle, market.offered())
+        .expect("feasible")
+        .links;
+
+    let g = CapacityGraph::new(&topo, &selected);
+    let (src, dst) = (RouterId(0), RouterId(topo.n_routers() as u32 - 1));
+    c.bench_function("dijkstra_selected_scale", |b| {
+        b.iter(|| {
+            g.shortest_path(
+                src,
+                dst,
+                |l, _| topo.link(l).distance_km,
+                |l, dir| g.residual(l, dir) >= 1.0,
+            )
+            .expect("connected")
+        })
+    });
+
+    let mut by_price: Vec<_> = selected.iter().collect();
+    by_price.sort_by(|&a, &b| market.unit_price(b).total_cmp(&market.unit_price(a)));
+    let short = by_price
+        .into_iter()
+        .map(|l| {
+            let mut s = selected.clone();
+            s.remove(l);
+            s
+        })
+        .find(|s| route_tm(&topo, s, &tm).is_err())
+        .expect("a pruned selection has a link it cannot spare");
+    c.bench_function("route_tm_reject_selected", |b| {
+        b.iter(|| route_tm(&topo, &short, &tm).expect_err("rejected"))
+    });
+}
+
 fn bench_forwarding_install(c: &mut Criterion) {
     for (label, (topo, _)) in [("small", instance()), ("paper", paper_instance())] {
         let all = LinkSet::full(topo.n_links());
@@ -75,7 +121,7 @@ fn bench_fairness(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20).measurement_time(Duration::from_secs(10));
-    targets = bench_linkset, bench_shortest_path, bench_route_tm, bench_forwarding_install, bench_fairness
+    targets = bench_linkset, bench_shortest_path, bench_route_tm, bench_selected, bench_forwarding_install, bench_fairness
 }
 
 fn main() {

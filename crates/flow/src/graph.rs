@@ -6,42 +6,94 @@
 
 use crate::linkset::LinkSet;
 use poc_topology::{LinkId, PocTopology, RouterId};
+use std::cell::Cell;
+use std::collections::BinaryHeap;
 
 /// Direction of traversal of an undirected link.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Dir {
     /// From stored endpoint `a` to `b`.
-    Fwd,
+    Fwd = 0,
     /// From stored endpoint `b` to `a`.
-    Rev,
+    Rev = 1,
 }
 
 /// A routing substrate over the subset `active` of a topology's links,
 /// with mutable per-direction residual capacities.
 pub struct CapacityGraph<'t> {
     topo: &'t PocTopology,
-    /// adjacency: for each router, (link, neighbor) for active links.
-    adj: Vec<Vec<(LinkId, RouterId)>>,
-    residual_fwd: Vec<f64>,
-    residual_rev: Vec<f64>,
+    /// CSR adjacency over the active links: router `r`'s arcs are
+    /// `arcs[arc_start[r]..arc_start[r + 1]]` as (link, other endpoint),
+    /// in ascending link id — the order Dijkstra relaxes them in, and so
+    /// the tie-break between parallel links of equal length.
+    arc_start: Vec<usize>,
+    arcs: Vec<(LinkId, RouterId)>,
+    /// The direction each arc leaves its router in, parallel to `arcs`.
+    arc_dir: Vec<Dir>,
+    /// Residual of `link` in `dir` at `[2 * link + dir]`; zero for
+    /// inactive links.
+    residual: Vec<f64>,
     active: LinkSet,
+    /// Dijkstra's working memory. `shortest_path` takes it for the length
+    /// of a call and puts it back, so a pass of thousands of searches
+    /// allocates it once.
+    scratch: Cell<Scratch>,
+}
+
+/// What one [`CapacityGraph::shortest_path`] call needs and the next can
+/// reuse; every field is reset at the start of a search.
+#[derive(Default)]
+struct Scratch {
+    dist: Vec<f64>,
+    prev: Vec<Option<(LinkId, RouterId)>>,
+    heap: BinaryHeap<MinItem>,
+}
+
+#[inline]
+fn slot(link: LinkId, dir: Dir) -> usize {
+    2 * link.index() + dir as usize
 }
 
 impl<'t> CapacityGraph<'t> {
     /// Build the graph over `active ⊆ links(topo)` with full residuals.
     pub fn new(topo: &'t PocTopology, active: &LinkSet) -> Self {
         assert_eq!(active.universe(), topo.n_links(), "link-set universe must match the topology");
-        let mut adj = vec![Vec::new(); topo.n_routers()];
-        let mut residual_fwd = vec![0.0; topo.n_links()];
-        let mut residual_rev = vec![0.0; topo.n_links()];
+        let n = topo.n_routers();
+        // One counting pass: degrees, their prefix sums, then each arc
+        // written at its router's cursor.
+        let mut arc_start = vec![0usize; n + 1];
         for l in active.iter() {
             let link = topo.link(l);
-            adj[link.a.index()].push((l, link.b));
-            adj[link.b.index()].push((l, link.a));
-            residual_fwd[l.index()] = link.capacity_gbps;
-            residual_rev[l.index()] = link.capacity_gbps;
+            arc_start[link.a.index() + 1] += 1;
+            arc_start[link.b.index() + 1] += 1;
         }
-        Self { topo, adj, residual_fwd, residual_rev, active: active.clone() }
+        for r in 0..n {
+            arc_start[r + 1] += arc_start[r];
+        }
+        let mut cursor = arc_start[..n].to_vec();
+        let n_arcs = arc_start[n];
+        let mut arcs = vec![(LinkId::from_index(0), RouterId::from_index(0)); n_arcs];
+        let mut arc_dir = vec![Dir::Fwd; n_arcs];
+        let mut residual = vec![0.0; 2 * topo.n_links()];
+        for l in active.iter() {
+            let link = topo.link(l);
+            for (from, to, dir) in [(link.a, link.b, Dir::Fwd), (link.b, link.a, Dir::Rev)] {
+                let at = &mut cursor[from.index()];
+                arcs[*at] = (l, to);
+                arc_dir[*at] = dir;
+                *at += 1;
+                residual[slot(l, dir)] = link.capacity_gbps;
+            }
+        }
+        Self {
+            topo,
+            arc_start,
+            arcs,
+            arc_dir,
+            residual,
+            active: active.clone(),
+            scratch: Cell::default(),
+        }
     }
 
     pub fn topo(&self) -> &'t PocTopology {
@@ -52,30 +104,21 @@ impl<'t> CapacityGraph<'t> {
         &self.active
     }
 
+    #[inline]
+    fn arc_range(&self, r: RouterId) -> std::ops::Range<usize> {
+        self.arc_start[r.index()]..self.arc_start[r.index() + 1]
+    }
+
     /// Active neighbors of `r` as (link, other endpoint).
     #[inline]
     pub fn neighbors(&self, r: RouterId) -> &[(LinkId, RouterId)] {
-        &self.adj[r.index()]
-    }
-
-    /// Direction of traversing `link` out of router `from`.
-    #[inline]
-    pub fn dir_from(&self, link: LinkId, from: RouterId) -> Dir {
-        if self.topo.link(link).a == from {
-            Dir::Fwd
-        } else {
-            debug_assert_eq!(self.topo.link(link).b, from);
-            Dir::Rev
-        }
+        &self.arcs[self.arc_range(r)]
     }
 
     /// Residual capacity of `link` in direction `dir`, Gbit/s.
     #[inline]
     pub fn residual(&self, link: LinkId, dir: Dir) -> f64 {
-        match dir {
-            Dir::Fwd => self.residual_fwd[link.index()],
-            Dir::Rev => self.residual_rev[link.index()],
-        }
+        self.residual[slot(link, dir)]
     }
 
     /// Consume `gbps` of residual along `link` in `dir`.
@@ -87,10 +130,7 @@ impl<'t> CapacityGraph<'t> {
     /// counter instead, so a logic error in a routing pass shows up in
     /// metrics rather than crashing or passing silently.
     pub fn consume(&mut self, link: LinkId, dir: Dir, gbps: f64) {
-        let r = match dir {
-            Dir::Fwd => &mut self.residual_fwd[link.index()],
-            Dir::Rev => &mut self.residual_rev[link.index()],
-        };
+        let r = &mut self.residual[slot(link, dir)];
         *r -= gbps;
         if *r < -1e-6 {
             poc_obs::counter!("flow.graph.overcommit").inc();
@@ -101,10 +141,7 @@ impl<'t> CapacityGraph<'t> {
     /// Return `gbps` of residual along `link` in `dir` (used when undoing a
     /// tentative routing).
     pub fn release(&mut self, link: LinkId, dir: Dir, gbps: f64) {
-        match dir {
-            Dir::Fwd => self.residual_fwd[link.index()] += gbps,
-            Dir::Rev => self.residual_rev[link.index()] += gbps,
-        }
+        self.residual[slot(link, dir)] += gbps;
     }
 
     /// The smallest residual along `path` walked from `src` (infinite for
@@ -170,13 +207,31 @@ impl<'t> CapacityGraph<'t> {
         &self,
         src: RouterId,
         dst: RouterId,
+        weight: impl FnMut(LinkId, Dir) -> f64,
+        usable: impl FnMut(LinkId, Dir) -> bool,
+    ) -> Option<Vec<LinkId>> {
+        // Taken, not borrowed: a callback that searched this graph itself
+        // would find an empty scratch and allocate, never a locked one.
+        let mut scratch = self.scratch.take();
+        let path = self.dijkstra(&mut scratch, src, dst, weight, usable);
+        self.scratch.set(scratch);
+        path
+    }
+
+    fn dijkstra(
+        &self,
+        Scratch { dist, prev, heap }: &mut Scratch,
+        src: RouterId,
+        dst: RouterId,
         mut weight: impl FnMut(LinkId, Dir) -> f64,
         mut usable: impl FnMut(LinkId, Dir) -> bool,
     ) -> Option<Vec<LinkId>> {
         let n = self.topo.n_routers();
-        let mut dist = vec![f64::INFINITY; n];
-        let mut prev: Vec<Option<(LinkId, RouterId)>> = vec![None; n];
-        let mut heap = std::collections::BinaryHeap::new();
+        dist.clear();
+        dist.resize(n, f64::INFINITY);
+        prev.clear();
+        prev.resize(n, None);
+        heap.clear();
         dist[src.index()] = 0.0;
         heap.push(MinItem { cost: 0.0, node: src });
         while let Some(MinItem { cost, node }) = heap.pop() {
@@ -186,8 +241,8 @@ impl<'t> CapacityGraph<'t> {
             if node == dst {
                 break;
             }
-            for &(l, nb) in self.neighbors(node) {
-                let dir = self.dir_from(l, node);
+            let arcs = self.arc_range(node);
+            for (&(l, nb), &dir) in self.arcs[arcs.clone()].iter().zip(&self.arc_dir[arcs]) {
                 if !usable(l, dir) {
                     continue;
                 }
@@ -294,7 +349,173 @@ impl PartialOrd for MinItem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use poc_topology::builder::two_bp_square;
+    use poc_topology::builder::{two_bp_square, TopologyBuilder};
+    use poc_topology::zoo::{attach_external_isps, ExternalIspConfig};
+    use poc_topology::{CostModel, LinkOwner, Point, ZooConfig, ZooGenerator};
+    use proptest::prelude::*;
+
+    /// The Dijkstra [`CapacityGraph::shortest_path`] replaced, kept as its
+    /// reference: one `Vec` of arcs per router in ascending link id, each
+    /// arc's direction looked up in the topology, fresh working memory.
+    fn reference_shortest_path(
+        topo: &PocTopology,
+        active: &LinkSet,
+        src: RouterId,
+        dst: RouterId,
+        mut weight: impl FnMut(LinkId, Dir) -> f64,
+        mut usable: impl FnMut(LinkId, Dir) -> bool,
+    ) -> Option<Vec<LinkId>> {
+        let n = topo.n_routers();
+        let mut adj = vec![Vec::new(); n];
+        for l in active.iter() {
+            let link = topo.link(l);
+            adj[link.a.index()].push((l, link.b));
+            adj[link.b.index()].push((l, link.a));
+        }
+        let mut dist = vec![f64::INFINITY; n];
+        let mut prev: Vec<Option<(LinkId, RouterId)>> = vec![None; n];
+        let mut heap = BinaryHeap::new();
+        dist[src.index()] = 0.0;
+        heap.push(MinItem { cost: 0.0, node: src });
+        while let Some(MinItem { cost, node }) = heap.pop() {
+            if cost > dist[node.index()] + 1e-12 {
+                continue;
+            }
+            if node == dst {
+                break;
+            }
+            for &(l, nb) in &adj[node.index()] {
+                let dir = if topo.link(l).a == node { Dir::Fwd } else { Dir::Rev };
+                if !usable(l, dir) {
+                    continue;
+                }
+                let nc = cost + weight(l, dir);
+                if nc < dist[nb.index()] - 1e-12 {
+                    dist[nb.index()] = nc;
+                    prev[nb.index()] = Some((l, node));
+                    heap.push(MinItem { cost: nc, node: nb });
+                }
+            }
+        }
+        if dist[dst.index()].is_infinite() {
+            return None;
+        }
+        let mut path = Vec::new();
+        let mut cur = dst;
+        while cur != src {
+            let (l, p) = prev[cur.index()].expect("broken predecessor chain");
+            path.push(l);
+            cur = p;
+        }
+        path.reverse();
+        Some(path)
+    }
+
+    fn small_zoo_with_isps() -> &'static PocTopology {
+        static ZOO: std::sync::OnceLock<PocTopology> = std::sync::OnceLock::new();
+        ZOO.get_or_init(|| {
+            let mut t = ZooGenerator::new(ZooConfig::small()).generate();
+            attach_external_isps(&mut t, &ExternalIspConfig::default(), &CostModel::default());
+            t
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        /// Random active subsets, random loads, random residual thresholds
+        /// and endpoints: the CSR kernel with reused scratch returns the
+        /// reference's path, link for link. Unit weights make nearly every
+        /// relaxation a tie, so the arc order is what decides.
+        #[test]
+        fn shortest_path_matches_the_nested_vec_reference(
+            dropped in prop::collection::vec(0usize..1 << 16, 0..600),
+            loaded in prop::collection::vec((0usize..1 << 16, 0.0f64..1.0), 0..400),
+            queries in prop::collection::vec(
+                (0usize..1 << 16, 0usize..1 << 16, 0.0f64..120.0, 0u8..3),
+                1..8,
+            ),
+        ) {
+            let topo = small_zoo_with_isps();
+            let link = |i: usize| LinkId::from_index(i % topo.n_links());
+            let mut active = LinkSet::full(topo.n_links());
+            for i in dropped {
+                active.remove(link(i));
+            }
+            let mut g = CapacityGraph::new(topo, &active);
+            for (i, frac) in loaded {
+                let dir = if (i >> 8) % 2 == 0 { Dir::Fwd } else { Dir::Rev };
+                if active.contains(link(i)) {
+                    g.consume(link(i), dir, frac * g.residual(link(i), dir));
+                }
+            }
+            for (s, d, threshold, metric) in queries {
+                let src = RouterId::from_index(s % topo.n_routers());
+                let dst = RouterId::from_index(d % topo.n_routers());
+                let weight = |l: LinkId, _| match metric {
+                    0 => 1.0,
+                    1 => topo.link(l).distance_km,
+                    _ => topo.link(l).distance_km * if topo.link(l).owner.is_virtual() { 8.0 } else { 1.0 },
+                };
+                let usable = |l: LinkId, dir| g.residual(l, dir) >= threshold;
+                prop_assert_eq!(
+                    g.shortest_path(src, dst, weight, usable),
+                    reference_shortest_path(topo, &active, src, dst, weight, usable)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn parallel_links_of_equal_length_tie_break_on_lowest_link_id() {
+        let mut b = TopologyBuilder::new();
+        let c0 = b.city("x", Point::new(0.0, 0.0), 1.0);
+        let c1 = b.city("y", Point::new(100.0, 0.0), 1.0);
+        let c2 = b.city("z", Point::new(200.0, 0.0), 1.0);
+        let bp = b.bp("bp", vec![c0, c1, c2], vec![(c0, c1), (c1, c2)]);
+        let (r0, r1, r2) = (b.router(c0, vec![bp]), b.router(c1, vec![bp]), b.router(c2, vec![bp]));
+        // Declared out of endpoint order and interleaved between the two
+        // router pairs, so arc order within a router is not insertion luck.
+        let l0 = b.link(LinkOwner::Bp(bp), r1, r0, 10.0, 125.0, 1, 1.0);
+        let l1 = b.link(LinkOwner::Bp(bp), r2, r1, 10.0, 125.0, 1, 1.0);
+        let l2 = b.link(LinkOwner::Bp(bp), r0, r1, 10.0, 125.0, 1, 1.0);
+        let l3 = b.link(LinkOwner::Bp(bp), r1, r2, 10.0, 125.0, 1, 1.0);
+        let t = b.build();
+        let km = |l: LinkId, _| t.link(l).distance_km;
+        let path = |active: &[LinkId], from, to| {
+            let g =
+                CapacityGraph::new(&t, &LinkSet::from_links(t.n_links(), active.iter().copied()));
+            g.shortest_path(from, to, km, |_, _| true)
+        };
+        assert_eq!(path(&[l0, l1, l2, l3], r0, r2), Some(vec![l0, l1]));
+        assert_eq!(path(&[l0, l1, l2, l3], r2, r0), Some(vec![l1, l0]));
+        assert_eq!(path(&[l1, l2, l3], r0, r2), Some(vec![l2, l1]));
+        assert_eq!(path(&[l0, l2, l3], r2, r0), Some(vec![l3, l0]));
+    }
+
+    #[test]
+    fn reused_scratch_never_leaks_between_searches() {
+        let t = small_zoo_with_isps();
+        let mut active = LinkSet::full(t.n_links());
+        // Thin the graph so some filtered searches find nothing.
+        for i in (0..t.n_links()).filter(|i| i % 3 != 0) {
+            active.remove(LinkId::from_index(i));
+        }
+        let shared = CapacityGraph::new(t, &active);
+        let n = t.n_routers();
+        let mut unreachable = 0;
+        for k in 0..200usize {
+            let src = RouterId::from_index((k * 7) % n);
+            let dst = RouterId::from_index((k * 13 + 5) % n);
+            let min_cap = [0.0, 40.0, 100.0, 400.0][k % 4];
+            let km = |l: LinkId, _| t.link(l).distance_km;
+            let wide = |l: LinkId, _| t.link(l).capacity_gbps >= min_cap && l.index() % 5 != k % 5;
+            let fresh = CapacityGraph::new(t, &active);
+            let expected = fresh.shortest_path(src, dst, km, wide);
+            unreachable += usize::from(expected.is_none());
+            assert_eq!(shared.shortest_path(src, dst, km, wide), expected, "search {k}");
+        }
+        assert!((1..200).contains(&unreachable), "mix of found and not: {unreachable}");
+    }
 
     #[test]
     fn builds_adjacency_for_active_subset() {

@@ -103,7 +103,8 @@ impl std::fmt::Display for RouteError {
 
 impl std::error::Error for RouteError {}
 
-/// Maximum number of splits for one demand before giving up.
+/// Maximum number of times one demand is split before giving up: a demand
+/// rides at most `MAX_SPLITS + 1` paths.
 pub const MAX_SPLITS: usize = 32;
 
 /// Distance multiplier applied to external-ISP virtual links on the
@@ -116,26 +117,20 @@ pub const VIRTUAL_RETRY_PENALTY: f64 = 8.0;
 
 /// Route `tm` over `active ⊆ links(topo)`. Demands are processed
 /// largest-first; each is placed on the distance-shortest path whose
-/// residual fits it, or split across up to [`MAX_SPLITS`] such paths.
-/// On failure, one retry de-prefers virtual links (see
-/// [`VIRTUAL_RETRY_PENALTY`]); the first error is reported if both fail.
+/// residual fits it, or split across up to [`MAX_SPLITS`]` + 1` such
+/// paths. On failure, if `active` holds a virtual link, one retry
+/// de-prefers virtual links (see [`VIRTUAL_RETRY_PENALTY`]); the first
+/// error is reported if both fail.
 pub fn route_tm(
     topo: &PocTopology,
     active: &LinkSet,
     tm: &TrafficMatrix,
 ) -> Result<Routing, RouteError> {
-    // Trace granularity: one span per full TM routing pass (the
-    // `place_flow` loop), not per placed flow — a span per Dijkstra
+    // Trace granularity: one span per full TM routing (the `place_flow`
+    // loop and its retry), not per placed flow — a span per Dijkstra
     // would dominate the ring without adding attribution.
     let _span = poc_obs::span!("flow.route_tm");
-    let mut g = CapacityGraph::new(topo, active);
-    match route_tm_on(&mut g, tm, |_, _| true, 1.0) {
-        Ok(r) => Ok(r),
-        Err(first) => {
-            let mut g = CapacityGraph::new(topo, active);
-            route_tm_on(&mut g, tm, |_, _| true, VIRTUAL_RETRY_PENALTY).map_err(|_| first)
-        }
-    }
+    route_tm_with_veto(topo, active, tm, |_, _| true)
 }
 
 /// As [`route_tm`], but with a per-flow link veto: `allowed(flow_index,
@@ -148,14 +143,18 @@ pub fn route_tm_with_veto(
     tm: &TrafficMatrix,
     allowed: impl Fn(usize, LinkId) -> bool,
 ) -> Result<Routing, RouteError> {
-    let mut g = CapacityGraph::new(topo, active);
-    match route_tm_on(&mut g, tm, &allowed, 1.0) {
-        Ok(r) => Ok(r),
-        Err(first) => {
-            let mut g = CapacityGraph::new(topo, active);
-            route_tm_on(&mut g, tm, &allowed, VIRTUAL_RETRY_PENALTY).map_err(|_| first)
-        }
+    let first = match route_tm_on(&mut CapacityGraph::new(topo, active), tm, &allowed, 1.0) {
+        Ok(routing) => return Ok(routing),
+        Err(e) => e,
+    };
+    // The penalty multiplies virtual links' lengths only: with none active
+    // the retry would replay the failed pass arc for arc.
+    if !active.iter().any(|l| topo.link(l).owner.is_virtual()) {
+        return Err(first);
     }
+    poc_obs::counter!("flow.route.retries").inc();
+    route_tm_on(&mut CapacityGraph::new(topo, active), tm, &allowed, VIRTUAL_RETRY_PENALTY)
+        .map_err(|_| first)
 }
 
 /// The demand ordering every router in this crate processes flows in:
@@ -174,6 +173,7 @@ fn route_tm_on(
     allowed: impl Fn(usize, LinkId) -> bool,
     virtual_penalty: f64,
 ) -> Result<Routing, RouteError> {
+    poc_obs::counter!("flow.route.passes").inc();
     let topo = g.topo();
     let demands = sorted_demands(tm);
 
@@ -192,9 +192,11 @@ fn route_tm_on(
 
 /// Place one `src → dst` demand on `g`: consume residuals, record the
 /// per-link loads in `routing`, and return the resulting [`FlowRoute`]
-/// (not yet pushed into `routing.flows`). Shared by the full-matrix
-/// router above and the warm oracle's partial re-route — the path choice,
-/// split policy, and error reporting must stay identical between the two.
+/// (not yet pushed into `routing.flows`). A demand no single path fits is
+/// split over the shortest paths with any residual, [`MAX_SPLITS`]` + 1`
+/// paths at most. Shared by the full-matrix router above and the warm
+/// oracle's partial re-route — the path choice, split policy, and error
+/// reporting must stay identical between the two.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn place_flow(
     g: &mut CapacityGraph<'_>,
@@ -393,5 +395,102 @@ mod tests {
         let used = routing.used_links(t.n_links());
         assert_eq!(used.len(), 1);
         assert!((routing.max_utilization(&t) - 0.5).abs() < 1e-9);
+    }
+
+    /// The square with one external ISP's virtual link `l6` (r0–r2, 40G,
+    /// 1260 km) and BP links r1–r2 and r0–r2 withdrawn. By plain distance
+    /// r0→r3's overflow takes `l6`–`l4` (2210 km) over `l0`–`l5` (2250 km)
+    /// and starves r2→r1; with `l6` de-preferred both demands fit.
+    fn square_with_lured_virtual_link() -> (PocTopology, LinkSet) {
+        use poc_topology::zoo::{attach_external_isps, ExternalIspConfig};
+        let mut t = two_bp_square();
+        let isp = ExternalIspConfig {
+            n_isps: 1,
+            attach_points: 2,
+            capacity_gbps: 40.0,
+            price_premium: 3.0,
+        };
+        attach_external_isps(&mut t, &isp, &poc_topology::CostModel::default());
+        assert!(t.link(LinkId(6)).owner.is_virtual());
+        let active = LinkSet::from_links(t.n_links(), [0, 3, 4, 5, 6].map(LinkId));
+        (t, active)
+    }
+
+    fn lured_matrix(t: &PocTopology, r0_to_r3: f64) -> TrafficMatrix {
+        let mut tm = TrafficMatrix::zero(t.n_routers());
+        tm.set(r(0), r(3), r0_to_r3);
+        tm.set(r(2), r(1), 70.0);
+        tm
+    }
+
+    fn retries() -> u64 {
+        poc_obs::counter!("flow.route.retries").get()
+    }
+
+    #[test]
+    fn retry_de_preferring_virtual_links_routes_what_plain_distances_cannot() {
+        let (t, active) = square_with_lured_virtual_link();
+        let tm = lured_matrix(&t, 70.0);
+        let plain = route_tm_on(&mut CapacityGraph::new(&t, &active), &tm, |_, _| true, 1.0);
+        assert_eq!(
+            plain,
+            Err(RouteError::Unroutable { src: r(2), dst: r(1), remaining_gbps: 20.0 })
+        );
+        // The routing recorded before the retry became conditional.
+        let flow = |src, dst, paths: &[(&[u32], f64)]| FlowRoute {
+            src,
+            dst,
+            demand_gbps: 70.0,
+            paths: paths
+                .iter()
+                .map(|&(p, g)| (p.iter().map(|&l| LinkId(l)).collect(), g))
+                .collect(),
+        };
+        let recorded = Routing {
+            flows: vec![
+                flow(r(0), r(3), &[(&[3], 40.0), (&[0, 5], 30.0)]),
+                flow(r(2), r(1), &[(&[4, 5], 40.0), (&[6, 0], 30.0)]),
+            ],
+            load_fwd: vec![60.0, 0.0, 0.0, 40.0, 40.0, 30.0, 0.0],
+            load_rev: vec![0.0, 0.0, 0.0, 0.0, 0.0, 40.0, 30.0],
+        };
+        assert_eq!(route_tm(&t, &active, &tm), Ok(recorded));
+    }
+
+    #[test]
+    fn virtual_free_set_reports_the_first_pass_error() {
+        // Recorded when every failure was retried: the retry this set no
+        // longer gets was a replay, so the error is the same to the bit.
+        let t = two_bp_square();
+        let mut tm = TrafficMatrix::zero(t.n_routers());
+        tm.set(r(0), r(3), 200.0);
+        tm.set(r(1), r(2), 30.0);
+        let err = route_tm(&t, &LinkSet::full(t.n_links()), &tm).unwrap_err();
+        let RouteError::Unroutable { src, dst, remaining_gbps } = err else {
+            panic!("expected Unroutable, got {err:?}");
+        };
+        assert_eq!((src, dst, remaining_gbps.to_bits()), (r(0), r(3), 80.0f64.to_bits()));
+    }
+
+    #[test]
+    fn set_holding_a_virtual_link_still_takes_the_retry() {
+        // Both passes fail here, on different remainders (30 then 10).
+        let (t, active) = square_with_lured_virtual_link();
+        let tm = lured_matrix(&t, 100.0);
+        let penalised = route_tm_on(
+            &mut CapacityGraph::new(&t, &active),
+            &tm,
+            |_, _| true,
+            VIRTUAL_RETRY_PENALTY,
+        );
+        assert_eq!(
+            penalised,
+            Err(RouteError::Unroutable { src: r(2), dst: r(1), remaining_gbps: 10.0 })
+        );
+        // Tests share the counter, so others can only add to the delta.
+        let before = retries();
+        let err = route_tm(&t, &active, &tm).unwrap_err();
+        assert!(retries() > before, "the retry pass ran");
+        assert_eq!(err, RouteError::Unroutable { src: r(2), dst: r(1), remaining_gbps: 30.0 });
     }
 }
