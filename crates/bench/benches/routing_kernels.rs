@@ -86,6 +86,27 @@ fn bench_selected(c: &mut Criterion) {
     c.bench_function("route_tm_reject_selected", |b| {
         b.iter(|| route_tm(&topo, &short, &tm).expect_err("rejected"))
     });
+
+    // What the oracle does before it routes a candidate: consult every cut
+    // certificate it holds. The store is filled the way a round fills it,
+    // by one prune probe per link of the selection; all of it is scanned
+    // (the oracle stops at the first cut that proves the candidate), so
+    // this over `route_tm_reject_selected` is the most a check costs
+    // against the pass it can spare.
+    for l in selected.iter() {
+        let mut probe = selected.clone();
+        probe.remove(l);
+        oracle.acceptable(&probe);
+    }
+    let cuts = oracle.cuts();
+    let proving = cuts.iter().filter(|cut| cut.violated_by(&topo, &short)).count();
+    println!(
+        "cut_check_selected_scale: {} certificates, {proving} prove the candidate",
+        cuts.len()
+    );
+    c.bench_function("cut_check_selected_scale", |b| {
+        b.iter(|| cuts.iter().filter(|cut| cut.violated_by(&topo, &short)).count())
+    });
 }
 
 fn bench_forwarding_install(c: &mut Criterion) {

@@ -18,6 +18,15 @@ pub enum Dir {
     Rev = 1,
 }
 
+/// Which way [`CapacityGraph::residual_reach`] follows arcs.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum Reach {
+    /// Routers the start can send to.
+    From,
+    /// Routers that can send to the start.
+    To,
+}
+
 /// A routing substrate over the subset `active` of a topology's links,
 /// with mutable per-direction residual capacities.
 pub struct CapacityGraph<'t> {
@@ -198,6 +207,37 @@ impl<'t> CapacityGraph<'t> {
             }
         }
         count == n
+    }
+
+    /// The routers `from` can still send to (`Reach::From`) or that can
+    /// still send to it (`Reach::To`) over arcs whose residual exceeds
+    /// `floor`, `from` included, as a mask indexed by router. Every arc
+    /// leaving a `From` mask, and every arc entering a `To` mask, is
+    /// saturated down to `floor`.
+    pub(crate) fn residual_reach(&self, from: RouterId, reach: Reach, floor: f64) -> Vec<bool> {
+        let mut seen = vec![false; self.topo.n_routers()];
+        let Some(start) = seen.get_mut(from.index()) else {
+            return seen;
+        };
+        *start = true;
+        let mut stack = vec![from];
+        while let Some(r) = stack.pop() {
+            let arcs = self.arc_range(r);
+            for (&(l, nb), &dir) in self.arcs[arcs.clone()].iter().zip(&self.arc_dir[arcs]) {
+                // `dir` leaves `r`; the arc arriving at `r` over the same
+                // link runs the other way.
+                let travelled = match (reach, dir) {
+                    (Reach::From, d) => d,
+                    (Reach::To, Dir::Fwd) => Dir::Rev,
+                    (Reach::To, Dir::Rev) => Dir::Fwd,
+                };
+                if !seen[nb.index()] && self.residual(l, travelled) > floor {
+                    seen[nb.index()] = true;
+                    stack.push(nb);
+                }
+            }
+        }
+        seen
     }
 
     /// Shortest path from `src` to `dst` by `weight`, visiting only edges
@@ -463,6 +503,25 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn residual_reach_follows_arcs_with_residual_in_the_asked_direction() {
+        let t = two_bp_square();
+        let mut g = CapacityGraph::new(&t, &LinkSet::full(t.n_links()));
+        let (r0, r3) = (RouterId(0), RouterId(3));
+        assert_eq!(g.residual_reach(r0, Reach::From, 1e-9), [true; 4]);
+        // Fill every arc into r3 (l3 r0–r3, l4 r2–r3, l5 r1–r3; r3 is `b`).
+        for l in [3, 4, 5].map(LinkId) {
+            g.consume(l, Dir::Fwd, 40.0);
+        }
+        assert_eq!(g.residual_reach(r0, Reach::From, 1e-9), [true, true, true, false]);
+        assert_eq!(g.residual_reach(r3, Reach::To, 1e-9), [false, false, false, true]);
+        // The arcs out of r3 are untouched: full duplex.
+        assert_eq!(g.residual_reach(r3, Reach::From, 1e-9), [true; 4]);
+        assert_eq!(g.residual_reach(r0, Reach::To, 1e-9), [true; 4]);
+        // A start outside the topology reaches nothing.
+        assert_eq!(g.residual_reach(RouterId(9), Reach::From, 1e-9), [false; 4]);
     }
 
     #[test]

@@ -16,10 +16,13 @@
 //! links, a capacity-aware [`graph::CapacityGraph`], a greedy
 //! multi-commodity router with flow splitting ([`route`]), Dinic max-flow
 //! ([`maxflow`]) as an exact single-commodity oracle, failure-scenario
-//! checking ([`failure`]), the top-level [`oracle::FeasibilityOracle`],
-//! and its incremental counterpart [`warm::WarmOracle`] that warm-starts
-//! the auction's Clarke-pivot probes from the previous accepted routing.
+//! checking ([`failure`]), the top-level [`oracle::FeasibilityOracle`]
+//! with the cut certificates ([`cut`]) that spare it a routing pass on
+//! sets already proven infeasible, and its incremental counterpart
+//! [`warm::WarmOracle`] that warm-starts the auction's Clarke-pivot probes
+//! from the previous accepted routing.
 
+pub mod cut;
 pub mod failure;
 pub mod graph;
 pub mod kpaths;
@@ -29,6 +32,7 @@ pub mod oracle;
 pub mod route;
 pub mod warm;
 
+pub use cut::CutCertificate;
 pub use failure::{absorb_link_failure, FailReason, ResilienceResult};
 pub use graph::CapacityGraph;
 pub use kpaths::{disjoint_degree, k_shortest_paths, RankedPath};

@@ -90,6 +90,9 @@ impl LinkSet {
 
     /// Iterate members in ascending id order.
     pub fn iter(&self) -> impl Iterator<Item = LinkId> + '_ {
+        // Not `ones(..)`: every graph build iterates its set through this,
+        // and folded into the shared helper it compiled to a slower loop
+        // (`migrate_walk_zoo14` expand plans 37 -> 42 ms, 0 of 10 pairs).
         self.bits.iter().enumerate().flat_map(|(wi, &w)| {
             let mut w = w;
             std::iter::from_fn(move || {
@@ -102,6 +105,14 @@ impl LinkSet {
                 }
             })
         })
+    }
+
+    /// Iterate `self ∩ other` in ascending id order, word by word, without
+    /// building the intersection. Unlike the set algebra below it does not
+    /// insist on equal universes: words past the shorter set hold no
+    /// common member.
+    pub(crate) fn common<'a>(&'a self, other: &'a LinkSet) -> impl Iterator<Item = LinkId> + 'a {
+        ones(self.bits.iter().zip(&other.bits).map(|(a, b)| a & b))
     }
 
     /// `self \ other`. Panics on mismatched universes.
@@ -138,6 +149,21 @@ impl LinkSet {
             *a &= !b;
         }
     }
+}
+
+/// The set bits of `words`, lowest first, as link ids.
+fn ones(words: impl Iterator<Item = u64>) -> impl Iterator<Item = LinkId> {
+    words.enumerate().flat_map(|(wi, mut w)| {
+        std::iter::from_fn(move || {
+            if w == 0 {
+                None
+            } else {
+                let b = w.trailing_zeros() as usize;
+                w &= w - 1;
+                Some(LinkId::from_index(wi * 64 + b))
+            }
+        })
+    })
 }
 
 impl FromIterator<LinkId> for LinkSet {
@@ -203,6 +229,14 @@ mod tests {
         let mut c = a.clone();
         c.subtract(&b);
         assert_eq!(c.len(), 2);
+    }
+
+    #[test]
+    fn common_iterates_the_intersection() {
+        let a = LinkSet::from_links(200, [l(1), l(64), l(100), l(199)]);
+        let b = LinkSet::from_links(200, [l(64), l(65), l(199)]);
+        assert_eq!(a.common(&b).collect::<Vec<_>>(), a.intersection(&b).iter().collect::<Vec<_>>());
+        assert_eq!(a.common(&LinkSet::full(70)).collect::<Vec<_>>(), vec![l(1), l(64)]);
     }
 
     #[test]

@@ -4,11 +4,12 @@
 //! under the configured [`Constraint`]. The oracle also exposes the routing
 //! it found, which the auction's greedy selection reuses.
 
+use crate::cut::CutCertificate;
 use crate::failure::{
     survives_all_pairs_backup, survives_single_path_failures, FailReason, ResilienceResult,
 };
 use crate::linkset::LinkSet;
-use crate::route::{route_tm, RouteError, Routing};
+use crate::route::{route_tm, route_tm_learning, RouteError, Routing};
 use poc_topology::{PocTopology, RouterId};
 use poc_traffic::TrafficMatrix;
 use serde::{Deserialize, Serialize};
@@ -264,6 +265,10 @@ pub struct FeasibilityOracle<'a> {
     tm: &'a TrafficMatrix,
     constraint: Constraint,
     cache: Option<&'a FeasibilityCache>,
+    /// Cuts learned from this oracle's failed passes (or adopted), each
+    /// with a distinct side. They depend only on `(topo, tm)`, so a
+    /// rejection they prove is the router's own under any constraint.
+    cuts: parking_lot::Mutex<Vec<CutCertificate>>,
 }
 
 impl<'a> FeasibilityOracle<'a> {
@@ -273,7 +278,7 @@ impl<'a> FeasibilityOracle<'a> {
             topo.n_routers(),
             "traffic matrix and topology disagree on router count"
         );
-        Self { topo, tm, constraint, cache: None }
+        Self { topo, tm, constraint, cache: None, cuts: Default::default() }
     }
 
     /// As [`Self::new`], with acceptability verdicts memoized in `cache`.
@@ -305,20 +310,72 @@ impl<'a> FeasibilityOracle<'a> {
 
     /// Whether `links ∈ A(OL)`: the subset carries the matrix under the
     /// constraint. Memoized when the oracle was built
-    /// [`Self::with_cache`]. Every call counts toward the
-    /// `flow.oracle.check` metric.
+    /// [`Self::with_cache`]; a set one of the oracle's cut certificates
+    /// proves infeasible is rejected without routing. Every call counts
+    /// toward the `flow.oracle.check` metric.
     pub fn acceptable(&self, links: &LinkSet) -> bool {
         poc_obs::counter!("flow.oracle.check").inc();
-        if let Some(cache) = self.cache {
-            if let Some(verdict) = cache.lookup(links) {
-                return verdict;
-            }
-            let verdict = self.evaluate(links).is_ok();
-            cache.record(links, verdict);
-            verdict
-        } else {
-            self.evaluate(links).is_ok()
+        if let Some(verdict) = self.cache.and_then(|cache| cache.lookup(links)) {
+            return verdict;
         }
+        let verdict = !self.cut_rejects(links) && self.evaluate(links).is_ok();
+        if let Some(cache) = self.cache {
+            cache.record(links, verdict);
+        }
+        verdict
+    }
+
+    /// Whether a held certificate proves that no routing of the matrix
+    /// over `links` exists — the rejection [`Self::evaluate`] would reach
+    /// by routing. Counted on `flow.cut.rejects`.
+    pub(crate) fn cut_rejects(&self, links: &LinkSet) -> bool {
+        let proven = self.cuts.lock().iter().any(|cut| cut.violated_by(self.topo, links));
+        if proven {
+            poc_obs::counter!("flow.cut.rejects").inc();
+        }
+        proven
+    }
+
+    /// The certificates held so far, in the order they were learned.
+    pub fn cuts(&self) -> Vec<CutCertificate> {
+        self.cuts.lock().clone()
+    }
+
+    /// Take over the sides of `cuts` — typically another oracle's over the
+    /// same instance. Each is re-derived from this oracle's own topology
+    /// and matrix, so what is held is a valid cut whatever was offered; a
+    /// side that does not fit the topology, that no demand crosses, or
+    /// that is already held is ignored.
+    pub fn adopt_cuts(&self, cuts: &[CutCertificate]) {
+        let mut held = self.cuts.lock();
+        for cut in cuts {
+            let new = self.new_cut(&held, cut.side());
+            held.extend(new);
+        }
+    }
+
+    /// Keep the sides a failed pass over `links` saturated that prove
+    /// `links` infeasible. A side `links` has the capacity for is where
+    /// the heuristic stranded some of it, not a proof of this failure; it
+    /// is dropped rather than carried through every later check.
+    fn learn_cuts(&self, links: &LinkSet, sides: &[Vec<bool>]) {
+        let mut held = self.cuts.lock();
+        for side in sides {
+            let new = self.new_cut(&held, side).filter(|cut| cut.violated_by(self.topo, links));
+            if let Some(cut) = new {
+                poc_obs::counter!("flow.cut.learned").inc();
+                held.push(cut);
+            }
+        }
+    }
+
+    /// The certificate of `side` over this instance, unless `held` already
+    /// has that side.
+    fn new_cut(&self, held: &[CutCertificate], side: &[bool]) -> Option<CutCertificate> {
+        if held.iter().any(|cut| cut.side() == side) {
+            return None;
+        }
+        CutCertificate::across(self.topo, self.tm, side.to_vec())
     }
 
     /// As [`Self::acceptable`], but returns the base routing on success.
@@ -376,7 +433,10 @@ impl<'a> FeasibilityOracle<'a> {
     /// was rejected.
     pub fn evaluate(&self, links: &LinkSet) -> Result<Routing, Rejection> {
         let _span = poc_obs::span!("flow.oracle.evaluate");
-        let base = route_tm(self.topo, links, self.tm).map_err(Rejection::BaseRoute)?;
+        let base = route_tm_learning(self.topo, links, self.tm).map_err(|(e, sides)| {
+            self.learn_cuts(links, &sides);
+            Rejection::BaseRoute(e)
+        })?;
         let res = match self.constraint {
             Constraint::BaseLoad => ResilienceResult::Survives,
             Constraint::SinglePathFailure { sample_every } => {
@@ -603,6 +663,143 @@ mod tests {
         for s in &sets {
             assert_eq!(cache.lookup(s), Some(plain.acceptable(s)));
         }
+    }
+
+    fn r0_to_r3(t: &PocTopology, gbps: f64) -> TrafficMatrix {
+        let mut tm = TrafficMatrix::zero(t.n_routers());
+        tm.set(RouterId(0), RouterId(3), gbps);
+        tm
+    }
+
+    /// BP0's three links plus the given ones of BP1's (`l3` r0–r3, `l4`
+    /// r2–r3, `l5` r1–r3; 40G each).
+    fn bp0_and(t: &PocTopology, bp1_links: &[u32]) -> LinkSet {
+        LinkSet::from_links(t.n_links(), [0, 1, 2].iter().chain(bp1_links).map(|&l| LinkId(l)))
+    }
+
+    #[test]
+    fn failed_pass_learns_the_cut_it_saturated() {
+        // The `fails_on_infeasible_load` shape: 200G toward r3 over 120G.
+        let t = two_bp_square();
+        let tm = r0_to_r3(&t, 200.0);
+        let o = FeasibilityOracle::new(&t, &tm, Constraint::AllPairsBackup);
+        assert!(o.cuts().is_empty());
+        let full = LinkSet::full(t.n_links());
+        assert!(matches!(
+            o.evaluate(&full),
+            Err(Rejection::BaseRoute(RouteError::Unroutable { .. }))
+        ));
+        // Both saturated sides are `{r0, r1, r2}`; one certificate.
+        let cuts = o.cuts();
+        assert_eq!(cuts.len(), 1, "{cuts:?}");
+        assert_eq!(cuts[0].side(), [true, true, true, false]);
+        assert_eq!(cuts[0].demand_gbps(), 200.0);
+        assert_eq!(cuts[0].crossing(), &LinkSet::from_links(t.n_links(), [3, 4, 5].map(LinkId)));
+        // It answers for every other set, whatever the constraint, and the
+        // router still explains each rejection as it did.
+        for set in [bp0_and(&t, &[]), bp0_and(&t, &[3, 5]), full.clone()] {
+            assert!(cuts[0].violated_by(&t, &set));
+            assert!(!o.acceptable(&set));
+            assert!(matches!(o.evaluate(&set), Err(Rejection::BaseRoute(_))));
+            assert_eq!(o.failing_scenarios(&set, 4).len(), 1);
+        }
+        assert_eq!(o.cuts().len(), 1, "the same side is learned once");
+    }
+
+    #[test]
+    fn demand_the_cut_can_just_carry_is_not_certified_and_still_routes() {
+        let t = two_bp_square();
+        for gbps in [80.0, 80.0 + 5e-10] {
+            let tm = r0_to_r3(&t, gbps);
+            let o = FeasibilityOracle::new(&t, &tm, Constraint::BaseLoad);
+            assert!(!o.acceptable(&bp0_and(&t, &[3])), "40G into r3");
+            assert_eq!(o.cuts().len(), 1);
+            // 80G into r3: the certificate is short of a proof, by nothing
+            // or by less than the router forgives, and the router packs it.
+            let enough = bp0_and(&t, &[3, 4]);
+            assert!(!o.cuts()[0].violated_by(&t, &enough));
+            assert!(o.acceptable(&enough), "{gbps} fits 80G");
+            assert!(o.evaluate(&enough).is_ok());
+        }
+    }
+
+    #[test]
+    fn disconnected_failure_learns_a_zero_capacity_cut() {
+        let t = two_bp_square();
+        let tm = r0_to_r3(&t, 1.0);
+        let o = FeasibilityOracle::new(&t, &tm, Constraint::BaseLoad);
+        let bp0 = bp0_and(&t, &[]);
+        assert_eq!(
+            o.evaluate(&bp0),
+            Err(Rejection::BaseRoute(RouteError::Disconnected {
+                src: RouterId(0),
+                dst: RouterId(3)
+            }))
+        );
+        let cuts = o.cuts();
+        assert_eq!(cuts.len(), 1);
+        assert_eq!(cuts[0].side(), [true, true, true, false]);
+        assert_eq!(bp0.common(cuts[0].crossing()).count(), 0, "no link of the set crosses it");
+        assert!(cuts[0].violated_by(&t, &bp0));
+        assert!(!cuts[0].violated_by(&t, &bp0_and(&t, &[4])), "one link reconnects r3");
+    }
+
+    #[test]
+    fn saturated_side_the_set_has_the_capacity_for_is_not_kept() {
+        // `route.rs`'s lured square at 100G: both passes fail, yet every
+        // router cut has room (170G leave `{r0, r2}` over 180G) — the two
+        // demands contend for `l4` and `l0`, which no cut sees. A failure
+        // is not a certificate.
+        use poc_topology::zoo::{attach_external_isps, ExternalIspConfig};
+        let mut t = two_bp_square();
+        let isp = ExternalIspConfig {
+            n_isps: 1,
+            attach_points: 2,
+            capacity_gbps: 40.0,
+            price_premium: 3.0,
+        };
+        attach_external_isps(&mut t, &isp, &poc_topology::CostModel::default());
+        let active = LinkSet::from_links(t.n_links(), [0, 3, 4, 5, 6].map(LinkId));
+        let mut tm = r0_to_r3(&t, 100.0);
+        tm.set(RouterId(2), RouterId(1), 70.0);
+        let o = FeasibilityOracle::new(&t, &tm, Constraint::BaseLoad);
+        assert!(o.evaluate(&active).is_err());
+        assert_eq!(o.cuts(), Vec::new());
+        assert!(!o.acceptable(&active), "rejected by routing, as before");
+    }
+
+    #[test]
+    fn adopted_cuts_are_rederived_over_the_adopting_instance() {
+        let t = two_bp_square();
+        let heavy = r0_to_r3(&t, 200.0);
+        let teacher = FeasibilityOracle::new(&t, &heavy, Constraint::BaseLoad);
+        assert!(!teacher.acceptable(&LinkSet::full(t.n_links())));
+        let taught = teacher.cuts();
+
+        let same = FeasibilityOracle::new(&t, &heavy, Constraint::BaseLoad);
+        same.adopt_cuts(&taught);
+        same.adopt_cuts(&taught);
+        assert_eq!(same.cuts(), taught, "held once, equal to the bit");
+
+        // Offered to an oracle over a lighter matrix, the side is kept and
+        // the demand is that oracle's own: nothing false is adopted.
+        let light = r0_to_r3(&t, 100.0);
+        let other = FeasibilityOracle::new(&t, &light, Constraint::BaseLoad);
+        other.adopt_cuts(&taught);
+        assert_eq!(other.cuts()[0].demand_gbps(), 100.0);
+        assert!(other.acceptable(&LinkSet::full(t.n_links())));
+
+        // A side over another router list is ignored.
+        let mut wide = taught.clone();
+        let foreign = poc_topology::ZooGenerator::new(poc_topology::ZooConfig::small()).generate();
+        let mut tm = TrafficMatrix::zero(foreign.n_routers());
+        tm.set(RouterId(0), RouterId(1), 1.0);
+        let mut side = vec![false; foreign.n_routers()];
+        side[0] = true;
+        wide.push(CutCertificate::across(&foreign, &tm, side).unwrap());
+        let fresh = FeasibilityOracle::new(&t, &heavy, Constraint::BaseLoad);
+        fresh.adopt_cuts(&wide);
+        assert_eq!(fresh.cuts(), taught);
     }
 
     #[test]

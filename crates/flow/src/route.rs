@@ -9,7 +9,7 @@
 //! `Routing` it returns is always genuinely feasible (capacities respected);
 //! it may only fail on instances an LP could still pack.
 
-use crate::graph::{CapacityGraph, Dir, PathMiss};
+use crate::graph::{CapacityGraph, Dir, PathMiss, Reach};
 use crate::linkset::LinkSet;
 use poc_topology::{LinkId, PocTopology, RouterId};
 use poc_traffic::TrafficMatrix;
@@ -115,6 +115,22 @@ pub const MAX_SPLITS: usize = 32;
 /// with virtual links de-preferred.
 pub const VIRTUAL_RETRY_PENALTY: f64 = 8.0;
 
+/// The placement loop's tolerance, Gbit/s: a demand counts as placed once
+/// `remaining <= PLACE_EPS`, a path fits `want` when every arc's residual
+/// is `>= want - PLACE_EPS`, and an arc with residual `<= PLACE_EPS` is full.
+pub(crate) const PLACE_EPS: f64 = 1e-9;
+
+/// What each arc and each demand crossing a cut may hide from the cut
+/// condition, Gbit/s. A routing this crate accepts can overdraw an arc by
+/// at most [`PLACE_EPS`] (a placement needs `residual >= want - PLACE_EPS`
+/// with `want > PLACE_EPS`, so an overdrawn arc takes nothing more) and can
+/// leave at most [`PLACE_EPS`] of a demand undelivered; so across a cut
+/// with `a` arcs and `d` demands it carries `demand - d·PLACE_EPS` over
+/// `capacity + a·PLACE_EPS`. A cut certificate's margin is this constant
+/// times `a + d`; the factor two pays for the rounding of the two sums,
+/// which is smaller by orders of magnitude.
+pub(crate) const CUT_MARGIN_GBPS: f64 = 2.0 * PLACE_EPS;
+
 /// Route `tm` over `active ⊆ links(topo)`. Demands are processed
 /// largest-first; each is placed on the distance-shortest path whose
 /// residual fits it, or split across up to [`MAX_SPLITS`]` + 1` such
@@ -133,6 +149,20 @@ pub fn route_tm(
     route_tm_with_veto(topo, active, tm, |_, _| true)
 }
 
+/// As [`route_tm`], for the oracle: a failure also carries the router
+/// sets its failed passes left saturated (see [`saturated_sides`]), from
+/// which the oracle learns cut certificates.
+pub(crate) fn route_tm_learning(
+    topo: &PocTopology,
+    active: &LinkSet,
+    tm: &TrafficMatrix,
+) -> Result<Routing, (RouteError, Vec<Vec<bool>>)> {
+    let _span = poc_obs::span!("flow.route_tm");
+    let mut sides = Vec::new();
+    route_passes(topo, active, tm, |_, _| true, |g, e| sides.extend(saturated_sides(g, e)))
+        .map_err(|e| (e, sides))
+}
+
 /// As [`route_tm`], but with a per-flow link veto: `allowed(flow_index,
 /// link)` returning false excludes a link for that flow (used by the
 /// all-pairs-backup constraint to keep each flow off its primary path).
@@ -143,7 +173,23 @@ pub fn route_tm_with_veto(
     tm: &TrafficMatrix,
     allowed: impl Fn(usize, LinkId) -> bool,
 ) -> Result<Routing, RouteError> {
-    let first = match route_tm_on(&mut CapacityGraph::new(topo, active), tm, &allowed, 1.0) {
+    route_passes(topo, active, tm, allowed, |_, _| {})
+}
+
+/// The pass and its conditional retry behind every public entry point.
+/// `failed_pass` sees each failed pass's residual graph and error.
+fn route_passes(
+    topo: &PocTopology,
+    active: &LinkSet,
+    tm: &TrafficMatrix,
+    allowed: impl Fn(usize, LinkId) -> bool,
+    mut failed_pass: impl FnMut(&CapacityGraph<'_>, &RouteError),
+) -> Result<Routing, RouteError> {
+    let mut pass = |virtual_penalty| {
+        let mut g = CapacityGraph::new(topo, active);
+        route_tm_on(&mut g, tm, &allowed, virtual_penalty).inspect_err(|e| failed_pass(&g, e))
+    };
+    let first = match pass(1.0) {
         Ok(routing) => return Ok(routing),
         Err(e) => e,
     };
@@ -153,8 +199,25 @@ pub fn route_tm_with_veto(
         return Err(first);
     }
     poc_obs::counter!("flow.route.retries").inc();
-    route_tm_on(&mut CapacityGraph::new(topo, active), tm, &allowed, VIRTUAL_RETRY_PENALTY)
-        .map_err(|_| first)
+    pass(VIRTUAL_RETRY_PENALTY).map_err(|_| first)
+}
+
+/// The two router sets a pass that failed on `src → dst` left saturated:
+/// the routers `src` can still send to, and every router that can no
+/// longer send to `dst`. Both hold `src` and not `dst`, and no arc out of
+/// either has residual above [`PLACE_EPS`], so everything the pass placed
+/// across them filled them — if the matrix asks more across one than the
+/// set's links offer, no routing exists at all. A pass that gave up with
+/// residual paths left (`MAX_SPLITS` exhausted) saturated nothing.
+fn saturated_sides(g: &CapacityGraph<'_>, error: &RouteError) -> Vec<Vec<bool>> {
+    let (RouteError::Unroutable { src, dst, .. } | RouteError::Disconnected { src, dst }) = *error;
+    let from_src = g.residual_reach(src, Reach::From, PLACE_EPS);
+    if from_src.get(dst.index()) != Some(&false) {
+        return Vec::new();
+    }
+    let mut cannot_reach_dst = g.residual_reach(dst, Reach::To, PLACE_EPS);
+    cannot_reach_dst.iter_mut().for_each(|r| *r = !*r);
+    vec![from_src, cannot_reach_dst]
 }
 
 /// The demand ordering every router in this crate processes flows in:
@@ -219,7 +282,7 @@ pub(crate) fn place_flow(
     let mut remaining = demand;
     let mut paths: Vec<(Vec<LinkId>, f64)> = Vec::new();
     let mut splits = 0;
-    while remaining > 1e-9 {
+    while remaining > PLACE_EPS {
         // Shortest path with residual >= remaining; if none, accept the
         // best path with any residual and split.
         let want = remaining;
@@ -227,7 +290,7 @@ pub(crate) fn place_flow(
             src,
             dst,
             |l, _| metric(l),
-            |l, dir| allowed(fi, l) && g.residual(l, dir) >= want - 1e-9,
+            |l, dir| allowed(fi, l) && g.residual(l, dir) >= want - PLACE_EPS,
         );
         let (path, amount) = match path {
             Some(p) => (p, remaining),
@@ -237,7 +300,7 @@ pub(crate) fn place_flow(
                     src,
                     dst,
                     |l, _| metric(l),
-                    |l, dir| allowed(fi, l) && g.residual(l, dir) > 1e-9,
+                    |l, dir| allowed(fi, l) && g.residual(l, dir) > PLACE_EPS,
                 );
                 let Some(p) = p else {
                     return Err(if paths.is_empty() && !has_any_path(g, src, dst) {
@@ -250,14 +313,14 @@ pub(crate) fn place_flow(
                 (p, remaining.min(bottleneck))
             }
         };
-        if amount <= 1e-9 {
+        if amount <= PLACE_EPS {
             return Err(unroutable(remaining));
         }
         load_path(g, routing, src, &path, amount).map_err(|_| unroutable(remaining))?;
         remaining -= amount;
         paths.push((path, amount));
         splits += 1;
-        if splits > MAX_SPLITS && remaining > 1e-9 {
+        if splits > MAX_SPLITS && remaining > PLACE_EPS {
             return Err(unroutable(remaining));
         }
     }

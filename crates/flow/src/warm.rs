@@ -22,6 +22,13 @@
 //!   delta exceeds `MAX_INVALID_FRAC` (half the flows), or the warm base
 //!   fails its resilience check, the oracle falls back to a full
 //!   from-scratch evaluation and returns *its* verdict.
+//! - **A violated cut is a rejection with no attempt at all**: when a
+//!   [`crate::CutCertificate`] the cold oracle holds shows the candidate's
+//!   capacity across some router cut below the demand across it, no
+//!   routing exists, so neither a warm witness nor a cold pass could — and
+//!   `acceptable` answers `false` with the witness untouched. The cold
+//!   oracle learns these cuts from its own failed passes (the fallbacks
+//!   above) and [`WarmOracle::adopt_cuts`] hands it a round's earlier ones.
 //!
 //! Consequently `warm-accepts ⊇ cold-accepts`: the only possible
 //! divergence from [`FeasibilityOracle`] is a warm accept on a set the
@@ -42,6 +49,7 @@
 //!
 //! [`FeasibilityCache`]: crate::FeasibilityCache
 
+use crate::cut::CutCertificate;
 use crate::failure::{survives_all_pairs_backup, survives_single_path_failures, ResilienceResult};
 use crate::graph::CapacityGraph;
 use crate::linkset::LinkSet;
@@ -96,6 +104,18 @@ impl<'a> WarmOracle<'a> {
     /// their first probe cold and warm-start from its result.
     pub fn seed(&self, routing: Routing) {
         *self.witness.lock() = Some(routing);
+    }
+
+    /// Start from cuts another oracle over the same instance has already
+    /// learned (see [`FeasibilityOracle::adopt_cuts`]): the auction gives
+    /// each pivot the initial selection's.
+    pub fn adopt_cuts(&self, cuts: &[CutCertificate]) {
+        self.inner.adopt_cuts(cuts);
+    }
+
+    /// The cut certificates held: adopted, then learned by cold fallbacks.
+    pub fn cuts(&self) -> Vec<CutCertificate> {
+        self.inner.cuts()
     }
 
     /// Whether a witness routing is currently held.
@@ -267,7 +287,8 @@ impl AcceptabilityOracle for WarmOracle<'_> {
         if let Some(v) = self.memo.lock().get(links) {
             return *v;
         }
-        let verdict = self.probe(&mut self.witness.lock(), links).0.is_ok();
+        let verdict =
+            !self.inner.cut_rejects(links) && self.probe(&mut self.witness.lock(), links).0.is_ok();
         self.memo.lock().insert(links.clone(), verdict);
         verdict
     }
@@ -417,6 +438,39 @@ mod tests {
         let (res, _) = o.evaluate_traced(&bp0);
         assert!(res.is_err());
         assert!(!FeasibilityOracle::new(&t, &tm, Constraint::BaseLoad).acceptable(&bp0));
+    }
+
+    #[test]
+    fn certified_reject_leaves_the_witness_as_it_was() {
+        let t = two_bp_square();
+        let mut tm = tm_for(&t);
+        tm.set(RouterId(0), RouterId(3), 80.0);
+        let full = LinkSet::full(t.n_links());
+        let cold = FeasibilityOracle::new(&t, &tm, Constraint::BaseLoad);
+        let o = WarmOracle::new(&t, &tm, Constraint::BaseLoad);
+        o.seed(cold.route(&full).unwrap());
+        // 90G bound for r3 over one 40G link: the warm attempt fails, the
+        // cold fallback rejects and learns `{r0, r1, r2} | {r3}`.
+        let one_link = LinkSet::from_links(t.n_links(), [0, 1, 2, 3].map(LinkId));
+        assert!(!o.acceptable(&one_link));
+        assert_eq!(o.cuts().len(), 1);
+        // Another 40G set is rejected on that certificate: no warm attempt
+        // moved the witness, no fallback replaced it.
+        let before = o.witness();
+        let other_link = LinkSet::from_links(t.n_links(), [0, 1, 2, 4].map(LinkId));
+        assert!(o.cuts()[0].violated_by(&t, &other_link));
+        assert!(!o.acceptable(&other_link));
+        assert_eq!(o.witness(), before);
+        assert!(!o.acceptable(&other_link), "and from the memo the second time");
+        // `evaluate` still routes it and says why.
+        assert!(matches!(o.evaluate(&other_link), Err(Rejection::BaseRoute(_))));
+        assert_eq!(o.witness(), before);
+        // Cuts handed over before the first probe do the same for a pivot.
+        let pivot = WarmOracle::new(&t, &tm, Constraint::BaseLoad);
+        pivot.adopt_cuts(&o.cuts());
+        assert!(!pivot.acceptable(&one_link));
+        assert!(!pivot.is_seeded(), "rejected before anything was routed");
+        assert!(pivot.acceptable(&full));
     }
 
     #[test]

@@ -438,6 +438,104 @@ proptest! {
     }
 }
 
+// ---------- Cut certificates ---------------------------------------------------
+
+/// The six-BP zoo instance with its external ISPs under `total_gbps` of
+/// the paper's matrix (9 routers, 156 links, 72 flows; the whole offer
+/// stops carrying it near 20 000).
+fn small_zoo_with_isps(
+    total_gbps: f64,
+) -> (public_option_core::topology::PocTopology, TrafficMatrix) {
+    use public_option_core::topology::zoo::{attach_external_isps, ExternalIspConfig};
+    use public_option_core::topology::{CostModel, ZooConfig, ZooGenerator};
+    use public_option_core::traffic::TrafficScenario;
+    let mut topo = ZooGenerator::new(ZooConfig::small()).generate();
+    attach_external_isps(&mut topo, &ExternalIspConfig::default(), &CostModel::default());
+    let tm = TrafficScenario { total_gbps, ..TrafficScenario::paper_default() }.generate(&topo);
+    (topo, tm)
+}
+
+/// Re-derive everything a stored certificate claims from the topology and
+/// the matrix alone.
+fn assert_genuine_cut(
+    topo: &public_option_core::topology::PocTopology,
+    tm: &TrafficMatrix,
+    cut: &public_option_core::flow::CutCertificate,
+) {
+    let side = cut.side();
+    assert_eq!(side.len(), topo.n_routers(), "one entry per router");
+    assert!(side.contains(&true) && side.contains(&false), "trivial side");
+    let crossing_demands: Vec<f64> = tm
+        .iter_demands()
+        .filter(|&(src, dst, _)| side[src.index()] && !side[dst.index()])
+        .map(|(_, _, gbps)| gbps)
+        .collect();
+    assert!(!crossing_demands.is_empty(), "no demand crosses the cut");
+    assert_eq!(cut.demand_gbps().to_bits(), crossing_demands.iter().sum::<f64>().to_bits());
+    let crossing = LinkSet::from_links(
+        topo.n_links(),
+        topo.links.iter().filter(|l| side[l.a.index()] != side[l.b.index()]).map(|l| l.id),
+    );
+    assert_eq!(cut.crossing(), &crossing);
+    // The margin covers the router's tolerance on every crossing arc and demand.
+    assert!(cut.margin_gbps() >= 1e-9 * (crossing.len() + crossing_demands.len()) as f64);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+    /// Certificates never change a verdict: along random probe chains (a
+    /// BP withdrawal, then batches of link toggles) and at all three
+    /// constraints, an oracle that has been learning cuts since the chain
+    /// began answers `acceptable` exactly as an oracle that has never seen
+    /// a set before evaluates it, and a warm oracle learning beside it
+    /// never rejects what that fresh oracle accepts. Every certificate
+    /// either of them holds at the end is re-derived from scratch.
+    #[test]
+    fn cut_certificates_never_change_a_verdict(
+        withdrawn_bp in 0u32..6,
+        total_gbps in 8000.0f64..20000.0,
+        toggles in prop::collection::vec(prop::collection::vec(0usize..4096, 1..30), 4..24),
+    ) {
+        use public_option_core::flow::{AcceptabilityOracle, FeasibilityOracle, WarmOracle};
+        let (topo, tm) = small_zoo_with_isps(total_gbps);
+        let full = LinkSet::full(topo.n_links());
+        let mut probe = full.clone();
+        for l in topo.links_of_bp(BpId(withdrawn_bp)) {
+            probe.remove(l);
+        }
+        let mut probes = vec![probe.clone()];
+        for batch in &toggles {
+            for l in batch.iter().map(|&l| LinkId::from_index(l % topo.n_links())) {
+                if probe.contains(l) {
+                    probe.remove(l);
+                } else {
+                    probe.insert(l);
+                }
+            }
+            probes.push(probe.clone());
+        }
+        for constraint in Constraint::paper_suite(16) {
+            let learning = FeasibilityOracle::new(&topo, &tm, constraint);
+            let warm = WarmOracle::new(&topo, &tm, constraint);
+            if let Some(seed) = learning.route(&full) {
+                warm.seed(seed);
+            }
+            for p in &probes {
+                let fresh = FeasibilityOracle::new(&topo, &tm, constraint).evaluate(p).is_ok();
+                prop_assert_eq!(learning.acceptable(p), fresh, "learning ({})", constraint.label());
+                prop_assert!(
+                    warm.acceptable(p) || !fresh,
+                    "warm rejected a cold accept ({})",
+                    constraint.label()
+                );
+            }
+            for cut in learning.cuts().iter().chain(&warm.cuts()) {
+                assert_genuine_cut(&topo, &tm, cut);
+            }
+        }
+    }
+}
+
 /// `FeasibilityCache` cross-instance regression: a cache bound to one
 /// `(topology, traffic matrix, constraint)` instance must refuse to serve
 /// any other, with the typed mismatch naming both fingerprints.

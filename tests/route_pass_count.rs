@@ -1,25 +1,43 @@
-//! Count gate on the router's retry rule: how many full routing passes one
-//! auction round makes. Alone in its file, so alone in its process, and the
+//! Count gate on the routing work of one auction round: how many full
+//! routing passes it makes (the retry rule) and how many it is spared (the
+//! cut certificates). Alone in its file, so alone in its process, and the
 //! global registry's deltas are exact; a count repeats on any runner, which
 //! a timing does not.
 
-use public_option_core::auction::{run_auction, GreedySelector, Market};
+use public_option_core::auction::{run_auction, AuctionOutcome, GreedySelector, Market};
 use public_option_core::flow::Constraint;
 use public_option_core::topology::zoo::{attach_external_isps, ExternalIspConfig};
 use public_option_core::topology::{CostModel, PocTopology, ZooConfig, ZooGenerator};
 use public_option_core::traffic::TrafficScenario;
 
-/// `(flow.route.passes, flow.route.retries)` added by one round over `topo`,
-/// set up as `vcg_round_matches_one_at_a_time_reference_on_zoo_instance` does.
-fn round_counts(topo: &PocTopology) -> (u64, u64) {
+/// One round over `topo`, set up as
+/// `vcg_round_matches_one_at_a_time_reference_on_zoo_instance` does, and the
+/// `[flow.route.passes, flow.route.retries, flow.cut.learned,
+/// flow.cut.rejects]` it added.
+fn round(topo: &PocTopology) -> ([u64; 4], AuctionOutcome) {
     let tm =
         TrafficScenario { total_gbps: 2500.0, ..TrafficScenario::paper_default() }.generate(topo);
     let market = Market::truthful(topo, 3.0);
     let selector = GreedySelector::with_prune_budget(8);
-    let count = |name| public_option_core::obs::global().snapshot().counter(name).unwrap_or(0);
-    let before = (count("flow.route.passes"), count("flow.route.retries"));
-    run_auction(&market, &tm, Constraint::BaseLoad, &selector).expect("the round is feasible");
-    (count("flow.route.passes") - before.0, count("flow.route.retries") - before.1)
+    let counts = || {
+        let snapshot = public_option_core::obs::global().snapshot();
+        ["flow.route.passes", "flow.route.retries", "flow.cut.learned", "flow.cut.rejects"]
+            .map(|name| snapshot.counter(name).unwrap_or(0))
+    };
+    let before = counts();
+    let outcome =
+        run_auction(&market, &tm, Constraint::BaseLoad, &selector).expect("the round is feasible");
+    let after = counts();
+    (std::array::from_fn(|i| after[i] - before[i]), outcome)
+}
+
+/// The round's result as recorded from the commit before the certificates
+/// (`46c07f4`): a pass may only go missing if its answer was already "no".
+fn assert_outcome(outcome: &AuctionOutcome, selected: &[usize], total_cost: u64, payments: &[u64]) {
+    assert_eq!(outcome.selected.iter().map(|l| l.index()).collect::<Vec<_>>(), selected);
+    assert_eq!(outcome.total_cost.to_bits(), total_cost, "total_cost {}", outcome.total_cost);
+    let paid: Vec<u64> = outcome.settlements.iter().map(|s| s.payment.to_bits()).collect();
+    assert_eq!(paid, payments, "{:?}", outcome.settlements);
 }
 
 #[test]
@@ -27,11 +45,48 @@ fn one_round_routes_a_rejected_set_twice_only_if_it_holds_a_virtual_link() {
     let mut topo = ZooGenerator::new(ZooConfig::small()).generate();
     // No virtual link exists, so no rejected set holds one and nothing is
     // retried. Before the retry became conditional each of the 45 failed
-    // passes was run again: 95 passes.
-    assert_eq!(round_counts(&topo), (50, 0));
+    // passes was run again: 95 passes. Before the certificates: (50, 0);
+    // the one cut learned answers 8 of the 45 rejections unrouted.
+    let (counts, outcome) = round(&topo);
+    assert_eq!(counts, [42, 0, 1, 8]);
+    assert_outcome(
+        &outcome,
+        &[
+            4, 6, 15, 16, 17, 22, 27, 31, 38, 39, 40, 47, 48, 50, 53, 57, 64, 66, 72, 74, 77, 78,
+            79, 82, 86, 87, 93, 94, 98, 99, 101, 104, 107, 109, 111, 119, 120, 121, 122, 123, 125,
+        ],
+        0x40f2faa4348eb967,
+        &[
+            0x40d10766793af95e,
+            0x40d5215ea37b25aa,
+            0x40d3e518f49a67fe,
+            0x40d1777200f72d88,
+            0x40ce205f460b90b8,
+            0x40bdddad45c01387,
+        ],
+    );
 
     // The six-BP instance itself. Its `SL` keeps a virtual link, so 42 of
-    // its 43 rejected sets hold one and are still retried; all 43 were: 94.
+    // its 43 rejected sets hold one and were retried (all 43 were, before
+    // the rule: 94). Before the certificates: (93, 42); 14 cuts answer 14
+    // of the 43 unrouted, each sparing the pass and the retry.
     attach_external_isps(&mut topo, &ExternalIspConfig::default(), &CostModel::default());
-    assert_eq!(round_counts(&topo), (93, 42));
+    let (counts, outcome) = round(&topo);
+    assert_eq!(counts, [65, 28, 14, 14]);
+    assert_outcome(
+        &outcome,
+        &[
+            6, 7, 13, 17, 22, 31, 38, 39, 40, 47, 53, 57, 64, 66, 69, 79, 82, 83, 93, 99, 104, 107,
+            109, 119, 122, 123, 127,
+        ],
+        0x4100612f48279988,
+        &[
+            0x40e512cd69ffc874,
+            0x40f37f4ee61e4ad8,
+            0x40f1c9d29aa8bf38,
+            0x40f7c9d10199aad3,
+            0x40edc7041a80f658,
+            0x40b4046df1eeb57e,
+        ],
+    );
 }
