@@ -185,6 +185,17 @@ impl<'t> Market<'t> {
         }
     }
 
+    /// [`unit_price`](Self::unit_price) of every link of the topology,
+    /// indexed by link: what a routing pass that prices each arc it relaxes
+    /// reads in place of the per-call offer test and bid lookups.
+    pub fn unit_prices(&self) -> Vec<f64> {
+        let mut prices = vec![f64::INFINITY; self.topo.n_links()];
+        for l in self.offered.iter() {
+            prices[l.index()] = self.unit_price(l);
+        }
+        prices
+    }
+
     /// Replace one BP's bid, returning the previous one. Used by the
     /// strategy-proofness and collusion experiments.
     pub fn swap_bid(&mut self, bid: BpBid) -> Result<Option<BpBid>, MarketError> {

@@ -82,7 +82,7 @@ impl GreedySelector {
     /// each flow's primary path, or `None` if some demand cannot be placed.
     fn route_selecting(
         &self,
-        market: &Market<'_>,
+        prices: &[f64],
         oracle: &dyn AcceptabilityOracle,
         available: &LinkSet,
         vetoes: Option<&[HashSet<LinkId>]>,
@@ -100,7 +100,7 @@ impl GreedySelector {
                 None => true,
             };
             let primary =
-                self.select_demand(market, topo, &mut g, selected, &veto_ok, src, dst, demand)?;
+                self.select_demand(prices, topo, &mut g, selected, &veto_ok, src, dst, demand)?;
             primaries.push((src, dst, primary));
         }
         Some(primaries)
@@ -112,7 +112,7 @@ impl GreedySelector {
     #[allow(clippy::too_many_arguments)]
     fn select_demand(
         &self,
-        market: &Market<'_>,
+        prices: &[f64],
         topo: &poc_topology::PocTopology,
         g: &mut CapacityGraph,
         selected: &mut LinkSet,
@@ -127,7 +127,7 @@ impl GreedySelector {
         while remaining > 1e-9 {
             let want = remaining;
             let weight = |l: LinkId, _dir: Dir| {
-                let base = if selected.contains(l) { 0.0 } else { market.unit_price(l) };
+                let base = if selected.contains(l) { 0.0 } else { prices[l.index()] };
                 base + self.epsilon_per_km * topo.link(l).distance_km
             };
             let path = g
@@ -170,7 +170,7 @@ impl GreedySelector {
     /// placed on the residual capacities.
     fn route_selecting_warm(
         &self,
-        market: &Market<'_>,
+        prices: &[f64],
         oracle: &dyn AcceptabilityOracle,
         available: &LinkSet,
         witness: &Routing,
@@ -228,7 +228,7 @@ impl GreedySelector {
                 best?.0.clone()
             } else {
                 self.select_demand(
-                    market,
+                    prices,
                     topo,
                     &mut g,
                     selected,
@@ -250,7 +250,7 @@ impl GreedySelector {
     /// whether any new link entered `selected`.
     fn augment_pair(
         &self,
-        market: &Market<'_>,
+        prices: &[f64],
         oracle: &dyn AcceptabilityOracle,
         available: &LinkSet,
         pair: (RouterId, RouterId),
@@ -272,7 +272,7 @@ impl GreedySelector {
 
         let g = CapacityGraph::new(topo, available);
         let weight = |l: LinkId, _dir: Dir| {
-            let base = if selected.contains(l) { 0.0 } else { market.unit_price(l) };
+            let base = if selected.contains(l) { 0.0 } else { prices[l.index()] };
             base + self.epsilon_per_km * topo.link(l).distance_km
         };
         // Attempt 1: cheapest disjoint path with a big-enough single link
@@ -412,6 +412,9 @@ impl Selector for GreedySelector {
         available: &LinkSet,
     ) -> Option<SelectionResult> {
         let mut selected = LinkSet::empty(available.universe());
+        // Every arc relaxation of every search below prices a link; look
+        // the prices up once.
+        let prices = market.unit_prices();
 
         // Phase 1: cost-aware base routing. An oracle holding a routing
         // witness (a warm pivot) seeds it: surviving flows keep their
@@ -419,7 +422,7 @@ impl Selector for GreedySelector {
         // mismatch falls back to routing the full matrix from scratch.
         let mut primaries = None;
         if let Some(w) = oracle.witness() {
-            primaries = self.route_selecting_warm(market, oracle, available, &w, &mut selected);
+            primaries = self.route_selecting_warm(&prices, oracle, available, &w, &mut selected);
             match primaries {
                 Some(_) => poc_obs::counter!("auction.select.warm_start").inc(),
                 None => selected = LinkSet::empty(available.universe()),
@@ -427,7 +430,7 @@ impl Selector for GreedySelector {
         }
         let primaries = match primaries {
             Some(p) => p,
-            None => self.route_selecting(market, oracle, available, None, &mut selected)?,
+            None => self.route_selecting(&prices, oracle, available, None, &mut selected)?,
         };
 
         // Phase 2: blanket backup provisioning for the resilience
@@ -439,7 +442,7 @@ impl Selector for GreedySelector {
                 primaries.iter().map(|(_, _, p)| p.iter().copied().collect()).collect();
             // Backup routing failure is not fatal by itself; the oracle
             // verification below decides.
-            let _ = self.route_selecting(market, oracle, available, Some(&vetoes), &mut selected);
+            let _ = self.route_selecting(&prices, oracle, available, Some(&vetoes), &mut selected);
         }
 
         // Phase 3: verify against the real oracle and repair failing
@@ -469,7 +472,7 @@ impl Selector for GreedySelector {
                     let n = fail_counts.entry(pair).or_insert(0);
                     *n += 1;
                     let boost = f64::powi(2.0, (*n - 1).min(6) as i32);
-                    if self.augment_pair(market, oracle, available, pair, boost, &mut selected) {
+                    if self.augment_pair(&prices, oracle, available, pair, boost, &mut selected) {
                         grew_any = true;
                     }
                 }

@@ -1,5 +1,6 @@
 //! Micro-benchmarks of the substrate kernels everything else is built on:
-//! LinkSet algebra, single-source shortest path, full-matrix routing,
+//! LinkSet algebra, single-source shortest path (one destination, and the
+//! whole tree), full-matrix routing, the packet engine's build,
 //! forwarding-table installation, and max-min fair allocation.
 //!
 //! The `*_selected` cases are shaped like the auction's hot path, the
@@ -11,8 +12,10 @@ use poc_auction::{GreedySelector, Market, Selector};
 use poc_bench::{instance, paper_instance};
 use poc_core::fabric::ForwardingState;
 use poc_flow::{route_tm, CapacityGraph, Constraint, FeasibilityOracle, LinkSet};
+use poc_netsim::engine::{Engine, EngineConfig, SourceKind};
 use poc_netsim::fairness::{max_min_rates, AllocFlow};
 use poc_topology::RouterId;
+use poc_traffic::UserFlowModel;
 use std::time::Duration;
 
 fn bench_linkset(c: &mut Criterion) {
@@ -35,6 +38,29 @@ fn bench_shortest_path(c: &mut Criterion) {
         b.iter(|| {
             g.shortest_path(src, dst, |l, _| topo.link(l).distance_km, |_, _| true)
                 .expect("connected")
+        })
+    });
+    // The same search with no destination to stop at: what one source
+    // router costs the packet engine, whatever the number of its pairs.
+    c.bench_function("shortest_path_tree_paper_scale", |b| {
+        b.iter(|| g.shortest_path_tree(src, |l, _| topo.link(l).distance_km, |_, _| true))
+    });
+}
+
+/// `Engine::new` + `add_traffic_matrix` over the whole offer: one tree per
+/// source router, one interned route per demand pair.
+fn bench_engine_build(c: &mut Criterion) {
+    let (topo, tm) = instance();
+    let all = LinkSet::full(topo.n_links());
+    c.bench_function(&format!("engine_build_{}_pairs", tm.n_flows()), |b| {
+        b.iter(|| {
+            let mut engine = Engine::new(&topo, &all, EngineConfig::default()).expect("valid");
+            engine
+                .add_traffic_matrix(&tm, &UserFlowModel::default(), SourceKind::Persistent, |_| {
+                    (None, "tm".to_string())
+                })
+                .expect("valid demands");
+            engine
         })
     });
 }
@@ -142,7 +168,7 @@ fn bench_fairness(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20).measurement_time(Duration::from_secs(10));
-    targets = bench_linkset, bench_shortest_path, bench_route_tm, bench_selected, bench_forwarding_install, bench_fairness
+    targets = bench_linkset, bench_shortest_path, bench_engine_build, bench_route_tm, bench_selected, bench_forwarding_install, bench_fairness
 }
 
 fn main() {

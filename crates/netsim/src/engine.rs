@@ -4,7 +4,10 @@
 //! boundaries, this module moves individual packets: a hybrid scheduler
 //! (a binary heap keyed on nanosecond timestamps orders link events —
 //! departures and propagation-pipe exits — while periodic source
-//! injections are generated per time-slice by scanning the source table
+//! injections are generated per time-slice by scanning the source table,
+//! put in `(time, source)` order by a counting pass over the slice's
+//! nanosecond offsets — the scan already yields each source's fires in
+//! time order and the sources in index order, so no comparison is needed —
 //! and merge-joined against the heap under a fixed deterministic tie
 //! rule), per-link directional FIFO queues with finite byte buffers and
 //! tail drops, store-and-forward transmission at link rate plus
@@ -27,10 +30,16 @@
 //! equal times, then injections in source order), route interning,
 //! owner/tag interning, source phases drawn from a seeded ChaCha8 — is a
 //! function of construction order alone.
+//!
+//! Routes are the distance-shortest paths over the active links. Weight
+//! and link set are fixed for an engine's lifetime, so one full Dijkstra
+//! per *source router* ([`CapacityGraph::shortest_path_tree`], built the
+//! first time the router sources a demand) answers every pair leaving it:
+//! a matrix costs `n_routers` searches, not `n_pairs`.
 
 use crate::sim::IngressThrottle;
 use poc_core::entity::EntityId;
-use poc_flow::graph::Dir;
+use poc_flow::graph::PathTree;
 use poc_flow::{CapacityGraph, LinkSet};
 use poc_topology::geo::propagation_delay_ms;
 use poc_topology::{PocTopology, RouterId};
@@ -285,8 +294,8 @@ struct Source {
 }
 
 /// A link event. Injections are not heap events: periodic source fires
-/// are generated per time-slice in [`Engine::run`] and merge-sorted
-/// against this queue instead.
+/// are generated per time-slice by [`Injector`] and merge-joined against
+/// this queue instead.
 #[derive(Clone, Copy)]
 enum Ev {
     /// The head of directional link `dl`'s propagation pipe reaches the
@@ -524,6 +533,87 @@ impl RunState {
     }
 }
 
+/// Width of one injection time-slice, ns.
+const BUCKET_NS: u64 = 8192;
+
+/// Generates the sources' fires one [`BUCKET_NS`] slice at a time, each
+/// slice in `(time, source)` order. Every source is a periodic arithmetic
+/// progression, so a slice's fires come from one scan of the source table;
+/// the scan emits them in `(source, time)` order, and a stable counting
+/// placement on the offset into the slice turns that into `(time, source)`
+/// order — equal times keep the scan's source order — with no comparison.
+struct Injector {
+    /// Each source's next fire; `u64::MAX` once it is past the horizon.
+    next_at: Vec<u64>,
+    /// Fires per nanosecond offset of the current slice, then each offset's
+    /// write cursor. All zero between slices.
+    slots: Vec<usize>,
+    /// The slice's fires as scanned: by source, ascending in time within
+    /// one source.
+    scanned: Vec<(u64, u32)>,
+    /// The slice's fires in `(time, source)` order.
+    batch: Vec<(u64, u32)>,
+}
+
+impl Injector {
+    fn new(sources: &[Source]) -> Self {
+        Injector {
+            next_at: sources.iter().map(|s| s.phase_ns).collect(),
+            slots: vec![0; BUCKET_NS as usize],
+            scanned: Vec::new(),
+            batch: Vec::new(),
+        }
+    }
+
+    /// The fires `(time, source index)` in `[bucket_start, bucket_start +
+    /// BUCKET_NS)` that are not past `horizon`. Slices must be asked for in
+    /// ascending order, each once.
+    fn bucket(&mut self, sources: &[Source], bucket_start: u64, horizon: u64) -> &[(u64, u32)] {
+        let bucket_end = bucket_start.saturating_add(BUCKET_NS);
+        self.scanned.clear();
+        for (i, s) in sources.iter().enumerate() {
+            let mut t = self.next_at[i];
+            if t >= bucket_end {
+                continue;
+            }
+            while t < bucket_end {
+                if t > horizon {
+                    // Park the source so later slices skip it.
+                    t = u64::MAX;
+                    break;
+                }
+                if let SourceKind::OnOff { on_ns, off_ns } = s.kind {
+                    let cycle = on_ns + off_ns;
+                    let rel = (t + cycle - s.phase_ns % cycle) % cycle;
+                    if rel >= on_ns {
+                        // Off window: skip to the next on window.
+                        t = t.saturating_add(cycle - rel);
+                        continue;
+                    }
+                }
+                self.slots[(t - bucket_start) as usize] += 1;
+                self.scanned.push((t, i as u32));
+                t = t.saturating_add(s.gap_ns);
+            }
+            self.next_at[i] = t;
+        }
+        // Counts become each offset's first position in the batch.
+        let mut at = 0;
+        for slot in &mut self.slots {
+            at += std::mem::replace(slot, at);
+        }
+        self.batch.clear();
+        self.batch.resize(self.scanned.len(), (0, 0));
+        for &fire in &self.scanned {
+            let slot = &mut self.slots[(fire.0 - bucket_start) as usize];
+            self.batch[*slot] = fire;
+            *slot += 1;
+        }
+        self.slots.fill(0);
+        &self.batch
+    }
+}
+
 /// The packet engine. Build over a topology and the leased link set, add
 /// sources (directly or from a traffic matrix), then [`Engine::run`].
 pub struct Engine<'t> {
@@ -539,6 +629,9 @@ pub struct Engine<'t> {
     route_data: Vec<u32>,
     route_starts: Vec<u32>,
     route_of: BTreeMap<(u32, u32), Option<u32>>,
+    /// Shortest-path tree per source router, built on the router's first
+    /// demand.
+    trees: Vec<Option<PathTree>>,
     sources: Vec<Source>,
     owners: Vec<EntityId>,
     owner_of: BTreeMap<EntityId, u16>,
@@ -606,6 +699,7 @@ impl<'t> Engine<'t> {
             route_data: Vec::new(),
             route_starts: vec![0],
             route_of: BTreeMap::new(),
+            trees: vec![None; topo.n_routers()],
             sources: Vec::new(),
             owners: Vec::new(),
             owner_of: BTreeMap::new(),
@@ -619,28 +713,23 @@ impl<'t> Engine<'t> {
     }
 
     /// Intern the distance-shortest route `src → dst` over the active
-    /// links as a sequence of directional link indices.
+    /// links as a sequence of directional link indices, read off `src`'s
+    /// shortest-path tree.
     fn route(&mut self, src: RouterId, dst: RouterId) -> Option<u32> {
         if let Some(&cached) = self.route_of.get(&(src.0, dst.0)) {
             return cached;
         }
-        let distance = &self.distance;
-        let found = self
-            .graph
-            .shortest_path(src, dst, |l, _| distance[l.index()], |_, _| true)
-            .and_then(|path| {
-                let dirs = self.graph.path_dirs(src, &path).ok()?;
-                let id = (self.route_starts.len() - 1) as u32;
-                self.route_data.extend(path.iter().zip(dirs).map(|(&l, d)| {
-                    (l.index() * 2
-                        + match d {
-                            Dir::Fwd => 0,
-                            Dir::Rev => 1,
-                        }) as u32
-                }));
-                self.route_starts.push(self.route_data.len() as u32);
-                Some(id)
-            });
+        let tree = self.trees[src.index()].get_or_insert_with(|| {
+            self.graph.shortest_path_tree(src, |l, _| self.distance[l.index()], |_, _| true)
+        });
+        let found = tree.path_to(dst).and_then(|path| {
+            let dirs = self.graph.path_dirs(src, &path).ok()?;
+            let id = (self.route_starts.len() - 1) as u32;
+            self.route_data
+                .extend(path.iter().zip(dirs).map(|(&l, d)| (l.index() * 2 + d as usize) as u32));
+            self.route_starts.push(self.route_data.len() as u32);
+            Some(id)
+        });
         self.route_of.insert((src.0, dst.0), found);
         found
     }
@@ -812,55 +901,17 @@ impl<'t> Engine<'t> {
             tag_dropped: vec![0u64; self.tags.len()],
         };
 
-        // Injections never touch the heap: every source is a periodic
-        // arithmetic progression, so each time-slice's fires are
-        // generated by scanning the source table, sorted on (time,
-        // source), and merge-joined against the link-event queue. The tie
-        // rule at equal timestamps — link events first, then injections
-        // in source order — is fixed, which is all the determinism
-        // guarantee needs. This keeps the heap at O(busy links) entries
-        // and replaces the inject heap's per-event full-depth sift with a
-        // linear scan and a sort of an almost-sorted batch.
-        const BUCKET_NS: u64 = 8192;
-        let mut next_at: Vec<u64> = self.sources.iter().map(|s| s.phase_ns).collect();
-        let mut batch: Vec<(u64, u32)> = Vec::new();
+        // Injections never touch the heap: each time-slice's fires come
+        // from the injector already in (time, source) order and are
+        // merge-joined against the link-event queue. The tie rule at
+        // equal timestamps — link events first, then injections in source
+        // order — is fixed, which is all the determinism guarantee
+        // needs. This keeps the heap at O(busy links) entries.
+        let mut injector = Injector::new(&self.sources);
         let mut bucket_start: u64 = 0;
         while bucket_start <= horizon {
             let bucket_end = bucket_start.saturating_add(BUCKET_NS);
-            batch.clear();
-            for (i, s) in self.sources.iter().enumerate() {
-                let mut t = next_at[i];
-                if t >= bucket_end {
-                    continue;
-                }
-                while t < bucket_end {
-                    if t > horizon {
-                        // Park the source so later buckets skip it.
-                        t = u64::MAX;
-                        break;
-                    }
-                    match s.kind {
-                        SourceKind::Persistent => {
-                            batch.push((t, i as u32));
-                            t = t.saturating_add(s.gap_ns);
-                        }
-                        SourceKind::OnOff { on_ns, off_ns } => {
-                            let cycle = on_ns + off_ns;
-                            let rel = (t + cycle - s.phase_ns % cycle) % cycle;
-                            if rel < on_ns {
-                                batch.push((t, i as u32));
-                                t = t.saturating_add(s.gap_ns);
-                            } else {
-                                // Off window: skip to the next on window.
-                                t = t.saturating_add(cycle - rel);
-                            }
-                        }
-                    }
-                }
-                next_at[i] = t;
-            }
-            batch.sort_unstable();
-            for &(at, si) in &batch {
+            for &(at, si) in injector.bucket(&self.sources, bucket_start, horizon) {
                 rt.drain_links(
                     &mut self.links,
                     &mut self.occ,
@@ -951,6 +1002,9 @@ impl<'t> Engine<'t> {
 mod tests {
     use super::*;
     use poc_topology::builder::two_bp_square;
+    use poc_topology::zoo::{attach_external_isps, ExternalIspConfig};
+    use poc_topology::{CostModel, ZooConfig, ZooGenerator};
+    use proptest::prelude::*;
 
     fn r(i: u32) -> RouterId {
         RouterId(i)
@@ -1145,10 +1199,157 @@ mod tests {
         let mut e = Engine::new(topo, &only, EngineConfig::default()).unwrap();
         assert!(e.add_source(r(0), r(1), 5.0, None, "a", SourceKind::Persistent, 1).unwrap());
         assert!(!e.add_source(r(2), r(3), 5.0, None, "a", SourceKind::Persistent, 1).unwrap());
+        // Asked again, the pair is answered from the route cache and
+        // counted again; a reachable pair from the same tree is not.
+        assert!(!e.add_source(r(2), r(3), 5.0, None, "a", SourceKind::Persistent, 1).unwrap());
+        assert!(!e.add_source(r(0), r(3), 5.0, None, "a", SourceKind::Persistent, 1).unwrap());
+        assert!(e.add_source(r(1), r(0), 5.0, None, "a", SourceKind::Persistent, 1).unwrap());
         let rep = e.run();
-        assert_eq!(rep.unroutable_pairs, 1);
-        assert_eq!(rep.n_sources, 1);
+        assert_eq!(rep.unroutable_pairs, 3);
+        assert_eq!(rep.n_sources, 2);
         assert!(rep.packets_delivered > 0);
+    }
+
+    /// Every ordered pair's interned route against the early-exit search it
+    /// used to come from, as directional link indices.
+    fn assert_routes_match_per_pair_searches(topo: &PocTopology, active: &LinkSet) {
+        let mut e = Engine::new(topo, active, EngineConfig::default()).unwrap();
+        let g = CapacityGraph::new(topo, active);
+        let (mut found, mut missing) = (0, 0);
+        for src in (0..topo.n_routers()).map(RouterId::from_index) {
+            for dst in (0..topo.n_routers()).map(RouterId::from_index).filter(|&d| d != src) {
+                let expected = g
+                    .shortest_path(src, dst, |l, _| topo.link(l).distance_km, |_, _| true)
+                    .map(|path| {
+                        let dirs = g.path_dirs(src, &path).unwrap();
+                        path.iter()
+                            .zip(dirs)
+                            .map(|(l, d)| (l.index() * 2 + d as usize) as u32)
+                            .collect::<Vec<_>>()
+                    });
+                let got = e.route(src, dst).map(|id| {
+                    let (from, to) = (e.route_starts[id as usize], e.route_starts[id as usize + 1]);
+                    e.route_data[from as usize..to as usize].to_vec()
+                });
+                assert_eq!(got, expected, "{src:?} → {dst:?}");
+                match expected {
+                    Some(_) => found += 1,
+                    None => missing += 1,
+                }
+            }
+        }
+        assert!(found > 0, "no routable pair: {missing} unreachable");
+    }
+
+    #[test]
+    fn tree_routes_equal_per_pair_shortest_paths_link_for_link() {
+        let square = two_bp_square();
+        assert_routes_match_per_pair_searches(&square, &LinkSet::full(square.n_links()));
+        // Two BP-0 links only: some pairs have no route at all.
+        let thin = LinkSet::from_links(
+            square.n_links(),
+            square.links_of_bp(poc_topology::BpId(0)).into_iter().take(2),
+        );
+        assert_routes_match_per_pair_searches(&square, &thin);
+
+        // The benchmark's zoo10 at two instance seeds. BPs sharing a city
+        // pair offer parallel links of equal length, so ties are the norm:
+        // the full search must break each one as the early exit did.
+        for seed in [0x9e37_79b9_7f4a_7c15, 7] {
+            let mut zoo = ZooGenerator::new(
+                ZooConfig {
+                    n_cities: 40,
+                    n_bps: 10,
+                    coverage_min: 0.30,
+                    coverage_max: 0.80,
+                    ..ZooConfig::paper()
+                }
+                .with_seed(seed),
+            )
+            .generate();
+            attach_external_isps(&mut zoo, &ExternalIspConfig::default(), &CostModel::default());
+            assert_routes_match_per_pair_searches(&zoo, &LinkSet::full(zoo.n_links()));
+            let mut every_fifth = LinkSet::empty(zoo.n_links());
+            for l in (0..zoo.n_links()).step_by(5) {
+                every_fifth.insert(poc_topology::LinkId::from_index(l));
+            }
+            assert_routes_match_per_pair_searches(&zoo, &every_fifth);
+        }
+    }
+
+    fn firing(gap_ns: u64, phase_ns: u64, kind: SourceKind) -> Source {
+        Source {
+            route: 0,
+            first_dl: 0,
+            hops: 1,
+            owner: NO_OWNER,
+            tag: 0,
+            bytes: 1500,
+            gap_ns,
+            kind,
+            phase_ns,
+        }
+    }
+
+    /// Every fire up to `horizon` with no slicing at all, sorted on
+    /// `(time, source)`.
+    fn reference_fires(sources: &[Source], horizon: u64) -> Vec<(u64, u32)> {
+        let mut fires = Vec::new();
+        for (i, s) in sources.iter().enumerate() {
+            let mut t = s.phase_ns;
+            while t <= horizon {
+                if let SourceKind::OnOff { on_ns, off_ns } = s.kind {
+                    let cycle = on_ns + off_ns;
+                    let rel = (t + cycle - s.phase_ns % cycle) % cycle;
+                    if rel >= on_ns {
+                        t += cycle - rel;
+                        continue;
+                    }
+                }
+                fires.push((t, i as u32));
+                t += s.gap_ns;
+            }
+        }
+        fires.sort();
+        fires
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+        /// Random source tables — persistent and on/off mixed, gaps from
+        /// 1 ns (a fire in every slot) to thousands, phases drawn from a
+        /// handful of values so sources collide, a horizon that ends
+        /// mid-slice: the slices' counting placements, end to end, are the
+        /// comparison sort of all fires on `(time, source)`.
+        #[test]
+        fn injector_slices_concatenate_to_the_sorted_fire_list(
+            table in prop::collection::vec(
+                ((0u8..3, 0u64..6000), (0u8..2, 0u64..30_000), (0u8..2, 1u64..20_000, 0u64..20_000)),
+                1..10,
+            ),
+            horizon in 1u64..45_000,
+        ) {
+            let sources: Vec<Source> = table
+                .into_iter()
+                .map(|((gap_class, gap), (phase_class, phase), (onoff, on_ns, off_ns))| {
+                    let gap_ns = 1 + gap % [2, 64, 6000][gap_class as usize];
+                    let phase_ns = phase % [8, 30_000][phase_class as usize];
+                    let kind = match onoff {
+                        0 => SourceKind::Persistent,
+                        _ => SourceKind::OnOff { on_ns, off_ns },
+                    };
+                    firing(gap_ns, phase_ns, kind)
+                })
+                .collect();
+            let mut injector = Injector::new(&sources);
+            let mut got = Vec::new();
+            for bucket_start in (0..=horizon).step_by(BUCKET_NS as usize) {
+                let fires = injector.bucket(&sources, bucket_start, horizon);
+                prop_assert!(fires.iter().all(|&(t, _)| (bucket_start..bucket_start + BUCKET_NS).contains(&t)));
+                got.extend_from_slice(fires);
+            }
+            prop_assert_eq!(got, reference_fires(&sources, horizon));
+        }
     }
 
     #[test]

@@ -442,7 +442,6 @@ fn cmd_dataplane(rest: &[String]) -> Result<(), String> {
         },
         ..Default::default()
     };
-    let mut eng = Engine::new(poc.topo(), &selected, cfg).map_err(|e| format!("engine: {e}"))?;
     let classify = |src: RouterId| {
         if src.index().is_multiple_of(2) {
             (Some(lmp_a), "suspect".to_string())
@@ -450,14 +449,24 @@ fn cmd_dataplane(rest: &[String]) -> Result<(), String> {
             (Some(lmp_b), "control".to_string())
         }
     };
-    eng.add_traffic_matrix(&tm, &UserFlowModel::default(), SourceKind::Persistent, classify)
-        .map_err(|e| format!("engine ingest: {e}"))?;
+    let build_started = std::time::Instant::now();
+    let eng = {
+        let _span = public_option_core::obs::span!("netsim.engine.build");
+        let mut eng =
+            Engine::new(poc.topo(), &selected, cfg).map_err(|e| format!("engine: {e}"))?;
+        eng.add_traffic_matrix(&tm, &UserFlowModel::default(), SourceKind::Persistent, classify)
+            .map_err(|e| format!("engine ingest: {e}"))?;
+        eng
+    };
+    let build_ms = build_started.elapsed().as_secs_f64() * 1e3;
     println!(
         "data plane: {} sources standing in for {} user flows, horizon {horizon_ms} ms",
         eng.n_sources(),
         eng.n_user_flows()
     );
+    let run_started = std::time::Instant::now();
     let report = eng.run();
+    let run_s = run_started.elapsed().as_secs_f64();
     println!(
         "packets: {} events, {} injected / {} delivered / {} dropped, {:.1} Gbit/s delivered, \
          availability {:.4}",
@@ -467,6 +476,13 @@ fn cmd_dataplane(rest: &[String]) -> Result<(), String> {
         report.packets_dropped,
         report.delivered_gbps(),
         report.overall_availability()
+    );
+    println!(
+        "engine: build {build_ms:.2} ms, run {run_s:.3} s, {:.2} M events/s, drop ratio {:.4}, \
+         {} unroutable pairs",
+        report.events as f64 / run_s / 1e6,
+        report.packets_dropped as f64 / report.packets_injected.max(1) as f64,
+        report.unroutable_pairs
     );
 
     // The auditor's view: packet goodput, suspect vs control.
