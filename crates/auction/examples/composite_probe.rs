@@ -1,7 +1,7 @@
 //! Quick probe: how much does tighter optimization (best-of-two selectors)
 //! shrink payment-over-bid margins vs the routing-greedy alone?
 //!
-//! Results go to stderr as structured `poc-obs` events (one per arm).
+//! Results go to stderr, one `name key=value ...` line per arm.
 
 use poc_auction::{run_auction, CompositeSelector, GreedySelector, Market, Selector};
 use poc_flow::Constraint;
@@ -10,7 +10,6 @@ use poc_topology::{CostModel, ZooConfig, ZooGenerator};
 use poc_traffic::TrafficScenario;
 
 fn main() {
-    poc_obs::log_to_stderr();
     let mut topo = ZooGenerator::new(ZooConfig::small()).generate();
     attach_external_isps(&mut topo, &ExternalIspConfig::default(), &CostModel::default());
     let tm =
@@ -25,18 +24,15 @@ fn main() {
             Ok(out) => {
                 let pobs: Vec<f64> = out.settlements.iter().filter_map(|s| s.pob()).collect();
                 let mean = pobs.iter().sum::<f64>() / pobs.len().max(1) as f64;
-                poc_obs::event!(
-                    "probe.arm",
-                    selector = label,
-                    total_cost = out.total_cost,
-                    selected = out.selected.len(),
-                    mean_pob = mean,
-                    max_pob = pobs.iter().copied().fold(f64::MIN, f64::max),
+                eprintln!(
+                    "probe.arm selector={label} total_cost={:.4} selected={} mean_pob={mean:.4} \
+                     max_pob={:.4}",
+                    out.total_cost,
+                    out.selected.len(),
+                    pobs.iter().copied().fold(f64::MIN, f64::max),
                 );
             }
-            Err(e) => {
-                poc_obs::event!("probe.arm_failed", selector = label, error = e.to_string());
-            }
+            Err(e) => eprintln!("probe.arm_failed selector={label} error={e}"),
         }
     }
 }

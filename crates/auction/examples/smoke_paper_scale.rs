@@ -2,7 +2,7 @@
 //! (Development tool; the polished reproduction is `examples/fig2_auction.rs`
 //! at the workspace root.)
 //!
-//! Progress goes to stderr as structured `poc-obs` events, so stdout stays
+//! Progress goes to stderr as `name key=value ...` lines, so stdout stays
 //! clean and the lines can be grepped/parsed like any other run log.
 
 use poc_auction::{run_auction, GreedySelector, Market};
@@ -13,17 +13,16 @@ use poc_traffic::TrafficScenario;
 use std::time::Instant;
 
 fn main() {
-    poc_obs::log_to_stderr();
     let t0 = Instant::now();
     let mut topo = ZooGenerator::new(ZooConfig::paper()).generate();
     attach_external_isps(&mut topo, &ExternalIspConfig::default(), &CostModel::default());
     let tm = TrafficScenario::paper_default().generate(&topo);
-    poc_obs::event!(
-        "smoke.generated",
-        gen_ms = t0.elapsed().as_secs_f64() * 1e3,
-        links = topo.n_links(),
-        routers = topo.n_routers(),
-        tm_total = tm.total(),
+    eprintln!(
+        "smoke.generated gen_ms={:.4} links={} routers={} tm_total={:.4}",
+        t0.elapsed().as_secs_f64() * 1e3,
+        topo.n_links(),
+        topo.n_routers(),
+        tm.total(),
     );
 
     let market = Market::truthful(&topo, 3.0);
@@ -36,24 +35,18 @@ fn main() {
         let t1 = Instant::now();
         match run_auction(&market, &tm, c, &sel) {
             Ok(out) => {
-                poc_obs::event!(
-                    "smoke.round",
-                    constraint = c.label(),
-                    round_ms = t1.elapsed().as_secs_f64() * 1e3,
-                    selected = out.selected.len(),
-                    total_cost = out.total_cost,
+                eprintln!(
+                    "smoke.round constraint={} round_ms={:.4} selected={} total_cost={:.4}",
+                    c.label(),
+                    t1.elapsed().as_secs_f64() * 1e3,
+                    out.selected.len(),
+                    out.total_cost,
                 );
                 for (bp, pob) in out.top_pob(5) {
-                    poc_obs::event!("smoke.top_pob", bp = format!("{bp}"), pob = pob);
+                    eprintln!("smoke.top_pob bp={bp} pob={pob:.4}");
                 }
             }
-            Err(e) => {
-                poc_obs::event!(
-                    "smoke.round_failed",
-                    constraint = c.label(),
-                    error = e.to_string(),
-                );
-            }
+            Err(e) => eprintln!("smoke.round_failed constraint={} error={e}", c.label()),
         }
     }
 }

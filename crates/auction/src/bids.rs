@@ -38,7 +38,7 @@ impl SubsetPricing {
     /// Price of `subset`. `subset` must only contain this BP's links; the
     /// caller ([`crate::market::Market`]) guarantees that by intersecting
     /// with `L_α` first.
-    pub fn price(&self, subset: &LinkSet) -> f64 {
+    pub(crate) fn price(&self, subset: &LinkSet) -> f64 {
         if subset.is_empty() {
             return 0.0;
         }
@@ -64,7 +64,7 @@ impl SubsetPricing {
     }
 
     /// The links this pricing covers.
-    pub fn covered_links(&self) -> Vec<LinkId> {
+    pub(crate) fn covered_links(&self) -> Vec<LinkId> {
         match self {
             SubsetPricing::Additive { per_link }
             | SubsetPricing::VolumeDiscount { per_link, .. } => per_link.keys().copied().collect(),
@@ -81,7 +81,7 @@ impl SubsetPricing {
     /// Standalone (singleton-subset) price of one link: the per-link price
     /// for the additive forms; for explicit tables, the singleton's table
     /// price. Used by the greedy selector as the marginal-cost signal.
-    pub fn unit_price(&self, l: LinkId) -> f64 {
+    pub(crate) fn unit_price(&self, l: LinkId) -> f64 {
         match self {
             SubsetPricing::Additive { per_link }
             | SubsetPricing::VolumeDiscount { per_link, .. } => {
@@ -97,7 +97,7 @@ impl SubsetPricing {
 
     /// Internal sanity checks: finite non-negative prices and a
     /// non-increasing discount schedule.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         match self {
             SubsetPricing::Additive { per_link } => validate_prices(per_link),
             SubsetPricing::VolumeDiscount { per_link, schedule } => {
@@ -165,25 +165,6 @@ impl BpBid {
                 schedule,
             },
         }
-    }
-
-    /// A copy of this bid with every price scaled by `factor` (used in the
-    /// strategy-proofness experiments to model misreporting).
-    pub fn scaled(&self, factor: f64) -> Self {
-        assert!(factor.is_finite() && factor > 0.0, "scale factor must be positive");
-        let pricing = match &self.pricing {
-            SubsetPricing::Additive { per_link } => SubsetPricing::Additive {
-                per_link: per_link.iter().map(|(&l, &p)| (l, p * factor)).collect(),
-            },
-            SubsetPricing::VolumeDiscount { per_link, schedule } => SubsetPricing::VolumeDiscount {
-                per_link: per_link.iter().map(|(&l, &p)| (l, p * factor)).collect(),
-                schedule: schedule.clone(),
-            },
-            SubsetPricing::Explicit { subsets } => SubsetPricing::Explicit {
-                subsets: subsets.iter().map(|(ls, p)| (ls.clone(), p * factor)).collect(),
-            },
-        };
-        Self { bp: self.bp, pricing }
     }
 }
 
@@ -264,13 +245,6 @@ mod tests {
     fn validate_rejects_negative_price() {
         let bad = SubsetPricing::Additive { per_link: [(l(0), -1.0)].into() };
         assert!(bad.validate().is_err());
-    }
-
-    #[test]
-    fn scaled_bid_multiplies_prices() {
-        let bid = BpBid::truthful_additive(BpId(0), [(l(0), 10.0), (l(1), 20.0)]);
-        let inflated = bid.scaled(1.5);
-        assert_eq!(inflated.pricing.price(&set(2, &[0, 1])), 45.0);
     }
 
     #[test]

@@ -188,7 +188,7 @@ impl<'t> Market<'t> {
     /// [`unit_price`](Self::unit_price) of every link of the topology,
     /// indexed by link: what a routing pass that prices each arc it relaxes
     /// reads in place of the per-call offer test and bid lookups.
-    pub fn unit_prices(&self) -> Vec<f64> {
+    pub(crate) fn unit_prices(&self) -> Vec<f64> {
         let mut prices = vec![f64::INFINITY; self.topo.n_links()];
         for l in self.offered.iter() {
             prices[l.index()] = self.unit_price(l);
@@ -196,22 +196,10 @@ impl<'t> Market<'t> {
         prices
     }
 
-    /// Replace one BP's bid, returning the previous one. Used by the
-    /// strategy-proofness and collusion experiments.
-    pub fn swap_bid(&mut self, bid: BpBid) -> Result<Option<BpBid>, MarketError> {
-        if !self.bp_links.contains_key(&bid.bp) {
-            return Err(MarketError::UnknownBp(bid.bp));
-        }
-        bid.pricing
-            .validate()
-            .map_err(|reason| MarketError::InvalidPricing { bp: bid.bp, reason })?;
-        Ok(self.bids.insert(bid.bp, bid))
-    }
-
     /// Restrict a BP's offer to `keep ⊆ L_α` (link withholding, §3.3's
     /// collusion discussion). The bid's pricing is preserved for remaining
     /// links; withheld links leave `OL`.
-    pub fn withhold_links(&mut self, bp: BpId, withheld: &LinkSet) {
+    pub(crate) fn withhold_links(&mut self, bp: BpId, withheld: &LinkSet) {
         let Some(owned) = self.bp_links.get_mut(&bp) else {
             return;
         };
@@ -318,27 +306,6 @@ mod tests {
             MarketError::InvalidPricing { bp, .. } => assert_eq!(bp, BpId(0)),
             other => panic!("expected InvalidPricing, got {other:?}"),
         }
-        // Same guard on the swap path, plus the unknown-participant case.
-        let mut m = Market::truthful(&t, 3.0);
-        let bad = BpBid::truthful_additive(BpId(0), [(LinkId(0), f64::NAN)]);
-        assert!(matches!(m.swap_bid(bad), Err(MarketError::InvalidPricing { .. })));
-        let stranger = BpBid::truthful_additive(BpId(9), [(LinkId(0), 1.0)]);
-        assert_eq!(m.swap_bid(stranger).unwrap_err(), MarketError::UnknownBp(BpId(9)));
-    }
-
-    #[test]
-    fn swap_bid_changes_cost() {
-        let t = two_bp_square();
-        let mut m = Market::truthful(&t, 3.0);
-        let all = LinkSet::full(t.n_links());
-        let before = m.total_cost(&all);
-        let inflated = BpBid::truthful_additive(
-            BpId(0),
-            t.links_of_bp(BpId(0)).into_iter().map(|l| (l, t.link(l).true_monthly_cost * 2.0)),
-        );
-        m.swap_bid(inflated).unwrap();
-        let after = m.total_cost(&all);
-        assert!(after > before);
     }
 
     #[test]

@@ -26,8 +26,7 @@ use poc_flow::{AcceptabilityOracle, Constraint, LinkSet, Routing};
 use poc_topology::{LinkId, RouterId};
 use std::collections::HashSet;
 
-/// A selected link set with its declared cost and (for the greedy path)
-/// the base routing that witnessed feasibility.
+/// A selected link set with its declared cost.
 #[derive(Clone, Debug)]
 pub struct SelectionResult {
     pub links: LinkSet,
@@ -52,29 +51,30 @@ pub trait Selector: Send + Sync {
     ) -> Option<SelectionResult>;
 }
 
+/// Distance tie-break weight, $ per km; small relative to any price.
+const EPSILON_PER_KM: f64 = 1e-4;
+/// Maximum splits per demand in the selection routing.
+const MAX_SPLITS: usize = 16;
+/// Maximum targeted-augmentation rounds for the resilience constraints
+/// (each round repairs the failing scenarios the oracle reports).
+const MAX_AUGMENT_ROUNDS: usize = 64;
+
 /// Paper-scale greedy heuristic. See module docs.
 #[derive(Clone, Debug)]
 pub struct GreedySelector {
     /// Maximum number of tentative link removals in the prune pass.
     pub prune_budget: usize,
-    /// Distance tie-break weight, $ per km; small relative to any price.
-    pub epsilon_per_km: f64,
-    /// Maximum splits per demand in the selection routing.
-    pub max_splits: usize,
-    /// Maximum targeted-augmentation rounds for the resilience constraints
-    /// (each round fixes one failing scenario reported by the oracle).
-    pub max_augment_rounds: usize,
 }
 
 impl Default for GreedySelector {
     fn default() -> Self {
-        Self { prune_budget: 48, epsilon_per_km: 1e-4, max_splits: 16, max_augment_rounds: 64 }
+        Self { prune_budget: 48 }
     }
 }
 
 impl GreedySelector {
     pub fn with_prune_budget(budget: usize) -> Self {
-        Self { prune_budget: budget, ..Self::default() }
+        Self { prune_budget: budget }
     }
 
     /// Cost-aware routing of all demands over `available`, marking the
@@ -128,7 +128,7 @@ impl GreedySelector {
             let want = remaining;
             let weight = |l: LinkId, _dir: Dir| {
                 let base = if selected.contains(l) { 0.0 } else { prices[l.index()] };
-                base + self.epsilon_per_km * topo.link(l).distance_km
+                base + EPSILON_PER_KM * topo.link(l).distance_km
             };
             let path = g
                 .shortest_path(src, dst, weight, |l, dir| {
@@ -153,7 +153,7 @@ impl GreedySelector {
                 Some((_, a)) if *a >= amount => {}
                 _ => best_path = Some((path, amount)),
             }
-            if splits > self.max_splits && remaining > 1e-9 {
+            if splits > MAX_SPLITS && remaining > 1e-9 {
                 return None;
             }
         }
@@ -273,7 +273,7 @@ impl GreedySelector {
         let g = CapacityGraph::new(topo, available);
         let weight = |l: LinkId, _dir: Dir| {
             let base = if selected.contains(l) { 0.0 } else { prices[l.index()] };
-            base + self.epsilon_per_km * topo.link(l).distance_km
+            base + EPSILON_PER_KM * topo.link(l).distance_km
         };
         // Attempt 1: cheapest disjoint path with a big-enough single link
         // capacity; may ride existing selected links.
@@ -456,18 +456,12 @@ impl Selector for GreedySelector {
             std::collections::HashMap::new();
         loop {
             let failures = oracle.failing_scenarios(&selected, 1024);
-            poc_obs::event!(
-                "auction.select.repair",
-                round = rounds,
-                failing = failures.len(),
-                selected = selected.len(),
-            );
             if failures.is_empty() {
                 break;
             }
             rounds += 1;
             let mut grew_any = false;
-            if rounds <= self.max_augment_rounds {
+            if rounds <= MAX_AUGMENT_ROUNDS {
                 for (pair, _) in failures {
                     let n = fail_counts.entry(pair).or_insert(0);
                     *n += 1;
@@ -477,7 +471,7 @@ impl Selector for GreedySelector {
                     }
                 }
             }
-            if rounds > self.max_augment_rounds || !grew_any {
+            if rounds > MAX_AUGMENT_ROUNDS || !grew_any {
                 // Last resort: everything offered, if that is acceptable;
                 // otherwise the instance is infeasible under the oracle.
                 if oracle.acceptable(available) {
@@ -498,13 +492,13 @@ impl Selector for GreedySelector {
 /// Exact enumeration over all subsets of `available`.
 ///
 /// # Panics
-/// Panics if `available` has more than [`ExhaustiveSelector::MAX_LINKS`]
-/// links (the enumeration is exponential).
+/// Panics if `available` has more than 18 links (`MAX_LINKS`; the
+/// enumeration is exponential).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ExhaustiveSelector;
 
 impl ExhaustiveSelector {
-    pub const MAX_LINKS: usize = 18;
+    const MAX_LINKS: usize = 18;
 }
 
 impl Selector for ExhaustiveSelector {
@@ -541,11 +535,6 @@ impl Selector for ExhaustiveSelector {
         }
         best
     }
-}
-
-/// Convenience: the base routing witnessing a selection's feasibility.
-pub fn witness_routing(oracle: &dyn AcceptabilityOracle, sel: &SelectionResult) -> Option<Routing> {
-    oracle.route(&sel.links)
 }
 
 #[cfg(test)]
@@ -599,7 +588,7 @@ mod tests {
         let cold_oracle = FeasibilityOracle::new(&t, &tm, Constraint::BaseLoad);
         let cold = GreedySelector::default().select(&m, &cold_oracle, m.offered()).unwrap();
 
-        let mut witness = witness_routing(&cold_oracle, &cold).expect("the selection routes");
+        let mut witness = cold_oracle.route(&cold.links).expect("the selection routes");
         assert_eq!((witness.flows[1].src, witness.flows[1].dst), (r(3), r(2)));
         witness.flows[1].paths.clear();
         let warm_oracle = poc_flow::WarmOracle::new(&t, &tm, Constraint::BaseLoad);

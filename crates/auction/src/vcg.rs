@@ -60,12 +60,6 @@ pub struct AuctionOutcome {
 }
 
 impl AuctionOutcome {
-    /// Total POC outlay: Σ payments + virtual-link contract cost.
-    pub fn total_outlay(&self, market: &Market<'_>) -> f64 {
-        let payments: f64 = self.settlements.iter().map(|s| s.payment).sum();
-        payments + market.virtual_cost(&self.selected)
-    }
-
     /// Settlement of one BP.
     pub fn settlement(&self, bp: BpId) -> Option<&BpSettlement> {
         self.settlements.iter().find(|s| s.bp == bp)

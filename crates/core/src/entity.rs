@@ -77,12 +77,16 @@ impl fmt::Display for RegistryError {
 impl std::error::Error for RegistryError {}
 
 impl Registry {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Register an entity; names must be unique.
-    pub fn register(&mut self, name: &str, kind: EntityKind) -> Result<EntityId, RegistryError> {
+    pub(crate) fn register(
+        &mut self,
+        name: &str,
+        kind: EntityKind,
+    ) -> Result<EntityId, RegistryError> {
         if self.by_name.contains_key(name) {
             return Err(RegistryError::DuplicateName(name.to_string()));
         }
@@ -99,7 +103,7 @@ impl Registry {
         Ok(id)
     }
 
-    pub fn get(&self, id: EntityId) -> Result<&Entity, RegistryError> {
+    pub(crate) fn get(&self, id: EntityId) -> Result<&Entity, RegistryError> {
         self.entities.get(id.0 as usize).ok_or(RegistryError::UnknownEntity(id))
     }
 
@@ -108,7 +112,7 @@ impl Registry {
     }
 
     /// Record ToS acceptance.
-    pub fn sign_tos(&mut self, id: EntityId) -> Result<(), RegistryError> {
+    pub(crate) fn sign_tos(&mut self, id: EntityId) -> Result<(), RegistryError> {
         let e = self.entities.get_mut(id.0 as usize).ok_or(RegistryError::UnknownEntity(id))?;
         e.tos_signed = true;
         Ok(())
@@ -129,7 +133,7 @@ impl Registry {
     }
 
     /// The POC router where this entity's traffic enters, if any.
-    pub fn attachment_router(&self, id: EntityId) -> Option<RouterId> {
+    pub(crate) fn attachment_router(&self, id: EntityId) -> Option<RouterId> {
         match &self.get(id).ok()?.kind {
             EntityKind::Lmp { router } | EntityKind::DirectCsp { router } => Some(*router),
             EntityKind::HostedCsp { via_lmp } => self.attachment_router(*via_lmp),

@@ -1,19 +1,23 @@
 //! The installed forwarding state of the POC fabric.
 //!
-//! After an auction round selects `SL`, the POC installs next-hop tables
-//! computed from shortest paths over the leased links. The fabric is a
+//! After an auction round selects `SL`, the POC forwards along shortest
+//! paths over the leased links: one [`PathTree`] per router from
+//! `poc-flow`'s Dijkstra, the kernel the packet engine routes on, so a path
+//! query and a simulated packet name the same links. The fabric is a
 //! "transparent fabric" (§1.2): it forwards between attachment routers and
 //! applies no policy of its own.
 
+use poc_flow::graph::PathTree;
 use poc_flow::{CapacityGraph, LinkSet};
 use poc_topology::{LinkId, PocTopology, RouterId};
 
-/// Errors from walking the installed forwarding tables.
+/// Errors from walking the installed forwarding state.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FabricError {
-    /// The next-hop tables cycle without reaching the destination. The
-    /// tables `install()` computes are loop-free by construction, so this
-    /// indicates corrupted or hand-built state.
+    /// The forwarding state cycles without reaching the destination. A
+    /// shortest-path tree cannot, so no state `install()` builds yields
+    /// this; [`ForwardingState::path`] keeps the `Result` its callers
+    /// already handle.
     RoutingLoop { src: RouterId, dst: RouterId },
 }
 
@@ -29,46 +33,28 @@ impl std::fmt::Display for FabricError {
 
 impl std::error::Error for FabricError {}
 
-/// Next-hop forwarding tables over an active link set.
+/// Shortest-path forwarding over an active link set.
 #[derive(Clone, Debug)]
 pub struct ForwardingState {
-    n_routers: usize,
-    /// `next[src][dst]` = (link to take, next router), or None.
-    next: Vec<Vec<Option<(LinkId, RouterId)>>>,
+    /// `trees[src]` holds every distance-shortest path from router `src`.
+    trees: Vec<PathTree>,
     active: LinkSet,
 }
 
 impl ForwardingState {
-    /// Compute tables from all-pairs shortest paths (by distance) over
-    /// `active`.
+    /// One shortest-path tree (by distance) per router over `active`.
     pub fn install(topo: &PocTopology, active: &LinkSet) -> Self {
-        let n = topo.n_routers();
         let g = CapacityGraph::new(topo, active);
-        let mut next = vec![vec![None; n]; n];
-        // One Dijkstra per source, extracting first hops.
-        for (src_i, row) in next.iter_mut().enumerate() {
-            let src = RouterId::from_index(src_i);
-            // Dijkstra with predecessor tracking via repeated shortest_path
-            // would be O(n^2 E); do a single-source pass instead.
-            let (dist, prev) = single_source(&g, topo, src);
-            for (dst_i, slot) in row.iter_mut().enumerate() {
-                if dst_i == src_i || dist[dst_i].is_infinite() {
-                    continue;
-                }
-                // Walk back from dst to src to find the first hop.
-                let mut cur = dst_i;
-                let mut hop = None;
-                while let Some((link, parent)) = prev[cur] {
-                    hop = Some((link, RouterId::from_index(cur)));
-                    if parent.index() == src_i {
-                        break;
-                    }
-                    cur = parent.index();
-                }
-                *slot = hop;
-            }
-        }
-        Self { n_routers: n, next, active: active.clone() }
+        let trees = (0..topo.n_routers())
+            .map(|src| {
+                g.shortest_path_tree(
+                    RouterId::from_index(src),
+                    |l, _| topo.link(l).distance_km,
+                    |_, _| true,
+                )
+            })
+            .collect();
+        Self { trees, active: active.clone() }
     }
 
     /// The active links this state was installed from.
@@ -76,80 +62,28 @@ impl ForwardingState {
         &self.active
     }
 
-    /// Next hop from `at` toward `dst`.
+    /// Next hop from `at` toward `dst`: the first link of `at`'s own
+    /// shortest path there, and the router it leads to.
     pub fn next_hop(&self, at: RouterId, dst: RouterId) -> Option<(LinkId, RouterId)> {
-        self.next.get(at.index())?.get(dst.index()).copied().flatten()
+        self.trees.get(at.index())?.first_hop(dst)
     }
 
     /// Full path from `src` to `dst` (links in order), `Ok(None)` if
-    /// unreachable, or [`FabricError::RoutingLoop`] if the tables are
-    /// inconsistent (which `install()` cannot produce).
+    /// unreachable.
     pub fn path(&self, src: RouterId, dst: RouterId) -> Result<Option<Vec<LinkId>>, FabricError> {
-        if src == dst {
-            return Ok(Some(Vec::new()));
+        if dst.index() >= self.trees.len() {
+            return Ok(None);
         }
-        let mut path = Vec::new();
-        let mut at = src;
-        for _ in 0..=self.n_routers {
-            let Some((link, nxt)) = self.next_hop(at, dst) else {
-                return Ok(None);
-            };
-            path.push(link);
-            if nxt == dst {
-                return Ok(Some(path));
-            }
-            at = nxt;
-        }
-        Err(FabricError::RoutingLoop { src, dst })
+        Ok(self.trees.get(src.index()).and_then(|tree| tree.path_to(dst)))
     }
 
-    /// Whether every router can reach every other.
+    /// Whether every router can reach every other. Links are undirected, so
+    /// the first router reaching all of them decides it.
     pub fn fully_connected(&self) -> bool {
-        (0..self.n_routers)
-            .all(|s| (0..self.n_routers).all(|d| s == d || self.next[s][d].is_some()))
+        self.trees.first().is_none_or(|tree| {
+            (1..self.trees.len()).all(|dst| tree.first_hop(RouterId::from_index(dst)).is_some())
+        })
     }
-}
-
-fn single_source(
-    g: &CapacityGraph<'_>,
-    topo: &PocTopology,
-    src: RouterId,
-) -> (Vec<f64>, Vec<Option<(LinkId, RouterId)>>) {
-    let n = topo.n_routers();
-    let mut dist = vec![f64::INFINITY; n];
-    let mut prev: Vec<Option<(LinkId, RouterId)>> = vec![None; n];
-    let mut heap = std::collections::BinaryHeap::new();
-    dist[src.index()] = 0.0;
-    heap.push((std::cmp::Reverse(ordered(0.0)), src));
-    while let Some((std::cmp::Reverse(d), node)) = heap.pop() {
-        let d = d.0;
-        if d > dist[node.index()] + 1e-12 {
-            continue;
-        }
-        for &(l, nb) in g.neighbors(node) {
-            let nd = d + topo.link(l).distance_km;
-            if nd < dist[nb.index()] - 1e-12 {
-                dist[nb.index()] = nd;
-                prev[nb.index()] = Some((l, node));
-                heap.push((std::cmp::Reverse(ordered(nd)), nb));
-            }
-        }
-    }
-    (dist, prev)
-}
-
-/// Total-ordered f64 wrapper for the heap.
-#[derive(PartialEq, PartialOrd)]
-struct Ordered(f64);
-impl Eq for Ordered {}
-#[allow(clippy::derive_ord_xor_partial_ord)]
-impl Ord for Ordered {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.partial_cmp(other).expect("NaN distance")
-    }
-}
-fn ordered(v: f64) -> Ordered {
-    Ordered(v)
 }
 
 #[cfg(test)]
@@ -211,18 +145,70 @@ mod tests {
         assert_eq!(path.len(), 1);
     }
 
+    /// `path` names the links the flow kernel names for every ordered
+    /// pair, and hop-by-hop forwarding arrives over a path just as long.
+    fn assert_matches_the_kernel(t: &PocTopology, active: &LinkSet) {
+        let fs = ForwardingState::install(t, active);
+        let g = CapacityGraph::new(t, active);
+        let km = |path: &[LinkId]| path.iter().map(|&l| t.link(l).distance_km).sum::<f64>();
+        let routers = || (0..t.n_routers()).map(RouterId::from_index);
+        for (src, dst) in routers().flat_map(|s| routers().map(move |d| (s, d))) {
+            let kernel = g.shortest_path(src, dst, |l, _| t.link(l).distance_km, |_, _| true);
+            assert_eq!(fs.path(src, dst), Ok(kernel.clone()), "{src} -> {dst}");
+            let Some(kernel) = kernel else {
+                assert_eq!(fs.next_hop(src, dst), None, "{src} -> {dst}");
+                continue;
+            };
+            let (mut at, mut walked) = (src, Vec::new());
+            while at != dst {
+                let (link, next) = fs.next_hop(at, dst).expect("a reachable pair has a next hop");
+                assert_eq!(t.link(link).other_end(at), Some(next));
+                walked.push(link);
+                at = next;
+                assert!(walked.len() <= t.n_routers(), "{src} -> {dst} does not arrive");
+            }
+            assert!((km(&walked) - km(&kernel)).abs() < 1e-6, "{src} -> {dst}");
+        }
+    }
+
     #[test]
-    fn routing_loop_is_an_error_not_a_panic() {
-        // Hand-build corrupted tables: r0 → r1 → r0 while "heading" to r2.
+    fn paths_are_the_flow_kernels_on_the_square() {
         let t = two_bp_square();
-        let mut fs = ForwardingState::install(&t, &LinkSet::full(t.n_links()));
-        let to_r1 = fs.next_hop(r(0), r(1)).unwrap();
-        let to_r0 = fs.next_hop(r(1), r(0)).unwrap();
-        fs.next[0][2] = Some(to_r1);
-        fs.next[1][2] = Some(to_r0);
-        assert_eq!(fs.path(r(0), r(2)), Err(FabricError::RoutingLoop { src: r(0), dst: r(2) }));
-        // The error formats the offending pair for operators.
-        let msg = fs.path(r(0), r(2)).unwrap_err().to_string();
-        assert!(msg.contains("forwarding loop"), "got: {msg}");
+        assert_matches_the_kernel(&t, &LinkSet::full(t.n_links()));
+        // r3 cut off: unreachable pairs stay `Ok(None)`.
+        let bp0 = LinkSet::from_links(t.n_links(), t.links_of_bp(poc_topology::BpId(0)));
+        assert_matches_the_kernel(&t, &bp0);
+    }
+
+    /// The benchmark's zoo14 live selection: 40 routers, and equal-length
+    /// alternatives between enough of them that a second Dijkstra with its
+    /// own tie order named different links for 7 of the 1 560 pairs.
+    #[test]
+    fn paths_are_the_flow_kernels_on_the_zoo14_live_selection() {
+        use poc_auction::{GreedySelector, Market, Selector};
+        use poc_flow::{Constraint, FeasibilityOracle};
+        use poc_topology::zoo::{attach_external_isps, ExternalIspConfig};
+        use poc_topology::{CostModel, ZooConfig, ZooGenerator};
+        use poc_traffic::TrafficScenario;
+
+        let zoo = ZooConfig {
+            n_cities: 56,
+            n_bps: 14,
+            coverage_min: 0.28,
+            coverage_max: 0.80,
+            ..ZooConfig::paper()
+        };
+        let mut t = ZooGenerator::new(zoo).generate();
+        attach_external_isps(&mut t, &ExternalIspConfig::default(), &CostModel::default());
+        let tm =
+            TrafficScenario { total_gbps: 7000.0, ..TrafficScenario::paper_default() }.generate(&t);
+        let market = Market::truthful(&t, 3.0);
+        let oracle = FeasibilityOracle::new(&t, &tm, Constraint::BaseLoad);
+        let live = GreedySelector::with_prune_budget(16)
+            .select(&market, &oracle, market.offered())
+            .expect("zoo14 is auctionable")
+            .links;
+        assert_eq!(t.n_routers(), 40);
+        assert_matches_the_kernel(&t, &live);
     }
 }

@@ -169,7 +169,7 @@ impl LeaseBook {
     /// and the BP is still owed the notice-period payments), so a plan
     /// that also scheduled the link for removal gets a typed
     /// [`LeaseOpError::RecallInFlight`] instead of double-removing it.
-    pub fn remove_lease(&mut self, link: LinkId) -> Result<Lease, LeaseOpError> {
+    pub(crate) fn remove_lease(&mut self, link: LinkId) -> Result<Lease, LeaseOpError> {
         let mut recalled: Option<(BpId, u32)> = None;
         for l in &mut self.leases {
             if l.link == link {
@@ -196,7 +196,7 @@ impl LeaseBook {
     /// Book a single lease (a transition step bringing a newly won link
     /// into service). Refused when a live lease already covers the link —
     /// adding a second would double-pay the BP.
-    pub fn add_lease(&mut self, lease: Lease) -> Result<(), LeaseOpError> {
+    pub(crate) fn add_lease(&mut self, lease: Lease) -> Result<(), LeaseOpError> {
         let live = self.leases.iter().any(|l| {
             l.link == lease.link
                 && matches!(l.state, LeaseState::Active | LeaseState::Recalled { .. })
@@ -215,7 +215,7 @@ impl LeaseBook {
     }
 
     /// Clear the re-auction flag (called after a fresh auction round).
-    pub fn mark_reauctioned(&mut self) {
+    pub(crate) fn mark_reauctioned(&mut self) {
         self.reauction_needed = false;
     }
 }
@@ -226,7 +226,7 @@ impl Lease {
     /// [`LeaseBook::ingest_auction`] applies to the whole selected set.
     /// `None` for links the outcome did not select or that no BP owns
     /// (virtual links are contract-priced, not leased).
-    pub fn priced_from(
+    pub(crate) fn priced_from(
         topo: &PocTopology,
         outcome: &AuctionOutcome,
         link: LinkId,

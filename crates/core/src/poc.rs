@@ -23,6 +23,7 @@ use poc_flow::{Constraint, LinkSet};
 use poc_topology::{PocTopology, RouterId};
 use poc_traffic::TrafficMatrix;
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 /// POC operating parameters.
 #[derive(Clone, Debug)]
@@ -129,11 +130,13 @@ pub struct Poc {
     registry: Registry,
     ledger: Ledger,
     leases: LeaseBook,
-    fabric: Option<ForwardingState>,
-    /// The link set the fabric is installed on. Normally the last
-    /// outcome's selection; during a lease transition it tracks the
-    /// plan's intermediate set step by step.
-    active_set: Option<LinkSet>,
+    /// The link set the fabric forwards on. Normally the last outcome's
+    /// selection; during a lease transition it tracks the plan's
+    /// intermediate set step by step. Changed only by `set_installed`.
+    installed: Option<LinkSet>,
+    /// Forwarding state over `installed`, built when first read after a
+    /// change: a migration's lease steps do no shortest-path work.
+    fabric: OnceLock<ForwardingState>,
     engine: NeutralityEngine,
     violations: Vec<(EntityId, Verdict)>,
     last_outcome: Option<AuctionOutcome>,
@@ -170,8 +173,8 @@ impl Poc {
             registry,
             ledger: Ledger::new(),
             leases: LeaseBook::new(),
-            fabric: None,
-            active_set: None,
+            installed: None,
+            fabric: OnceLock::new(),
             engine: NeutralityEngine::new(),
             violations: Vec::new(),
             last_outcome: None,
@@ -196,7 +199,21 @@ impl Poc {
     }
 
     pub fn fabric(&self) -> Option<&ForwardingState> {
-        self.fabric.as_ref()
+        let links = self.installed.as_ref()?;
+        Some(self.fabric.get_or_init(|| ForwardingState::install(&self.topo, links)))
+    }
+
+    /// The one place the installed set changes: the forwarding state
+    /// derived from the old set goes with it.
+    fn set_installed(&mut self, links: Option<LinkSet>) {
+        self.installed = links;
+        self.fabric = OnceLock::new();
+    }
+
+    /// The installed set, taken out to be edited and handed back to
+    /// `set_installed`.
+    fn take_installed(&mut self) -> LinkSet {
+        self.installed.take().unwrap_or_else(|| LinkSet::empty(self.topo.links.len()))
     }
 
     pub fn last_outcome(&self) -> Option<&AuctionOutcome> {
@@ -251,15 +268,14 @@ impl Poc {
         let outcome = self.compute_auction_outcome(tm)?;
         self.leases.ingest_auction(&self.topo, &outcome, self.period);
         self.leases.mark_reauctioned();
-        self.fabric = Some(ForwardingState::install(&self.topo, &outcome.selected));
-        self.active_set = Some(outcome.selected.clone());
+        self.set_installed(Some(outcome.selected.clone()));
         self.last_outcome = Some(outcome);
         Ok(self.last_outcome.as_ref().expect("just set"))
     }
 
     /// The link set the forwarding fabric is currently installed on.
     pub fn installed_links(&self) -> Option<&LinkSet> {
-        self.active_set.as_ref()
+        self.installed.as_ref()
     }
 
     /// Apply one transition step: bring `link` into the live fabric and,
@@ -283,11 +299,9 @@ impl Poc {
                 Err(e) => return Err(e),
             }
         }
-        let mut set =
-            self.active_set.clone().unwrap_or_else(|| LinkSet::empty(self.topo.links.len()));
+        let mut set = self.take_installed();
         set.insert(link);
-        self.fabric = Some(ForwardingState::install(&self.topo, &set));
-        self.active_set = Some(set);
+        self.set_installed(Some(set));
         Ok(())
     }
 
@@ -304,11 +318,9 @@ impl Poc {
             Ok(_) | Err(LeaseOpError::NoActiveLease { .. }) => {}
             Err(e) => return Err(e),
         }
-        let mut set =
-            self.active_set.clone().unwrap_or_else(|| LinkSet::empty(self.topo.links.len()));
+        let mut set = self.take_installed();
         set.remove(link);
-        self.fabric = Some(ForwardingState::install(&self.topo, &set));
-        self.active_set = Some(set);
+        self.set_installed(Some(set));
         Ok(())
     }
 
@@ -317,8 +329,7 @@ impl Poc {
     /// clears the re-auction flag and records the outcome as current.
     pub fn commit_transition(&mut self, outcome: AuctionOutcome) {
         self.leases.mark_reauctioned();
-        self.fabric = Some(ForwardingState::install(&self.topo, &outcome.selected));
-        self.active_set = Some(outcome.selected.clone());
+        self.set_installed(Some(outcome.selected.clone()));
         self.last_outcome = Some(outcome);
     }
 
@@ -326,8 +337,7 @@ impl Poc {
     /// when no step-by-step safe plan exists; also used by recovery to
     /// restore the pre-transition set in one install).
     pub fn force_install(&mut self, links: &LinkSet) {
-        self.fabric = Some(ForwardingState::install(&self.topo, links));
-        self.active_set = Some(links.clone());
+        self.set_installed(Some(links.clone()));
     }
 
     pub fn config(&self) -> &PocConfig {
@@ -481,9 +491,7 @@ impl Poc {
         self.ledger = ledger;
         self.leases = leases;
         self.violations = violations;
-        self.fabric =
-            last_outcome.as_ref().map(|o| ForwardingState::install(&self.topo, &o.selected));
-        self.active_set = last_outcome.as_ref().map(|o| o.selected.clone());
+        self.set_installed(last_outcome.as_ref().map(|o| o.selected.clone()));
         self.last_outcome = last_outcome;
         self.period = period;
     }
@@ -494,7 +502,7 @@ impl Poc {
         from: EntityId,
         to: EntityId,
     ) -> Result<Option<Vec<poc_topology::LinkId>>, PocError> {
-        let fabric = self.fabric.as_ref().ok_or(PocError::NoFabric)?;
+        let fabric = self.fabric().ok_or(PocError::NoFabric)?;
         let (Some(a), Some(b)) =
             (self.registry.attachment_router(from), self.registry.attachment_router(to))
         else {
@@ -511,6 +519,7 @@ mod tests {
     use poc_topology::builder::two_bp_square;
     use poc_topology::zoo::{attach_external_isps, ExternalIspConfig};
     use poc_topology::CostModel;
+    use proptest::prelude::*;
 
     fn poc() -> Poc {
         let mut t = two_bp_square();
@@ -701,6 +710,46 @@ mod tests {
         p.commit_transition(outcome.clone());
         assert_eq!(p.installed_links().unwrap(), &outcome.selected);
         assert!(!p.reauction_needed());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+        /// The fabric is derived from the installed set on first read, so
+        /// whatever lease steps ran since the last read, a path query
+        /// answers as a fabric installed on that set now.
+        #[test]
+        fn member_path_follows_any_interleaving_of_lease_steps(
+            steps in prop::collection::vec((0u8..2, 0usize..1 << 16), 0..24),
+            read_every in 1usize..5,
+        ) {
+            let mut p = poc();
+            let tm = demand(p.topo().n_routers());
+            p.run_auction_round(&tm).unwrap();
+            let outcome = p.last_outcome().unwrap().clone();
+            let members: Vec<(EntityId, RouterId)> = (0..p.topo().n_routers())
+                .map(|i| {
+                    let router = RouterId::from_index(i);
+                    (p.attach_lmp(&format!("lmp{i}"), router).unwrap(), router)
+                })
+                .collect();
+            for (i, (add, link)) in steps.into_iter().enumerate() {
+                let link = poc_topology::LinkId::from_index(link % p.topo().n_links());
+                if add == 1 {
+                    p.transition_add_link(&outcome, link).unwrap();
+                } else {
+                    p.transition_remove_link(link).unwrap();
+                }
+                if i % read_every != 0 {
+                    continue;
+                }
+                let fresh = ForwardingState::install(p.topo(), p.installed_links().unwrap());
+                for (&(a, ra), &(b, rb)) in
+                    members.iter().flat_map(|a| members.iter().map(move |b| (a, b)))
+                {
+                    prop_assert_eq!(p.member_path(a, b).unwrap(), fresh.path(ra, rb).unwrap());
+                }
+            }
+        }
     }
 
     #[test]

@@ -92,7 +92,7 @@ impl Ledger {
     }
 
     /// All postings in a period.
-    pub fn period_postings(&self, period: u32) -> Vec<&Posting> {
+    pub(crate) fn period_postings(&self, period: u32) -> Vec<&Posting> {
         self.postings.iter().filter(|p| p.period == period).collect()
     }
 
@@ -140,7 +140,7 @@ impl Ledger {
 
     /// POC revenue (inflows) and outlay (outflows) for a period; the
     /// nonprofit break-even check compares the two.
-    pub fn poc_period_flows(&self, period: u32) -> (f64, f64) {
+    pub(crate) fn poc_period_flows(&self, period: u32) -> (f64, f64) {
         let mut inflow = 0.0;
         let mut outflow = 0.0;
         for p in self.period_postings(period) {

@@ -38,7 +38,7 @@ impl PolicyMatch {
     }
 
     /// Whether the policy singles out a subset of traffic.
-    pub fn is_differential(&self) -> bool {
+    pub(crate) fn is_differential(&self) -> bool {
         self.source.is_some() || self.destination.is_some() || self.application.is_some()
     }
 }

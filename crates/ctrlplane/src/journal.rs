@@ -347,11 +347,6 @@ impl CrashSwitch {
         *self.armed.lock().unwrap() = Some((point, skip));
     }
 
-    /// Disarm without firing.
-    pub fn disarm(&self) {
-        *self.armed.lock().unwrap() = None;
-    }
-
     /// True (and disarms) iff the switch is armed at exactly `point`
     /// and its skip count has run out; earlier passes count down.
     pub fn fire_if(&self, point: CrashPoint) -> bool {

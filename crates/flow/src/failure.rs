@@ -15,22 +15,17 @@
 //! * **Constraint #3** — every pair can be placed on a backup avoiding its
 //!   own primary path *simultaneously* (backup capacity is not shared).
 //!   This is strictly more demanding than #2.
-//!
-//! A third, link-level analysis — [`absorb_link_failure`] — models a
-//! physical fibre cut: every flow crossing a failed link is displaced and
-//! must be re-routed in the residual capacity. It is used by the failure
-//! drills in the simulator, not by the auction constraints.
 
 use crate::graph::{CapacityGraph, PathMiss};
 use crate::linkset::LinkSet;
-use crate::route::{route_tm, route_tm_with_veto, FlowRoute, RouteError, Routing};
+use crate::route::{route_tm_with_veto, FlowRoute, RouteError, Routing};
 use poc_topology::{LinkId, PocTopology, RouterId};
 use poc_traffic::TrafficMatrix;
 use std::collections::HashSet;
 
 /// Outcome of a resilience check.
 #[derive(Clone, Debug, PartialEq)]
-pub enum ResilienceResult {
+pub(crate) enum ResilienceResult {
     /// All checked scenarios survive.
     Survives,
     /// The first failing scenario: the pair whose primary-path failure
@@ -39,7 +34,7 @@ pub enum ResilienceResult {
 }
 
 impl ResilienceResult {
-    pub fn survives(&self) -> bool {
+    pub(crate) fn survives(&self) -> bool {
         matches!(self, ResilienceResult::Survives)
     }
 }
@@ -74,21 +69,6 @@ impl From<PathMiss> for FailReason {
     }
 }
 
-impl FailReason {
-    /// Whether the failure is a capacity shortfall (more capacity between
-    /// the pair could fix it) as opposed to a structural one (no route at
-    /// any capacity). The transition planner uses this to decide between
-    /// provisioning more headroom and giving up on an ordering.
-    pub fn is_capacity_shortfall(&self) -> bool {
-        matches!(
-            self,
-            FailReason::ZeroBackupResidual { .. }
-                | FailReason::SplitBudgetExceeded { .. }
-                | FailReason::BackupUnroutable { .. }
-        )
-    }
-}
-
 impl std::fmt::Display for FailReason {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -117,7 +97,7 @@ const MAX_REROUTE_SPLITS: usize = 64;
 /// exhaustive), release the flow's own load, then try to re-route its full
 /// demand while avoiding its primary path, in the presence of everyone
 /// else's base loads. Restores state between scenarios.
-pub fn survives_single_path_failures(
+pub(crate) fn survives_single_path_failures(
     topo: &PocTopology,
     active: &LinkSet,
     tm: &TrafficMatrix,
@@ -133,7 +113,7 @@ pub fn survives_single_path_failures(
 /// As [`survives_single_path_failures`], but collects up to `max_failures`
 /// failing scenarios instead of stopping at the first. Used by the
 /// auction's selector to repair many scenarios per verification round.
-pub fn failing_single_path_scenarios(
+pub(crate) fn failing_single_path_scenarios(
     topo: &PocTopology,
     active: &LinkSet,
     _tm: &TrafficMatrix,
@@ -193,7 +173,7 @@ fn fail_primary(
 
 /// Constraint #3 check: route every flow off its own primary path, all at
 /// once.
-pub fn survives_all_pairs_backup(
+pub(crate) fn survives_all_pairs_backup(
     topo: &PocTopology,
     active: &LinkSet,
     tm: &TrafficMatrix,
@@ -281,67 +261,14 @@ fn undo(
     placed.iter().try_for_each(|(path, gbps)| g.release_path(src, path, *gbps))
 }
 
-/// Physical fibre-cut analysis (used by the simulator's failure drills):
-/// flows of `base` that traverse any link in `failed` are displaced and
-/// re-routed over the residual capacity left by the surviving flows, with
-/// the failed links unusable. `Ok(())` if all displaced traffic fits.
-pub fn absorb_link_failure(
-    topo: &PocTopology,
-    active: &LinkSet,
-    base: &Routing,
-    failed: &HashSet<LinkId>,
-) -> Result<(), FailReason> {
-    let mut surviving = active.clone();
-    for &l in failed {
-        surviving.remove(l);
-    }
-    let mut g = CapacityGraph::new(topo, &surviving);
-    let mut displaced: Vec<(RouterId, RouterId, f64)> = Vec::new();
-    for flow in &base.flows {
-        for (path, gbps) in &flow.paths {
-            if path.iter().any(|l| failed.contains(l)) {
-                displaced.push((flow.src, flow.dst, *gbps));
-            } else {
-                g.consume_path(flow.src, path, *gbps)?;
-            }
-        }
-    }
-    displaced.sort_by(|a, b| b.2.total_cmp(&a.2));
-    for (src, dst, gbps) in displaced {
-        reroute_demand(&mut g, topo, src, dst, gbps, &HashSet::new())?;
-    }
-    Ok(())
-}
-
 fn primary_of(flow: &FlowRoute) -> Option<&[LinkId]> {
     flow.paths.iter().max_by(|a, b| a.1.total_cmp(&b.1)).map(|(p, _)| p.as_slice())
-}
-
-/// Convenience wrapper running the base routing then the Constraint #2
-/// check.
-pub fn check_resilience_c2(
-    topo: &PocTopology,
-    active: &LinkSet,
-    tm: &TrafficMatrix,
-    sample_every: usize,
-) -> Result<ResilienceResult, RouteError> {
-    let base = route_tm(topo, active, tm)?;
-    Ok(survives_single_path_failures(topo, active, tm, &base, sample_every))
-}
-
-/// Convenience wrapper for Constraint #3.
-pub fn check_resilience_c3(
-    topo: &PocTopology,
-    active: &LinkSet,
-    tm: &TrafficMatrix,
-) -> Result<ResilienceResult, RouteError> {
-    let base = route_tm(topo, active, tm)?;
-    Ok(survives_all_pairs_backup(topo, active, tm, &base))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::route::route_tm;
     use poc_topology::builder::two_bp_square;
 
     fn r(i: u32) -> RouterId {
@@ -355,7 +282,8 @@ mod tests {
         let mut tm = TrafficMatrix::zero(t.n_routers());
         tm.set(r(0), r(1), 20.0);
         tm.set(r(2), r(3), 10.0);
-        let res = check_resilience_c2(&t, &all, &tm, 1).unwrap();
+        let base = route_tm(&t, &all, &tm).unwrap();
+        let res = survives_single_path_failures(&t, &all, &tm, &base, 1);
         assert!(res.survives(), "{res:?}");
     }
 
@@ -370,7 +298,8 @@ mod tests {
         );
         let mut tm = TrafficMatrix::zero(t.n_routers());
         tm.set(r(0), r(1), 5.0);
-        let res = check_resilience_c2(&t, &tree, &tm, 1).unwrap();
+        let base = route_tm(&t, &tree, &tm).unwrap();
+        let res = survives_single_path_failures(&t, &tree, &tm, &base, 1);
         assert!(!res.survives());
     }
 
@@ -386,7 +315,8 @@ mod tests {
         // would not fit simultaneously at 90G each (links are 100G), but
         // one-at-a-time they fit.
         tm.set(r(0), r(1), 90.0);
-        let res = check_resilience_c2(&t, &all, &tm, 1).unwrap();
+        let base = route_tm(&t, &all, &tm).unwrap();
+        let res = survives_single_path_failures(&t, &all, &tm, &base, 1);
         assert!(res.survives(), "{res:?}");
     }
 
@@ -397,7 +327,8 @@ mod tests {
         let mut tm = TrafficMatrix::zero(t.n_routers());
         tm.set(r(0), r(1), 10.0);
         tm.set(r(0), r(2), 10.0);
-        let res = check_resilience_c3(&t, &all, &tm).unwrap();
+        let base = route_tm(&t, &all, &tm).unwrap();
+        let res = survives_all_pairs_backup(&t, &all, &tm, &base);
         assert!(res.survives(), "{res:?}");
     }
 
@@ -410,7 +341,8 @@ mod tests {
         );
         let mut tm = TrafficMatrix::zero(t.n_routers());
         tm.set(r(0), r(1), 5.0);
-        let res = check_resilience_c3(&t, &tree, &tm).unwrap();
+        let base = route_tm(&t, &tree, &tm).unwrap();
+        let res = survives_all_pairs_backup(&t, &tree, &tm, &base);
         assert!(!res.survives());
     }
 
@@ -423,7 +355,8 @@ mod tests {
         );
         let mut tm = TrafficMatrix::zero(t.n_routers());
         tm.set(r(0), r(1), 5.0);
-        match check_resilience_c2(&t, &tree, &tm, 1).unwrap() {
+        let base = route_tm(&t, &tree, &tm).unwrap();
+        match survives_single_path_failures(&t, &tree, &tm, &base, 1) {
             ResilienceResult::Fails { pair, .. } => assert_eq!(pair, (r(0), r(1))),
             other => panic!("expected failure, got {other:?}"),
         }
@@ -445,24 +378,9 @@ mod tests {
         let mut tm = TrafficMatrix::zero(t.n_routers());
         tm.set(r(0), r(1), 60.0);
         tm.set(r(2), r(1), 60.0);
-        let res = check_resilience_c2(&t, &all, &tm, 1).unwrap();
-        assert!(res.survives(), "{res:?}");
-    }
-
-    #[test]
-    fn absorb_link_failure_reroutes_displaced_flows() {
-        let t = two_bp_square();
-        let all = LinkSet::full(t.n_links());
-        let mut tm = TrafficMatrix::zero(t.n_routers());
-        tm.set(r(0), r(1), 50.0);
         let base = route_tm(&t, &all, &tm).unwrap();
-        let primary: HashSet<LinkId> =
-            base.primary_path(r(0), r(1)).unwrap().iter().copied().collect();
-        assert!(absorb_link_failure(&t, &all, &base, &primary).is_ok());
-        // Failing every link touching r1 strands the flow.
-        let all_r1: HashSet<LinkId> =
-            t.links.iter().filter(|l| l.a == r(1) || l.b == r(1)).map(|l| l.id).collect();
-        assert!(absorb_link_failure(&t, &all, &base, &all_r1).is_err());
+        let res = survives_single_path_failures(&t, &all, &tm, &base, 1);
+        assert!(res.survives(), "{res:?}");
     }
 
     #[test]
@@ -486,8 +404,6 @@ mod tests {
         ] {
             assert_eq!(reason.to_string(), want);
         }
-        assert!(FailReason::BackupUnroutable { remaining_gbps: 1.0 }.is_capacity_shortfall());
-        assert!(!FailReason::NoBackupConnectivity.is_capacity_shortfall());
     }
 
     #[test]

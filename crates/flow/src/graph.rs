@@ -42,7 +42,6 @@ pub struct CapacityGraph<'t> {
     /// Residual of `link` in `dir` at `[2 * link + dir]`; zero for
     /// inactive links.
     residual: Vec<f64>,
-    active: LinkSet,
     /// Dijkstra's working memory. `shortest_path` takes it for the length
     /// of a call and puts it back, so a pass of thousands of searches
     /// allocates it once.
@@ -94,34 +93,16 @@ impl<'t> CapacityGraph<'t> {
                 residual[slot(l, dir)] = link.capacity_gbps;
             }
         }
-        Self {
-            topo,
-            arc_start,
-            arcs,
-            arc_dir,
-            residual,
-            active: active.clone(),
-            scratch: Cell::default(),
-        }
+        Self { topo, arc_start, arcs, arc_dir, residual, scratch: Cell::default() }
     }
 
-    pub fn topo(&self) -> &'t PocTopology {
+    pub(crate) fn topo(&self) -> &'t PocTopology {
         self.topo
-    }
-
-    pub fn active(&self) -> &LinkSet {
-        &self.active
     }
 
     #[inline]
     fn arc_range(&self, r: RouterId) -> std::ops::Range<usize> {
         self.arc_start[r.index()]..self.arc_start[r.index() + 1]
-    }
-
-    /// Active neighbors of `r` as (link, other endpoint).
-    #[inline]
-    pub fn neighbors(&self, r: RouterId) -> &[(LinkId, RouterId)] {
-        &self.arcs[self.arc_range(r)]
     }
 
     /// Residual capacity of `link` in direction `dir`, Gbit/s.
@@ -138,7 +119,7 @@ impl<'t> CapacityGraph<'t> {
     /// panic; they record the violation on the `flow.graph.overcommit`
     /// counter instead, so a logic error in a routing pass shows up in
     /// metrics rather than crashing or passing silently.
-    pub fn consume(&mut self, link: LinkId, dir: Dir, gbps: f64) {
+    pub(crate) fn consume(&mut self, link: LinkId, dir: Dir, gbps: f64) {
         let r = &mut self.residual[slot(link, dir)];
         *r -= gbps;
         if *r < -1e-6 {
@@ -149,7 +130,7 @@ impl<'t> CapacityGraph<'t> {
 
     /// Return `gbps` of residual along `link` in `dir` (used when undoing a
     /// tentative routing).
-    pub fn release(&mut self, link: LinkId, dir: Dir, gbps: f64) {
+    pub(crate) fn release(&mut self, link: LinkId, dir: Dir, gbps: f64) {
         self.residual[slot(link, dir)] += gbps;
     }
 
@@ -160,7 +141,7 @@ impl<'t> CapacityGraph<'t> {
             .try_fold(f64::INFINITY, |min, hop| hop.map(|(l, d)| min.min(self.residual(l, d))))
     }
 
-    /// [`consume`](Self::consume) `gbps` on every hop of `path` from `src`.
+    /// Consume `gbps` of residual on every hop of `path` from `src`.
     /// A [`PathMiss`] leaves the hops before it consumed.
     pub fn consume_path(
         &mut self,
@@ -172,41 +153,13 @@ impl<'t> CapacityGraph<'t> {
     }
 
     /// [`release`](Self::release) `gbps` on every hop of `path` from `src`.
-    pub fn release_path(
+    pub(crate) fn release_path(
         &mut self,
         src: RouterId,
         path: &[LinkId],
         gbps: f64,
     ) -> Result<(), PathMiss> {
         self.hops(src, path).try_for_each(|hop| hop.map(|(l, d)| self.release(l, d, gbps)))
-    }
-
-    /// Load on `link` in `dir` (capacity − residual).
-    pub fn load(&self, link: LinkId, dir: Dir) -> f64 {
-        self.topo.link(link).capacity_gbps - self.residual(link, dir)
-    }
-
-    /// Whether every router can reach every other over active links
-    /// (ignoring capacity).
-    pub fn is_connected(&self) -> bool {
-        let n = self.topo.n_routers();
-        if n == 0 {
-            return true;
-        }
-        let mut seen = vec![false; n];
-        let mut stack = vec![RouterId::from_index(0)];
-        seen[0] = true;
-        let mut count = 1;
-        while let Some(r) = stack.pop() {
-            for &(_, nb) in self.neighbors(r) {
-                if !seen[nb.index()] {
-                    seen[nb.index()] = true;
-                    count += 1;
-                    stack.push(nb);
-                }
-            }
-        }
-        count == n
     }
 
     /// The routers `from` can still send to (`Reach::From`) or that can
@@ -328,7 +281,7 @@ impl<'t> CapacityGraph<'t> {
 
     /// Walk `path` from `src`, yielding each link with the direction it is
     /// traversed in. Allocates nothing and borrows only the topology, so
-    /// the caller may [`consume`](Self::consume) along the way. A link not
+    /// the caller may consume residual along the way. A link not
     /// incident to the router the walk has reached yields a [`PathMiss`].
     pub fn hops<'p>(&self, src: RouterId, path: &'p [LinkId]) -> PathHops<'t, 'p> {
         PathHops { topo: self.topo, at: src, links: path.iter() }
@@ -414,6 +367,19 @@ impl PathTree {
     /// unreachable.
     pub fn path_to(&self, dst: RouterId) -> Option<Vec<LinkId>> {
         path_back(&self.prev, self.src, dst)
+    }
+
+    /// The first link of that path and the router it leads to; `None` for
+    /// the source itself and for a `dst` the tree does not reach or hold.
+    pub fn first_hop(&self, dst: RouterId) -> Option<(LinkId, RouterId)> {
+        let mut hop = None;
+        let mut cur = dst;
+        while cur != self.src {
+            let (l, p) = (*self.prev.get(cur.index())?)?;
+            hop = Some((l, cur));
+            cur = p;
+        }
+        hop
     }
 }
 
@@ -630,22 +596,6 @@ mod tests {
     }
 
     #[test]
-    fn builds_adjacency_for_active_subset() {
-        let t = two_bp_square();
-        let all = LinkSet::full(t.n_links());
-        let g = CapacityGraph::new(&t, &all);
-        assert!(g.is_connected());
-        // r0 has links to r1, r2, r3.
-        assert_eq!(g.neighbors(RouterId(0)).len(), 3);
-
-        // Deactivate BP1's links: r3 becomes isolated.
-        let bp0_only = LinkSet::from_links(t.n_links(), t.links_of_bp(poc_topology::BpId(0)));
-        let g2 = CapacityGraph::new(&t, &bp0_only);
-        assert!(!g2.is_connected());
-        assert!(g2.neighbors(RouterId(3)).is_empty());
-    }
-
-    #[test]
     fn shortest_path_by_distance() {
         let t = two_bp_square();
         let g = CapacityGraph::new(&t, &LinkSet::full(t.n_links()));
@@ -686,7 +636,6 @@ mod tests {
         g.consume(l, Dir::Fwd, 30.0);
         assert_eq!(g.residual(l, Dir::Fwd), cap - 30.0);
         assert_eq!(g.residual(l, Dir::Rev), cap, "directions are independent");
-        assert_eq!(g.load(l, Dir::Fwd), 30.0);
         g.release(l, Dir::Fwd, 30.0);
         assert_eq!(g.residual(l, Dir::Fwd), cap);
     }

@@ -25,17 +25,15 @@
 pub mod cut;
 pub mod failure;
 pub mod graph;
-pub mod kpaths;
-pub mod linkset;
+mod linkset;
 pub mod maxflow;
 pub mod oracle;
 pub mod route;
 pub mod warm;
 
 pub use cut::CutCertificate;
-pub use failure::{absorb_link_failure, FailReason, ResilienceResult};
+pub use failure::FailReason;
 pub use graph::CapacityGraph;
-pub use kpaths::{disjoint_degree, k_shortest_paths, RankedPath};
 pub use linkset::LinkSet;
 pub use maxflow::FlowError;
 pub use oracle::{

@@ -40,7 +40,7 @@ struct Arc {
 }
 
 /// Dinic max-flow solver.
-pub struct MaxFlow {
+pub(crate) struct MaxFlow {
     n: usize,
     adj: Vec<Vec<usize>>,
     arcs: Vec<Arc>,
@@ -48,7 +48,7 @@ pub struct MaxFlow {
 
 impl MaxFlow {
     /// Build the flow network over `active ⊆ links(topo)`.
-    pub fn new(topo: &PocTopology, active: &LinkSet) -> Self {
+    pub(crate) fn new(topo: &PocTopology, active: &LinkSet) -> Self {
         let n = topo.n_routers();
         let mut mf = Self { n, adj: vec![Vec::new(); n], arcs: Vec::new() };
         for l in active.iter() {
@@ -76,7 +76,7 @@ impl MaxFlow {
     /// Metrics: each call bumps `flow.maxflow.runs`, and the number of
     /// augmenting paths found is batched into `flow.maxflow.augment`
     /// (one atomic add per run, not per path).
-    pub fn max_flow(&mut self, src: RouterId, dst: RouterId) -> Result<f64, FlowError> {
+    pub(crate) fn max_flow(&mut self, src: RouterId, dst: RouterId) -> Result<f64, FlowError> {
         let _span = poc_obs::span!("flow.maxflow.run");
         poc_obs::counter!("flow.maxflow.runs").inc();
         let (s, t) = (src.index(), dst.index());

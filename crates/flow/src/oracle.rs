@@ -296,15 +296,15 @@ impl<'a> FeasibilityOracle<'a> {
         Ok(Self { cache: Some(cache), ..Self::new(topo, tm, constraint) })
     }
 
-    pub fn constraint(&self) -> Constraint {
+    pub(crate) fn constraint(&self) -> Constraint {
         self.constraint
     }
 
-    pub fn topo(&self) -> &'a PocTopology {
+    pub(crate) fn topo(&self) -> &'a PocTopology {
         self.topo
     }
 
-    pub fn tm(&self) -> &'a TrafficMatrix {
+    pub(crate) fn tm(&self) -> &'a TrafficMatrix {
         self.tm
     }
 
@@ -346,7 +346,7 @@ impl<'a> FeasibilityOracle<'a> {
     /// and matrix, so what is held is a valid cut whatever was offered; a
     /// side that does not fit the topology, that no demand crosses, or
     /// that is already held is ignored.
-    pub fn adopt_cuts(&self, cuts: &[CutCertificate]) {
+    pub(crate) fn adopt_cuts(&self, cuts: &[CutCertificate]) {
         let mut held = self.cuts.lock();
         for cut in cuts {
             let new = self.new_cut(&held, cut.side());
@@ -388,7 +388,7 @@ impl<'a> FeasibilityOracle<'a> {
     /// simultaneous-routing check inherently stops at its first failure, so
     /// at most one scenario is returned. A base-routing failure is reported
     /// as a single pseudo-scenario on the offending pair.
-    pub fn failing_scenarios(
+    pub(crate) fn failing_scenarios(
         &self,
         links: &LinkSet,
         max: usize,
@@ -431,7 +431,7 @@ impl<'a> FeasibilityOracle<'a> {
 
     /// Full evaluation: the base routing on success, or the reason the set
     /// was rejected.
-    pub fn evaluate(&self, links: &LinkSet) -> Result<Routing, Rejection> {
+    pub(crate) fn evaluate(&self, links: &LinkSet) -> Result<Routing, Rejection> {
         let _span = poc_obs::span!("flow.oracle.evaluate");
         let base = route_tm_learning(self.topo, links, self.tm).map_err(|(e, sides)| {
             self.learn_cuts(links, &sides);

@@ -36,7 +36,7 @@ pub struct Routing {
 impl Routing {
     /// The *primary* path (largest share) of the flow `src → dst`, if the
     /// flow exists and was routed.
-    pub fn primary_path(&self, src: RouterId, dst: RouterId) -> Option<&[LinkId]> {
+    pub(crate) fn primary_path(&self, src: RouterId, dst: RouterId) -> Option<&[LinkId]> {
         self.flows
             .iter()
             .find(|f| f.src == src && f.dst == dst)?
@@ -44,17 +44,6 @@ impl Routing {
             .iter()
             .max_by(|a, b| a.1.total_cmp(&b.1))
             .map(|(p, _)| p.as_slice())
-    }
-
-    /// All links carrying non-zero load.
-    pub fn used_links(&self, universe: usize) -> LinkSet {
-        let mut s = LinkSet::empty(universe);
-        for (i, (&f, &r)) in self.load_fwd.iter().zip(&self.load_rev).enumerate() {
-            if f > 0.0 || r > 0.0 {
-                s.insert(LinkId::from_index(i));
-            }
-        }
-        s
     }
 
     /// Maximum directional utilization over links in `active`, given their
@@ -68,14 +57,6 @@ impl Routing {
             }
         }
         max
-    }
-
-    /// Fraction of flows that needed more than one path.
-    pub fn split_fraction(&self) -> f64 {
-        if self.flows.is_empty() {
-            return 0.0;
-        }
-        self.flows.iter().filter(|f| f.paths.len() > 1).count() as f64 / self.flows.len() as f64
     }
 }
 
@@ -105,7 +86,7 @@ impl std::error::Error for RouteError {}
 
 /// Maximum number of times one demand is split before giving up: a demand
 /// rides at most `MAX_SPLITS + 1` paths.
-pub const MAX_SPLITS: usize = 32;
+const MAX_SPLITS: usize = 32;
 
 /// Distance multiplier applied to external-ISP virtual links on the
 /// retry pass: plain distance-shortest routing can be lured onto the
@@ -113,7 +94,7 @@ pub const MAX_SPLITS: usize = 32;
 /// are feasible when the virtual fallback is used sparingly. The greedy
 /// router therefore tries plain distances first and, on failure, retries
 /// with virtual links de-preferred.
-pub const VIRTUAL_RETRY_PENALTY: f64 = 8.0;
+pub(crate) const VIRTUAL_RETRY_PENALTY: f64 = 8.0;
 
 /// The placement loop's tolerance, Gbit/s: a demand counts as placed once
 /// `remaining <= PLACE_EPS`, a path fits `want` when every arc's residual
@@ -133,9 +114,9 @@ pub(crate) const CUT_MARGIN_GBPS: f64 = 2.0 * PLACE_EPS;
 
 /// Route `tm` over `active ⊆ links(topo)`. Demands are processed
 /// largest-first; each is placed on the distance-shortest path whose
-/// residual fits it, or split across up to [`MAX_SPLITS`]` + 1` such
+/// residual fits it, or split across up to `MAX_SPLITS + 1` such
 /// paths. On failure, if `active` holds a virtual link, one retry
-/// de-prefers virtual links (see [`VIRTUAL_RETRY_PENALTY`]); the first
+/// de-prefers virtual links (see `VIRTUAL_RETRY_PENALTY`); the first
 /// error is reported if both fail.
 pub fn route_tm(
     topo: &PocTopology,
@@ -167,7 +148,7 @@ pub(crate) fn route_tm_learning(
 /// link)` returning false excludes a link for that flow (used by the
 /// all-pairs-backup constraint to keep each flow off its primary path).
 /// `flow_index` is the index into the demand ordering (largest first).
-pub fn route_tm_with_veto(
+pub(crate) fn route_tm_with_veto(
     topo: &PocTopology,
     active: &LinkSet,
     tm: &TrafficMatrix,
@@ -384,7 +365,6 @@ mod tests {
         assert!(flow.paths.len() >= 2, "expected a split, got {:?}", flow.paths);
         let total: f64 = flow.paths.iter().map(|(_, g)| g).sum();
         assert!((total - 150.0).abs() < 1e-6);
-        assert!(routing.split_fraction() > 0.0);
     }
 
     #[test]
@@ -450,13 +430,12 @@ mod tests {
     }
 
     #[test]
-    fn used_links_and_utilization() {
+    fn utilization_of_the_one_loaded_link() {
         let t = two_bp_square();
         let mut tm = TrafficMatrix::zero(t.n_routers());
         tm.set(r(0), r(1), 50.0);
         let routing = route_tm(&t, &LinkSet::full(t.n_links()), &tm).unwrap();
-        let used = routing.used_links(t.n_links());
-        assert_eq!(used.len(), 1);
+        assert_eq!(routing.flows[0].paths[0].0.len(), 1);
         assert!((routing.max_utilization(&t) - 0.5).abs() < 1e-9);
     }
 

@@ -44,8 +44,9 @@
 //! same seed and replays a deterministic probe sequence, a round's outcome
 //! does not depend on how its pivot threads interleave. For the same
 //! reason the warm oracle never reads or writes the round's [`FeasibilityCache`]
-//! (whose entries must be pure functions of the instance); it memoizes its
-//! own verdicts privately.
+//! (whose entries must be pure functions of the instance), and keeps no
+//! verdicts of its own: a set probed twice is probed twice, each time
+//! against the witness of the moment.
 //!
 //! [`FeasibilityCache`]: crate::FeasibilityCache
 
@@ -57,7 +58,6 @@ use crate::oracle::{AcceptabilityOracle, Constraint, FeasibilityOracle, Rejectio
 use crate::route::{load_path, place_flow, FlowRoute, Routing};
 use poc_topology::{PocTopology, RouterId};
 use poc_traffic::TrafficMatrix;
-use std::collections::HashMap;
 
 /// Fall back to a from-scratch evaluation when more than this fraction of
 /// the witness's flows is invalidated by the candidate set: with little
@@ -84,10 +84,6 @@ pub struct WarmOracle<'a> {
     inner: FeasibilityOracle<'a>,
     /// Last accepted routing (the warm-start witness).
     witness: parking_lot::Mutex<Option<Routing>>,
-    /// Private verdict memo. Not the shared [`crate::FeasibilityCache`]:
-    /// warm verdicts are witness-chain-dependent and must not leak into a
-    /// cache whose entries are assumed pure.
-    memo: parking_lot::Mutex<HashMap<LinkSet, bool>>,
 }
 
 impl<'a> WarmOracle<'a> {
@@ -95,7 +91,6 @@ impl<'a> WarmOracle<'a> {
         Self {
             inner: FeasibilityOracle::new(topo, tm, constraint),
             witness: parking_lot::Mutex::new(None),
-            memo: parking_lot::Mutex::new(HashMap::new()),
         }
     }
 
@@ -107,8 +102,8 @@ impl<'a> WarmOracle<'a> {
     }
 
     /// Start from cuts another oracle over the same instance has already
-    /// learned (see [`FeasibilityOracle::adopt_cuts`]): the auction gives
-    /// each pivot the initial selection's.
+    /// learned, each re-derived from this oracle's own topology and matrix:
+    /// the auction gives each pivot the initial selection's.
     pub fn adopt_cuts(&self, cuts: &[CutCertificate]) {
         self.inner.adopt_cuts(cuts);
     }
@@ -116,11 +111,6 @@ impl<'a> WarmOracle<'a> {
     /// The cut certificates held: adopted, then learned by cold fallbacks.
     pub fn cuts(&self) -> Vec<CutCertificate> {
         self.inner.cuts()
-    }
-
-    /// Whether a witness routing is currently held.
-    pub fn is_seeded(&self) -> bool {
-        self.witness.lock().is_some()
     }
 
     /// Evaluate `links`, reporting whether the warm path or the cold
@@ -284,13 +274,7 @@ impl AcceptabilityOracle for WarmOracle<'_> {
 
     fn acceptable(&self, links: &LinkSet) -> bool {
         poc_obs::counter!("flow.oracle.check").inc();
-        if let Some(v) = self.memo.lock().get(links) {
-            return *v;
-        }
-        let verdict =
-            !self.inner.cut_rejects(links) && self.probe(&mut self.witness.lock(), links).0.is_ok();
-        self.memo.lock().insert(links.clone(), verdict);
-        verdict
+        !self.inner.cut_rejects(links) && self.probe(&mut self.witness.lock(), links).0.is_ok()
     }
 
     fn evaluate(&self, links: &LinkSet) -> Result<Routing, Rejection> {
@@ -307,16 +291,12 @@ impl AcceptabilityOracle for WarmOracle<'_> {
         links: &LinkSet,
         max: usize,
     ) -> Vec<((RouterId, RouterId), String)> {
-        if self.memo.lock().get(links) == Some(&true) {
-            return Vec::new();
-        }
         {
             let mut slot = self.witness.lock();
             if let Some(prev) = slot.take() {
                 match self.try_warm(links, prev) {
                     Ok((routing, _, _)) => {
                         *slot = Some(routing);
-                        self.memo.lock().insert(links.clone(), true);
                         return Vec::new();
                     }
                     Err(prev) => *slot = Some(prev),
@@ -347,17 +327,22 @@ mod tests {
         tm
     }
 
+    /// Every link some path of `routing` rides.
+    fn used_links(routing: &Routing) -> impl Iterator<Item = LinkId> + '_ {
+        routing.flows.iter().flat_map(|f| f.paths.iter().flat_map(|(path, _)| path.iter().copied()))
+    }
+
     #[test]
     fn unseeded_first_probe_goes_cold_then_warm() {
         let t = two_bp_square();
         let tm = tm_for(&t);
         let o = WarmOracle::new(&t, &tm, Constraint::BaseLoad);
-        assert!(!o.is_seeded());
+        assert!(o.witness().is_none());
         let full = LinkSet::full(t.n_links());
         let (res, outcome) = o.evaluate_traced(&full);
         assert!(res.is_ok());
         assert_eq!(outcome, WarmOutcome::Cold, "no witness yet");
-        assert!(o.is_seeded());
+        assert!(o.witness().is_some());
         // Identical set again: everything survives, nothing re-routed.
         let (res, outcome) = o.evaluate_traced(&full);
         assert!(res.is_ok());
@@ -372,12 +357,12 @@ mod tests {
         let o = WarmOracle::new(&t, &tm, Constraint::BaseLoad);
         let seed = FeasibilityOracle::new(&t, &tm, Constraint::BaseLoad).route(&full).unwrap();
         // Find a BP whose links carry nothing in the seed routing.
-        let used = seed.used_links(t.n_links());
+        let used: Vec<LinkId> = used_links(&seed).collect();
         let unused_bp = t
             .bps
             .iter()
             .map(|b| b.id)
-            .find(|&b| t.links_of_bp(b).iter().all(|&l| !used.contains(l)));
+            .find(|&b| t.links_of_bp(b).iter().all(|l| !used.contains(l)));
         o.seed(seed);
         if let Some(bp) = unused_bp {
             let mut cand = full.clone();
@@ -461,7 +446,8 @@ mod tests {
         assert!(o.cuts()[0].violated_by(&t, &other_link));
         assert!(!o.acceptable(&other_link));
         assert_eq!(o.witness(), before);
-        assert!(!o.acceptable(&other_link), "and from the memo the second time");
+        assert!(!o.acceptable(&other_link), "and again when the set is probed again");
+        assert_eq!(o.witness(), before);
         // `evaluate` still routes it and says why.
         assert!(matches!(o.evaluate(&other_link), Err(Rejection::BaseRoute(_))));
         assert_eq!(o.witness(), before);
@@ -469,7 +455,7 @@ mod tests {
         let pivot = WarmOracle::new(&t, &tm, Constraint::BaseLoad);
         pivot.adopt_cuts(&o.cuts());
         assert!(!pivot.acceptable(&one_link));
-        assert!(!pivot.is_seeded(), "rejected before anything was routed");
+        assert!(pivot.witness().is_none(), "rejected before anything was routed");
         assert!(pivot.acceptable(&full));
     }
 
@@ -485,7 +471,7 @@ mod tests {
         o.seed(seed.clone());
         // Drop every link the witness uses.
         let mut cand = full.clone();
-        for l in seed.used_links(t.n_links()).iter() {
+        for l in used_links(&seed) {
             cand.remove(l);
         }
         let (_, outcome) = o.evaluate_traced(&cand);

@@ -251,9 +251,9 @@ impl TransitionHooks for DrillHooks<'_> {
         _op: TransitionOp,
         state_after: &LinkSet,
     ) -> Result<(), String> {
-        // `evaluate` (not `acceptable`): it bypasses the verdict memo, so
-        // a state revisited across replans is re-judged from the current
-        // witness rather than a stale chain position.
+        // `evaluate` (not `acceptable`): it always routes, so every state
+        // is judged by the router from the current witness, never by a
+        // cut certificate.
         if self.verifier.evaluate(state_after).is_err() {
             self.unsafe_intermediates += 1;
         }

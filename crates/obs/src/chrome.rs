@@ -71,7 +71,7 @@ fn to_chrome_event(event: &TraceEventWire) -> ChromeEvent {
 }
 
 /// Build the export object for a set of scraped traces.
-pub fn chrome_trace(traces: &[TraceWire]) -> ChromeTrace {
+pub(crate) fn chrome_trace(traces: &[TraceWire]) -> ChromeTrace {
     ChromeTrace {
         traceEvents: traces.iter().flat_map(|t| t.events.iter().map(to_chrome_event)).collect(),
         displayTimeUnit: "ms".into(),

@@ -14,12 +14,12 @@ use crate::snapshot::HistogramSnapshot;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of power-of-two buckets (`u64` value range).
-pub const N_BUCKETS: usize = 64;
+pub(crate) const N_BUCKETS: usize = 64;
 
 /// Bucket index for a recorded value: `0` for `{0, 1}`, otherwise
 /// `floor(log2(value))`.
 #[inline]
-pub fn bucket_index(value: u64) -> usize {
+pub(crate) fn bucket_index(value: u64) -> usize {
     if value < 2 {
         0
     } else {
@@ -27,18 +27,8 @@ pub fn bucket_index(value: u64) -> usize {
     }
 }
 
-/// Inclusive lower edge of bucket `i`.
-pub fn bucket_lower_edge(i: usize) -> u64 {
-    assert!(i < N_BUCKETS, "bucket out of range");
-    if i == 0 {
-        0
-    } else {
-        1u64 << i
-    }
-}
-
 /// Inclusive upper edge of bucket `i` (the largest value it can hold).
-pub fn bucket_upper_edge(i: usize) -> u64 {
+pub(crate) fn bucket_upper_edge(i: usize) -> u64 {
     assert!(i < N_BUCKETS, "bucket out of range");
     if i == 63 {
         u64::MAX
@@ -50,7 +40,7 @@ pub fn bucket_upper_edge(i: usize) -> u64 {
 /// Shared histogram cells. All operations are relaxed atomics; totals are
 /// exact under concurrency, quantiles are bucket-resolution estimates.
 #[derive(Debug)]
-pub struct HistogramCells {
+pub(crate) struct HistogramCells {
     buckets: [AtomicU64; N_BUCKETS],
     count: AtomicU64,
     sum: AtomicU64,
@@ -71,12 +61,12 @@ impl Default for HistogramCells {
 }
 
 impl HistogramCells {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Record one observation (lock-free).
-    pub fn record(&self, value: u64) {
+    pub(crate) fn record(&self, value: u64) {
         self.buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(value, Ordering::Relaxed);
@@ -85,24 +75,13 @@ impl HistogramCells {
     }
 
     /// Observations recorded so far.
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
-    }
-
-    /// Zero every cell (used between benchmark configurations).
-    pub fn reset(&self) {
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-        self.count.store(0, Ordering::Relaxed);
-        self.sum.store(0, Ordering::Relaxed);
-        self.min.store(u64::MAX, Ordering::Relaxed);
-        self.max.store(0, Ordering::Relaxed);
     }
 
     /// Point-in-time snapshot with quantile estimates. `name` is copied
     /// into the snapshot so it is self-describing.
-    pub fn snapshot(&self, name: &str) -> HistogramSnapshot {
+    pub(crate) fn snapshot(&self, name: &str) -> HistogramSnapshot {
         let counts: Vec<u64> = self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect();
         let count: u64 = counts.iter().sum();
         if count == 0 {
@@ -162,7 +141,6 @@ mod tests {
             let edge = 1u64 << i;
             assert_eq!(bucket_index(edge), i, "2^{i} starts bucket {i}");
             assert_eq!(bucket_index(edge - 1), i - 1, "2^{i}-1 ends bucket {}", i - 1);
-            assert_eq!(bucket_lower_edge(i), edge);
             assert_eq!(bucket_upper_edge(i - 1), edge - 1);
         }
         assert_eq!(bucket_index(u64::MAX), 63);

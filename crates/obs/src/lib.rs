@@ -3,13 +3,12 @@
 //! Zero external dependencies (the serde/serde_json shims are in-tree):
 //! a process-global [`MetricsRegistry`] of atomic counters, gauges, and
 //! log-bucket latency histograms; RAII [`Span`]s that time a region into
-//! the histogram named by the span; structured events fanned out to
-//! pluggable [`Sink`]s; and a JSON snapshot exporter that the control
-//! plane serves as its `Request::Metrics` scrape. On top of the metrics
-//! layer sits causal tracing ([`trace`], [`ring`], [`chrome`]): spans
-//! link into per-request trees inside a bounded flight recorder, served
-//! as the `Request::Trace` scrape and exportable as Chrome trace-event
-//! JSON.
+//! the histogram named by the span; and a JSON snapshot exporter that the
+//! control plane serves as its `Request::Metrics` scrape. On top of the
+//! metrics layer sits causal tracing ([`trace`], [`ring`], [`chrome`]):
+//! spans link into per-request trees inside a bounded flight recorder,
+//! served as the `Request::Trace` scrape and exportable as Chrome
+//! trace-event JSON.
 //!
 //! # Design rules
 //!
@@ -45,17 +44,17 @@
 //! ```
 
 pub mod chrome;
+pub mod field;
 pub mod histogram;
 pub mod registry;
 pub mod ring;
-pub mod sink;
 pub mod snapshot;
 pub mod span;
 pub mod trace;
 
+pub use field::FieldValue;
 pub use registry::{Counter, Gauge, Histogram, MetricsRegistry};
 pub use ring::FlightRecorder;
-pub use sink::{Event, FieldValue, Sink, StderrSink};
 pub use snapshot::{CounterSnapshot, GaugeSnapshot, HistogramSnapshot, MetricsSnapshot};
 pub use span::Span;
 pub use trace::{TraceCtx, TraceEvent, TraceEventWire, TraceWire};
@@ -65,15 +64,9 @@ use std::sync::OnceLock;
 static GLOBAL: OnceLock<MetricsRegistry> = OnceLock::new();
 
 /// The process-global registry every library crate records into.
-/// Initialized enabled, with no sinks, on first use.
+/// Initialized enabled on first use.
 pub fn global() -> &'static MetricsRegistry {
     GLOBAL.get_or_init(MetricsRegistry::new)
-}
-
-/// Install the stderr text sink on the global registry (idempotent in
-/// effect for examples: call once at startup).
-pub fn log_to_stderr() {
-    global().add_sink(std::sync::Arc::new(StderrSink));
 }
 
 /// Resolve a counter from the global registry, caching the handle in a
@@ -114,8 +107,8 @@ macro_rules! histogram {
 }
 
 /// Enter an RAII timing span recording into the histogram of the same
-/// name; optional `key = value` fields ride along on the `span.close`
-/// event when span events are enabled.
+/// name; optional `key = value` fields ride along on the span's trace
+/// event when the thread is tracing.
 ///
 /// ```
 /// let pivot = 3u32;
@@ -136,38 +129,8 @@ macro_rules! span {
     };
 }
 
-/// Emit a structured event to every sink on the global registry. With no
-/// sinks installed this costs one relaxed atomic load.
-///
-/// ```
-/// poc_obs::event!("doc.example.done", items = 3usize, ok = true);
-/// ```
-#[macro_export]
-macro_rules! event {
-    ($name:expr $(, $key:ident = $value:expr)* $(,)?) => {
-        $crate::global().emit(
-            $name,
-            &[$((stringify!($key), $crate::FieldValue::from($value))),*],
-        )
-    };
-}
-
 #[cfg(test)]
 mod tests {
-    use crate::sink::{Event, Sink};
-    use std::sync::{Arc, Mutex};
-
-    #[derive(Default)]
-    struct CaptureSink(Mutex<Vec<String>>);
-
-    impl Sink for CaptureSink {
-        fn record(&self, event: &Event<'_>) {
-            let fields: Vec<String> =
-                event.fields.iter().map(|(k, v)| format!("{k}={v}")).collect();
-            self.0.lock().unwrap().push(format!("{} [{}]", event.name, fields.join(", ")));
-        }
-    }
-
     #[test]
     fn macros_share_one_global_instrument() {
         // Two call sites, same name → same cell.
@@ -182,14 +145,5 @@ mod tests {
             let _span = span!("lib.macro.span", step = 1u32);
         }
         assert!(histogram!("lib.macro.span").count() >= 1);
-    }
-
-    #[test]
-    fn events_reach_installed_sinks() {
-        let sink = Arc::new(CaptureSink::default());
-        crate::global().add_sink(sink.clone());
-        event!("lib.test.event", n = 7u32, label = "x");
-        let lines = sink.0.lock().unwrap().clone();
-        assert!(lines.iter().any(|l| l == "lib.test.event [n=7, label=x]"), "captured: {lines:?}");
     }
 }

@@ -17,11 +17,10 @@
 //! instrumentation overhead.
 
 use crate::histogram::HistogramCells;
-use crate::sink::{Event, FieldValue, Sink};
 use crate::snapshot::{CounterSnapshot, GaugeSnapshot, MetricsSnapshot};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Monotone event counter. Clone freely; clones share the same cell.
@@ -68,26 +67,6 @@ impl Gauge {
         }
     }
 
-    /// Add `delta` (lock-free compare-exchange loop).
-    pub fn add(&self, delta: f64) {
-        if !self.enabled.load(Ordering::Relaxed) {
-            return;
-        }
-        let mut current = self.cell.load(Ordering::Relaxed);
-        loop {
-            let next = (f64::from_bits(current) + delta).to_bits();
-            match self.cell.compare_exchange_weak(
-                current,
-                next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return,
-                Err(seen) => current = seen,
-            }
-        }
-    }
-
     /// Current value.
     pub fn get(&self) -> f64 {
         f64::from_bits(self.cell.load(Ordering::Relaxed))
@@ -119,7 +98,7 @@ impl Histogram {
 
     /// Whether recording is currently active (shared registry flag).
     #[inline]
-    pub fn is_enabled(&self) -> bool {
+    pub(crate) fn is_enabled(&self) -> bool {
         self.enabled.load(Ordering::Relaxed)
     }
 
@@ -146,17 +125,12 @@ impl Instrument {
     }
 }
 
-/// Named instruments plus the event sinks. See the module docs for the
-/// locking discipline; in short, the registry lock is a resolution-time
-/// cost only — never a recording-time one.
+/// Named instruments. See the module docs for the locking discipline; in
+/// short, the registry lock is a resolution-time cost only — never a
+/// recording-time one.
 pub struct MetricsRegistry {
     enabled: Arc<AtomicBool>,
-    span_events: AtomicBool,
     instruments: Mutex<BTreeMap<String, Instrument>>,
-    sinks: RwLock<Vec<Arc<dyn Sink>>>,
-    /// Mirrors `!sinks.is_empty()` so the no-sink fast path of
-    /// [`MetricsRegistry::emit`] is one relaxed load.
-    has_sinks: AtomicBool,
 }
 
 impl Default for MetricsRegistry {
@@ -166,15 +140,9 @@ impl Default for MetricsRegistry {
 }
 
 impl MetricsRegistry {
-    /// An enabled registry with no sinks.
+    /// An enabled, empty registry.
     pub fn new() -> Self {
-        Self {
-            enabled: Arc::new(AtomicBool::new(true)),
-            span_events: AtomicBool::new(false),
-            instruments: Mutex::new(BTreeMap::new()),
-            sinks: RwLock::new(Vec::new()),
-            has_sinks: AtomicBool::new(false),
-        }
+        Self { enabled: Arc::new(AtomicBool::new(true)), instruments: Mutex::new(BTreeMap::new()) }
     }
 
     /// A no-op registry: handles resolve normally but record nothing
@@ -192,16 +160,6 @@ impl MetricsRegistry {
 
     pub fn is_enabled(&self) -> bool {
         self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Emit a `span.close` event to the sinks whenever an instrumented
-    /// span ends (off by default; spans always feed their histogram).
-    pub fn set_span_events(&self, on: bool) {
-        self.span_events.store(on, Ordering::Relaxed);
-    }
-
-    pub fn span_events_enabled(&self) -> bool {
-        self.span_events.load(Ordering::Relaxed)
     }
 
     /// Resolve (registering on first use) the counter `name`.
@@ -253,45 +211,6 @@ impl MetricsRegistry {
         Histogram { enabled: Arc::clone(&self.enabled), cells }
     }
 
-    /// Install an event sink.
-    pub fn add_sink(&self, sink: Arc<dyn Sink>) {
-        let mut sinks = self.sinks.write().expect("sink list poisoned");
-        sinks.push(sink);
-        self.has_sinks.store(true, Ordering::Relaxed);
-    }
-
-    /// Remove every sink.
-    pub fn clear_sinks(&self) {
-        let mut sinks = self.sinks.write().expect("sink list poisoned");
-        sinks.clear();
-        self.has_sinks.store(false, Ordering::Relaxed);
-    }
-
-    /// Dispatch an event to every sink. With no sinks installed this is
-    /// one relaxed load.
-    pub fn emit(&self, name: &str, fields: &[(&'static str, FieldValue)]) {
-        if !self.has_sinks.load(Ordering::Relaxed) {
-            return;
-        }
-        let event = Event { name, fields };
-        for sink in self.sinks.read().expect("sink list poisoned").iter() {
-            sink.record(&event);
-        }
-    }
-
-    /// Zero every registered instrument (names stay registered and every
-    /// outstanding handle stays valid). Used between benchmark runs.
-    pub fn reset(&self) {
-        let map = self.instruments.lock().expect("registry poisoned");
-        for instrument in map.values() {
-            match instrument {
-                Instrument::Counter(c) => c.store(0, Ordering::Relaxed),
-                Instrument::Gauge(g) => g.store(0f64.to_bits(), Ordering::Relaxed),
-                Instrument::Histogram(h) => h.reset(),
-            }
-        }
-    }
-
     /// Point-in-time snapshot of every instrument, sorted by name.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let map = self.instruments.lock().expect("registry poisoned");
@@ -310,11 +229,6 @@ impl MetricsRegistry {
         }
         snap
     }
-
-    /// The snapshot rendered as JSON (the scrape format).
-    pub fn snapshot_json(&self) -> String {
-        serde_json::to_string(&self.snapshot()).expect("snapshot serializes")
-    }
 }
 
 #[cfg(test)]
@@ -332,8 +246,7 @@ mod tests {
         assert_eq!(r.counter("test.count").get(), 5);
 
         let g = r.gauge("test.gauge");
-        g.set(2.5);
-        g.add(-1.0);
+        g.set(1.5);
         assert_eq!(g.get(), 1.5);
 
         let snap = r.snapshot();
@@ -374,7 +287,8 @@ mod tests {
         let snap = r.snapshot();
         let names: Vec<&str> = snap.counters.iter().map(|c| c.name.as_str()).collect();
         assert_eq!(names, ["a.first", "z.last"]);
-        let back: crate::MetricsSnapshot = serde_json::from_str(&r.snapshot_json()).unwrap();
+        let json = serde_json::to_string(&snap).unwrap();
+        let back: crate::MetricsSnapshot = serde_json::from_str(&json).unwrap();
         assert_eq!(back, snap);
     }
 
@@ -404,19 +318,5 @@ mod tests {
         let snap = r.snapshot();
         assert_eq!(snap.counter("stress.count"), Some(expected));
         assert_eq!(snap.histogram("stress.hist").unwrap().count, expected);
-    }
-
-    #[test]
-    fn reset_zeroes_but_keeps_handles() {
-        let r = MetricsRegistry::new();
-        let c = r.counter("reset.count");
-        let h = r.histogram("reset.hist");
-        c.add(3);
-        h.record(100);
-        r.reset();
-        assert_eq!(c.get(), 0);
-        assert_eq!(h.count(), 0);
-        c.inc();
-        assert_eq!(r.snapshot().counter("reset.count"), Some(1));
     }
 }

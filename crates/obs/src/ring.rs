@@ -27,7 +27,7 @@ use std::sync::Mutex;
 /// [`crate::trace::recorder`]); override at startup with the
 /// `POC_TRACE_CAPACITY` environment variable. At roughly 150 bytes per
 /// slot this bounds the recorder near 2.5 MiB.
-pub const DEFAULT_CAPACITY: usize = 16 * 1024;
+pub(crate) const DEFAULT_CAPACITY: usize = 16 * 1024;
 
 /// One ring slot: the claim ticket that last wrote it plus the event.
 /// `ticket` disambiguates racing writers that lapped into the same slot
@@ -62,17 +62,13 @@ impl FlightRecorder {
         }
     }
 
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Flip recording on or off. Off, [`FlightRecorder::record`] is one
     /// relaxed load and a branch — the no-op discipline `Span` uses.
     pub fn set_enabled(&self, enabled: bool) {
         self.enabled.store(enabled, Ordering::Relaxed);
     }
 
-    pub fn is_enabled(&self) -> bool {
+    pub(crate) fn is_enabled(&self) -> bool {
         self.enabled.load(Ordering::Relaxed)
     }
 
@@ -121,16 +117,6 @@ impl FlightRecorder {
         seen.sort_by_key(|(ticket, _)| *ticket);
         seen.into_iter().map(|(_, event)| event).collect()
     }
-
-    /// Empty the ring and zero the local dropped count (tests and the
-    /// `poc trace --clear` style workflows; the global counter is
-    /// monotone and untouched).
-    pub fn clear(&self) {
-        for slot in self.slots.iter() {
-            *slot.cell.lock().expect("slot mutex poisoned") = None;
-        }
-        self.dropped.store(0, Ordering::Relaxed);
-    }
 }
 
 #[cfg(test)]
@@ -166,18 +152,6 @@ mod tests {
         let ring = FlightRecorder::with_capacity(4);
         ring.set_enabled(false);
         ring.record(event(0));
-        assert!(ring.snapshot().is_empty());
-        assert_eq!(ring.dropped(), 0);
-    }
-
-    #[test]
-    fn clear_resets_contents_and_local_drop_count() {
-        let ring = FlightRecorder::with_capacity(2);
-        for n in 0..5 {
-            ring.record(event(n));
-        }
-        assert!(ring.dropped() > 0);
-        ring.clear();
         assert!(ring.snapshot().is_empty());
         assert_eq!(ring.dropped(), 0);
     }

@@ -1,7 +1,6 @@
 //! Point-in-time views of a [`crate::MetricsRegistry`], serializable as
 //! JSON through the in-tree serde shim. The snapshot is the wire format
-//! of the control plane's `Request::Metrics` scrape and of
-//! [`crate::MetricsRegistry::snapshot_json`].
+//! of the control plane's `Request::Metrics` scrape.
 
 use serde::{Deserialize, Serialize};
 

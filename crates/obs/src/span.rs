@@ -8,27 +8,21 @@
 //! handle is already at hand (e.g. resolved per-request in the control
 //! plane).
 //!
-//! Spans always feed their histogram. When the global registry has
-//! [`crate::MetricsRegistry::set_span_events`] switched on, closing a
-//! span additionally emits a `span.close` event carrying the span name,
-//! its fields, and the duration — useful for ad-hoc tracing through the
-//! stderr sink without paying for string formatting in the steady state.
+//! Spans always feed their histogram. When the global flight recorder
+//! is enabled *and* the thread has an active trace (see
+//! [`crate::trace`]), a span additionally becomes a node in the trace's
+//! causal tree: it allocates a span id on entry, parents to the
+//! previously current span, and parks a [`crate::trace::TraceEvent`] on
+//! close.
 //!
-//! When the global flight recorder is enabled *and* the thread has an
-//! active trace (see [`crate::trace`]), a span additionally becomes a
-//! node in the trace's causal tree: it allocates a span id on entry,
-//! parents to the previously current span, and parks a
-//! [`crate::trace::TraceEvent`] on close.
-//!
-//! A span's end time is captured **once** on close; the histogram
-//! value, the trace event's duration, and the `span.close` event all
-//! reuse that single number, so the three can never disagree. Callers
-//! that need the recorded duration call [`Span::finish`] instead of
-//! reading [`Span::elapsed_ns`] and dropping (which would measure
-//! twice).
+//! A span's end time is captured **once** on close; the histogram value
+//! and the trace event's duration reuse that single number, so the two
+//! can never disagree. Callers that need the recorded duration call
+//! [`Span::finish`] instead of reading [`Span::elapsed_ns`] and dropping
+//! (which would measure twice).
 
+use crate::field::FieldValue;
 use crate::registry::Histogram;
-use crate::sink::FieldValue;
 use crate::trace;
 use std::time::Instant;
 
@@ -54,8 +48,8 @@ impl<'a> Span<'a> {
         Self::with_fields(name, hist, Vec::new())
     }
 
-    /// As [`Span::on`], with structured fields for the optional
-    /// `span.close` event (and the trace event, when tracing).
+    /// As [`Span::on`], with structured fields for the trace event (when
+    /// tracing).
     pub fn with_fields(
         name: &'static str,
         hist: &'a Histogram,
@@ -75,33 +69,22 @@ impl<'a> Span<'a> {
     }
 
     /// End the span now and return the duration that was recorded —
-    /// the same single captured value the histogram, trace event, and
-    /// `span.close` event received (`None` when nothing observed the
-    /// span).
+    /// the same single captured value the histogram and the trace event
+    /// received (`None` when nothing observed the span).
     pub fn finish(mut self) -> Option<u64> {
         self.close()
     }
 
     /// Shared close path for [`Span::finish`] and `Drop`: capture the
-    /// end time once and fan the one duration out to every observer.
+    /// end time once and hand the one duration to both observers.
     fn close(&mut self) -> Option<u64> {
         let start = self.start.take()?;
         let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
         if self.timed {
             self.hist.record(ns);
         }
-        let registry = crate::global();
-        let emit_event = registry.span_events_enabled();
         if let Some(open) = self.trace.take() {
-            let fields =
-                if emit_event { self.fields.clone() } else { std::mem::take(&mut self.fields) };
-            trace::end_span(open, self.name, ns, fields);
-        }
-        if emit_event {
-            let mut fields = std::mem::take(&mut self.fields);
-            fields.push(("span", FieldValue::Str(self.name.to_string())));
-            fields.push(("ns", FieldValue::U64(ns)));
-            registry.emit("span.close", &fields);
+            trace::end_span(open, self.name, ns, std::mem::take(&mut self.fields));
         }
         Some(ns)
     }

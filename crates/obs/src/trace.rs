@@ -27,8 +27,8 @@
 //! an untraced process pays one relaxed atomic load per span, nothing
 //! else.
 
+use crate::field::FieldValue;
 use crate::ring::{FlightRecorder, DEFAULT_CAPACITY};
-use crate::sink::FieldValue;
 use serde::{Deserialize, Serialize};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -46,7 +46,7 @@ pub struct TraceEvent {
     pub parent_id: u64,
     /// The span's histogram name (`auction.pivot`, `ctrl.journal.fsync`, …).
     pub name: &'static str,
-    /// Nanoseconds since the process trace epoch ([`trace_clock_ns`]) —
+    /// Nanoseconds since the process trace epoch —
     /// one shared monotonic base, so spans from different threads order
     /// correctly.
     pub start_ns: u64,
@@ -71,7 +71,7 @@ pub struct TraceEventWire {
 }
 
 impl TraceEvent {
-    pub fn to_wire(&self) -> TraceEventWire {
+    pub(crate) fn to_wire(&self) -> TraceEventWire {
         TraceEventWire {
             trace_id: self.trace_id,
             span_id: self.span_id,
@@ -100,7 +100,7 @@ pub struct TraceWire {
 static RECORDER: OnceLock<FlightRecorder> = OnceLock::new();
 
 /// The process-global flight recorder every traced span lands in.
-/// Created on first use — **disabled** — with [`DEFAULT_CAPACITY`] slots
+/// Created on first use — **disabled** — with 16 Ki slots
 /// (`POC_TRACE_CAPACITY` overrides the capacity at first touch).
 pub fn recorder() -> &'static FlightRecorder {
     RECORDER.get_or_init(|| {
@@ -117,7 +117,7 @@ pub fn recorder() -> &'static FlightRecorder {
 
 /// Nanoseconds since the process trace epoch (the first call): the
 /// shared monotonic base all [`TraceEvent::start_ns`] values use.
-pub fn trace_clock_ns() -> u64 {
+pub(crate) fn trace_clock_ns() -> u64 {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
     let elapsed = EPOCH.get_or_init(Instant::now).elapsed();
     u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX)
@@ -268,7 +268,7 @@ pub(crate) fn end_span(
 
 /// Group raw events into per-trace bundles, each sorted by start time;
 /// traces ordered by their earliest event.
-pub fn group_traces(events: &[TraceEvent]) -> Vec<TraceWire> {
+pub(crate) fn group_traces(events: &[TraceEvent]) -> Vec<TraceWire> {
     let mut by_trace: std::collections::BTreeMap<u64, Vec<TraceEventWire>> =
         std::collections::BTreeMap::new();
     for event in events {

@@ -1,21 +1,20 @@
 //! Calibration check for the paper-scale synthetic topology.
 //!
 //! The rendered table (the deliverable) stays on stdout; the summary
-//! line goes to stderr as a structured `poc-obs` event.
+//! line goes to stderr.
 
 use poc_topology::{TopologyStats, ZooConfig, ZooGenerator};
 
 fn main() {
-    poc_obs::log_to_stderr();
     let t = ZooGenerator::new(ZooConfig::paper()).generate();
     let s = TopologyStats::compute(&t);
     println!("{}", s.render_table());
     let (min, max) = s.share_range();
-    poc_obs::event!(
-        "calibrate.summary",
-        links = s.n_bp_links,
-        routers = s.n_routers,
-        share_min_pct = min * 100.0,
-        share_max_pct = max * 100.0,
+    eprintln!(
+        "calibrate.summary links={} routers={} share_min_pct={:.4} share_max_pct={:.4}",
+        s.n_bp_links,
+        s.n_routers,
+        min * 100.0,
+        max * 100.0,
     );
 }

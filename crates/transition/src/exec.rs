@@ -108,15 +108,6 @@ pub trait TransitionHooks {
     }
 }
 
-/// Hooks that do nothing (pure planning/verification runs, benchmarks).
-pub struct NoHooks;
-
-impl TransitionHooks for NoHooks {
-    fn apply_step(&mut self, _: usize, _: TransitionOp, _: &LinkSet) -> Result<(), String> {
-        Ok(())
-    }
-}
-
 /// Replan ceiling: events keep arriving faster than this and the
 /// executor stops chasing the target and unwinds instead.
 const MAX_REPLANS: u32 = 8;

@@ -258,8 +258,8 @@ impl Search<'_, '_> {
             }
             self.explored += 1;
             self.probes += 1;
-            // `acceptable` memoizes per set, so re-probing a state reached
-            // through a different interleaving is free.
+            // A state reached again through a different interleaving is
+            // in `dead` by then: no set is probed twice in one search.
             if !self.oracle.acceptable(&next) {
                 self.dead.insert(next);
                 continue;

@@ -409,7 +409,6 @@ proptest! {
                 }
                 probes.push(probe.clone());
             }
-            let mut probed = std::collections::HashSet::new();
             for p in &probes {
                 let before = warm.witness();
                 let wv = warm.acceptable(p);
@@ -421,9 +420,8 @@ proptest! {
                         constraint.label()
                     );
                 }
-                // A repeated set is answered from the verdict memo and
-                // leaves the witness where it was, accepted or not.
-                if wv && probed.insert(p.clone()) {
+                // A repeated set is probed like any other.
+                if wv {
                     let witness = warm.witness().expect("an accept leaves its routing as witness");
                     assert_genuine_witness(&topo, p, &tm, &witness);
                 } else {
@@ -604,45 +602,6 @@ proptest! {
     }
 }
 
-// ---------- K-shortest paths -------------------------------------------------
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-    #[test]
-    fn kpaths_ranked_distinct_loopless(
-        seed in 0u64..1000,
-        k in 1usize..6,
-    ) {
-        use public_option_core::flow::k_shortest_paths;
-        use public_option_core::topology::{ZooConfig, ZooGenerator};
-        let topo = ZooGenerator::new(ZooConfig::small().with_seed(seed)).generate();
-        prop_assume!(topo.n_routers() >= 2);
-        let all = LinkSet::full(topo.n_links());
-        let src = RouterId(0);
-        let dst = RouterId::from_index(topo.n_routers() - 1);
-        let paths = k_shortest_paths(&topo, &all, src, dst, k);
-        prop_assert!(paths.len() <= k);
-        for w in paths.windows(2) {
-            prop_assert!(w[0].km <= w[1].km + 1e-9, "not ranked");
-            prop_assert_ne!(&w[0].links, &w[1].links, "duplicate path");
-        }
-        for p in &paths {
-            // Consistent metric.
-            let km: f64 = p.links.iter().map(|&l| topo.link(l).distance_km).sum();
-            prop_assert!((km - p.km).abs() < 1e-9);
-            // Walkable from src and loopless.
-            let mut at = src;
-            let mut visited = vec![at];
-            for &l in &p.links {
-                at = topo.link(l).other_end(at).expect("path incident");
-                prop_assert!(!visited.contains(&at), "loop at {at}");
-                visited.push(at);
-            }
-            prop_assert_eq!(at, dst);
-        }
-    }
-}
-
 // ---------- Max-min fairness ---------------------------------------------------
 
 proptest! {
@@ -755,38 +714,6 @@ proptest! {
 // Shrunken inputs from historical proptest failures (recorded in
 // proptests.proptest-regressions). The in-tree proptest harness does not
 // replay that file, so the cases are pinned here explicitly.
-
-/// `kpaths_ranked_distinct_loopless` shrank to `seed = 116`.
-#[test]
-fn regression_kpaths_seed_116() {
-    use public_option_core::flow::k_shortest_paths;
-    use public_option_core::topology::{ZooConfig, ZooGenerator};
-    let topo = ZooGenerator::new(ZooConfig::small().with_seed(116)).generate();
-    assert!(topo.n_routers() >= 2);
-    let all = LinkSet::full(topo.n_links());
-    let src = RouterId(0);
-    let dst = RouterId::from_index(topo.n_routers() - 1);
-    for k in 1..6 {
-        let paths = k_shortest_paths(&topo, &all, src, dst, k);
-        assert!(paths.len() <= k);
-        for w in paths.windows(2) {
-            assert!(w[0].km <= w[1].km + 1e-9, "not ranked");
-            assert_ne!(&w[0].links, &w[1].links, "duplicate path");
-        }
-        for p in &paths {
-            let km: f64 = p.links.iter().map(|&l| topo.link(l).distance_km).sum();
-            assert!((km - p.km).abs() < 1e-9);
-            let mut at = src;
-            let mut visited = vec![at];
-            for &l in &p.links {
-                at = topo.link(l).other_end(at).expect("path incident");
-                assert!(!visited.contains(&at), "loop at {at} (k = {k})");
-                visited.push(at);
-            }
-            assert_eq!(at, dst);
-        }
-    }
-}
 
 /// `routing_never_overcommits` shrank to
 /// `demands = [(1, 0, 48.917595338008844)]`.

@@ -13,16 +13,23 @@ use public_option_core::traffic::TrafficScenario;
 /// One round over `topo`, set up as
 /// `vcg_round_matches_one_at_a_time_reference_on_zoo_instance` does, and the
 /// `[flow.route.passes, flow.route.retries, flow.cut.learned,
-/// flow.cut.rejects]` it added.
-fn round(topo: &PocTopology) -> ([u64; 4], AuctionOutcome) {
+/// flow.cut.rejects, flow.oracle.check, flow.warm.fallbacks]` it added.
+fn round(topo: &PocTopology) -> ([u64; 6], AuctionOutcome) {
     let tm =
         TrafficScenario { total_gbps: 2500.0, ..TrafficScenario::paper_default() }.generate(topo);
     let market = Market::truthful(topo, 3.0);
     let selector = GreedySelector::with_prune_budget(8);
     let counts = || {
         let snapshot = public_option_core::obs::global().snapshot();
-        ["flow.route.passes", "flow.route.retries", "flow.cut.learned", "flow.cut.rejects"]
-            .map(|name| snapshot.counter(name).unwrap_or(0))
+        [
+            "flow.route.passes",
+            "flow.route.retries",
+            "flow.cut.learned",
+            "flow.cut.rejects",
+            "flow.oracle.check",
+            "flow.warm.fallbacks",
+        ]
+        .map(|name| snapshot.counter(name).unwrap_or(0))
     };
     let before = counts();
     let outcome =
@@ -46,9 +53,12 @@ fn one_round_routes_a_rejected_set_twice_only_if_it_holds_a_virtual_link() {
     // No virtual link exists, so no rejected set holds one and nothing is
     // retried. Before the retry became conditional each of the 45 failed
     // passes was run again: 95 passes. Before the certificates: (50, 0);
-    // the one cut learned answers 8 of the 45 rejections unrouted.
+    // the one cut learned answers 8 of the 45 rejections unrouted. Every
+    // probe of the round reaches an oracle (56) and 33 of the pivots' fall
+    // back to a cold pass: recorded with the warm oracle's verdict memo
+    // still in place (`53d42be`), which therefore answered none of them.
     let (counts, outcome) = round(&topo);
-    assert_eq!(counts, [42, 0, 1, 8]);
+    assert_eq!(counts, [42, 0, 1, 8, 56, 33]);
     assert_outcome(
         &outcome,
         &[
@@ -72,7 +82,7 @@ fn one_round_routes_a_rejected_set_twice_only_if_it_holds_a_virtual_link() {
     // of the 43 unrouted, each sparing the pass and the retry.
     attach_external_isps(&mut topo, &ExternalIspConfig::default(), &CostModel::default());
     let (counts, outcome) = round(&topo);
-    assert_eq!(counts, [65, 28, 14, 14]);
+    assert_eq!(counts, [65, 28, 14, 14, 56, 26]);
     assert_outcome(
         &outcome,
         &[
