@@ -11,28 +11,6 @@ use poc_flow::graph::PathTree;
 use poc_flow::{CapacityGraph, LinkSet};
 use poc_topology::{LinkId, PocTopology, RouterId};
 
-/// Errors from walking the installed forwarding state.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FabricError {
-    /// The forwarding state cycles without reaching the destination. A
-    /// shortest-path tree cannot, so no state `install()` builds yields
-    /// this; [`ForwardingState::path`] keeps the `Result` its callers
-    /// already handle.
-    RoutingLoop { src: RouterId, dst: RouterId },
-}
-
-impl std::fmt::Display for FabricError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FabricError::RoutingLoop { src, dst } => {
-                write!(f, "forwarding loop from {src} to {dst}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for FabricError {}
-
 /// Shortest-path forwarding over an active link set.
 #[derive(Clone, Debug)]
 pub struct ForwardingState {
@@ -68,13 +46,13 @@ impl ForwardingState {
         self.trees.get(at.index())?.first_hop(dst)
     }
 
-    /// Full path from `src` to `dst` (links in order), `Ok(None)` if
+    /// Full path from `src` to `dst` (links in order), `None` if
     /// unreachable.
-    pub fn path(&self, src: RouterId, dst: RouterId) -> Result<Option<Vec<LinkId>>, FabricError> {
+    pub fn path(&self, src: RouterId, dst: RouterId) -> Option<Vec<LinkId>> {
         if dst.index() >= self.trees.len() {
-            return Ok(None);
+            return None;
         }
-        Ok(self.trees.get(src.index()).and_then(|tree| tree.path_to(dst)))
+        self.trees.get(src.index())?.path_to(dst)
     }
 
     /// Whether every router can reach every other. Links are undirected, so
@@ -114,7 +92,7 @@ mod tests {
         let mut active = LinkSet::full(t.n_links());
         active.remove(LinkId(3));
         let fs = ForwardingState::install(&t, &active);
-        let path = fs.path(r(0), r(3)).unwrap().unwrap();
+        let path = fs.path(r(0), r(3)).unwrap();
         assert!(path.len() >= 2);
         assert!(!path.contains(&LinkId(3)));
     }
@@ -125,7 +103,7 @@ mod tests {
         let bp0 = LinkSet::from_links(t.n_links(), t.links_of_bp(poc_topology::BpId(0)));
         let fs = ForwardingState::install(&t, &bp0);
         assert!(!fs.fully_connected());
-        assert!(fs.path(r(0), r(3)).unwrap().is_none());
+        assert!(fs.path(r(0), r(3)).is_none());
         assert!(fs.next_hop(r(0), r(3)).is_none());
     }
 
@@ -133,7 +111,7 @@ mod tests {
     fn self_path_is_empty() {
         let t = two_bp_square();
         let fs = ForwardingState::install(&t, &LinkSet::full(t.n_links()));
-        assert_eq!(fs.path(r(2), r(2)).unwrap().unwrap(), Vec::<LinkId>::new());
+        assert_eq!(fs.path(r(2), r(2)).unwrap(), Vec::<LinkId>::new());
     }
 
     #[test]
@@ -141,7 +119,7 @@ mod tests {
         let t = two_bp_square();
         let fs = ForwardingState::install(&t, &LinkSet::full(t.n_links()));
         // r0→r3 direct (1830) beats r0-r2-r3 (910+950=1860).
-        let path = fs.path(r(0), r(3)).unwrap().unwrap();
+        let path = fs.path(r(0), r(3)).unwrap();
         assert_eq!(path.len(), 1);
     }
 
@@ -154,7 +132,7 @@ mod tests {
         let routers = || (0..t.n_routers()).map(RouterId::from_index);
         for (src, dst) in routers().flat_map(|s| routers().map(move |d| (s, d))) {
             let kernel = g.shortest_path(src, dst, |l, _| t.link(l).distance_km, |_, _| true);
-            assert_eq!(fs.path(src, dst), Ok(kernel.clone()), "{src} -> {dst}");
+            assert_eq!(fs.path(src, dst), kernel, "{src} -> {dst}");
             let Some(kernel) = kernel else {
                 assert_eq!(fs.next_hop(src, dst), None, "{src} -> {dst}");
                 continue;
@@ -175,7 +153,7 @@ mod tests {
     fn paths_are_the_flow_kernels_on_the_square() {
         let t = two_bp_square();
         assert_matches_the_kernel(&t, &LinkSet::full(t.n_links()));
-        // r3 cut off: unreachable pairs stay `Ok(None)`.
+        // r3 cut off: unreachable pairs stay `None`.
         let bp0 = LinkSet::from_links(t.n_links(), t.links_of_bp(poc_topology::BpId(0)));
         assert_matches_the_kernel(&t, &bp0);
     }

@@ -30,7 +30,7 @@ pub mod settlement;
 pub mod tos;
 
 pub use entity::{EntityId, EntityKind, Registry};
-pub use fabric::{FabricError, ForwardingState};
+pub use fabric::ForwardingState;
 pub use lease::{Lease, LeaseBook, LeaseOpError, LeaseState};
 pub use poc::{BillingSummary, Poc, PocConfig};
 pub use services::{AnycastGroup, MulticastTree, QosCatalog, QosTier};

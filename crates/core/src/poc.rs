@@ -67,8 +67,6 @@ pub struct BillingSummary {
 pub enum PocError {
     Registry(RegistryError),
     Auction(poc_auction::vcg::AuctionError),
-    /// The installed forwarding tables are corrupt (routing loop).
-    Fabric(crate::fabric::FabricError),
     /// Billing requested before any auction round installed a fabric.
     NoFabric,
     /// Usage reported for an entity that may not send traffic.
@@ -80,7 +78,6 @@ impl std::fmt::Display for PocError {
         match self {
             PocError::Registry(e) => write!(f, "registry: {e}"),
             PocError::Auction(e) => write!(f, "auction: {e}"),
-            PocError::Fabric(e) => write!(f, "fabric: {e}"),
             PocError::NoFabric => write!(f, "no fabric installed (run an auction round first)"),
             PocError::NotAuthorized(e) => write!(f, "{e} is not authorized to send traffic"),
         }
@@ -508,7 +505,7 @@ impl Poc {
         else {
             return Ok(None);
         };
-        fabric.path(a, b).map_err(PocError::Fabric)
+        Ok(fabric.path(a, b))
     }
 }
 
@@ -746,7 +743,7 @@ mod tests {
                 for (&(a, ra), &(b, rb)) in
                     members.iter().flat_map(|a| members.iter().map(move |b| (a, b)))
                 {
-                    prop_assert_eq!(p.member_path(a, b).unwrap(), fresh.path(ra, rb).unwrap());
+                    prop_assert_eq!(p.member_path(a, b).unwrap(), fresh.path(ra, rb));
                 }
             }
         }

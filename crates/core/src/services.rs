@@ -15,7 +15,7 @@
 //!   every member (enforced by construction) and generate ledger-ready
 //!   charges.
 
-use crate::fabric::{FabricError, ForwardingState};
+use crate::fabric::ForwardingState;
 use poc_topology::{LinkId, PocTopology, RouterId};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
@@ -34,17 +34,17 @@ impl AnycastGroup {
     }
 
     /// Resolve a client router to its nearest replica (by fabric path
-    /// length in km) and the path to it. `Ok(None)` if no replica is
-    /// reachable; corrupted tables surface as [`FabricError`].
+    /// length in km) and the path to it. `None` if no replica is
+    /// reachable.
     pub fn resolve(
         &self,
         topo: &PocTopology,
         fabric: &ForwardingState,
         client: RouterId,
-    ) -> Result<Option<(RouterId, Vec<LinkId>)>, FabricError> {
+    ) -> Option<(RouterId, Vec<LinkId>)> {
         let mut best: Option<(f64, RouterId, Vec<LinkId>)> = None;
         for &replica in &self.replicas {
-            let Some(path) = fabric.path(client, replica)? else { continue };
+            let Some(path) = fabric.path(client, replica) else { continue };
             let km: f64 = path.iter().map(|&l| topo.link(l).distance_km).sum();
             let better = match &best {
                 None => true,
@@ -56,7 +56,7 @@ impl AnycastGroup {
                 best = Some((km, replica, path));
             }
         }
-        Ok(best.map(|(_, r, p)| (r, p)))
+        best.map(|(_, r, p)| (r, p))
     }
 }
 
@@ -74,25 +74,20 @@ pub struct MulticastTree {
 }
 
 impl MulticastTree {
-    /// Build the tree over the installed fabric. Corrupted forwarding
-    /// tables surface as [`FabricError`] rather than a silent drop.
-    pub fn build(
-        fabric: &ForwardingState,
-        source: RouterId,
-        subscribers: &[RouterId],
-    ) -> Result<Self, FabricError> {
+    /// Build the tree over the installed fabric.
+    pub fn build(fabric: &ForwardingState, source: RouterId, subscribers: &[RouterId]) -> Self {
         let mut links = BTreeSet::new();
         let mut unreachable = Vec::new();
         for &sub in subscribers {
             if sub == source {
                 continue;
             }
-            match fabric.path(source, sub)? {
+            match fabric.path(source, sub) {
                 Some(path) => links.extend(path),
                 None => unreachable.push(sub),
             }
         }
-        Ok(Self { source, subscribers: subscribers.to_vec(), links, unreachable })
+        Self { source, subscribers: subscribers.to_vec(), links, unreachable }
     }
 
     /// Total fabric bandwidth consumed for a stream of `rate_gbps`
@@ -103,21 +98,17 @@ impl MulticastTree {
 
     /// Bandwidth the same delivery would cost as unicast (one copy per
     /// subscriber path link) — the multicast saving baseline.
-    pub fn unicast_bandwidth_gbps(
-        &self,
-        fabric: &ForwardingState,
-        rate_gbps: f64,
-    ) -> Result<f64, FabricError> {
+    pub fn unicast_bandwidth_gbps(&self, fabric: &ForwardingState, rate_gbps: f64) -> f64 {
         let mut total_links = 0usize;
         for &sub in &self.subscribers {
             if sub == self.source {
                 continue;
             }
-            if let Some(path) = fabric.path(self.source, sub)? {
+            if let Some(path) = fabric.path(self.source, sub) {
                 total_links += path.len();
             }
         }
-        Ok(rate_gbps * total_links as f64)
+        rate_gbps * total_links as f64
     }
 }
 
@@ -211,11 +202,11 @@ mod tests {
         let f = fabric(&t);
         let group = AnycastGroup::new("dns", vec![r(1), r(3)]);
         // r0 is 1300km from r1 and 1830km from r3 → r1.
-        let (replica, path) = group.resolve(&t, &f, r(0)).unwrap().unwrap();
+        let (replica, path) = group.resolve(&t, &f, r(0)).unwrap();
         assert_eq!(replica, r(1));
         assert_eq!(path.len(), 1);
         // A client at a replica resolves to itself with an empty path.
-        let (replica, path) = group.resolve(&t, &f, r(3)).unwrap().unwrap();
+        let (replica, path) = group.resolve(&t, &f, r(3)).unwrap();
         assert_eq!(replica, r(3));
         assert!(path.is_empty());
     }
@@ -226,7 +217,7 @@ mod tests {
         let bp0_only = LinkSet::from_links(t.n_links(), t.links_of_bp(poc_topology::BpId(0)));
         let f = ForwardingState::install(&t, &bp0_only);
         let group = AnycastGroup::new("cdn", vec![r(3)]);
-        assert!(group.resolve(&t, &f, r(0)).unwrap().is_none());
+        assert!(group.resolve(&t, &f, r(0)).is_none());
     }
 
     #[test]
@@ -236,12 +227,12 @@ mod tests {
         // Source r0, subscribers r1 and r2: paths are the direct links, no
         // sharing; subscribers r3 via r1/r2 would share the first hop with
         // them. Use all three.
-        let tree = MulticastTree::build(&f, r(0), &[r(1), r(2), r(3)]).unwrap();
+        let tree = MulticastTree::build(&f, r(0), &[r(1), r(2), r(3)]);
         assert!(tree.unreachable.is_empty());
         // Tree bandwidth strictly below unicast when any link is shared,
         // and never above.
         let mc = tree.bandwidth_gbps(10.0);
-        let uc = tree.unicast_bandwidth_gbps(&f, 10.0).unwrap();
+        let uc = tree.unicast_bandwidth_gbps(&f, 10.0);
         assert!(mc <= uc, "multicast {mc} must not exceed unicast {uc}");
         assert_eq!(mc, 10.0 * tree.links.len() as f64);
     }
@@ -251,7 +242,7 @@ mod tests {
         let t = two_bp_square();
         let bp0_only = LinkSet::from_links(t.n_links(), t.links_of_bp(poc_topology::BpId(0)));
         let f = ForwardingState::install(&t, &bp0_only);
-        let tree = MulticastTree::build(&f, r(0), &[r(1), r(3)]).unwrap();
+        let tree = MulticastTree::build(&f, r(0), &[r(1), r(3)]);
         assert_eq!(tree.unreachable, vec![r(3)]);
         assert!(!tree.links.is_empty(), "reachable subscriber still served");
     }

@@ -968,7 +968,9 @@ fn summarize(out: &poc_auction::AuctionOutcome) -> OutcomeSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transition::{finish_open_transition, OpenTransition, ReplayTracker};
     use poc_core::poc::PocConfig;
+    use poc_flow::LinkSet;
     use poc_topology::builder::two_bp_square;
     use poc_topology::RouterId;
 
@@ -1059,5 +1061,159 @@ mod tests {
         assert!((summary.charges.iter().map(|c| c.1).sum::<f64>()).is_finite());
         assert!(usage_total(&shared, lmp).is_none(), "billing drains every shard");
         assert!(usage_total(&shared, csp).is_none());
+    }
+
+    // -----------------------------------------------------------------
+    // Lease transitions off the commit path. The wire-level crash suite
+    // only ever resumes to `committed`; these drive the closing
+    // function's other arms and check the journal each one leaves.
+    // -----------------------------------------------------------------
+
+    /// The crash-recovery suite's world: the square plus one external
+    /// ISP, where the auction at 12× forecast demand swaps {l0, l1} for
+    /// {l1, l10} — a two-step walk, `+l10` then `-l0`.
+    fn transition_world() -> (poc_topology::PocTopology, TrafficMatrix) {
+        use poc_topology::zoo::{attach_external_isps, ExternalIspConfig};
+        let mut topo = two_bp_square();
+        attach_external_isps(
+            &mut topo,
+            &ExternalIspConfig { n_isps: 1, attach_points: 4, ..Default::default() },
+            &poc_topology::CostModel::default(),
+        );
+        let mut tm = TrafficMatrix::zero(topo.n_routers());
+        tm.set(RouterId(0), RouterId(1), 10.0);
+        tm.set(RouterId(1), RouterId(2), 5.0);
+        (topo, tm)
+    }
+
+    const SHIFTED_SCALE: Option<f64> = Some(12.0);
+
+    fn fresh_dir(name: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("poc-txn-{}-{name}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// A `Shared` on [`transition_world`] persisting under `dir`,
+    /// recovered from whatever the directory already holds.
+    fn durable_shared(dir: &std::path::Path) -> Shared {
+        let (topo, tm) = transition_world();
+        let mut shared = Shared {
+            state: ShardedState::new(Poc::new(topo, PocConfig::default()), tm, 4),
+            durability: None,
+            recovery: None,
+            admission: Admission::new(16),
+        };
+        let config = DurabilityConfig {
+            state_dir: dir.to_path_buf(),
+            fsync: crate::journal::FsyncPolicy::Always,
+            snapshot_every: 0,
+        };
+        recover(&mut shared, &config, CrashSwitch::new(), FsyncFault::new()).unwrap();
+        shared
+    }
+
+    /// The installed link set and the lease book, as a client reads it.
+    fn fabric_and_leases(shared: &Shared) -> (LinkSet, Response) {
+        let installed = shared.state.global.lock().poc.installed_links().cloned().unwrap();
+        (installed, handle(shared, Request::GetLeases).unwrap())
+    }
+
+    /// What a server leaves behind when it dies one step into the 12×
+    /// walk: an auction, `TransitionBegun` and `+l10` journaled and
+    /// applied, and the open transaction replay would hand to recovery.
+    fn die_one_step_in(shared: &Shared) -> OpenTransition {
+        handle(shared, Request::RunAuction).unwrap();
+        let mut txn = ReplayTracker::default();
+        for event in [
+            JournalEvent::TransitionBegun { max_extra_links: None, demand_scale: SHIFTED_SCALE },
+            JournalEvent::TransitionStep { add: true, link: 10 },
+        ] {
+            assert!(journal_event(shared, event.clone()).unwrap().is_none());
+            assert!(txn.absorb(shared, &event));
+        }
+        let open = txn.take_open().unwrap();
+        let (installed, _) = fabric_and_leases(shared);
+        assert_eq!(open.steps_replayed, 1);
+        assert_eq!(installed.len(), open.original.len() + 1, "mid-walk: one add applied");
+        open
+    }
+
+    /// Recover `dir` into a fresh `Shared` and demand it lands where
+    /// `shared` stands, with nothing left open.
+    fn assert_journal_replays_to(shared: &Shared, dir: &std::path::Path) {
+        let replayed = durable_shared(dir);
+        assert_eq!(fabric_and_leases(&replayed), fabric_and_leases(shared));
+        assert!(replayed.state.global.lock().last_transition.is_none(), "nothing left to finish");
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn recovery_unwinds_stepwise_to_the_journaled_original_when_the_target_stopped_passing() {
+        let dir = fresh_dir("unwind");
+        let shared = durable_shared(&dir);
+        let mut open = die_one_step_in(&shared);
+        // The target the dead server was walking toward no longer routes.
+        open.outcome.selected = LinkSet::empty(open.original.universe());
+        let original = open.original.clone();
+
+        finish_open_transition(&shared, open).unwrap();
+
+        let status = shared.state.global.lock().last_transition.clone().unwrap();
+        assert_eq!(status.outcome, "rolled_back");
+        assert!(status.recovered);
+        assert_eq!(status.steps_applied, 2, "one replayed add + one walked remove");
+        assert_eq!((status.replans, status.rollbacks), (0, 1));
+        assert_eq!((status.n_from_links, status.n_final_links), (original.len(), original.len()));
+        assert_eq!(fabric_and_leases(&shared).0, original);
+        assert_journal_replays_to(&shared, &dir);
+    }
+
+    #[test]
+    fn recovery_force_restores_the_journaled_original_when_nothing_passes() {
+        let dir = fresh_dir("force");
+        let shared = durable_shared(&dir);
+        let open = die_one_step_in(&shared);
+        let original = open.original.clone();
+        // The restarted server carries a matrix no link set can route:
+        // neither the target nor the original has a verified way in.
+        shared.state.global.lock().tm.scale(1e6);
+
+        finish_open_transition(&shared, open).unwrap();
+
+        let status = shared.state.global.lock().last_transition.clone().unwrap();
+        assert_eq!(status.outcome, "force_restored");
+        assert!(status.recovered);
+        assert_eq!(status.steps_applied, 1, "the replayed add; the restore is not a step");
+        assert_eq!(status.rollbacks, 1);
+        assert_eq!(status.n_final_links, original.len(), "the fabric is on the original");
+        assert_eq!(fabric_and_leases(&shared).0, original);
+        assert_journal_replays_to(&shared, &dir);
+    }
+
+    #[test]
+    fn live_transition_whose_step_is_refused_aborts_onto_the_pre_transition_set() {
+        let dir = fresh_dir("refused");
+        let shared = durable_shared(&dir);
+        handle(&shared, Request::RunAuction).unwrap();
+        // BP-A is already recalling l0, so the walk's `-l0` lease
+        // operation is refused after `+l10` has landed.
+        let resp =
+            handle(&shared, Request::RecallLink { bp: 0, link: 0, notice_periods: 1 }).unwrap();
+        assert!(matches!(resp, Response::RecallDone { found: true, .. }), "{resp:?}");
+        let (before, _) = fabric_and_leases(&shared);
+
+        let resp = handle(
+            &shared,
+            Request::BeginTransition { max_extra_links: None, demand_scale: SHIFTED_SCALE },
+        )
+        .unwrap();
+        let Response::Error { message } = resp else { panic!("expected a refusal: {resp:?}") };
+        assert!(message.contains("transition aborted at step 1"), "{message}");
+        assert!(message.contains("recalled"), "{message}");
+
+        assert_eq!(fabric_and_leases(&shared).0, before);
+        assert!(shared.state.global.lock().last_transition.is_none(), "no walk finished");
+        assert_journal_replays_to(&shared, &dir);
     }
 }

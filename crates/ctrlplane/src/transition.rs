@@ -16,10 +16,12 @@
 //!   operation (idempotently — the facade tolerates an already-booked
 //!   add and an already-expired remove);
 //! * [`finish_open_transition`] resolves a journal that ends
-//!   mid-transition (the server died between step records): plan from
-//!   the recovered mid-state *forward* to the target and finish the
-//!   walk, else plan a rollback to the pre-transition set, else restore
-//!   it in one atomic install. Every path keeps journaling, so crashing
+//!   mid-transition (the server died between step records): it hands the
+//!   executor the recovered mid-walk set as `current` and the journaled
+//!   pre-transition set as `original`, and the executor's own machine —
+//!   forward, else unwind, else atomic restore — does the rest. Live and
+//!   recovered walks run and close their journal transaction in one
+//!   function, [`walk_and_close`], which keeps journaling, so crashing
 //!   *again* during recovery is just another recoverable crash.
 //!
 //! The invariant all paths preserve: a `TransitionAborted` record means
@@ -37,8 +39,8 @@ use poc_core::poc::Poc;
 use poc_flow::LinkSet;
 use poc_topology::LinkId;
 use poc_transition::{
-    execute_transition, plan_transition, ExecError, PlanConfig, TransitionOp, TransitionOutcome,
-    TransitionReport,
+    execute_transition, plan_transition, resume_transition, ExecError, PlanConfig, TransitionOp,
+    TransitionOutcome, TransitionPlan, TransitionReport,
 };
 
 /// The traffic matrix a transition *targets*: the live matrix scaled by
@@ -89,19 +91,12 @@ pub(crate) struct JournalingHooks<'a> {
     shared: &'a Shared,
     poc: &'a mut Poc,
     outcome: &'a AuctionOutcome,
-    /// The true pre-transition set: what `TransitionAborted` restores.
-    restore_to: &'a LinkSet,
     pub crashed: Option<CrashPoint>,
 }
 
 impl<'a> JournalingHooks<'a> {
-    pub fn new(
-        shared: &'a Shared,
-        poc: &'a mut Poc,
-        outcome: &'a AuctionOutcome,
-        restore_to: &'a LinkSet,
-    ) -> Self {
-        Self { shared, poc, outcome, restore_to, crashed: None }
+    pub fn new(shared: &'a Shared, poc: &'a mut Poc, outcome: &'a AuctionOutcome) -> Self {
+        Self { shared, poc, outcome, crashed: None }
     }
 
     fn journal(&mut self, event: JournalEvent) -> Result<(), String> {
@@ -127,17 +122,26 @@ impl poc_transition::TransitionHooks for JournalingHooks<'_> {
         apply_step_to_poc(self.poc, self.outcome, op.is_add(), op.link()).map_err(|e| e.to_string())
     }
 
-    fn force_restore(&mut self, _links: &LinkSet) -> Result<(), String> {
-        // Restore the *pre-transition* set (not whatever the executor's
-        // internal bookkeeping converged to): that is the one state the
-        // `TransitionAborted` record promises on replay.
+    fn force_restore(&mut self, links: &LinkSet) -> Result<(), String> {
+        // Invariant: these hooks deliver no events (no `poll_events`), so
+        // nothing edits the executor's original set and `links` is the
+        // pre-transition set the walk was started with — the one state a
+        // `TransitionAborted` record replays to.
         self.journal(JournalEvent::TransitionAborted)?;
-        self.poc.force_install(self.restore_to);
+        self.poc.force_install(links);
         Ok(())
     }
 }
 
-fn summarize(report: &TransitionReport, n_from: usize, recovered: bool) -> TransitionSummary {
+/// The operator's summary of a finished walk. `replayed` is set for a
+/// recovered walk: the steps a crashed server had journaled before
+/// recovery took over.
+fn summarize(
+    report: &TransitionReport,
+    poc: &Poc,
+    n_from: usize,
+    replayed: Option<usize>,
+) -> TransitionSummary {
     TransitionSummary {
         outcome: match report.outcome {
             TransitionOutcome::Committed => "committed",
@@ -145,12 +149,12 @@ fn summarize(report: &TransitionReport, n_from: usize, recovered: bool) -> Trans
             TransitionOutcome::ForceRestored => "force_restored",
         }
         .into(),
-        steps_applied: report.steps_applied as u64,
+        steps_applied: (replayed.unwrap_or(0) + report.steps_applied) as u64,
         replans: report.replans,
         rollbacks: report.rollbacks,
         n_from_links: n_from,
-        n_final_links: report.final_state.len(),
-        recovered,
+        n_final_links: poc.installed_links().map_or(0, LinkSet::len),
+        recovered: replayed.is_some(),
     }
 }
 
@@ -172,11 +176,6 @@ pub(crate) fn run_transition(
         }
     }
     let forecast = scaled_tm(&g.tm, demand_scale);
-    // The walk is verified against the live matrix: the current set was
-    // selected under it (so a safe first step always exists), and it is
-    // what members ride on between steps. The forecast only picks the
-    // destination.
-    let tm = g.tm.clone();
     let Some(from) = g.poc.installed_links().cloned() else {
         return Ok(Response::Error {
             message: "no installed fabric to transition from; run an auction first".into(),
@@ -192,47 +191,66 @@ pub(crate) fn run_transition(
         return Ok(refusal);
     }
 
-    let topo = g.poc.topo().clone();
-    let constraint = g.poc.config().constraint;
+    // The walk is verified against the live matrix: the current set was
+    // selected under it (so a safe first step always exists), and it is
+    // what members ride on between steps. The forecast only picks the
+    // destination.
     let cfg = PlanConfig { max_extra_links, ..PlanConfig::default() };
-    let plan = match plan_transition(&topo, &tm, constraint, &from, &outcome.selected, &cfg) {
-        Ok(p) => p,
+    let constraint = g.poc.config().constraint;
+    match plan_transition(g.poc.topo(), &g.tm, constraint, &from, &outcome.selected, &cfg) {
+        Ok(plan) => walk_and_close(shared, g, outcome, &from, &cfg, Start::Planned(plan)),
         Err(e) => {
             // Nothing was applied; close the journal transaction.
             if let Some(refusal) = journal_event(shared, JournalEvent::TransitionAborted)? {
                 return Ok(refusal);
             }
-            return Ok(Response::Error { message: format!("transition not started: {e}") });
+            Ok(Response::Error { message: format!("transition not started: {e}") })
+        }
+    }
+}
+
+/// Where a walk starts.
+enum Start {
+    /// Live: on the pre-transition set, holding the plan that proved a
+    /// safe order exists.
+    Planned(TransitionPlan),
+    /// Recovery: on whatever set the journal's replayed steps left
+    /// installed.
+    Recovered { steps_replayed: usize },
+}
+
+/// Run one walk toward `outcome` under [`JournalingHooks`] and close its
+/// journal transaction — the only place a walk's `TransitionCommitted`
+/// or `TransitionAborted` is written (the hook's atomic restore aside).
+/// `original` is the pre-transition set: where the executor unwinds to,
+/// and what an abort restores.
+fn walk_and_close(
+    shared: &Shared,
+    g: &mut Global,
+    outcome: AuctionOutcome,
+    original: &LinkSet,
+    cfg: &PlanConfig,
+    start: Start,
+) -> Result<Response, CrashPoint> {
+    let topo = g.poc.topo().clone();
+    let constraint = g.poc.config().constraint;
+    let mut hooks = JournalingHooks::new(shared, &mut g.poc, &outcome);
+    let (result, replayed) = match start {
+        Start::Planned(plan) => {
+            (execute_transition(&topo, &g.tm, constraint, cfg, plan, &mut hooks), None)
+        }
+        Start::Recovered { steps_replayed } => {
+            let current = hooks.poc.installed_links().unwrap_or(original).clone();
+            let (target, original) = (outcome.selected.clone(), original.clone());
+            let result = resume_transition(
+                &topo, &g.tm, constraint, cfg, current, target, original, &mut hooks,
+            );
+            (result, Some(steps_replayed))
         }
     };
-
-    let mut hooks = JournalingHooks::new(shared, &mut g.poc, &outcome, &from);
-    let result = execute_transition(&topo, &tm, constraint, &cfg, plan, &mut hooks);
     let crashed = hooks.crashed;
-    match result {
-        Ok(report) => {
-            match report.outcome {
-                TransitionOutcome::Committed => {
-                    if let Some(refusal) = journal_event(shared, JournalEvent::TransitionCommitted)?
-                    {
-                        return Ok(refusal);
-                    }
-                    g.poc.commit_transition(outcome);
-                }
-                TransitionOutcome::RolledBack => {
-                    // The executor already walked back to `from` through
-                    // journaled steps; this record closes the transaction.
-                    if let Some(refusal) = journal_event(shared, JournalEvent::TransitionAborted)? {
-                        return Ok(refusal);
-                    }
-                }
-                // force_restore journaled the abort and restored already.
-                TransitionOutcome::ForceRestored => {}
-            }
-            let summary = summarize(&report, from.len(), false);
-            g.last_transition = Some(summary.clone());
-            Ok(Response::TransitionDone(summary))
-        }
+    let report = match result {
+        Ok(report) => report,
         Err(ExecError::Hook { step, reason }) => {
             if let Some(p) = crashed {
                 return Err(p);
@@ -243,22 +261,45 @@ pub(crate) fn run_transition(
             // agreement. If even the abort record cannot land, leave the
             // mid-state as is: it matches the journal exactly, and the
             // next restart resolves it through recovery.
-            match journal_event(shared, JournalEvent::TransitionAborted)? {
-                None => {
-                    g.poc.force_install(&from);
-                    Ok(Response::Error {
-                        message: format!("transition aborted at step {step}: {reason}"),
-                    })
-                }
-                Some(_refusal) => Ok(Response::Error {
-                    message: format!(
+            return Ok(Response::Error {
+                message: match journal_event(shared, JournalEvent::TransitionAborted)? {
+                    None => {
+                        g.poc.force_install(original);
+                        format!("transition aborted at step {step}: {reason}")
+                    }
+                    Some(_refusal) => format!(
                         "transition wedged at step {step} ({reason}); durability is failing — \
                          restart to recover"
                     ),
-                }),
-            }
+                },
+            });
         }
+    };
+    let recovered_as = match report.outcome {
+        TransitionOutcome::Committed => {
+            if let Some(refusal) = journal_event(shared, JournalEvent::TransitionCommitted)? {
+                return Ok(refusal);
+            }
+            g.poc.commit_transition(outcome);
+            poc_obs::counter!("transition.recovered.resumed")
+        }
+        TransitionOutcome::RolledBack => {
+            // The executor already walked back to `original` through
+            // journaled steps; this record closes the transaction.
+            if let Some(refusal) = journal_event(shared, JournalEvent::TransitionAborted)? {
+                return Ok(refusal);
+            }
+            poc_obs::counter!("transition.recovered.rolled_back")
+        }
+        // `force_restore` journaled the abort and restored already.
+        TransitionOutcome::ForceRestored => poc_obs::counter!("transition.recovered.forced"),
+    };
+    if replayed.is_some() {
+        recovered_as.inc();
     }
+    let summary = summarize(&report, &g.poc, original.len(), replayed);
+    g.last_transition = Some(summary.clone());
+    Ok(Response::TransitionDone(summary))
 }
 
 /// Replay-side state of one in-flight transition.
@@ -334,116 +375,20 @@ impl ReplayTracker {
     }
 }
 
-/// Resolve a journal that ended mid-transition: resume if a safe plan
-/// from the recovered mid-state to the target still exists, otherwise
-/// roll back to the pre-transition set (stepwise if possible, atomically
-/// as a last resort). New records are journaled throughout, so recovery
-/// itself is crash-resumable.
+/// Resolve a journal that ended mid-transition: the executor resumes
+/// from the recovered installed set toward the target and, failing that,
+/// unwinds to the journaled pre-transition set, all under the walk's own
+/// lease budget. New records are journaled throughout, so recovery
+/// itself is crash-resumable. A typed refusal (the journal is failing)
+/// leaves the mid-state matching the journal for the next restart.
 pub(crate) fn finish_open_transition(
     shared: &Shared,
     open: OpenTransition,
 ) -> Result<(), CrashPoint> {
     poc_obs::counter!("transition.recovered").inc();
     let mut g = shared.state.global.lock();
-    // Resume and rollback both plan against the live matrix — the walk
-    // must stay safe for the traffic the fabric carries *now*; the
-    // forecast already did its job when the target was computed.
-    let tm = g.tm.clone();
-    let topo = g.poc.topo().clone();
-    let constraint = g.poc.config().constraint;
-    let cfg = PlanConfig { max_extra_links: open.max_extra_links, ..PlanConfig::default() };
-    let current =
-        g.poc.installed_links().cloned().unwrap_or_else(|| LinkSet::empty(topo.n_links()));
-
-    // Resume: finish the walk to the target.
-    if let Ok(plan) =
-        plan_transition(&topo, &tm, constraint, &current, &open.outcome.selected, &cfg)
-    {
-        let mut hooks = JournalingHooks::new(shared, &mut g.poc, &open.outcome, &open.original);
-        let result = execute_transition(&topo, &tm, constraint, &cfg, plan, &mut hooks);
-        let crashed = hooks.crashed;
-        if let Some(p) = crashed {
-            return Err(p);
-        }
-        if let Ok(report) = result {
-            match report.outcome {
-                TransitionOutcome::Committed => {
-                    if journal_event(shared, JournalEvent::TransitionCommitted)?.is_some() {
-                        return Ok(()); // journal refusing; next restart retries
-                    }
-                    g.poc.commit_transition(open.outcome);
-                    let mut summary = summarize(&report, open.original.len(), true);
-                    summary.steps_applied += open.steps_replayed as u64;
-                    g.last_transition = Some(summary);
-                    poc_obs::counter!("transition.recovered.resumed").inc();
-                    return Ok(());
-                }
-                // The hook journaled the abort and restored the original.
-                TransitionOutcome::ForceRestored => {
-                    let mut summary = summarize(&report, open.original.len(), true);
-                    summary.steps_applied += open.steps_replayed as u64;
-                    g.last_transition = Some(summary);
-                    poc_obs::counter!("transition.recovered.rolled_back").inc();
-                    return Ok(());
-                }
-                // Walked back to the mid-state; fall through to the
-                // explicit rollback below.
-                TransitionOutcome::RolledBack => {}
-            }
-        }
-    }
-
-    // Rollback: walk from wherever we are back to the pre-transition set.
-    let current =
-        g.poc.installed_links().cloned().unwrap_or_else(|| LinkSet::empty(topo.n_links()));
-    let unbounded = PlanConfig::default();
-    if let Ok(plan) = plan_transition(&topo, &tm, constraint, &current, &open.original, &unbounded)
-    {
-        let mut hooks = JournalingHooks::new(shared, &mut g.poc, &open.outcome, &open.original);
-        let result = execute_transition(&topo, &tm, constraint, &unbounded, plan, &mut hooks);
-        let crashed = hooks.crashed;
-        if let Some(p) = crashed {
-            return Err(p);
-        }
-        if let Ok(report) = result {
-            if matches!(
-                report.outcome,
-                TransitionOutcome::Committed | TransitionOutcome::ForceRestored
-            ) {
-                if report.outcome == TransitionOutcome::Committed
-                    && journal_event(shared, JournalEvent::TransitionAborted)?.is_some()
-                {
-                    return Ok(());
-                }
-                g.last_transition = Some(TransitionSummary {
-                    outcome: "rolled_back".into(),
-                    steps_applied: (open.steps_replayed + report.steps_applied) as u64,
-                    replans: report.replans,
-                    rollbacks: 1,
-                    n_from_links: open.original.len(),
-                    n_final_links: open.original.len(),
-                    recovered: true,
-                });
-                poc_obs::counter!("transition.recovered.rolled_back").inc();
-                return Ok(());
-            }
-        }
-    }
-
-    // Last resort: close the transaction and restore atomically.
-    if journal_event(shared, JournalEvent::TransitionAborted)?.is_some() {
-        return Ok(());
-    }
-    g.poc.force_install(&open.original);
-    g.last_transition = Some(TransitionSummary {
-        outcome: "force_restored".into(),
-        steps_applied: open.steps_replayed as u64,
-        replans: 0,
-        rollbacks: 1,
-        n_from_links: open.original.len(),
-        n_final_links: open.original.len(),
-        recovered: true,
-    });
-    poc_obs::counter!("transition.recovered.forced").inc();
-    Ok(())
+    let OpenTransition { outcome, original, max_extra_links, steps_replayed } = open;
+    let cfg = PlanConfig { max_extra_links, ..PlanConfig::default() };
+    let start = Start::Recovered { steps_replayed };
+    walk_and_close(shared, &mut g, outcome, &original, &cfg, start).map(|_response| ())
 }

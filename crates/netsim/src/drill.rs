@@ -241,7 +241,6 @@ struct DrillHooks<'a> {
     delivered_cuts: HashSet<LinkId>,
     unsafe_intermediates: usize,
     dead_link_reappearances: usize,
-    force_restored: Option<LinkSet>,
 }
 
 impl TransitionHooks for DrillHooks<'_> {
@@ -273,11 +272,6 @@ impl TransitionHooks for DrillHooks<'_> {
             }
         }
         evs
-    }
-
-    fn force_restore(&mut self, links: &LinkSet) -> Result<(), String> {
-        self.force_restored = Some(links.clone());
-        Ok(())
     }
 }
 
@@ -327,12 +321,10 @@ pub fn run_transition_drill(
         delivered_cuts: HashSet::new(),
         unsafe_intermediates: 0,
         dead_link_reappearances: 0,
-        force_restored: None,
     };
     let report = execute_transition(topo, tm, constraint, &cfg, plan, &mut hooks)
         .map_err(|e| TransitionDrillError::Exec(e.to_string()))?;
 
-    let final_state = hooks.force_restored.clone().unwrap_or_else(|| report.final_state.clone());
     Ok(TransitionDrillReport {
         outcome: report.outcome,
         steps_applied: report.steps_applied,
@@ -342,7 +334,7 @@ pub fn run_transition_drill(
         recalled_links,
         unsafe_intermediates: hooks.unsafe_intermediates,
         dead_link_reappearances: hooks.dead_link_reappearances,
-        final_state,
+        final_state: report.final_state,
     })
 }
 

@@ -17,7 +17,8 @@
 //!   and the [`counter!`] / [`histogram!`] / [`span!`] macros cache the
 //!   resolved handle in a per-call-site static. The parallel Clarke-pivot
 //!   path therefore pays a few relaxed atomic ops per record and nothing
-//!   else — bounded by the `pivot_parallel` bench.
+//!   else — `poc-bench`'s `trace_overhead` test holds a traced round
+//!   within 5 % of an untraced one.
 //! * **One global registry.** Library crates record into
 //!   [`global()`]; it can be flipped into no-op mode with
 //!   [`MetricsRegistry::set_enabled`]`(false)`. Isolated registries

@@ -14,6 +14,13 @@
 //! executor plans a rollback to the original set, and as a last resort
 //! force-restores it atomically.
 //!
+//! The original set — where an unwind ends — is an input of that one
+//! loop, and there are two ways in: [`execute_transition`] walks a plan
+//! from its first step, so the original is `plan.from`;
+//! [`resume_transition`] picks up a walk part-way (a control plane that
+//! recovered a mid-walk lease book from its journal), where the caller
+//! names the set the walk began on and the executor plans the rest.
+//!
 //! Application order is strictly the plan's canonical linearization:
 //! every step goes through [`TransitionHooks::apply_step`] so a control
 //! plane can journal it durably *before* mutating the lease book —
@@ -101,7 +108,8 @@ pub trait TransitionHooks {
     }
 
     /// Last-resort atomic restore when not even rollback has a safe step
-    /// order.
+    /// order. `links` is the set the walk began on, less any link an
+    /// event took out of it; the report's `final_state` is the same set.
     fn force_restore(&mut self, links: &LinkSet) -> Result<(), String> {
         let _ = links;
         Ok(())
@@ -112,8 +120,9 @@ pub trait TransitionHooks {
 /// executor stops chasing the target and unwinds instead.
 const MAX_REPLANS: u32 = 8;
 
-/// Run `plan`, applying each step through `hooks`. See the module docs
-/// for the replan/rollback state machine.
+/// Run `plan`, applying each step through `hooks`: a walk that starts on
+/// `plan.from`, so that is also the set it unwinds to. See the module
+/// docs for the replan/rollback state machine.
 pub fn execute_transition(
     topo: &PocTopology,
     tm: &TrafficMatrix,
@@ -122,20 +131,95 @@ pub fn execute_transition(
     plan: TransitionPlan,
     hooks: &mut dyn TransitionHooks,
 ) -> Result<TransitionReport, ExecError> {
+    let (current, target, original) = (plan.from.clone(), plan.to.clone(), plan.from.clone());
+    run_walk(topo, tm, constraint, cfg, current, target, original, Some(plan), hooks)
+}
+
+/// Pick up a walk that is already under way: the fabric is on `current`,
+/// part-way from `original` to `target`. The executor plans the rest
+/// itself, and whatever stops it reaching `target` unwinds to `original`
+/// — the set the walk began on, which only the caller knows — not to
+/// the mid-state it was resumed from.
+#[allow(clippy::too_many_arguments)]
+pub fn resume_transition(
+    topo: &PocTopology,
+    tm: &TrafficMatrix,
+    constraint: Constraint,
+    cfg: &PlanConfig,
+    current: LinkSet,
+    target: LinkSet,
+    original: LinkSet,
+    hooks: &mut dyn TransitionHooks,
+) -> Result<TransitionReport, ExecError> {
+    run_walk(topo, tm, constraint, cfg, current, target, original, None, hooks)
+}
+
+/// The one loop behind both entries. The fabric is on `current`, heading
+/// for `target` (which becomes `original` once the walk unwinds);
+/// `original` is where an unwind ends and what
+/// [`TransitionHooks::force_restore`] receives. Events edit all three.
+/// `plan` is the caller's plan for `current → target` when it has one;
+/// every other plan is made at the head of the loop.
+#[allow(clippy::too_many_arguments)]
+fn run_walk(
+    topo: &PocTopology,
+    tm: &TrafficMatrix,
+    constraint: Constraint,
+    cfg: &PlanConfig,
+    mut current: LinkSet,
+    mut target: LinkSet,
+    mut original: LinkSet,
+    mut plan: Option<TransitionPlan>,
+    hooks: &mut dyn TransitionHooks,
+) -> Result<TransitionReport, ExecError> {
     let _span = poc_obs::span!("transition.run");
-    let mut original = plan.from.clone();
-    let mut target = plan.to.clone();
-    let mut current = plan.from.clone();
-    let mut plan = plan;
     let mut steps_applied = 0usize;
     let mut replans = 0u32;
     let mut rollbacks = 0u32;
-    let mut rolling_back = false;
+    // `replans` when the walk turned back, once it has. The unwind gets
+    // the one plan made at that count: if that plan goes stale too, only
+    // the atomic restore is left.
+    let mut unwinding_since: Option<u32> = None;
 
     'replan: loop {
+        let plan = loop {
+            if let Some(p) = plan.take() {
+                break p;
+            }
+            let may_plan = match unwinding_since {
+                None => replans <= MAX_REPLANS,
+                Some(at) => at == replans,
+            };
+            if may_plan {
+                if let Ok(p) = plan_transition(topo, tm, constraint, &current, &target, cfg) {
+                    break p;
+                }
+            }
+            if unwinding_since.is_some() {
+                // Not even the unwind has a safe order (or it drifted):
+                // restore atomically.
+                hooks
+                    .force_restore(&original)
+                    .map_err(|reason| ExecError::Hook { step: steps_applied, reason })?;
+                poc_obs::counter!("transition.steps").inc();
+                return Ok(TransitionReport {
+                    outcome: TransitionOutcome::ForceRestored,
+                    steps_applied,
+                    replans,
+                    rollbacks,
+                    final_state: original,
+                });
+            }
+            // No safe way forward: unwind to the original set.
+            unwinding_since = Some(replans);
+            rollbacks += 1;
+            poc_obs::counter!("transition.rollbacks").inc();
+            target = original.clone();
+        };
+
         // Every plan, the caller's and each replan's, is re-verified from
         // the head of its own witness chain. A target that no longer
-        // passes verifies nothing, and the replan below reports it.
+        // passes verifies nothing, and the replan above reports it.
         let oracle = seeded_oracle(topo, tm, constraint, &plan.from, &plan.to).ok();
         let states = plan.states();
         for round in plan.rounds() {
@@ -156,36 +240,7 @@ pub fn execute_transition(
             if drifted || !verified {
                 replans += 1;
                 poc_obs::counter!("transition.replans").inc();
-                if replans <= MAX_REPLANS && !rolling_back {
-                    if let Ok(p) = plan_transition(topo, tm, constraint, &current, &target, cfg) {
-                        plan = p;
-                        continue 'replan;
-                    }
-                }
-                // No safe way forward: unwind to the original set.
-                if !rolling_back {
-                    rolling_back = true;
-                    rollbacks += 1;
-                    poc_obs::counter!("transition.rollbacks").inc();
-                    target = original.clone();
-                    if let Ok(p) = plan_transition(topo, tm, constraint, &current, &target, cfg) {
-                        plan = p;
-                        continue 'replan;
-                    }
-                }
-                // Not even rollback has a safe order (or rollback itself
-                // drifted): restore atomically.
-                hooks
-                    .force_restore(&target)
-                    .map_err(|reason| ExecError::Hook { step: steps_applied, reason })?;
-                poc_obs::counter!("transition.steps").inc();
-                return Ok(TransitionReport {
-                    outcome: TransitionOutcome::ForceRestored,
-                    steps_applied,
-                    replans,
-                    rollbacks,
-                    final_state: target,
-                });
+                continue 'replan;
             }
 
             // 3. Apply the round in canonical order, one journaled step at
@@ -203,7 +258,7 @@ pub fn execute_transition(
             }
         }
         return Ok(TransitionReport {
-            outcome: if rolling_back {
+            outcome: if unwinding_since.is_some() {
                 TransitionOutcome::RolledBack
             } else {
                 TransitionOutcome::Committed
@@ -448,6 +503,77 @@ mod tests {
         for s in &rec.states {
             assert!(cold.acceptable(s));
         }
+    }
+
+    /// A walk resumed one step in: `original` is where it began,
+    /// `current` the state after the plan's first step. Returns
+    /// `(original, current, target)` and a target link not yet live, whose
+    /// cut leaves the (minimal) target unable to route.
+    fn resumed_one_step_in(
+        t: &PocTopology,
+        tm: &TrafficMatrix,
+        c: Constraint,
+    ) -> (LinkSet, LinkSet, LinkSet, LinkId) {
+        let (original, target) = two_minimal_sets(t, tm, c);
+        let plan = plan_transition(t, tm, c, &original, &target, &PlanConfig::default()).unwrap();
+        let current = plan.states()[0].clone();
+        assert_ne!(current, original);
+        let cut = target.difference(&current).iter().next().expect("a target link not yet live");
+        assert!(!original.contains(cut));
+        (original, current, target, cut)
+    }
+
+    /// Resume `current → target` with `cut` delivered at the first poll.
+    fn resume_into_a_cut(
+        t: &PocTopology,
+        tm: &TrafficMatrix,
+        (original, current, target, cut): (&LinkSet, &LinkSet, &LinkSet, LinkId),
+    ) -> (TransitionReport, Recorder) {
+        let mut rec = Recorder::default();
+        rec.events_at_poll.insert(0, vec![TransitionEvent::LinkCut(cut)]);
+        let (cfg, c) = (PlanConfig::default(), Constraint::BaseLoad);
+        let (current, target, original) = (current.clone(), target.clone(), original.clone());
+        let report =
+            resume_transition(t, tm, c, &cfg, current, target, original, &mut rec).unwrap();
+        (report, rec)
+    }
+
+    #[test]
+    fn resumed_walk_unwinds_to_the_original_set_not_to_where_it_resumed() {
+        let t = two_bp_square();
+        let tm = tm_for(&t);
+        let (original, current, target, cut) = resumed_one_step_in(&t, &tm, Constraint::BaseLoad);
+        let (report, rec) = resume_into_a_cut(&t, &tm, (&original, &current, &target, cut));
+        assert_eq!(report.outcome, TransitionOutcome::RolledBack);
+        assert_eq!((report.replans, report.rollbacks), (1, 1));
+        assert_eq!(report.final_state, original, "unwound to the set the walk began on");
+        // The unwind is the steps from `current` back, each one verified.
+        let undo: Vec<LinkId> = rec.applied.iter().map(|(_, op)| op.link()).collect();
+        assert_eq!(undo, current.difference(&original).iter().collect::<Vec<_>>());
+        assert!(rec.applied.iter().all(|(_, op)| !op.is_add()));
+        assert_eq!(rec.states.last(), Some(&original));
+        assert_eq!(rec.restored, None, "a stepwise unwind needs no atomic restore");
+    }
+
+    #[test]
+    fn force_restore_receives_the_original_set_when_no_unwind_order_exists() {
+        let t = two_bp_square();
+        let tm = tm_for(&t);
+        let c = Constraint::BaseLoad;
+        let (mut original, mut current, target, cut) = resumed_one_step_in(&t, &tm, c);
+        // The walk began on a degraded set: a link the target drops was
+        // already gone, so the original cannot route and nothing can end
+        // on it step by step.
+        let gone = original.difference(&target).iter().next().unwrap();
+        original.remove(gone);
+        current.remove(gone);
+        assert!(!FeasibilityOracle::new(&t, &tm, c).acceptable(&original));
+        let (report, rec) = resume_into_a_cut(&t, &tm, (&original, &current, &target, cut));
+        assert_eq!(report.outcome, TransitionOutcome::ForceRestored);
+        assert_eq!((report.steps_applied, report.rollbacks), (0, 1));
+        assert_ne!(original, current);
+        assert_eq!(rec.restored.as_ref(), Some(&original), "the original, not the mid-state");
+        assert_eq!(report.final_state, original);
     }
 
     #[test]

@@ -20,10 +20,12 @@
 //!   round's states in plan order on an oracle seeded exactly as the
 //!   planner's was ([`plan::seeded_oracle`]), and applying each step
 //!   through [`exec::TransitionHooks`] so a controller can journal it
-//!   durably before touching the lease book. Mid-flight events — link cuts, BP recalls — trigger a replan
-//!   toward the (possibly shrunken) target; when no safe forward plan
-//!   remains, the executor plans a rollback to the original set, and as a
-//!   last resort force-restores it atomically.
+//!   durably before touching the lease book. Mid-flight events — link
+//!   cuts, BP recalls — trigger a replan toward the (possibly shrunken)
+//!   target; when no safe forward plan remains, the executor plans a
+//!   rollback to the original set, and as a last resort force-restores
+//!   it atomically. [`exec::resume_transition`] enters the same loop
+//!   part-way through a walk, with the set it began on as an argument.
 //!
 //! The control plane (`poc-ctrlplane`) journals every step as its own
 //! record, so a controller killed at any crash point recovers into
@@ -34,8 +36,8 @@ pub mod exec;
 pub mod plan;
 
 pub use exec::{
-    execute_transition, ExecError, TransitionEvent, TransitionHooks, TransitionOutcome,
-    TransitionReport,
+    execute_transition, resume_transition, ExecError, TransitionEvent, TransitionHooks,
+    TransitionOutcome, TransitionReport,
 };
 pub use plan::{
     plan_transition, seeded_oracle, PlanConfig, TransitionError, TransitionOp, TransitionPlan,

@@ -107,6 +107,50 @@ fn two_bp_square_walks_replay_the_planners_chain_at_every_constraint() {
     }
 }
 
+/// The two entries are one loop: resumed from a plan's own start, the
+/// executor plans what the caller of `execute_transition` planned and
+/// applies the identical steps through the identical states.
+#[test]
+fn resuming_from_a_plans_start_applies_the_plans_own_steps_at_every_constraint() {
+    let topo = two_bp_square();
+    let mut tm = TrafficMatrix::zero(topo.n_routers());
+    tm.set(RouterId(0), RouterId(1), 10.0);
+    tm.set(RouterId(2), RouterId(3), 10.0);
+    let cfg = PlanConfig::default();
+    for c in Constraint::paper_suite(1) {
+        let a = minimal_set(&topo, &tm, c, 0..topo.n_links());
+        let b = minimal_set(&topo, &tm, c, (0..topo.n_links()).rev());
+        let plan = plan_transition(&topo, &tm, c, &a, &b, &cfg).expect("plannable");
+        assert!(!plan.is_noop(), "nothing to migrate at {}", c.label());
+
+        let mut executed = Applied::default();
+        let ran = execute_transition(&topo, &tm, c, &cfg, plan.clone(), &mut executed).unwrap();
+        let mut resumed = Applied::default();
+        let (from, to) = (plan.from.clone(), plan.to.clone());
+        let res = poc_transition::resume_transition(
+            &topo,
+            &tm,
+            c,
+            &cfg,
+            from.clone(),
+            to,
+            from,
+            &mut resumed,
+        )
+        .unwrap();
+
+        assert_eq!(resumed.ops, executed.ops, "{}", c.label());
+        assert_eq!(resumed.states, executed.states, "{}", c.label());
+        assert_eq!(res.outcome, TransitionOutcome::Committed, "{}", c.label());
+        assert_eq!(
+            (res.steps_applied, res.replans, res.rollbacks, &res.final_state),
+            (ran.steps_applied, ran.replans, ran.rollbacks, &ran.final_state),
+            "{}",
+            c.label()
+        );
+    }
+}
+
 const BASE: Constraint = Constraint::BaseLoad;
 
 /// The benchmark's `zoo10` instance: 40 cities, 10 BPs, 6 000 Gbit/s.

@@ -32,7 +32,7 @@ fn main() {
     println!("replicas at {:?}", replicas);
     for client_idx in [1usize, n / 2 + 1, n - 2] {
         let client = RouterId::from_index(client_idx);
-        match group.resolve(&topo, &fabric, client).expect("fabric tables are sound") {
+        match group.resolve(&topo, &fabric, client) {
             Some((replica, path)) => {
                 let km: f64 = path.iter().map(|&l| topo.link(l).distance_km).sum();
                 println!("  client {client} → replica {replica} ({} hops, {km:.0} km)", path.len());
@@ -45,11 +45,10 @@ fn main() {
     println!("\n=== Multicast: distribution-tree savings ===");
     let source = RouterId(0);
     let subscribers: Vec<RouterId> = (1..n).map(RouterId::from_index).collect();
-    let tree =
-        MulticastTree::build(&fabric, source, &subscribers).expect("fabric tables are sound");
+    let tree = MulticastTree::build(&fabric, source, &subscribers);
     let rate = 5.0;
     let mc = tree.bandwidth_gbps(rate);
-    let uc = tree.unicast_bandwidth_gbps(&fabric, rate).expect("fabric tables are sound");
+    let uc = tree.unicast_bandwidth_gbps(&fabric, rate);
     println!(
         "source {source} → {} subscribers at {rate} Gbps:\n  multicast tree: {} links, {mc:.0} Gbps fabric load\n  unicast copies: {uc:.0} Gbps fabric load\n  saving: {:.0}%",
         subscribers.len(),
