@@ -3,16 +3,12 @@
 //! Every socket operation runs under a deadline ([`ClientConfig`]): a
 //! dead or wedged controller surfaces as [`ClientError::TimedOut`]
 //! instead of parking the caller forever. Idempotent requests
-//! (`Ping`/`Get*`/`Metrics` — see [`Request::is_idempotent`]) are
+//! (`Ping`/`Get*`/`Metrics` — see `Request::is_idempotent`) are
 //! additionally retried through an automatic reconnect loop with capped
 //! exponential backoff and deterministic jitter ([`RetryPolicy`]);
 //! mutating requests (`RunAuction`, `ReportUsage`, ...) are never
 //! replayed after a *transport* failure, because a lost response leaves
-//! the mutation ambiguous. A [`crate::proto::Response::Busy`] answer is
-//! different: the server sheds the request at admission, before
-//! journaling or applying anything, so the client retries it for every
-//! request type — mutations included — honouring the server's
-//! `retry_after_ms` hint.
+//! the mutation ambiguous.
 
 use crate::codec::{read_frame, write_frame, CodecError};
 use crate::proto::{AttachRole, BillingSummaryWire, LeaseWire, OutcomeSummary, Request, Response};
@@ -34,26 +30,16 @@ pub enum ClientError {
     /// A connect/read/write deadline expired (and, for idempotent
     /// requests, every retry budgeted by the [`RetryPolicy`] was spent).
     TimedOut,
-    /// The server shed this request at admission (`Response::Busy`) and
-    /// every budgeted retry met the same answer. Nothing was journaled
-    /// or applied server-side, so resending later is always safe.
-    Busy {
-        retry_after_ms: u64,
-    },
 }
 
 impl ClientError {
     /// Transport-level failure: a reconnect may succeed where this
     /// attempt failed. `Server` and `Protocol` answers are *from* the
     /// controller — retrying would re-ask a question that was answered.
-    /// `Busy` is retryable too, but handled separately in [`PocClient`]:
-    /// it is safe to resend even for mutations (the server rejected it
-    /// before journaling) and needs no reconnect.
     fn is_retryable(&self) -> bool {
         match self {
             ClientError::Codec(c) => c.is_transport(),
             ClientError::TimedOut => true,
-            ClientError::Busy { .. } => true,
             ClientError::Server(_) | ClientError::Protocol(_) => false,
         }
     }
@@ -66,9 +52,6 @@ impl std::fmt::Display for ClientError {
             ClientError::Server(m) => write!(f, "server error: {m}"),
             ClientError::Protocol(m) => write!(f, "protocol violation: {m}"),
             ClientError::TimedOut => write!(f, "deadline expired"),
-            ClientError::Busy { retry_after_ms } => {
-                write!(f, "server busy (retry after {retry_after_ms} ms)")
-            }
         }
     }
 }
@@ -206,20 +189,6 @@ impl PocClient {
         loop {
             match self.call_once(&req) {
                 Ok(resp) => return Ok(resp),
-                // Admission backpressure: the server rejected the
-                // request *before* journaling or applying anything, so
-                // a resend is safe even for mutations. The connection
-                // is fine — no reconnect, just wait out the hint (or
-                // the backoff, whichever is longer).
-                Err(ClientError::Busy { retry_after_ms })
-                    if attempt < self.config.retry.max_retries =>
-                {
-                    attempt += 1;
-                    poc_obs::counter!("ctrl.client.busy").inc();
-                    std::thread::sleep(
-                        self.backoff(attempt).max(Duration::from_millis(retry_after_ms)),
-                    );
-                }
                 Err(e)
                     if e.is_retryable()
                         && req.is_idempotent()
@@ -254,7 +223,6 @@ impl PocClient {
         let resp: Response = read_frame(&mut self.reader)?;
         match resp {
             Response::Error { message } => Err(ClientError::Server(message)),
-            Response::Busy { retry_after_ms } => Err(ClientError::Busy { retry_after_ms }),
             other => Ok(other),
         }
     }
@@ -299,10 +267,10 @@ impl PocClient {
         }
     }
 
-    /// Report usage for many entities in one pipelined burst — the shape a
-    /// data-plane meter produces (one number per owner per period). Stops
-    /// at the first failure; earlier reports stay applied, matching the
-    /// server's per-request semantics.
+    /// Report usage for many entities, one request/reply at a time — the
+    /// shape a data-plane meter produces (one number per owner per
+    /// period). Stops at the first failure; earlier reports stay applied,
+    /// matching the server's per-request semantics.
     pub fn report_usage_batch(&mut self, usage: &[(EntityId, f64)]) -> Result<(), ClientError> {
         for &(entity, gbps) in usage {
             self.report_usage(entity, gbps)?;
@@ -469,7 +437,6 @@ mod tests {
     #[test]
     fn retryable_partition() {
         assert!(ClientError::TimedOut.is_retryable());
-        assert!(ClientError::Busy { retry_after_ms: 5 }.is_retryable());
         assert!(ClientError::Codec(CodecError::Closed).is_retryable());
         assert!(ClientError::Codec(CodecError::Io(std::io::Error::other("reset"))).is_retryable());
         assert!(!ClientError::Server("at capacity".into()).is_retryable());

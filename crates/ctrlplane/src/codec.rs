@@ -12,7 +12,7 @@ use std::io::{Read, Write};
 
 /// Maximum accepted frame payload (1 MiB — control-plane messages are
 /// small; anything bigger is a protocol error).
-pub const MAX_FRAME: u32 = 1 << 20;
+pub(crate) const MAX_FRAME: u32 = 1 << 20;
 
 /// Framing/serialization errors.
 #[derive(Debug)]
@@ -32,7 +32,7 @@ impl CodecError {
     /// Transport-level failure (as opposed to a malformed message): the
     /// peer or the network is at fault and a fresh connection may
     /// succeed. This is the client retry layer's "retryable" predicate.
-    pub fn is_transport(&self) -> bool {
+    pub(crate) fn is_transport(&self) -> bool {
         matches!(self, CodecError::Io(_) | CodecError::Closed | CodecError::TimedOut)
     }
 }
@@ -54,7 +54,7 @@ impl std::error::Error for CodecError {}
 /// `true` for the error kinds a socket read/write deadline surfaces as
 /// (`SO_RCVTIMEO`/`SO_SNDTIMEO` report `WouldBlock` on Unix, `TimedOut`
 /// on Windows).
-pub fn is_io_timeout(e: &std::io::Error) -> bool {
+pub(crate) fn is_io_timeout(e: &std::io::Error) -> bool {
     matches!(e.kind(), std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut)
 }
 

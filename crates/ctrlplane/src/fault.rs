@@ -15,8 +15,8 @@
 //!   waits on bytes that never come);
 //! * [`Fault::GarbagePayload`] — valid prefix, scrambled payload (JSON
 //!   parse failure server-side);
-//! * [`Fault::OversizedPrefix`] — a length prefix over
-//!   [`crate::codec::MAX_FRAME`] (protocol violation, connection-fatal);
+//! * [`Fault::OversizedPrefix`] — a length prefix over the codec's
+//!   1 MiB frame cap (protocol violation, connection-fatal);
 //! * [`Fault::Drop`] — swallow the frame and fail with `BrokenPipe`
 //!   (connection torn down mid-request).
 //!

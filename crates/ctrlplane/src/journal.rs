@@ -13,9 +13,9 @@
 //! [u32 payload length, BE][u32 CRC-32 of payload, BE][payload JSON]
 //! ```
 //!
-//! The payload is one [`JournalRecord`] (sequence number + event)
+//! The payload is one `JournalRecord` (sequence number + event)
 //! serialized through the in-tree serde shims. The CRC detects torn or
-//! bit-rotted tails: [`scan`] reads records until the first frame that
+//! bit-rotted tails: `scan` reads records until the first frame that
 //! is truncated, oversized, CRC-mismatched, or unparsable, and reports
 //! the byte offset of the last *valid* record so recovery can truncate
 //! the tail and keep appending. A torn tail is an expected artifact of
@@ -85,10 +85,10 @@ use std::time::{Duration, Instant};
 
 /// Hard cap on one journal record's payload (mirrors the wire codec's
 /// frame cap; a larger length prefix means a corrupt header).
-pub const MAX_RECORD: u32 = 1 << 20;
+pub(crate) const MAX_RECORD: u32 = 1 << 20;
 
 /// Bytes of framing overhead per record (length + CRC).
-pub const RECORD_HEADER: usize = 8;
+pub(crate) const RECORD_HEADER: usize = 8;
 
 // ---------------------------------------------------------------------------
 // CRC-32 (IEEE 802.3), table-driven, computed at compile time.
@@ -111,7 +111,7 @@ const CRC_TABLE: [u32; 256] = {
 };
 
 /// CRC-32 (IEEE) of `bytes`.
-pub fn crc32(bytes: &[u8]) -> u32 {
+pub(crate) fn crc32(bytes: &[u8]) -> u32 {
     let mut c = 0xFFFF_FFFFu32;
     for &b in bytes {
         c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
@@ -177,7 +177,7 @@ impl JournalEvent {
     /// (never journaled) and for `BeginTransition`, which journals a
     /// transaction of `Transition*` records of its own
     /// (`crate::transition`).
-    pub fn from_request(request: crate::proto::Request) -> Option<Self> {
+    pub(crate) fn from_request(request: crate::proto::Request) -> Option<Self> {
         use crate::proto::Request;
         match request {
             Request::Attach { name, role } => Some(JournalEvent::Attach { name, role }),
@@ -228,7 +228,7 @@ impl JournalEvent {
 /// folded into a snapshot (crash after snapshot-rename but before
 /// journal truncation must not apply them twice).
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct JournalRecord {
+pub(crate) struct JournalRecord {
     pub seq: u64,
     pub event: JournalEvent,
 }
@@ -349,7 +349,7 @@ impl CrashSwitch {
 
     /// True (and disarms) iff the switch is armed at exactly `point`
     /// and its skip count has run out; earlier passes count down.
-    pub fn fire_if(&self, point: CrashPoint) -> bool {
+    pub(crate) fn fire_if(&self, point: CrashPoint) -> bool {
         let mut armed = self.armed.lock().unwrap();
         match *armed {
             Some((p, 0)) if p == point => {
@@ -398,7 +398,7 @@ impl FsyncFault {
 #[derive(Debug)]
 pub enum JournalError {
     Io(std::io::Error),
-    /// A record would exceed [`MAX_RECORD`].
+    /// A record would exceed the 1 MiB record cap.
     RecordTooLarge(usize),
     /// An armed [`CrashPoint`] fired: the simulated process is dead and
     /// the server must stop without replying.
@@ -444,7 +444,7 @@ impl From<std::io::Error> for JournalError {
 
 /// Result of scanning a journal file.
 #[derive(Debug)]
-pub struct ScanResult {
+pub(crate) struct ScanResult {
     /// Every valid record, in append order.
     pub records: Vec<JournalRecord>,
     /// Byte length of the valid prefix; anything beyond is a torn or
@@ -457,7 +457,7 @@ pub struct ScanResult {
 /// Scan `path`, accepting the longest valid prefix of records. A
 /// missing file scans as empty. Corruption never fails the scan — it
 /// ends it: a crash tears tails, and a torn tail is recoverable state.
-pub fn scan(path: &Path) -> std::io::Result<ScanResult> {
+pub(crate) fn scan(path: &Path) -> std::io::Result<ScanResult> {
     let bytes = match std::fs::read(path) {
         Ok(b) => b,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
@@ -708,7 +708,7 @@ impl GroupJournal {
     }
 
     /// Sequence number the next appended record will get.
-    pub fn next_seq(&self) -> u64 {
+    pub(crate) fn next_seq(&self) -> u64 {
         relock(self.appender.lock()).next_seq
     }
 
@@ -877,7 +877,7 @@ impl GroupJournal {
     /// Force a sync now (shutdown barrier, or an explicit test
     /// barrier). Single-caller semantics: runs outside the leader
     /// protocol but under both locks, so it composes with it.
-    pub fn sync(&self) -> std::io::Result<()> {
+    pub(crate) fn sync(&self) -> std::io::Result<()> {
         let mut ap = relock(self.appender.lock());
         ap.writer.sync()?;
         let mut c = relock(self.commit.lock());
@@ -895,7 +895,7 @@ impl GroupJournal {
     /// Truncate after a checkpoint folded every record into a durable
     /// snapshot. Callers must guarantee no append is in flight (the
     /// server holds every state lock across a checkpoint).
-    pub fn truncate_to_empty(&self) -> std::io::Result<()> {
+    pub(crate) fn truncate_to_empty(&self) -> std::io::Result<()> {
         let mut ap = relock(self.appender.lock());
         ap.writer.truncate_to_empty()?;
         let mut c = relock(self.commit.lock());

@@ -22,11 +22,12 @@
 //!
 //! * [`proto`] — the wire messages;
 //! * [`codec`] — length-prefixed framing over any `Read`/`Write`;
-//! * [`server`] — the POC controller: sharded accept loops feeding a
-//!   bounded worker pool behind an admission gate (typed
-//!   `Response::Busy` backpressure), usage state sharded by entity so
-//!   concurrent reports proceed in parallel, and durable mutations
-//!   group-committed so K concurrent fsyncs coalesce into one;
+//! * [`server`] — the POC controller: one accept loop feeding a thread
+//!   per connection up to the connection cap (the one bound on
+//!   concurrent work), usage state sharded by entity — one shard per
+//!   admissible connection — so concurrent reports proceed in parallel,
+//!   and durable mutations group-committed so K concurrent fsyncs
+//!   coalesce into one;
 //! * [`client`] — a typed blocking client with deadlines and retry;
 //! * [`fault`] — test-only fault injection (frame truncation, garbage,
 //!   oversized prefixes, drops, delays);

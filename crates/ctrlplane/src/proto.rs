@@ -83,35 +83,11 @@ pub enum Request {
 }
 
 impl Request {
-    /// Stable variant label, used as the per-request latency metric
-    /// suffix (`ctrl.request.<name>`).
-    pub fn name(&self) -> &'static str {
-        match self {
-            Request::Attach { .. } => "attach",
-            Request::Ping => "ping",
-            Request::RunAuction => "run_auction",
-            Request::GetOutcome => "get_outcome",
-            Request::RunBilling => "run_billing",
-            Request::ReportUsage { .. } => "report_usage",
-            Request::GetBalance { .. } => "get_balance",
-            Request::ReviewPolicy { .. } => "review_policy",
-            Request::GetPath { .. } => "get_path",
-            Request::RecallLink { .. } => "recall_link",
-            Request::GetLeases => "get_leases",
-            Request::Metrics => "metrics",
-            Request::GetRecovery => "get_recovery",
-            Request::BeginTransition { .. } => "begin_transition",
-            Request::TransitionStatus => "transition_status",
-            // The envelope is invisible in metrics: a traced RunAuction
-            // is still a RunAuction.
-            Request::Traced { request, .. } => request.name(),
-            Request::Trace { .. } => "trace",
-        }
-    }
-
-    /// The per-request latency histogram name (`ctrl.request.<name>`),
+    /// The per-request latency histogram name (`ctrl.request.<variant>`),
     /// as a static string so it can also name the request's root span.
-    pub fn metric_name(&self) -> &'static str {
+    /// The trace envelope is invisible here: a traced `RunAuction` is
+    /// still a `RunAuction`.
+    pub(crate) fn metric_name(&self) -> &'static str {
         match self {
             Request::Attach { .. } => "ctrl.request.attach",
             Request::Ping => "ctrl.request.ping",
@@ -139,7 +115,7 @@ impl Request {
     /// `Attach`, `ReportUsage`, or `RecallLink` leaves the server's state
     /// ambiguous (the mutation may have been applied), so those surface
     /// the error to the caller instead.
-    pub fn is_idempotent(&self) -> bool {
+    pub(crate) fn is_idempotent(&self) -> bool {
         match self {
             // The envelope is transparent to retry policy too: tracing
             // a mutation must not make it replayable.
@@ -247,12 +223,6 @@ pub enum Response {
     Recovery(Option<crate::recovery::RecoveryInfo>),
     /// Recorded trace trees from the controller's flight recorder.
     Traces(Vec<poc_obs::TraceWire>),
-    /// Admission backpressure: the server is over its in-flight request
-    /// budget. Nothing was journaled or applied, so the request — even a
-    /// mutation — is always safe to resend after the hinted delay.
-    Busy {
-        retry_after_ms: u64,
-    },
     Error {
         message: String,
     },
@@ -290,7 +260,7 @@ mod tests {
         let back: Request =
             serde_json::from_slice(&serde_json::to_vec(&Request::Metrics).unwrap()).unwrap();
         assert_eq!(back, Request::Metrics);
-        assert_eq!(Request::Metrics.name(), "metrics");
+        assert_eq!(Request::Metrics.metric_name(), "ctrl.request.metrics");
 
         let reg = poc_obs::MetricsRegistry::new();
         reg.counter("proto.test.count").inc();
@@ -342,13 +312,6 @@ mod tests {
     }
 
     #[test]
-    fn busy_round_trips() {
-        let resp = Response::Busy { retry_after_ms: 5 };
-        let back: Response = serde_json::from_slice(&serde_json::to_vec(&resp).unwrap()).unwrap();
-        assert_eq!(back, resp);
-    }
-
-    #[test]
     fn unknown_variant_fails_cleanly() {
         let err = serde_json::from_str::<Request>("{\"Nonsense\":{}}");
         assert!(err.is_err());
@@ -387,7 +350,6 @@ mod tests {
         let req = Request::BeginTransition { max_extra_links: Some(2), demand_scale: Some(1.5) };
         let back: Request = serde_json::from_slice(&serde_json::to_vec(&req).unwrap()).unwrap();
         assert_eq!(back, req);
-        assert_eq!(req.name(), "begin_transition");
         assert_eq!(req.metric_name(), "ctrl.request.begin_transition");
 
         let summary = TransitionSummary {
@@ -418,7 +380,6 @@ mod tests {
         assert_eq!(back, traced);
         // The envelope is transparent to naming, metrics, and retry
         // policy: a traced RunAuction is a RunAuction.
-        assert_eq!(traced.name(), "run_auction");
         assert_eq!(traced.metric_name(), "ctrl.request.run_auction");
         assert!(!traced.is_idempotent(), "tracing must not make a mutation retryable");
         let traced_read = Request::Traced { trace_id: 7, request: Box::new(Request::Ping) };
@@ -431,7 +392,7 @@ mod tests {
         let back: Request = serde_json::from_slice(&serde_json::to_vec(&req).unwrap()).unwrap();
         assert_eq!(back, req);
         assert!(req.is_idempotent(), "scrapes retry like Metrics");
-        assert_eq!(req.name(), "trace");
+        assert_eq!(req.metric_name(), "ctrl.request.trace");
 
         let resp = Response::Traces(vec![poc_obs::TraceWire {
             trace_id: 9,

@@ -1,12 +1,12 @@
 //! Startup recovery and the durability orchestrator.
 //!
-//! [`Durability`] owns the state directory: one append-only journal
+//! `Durability` owns the state directory: one append-only journal
 //! (`journal.wal`) plus snapshot generations (`snap-*.snap`). The server
-//! funnels every mutating event through [`Durability::record`] *before*
-//! applying it, and periodically calls [`Durability::checkpoint`] to
+//! funnels every mutating event through `Durability::record` *before*
+//! applying it, and periodically calls `Durability::checkpoint` to
 //! fold the journal into a snapshot and truncate it.
 //!
-//! [`Durability::open`] is the recovery path: load the newest valid
+//! `Durability::open` is the recovery path: load the newest valid
 //! snapshot (falling back past torn generations), scan the journal's
 //! valid prefix (truncating a torn tail), and hand back the events that
 //! postdate the snapshot for replay. Records the snapshot already
@@ -24,7 +24,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Journal file name inside the state directory.
-pub const JOURNAL_FILE: &str = "journal.wal";
+const JOURNAL_FILE: &str = "journal.wal";
 
 /// How a server persists its state.
 #[derive(Clone, Debug)]
@@ -66,7 +66,7 @@ pub struct RecoveryInfo {
 
 /// Errors from [`Durability::open`].
 #[derive(Debug)]
-pub enum RecoveryError {
+pub(crate) enum RecoveryError {
     Io(std::io::Error),
     /// The newest valid snapshot was taken against a different topology
     /// than the server is booting with; replay would be nonsense.
@@ -99,7 +99,7 @@ impl From<std::io::Error> for RecoveryError {
 
 /// The result of opening a state directory: the live durability handle
 /// plus everything the server needs to rebuild in-memory state.
-pub struct Recovered {
+pub(crate) struct Recovered {
     pub durability: Durability,
     /// Newest valid snapshot, to restore wholesale before replay.
     pub snapshot: Option<ControllerSnapshot>,
@@ -115,7 +115,7 @@ pub struct Recovered {
 /// demands external exclusion (the server holds every state lock
 /// across it, so no append is in flight when the snapshot seq is
 /// captured).
-pub struct Durability {
+pub(crate) struct Durability {
     dir: PathBuf,
     journal: GroupJournal,
     crash: CrashSwitch,
@@ -248,15 +248,10 @@ impl Durability {
     pub fn sync(&self) -> std::io::Result<()> {
         self.journal.sync()
     }
-
-    /// Sequence number the next event will get (tests).
-    pub fn next_seq(&self) -> u64 {
-        self.journal.next_seq()
-    }
 }
 
 /// The journal's path inside a state directory.
-pub fn journal_path(state_dir: &Path) -> PathBuf {
+fn journal_path(state_dir: &Path) -> PathBuf {
     state_dir.join(JOURNAL_FILE)
 }
 
@@ -300,7 +295,7 @@ mod tests {
                 skipped_snapshots: 0,
             }
         );
-        assert_eq!(r.durability.next_seq(), 1);
+        assert_eq!(r.durability.record(JournalEvent::RunAuction).unwrap(), 1);
     }
 
     #[test]
@@ -318,7 +313,8 @@ mod tests {
         assert_eq!(r2.replay.len(), 4);
         assert_eq!(r2.replay[3], JournalEvent::RunBilling);
         assert_eq!(r2.info.replayed_records, 4);
-        assert_eq!(r2.durability.next_seq(), 5, "sequence numbers continue past replay");
+        let next = r2.durability.record(JournalEvent::RunAuction).unwrap();
+        assert_eq!(next, 5, "sequence numbers continue past replay");
     }
 
     #[test]
@@ -340,7 +336,7 @@ mod tests {
         assert_eq!(r2.replay[0], JournalEvent::RunBilling);
         assert_eq!(r2.info.snapshot_seq, Some(5));
         assert_eq!(r2.info.skipped_records, 0, "journal was truncated");
-        assert_eq!(r2.durability.next_seq(), 8);
+        assert_eq!(r2.durability.record(JournalEvent::RunAuction).unwrap(), 8);
     }
 
     #[test]
@@ -361,7 +357,7 @@ mod tests {
         assert_eq!(r2.snapshot.as_ref().unwrap().seq, 4);
         assert!(r2.replay.is_empty(), "snapshotted records must not replay (exactly-once)");
         assert_eq!(r2.info.skipped_records, 4);
-        assert_eq!(r2.durability.next_seq(), 5);
+        assert_eq!(r2.durability.record(JournalEvent::RunAuction).unwrap(), 5);
     }
 
     #[test]
@@ -379,7 +375,7 @@ mod tests {
         let r2 = open(&dir);
         assert!(r2.info.torn_tail);
         assert_eq!(r2.replay.len(), 1, "torn record is gone, prefix survives");
-        assert_eq!(r2.durability.next_seq(), 2);
+        assert_eq!(r2.durability.record(JournalEvent::RunAuction).unwrap(), 2);
     }
 
     #[test]

@@ -1,32 +1,31 @@
 //! The POC controller: a TCP server wrapping [`poc_core::Poc`].
 //!
-//! The server core is a sharded, high-fanout pipeline:
+//! The server core is thread-per-connection with one concurrency bound,
+//! `max_connections`:
 //!
-//! * **sharded accept** — `accept_shards` threads block in `accept()`
-//!   on clones of one listener, each feeding a bounded pool of
-//!   connection threads (the kernel load-balances wakeups);
-//! * **admission control** — every request that does real work passes
-//!   an admission gate bounding the number of requests in flight
-//!   (`max_queue`); over the bound the server answers a typed
-//!   [`Response::Busy`] instead of queueing unboundedly
-//!   (`ctrl.admission.*` metrics). Health and observability requests
-//!   (ping, metrics, trace scrapes, recovery info) bypass the gate so
-//!   the controller stays inspectable under overload;
+//! * **one accept loop** — [`PocServer::run`] accepts on the listener,
+//!   enforces the connection cap, and hands each connection its own
+//!   thread. A connection thread reads, handles and answers one request
+//!   at a time, so requests in flight never exceed live connections;
 //! * **sharded state** — the usage ledger is sharded by entity
-//!   (the `shard` module): concurrent `ReportUsage` requests on
-//!   different shards proceed in parallel, touching neither the global lock nor
-//!   each other. Global operations (attach, auction, billing, recall,
-//!   policy review) serialize on the global lock, taking shard locks in
-//!   a fixed order when they need usage state;
+//!   (the `shard` module), one shard per admissible connection:
+//!   concurrent `ReportUsage` requests on different shards proceed in
+//!   parallel, touching neither the global lock nor each other. Global
+//!   operations (attach, auction, billing, recall, policy review)
+//!   serialize on the global lock, taking shard locks in a fixed order
+//!   when they need usage state;
 //! * **group commit** — durable mutations journal through
 //!   [`crate::journal::GroupJournal`]: concurrent appends coalesce
 //!   behind a commit leader so K mutations cost ~1 fsync instead of K.
+//!   A usage mutation holds its shard lock across its commit wait, so
+//!   with a shard per connection a batch is bounded by the writers
+//!   actually present.
 //!
 //! Shutdown is cooperative via an [`AtomicBool`]:
-//! [`ServerHandle::shutdown`] sets the flag and pokes each accept
-//! thread with a throwaway connection; connection threads observe the
-//! flag between read attempts (reads run under a short timeout so a
-//! parked thread notices within ~100 ms).
+//! [`ServerHandle::shutdown`] sets the flag and pokes the accept loop
+//! with a throwaway connection; connection threads observe the flag
+//! between read attempts (reads run under a short timeout so a parked
+//! thread notices within ~100 ms).
 //!
 //! # Robustness posture
 //!
@@ -35,11 +34,9 @@
 //! every resource a peer can hold:
 //!
 //! * **connection cap** — at most `max_connections` concurrent
-//!   connections; excess connects are answered with a single
-//!   [`Response::Error`] frame and closed (`ctrl.conn.rejected`);
-//! * **admission bound** — at most `max_queue` admitted requests in
-//!   flight; excess requests get [`Response::Busy`] and the connection
-//!   stays usable (`ctrl.admission.rejected`);
+//!   connections (and so requests in flight); excess connects are
+//!   answered with a single [`Response::Error`] frame and closed
+//!   (`ctrl.conn.rejected`);
 //! * **idle deadline** — a peer that goes silent (including a slowloris
 //!   half-frame: valid length prefix, then nothing) is evicted after
 //!   `idle_timeout` (`ctrl.conn.idle_evicted`) instead of parking a
@@ -53,7 +50,7 @@
 //!   backs off exponentially instead of hot-spinning a core
 //!   (`ctrl.accept.errors`).
 
-use crate::codec::{read_frame, write_frame, CodecError};
+use crate::codec::{is_io_timeout, read_frame, write_frame, CodecError};
 use crate::journal::{CrashPoint, CrashSwitch, FsyncFault, JournalError, JournalEvent};
 use crate::proto::{AttachRole, BillingSummaryWire, LeaseWire, OutcomeSummary, Request, Response};
 use crate::recovery::{Durability, DurabilityConfig, RecoveryInfo};
@@ -77,17 +74,15 @@ const READ_POLL: Duration = Duration::from_millis(100);
 const ACCEPT_BACKOFF_START: Duration = Duration::from_millis(10);
 const ACCEPT_BACKOFF_MAX: Duration = Duration::from_secs(1);
 
-/// Retry hint carried by [`Response::Busy`]: long enough that a retry
-/// probably finds a free slot, short enough not to crater throughput.
-const BUSY_RETRY_MS: u64 = 5;
-
 /// Resource bounds for a running server. Defaults are generous enough
 /// that the happy path never notices them; tests and hostile deployments
 /// tighten them.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
     /// Maximum concurrently served connections; further connects get one
-    /// `Response::Error` frame and an immediate close.
+    /// `Response::Error` frame and an immediate close. The one bound on
+    /// concurrent work: it also sizes the usage-shard map, one shard per
+    /// admissible connection.
     pub max_connections: usize,
     /// A connection with no bytes received for this long is evicted.
     /// Covers both fully idle peers and slowloris half-frames.
@@ -101,13 +96,6 @@ pub struct ServerConfig {
     /// Crash-injection switch checked along the durability path. Tests
     /// keep a clone and arm it; production leaves it unarmed.
     pub crash: CrashSwitch,
-    /// Usage-ledger shards (see the `shard` module); ≥ 1.
-    pub shards: usize,
-    /// Admission bound: maximum requests in flight before the server
-    /// answers [`Response::Busy`].
-    pub max_queue: usize,
-    /// Threads blocked in `accept()` on clones of the listener; ≥ 1.
-    pub accept_shards: usize,
     /// Fsync fault injector for the group-commit path. Tests keep a
     /// clone and arm it; production leaves it unarmed.
     pub fsync_fault: FsyncFault,
@@ -121,69 +109,19 @@ impl Default for ServerConfig {
             write_timeout: Duration::from_secs(10),
             durability: None,
             crash: CrashSwitch::new(),
-            shards: 8,
-            max_queue: 1024,
-            accept_shards: 2,
             fsync_fault: FsyncFault::new(),
         }
     }
 }
 
-/// Counting admission gate: a fixed budget of in-flight requests,
-/// acquired with a CAS loop (fail-fast — an over-budget request is
-/// rejected immediately, never queued).
-struct Admission {
-    depth: AtomicI64,
-    max_queue: i64,
-}
-
-impl Admission {
-    fn new(max_queue: usize) -> Self {
-        Self { depth: AtomicI64::new(0), max_queue: max_queue.max(1) as i64 }
-    }
-
-    /// Try to admit one request; `None` means over budget.
-    fn try_admit(&self) -> Option<AdmissionPermit<'_>> {
-        let mut cur = self.depth.load(Ordering::SeqCst);
-        loop {
-            if cur >= self.max_queue {
-                poc_obs::counter!("ctrl.admission.rejected").inc();
-                return None;
-            }
-            match self.depth.compare_exchange(cur, cur + 1, Ordering::SeqCst, Ordering::SeqCst) {
-                Ok(_) => {
-                    poc_obs::counter!("ctrl.admission.admitted").inc();
-                    poc_obs::gauge!("ctrl.admission.depth").set((cur + 1) as f64);
-                    return Some(AdmissionPermit { depth: &self.depth });
-                }
-                Err(now) => cur = now,
-            }
-        }
-    }
-}
-
-/// Releases one admission slot on drop, however the request ends.
-struct AdmissionPermit<'a> {
-    depth: &'a AtomicI64,
-}
-
-impl Drop for AdmissionPermit<'_> {
-    fn drop(&mut self) {
-        let now = self.depth.fetch_sub(1, Ordering::SeqCst) - 1;
-        poc_obs::gauge!("ctrl.admission.depth").set(now as f64);
-    }
-}
-
 /// Everything a connection thread needs: sharded state, the durability
-/// handle (internally synchronized — group commit), recovery info, and
-/// the admission gate.
+/// handle (internally synchronized — group commit) and recovery info.
 pub(crate) struct Shared {
     pub(crate) state: ShardedState,
     /// Journal + snapshot handle when the server persists state.
     pub(crate) durability: Option<Durability>,
     /// How startup recovery went (served via `GetRecovery`).
     pub(crate) recovery: Option<RecoveryInfo>,
-    admission: Admission,
 }
 
 /// The server. Construct with [`PocServer::bind`] (default limits) or
@@ -201,19 +139,16 @@ pub struct PocServer {
 pub struct ServerHandle {
     shutdown: Arc<AtomicBool>,
     active: Arc<AtomicI64>,
-    accept_shards: usize,
     pub local_addr: SocketAddr,
 }
 
 impl ServerHandle {
-    /// Signal the server (accept loops + connections) to stop.
+    /// Signal the server (accept loop + connections) to stop.
     pub fn shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        // Wake the accept threads: each is parked in accept(), so hand
-        // every one a throwaway connection to observe the flag.
-        for _ in 0..self.accept_shards {
-            let _ = TcpStream::connect(self.local_addr);
-        }
+        // The accept loop is parked in accept(): hand it a throwaway
+        // connection so it observes the flag.
+        let _ = TcpStream::connect(self.local_addr);
     }
 
     /// Connections currently being served by *this* server (the
@@ -262,17 +197,15 @@ impl PocServer {
         let shutdown = Arc::new(AtomicBool::new(false));
         let active = Arc::new(AtomicI64::new(0));
         let mut shared = Shared {
-            state: ShardedState::new(poc, tm, config.shards),
+            state: ShardedState::new(poc, tm, config.max_connections),
             durability: None,
             recovery: None,
-            admission: Admission::new(config.max_queue),
         };
         if let Some(dcfg) = &config.durability {
             recover(&mut shared, dcfg, config.crash.clone(), config.fsync_fault.clone())
                 .map_err(|e| std::io::Error::other(e.to_string()))?;
         }
         poc_obs::gauge!("ctrl.shards").set(shared.state.n_shards() as f64);
-        let accept_shards = config.accept_shards.max(1);
         Ok((
             Self {
                 listener,
@@ -281,118 +214,74 @@ impl PocServer {
                 active: Arc::clone(&active),
                 config,
             },
-            ServerHandle { shutdown, active, accept_shards, local_addr },
+            ServerHandle { shutdown, active, local_addr },
         ))
     }
 
-    /// Accept-and-serve until shutdown. Returns once every accept loop
-    /// has stopped and every connection thread has exited; the time
-    /// spent draining those threads is recorded in the
-    /// `ctrl.shutdown.drain` histogram.
+    /// Accept-and-serve until shutdown: accept, reap, cap-check, spawn a
+    /// connection worker. Returns once every connection thread has
+    /// exited; the time from the loop observing shutdown to the last
+    /// worker's exit is recorded in the `ctrl.shutdown.drain` histogram.
     pub fn run(self) {
-        let extra: Vec<TcpListener> = (1..self.config.accept_shards.max(1))
-            .filter_map(|_| self.listener.try_clone().ok())
-            .collect();
-        let shared = &self.shared;
-        let shutdown = &self.shutdown;
-        let active = &self.active;
-        let config = &self.config;
-        std::thread::scope(|s| {
-            let siblings: Vec<_> = extra
-                .iter()
-                .map(|l| s.spawn(move || accept_loop(l, shared, shutdown, active, config)))
-                .collect();
-            accept_loop(&self.listener, shared, shutdown, active, config);
-            let drain_started = Instant::now();
-            for sib in siblings {
-                let _ = sib.join();
+        let mut workers: Vec<std::thread::JoinHandle<()>> = Vec::new();
+        let mut accept_backoff = ACCEPT_BACKOFF_START;
+        loop {
+            match self.listener.accept() {
+                Ok((stream, _peer)) => {
+                    accept_backoff = ACCEPT_BACKOFF_START;
+                    if self.shutdown.load(Ordering::SeqCst) {
+                        break;
+                    }
+                    // Reap finished workers on every accepted connection:
+                    // the handle list stays proportional to live
+                    // connections instead of growing for the lifetime of
+                    // the server. A finished thread joins instantly.
+                    let before = workers.len();
+                    workers.retain(|w| !w.is_finished());
+                    let reaped = before - workers.len();
+                    if reaped > 0 {
+                        poc_obs::counter!("ctrl.conn.reaped").add(reaped as u64);
+                    }
+                    // This loop is the only incrementer, so a load and
+                    // an add cannot jointly overshoot the cap.
+                    if self.active.load(Ordering::SeqCst) >= self.config.max_connections as i64 {
+                        reject_over_capacity(stream, &self.config);
+                        continue;
+                    }
+                    let now = self.active.fetch_add(1, Ordering::SeqCst) + 1;
+                    poc_obs::gauge!("ctrl.conn.active").set(now as f64);
+                    poc_obs::counter!("ctrl.conn.total").inc();
+                    let guard = ConnectionGuard { active: Arc::clone(&self.active) };
+                    let shared = Arc::clone(&self.shared);
+                    let flag = Arc::clone(&self.shutdown);
+                    let config = self.config.clone();
+                    workers.push(std::thread::spawn(move || {
+                        let _guard = guard;
+                        let _ = serve_connection(stream, shared, flag, &config);
+                    }));
+                }
+                Err(_) => {
+                    if self.shutdown.load(Ordering::SeqCst) {
+                        break;
+                    }
+                    // A persistent accept error (EMFILE, ENOBUFS, ...)
+                    // must not hot-spin a core: back off exponentially
+                    // while staying responsive to shutdown.
+                    poc_obs::counter!("ctrl.accept.errors").inc();
+                    std::thread::sleep(accept_backoff);
+                    accept_backoff = (accept_backoff * 2).min(ACCEPT_BACKOFF_MAX);
+                }
             }
-            poc_obs::histogram!("ctrl.shutdown.drain").record_duration(drain_started.elapsed());
-        });
+        }
+        let drain_started = Instant::now();
+        for w in workers {
+            let _ = w.join();
+        }
+        poc_obs::histogram!("ctrl.shutdown.drain").record_duration(drain_started.elapsed());
         // Shutdown barrier: whatever the fsync policy deferred reaches
         // the platter before the process exits cleanly.
         if let Some(d) = &self.shared.durability {
             let _ = d.sync();
-        }
-    }
-}
-
-/// One accept thread: accept, reap, cap-check, spawn a connection
-/// worker. Joins its own workers before returning (shutdown drain).
-fn accept_loop(
-    listener: &TcpListener,
-    shared: &Arc<Shared>,
-    shutdown: &Arc<AtomicBool>,
-    active: &Arc<AtomicI64>,
-    config: &ServerConfig,
-) {
-    let mut workers: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    let mut accept_backoff = ACCEPT_BACKOFF_START;
-    loop {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                accept_backoff = ACCEPT_BACKOFF_START;
-                if shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-                // Reap finished workers on every accepted connection:
-                // the handle list stays proportional to live
-                // connections instead of growing for the lifetime of
-                // the server. A finished thread joins instantly.
-                let before = workers.len();
-                workers.retain(|w| !w.is_finished());
-                let reaped = before - workers.len();
-                if reaped > 0 {
-                    poc_obs::counter!("ctrl.conn.reaped").add(reaped as u64);
-                }
-                // CAS the active count upward so concurrent accept
-                // threads can never jointly overshoot the cap.
-                if !try_reserve_slot(active, config.max_connections as i64) {
-                    reject_over_capacity(stream, config);
-                    continue;
-                }
-                poc_obs::counter!("ctrl.conn.total").inc();
-                let guard = ConnectionGuard { active: Arc::clone(active) };
-                let shared = Arc::clone(shared);
-                let flag = Arc::clone(shutdown);
-                let config = config.clone();
-                workers.push(std::thread::spawn(move || {
-                    let _guard = guard;
-                    let _ = serve_connection(stream, shared, flag, &config);
-                }));
-            }
-            Err(_) => {
-                if shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-                // A persistent accept error (EMFILE, ENOBUFS, ...)
-                // must not hot-spin a core: back off exponentially
-                // while staying responsive to shutdown.
-                poc_obs::counter!("ctrl.accept.errors").inc();
-                std::thread::sleep(accept_backoff);
-                accept_backoff = (accept_backoff * 2).min(ACCEPT_BACKOFF_MAX);
-            }
-        }
-    }
-    for w in workers {
-        let _ = w.join();
-    }
-}
-
-/// Reserve one connection slot iff the cap allows it (CAS loop, updates
-/// the `ctrl.conn.active` gauge on success).
-fn try_reserve_slot(active: &AtomicI64, max: i64) -> bool {
-    let mut cur = active.load(Ordering::SeqCst);
-    loop {
-        if cur >= max {
-            return false;
-        }
-        match active.compare_exchange(cur, cur + 1, Ordering::SeqCst, Ordering::SeqCst) {
-            Ok(_) => {
-                poc_obs::gauge!("ctrl.conn.active").set((cur + 1) as f64);
-                return true;
-            }
-            Err(now) => cur = now,
         }
     }
 }
@@ -499,12 +388,7 @@ impl std::io::Read for ShutdownAwareReader<'_> {
         let mut stream = self.stream;
         loop {
             match stream.read(buf) {
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    ) =>
-                {
+                Err(e) if is_io_timeout(&e) => {
                     if self.flag.load(Ordering::SeqCst) {
                         return Ok(0);
                     }
@@ -525,15 +409,6 @@ impl std::io::Read for ShutdownAwareReader<'_> {
             }
         }
     }
-}
-
-/// Whether a request bypasses the admission gate: health and
-/// observability must stay reachable while the controller sheds load.
-fn admission_exempt(request: &Request) -> bool {
-    matches!(
-        request,
-        Request::Ping | Request::Metrics | Request::Trace { .. } | Request::GetRecovery
-    )
 }
 
 fn serve_connection(
@@ -595,37 +470,10 @@ fn serve_connection(
         // request's trace tree.
         let latency = poc_obs::global().histogram(request.metric_name());
         let root_span = poc_obs::Span::on(request.metric_name(), &latency);
-        // Admission: bound the requests in flight. Rejection happens
-        // *before* any journaling or state change, so a Busy answer is
-        // always safe to retry — even for non-idempotent mutations.
-        let permit = if admission_exempt(&request) {
-            None
-        } else {
-            let _adm = poc_obs::span!("ctrl.admission");
-            match shared.admission.try_admit() {
-                Some(p) => Some(p),
-                None => {
-                    drop(root_span);
-                    let busy = Response::Busy { retry_after_ms: BUSY_RETRY_MS };
-                    match write_frame(&mut &stream, &busy) {
-                        Ok(()) => {
-                            poc_obs::counter!("ctrl.frames.written").inc();
-                            continue;
-                        }
-                        Err(CodecError::TimedOut) => {
-                            poc_obs::counter!("ctrl.write.timeouts").inc();
-                            return Err(CodecError::TimedOut);
-                        }
-                        Err(e) => return Err(e),
-                    }
-                }
-            }
-        };
         // Checkpoint outside the request's own locks: the cadence check
         // is cheap, and a due checkpoint takes every state lock itself.
         let outcome =
             handle(&shared, request).and_then(|resp| maybe_checkpoint(&shared).map(|()| resp));
-        drop(permit);
         drop(root_span);
         let response = match outcome {
             Ok(response) => response,
@@ -638,10 +486,8 @@ fn serve_connection(
                 poc_obs::counter!("ctrl.crash.injected").inc();
                 flag.store(true, Ordering::SeqCst);
                 if let Ok(addr) = stream.local_addr() {
-                    // Wake every accept thread so they observe the flag.
-                    for _ in 0..config.accept_shards.max(1) {
-                        let _ = TcpStream::connect(addr);
-                    }
+                    // Wake the accept loop so it observes the flag.
+                    let _ = TcpStream::connect(addr);
                 }
                 return Ok(());
             }
@@ -979,12 +825,8 @@ mod tests {
         let tm = TrafficMatrix::zero(topo.n_routers());
         let mut poc = Poc::new(topo, PocConfig::default());
         let lmp = poc.attach_lmp("lmp", RouterId(0)).unwrap();
-        let shared = Shared {
-            state: ShardedState::new(poc, tm, 4),
-            durability: None,
-            recovery: None,
-            admission: Admission::new(16),
-        };
+        let shared =
+            Shared { state: ShardedState::new(poc, tm, 4), durability: None, recovery: None };
         (shared, lmp)
     }
 
@@ -1022,14 +864,15 @@ mod tests {
     }
 
     #[test]
-    fn admission_gate_bounds_in_flight_requests() {
-        let gate = Admission::new(2);
-        let p1 = gate.try_admit();
-        let p2 = gate.try_admit();
-        assert!(p1.is_some() && p2.is_some());
-        assert!(gate.try_admit().is_none(), "third request over a budget of 2");
-        drop(p1);
-        assert!(gate.try_admit().is_some(), "released slot is reusable");
+    fn bind_with_builds_one_shard_per_admissible_connection() {
+        for max_connections in [1, 3, ServerConfig::default().max_connections] {
+            let topo = two_bp_square();
+            let tm = TrafficMatrix::zero(topo.n_routers());
+            let poc = Poc::new(topo, PocConfig::default());
+            let config = ServerConfig { max_connections, ..ServerConfig::default() };
+            let (server, _handle) = PocServer::bind_with("127.0.0.1:0", poc, tm, config).unwrap();
+            assert_eq!(server.shared.state.n_shards(), max_connections);
+        }
     }
 
     #[test]
@@ -1102,7 +945,6 @@ mod tests {
             state: ShardedState::new(Poc::new(topo, PocConfig::default()), tm, 4),
             durability: None,
             recovery: None,
-            admission: Admission::new(16),
         };
         let config = DurabilityConfig {
             state_dir: dir.to_path_buf(),

@@ -8,6 +8,12 @@
 //! recall, policy review) serialize on the global lock, taking shard
 //! locks as needed.
 //!
+//! The server builds one shard per admissible connection
+//! (`ServerConfig::max_connections`). A usage report holds its shard
+//! lock across its group-commit wait, so the shard count caps how many
+//! reports one fsync can cover. Sized from the connection cap, that
+//! bound is never below the number of writers that can be connected.
+//!
 //! # Lock order
 //!
 //! `global` < `shards[0]` < `shards[1]` < … — always. A thread holding

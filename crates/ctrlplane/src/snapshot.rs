@@ -169,7 +169,7 @@ fn list_generations(dir: &Path) -> std::io::Result<Vec<(u64, PathBuf)>> {
 
 /// Result of loading the newest valid snapshot.
 #[derive(Debug, Default)]
-pub struct LoadedSnapshot {
+pub(crate) struct LoadedSnapshot {
     pub snapshot: Option<ControllerSnapshot>,
     /// Newer generations that existed but failed validation (torn or
     /// corrupt) and were skipped.
@@ -179,7 +179,7 @@ pub struct LoadedSnapshot {
 /// Load the newest generation that validates; torn or corrupt newer
 /// generations are skipped (and counted), orphan `.tmp` files are
 /// removed.
-pub fn load_newest(dir: &Path) -> std::io::Result<LoadedSnapshot> {
+pub(crate) fn load_newest(dir: &Path) -> std::io::Result<LoadedSnapshot> {
     // Clear orphan temp files from a crash between write and rename.
     for entry in std::fs::read_dir(dir)? {
         let entry = entry?;

@@ -195,7 +195,7 @@ pub(crate) fn run_transition(
     // selected under it (so a safe first step always exists), and it is
     // what members ride on between steps. The forecast only picks the
     // destination.
-    let cfg = PlanConfig { max_extra_links, ..PlanConfig::default() };
+    let cfg = PlanConfig { max_extra_links };
     let constraint = g.poc.config().constraint;
     match plan_transition(g.poc.topo(), &g.tm, constraint, &from, &outcome.selected, &cfg) {
         Ok(plan) => walk_and_close(shared, g, outcome, &from, &cfg, Start::Planned(plan)),
@@ -388,7 +388,7 @@ pub(crate) fn finish_open_transition(
     poc_obs::counter!("transition.recovered").inc();
     let mut g = shared.state.global.lock();
     let OpenTransition { outcome, original, max_extra_links, steps_replayed } = open;
-    let cfg = PlanConfig { max_extra_links, ..PlanConfig::default() };
+    let cfg = PlanConfig { max_extra_links };
     let start = Start::Recovered { steps_replayed };
     walk_and_close(shared, &mut g, outcome, &original, &cfg, start).map(|_response| ())
 }

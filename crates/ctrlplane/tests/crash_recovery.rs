@@ -46,16 +46,17 @@ fn start_durable(
     snapshot_every: u64,
     crash: CrashSwitch,
 ) -> (ServerHandle, JoinHandle<()>) {
-    start_durable_sharded(state_dir, snapshot_every, crash, ServerConfig::default().shards)
+    start_durable_sharded(state_dir, snapshot_every, crash, ServerConfig::default().max_connections)
 }
 
-/// [`start_durable`] with an explicit usage-shard count, for the
+/// [`start_durable`] with an explicit connection cap — and so usage-shard
+/// count, one shard per admissible connection — for the
 /// sharding/recovery equivalence property below.
 fn start_durable_sharded(
     state_dir: &Path,
     snapshot_every: u64,
     crash: CrashSwitch,
-    shards: usize,
+    max_connections: usize,
 ) -> (ServerHandle, JoinHandle<()>) {
     let (topo, tm) = build_world();
     let poc = Poc::new(topo, PocConfig::default());
@@ -66,7 +67,7 @@ fn start_durable_sharded(
             snapshot_every,
         }),
         crash,
-        shards,
+        max_connections,
         ..ServerConfig::default()
     };
     let (server, handle) = PocServer::bind_with("127.0.0.1:0", poc, tm, config).unwrap();
@@ -709,8 +710,8 @@ proptest! {
     /// recovery: the same op sequence crashed at the same record
     /// boundary recovers to the same observable state whether the
     /// journal was written through the sharded group-commit pipeline
-    /// (shards = 8) or the maximally serialized one (shards = 1, every
-    /// mutation its own commit). The journal is a *total order* either
+    /// (cap 8, so 8 shards) or the maximally serialized one (cap 1, so
+    /// 1 shard: every mutation its own commit). The journal is a *total order* either
     /// way — sharding may change who holds which lock, never what
     /// replay rebuilds.
     #[test]
@@ -720,10 +721,10 @@ proptest! {
     ) {
         let cut = cut_seed as usize % ops.len();
 
-        let run = |shards: usize| -> String {
-            let dir = fresh_dir(&format!("shards{shards}-{cut_seed}-{}", ops.len()));
+        let run = |cap: usize| -> String {
+            let dir = fresh_dir(&format!("cap{cap}-{cut_seed}-{}", ops.len()));
             let crash = CrashSwitch::new();
-            let (handle, join) = start_durable_sharded(&dir, 0, crash.clone(), shards);
+            let (handle, join) = start_durable_sharded(&dir, 0, crash.clone(), cap);
             let mut client = PocClient::connect(handle.local_addr).unwrap();
             for op in &ops[..cut] {
                 prop_assert!(send_op(&mut client, op).is_ok());
@@ -744,7 +745,7 @@ proptest! {
             let _ = join.join();
 
             let (handle, join) =
-                start_durable_sharded(&dir, 0, CrashSwitch::new(), shards);
+                start_durable_sharded(&dir, 0, CrashSwitch::new(), cap);
             let mut recovered = PocClient::connect(handle.local_addr).unwrap();
             let state = observable_state(&mut recovered);
             handle.shutdown();

@@ -161,7 +161,7 @@ pub struct TagStats {
 
 impl TagStats {
     /// Delivered / offered (1.0 when nothing was offered).
-    pub fn availability(&self) -> f64 {
+    pub(crate) fn availability(&self) -> f64 {
         if self.offered_bytes <= 0.0 {
             1.0
         } else {
@@ -208,7 +208,7 @@ impl EngineReport {
 
     /// Availability of one traffic class, or `None` if no source carries
     /// the tag.
-    pub fn availability_by_tag(&self, tag: &str) -> Option<f64> {
+    pub(crate) fn availability_by_tag(&self, tag: &str) -> Option<f64> {
         self.per_tag.iter().find(|t| t.tag == tag).map(TagStats::availability)
     }
 
@@ -768,7 +768,7 @@ impl<'t> Engine<'t> {
     // One parameter per independent knob of the source; bundling them
     // into a spec struct would just move the field list.
     #[allow(clippy::too_many_arguments)]
-    pub fn add_source(
+    pub(crate) fn add_source(
         &mut self,
         src: RouterId,
         dst: RouterId,
@@ -840,7 +840,7 @@ impl<'t> Engine<'t> {
     /// Add one source per demand pair, classifying each by its source
     /// router (`classify` returns the billing owner and traffic tag).
     /// Returns the number of routable sources added.
-    pub fn add_pair_demands<F>(
+    pub(crate) fn add_pair_demands<F>(
         &mut self,
         demands: &[poc_traffic::PairDemand],
         kind: SourceKind,

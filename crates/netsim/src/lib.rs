@@ -35,4 +35,4 @@ pub use drill::{
 pub use engine::{Engine, EngineConfig, EngineError, EngineReport, SourceKind, TagStats};
 pub use fairness::max_min_rates;
 pub use sim::{FlowSpec, SimConfig, SimError, SimReport, Simulator};
-pub use workload::{diurnal_factor, generate_onoff, WorkloadConfig};
+pub use workload::{generate_onoff, WorkloadConfig};

@@ -57,11 +57,6 @@ impl FlowSpec {
             pinned_path: None,
         }
     }
-
-    pub fn with_owner(mut self, owner: EntityId) -> Self {
-        self.owner = Some(owner);
-        self
-    }
 }
 
 /// A scheduled link outage.
@@ -106,7 +101,7 @@ pub struct FlowStats {
 
 impl FlowStats {
     /// Delivered / offered (1.0 = everything).
-    pub fn availability(&self) -> f64 {
+    pub(crate) fn availability(&self) -> f64 {
         if self.offered_gbh <= 0.0 {
             1.0
         } else {
@@ -166,7 +161,7 @@ impl SimReport {
     }
 
     /// Mean availability of flows with the given tag.
-    pub fn availability_by_tag(&self, tag: &str) -> Option<f64> {
+    pub(crate) fn availability_by_tag(&self, tag: &str) -> Option<f64> {
         let tagged: Vec<&FlowStats> = self.per_flow.iter().filter(|f| f.tag == tag).collect();
         if tagged.is_empty() {
             return None;
@@ -174,7 +169,7 @@ impl SimReport {
         Some(tagged.iter().map(|f| f.availability()).sum::<f64>() / tagged.len() as f64)
     }
 
-    pub fn total_reroutes(&self) -> u32 {
+    pub(crate) fn total_reroutes(&self) -> u32 {
         self.per_flow.iter().map(|f| f.reroutes).sum()
     }
 }
@@ -565,8 +560,9 @@ mod tests {
         let t = two_bp_square();
         let mut sim = base_sim(&t, SimConfig { horizon: 2.0, ..Default::default() });
         let owner = EntityId(5);
-        sim.add_flow(FlowSpec::persistent(r(0), r(1), 30.0, 2.0, "a").with_owner(owner)).unwrap();
-        sim.add_flow(FlowSpec::persistent(r(1), r(2), 10.0, 2.0, "b").with_owner(owner)).unwrap();
+        let owned = |spec: FlowSpec| FlowSpec { owner: Some(owner), ..spec };
+        sim.add_flow(owned(FlowSpec::persistent(r(0), r(1), 30.0, 2.0, "a"))).unwrap();
+        sim.add_flow(owned(FlowSpec::persistent(r(1), r(2), 10.0, 2.0, "b"))).unwrap();
         let rep = sim.run();
         assert_eq!(rep.usage_by_owner.len(), 1);
         let (o, gbps) = rep.usage_by_owner[0];

@@ -45,7 +45,7 @@ impl Default for WorkloadConfig {
 }
 
 /// Relative arrival intensity at hour `t` (mean 1 over a 24h cycle).
-pub fn diurnal_factor(t_hours: f64, amplitude: f64) -> f64 {
+pub(crate) fn diurnal_factor(t_hours: f64, amplitude: f64) -> f64 {
     assert!((0.0..1.0).contains(&amplitude), "amplitude must be in [0,1)");
     1.0 + amplitude * (std::f64::consts::TAU * (t_hours - 6.0) / 24.0).sin()
 }

@@ -37,7 +37,7 @@ impl TransitionOp {
     }
 
     /// The state after applying this op to `state`.
-    pub fn apply(&self, state: &LinkSet) -> LinkSet {
+    pub(crate) fn apply(&self, state: &LinkSet) -> LinkSet {
         let mut next = state.clone();
         match *self {
             TransitionOp::Add(l) => next.insert(l),
@@ -56,8 +56,12 @@ impl std::fmt::Display for TransitionOp {
     }
 }
 
+/// Search budget: total states explored before the planner gives up
+/// with [`TransitionError::NoSafePlan`].
+const MAX_EXPLORED: usize = 20_000;
+
 /// Planner knobs.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct PlanConfig {
     /// Headroom budget: no intermediate state may hold more than
     /// `max(|from|, |to|) + max_extra_links` links. `None` means
@@ -65,15 +69,6 @@ pub struct PlanConfig {
     /// order is always available (capacity is monotone). A tight budget
     /// models lease-count limits and forces genuine interleaving.
     pub max_extra_links: Option<usize>,
-    /// Search budget: total states explored before the planner gives up
-    /// with [`TransitionError::NoSafePlan`].
-    pub max_explored: usize,
-}
-
-impl Default for PlanConfig {
-    fn default() -> Self {
-        Self { max_extra_links: None, max_explored: 20_000 }
-    }
 }
 
 /// An ordered, per-step-verified migration from one link set to another.
@@ -106,7 +101,7 @@ impl TransitionPlan {
     /// a round the operations commute, and every interleaving of an
     /// all-add (all-remove) round stays a superset of the verified round
     /// entry (exit) state.
-    pub fn rounds(&self) -> Vec<std::ops::Range<usize>> {
+    pub(crate) fn rounds(&self) -> Vec<std::ops::Range<usize>> {
         let mut out = Vec::new();
         let mut start = 0;
         for i in 1..self.steps.len() {
@@ -181,15 +176,8 @@ pub fn plan_transition(
 
     let budget = from.len().max(to.len()).saturating_add(cfg.max_extra_links.unwrap_or(usize::MAX));
 
-    let mut search = Search {
-        oracle: &oracle,
-        to,
-        budget,
-        max_explored: cfg.max_explored,
-        explored: 0,
-        probes: 0,
-        dead: HashSet::new(),
-    };
+    let mut search =
+        Search { oracle: &oracle, to, budget, explored: 0, probes: 0, dead: HashSet::new() };
     let mut steps = Vec::new();
     if search.dfs(from.clone(), &mut steps) {
         poc_obs::counter!("transition.plans").inc();
@@ -226,7 +214,6 @@ struct Search<'a, 'o> {
     oracle: &'a WarmOracle<'o>,
     to: &'a LinkSet,
     budget: usize,
-    max_explored: usize,
     explored: usize,
     probes: usize,
     /// States from which no safe completion exists.
@@ -239,7 +226,7 @@ impl Search<'_, '_> {
         if &state == self.to {
             return true;
         }
-        if self.explored >= self.max_explored {
+        if self.explored >= MAX_EXPLORED {
             return false;
         }
 
@@ -391,15 +378,8 @@ mod tests {
         // At |state| ≤ max(|a|,|b|) + 0 every add from `a` is blocked
         // (budget) and every remove breaks feasibility (minimality): the
         // planner must prove unsatisfiability, not hang or ship garbage.
-        let err = plan_transition(
-            &t,
-            &tm,
-            c,
-            &a,
-            &b,
-            &PlanConfig { max_extra_links: Some(0), max_explored: 10_000 },
-        )
-        .unwrap_err();
+        let err = plan_transition(&t, &tm, c, &a, &b, &PlanConfig { max_extra_links: Some(0) })
+            .unwrap_err();
         assert!(matches!(err, TransitionError::NoSafePlan { .. }), "got {err}");
     }
 
@@ -418,14 +398,7 @@ mod tests {
         if adds < 2 {
             return; // headroom 1 only binds with ≥2 adds
         }
-        let plan = plan_transition(
-            &t,
-            &tm,
-            c,
-            &a,
-            &b,
-            &PlanConfig { max_extra_links: Some(1), max_explored: 10_000 },
-        );
+        let plan = plan_transition(&t, &tm, c, &a, &b, &PlanConfig { max_extra_links: Some(1) });
         let Ok(plan) = plan else { return };
         let cap = a.len().max(b.len()) + 1;
         let cold = FeasibilityOracle::new(&t, &tm, c);

@@ -53,7 +53,7 @@ proptest! {
 
             // The migration runs under the *new* round's demand: that is
             // what the fabric must keep carrying while leases move.
-            let cfg = PlanConfig { max_extra_links: Some(headroom), max_explored: 20_000 };
+            let cfg = PlanConfig { max_extra_links: Some(headroom) };
             let plan = match plan_transition(
                 &topo, &tm_b, constraint, &out_a.selected, &out_b.selected, &cfg,
             ) {

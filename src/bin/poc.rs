@@ -6,6 +6,11 @@
 //!                                     one VCG round + PoB table (E-F2)
 //! poc welfare                         §4 regime comparison (E-W1)
 //! poc drill [--failures N]            failure drill (E-R1)
+//! poc transition [--headroom FACTOR] [--constraint N] [--max-extra N]
+//!                [--cut N] [--recall N] [--addr HOST:PORT] [--status]
+//!                                     safe lease migration (drill or live)
+//! poc dataplane [--horizon-ms N] [--cheat FACTOR] [--addr HOST:PORT]
+//!                                     auction → leases → packets → money
 //! poc serve [--addr HOST:PORT] [--max-conns N]
 //!           [--idle-timeout-ms N] [--write-timeout-ms N]
 //!           [--state-dir PATH] [--fsync always|interval|never]
@@ -14,6 +19,11 @@
 //! poc metrics [--addr HOST:PORT] [--json]
 //!             [--timeout-ms N] [--retries N] [--backoff-ms N]
 //!                                     scrape a running server's metrics
+//! poc round [--addr HOST:PORT] [--trace-id N] [--timeout-ms N]
+//!                                     one traced auction round on a server
+//! poc trace [--addr HOST:PORT] [--id N] [--last N] [--json | --chrome]
+//!           [--out PATH] [--timeout-ms N]
+//!                                     scrape a server's trace trees
 //! ```
 //!
 //! Argument parsing is deliberately dependency-free (std only).
@@ -90,16 +100,12 @@ commands:
                                          --addr settles against a running server
                                          (start it with the same preset).
   serve [--addr HOST:PORT]             run the control-plane server
-        [--max-conns N]                  connection cap (default 256)
+        [--max-conns N]                  connection cap, the one bound on concurrent
+                                         work: one request in flight and one
+                                         usage-ledger shard per connection
+                                         (default 256)
         [--idle-timeout-ms N]            evict silent peers after N ms (default 30000)
         [--write-timeout-ms N]           per-response write deadline (default 10000)
-        [--shards N]                     usage-ledger shards; a shard's mutation
-                                         holds its lock across the group commit,
-                                         so size this to the expected number of
-                                         concurrent writers (default 8)
-        [--max-queue N]                  admitted requests in flight before the
-                                         server answers Busy (default 1024)
-        [--accept-shards N]              threads blocked in accept() (default 2)
         [--state-dir PATH]               journal + snapshots here; recover on start
                                          (default: in-memory only, state dies with
                                          the process)
@@ -669,24 +675,6 @@ fn cmd_serve(rest: &[String]) -> Result<(), String> {
     if let Some(ms) = num_opt::<u64>(rest, "--write-timeout-ms")? {
         config.write_timeout = std::time::Duration::from_millis(ms);
     }
-    if let Some(n) = num_opt::<usize>(rest, "--shards")? {
-        if n == 0 {
-            return Err("--shards must be at least 1".into());
-        }
-        config.shards = n;
-    }
-    if let Some(n) = num_opt::<usize>(rest, "--max-queue")? {
-        if n == 0 {
-            return Err("--max-queue must be at least 1".into());
-        }
-        config.max_queue = n;
-    }
-    if let Some(n) = num_opt::<usize>(rest, "--accept-shards")? {
-        if n == 0 {
-            return Err("--accept-shards must be at least 1".into());
-        }
-        config.accept_shards = n;
-    }
     if let Some(dir) = opt(rest, "--state-dir") {
         let mut durability = public_option_core::ctrlplane::DurabilityConfig::new(dir);
         if let Some(policy) = opt(rest, "--fsync") {
@@ -720,12 +708,9 @@ fn cmd_serve(rest: &[String]) -> Result<(), String> {
         }
     );
     println!(
-        "limits: {} connections, idle eviction after {:?}, write deadline {:?}",
+        "limits: {} connections (one usage shard each), idle eviction after {:?}, \
+         write deadline {:?}",
         config.max_connections, config.idle_timeout, config.write_timeout
-    );
-    println!(
-        "pipeline: {} usage shards, {} requests in flight before Busy, {} accept threads",
-        config.shards, config.max_queue, config.accept_shards
     );
     match &config.durability {
         Some(d) => println!(
