@@ -5,13 +5,17 @@
 //!
 //! The `*_selected` cases are shaped like the auction's hot path, the
 //! selector's prune loop: a graph over a selection rather than the whole
-//! offer, and a matrix the set just fails to carry.
+//! offer, and a matrix the set just fails to carry. The `warm_probe_*`
+//! cases are a transition walk's steps: an add, and a remove.
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use poc_auction::{GreedySelector, Market, Selector};
 use poc_bench::{instance, paper_instance};
 use poc_core::fabric::ForwardingState;
-use poc_flow::{route_tm, CapacityGraph, Constraint, FeasibilityOracle, LinkSet};
+use poc_flow::{
+    route_tm, AcceptabilityOracle, CapacityGraph, Constraint, FeasibilityOracle, LinkSet,
+    WarmOracle, WarmOutcome,
+};
 use poc_netsim::engine::{Engine, EngineConfig, SourceKind};
 use poc_netsim::fairness::{max_min_rates, AllocFlow};
 use poc_topology::RouterId;
@@ -132,6 +136,45 @@ fn bench_selected(c: &mut Criterion) {
     );
     c.bench_function("cut_check_selected_scale", |b| {
         b.iter(|| cuts.iter().filter(|cut| cut.violated_by(&topo, &short)).count())
+    });
+
+    // The warm oracle's two kinds of probe, beside the pass above, against
+    // one oracle seeded with the selection's routing. An offered link the
+    // selection lacks drops no witness path, so the witness is kept as it
+    // is. Removing a loaded link rebuilds residuals from the surviving
+    // flows and re-places the rest; adding it back is then kept, but with
+    // the re-placed flows, so each iteration first seeds the original
+    // witness again (a clone, timed with the two probes).
+    let seed = oracle.route(&selected).expect("the selection routes");
+    let warm = WarmOracle::new(&topo, &tm, Constraint::BaseLoad);
+    let mut plus = selected.clone();
+    plus.insert(
+        market.offered().difference(&selected).iter().next().expect("an offered link to add"),
+    );
+    warm.seed(seed.clone());
+    let kept = WarmOutcome::Warm { reused: seed.flows.len(), rerouted: 0 };
+    assert_eq!(warm.evaluate_traced(&plus).1, kept);
+    c.bench_function("warm_probe_kept_selected", |b| b.iter(|| warm.acceptable(&plus)));
+
+    let rides = |l| seed.flows.iter().any(|f| f.paths.iter().any(|(path, _)| path.contains(&l)));
+    let minus = selected
+        .iter()
+        .filter(|&l| rides(l))
+        .map(|l| {
+            let mut s = selected.clone();
+            s.remove(l);
+            s
+        })
+        .find(|s| {
+            warm.seed(seed.clone());
+            matches!(warm.evaluate_traced(s).1, WarmOutcome::Warm { .. })
+        })
+        .expect("a loaded link the warm path can re-place");
+    c.bench_function("warm_probe_remove_add_selected", |b| {
+        b.iter(|| {
+            warm.seed(seed.clone());
+            (warm.acceptable(&minus), warm.acceptable(&selected))
+        })
     });
 }
 

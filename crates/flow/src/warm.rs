@@ -7,7 +7,9 @@
 //! matrix for every probe. [`WarmOracle`] instead keeps the last accepted
 //! routing as a *witness* and, for each new candidate set, reuses every
 //! flow whose paths survived the change, re-routing only the invalidated
-//! flows on the witness's residual capacities.
+//! flows on the witness's residual capacities. A candidate every witness
+//! path survives — an add, or a removal of links no flow rides — keeps
+//! the witness as it is, with no residuals rebuilt.
 //!
 //! ## Verdict semantics
 //!
@@ -147,27 +149,50 @@ impl<'a> WarmOracle<'a> {
     }
 
     /// Attempt a warm evaluation of `links` against witness `prev`:
-    /// `Ok((routing, reused, rerouted))` only when the re-route succeeds
-    /// *and* the warm base passes the constraint's resilience check. Any
-    /// failure hands `prev` back exactly as it came in and the caller
-    /// falls back to cold.
-    fn try_warm(
+    /// `Ok((routing, reused, rerouted))` only when the witness is kept or
+    /// the re-route succeeds, *and* the warm base passes the constraint's
+    /// resilience check. Any failure hands `prev` back exactly as it came
+    /// in and the caller falls back to cold.
+    fn try_warm(&self, links: &LinkSet, prev: Routing) -> Result<(Routing, usize, usize), Routing> {
+        // A flow survives iff every link of every path it uses is still
+        // active in the candidate set. This works for arbitrary candidate
+        // sets, not just subsets of the witness's set — links the witness
+        // never used are irrelevant.
+        let survives =
+            |f: &FlowRoute| f.paths.iter().all(|(path, _)| path.iter().all(|&l| links.contains(l)));
+
+        // A candidate that keeps every witness path keeps the witness. Every
+        // routing this crate produces records its loads in flow order, so
+        // re-loading the survivors in that order would rebuild `prev` bit
+        // for bit; only the resilience check has anything left to say.
+        let (routing, reused, rerouted) = if prev.flows.iter().all(survives) {
+            if !self.resilient(links, &prev) {
+                return Err(prev);
+            }
+            poc_obs::counter!("flow.warm.kept").inc();
+            let n_flows = prev.flows.len();
+            (prev, n_flows, 0)
+        } else {
+            let alive: Vec<bool> = prev.flows.iter().map(survives).collect();
+            self.reroute(links, prev, &alive)?
+        };
+        poc_obs::counter!("flow.warm.reused_flows").add(reused as u64);
+        poc_obs::counter!("flow.warm.rerouted_flows").add(rerouted as u64);
+        Ok((routing, reused, rerouted))
+    }
+
+    /// The warm attempt for a candidate that invalidates some witness
+    /// flows: rebuild residuals from the survivors (`alive`, by witness
+    /// index), re-place the rest, and check the result's resilience. Any
+    /// failure hands `prev` back exactly as it came in.
+    fn reroute(
         &self,
         links: &LinkSet,
         mut prev: Routing,
+        alive: &[bool],
     ) -> Result<(Routing, usize, usize), Routing> {
         let topo = self.inner.topo();
         let n_flows = prev.flows.len();
-
-        // Partition the witness's flows by index: a flow survives iff every
-        // link of every path it uses is still active in the candidate set.
-        // This works for arbitrary candidate sets, not just subsets of the
-        // witness's set — links the witness never used are irrelevant.
-        let alive: Vec<bool> = prev
-            .flows
-            .iter()
-            .map(|f| f.paths.iter().all(|(path, _)| path.iter().all(|&l| links.contains(l))))
-            .collect();
         let reused = alive.iter().filter(|&&a| a).count();
         let rerouted = n_flows - reused;
         if n_flows > 0 && rerouted as f64 > MAX_INVALID_FRAC * n_flows as f64 {
@@ -184,7 +209,7 @@ impl<'a> WarmOracle<'a> {
             load_fwd: vec![0.0; topo.n_links()],
             load_rev: vec![0.0; topo.n_links()],
         };
-        for (flow, _) in prev.flows.iter().zip(&alive).filter(|(_, &a)| a) {
+        for (flow, _) in prev.flows.iter().zip(alive).filter(|(_, &a)| a) {
             for (path, amount) in &flow.paths {
                 if load_path(&mut g, &mut routing, flow.src, path, *amount).is_err() {
                     return Err(prev);
@@ -197,7 +222,7 @@ impl<'a> WarmOracle<'a> {
         // ordering), with the same per-flow placement the full router
         // uses. Any placement failure aborts the warm attempt.
         let mut placed: Vec<FlowRoute> = Vec::with_capacity(rerouted);
-        for (fi, (flow, _)) in prev.flows.iter().zip(&alive).filter(|(_, &a)| !a).enumerate() {
+        for (fi, (flow, _)) in prev.flows.iter().zip(alive).filter(|(_, &a)| !a).enumerate() {
             match place_flow(
                 &mut g,
                 &mut routing,
@@ -217,7 +242,7 @@ impl<'a> WarmOracle<'a> {
         // flows; the invalidated originals wait aside in case the
         // resilience check sends the witness back.
         let mut invalidated: Vec<FlowRoute> = Vec::with_capacity(rerouted);
-        for (flow, &a) in std::mem::take(&mut prev.flows).into_iter().zip(&alive) {
+        for (flow, &a) in std::mem::take(&mut prev.flows).into_iter().zip(alive) {
             if a {
                 routing.flows.push(flow);
             } else {
@@ -226,23 +251,7 @@ impl<'a> WarmOracle<'a> {
         }
         routing.flows.extend(placed);
 
-        // The warm base must still satisfy the constraint; resilience
-        // failures are not final (the cold pass may find a base routing
-        // whose scenarios all survive), so they also abort to fallback.
-        let ok = match self.inner.constraint() {
-            Constraint::BaseLoad => true,
-            Constraint::SinglePathFailure { sample_every } => {
-                survives_single_path_failures(topo, links, self.inner.tm(), &routing, sample_every)
-                    .survives()
-            }
-            Constraint::AllPairsBackup => {
-                matches!(
-                    survives_all_pairs_backup(topo, links, self.inner.tm(), &routing),
-                    ResilienceResult::Survives
-                )
-            }
-        };
-        if !ok {
+        if !self.resilient(links, &routing) {
             // Interleave the two halves back into witness order.
             routing.flows.truncate(reused);
             let (mut survivors, mut invalidated) =
@@ -253,9 +262,27 @@ impl<'a> WarmOracle<'a> {
                 .collect();
             return Err(prev);
         }
-        poc_obs::counter!("flow.warm.reused_flows").add(reused as u64);
-        poc_obs::counter!("flow.warm.rerouted_flows").add(rerouted as u64);
         Ok((routing, reused, rerouted))
+    }
+
+    /// Whether the warm base `routing` over `links` satisfies the
+    /// constraint. Resilience failures are not final (the cold pass may
+    /// find a base routing whose scenarios all survive), so a `false` here
+    /// aborts to fallback.
+    fn resilient(&self, links: &LinkSet, routing: &Routing) -> bool {
+        let (topo, tm) = (self.inner.topo(), self.inner.tm());
+        match self.inner.constraint() {
+            Constraint::BaseLoad => true,
+            Constraint::SinglePathFailure { sample_every } => {
+                survives_single_path_failures(topo, links, tm, routing, sample_every).survives()
+            }
+            Constraint::AllPairsBackup => {
+                matches!(
+                    survives_all_pairs_backup(topo, links, tm, routing),
+                    ResilienceResult::Survives
+                )
+            }
+        }
     }
 }
 
@@ -519,5 +546,130 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// `routing`'s recorded per-direction loads, as bits.
+    fn load_bits(routing: &Routing) -> (Vec<u64>, Vec<u64>) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect();
+        (bits(&routing.load_fwd), bits(&routing.load_rev))
+    }
+
+    /// The loads of `routing`'s paths summed in flow order from zero, as
+    /// bits: what rebuilding residuals from its `flows` would record.
+    fn reloaded_bits(t: &PocTopology, routing: &Routing) -> (Vec<u64>, Vec<u64>) {
+        let mut g = CapacityGraph::new(t, &LinkSet::full(t.n_links()));
+        let mut reloaded = Routing {
+            flows: Vec::new(),
+            load_fwd: vec![0.0; t.n_links()],
+            load_rev: vec![0.0; t.n_links()],
+        };
+        for f in &routing.flows {
+            for (path, amount) in &f.paths {
+                load_path(&mut g, &mut reloaded, f.src, path, *amount).expect("a path chains");
+            }
+        }
+        load_bits(&reloaded)
+    }
+
+    #[test]
+    fn add_only_probe_keeps_the_witness_to_the_bit() {
+        let t = two_bp_square();
+        let tm = tm_for(&t);
+        for c in Constraint::paper_suite(1) {
+            // A minimal acceptable set, then its missing links added back
+            // one probe at a time: every probe is a pure add.
+            let cold = FeasibilityOracle::new(&t, &tm, c);
+            let mut cur = LinkSet::full(t.n_links());
+            for l in (0..t.n_links()).map(LinkId::from_index) {
+                let mut cand = cur.clone();
+                cand.remove(l);
+                if cold.acceptable(&cand) {
+                    cur = cand;
+                }
+            }
+            assert!(cur.len() < t.n_links(), "nothing to add at {}", c.label());
+            let o = WarmOracle::new(&t, &tm, c);
+            o.seed(cold.route(&cur).unwrap());
+            let missing = LinkSet::full(t.n_links()).difference(&cur);
+            for l in missing.iter() {
+                let before = o.witness().unwrap();
+                cur.insert(l);
+                let (res, outcome) = o.evaluate_traced(&cur);
+                assert_eq!(outcome, WarmOutcome::Warm { reused: 2, rerouted: 0 }, "{}", c.label());
+                let after = o.witness().unwrap();
+                assert_eq!(res.as_ref(), Ok(&after));
+                assert_eq!(after.flows, before.flows, "{}", c.label());
+                assert_eq!(load_bits(&after), load_bits(&before), "{}", c.label());
+            }
+        }
+    }
+
+    #[test]
+    fn kept_witness_still_faces_the_resilience_check() {
+        let t = two_bp_square();
+        let tm = tm_for(&t);
+        let set =
+            |links: &[u32]| LinkSet::from_links(t.n_links(), links.iter().map(|&l| LinkId(l)));
+        // Without r0–r3 (l3), every backup for 0→1 leaves r0 over r0–r2
+        // (l2), and the shortest runs r0–r2–r1. Dropping l2 strands 0→1 on
+        // its direct link while both base flows (l0 and l4) stay whole.
+        let start = set(&[0, 1, 2, 4, 5]);
+        let cand = set(&[0, 1, 4, 5]);
+        for c in [Constraint::SinglePathFailure { sample_every: 1 }, Constraint::AllPairsBackup] {
+            let cold = FeasibilityOracle::new(&t, &tm, c);
+            let seed = cold.route(&start).unwrap();
+            assert_eq!(seed.primary_path(RouterId(0), RouterId(1)), Some(&[LinkId(0)][..]));
+            assert_eq!(seed.primary_path(RouterId(2), RouterId(3)), Some(&[LinkId(4)][..]));
+            assert!(used_links(&seed).all(|l| cand.contains(l)), "every witness path survives");
+            assert!(!cold.acceptable(&cand), "{}", c.label());
+
+            let o = WarmOracle::new(&t, &tm, c);
+            o.seed(seed.clone());
+            assert!(!o.acceptable(&cand), "{}", c.label());
+            let (res, outcome) = o.evaluate_traced(&cand);
+            assert!(matches!(res, Err(Rejection::Resilience { .. })), "{}", c.label());
+            assert_eq!(outcome, WarmOutcome::Cold, "{}", c.label());
+            assert_eq!(o.witness(), Some(seed), "the rejected probe left the witness alone");
+        }
+    }
+
+    #[test]
+    fn every_routing_records_its_loads_in_flow_order() {
+        use rand::{Rng, SeedableRng};
+        let t = poc_topology::ZooGenerator::new(poc_topology::ZooConfig::small()).generate();
+        let tm = poc_traffic::TrafficScenario {
+            total_gbps: 2500.0,
+            ..poc_traffic::TrafficScenario::paper_default()
+        }
+        .generate(&t);
+        let full = LinkSet::full(t.n_links());
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(7);
+        let (mut warm_accepts, mut cold_accepts) = (0, 0);
+        for c in Constraint::paper_suite(4) {
+            let cold = FeasibilityOracle::new(&t, &tm, c);
+            let warm = WarmOracle::new(&t, &tm, c);
+            let mut cur = full.clone();
+            for _ in 0..24 {
+                // Drop one of the current set's links, or add back one it
+                // lacks, and walk on when the warm oracle accepts.
+                let mut cand = cur.clone();
+                let l = LinkId::from_index(rng.gen_range(0..t.n_links()));
+                if cand.contains(l) {
+                    cand.remove(l);
+                } else {
+                    cand.insert(l);
+                }
+                if let Ok(routing) = cold.evaluate(&cand) {
+                    cold_accepts += 1;
+                    assert_eq!(reloaded_bits(&t, &routing), load_bits(&routing), "{}", c.label());
+                }
+                if let (Ok(routing), WarmOutcome::Warm { .. }) = warm.evaluate_traced(&cand) {
+                    warm_accepts += 1;
+                    assert_eq!(reloaded_bits(&t, &routing), load_bits(&routing), "{}", c.label());
+                    cur = cand;
+                }
+            }
+        }
+        assert!(warm_accepts > 0 && cold_accepts > 0, "{warm_accepts} warm, {cold_accepts} cold");
     }
 }
