@@ -22,7 +22,7 @@
 
 use crate::market::Market;
 use poc_flow::graph::{CapacityGraph, Dir};
-use poc_flow::{AcceptabilityOracle, Constraint, LinkSet, Routing};
+use poc_flow::{sorted_demands, AcceptabilityOracle, Constraint, LinkSet, Routing};
 use poc_topology::{LinkId, RouterId};
 use std::collections::HashSet;
 
@@ -90,8 +90,7 @@ impl GreedySelector {
     ) -> Option<Vec<(RouterId, RouterId, Vec<LinkId>)>> {
         let topo = oracle.topo();
         let mut g = CapacityGraph::new(topo, available);
-        let mut demands: Vec<(RouterId, RouterId, f64)> = oracle.tm().iter_demands().collect();
-        demands.sort_by(|a, b| b.2.total_cmp(&a.2));
+        let demands = sorted_demands(oracle.tm());
 
         let mut primaries = Vec::with_capacity(demands.len());
         for (fi, (src, dst, demand)) in demands.into_iter().enumerate() {
@@ -180,8 +179,7 @@ impl GreedySelector {
         // The witness must cover exactly this instance's demand list (same
         // largest-first order the cold phase routes in). A witness from a
         // different matrix cannot seed this selection.
-        let mut demands: Vec<(RouterId, RouterId, f64)> = oracle.tm().iter_demands().collect();
-        demands.sort_by(|a, b| b.2.total_cmp(&a.2));
+        let demands = sorted_demands(oracle.tm());
         if witness.flows.len() != demands.len() {
             return None;
         }
@@ -462,7 +460,7 @@ impl Selector for GreedySelector {
             rounds += 1;
             let mut grew_any = false;
             if rounds <= MAX_AUGMENT_ROUNDS {
-                for (pair, _) in failures {
+                for pair in failures {
                     let n = fail_counts.entry(pair).or_insert(0);
                     *n += 1;
                     let boost = f64::powi(2.0, (*n - 1).min(6) as i32);

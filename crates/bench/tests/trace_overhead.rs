@@ -32,9 +32,8 @@ fn traced_parallel_round_within_five_percent() {
             .expect("bench instance is feasible")
     };
 
-    // Metrics stay enabled on both sides — this test isolates the
-    // recorder's marginal cost, not the whole observability layer's.
-    poc_obs::global().set_enabled(true);
+    // Metrics record on both sides — this test isolates the recorder's
+    // marginal cost, not the whole observability layer's.
     let recorder = poc_obs::trace::recorder();
     let _trace = poc_obs::trace::start_trace(poc_obs::trace::new_trace_id());
 

@@ -54,7 +54,9 @@ use crate::codec::{is_io_timeout, read_frame, write_frame, CodecError};
 use crate::journal::{CrashPoint, CrashSwitch, FsyncFault, JournalError, JournalEvent};
 use crate::proto::{AttachRole, BillingSummaryWire, LeaseWire, OutcomeSummary, Request, Response};
 use crate::recovery::{Durability, DurabilityConfig, RecoveryInfo};
-use crate::shard::{merged_usage, restore_usage, Global, ShardedState, UsageShard};
+use crate::shard::{
+    authorize, merged_usage, restore_usage, seed_authorized, Global, ShardedState, UsageShard,
+};
 use parking_lot::MutexGuard;
 use poc_core::entity::EntityId;
 use poc_core::poc::Poc;
@@ -185,13 +187,22 @@ impl PocServer {
     /// [`DurabilityConfig`], the state directory is recovered *before*
     /// the first connection is accepted: the newest valid snapshot is
     /// restored wholesale and the journal suffix replayed through the
-    /// same application path live requests take.
+    /// same application path live requests take. A zero
+    /// `max_connections` (admits nothing) or `write_timeout` (no socket
+    /// takes it) is refused with [`std::io::ErrorKind::InvalidInput`].
     pub fn bind_with(
         addr: &str,
         poc: Poc,
         tm: TrafficMatrix,
         config: ServerConfig,
     ) -> std::io::Result<(Self, ServerHandle)> {
+        let refuse = |what| Err(std::io::Error::new(std::io::ErrorKind::InvalidInput, what));
+        if config.max_connections == 0 {
+            return refuse("max_connections must be at least 1");
+        }
+        if config.write_timeout.is_zero() {
+            return refuse("write_timeout must be non-zero");
+        }
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
@@ -310,15 +321,7 @@ fn recover(
         // per-shard authorization cache to match. Journal replay below
         // maintains it incrementally through apply_attach, exactly as
         // live attaches do.
-        for shard in shards.iter_mut() {
-            shard.authorized.clear();
-        }
-        for entity in g.poc.registry().iter() {
-            if g.poc.registry().may_send_traffic(entity.id) {
-                let idx = entity.id.0 as usize % shards.len();
-                shards[idx].authorized.insert(entity.id);
-            }
-        }
+        seed_authorized(&g.poc, &mut shards);
     }
     // Transition records replay through their dedicated tracker (a step
     // is a fragment of a BeginTransition, not a request of its own);
@@ -754,10 +757,7 @@ fn apply_attach(
     };
     match result {
         Ok(entity) => {
-            if g.poc.registry().may_send_traffic(entity) {
-                let idx = entity.0 as usize % shards.len();
-                shards[idx].authorized.insert(entity);
-            }
+            authorize(&g.poc, shards, entity);
             Response::Welcome { entity }
         }
         Err(e) => Response::Error { message: e.to_string() },
@@ -872,6 +872,22 @@ mod tests {
             let config = ServerConfig { max_connections, ..ServerConfig::default() };
             let (server, _handle) = PocServer::bind_with("127.0.0.1:0", poc, tm, config).unwrap();
             assert_eq!(server.shared.state.n_shards(), max_connections);
+        }
+    }
+
+    #[test]
+    fn bind_with_refuses_a_zero_connection_cap_or_write_deadline() {
+        for config in [
+            ServerConfig { max_connections: 0, ..ServerConfig::default() },
+            ServerConfig { write_timeout: Duration::ZERO, ..ServerConfig::default() },
+        ] {
+            let topo = two_bp_square();
+            let tm = TrafficMatrix::zero(topo.n_routers());
+            let poc = Poc::new(topo, PocConfig::default());
+            match PocServer::bind_with("127.0.0.1:0", poc, tm, config.clone()) {
+                Ok(_) => panic!("bound with {config:?}"),
+                Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput, "{e}"),
+            }
         }
     }
 

@@ -86,12 +86,8 @@ impl ShardedState {
             (0..n_shards.max(1)).map(|_| Mutex::new(UsageShard::default())).collect();
         let state = Self { global: Mutex::new(Global { poc, tm, last_transition: None }), shards };
         {
-            let g = state.global.lock();
-            for entity in g.poc.registry().iter() {
-                if g.poc.registry().may_send_traffic(entity.id) {
-                    state.shard(entity.id).lock().authorized.insert(entity.id);
-                }
-            }
+            let (g, mut shards) = state.lock_all();
+            seed_authorized(&g.poc, &mut shards);
         }
         state
     }
@@ -102,7 +98,7 @@ impl ShardedState {
 
     /// The shard index an entity's usage lives on.
     pub fn shard_index(&self, entity: EntityId) -> usize {
-        entity.0 as usize % self.shards.len()
+        shard_of(entity, self.shards.len())
     }
 
     /// The shard an entity's usage lives on.
@@ -117,6 +113,33 @@ impl ShardedState {
         let global = self.global.lock();
         let shards = self.shards.iter().map(|s| s.lock()).collect();
         (global, shards)
+    }
+}
+
+/// The index of the shard, of `n`, that `entity`'s usage and
+/// authorization live on: the one shard rule.
+fn shard_of(entity: EntityId, n: usize) -> usize {
+    entity.0 as usize % n
+}
+
+/// Rebuild every shard's authorization cache from the entities attached
+/// to `poc` (construction, and a snapshot that restored the registry
+/// wholesale).
+pub(crate) fn seed_authorized(poc: &Poc, shards: &mut [MutexGuard<'_, UsageShard>]) {
+    for shard in shards.iter_mut() {
+        shard.authorized.clear();
+    }
+    for entity in poc.registry().iter() {
+        authorize(poc, shards, entity.id);
+    }
+}
+
+/// Cache `entity` as authorized on its shard if `poc` lets it send
+/// traffic (the verdict is fixed at attach time — see the module docs).
+pub(crate) fn authorize(poc: &Poc, shards: &mut [MutexGuard<'_, UsageShard>], entity: EntityId) {
+    if poc.registry().may_send_traffic(entity) {
+        let i = shard_of(entity, shards.len());
+        shards[i].authorized.insert(entity);
     }
 }
 
@@ -137,9 +160,9 @@ pub(crate) fn restore_usage(
     shards: &mut [MutexGuard<'_, UsageShard>],
     usage: BTreeMap<EntityId, f64>,
 ) {
-    let n = shards.len();
     for (entity, gbps) in usage {
-        shards[entity.0 as usize % n].usage.insert(entity, gbps);
+        let i = shard_of(entity, shards.len());
+        shards[i].usage.insert(entity, gbps);
     }
 }
 

@@ -18,31 +18,15 @@
 
 use crate::graph::{CapacityGraph, PathMiss};
 use crate::linkset::LinkSet;
-use crate::route::{route_tm_with_veto, FlowRoute, RouteError, Routing};
+use crate::oracle::Constraint;
+use crate::route::{route_tm_with_veto, sorted_demands, FlowRoute, RouteError, Routing};
 use poc_topology::{LinkId, PocTopology, RouterId};
 use poc_traffic::TrafficMatrix;
 use std::collections::HashSet;
 
-/// Outcome of a resilience check.
-#[derive(Clone, Debug, PartialEq)]
-pub(crate) enum ResilienceResult {
-    /// All checked scenarios survive.
-    Survives,
-    /// The first failing scenario: the pair whose primary-path failure
-    /// cannot be absorbed, and why.
-    Fails { pair: (RouterId, RouterId), reason: FailReason },
-}
-
-impl ResilienceResult {
-    pub(crate) fn survives(&self) -> bool {
-        matches!(self, ResilienceResult::Survives)
-    }
-}
-
-/// Why a failure scenario could not be absorbed. Typed so callers (the
-/// transition planner in particular) can branch on the cause instead of
-/// parsing messages; [`std::fmt::Display`] renders the exact strings the
-/// stringly-typed predecessor produced.
+/// Why a failure scenario could not be absorbed: the cause a
+/// [`crate::Rejection::Resilience`] carries beside its pair.
+/// [`std::fmt::Display`] renders it as a one-line message.
 #[derive(Clone, Debug, PartialEq)]
 pub enum FailReason {
     /// Part of the displaced demand has no path at all on the residual
@@ -93,30 +77,40 @@ impl std::fmt::Display for FailReason {
 /// Maximum paths a re-routed demand may be split across.
 const MAX_REROUTE_SPLITS: usize = 64;
 
-/// Constraint #2 check: for each flow (every `sample_every`-th, stride 1 =
-/// exhaustive), release the flow's own load, then try to re-route its full
-/// demand while avoiding its primary path, in the presence of everyone
-/// else's base loads. Restores state between scenarios.
-pub(crate) fn survives_single_path_failures(
+/// Up to `max_failures` resilience scenarios of the base routing `base`
+/// over `active` that `constraint` checks and that fail, each with its
+/// pair and why (empty when every checked scenario survives). The one
+/// place a constraint picks its check: #1 has none, #2 fails each sampled
+/// flow's primary in turn, and #3 routes every backup at once, which
+/// stops at its first failure.
+pub(crate) fn failing_scenarios(
     topo: &PocTopology,
     active: &LinkSet,
     tm: &TrafficMatrix,
     base: &Routing,
-    sample_every: usize,
-) -> ResilienceResult {
-    match failing_single_path_scenarios(topo, active, tm, base, sample_every, 1).pop() {
-        None => ResilienceResult::Survives,
-        Some((pair, reason)) => ResilienceResult::Fails { pair, reason },
+    constraint: Constraint,
+    max_failures: usize,
+) -> Vec<((RouterId, RouterId), FailReason)> {
+    match constraint {
+        Constraint::BaseLoad => Vec::new(),
+        Constraint::SinglePathFailure { sample_every } => {
+            failing_single_path_scenarios(topo, active, base, sample_every, max_failures)
+        }
+        Constraint::AllPairsBackup => {
+            all_pairs_backup_failure(topo, active, tm, base).into_iter().collect()
+        }
     }
 }
 
-/// As [`survives_single_path_failures`], but collects up to `max_failures`
-/// failing scenarios instead of stopping at the first. Used by the
-/// auction's selector to repair many scenarios per verification round.
-pub(crate) fn failing_single_path_scenarios(
+/// Constraint #2 check: for each flow (every `sample_every`-th, stride 1 =
+/// exhaustive), release the flow's own load, then try to re-route its full
+/// demand while avoiding its primary path, in the presence of everyone
+/// else's base loads. Restores state between scenarios, and collects up
+/// to `max_failures` failing scenarios, so the auction's selector can
+/// repair many per verification round.
+fn failing_single_path_scenarios(
     topo: &PocTopology,
     active: &LinkSet,
-    _tm: &TrafficMatrix,
     base: &Routing,
     sample_every: usize,
     max_failures: usize,
@@ -136,7 +130,7 @@ pub(crate) fn failing_single_path_scenarios(
         if i % sample_every != 0 {
             continue;
         }
-        let Some(primary) = primary_of(flow) else { continue };
+        let Some(primary) = flow.primary() else { continue };
         let veto: HashSet<LinkId> = primary.iter().copied().collect();
         if let Err(reason) = fail_primary(&mut g, topo, flow, &veto) {
             failures.push(((flow.src, flow.dst), reason));
@@ -172,32 +166,28 @@ fn fail_primary(
 }
 
 /// Constraint #3 check: route every flow off its own primary path, all at
-/// once.
-pub(crate) fn survives_all_pairs_backup(
+/// once. `None` when that routing succeeds.
+fn all_pairs_backup_failure(
     topo: &PocTopology,
     active: &LinkSet,
     tm: &TrafficMatrix,
     base: &Routing,
-) -> ResilienceResult {
-    // Vetoes must be addressed by demand ordering (largest first), the same
-    // ordering route_tm_with_veto uses internally.
-    let mut demands: Vec<(RouterId, RouterId, f64)> = tm.iter_demands().collect();
-    demands.sort_by(|a, b| b.2.total_cmp(&a.2));
-    let vetoes: Vec<HashSet<LinkId>> = demands
+) -> Option<((RouterId, RouterId), FailReason)> {
+    // Vetoes are addressed by flow index in the router's demand order.
+    let vetoes: Vec<HashSet<LinkId>> = sorted_demands(tm)
         .iter()
         .map(|&(src, dst, _)| {
             base.primary_path(src, dst).map(|p| p.iter().copied().collect()).unwrap_or_default()
         })
         .collect();
     match route_tm_with_veto(topo, active, tm, |fi, l| !vetoes[fi].contains(&l)) {
-        Ok(_) => ResilienceResult::Survives,
+        Ok(_) => None,
         Err(RouteError::Disconnected { src, dst }) => {
-            ResilienceResult::Fails { pair: (src, dst), reason: FailReason::NoBackupConnectivity }
+            Some(((src, dst), FailReason::NoBackupConnectivity))
         }
-        Err(RouteError::Unroutable { src, dst, remaining_gbps }) => ResilienceResult::Fails {
-            pair: (src, dst),
-            reason: FailReason::BackupUnroutable { remaining_gbps },
-        },
+        Err(RouteError::Unroutable { src, dst, remaining_gbps }) => {
+            Some(((src, dst), FailReason::BackupUnroutable { remaining_gbps }))
+        }
     }
 }
 
@@ -261,10 +251,6 @@ fn undo(
     placed.iter().try_for_each(|(path, gbps)| g.release_path(src, path, *gbps))
 }
 
-fn primary_of(flow: &FlowRoute) -> Option<&[LinkId]> {
-    flow.paths.iter().max_by(|a, b| a.1.total_cmp(&b.1)).map(|(p, _)| p.as_slice())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -275,6 +261,19 @@ mod tests {
         RouterId(i)
     }
 
+    const C2: Constraint = Constraint::SinglePathFailure { sample_every: 1 };
+
+    /// The first scenario of `base` that `constraint` checks and that fails.
+    fn first_failure(
+        t: &PocTopology,
+        links: &LinkSet,
+        tm: &TrafficMatrix,
+        base: &Routing,
+        constraint: Constraint,
+    ) -> Option<((RouterId, RouterId), FailReason)> {
+        failing_scenarios(t, links, tm, base, constraint, 1).pop()
+    }
+
     #[test]
     fn redundant_topology_survives_c2() {
         let t = two_bp_square();
@@ -283,8 +282,8 @@ mod tests {
         tm.set(r(0), r(1), 20.0);
         tm.set(r(2), r(3), 10.0);
         let base = route_tm(&t, &all, &tm).unwrap();
-        let res = survives_single_path_failures(&t, &all, &tm, &base, 1);
-        assert!(res.survives(), "{res:?}");
+        let res = first_failure(&t, &all, &tm, &base, C2);
+        assert!(res.is_none(), "{res:?}");
     }
 
     #[test]
@@ -299,8 +298,8 @@ mod tests {
         let mut tm = TrafficMatrix::zero(t.n_routers());
         tm.set(r(0), r(1), 5.0);
         let base = route_tm(&t, &tree, &tm).unwrap();
-        let res = survives_single_path_failures(&t, &tree, &tm, &base, 1);
-        assert!(!res.survives());
+        let res = first_failure(&t, &tree, &tm, &base, C2);
+        assert!(res.is_some());
     }
 
     #[test]
@@ -316,8 +315,8 @@ mod tests {
         // one-at-a-time they fit.
         tm.set(r(0), r(1), 90.0);
         let base = route_tm(&t, &all, &tm).unwrap();
-        let res = survives_single_path_failures(&t, &all, &tm, &base, 1);
-        assert!(res.survives(), "{res:?}");
+        let res = first_failure(&t, &all, &tm, &base, C2);
+        assert!(res.is_none(), "{res:?}");
     }
 
     #[test]
@@ -328,8 +327,8 @@ mod tests {
         tm.set(r(0), r(1), 10.0);
         tm.set(r(0), r(2), 10.0);
         let base = route_tm(&t, &all, &tm).unwrap();
-        let res = survives_all_pairs_backup(&t, &all, &tm, &base);
-        assert!(res.survives(), "{res:?}");
+        let res = first_failure(&t, &all, &tm, &base, Constraint::AllPairsBackup);
+        assert!(res.is_none(), "{res:?}");
     }
 
     #[test]
@@ -342,8 +341,8 @@ mod tests {
         let mut tm = TrafficMatrix::zero(t.n_routers());
         tm.set(r(0), r(1), 5.0);
         let base = route_tm(&t, &tree, &tm).unwrap();
-        let res = survives_all_pairs_backup(&t, &tree, &tm, &base);
-        assert!(!res.survives());
+        let res = first_failure(&t, &tree, &tm, &base, Constraint::AllPairsBackup);
+        assert!(res.is_some());
     }
 
     #[test]
@@ -356,10 +355,8 @@ mod tests {
         let mut tm = TrafficMatrix::zero(t.n_routers());
         tm.set(r(0), r(1), 5.0);
         let base = route_tm(&t, &tree, &tm).unwrap();
-        match survives_single_path_failures(&t, &tree, &tm, &base, 1) {
-            ResilienceResult::Fails { pair, .. } => assert_eq!(pair, (r(0), r(1))),
-            other => panic!("expected failure, got {other:?}"),
-        }
+        let (pair, _) = first_failure(&t, &tree, &tm, &base, C2).expect("a scenario fails");
+        assert_eq!(pair, (r(0), r(1)));
     }
 
     #[test]
@@ -379,8 +376,8 @@ mod tests {
         tm.set(r(0), r(1), 60.0);
         tm.set(r(2), r(1), 60.0);
         let base = route_tm(&t, &all, &tm).unwrap();
-        let res = survives_single_path_failures(&t, &all, &tm, &base, 1);
-        assert!(res.survives(), "{res:?}");
+        let res = first_failure(&t, &all, &tm, &base, C2);
+        assert!(res.is_none(), "{res:?}");
     }
 
     #[test]
@@ -415,7 +412,13 @@ mod tests {
         tm.set(r(2), r(3), 10.0);
         let base = route_tm(&t, &all, &tm).unwrap();
         // stride 1000 → only the first (largest) flow's failure is checked.
-        let res = survives_single_path_failures(&t, &all, &tm, &base, 1000);
-        assert!(res.survives());
+        let res = first_failure(
+            &t,
+            &all,
+            &tm,
+            &base,
+            Constraint::SinglePathFailure { sample_every: 1000 },
+        );
+        assert!(res.is_none());
     }
 }

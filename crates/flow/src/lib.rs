@@ -40,5 +40,5 @@ pub use oracle::{
     instance_fingerprint, AcceptabilityOracle, CacheMismatch, Constraint, FeasibilityCache,
     FeasibilityOracle, Rejection,
 };
-pub use route::{route_tm, RouteError, Routing};
+pub use route::{route_tm, sorted_demands, RouteError, Routing};
 pub use warm::{WarmOracle, WarmOutcome};

@@ -5,9 +5,7 @@
 //! it found, which the auction's greedy selection reuses.
 
 use crate::cut::CutCertificate;
-use crate::failure::{
-    survives_all_pairs_backup, survives_single_path_failures, FailReason, ResilienceResult,
-};
+use crate::failure::{self, FailReason};
 use crate::linkset::LinkSet;
 use crate::route::{route_tm, route_tm_learning, RouteError, Routing};
 use poc_topology::{PocTopology, RouterId};
@@ -21,8 +19,6 @@ pub enum Rejection {
     /// The base traffic matrix itself could not be routed.
     BaseRoute(RouteError),
     /// Base routing fits but a resilience scenario fails for this pair.
-    /// The typed [`FailReason`] lets callers (the transition planner)
-    /// branch on the cause; its `Display` renders the legacy message.
     Resilience { pair: (RouterId, RouterId), reason: FailReason },
 }
 
@@ -238,10 +234,9 @@ pub trait AcceptabilityOracle: Sync {
     /// was rejected.
     fn evaluate(&self, links: &LinkSet) -> Result<Routing, Rejection>;
 
-    /// Up to `max` failing resilience scenarios for `links` (empty when the
-    /// set is acceptable).
-    fn failing_scenarios(&self, links: &LinkSet, max: usize)
-        -> Vec<((RouterId, RouterId), String)>;
+    /// The pairs of up to `max` failing resilience scenarios for `links`
+    /// (empty when the set is acceptable).
+    fn failing_scenarios(&self, links: &LinkSet, max: usize) -> Vec<(RouterId, RouterId)>;
 
     /// As [`Self::acceptable`], but returns the base routing on success.
     fn route(&self, links: &LinkSet) -> Option<Routing> {
@@ -383,50 +378,26 @@ impl<'a> FeasibilityOracle<'a> {
         self.evaluate(links).ok()
     }
 
-    /// Up to `max` failing resilience scenarios for `links` (empty when the
-    /// set is acceptable). For [`Constraint::AllPairsBackup`] the
-    /// simultaneous-routing check inherently stops at its first failure, so
-    /// at most one scenario is returned. A base-routing failure is reported
-    /// as a single pseudo-scenario on the offending pair.
+    /// The pairs of up to `max` failing resilience scenarios for `links`
+    /// (empty when the set is acceptable). For
+    /// [`Constraint::AllPairsBackup`] the simultaneous-routing check
+    /// inherently stops at its first failure, so at most one pair is
+    /// returned. A base-routing failure reports its offending pair.
     pub(crate) fn failing_scenarios(
         &self,
         links: &LinkSet,
         max: usize,
-    ) -> Vec<((RouterId, RouterId), String)> {
+    ) -> Vec<(RouterId, RouterId)> {
         let base = match route_tm(self.topo, links, self.tm) {
             Ok(b) => b,
-            Err(RouteError::Disconnected { src, dst }) => {
-                return vec![((src, dst), "disconnected".into())]
-            }
-            Err(RouteError::Unroutable { src, dst, remaining_gbps }) => {
-                return vec![(
-                    (src, dst),
-                    format!("{remaining_gbps:.2} Gbps unroutable at base load"),
-                )]
-            }
+            Err(
+                RouteError::Disconnected { src, dst } | RouteError::Unroutable { src, dst, .. },
+            ) => return vec![(src, dst)],
         };
-        match self.constraint {
-            Constraint::BaseLoad => Vec::new(),
-            Constraint::SinglePathFailure { sample_every } => {
-                crate::failure::failing_single_path_scenarios(
-                    self.topo,
-                    links,
-                    self.tm,
-                    &base,
-                    sample_every,
-                    max,
-                )
-                .into_iter()
-                .map(|(pair, reason)| (pair, reason.to_string()))
-                .collect()
-            }
-            Constraint::AllPairsBackup => {
-                match survives_all_pairs_backup(self.topo, links, self.tm, &base) {
-                    ResilienceResult::Survives => Vec::new(),
-                    ResilienceResult::Fails { pair, reason } => vec![(pair, reason.to_string())],
-                }
-            }
-        }
+        failure::failing_scenarios(self.topo, links, self.tm, &base, self.constraint, max)
+            .into_iter()
+            .map(|(pair, _)| pair)
+            .collect()
     }
 
     /// Full evaluation: the base routing on success, or the reason the set
@@ -437,18 +408,11 @@ impl<'a> FeasibilityOracle<'a> {
             self.learn_cuts(links, &sides);
             Rejection::BaseRoute(e)
         })?;
-        let res = match self.constraint {
-            Constraint::BaseLoad => ResilienceResult::Survives,
-            Constraint::SinglePathFailure { sample_every } => {
-                survives_single_path_failures(self.topo, links, self.tm, &base, sample_every)
-            }
-            Constraint::AllPairsBackup => {
-                survives_all_pairs_backup(self.topo, links, self.tm, &base)
-            }
-        };
-        match res {
-            ResilienceResult::Survives => Ok(base),
-            ResilienceResult::Fails { pair, reason } => Err(Rejection::Resilience { pair, reason }),
+        let mut failed =
+            failure::failing_scenarios(self.topo, links, self.tm, &base, self.constraint, 1);
+        match failed.pop() {
+            None => Ok(base),
+            Some((pair, reason)) => Err(Rejection::Resilience { pair, reason }),
         }
     }
 }
@@ -474,11 +438,7 @@ impl AcceptabilityOracle for FeasibilityOracle<'_> {
         FeasibilityOracle::evaluate(self, links)
     }
 
-    fn failing_scenarios(
-        &self,
-        links: &LinkSet,
-        max: usize,
-    ) -> Vec<((RouterId, RouterId), String)> {
+    fn failing_scenarios(&self, links: &LinkSet, max: usize) -> Vec<(RouterId, RouterId)> {
         FeasibilityOracle::failing_scenarios(self, links, max)
     }
 }
@@ -546,6 +506,29 @@ mod tests {
             sets.push(LinkSet::from_links(n, [LinkId::from_index(l)]));
         }
         sets
+    }
+
+    #[test]
+    fn no_failing_scenario_exactly_when_evaluate_accepts() {
+        // The greedy selector stops repairing once `failing_scenarios`
+        // comes back empty; that must mean the set is acceptable.
+        let t = two_bp_square();
+        let tm = tm_for(&t);
+        for c in Constraint::paper_suite(1) {
+            let o = FeasibilityOracle::new(&t, &tm, c);
+            let mut verdicts = [0; 2];
+            for s in probe_sets(&t) {
+                let accepted = o.evaluate(&s).is_ok();
+                verdicts[accepted as usize] += 1;
+                assert_eq!(
+                    o.failing_scenarios(&s, usize::MAX).is_empty(),
+                    accepted,
+                    "{} on {s:?}",
+                    c.label()
+                );
+            }
+            assert!(verdicts[0] > 0 && verdicts[1] > 0, "{} saw {verdicts:?}", c.label());
+        }
     }
 
     #[test]

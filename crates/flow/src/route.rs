@@ -24,6 +24,14 @@ pub struct FlowRoute {
     pub paths: Vec<(Vec<LinkId>, f64)>,
 }
 
+impl FlowRoute {
+    /// The *primary* path: the one carrying the largest share, the last of
+    /// equal shares; `None` for a flow with no path.
+    pub(crate) fn primary(&self) -> Option<&[LinkId]> {
+        self.paths.iter().max_by(|a, b| a.1.total_cmp(&b.1)).map(|(p, _)| p.as_slice())
+    }
+}
+
 /// A complete feasible routing of a traffic matrix over an active link set.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Routing {
@@ -34,16 +42,10 @@ pub struct Routing {
 }
 
 impl Routing {
-    /// The *primary* path (largest share) of the flow `src → dst`, if the
+    /// The [`FlowRoute::primary`] path of the flow `src → dst`, if the
     /// flow exists and was routed.
     pub(crate) fn primary_path(&self, src: RouterId, dst: RouterId) -> Option<&[LinkId]> {
-        self.flows
-            .iter()
-            .find(|f| f.src == src && f.dst == dst)?
-            .paths
-            .iter()
-            .max_by(|a, b| a.1.total_cmp(&b.1))
-            .map(|(p, _)| p.as_slice())
+        self.flows.iter().find(|f| f.src == src && f.dst == dst)?.primary()
     }
 
     /// Maximum directional utilization over links in `active`, given their
@@ -201,11 +203,11 @@ fn saturated_sides(g: &CapacityGraph<'_>, error: &RouteError) -> Vec<Vec<bool>> 
     vec![from_src, cannot_reach_dst]
 }
 
-/// The demand ordering every router in this crate processes flows in:
-/// largest-first (big demands are hardest to place). The warm oracle's
-/// partial re-route must follow the same ordering to stay behaviorally
-/// aligned with the from-scratch router.
-pub(crate) fn sorted_demands(tm: &TrafficMatrix) -> Vec<(RouterId, RouterId, f64)> {
+/// The demand ordering every router processes flows in: largest-first
+/// (big demands are hardest to place). The warm oracle's partial re-route,
+/// the Constraint #3 veto table and the auction's selector follow it too,
+/// so a flow index means the same demand everywhere.
+pub fn sorted_demands(tm: &TrafficMatrix) -> Vec<(RouterId, RouterId, f64)> {
     let mut demands: Vec<(RouterId, RouterId, f64)> = tm.iter_demands().collect();
     demands.sort_by(|a, b| b.2.total_cmp(&a.2));
     demands

@@ -53,7 +53,7 @@
 //! [`FeasibilityCache`]: crate::FeasibilityCache
 
 use crate::cut::CutCertificate;
-use crate::failure::{survives_all_pairs_backup, survives_single_path_failures, ResilienceResult};
+use crate::failure;
 use crate::graph::CapacityGraph;
 use crate::linkset::LinkSet;
 use crate::oracle::{AcceptabilityOracle, Constraint, FeasibilityOracle, Rejection};
@@ -270,19 +270,8 @@ impl<'a> WarmOracle<'a> {
     /// find a base routing whose scenarios all survive), so a `false` here
     /// aborts to fallback.
     fn resilient(&self, links: &LinkSet, routing: &Routing) -> bool {
-        let (topo, tm) = (self.inner.topo(), self.inner.tm());
-        match self.inner.constraint() {
-            Constraint::BaseLoad => true,
-            Constraint::SinglePathFailure { sample_every } => {
-                survives_single_path_failures(topo, links, tm, routing, sample_every).survives()
-            }
-            Constraint::AllPairsBackup => {
-                matches!(
-                    survives_all_pairs_backup(topo, links, tm, routing),
-                    ResilienceResult::Survives
-                )
-            }
-        }
+        let (topo, tm, constraint) = (self.inner.topo(), self.inner.tm(), self.inner.constraint());
+        failure::failing_scenarios(topo, links, tm, routing, constraint, 1).is_empty()
     }
 }
 
@@ -313,11 +302,7 @@ impl AcceptabilityOracle for WarmOracle<'_> {
     /// warm path cannot vouch for. Rejections still delegate to the cold
     /// oracle, keeping the explanations consistent with the verdicts
     /// (warm failures fall back, so warm rejects exactly when cold does).
-    fn failing_scenarios(
-        &self,
-        links: &LinkSet,
-        max: usize,
-    ) -> Vec<((RouterId, RouterId), String)> {
+    fn failing_scenarios(&self, links: &LinkSet, max: usize) -> Vec<(RouterId, RouterId)> {
         {
             let mut slot = self.witness.lock();
             if let Some(prev) = slot.take() {

@@ -6,7 +6,7 @@
 //! selected under stricter constraints should show higher availability.
 
 use crate::sim::{LinkOutage, SimConfig, SimError, SimReport, Simulator};
-use poc_flow::{route_tm, LinkSet};
+use poc_flow::{route_tm, LinkSet, Routing};
 use poc_topology::{LinkId, PocTopology};
 use poc_traffic::TrafficMatrix;
 use serde::{Deserialize, Serialize};
@@ -104,13 +104,8 @@ pub fn run_drill(
         });
     }
     let base = route_tm(topo, active, tm)?;
-    // Busiest links by total directed load.
-    let mut by_load: Vec<(f64, LinkId)> = (0..topo.n_links())
-        .filter(|&i| active.contains(LinkId::from_index(i)))
-        .map(|i| (base.load_fwd[i] + base.load_rev[i], LinkId::from_index(i)))
-        .collect();
-    by_load.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
-    let failed_links: Vec<LinkId> = by_load.iter().take(spec.n_failures).map(|&(_, l)| l).collect();
+    let failed_links: Vec<LinkId> =
+        busiest_links(&base, active).into_iter().take(spec.n_failures).collect();
 
     let window = spec.outage_hours + spec.gap_hours;
     let horizon = window * failed_links.len() as f64 + spec.gap_hours;
@@ -143,6 +138,15 @@ pub fn run_drill(
         failed_links,
         sim: report,
     })
+}
+
+/// `active`'s links, busiest first by total directed load under `base`
+/// (ties by link id): the order both drills fail links in.
+fn busiest_links(base: &Routing, active: &LinkSet) -> Vec<LinkId> {
+    let load = |l: LinkId| base.load_fwd[l.index()] + base.load_rev[l.index()];
+    let mut links: Vec<LinkId> = active.iter().collect();
+    links.sort_by(|&a, &b| load(b).total_cmp(&load(a)).then(a.cmp(&b)));
+    links
 }
 
 // ---------------------------------------------------------------------------
@@ -292,17 +296,12 @@ pub fn run_transition_drill(
     let plan = plan_transition(topo, tm, constraint, from, to, &cfg)
         .map_err(TransitionDrillError::Plan)?;
 
-    // Rank the target's links by load (same schedule logic as
-    // [`run_drill`]): faults hit where they hurt.
+    // Faults hit where they hurt: the target's busiest links.
     let base = route_tm(topo, to, tm).map_err(TransitionDrillError::Route)?;
-    let mut by_load: Vec<(f64, LinkId)> = (0..topo.n_links())
-        .filter(|&i| to.contains(LinkId::from_index(i)))
-        .map(|i| (base.load_fwd[i] + base.load_rev[i], LinkId::from_index(i)))
-        .collect();
-    by_load.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
-    let cut_links: Vec<LinkId> = by_load.iter().take(spec.n_cuts).map(|&(_, l)| l).collect();
+    let by_load = busiest_links(&base, to);
+    let cut_links: Vec<LinkId> = by_load.iter().take(spec.n_cuts).copied().collect();
     let recalled_links: Vec<LinkId> =
-        by_load.iter().skip(spec.n_cuts).take(spec.n_recalls).map(|&(_, l)| l).collect();
+        by_load.iter().skip(spec.n_cuts).take(spec.n_recalls).copied().collect();
 
     let events = cut_links
         .iter()

@@ -837,12 +837,14 @@ impl<'t> Engine<'t> {
         Ok(true)
     }
 
-    /// Add one source per demand pair, classifying each by its source
-    /// router (`classify` returns the billing owner and traffic tag).
-    /// Returns the number of routable sources added.
-    pub(crate) fn add_pair_demands<F>(
+    /// Scale a traffic matrix to user-flows and add one source per demand
+    /// pair, classifying each by its source router (`classify` returns the
+    /// billing owner and traffic tag). Returns the number of routable
+    /// sources added.
+    pub fn add_traffic_matrix<F>(
         &mut self,
-        demands: &[poc_traffic::PairDemand],
+        tm: &poc_traffic::TrafficMatrix,
+        model: &poc_traffic::UserFlowModel,
         kind: SourceKind,
         mut classify: F,
     ) -> Result<usize, EngineError>
@@ -850,29 +852,13 @@ impl<'t> Engine<'t> {
         F: FnMut(RouterId) -> (Option<EntityId>, String),
     {
         let mut added = 0;
-        for d in demands {
+        for d in poc_traffic::pair_demands(tm, model) {
             let (owner, tag) = classify(d.src);
             if self.add_source(d.src, d.dst, d.rate_gbps, owner, &tag, kind, d.user_flows)? {
                 added += 1;
             }
         }
         Ok(added)
-    }
-
-    /// Convenience: scale a traffic matrix to user-flows and add every
-    /// pair as a source. Returns the number of routable sources added.
-    pub fn add_traffic_matrix<F>(
-        &mut self,
-        tm: &poc_traffic::TrafficMatrix,
-        model: &poc_traffic::UserFlowModel,
-        kind: SourceKind,
-        classify: F,
-    ) -> Result<usize, EngineError>
-    where
-        F: FnMut(RouterId) -> (Option<EntityId>, String),
-    {
-        let demands = poc_traffic::pair_demands(tm, model);
-        self.add_pair_demands(&demands, kind, classify)
     }
 
     pub fn n_sources(&self) -> usize {

@@ -261,26 +261,12 @@ impl<'t> Simulator<'t> {
         Ok(())
     }
 
-    /// Add one persistent flow per non-zero demand of a traffic matrix.
-    /// `owner_of(router)` attributes usage for billing.
-    pub fn add_traffic_matrix(
-        &mut self,
-        tm: &poc_traffic::TrafficMatrix,
-        owner_of: impl Fn(RouterId) -> Option<EntityId>,
-    ) {
-        let horizon = self.config.horizon;
-        for (src, dst, demand) in tm.iter_demands() {
-            let mut f = FlowSpec::persistent(src, dst, demand, horizon, "tm");
-            f.owner = owner_of(src);
-            self.flows.push(f);
-        }
-    }
-
     /// Add a traffic matrix with traffic-engineered placement: demands are
     /// routed (with splitting) over the active links exactly as the
     /// auction's feasibility oracle routes them, and each split share
     /// becomes a flow pinned to its path. This is how the POC would
     /// actually place traffic on a fabric sized by that same routing.
+    /// `owner_of(router)` attributes usage for billing.
     pub fn add_traffic_matrix_routed(
         &mut self,
         tm: &poc_traffic::TrafficMatrix,
@@ -664,19 +650,6 @@ mod tests {
         let direct = t.links.iter().find(|l| l.connects(r(0), r(1))).unwrap().id;
         assert!((rep.mean_link_load[direct.index()] - 10.0).abs() < 1e-9, "50 × 0.2");
         assert!((rep.peak_link_load[direct.index()] - 50.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn traffic_matrix_ingestion() {
-        let t = two_bp_square();
-        let mut tm = poc_traffic::TrafficMatrix::zero(t.n_routers());
-        tm.set(r(0), r(1), 5.0);
-        tm.set(r(2), r(3), 2.0);
-        let mut sim = base_sim(&t, SimConfig { horizon: 1.0, ..Default::default() });
-        sim.add_traffic_matrix(&tm, |router| Some(EntityId(router.0)));
-        let rep = sim.run();
-        assert_eq!(rep.per_flow.len(), 2);
-        assert_eq!(rep.usage_by_owner.len(), 2);
     }
 
     /// Regression: a topology flap entirely outside a flow's active window

@@ -20,9 +20,8 @@
 //!   else — `poc-bench`'s `trace_overhead` test holds a traced round
 //!   within 5 % of an untraced one.
 //! * **One global registry.** Library crates record into
-//!   [`global()`]; it can be flipped into no-op mode with
-//!   [`MetricsRegistry::set_enabled`]`(false)`. Isolated registries
-//!   ([`MetricsRegistry::new`]) exist for tests.
+//!   [`global()`]; isolated registries ([`MetricsRegistry::new`]) exist
+//!   for tests. The flight recorder is the only switch.
 //! * **Names are dotted paths**, `<crate>.<subsystem>.<what>`:
 //!   `flow.cache.hit`, `auction.round.parallel`, `ctrl.frames.read`.
 //!   Histograms record nanoseconds unless the name says otherwise.
@@ -64,8 +63,8 @@ use std::sync::OnceLock;
 
 static GLOBAL: OnceLock<MetricsRegistry> = OnceLock::new();
 
-/// The process-global registry every library crate records into.
-/// Initialized enabled on first use.
+/// The process-global registry every library crate records into,
+/// created on first use.
 pub fn global() -> &'static MetricsRegistry {
     GLOBAL.get_or_init(MetricsRegistry::new)
 }

@@ -9,24 +9,19 @@
 //! lock. The [`crate::counter!`] / [`crate::histogram!`] /
 //! [`crate::span!`] macros cache the handle in a per-call-site static, so
 //! steady-state instrumentation never touches the registry lock at all.
-//!
-//! The whole registry can be switched into no-op mode
-//! ([`MetricsRegistry::set_enabled`]): every handle observes the shared
-//! flag and recording collapses to one relaxed load and a branch. What
-//! instrumentation costs a round is gated by `poc-bench`'s
+//! What instrumentation costs a round is gated by `poc-bench`'s
 //! `trace_overhead` test (traced vs untraced, 5 % bar).
 
 use crate::histogram::HistogramCells;
 use crate::snapshot::{CounterSnapshot, GaugeSnapshot, MetricsSnapshot};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Monotone event counter. Clone freely; clones share the same cell.
 #[derive(Clone, Debug)]
 pub struct Counter {
-    enabled: Arc<AtomicBool>,
     cell: Arc<AtomicU64>,
 }
 
@@ -40,9 +35,7 @@ impl Counter {
     /// Add `n` (use to batch per-iteration counts into one atomic op).
     #[inline]
     pub fn add(&self, n: u64) {
-        if self.enabled.load(Ordering::Relaxed) {
-            self.cell.fetch_add(n, Ordering::Relaxed);
-        }
+        self.cell.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Current value.
@@ -54,7 +47,6 @@ impl Counter {
 /// Last-write-wins instantaneous value (stored as `f64` bits).
 #[derive(Clone, Debug)]
 pub struct Gauge {
-    enabled: Arc<AtomicBool>,
     cell: Arc<AtomicU64>,
 }
 
@@ -62,9 +54,7 @@ impl Gauge {
     /// Set the gauge.
     #[inline]
     pub fn set(&self, value: f64) {
-        if self.enabled.load(Ordering::Relaxed) {
-            self.cell.store(value.to_bits(), Ordering::Relaxed);
-        }
+        self.cell.store(value.to_bits(), Ordering::Relaxed);
     }
 
     /// Current value.
@@ -77,7 +67,6 @@ impl Gauge {
 /// convention; see [`mod@crate::histogram`] for bucket semantics).
 #[derive(Clone, Debug)]
 pub struct Histogram {
-    enabled: Arc<AtomicBool>,
     cells: Arc<HistogramCells>,
 }
 
@@ -85,21 +74,13 @@ impl Histogram {
     /// Record one observation.
     #[inline]
     pub fn record(&self, value: u64) {
-        if self.enabled.load(Ordering::Relaxed) {
-            self.cells.record(value);
-        }
+        self.cells.record(value);
     }
 
     /// Record a wall-clock duration in nanoseconds.
     #[inline]
     pub fn record_duration(&self, d: Duration) {
         self.record(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
-    }
-
-    /// Whether recording is currently active (shared registry flag).
-    #[inline]
-    pub(crate) fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
     }
 
     /// Observations recorded so far.
@@ -129,7 +110,6 @@ impl Instrument {
 /// short, the registry lock is a resolution-time cost only — never a
 /// recording-time one.
 pub struct MetricsRegistry {
-    enabled: Arc<AtomicBool>,
     instruments: Mutex<BTreeMap<String, Instrument>>,
 }
 
@@ -140,26 +120,9 @@ impl Default for MetricsRegistry {
 }
 
 impl MetricsRegistry {
-    /// An enabled, empty registry.
+    /// An empty registry.
     pub fn new() -> Self {
-        Self { enabled: Arc::new(AtomicBool::new(true)), instruments: Mutex::new(BTreeMap::new()) }
-    }
-
-    /// A no-op registry: handles resolve normally but record nothing
-    /// until [`MetricsRegistry::set_enabled`]`(true)`.
-    pub fn disabled() -> Self {
-        let r = Self::new();
-        r.enabled.store(false, Ordering::Relaxed);
-        r
-    }
-
-    /// Toggle recording for every handle resolved from this registry.
-    pub fn set_enabled(&self, enabled: bool) {
-        self.enabled.store(enabled, Ordering::Relaxed);
-    }
-
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
+        Self { instruments: Mutex::new(BTreeMap::new()) }
     }
 
     /// Resolve (registering on first use) the counter `name`.
@@ -176,7 +139,7 @@ impl MetricsRegistry {
             Instrument::Counter(c) => Arc::clone(c),
             other => panic!("metric {name:?} already registered as a {}", other.kind()),
         };
-        Counter { enabled: Arc::clone(&self.enabled), cell }
+        Counter { cell }
     }
 
     /// Resolve (registering on first use) the gauge `name`.
@@ -192,7 +155,7 @@ impl MetricsRegistry {
             Instrument::Gauge(c) => Arc::clone(c),
             other => panic!("metric {name:?} already registered as a {}", other.kind()),
         };
-        Gauge { enabled: Arc::clone(&self.enabled), cell }
+        Gauge { cell }
     }
 
     /// Resolve (registering on first use) the histogram `name`.
@@ -208,7 +171,7 @@ impl MetricsRegistry {
             Instrument::Histogram(c) => Arc::clone(c),
             other => panic!("metric {name:?} already registered as a {}", other.kind()),
         };
-        Histogram { enabled: Arc::clone(&self.enabled), cells }
+        Histogram { cells }
     }
 
     /// Point-in-time snapshot of every instrument, sorted by name.
@@ -252,23 +215,6 @@ mod tests {
         let snap = r.snapshot();
         assert_eq!(snap.counter("test.count"), Some(5));
         assert_eq!(snap.gauge("test.gauge"), Some(1.5));
-    }
-
-    #[test]
-    fn disabled_registry_records_nothing() {
-        let r = MetricsRegistry::disabled();
-        let c = r.counter("noop.count");
-        let h = r.histogram("noop.hist");
-        c.inc();
-        h.record(10);
-        assert_eq!(c.get(), 0);
-        assert_eq!(h.count(), 0);
-        // Re-enabling makes the same handles live.
-        r.set_enabled(true);
-        c.inc();
-        h.record(10);
-        assert_eq!(c.get(), 1);
-        assert_eq!(h.count(), 1);
     }
 
     #[test]

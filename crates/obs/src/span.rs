@@ -32,12 +32,8 @@ pub struct Span<'a> {
     name: &'static str,
     hist: &'a Histogram,
     fields: Vec<(&'static str, FieldValue)>,
-    /// `None` when nothing observes this span (registry in no-op mode
-    /// and no active trace): close does nothing.
+    /// Entry time; taken on close, so a span records once.
     start: Option<Instant>,
-    /// Whether the histogram was live at entry (the registry half of
-    /// `start`'s gate; tracing can keep `start` alive on its own).
-    timed: bool,
     /// The tracing half, when the recorder and a trace are active.
     trace: Option<trace::OpenSpan>,
 }
@@ -55,14 +51,11 @@ impl<'a> Span<'a> {
         hist: &'a Histogram,
         fields: Vec<(&'static str, FieldValue)>,
     ) -> Self {
-        let timed = hist.is_enabled();
         let trace = trace::begin_span();
-        let start = (timed || trace.is_some()).then(Instant::now);
-        Self { name, hist, fields, start, timed, trace }
+        Self { name, hist, fields, start: Some(Instant::now()), trace }
     }
 
-    /// Nanoseconds elapsed so far (`0` when nothing observes the span).
-    /// This is a live peek; the value recorded at close is captured
+    /// Nanoseconds elapsed so far. This is a live peek; the value recorded at close is captured
     /// separately (use [`Span::finish`] to obtain that exact value).
     pub fn elapsed_ns(&self) -> u64 {
         self.start.map_or(0, |s| u64::try_from(s.elapsed().as_nanos()).unwrap_or(u64::MAX))
@@ -70,19 +63,18 @@ impl<'a> Span<'a> {
 
     /// End the span now and return the duration that was recorded —
     /// the same single captured value the histogram and the trace event
-    /// received (`None` when nothing observed the span).
-    pub fn finish(mut self) -> Option<u64> {
-        self.close()
+    /// received.
+    pub fn finish(mut self) -> u64 {
+        self.close().unwrap_or_default()
     }
 
     /// Shared close path for [`Span::finish`] and `Drop`: capture the
-    /// end time once and hand the one duration to both observers.
+    /// end time once and hand the one duration to both observers. `None`
+    /// when the span was already closed.
     fn close(&mut self) -> Option<u64> {
         let start = self.start.take()?;
         let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        if self.timed {
-            self.hist.record(ns);
-        }
+        self.hist.record(ns);
         if let Some(open) = self.trace.take() {
             trace::end_span(open, self.name, ns, std::mem::take(&mut self.fields));
         }
@@ -117,23 +109,12 @@ mod tests {
     }
 
     #[test]
-    fn disabled_histogram_span_is_inert() {
-        let r = MetricsRegistry::disabled();
-        let h = r.histogram("span.noop");
-        {
-            let span = Span::on("span.noop", &h);
-            assert_eq!(span.elapsed_ns(), 0);
-        }
-        assert_eq!(h.count(), 0);
-    }
-
-    #[test]
     fn finish_returns_exactly_the_recorded_value() {
         let r = MetricsRegistry::new();
         let h = r.histogram("span.finish");
         let span = Span::on("span.finish", &h);
         std::thread::sleep(std::time::Duration::from_millis(1));
-        let ns = span.finish().expect("histogram was live");
+        let ns = span.finish();
         // The single-sample histogram holds exactly the returned value:
         // min == max == the one captured end time.
         let snap = r.snapshot();
@@ -158,7 +139,7 @@ mod tests {
             let _root = trace::start_trace(trace_id);
             let span = Span::on("span.traced", &h);
             std::thread::sleep(std::time::Duration::from_millis(1));
-            span.finish().expect("histogram was live")
+            span.finish()
         };
         let event = rec
             .snapshot()
@@ -170,23 +151,5 @@ mod tests {
         let hist = snap.histogram("span.traced").unwrap();
         assert_eq!(hist.min, ns);
         assert_eq!(hist.max, ns);
-    }
-
-    #[test]
-    fn trace_only_span_records_even_with_histogram_disabled() {
-        let r = MetricsRegistry::disabled();
-        let h = r.histogram("span.traceonly");
-        let rec = trace::recorder();
-        rec.set_enabled(true);
-        let trace_id = trace::new_trace_id();
-        {
-            let _root = trace::start_trace(trace_id);
-            let _span = Span::on("span.traceonly", &h);
-        }
-        assert_eq!(h.count(), 0, "disabled histogram stays untouched");
-        assert!(
-            rec.snapshot().iter().any(|e| e.trace_id == trace_id),
-            "the trace event still landed"
-        );
     }
 }

@@ -130,7 +130,6 @@ proptest! {
         capacity in 1usize..32,
         extra in 0u64..64,
     ) {
-        poc_obs::global().set_enabled(true);
         let before = poc_obs::global().snapshot().counter("obs.trace.dropped").unwrap_or(0);
 
         let ring = FlightRecorder::with_capacity(capacity);

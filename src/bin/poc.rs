@@ -664,9 +664,6 @@ fn cmd_serve(rest: &[String]) -> Result<(), String> {
     let addr = opt(rest, "--addr").unwrap_or("127.0.0.1:7700").to_string();
     let mut config = ServerConfig::default();
     if let Some(n) = num_opt::<usize>(rest, "--max-conns")? {
-        if n == 0 {
-            return Err("--max-conns must be at least 1".into());
-        }
         config.max_connections = n;
     }
     if let Some(ms) = num_opt::<u64>(rest, "--idle-timeout-ms")? {
