@@ -307,6 +307,83 @@ impl GreedySelector {
         grew
     }
 
+    /// Phases 1–3 of [`Selector::select`]: an acceptable set built by
+    /// routing, or `None` when the cost-aware router cannot place a demand
+    /// or the repair loop gives up. Neither proves that no subset of
+    /// `available` is acceptable, so the caller falls back to the whole
+    /// offer.
+    fn construct(
+        &self,
+        market: &Market<'_>,
+        oracle: &dyn AcceptabilityOracle,
+        available: &LinkSet,
+    ) -> Option<LinkSet> {
+        let mut selected = LinkSet::empty(available.universe());
+        // Every arc relaxation of every search below prices a link; look
+        // the prices up once.
+        let prices = market.unit_prices();
+
+        // Phase 1: cost-aware base routing. An oracle holding a routing
+        // witness (a warm pivot) seeds it: surviving flows keep their
+        // paths and only the invalidated ones are re-routed. Any warm
+        // mismatch falls back to routing the full matrix from scratch.
+        let mut primaries = None;
+        if let Some(w) = oracle.witness() {
+            primaries = self.route_selecting_warm(&prices, oracle, available, &w, &mut selected);
+            match primaries {
+                Some(_) => poc_obs::counter!("auction.select.warm_start").inc(),
+                None => selected = LinkSet::empty(available.universe()),
+            }
+        }
+        let primaries = match primaries {
+            Some(p) => p,
+            None => self.route_selecting(&prices, oracle, available, None, &mut selected)?,
+        };
+
+        // Phase 2: blanket backup provisioning for the resilience
+        // constraints — route every flow again avoiding its own primary
+        // path on fresh capacity, a cheap first approximation of the
+        // backup capacity both failure constraints need.
+        if !matches!(oracle.constraint(), Constraint::BaseLoad) {
+            let vetoes: Vec<HashSet<LinkId>> =
+                primaries.iter().map(|(_, _, p)| p.iter().copied().collect()).collect();
+            // Backup routing failure is not fatal by itself; the oracle
+            // verification below decides.
+            let _ = self.route_selecting(&prices, oracle, available, Some(&vetoes), &mut selected);
+        }
+
+        // Phase 3: verify against the real oracle and repair failing
+        // scenarios in batches: every verification round reports the pairs
+        // whose failure cannot be absorbed; extra capacity is provisioned
+        // between each (avoiding its primary corridor) and the set is
+        // re-checked. Pairs that keep failing get exponentially more
+        // backup capacity.
+        let mut rounds = 0;
+        let mut fail_counts: std::collections::HashMap<(RouterId, RouterId), u32> =
+            std::collections::HashMap::new();
+        loop {
+            let failures = oracle.failing_scenarios(&selected, 1024);
+            if failures.is_empty() {
+                return Some(selected);
+            }
+            rounds += 1;
+            let mut grew_any = false;
+            if rounds <= MAX_AUGMENT_ROUNDS {
+                for pair in failures {
+                    let n = fail_counts.entry(pair).or_insert(0);
+                    *n += 1;
+                    let boost = f64::powi(2.0, (*n - 1).min(6) as i32);
+                    if self.augment_pair(&prices, oracle, available, pair, boost, &mut selected) {
+                        grew_any = true;
+                    }
+                }
+            }
+            if rounds > MAX_AUGMENT_ROUNDS || !grew_any {
+                return None;
+            }
+        }
+    }
+
     /// Reverse prune: try dropping the most expensive selected links while
     /// the set stays acceptable *and* strictly cheaper.
     fn prune(
@@ -409,76 +486,13 @@ impl Selector for GreedySelector {
         oracle: &dyn AcceptabilityOracle,
         available: &LinkSet,
     ) -> Option<SelectionResult> {
-        let mut selected = LinkSet::empty(available.universe());
-        // Every arc relaxation of every search below prices a link; look
-        // the prices up once.
-        let prices = market.unit_prices();
-
-        // Phase 1: cost-aware base routing. An oracle holding a routing
-        // witness (a warm pivot) seeds it: surviving flows keep their
-        // paths and only the invalidated ones are re-routed. Any warm
-        // mismatch falls back to routing the full matrix from scratch.
-        let mut primaries = None;
-        if let Some(w) = oracle.witness() {
-            primaries = self.route_selecting_warm(&prices, oracle, available, &w, &mut selected);
-            match primaries {
-                Some(_) => poc_obs::counter!("auction.select.warm_start").inc(),
-                None => selected = LinkSet::empty(available.universe()),
-            }
-        }
-        let primaries = match primaries {
-            Some(p) => p,
-            None => self.route_selecting(&prices, oracle, available, None, &mut selected)?,
+        let selected = match self.construct(market, oracle, available) {
+            Some(selected) => selected,
+            // Last resort: everything offered, if that is acceptable;
+            // otherwise the instance is infeasible under the oracle.
+            None if oracle.acceptable(available) => available.clone(),
+            None => return None,
         };
-
-        // Phase 2: blanket backup provisioning for the resilience
-        // constraints — route every flow again avoiding its own primary
-        // path on fresh capacity, a cheap first approximation of the
-        // backup capacity both failure constraints need.
-        if !matches!(oracle.constraint(), Constraint::BaseLoad) {
-            let vetoes: Vec<HashSet<LinkId>> =
-                primaries.iter().map(|(_, _, p)| p.iter().copied().collect()).collect();
-            // Backup routing failure is not fatal by itself; the oracle
-            // verification below decides.
-            let _ = self.route_selecting(&prices, oracle, available, Some(&vetoes), &mut selected);
-        }
-
-        // Phase 3: verify against the real oracle and repair failing
-        // scenarios in batches: every verification round reports the pairs
-        // whose failure cannot be absorbed; extra capacity is provisioned
-        // between each (avoiding its primary corridor) and the set is
-        // re-checked. Pairs that keep failing get exponentially more
-        // backup capacity.
-        let mut rounds = 0;
-        let mut fail_counts: std::collections::HashMap<(RouterId, RouterId), u32> =
-            std::collections::HashMap::new();
-        loop {
-            let failures = oracle.failing_scenarios(&selected, 1024);
-            if failures.is_empty() {
-                break;
-            }
-            rounds += 1;
-            let mut grew_any = false;
-            if rounds <= MAX_AUGMENT_ROUNDS {
-                for pair in failures {
-                    let n = fail_counts.entry(pair).or_insert(0);
-                    *n += 1;
-                    let boost = f64::powi(2.0, (*n - 1).min(6) as i32);
-                    if self.augment_pair(&prices, oracle, available, pair, boost, &mut selected) {
-                        grew_any = true;
-                    }
-                }
-            }
-            if rounds > MAX_AUGMENT_ROUNDS || !grew_any {
-                // Last resort: everything offered, if that is acceptable;
-                // otherwise the instance is infeasible under the oracle.
-                if oracle.acceptable(available) {
-                    selected = available.clone();
-                    break;
-                }
-                return None;
-            }
-        }
 
         // Phase 4: prune.
         let links = self.prune(market, oracle, selected);
@@ -633,6 +647,32 @@ mod tests {
         let oracle = FeasibilityOracle::new(&t, &tm, Constraint::BaseLoad);
         assert!(GreedySelector::default().select(&m, &oracle, m.offered()).is_none());
         assert!(ExhaustiveSelector.select(&m, &oracle, m.offered()).is_none());
+    }
+
+    #[test]
+    fn a_demand_the_cost_aware_router_cannot_place_falls_back_to_the_whole_offer() {
+        // 195 Gbps over twenty parallel 10 Gbps links needs twenty paths:
+        // more than the selector's router takes (`MAX_SPLITS + 1`), fewer
+        // than the oracle's. The offer is acceptable, so `select` must not
+        // report that no subset is.
+        use poc_topology::{LinkOwner, Point, TopologyBuilder};
+        let mut b = TopologyBuilder::new();
+        let west = b.city("west", Point::new(0.0, 0.0), 1.0);
+        let east = b.city("east", Point::new(100.0, 0.0), 1.0);
+        let bp = b.bp("bp", vec![west, east], vec![(west, east)]);
+        let (r0, r1) = (b.router(west, vec![bp]), b.router(east, vec![bp]));
+        for _ in 0..20 {
+            b.link(LinkOwner::Bp(bp), r0, r1, 10.0, 100.0, 1, 1000.0);
+        }
+        let t = b.build();
+        let m = Market::truthful(&t, 3.0);
+        let mut tm = TrafficMatrix::zero(t.n_routers());
+        tm.set(r0, r1, 195.0);
+        let oracle = FeasibilityOracle::new(&t, &tm, Constraint::BaseLoad);
+        assert!(oracle.acceptable(m.offered()));
+        let sel = GreedySelector::default().select(&m, &oracle, m.offered()).expect("acceptable");
+        assert!(oracle.acceptable(&sel.links));
+        assert_eq!(sel.links.len(), 20, "every link is needed");
     }
 
     #[test]

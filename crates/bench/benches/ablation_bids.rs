@@ -1,12 +1,10 @@
 //! Ablation (DESIGN.md §4) — bid language: additive vs bulk-discounted
-//! (subadditive) pricing. Discounts lower the clearing cost and shift the
+//! (subadditive) pricing, and what each does to the clearing cost and the
 //! payment-over-bid distribution.
 
-use criterion::{criterion_group, Criterion};
 use poc_auction::{run_auction, BpBid, GreedySelector, Market};
 use poc_bench::instance;
 use poc_flow::{Constraint, LinkSet};
-use std::time::Duration;
 
 fn discounted_market(topo: &poc_topology::PocTopology) -> Market<'_> {
     let bids = topo
@@ -24,7 +22,7 @@ fn discounted_market(topo: &poc_topology::PocTopology) -> Market<'_> {
     Market::new(topo, bids, 3.0).expect("discounted truthful bids are valid")
 }
 
-fn print_ablation() {
+fn main() {
     let (topo, tm) = instance();
     let selector = GreedySelector::with_prune_budget(16);
     println!("\n=== Ablation: bid language (additive vs volume discount) ===");
@@ -64,25 +62,4 @@ fn print_ablation() {
         add.bp_cost(bp, &all_of_bp),
         disc.bp_cost(bp, &all_of_bp)
     );
-}
-
-fn bench_cost_eval(c: &mut Criterion) {
-    let (topo, _tm) = instance();
-    let add = Market::truthful(&topo, 3.0);
-    let disc = discounted_market(&topo);
-    let all = add.offered().clone();
-    c.bench_function("total_cost_additive", |b| b.iter(|| add.total_cost(&all)));
-    c.bench_function("total_cost_discounted", |b| b.iter(|| disc.total_cost(&all)));
-}
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(30).measurement_time(Duration::from_secs(10));
-    targets = bench_cost_eval
-}
-
-fn main() {
-    print_ablation();
-    benches();
-    criterion::Criterion::default().configure_from_args().final_summary();
 }

@@ -3,16 +3,14 @@
 //! how close is the heuristic to the exact optimum on an instance small
 //! enough to enumerate?
 
-use criterion::{criterion_group, Criterion};
 use poc_auction::{ExhaustiveSelector, ForwardGreedySelector, GreedySelector, Market, Selector};
 use poc_bench::instance;
 use poc_flow::{Constraint, FeasibilityOracle};
 use poc_topology::builder::two_bp_square;
 use poc_topology::RouterId;
 use poc_traffic::TrafficMatrix;
-use std::time::Duration;
 
-fn print_ablation() {
+fn main() {
     let (topo, tm) = instance();
     let market = Market::truthful(&topo, 3.0);
     let oracle = FeasibilityOracle::new(&topo, &tm, Constraint::BaseLoad);
@@ -56,28 +54,4 @@ fn print_ablation() {
         greedy.cost,
         100.0 * (greedy.cost - exact.cost) / exact.cost
     );
-}
-
-fn bench_selectors(c: &mut Criterion) {
-    let (topo, tm) = instance();
-    let market = Market::truthful(&topo, 3.0);
-    let oracle = FeasibilityOracle::new(&topo, &tm, Constraint::BaseLoad);
-    for budget in [0usize, 16] {
-        c.bench_function(&format!("greedy_select_prune_{budget}"), |b| {
-            let sel = GreedySelector::with_prune_budget(budget);
-            b.iter(|| sel.select(&market, &oracle, market.offered()).expect("feasible"))
-        });
-    }
-}
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10).measurement_time(Duration::from_secs(20));
-    targets = bench_selectors
-}
-
-fn main() {
-    print_ablation();
-    benches();
-    criterion::Criterion::default().configure_from_args().final_summary();
 }

@@ -4,14 +4,12 @@
 //! scales, locating where the heuristic starts rejecting instances an LP
 //! might still pack.
 
-use criterion::{criterion_group, Criterion};
 use poc_bench::instance;
 use poc_flow::maxflow::max_flow_between;
 use poc_flow::{route_tm, LinkSet};
 use poc_traffic::TrafficMatrix;
-use std::time::Duration;
 
-fn print_gap() {
+fn main() {
     let (topo, base_tm) = instance();
     let all = LinkSet::full(topo.n_links());
     println!("\n=== Ablation: greedy router vs load scale ===");
@@ -41,28 +39,4 @@ fn print_gap() {
         let routable = route_tm(&topo, &all, &tm).is_ok();
         println!("  {ra}→{rb}: maxflow {mf:.0} Gbps, 95% of it greedy-routable: {routable}");
     }
-}
-
-fn bench_oracles(c: &mut Criterion) {
-    let (topo, tm) = instance();
-    let all = LinkSet::full(topo.n_links());
-    c.bench_function("route_tm_full_offer", |b| {
-        b.iter(|| route_tm(&topo, &all, &tm).expect("feasible"))
-    });
-    let (ra, rb) = (poc_topology::RouterId(0), poc_topology::RouterId(topo.n_routers() as u32 - 1));
-    c.bench_function("dinic_max_flow_one_pair", |b| {
-        b.iter(|| max_flow_between(&topo, &all, ra, rb))
-    });
-}
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10).measurement_time(Duration::from_secs(15));
-    targets = bench_oracles
-}
-
-fn main() {
-    print_gap();
-    benches();
-    criterion::Criterion::default().configure_from_args().final_summary();
 }

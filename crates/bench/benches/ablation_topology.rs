@@ -2,13 +2,11 @@
 //! ring, hub-and-spoke) shapes the offered-link market and the auction's
 //! clearing cost and margins.
 
-use criterion::{criterion_group, Criterion};
 use poc_auction::{run_auction, GreedySelector, Market};
 use poc_flow::Constraint;
 use poc_topology::zoo::{attach_external_isps, ExternalIspConfig, InternalStyle};
 use poc_topology::{CostModel, TopologyStats, ZooConfig, ZooGenerator};
 use poc_traffic::TrafficScenario;
-use std::time::Duration;
 
 const STYLES: [(&str, InternalStyle); 3] = [
     ("mst+shortcuts", InternalStyle::MstPlusShortcuts),
@@ -16,7 +14,7 @@ const STYLES: [(&str, InternalStyle); 3] = [
     ("hub-and-spoke", InternalStyle::HubAndSpoke),
 ];
 
-fn print_ablation() {
+fn main() {
     println!("\n=== Ablation: BP internal-network style ===");
     println!(
         "{:<16}{:>8}{:>10}{:>8}{:>14}{:>12}",
@@ -56,25 +54,4 @@ fn print_ablation() {
         "sparser internal wiring (ring/hub) offers fewer, longer logical links — \
          thinner competition, different clearing costs and margin spreads."
     );
-}
-
-fn bench_styles(c: &mut Criterion) {
-    for (label, style) in STYLES {
-        let cfg = ZooConfig { internal_style: style, ..ZooConfig::small() };
-        c.bench_function(&format!("zoo_generate_{label}"), |b| {
-            b.iter(|| ZooGenerator::new(cfg.clone()).generate())
-        });
-    }
-}
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10).measurement_time(Duration::from_secs(10));
-    targets = bench_styles
-}
-
-fn main() {
-    print_ablation();
-    benches();
-    criterion::Criterion::default().configure_from_args().final_summary();
 }

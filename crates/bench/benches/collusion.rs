@@ -1,14 +1,12 @@
-//! E-C1 — §3.3 collusion analysis: coordinated link withholding raises
+//! E-C1 — §3.3 collusion analysis: coordinated link withholding moves
 //! payments, bounded per-BP by the virtual-link fallback.
 
-use criterion::{criterion_group, Criterion};
 use poc_auction::collusion::withholding_experiment;
-use poc_auction::{GreedySelector, Market};
-use poc_flow::Constraint;
+use poc_auction::{GreedySelector, Market, Selector};
+use poc_flow::{Constraint, FeasibilityOracle, LinkSet};
 use poc_topology::zoo::{attach_external_isps, ExternalIspConfig};
 use poc_topology::{CostModel, PocTopology, ZooConfig, ZooGenerator};
 use poc_traffic::{TrafficMatrix, TrafficScenario};
-use std::time::Duration;
 
 /// Withholding needs the paper's assumption that the external fallback
 /// keeps every pivot feasible: attach the ISPs at every router.
@@ -21,54 +19,65 @@ fn instance() -> (PocTopology, TrafficMatrix) {
     (topo, tm)
 }
 
-fn print_collusion() {
+fn main() {
     let (topo, tm) = instance();
     let mut market = Market::truthful(&topo, 3.0);
     let selector = GreedySelector::with_prune_budget(16);
     println!("\n=== E-C1 / §3.3 link-withholding collusion ===");
-    match withholding_experiment(&mut market, &tm, Constraint::BaseLoad, &selector) {
-        Ok(report) => {
-            println!("{:<8}{:>16}{:>16}{:>12}", "BP", "payment before", "payment after", "gain");
-            for d in &report.deltas {
-                if d.payment_before > 0.0 || d.payment_after > 0.0 {
-                    println!(
-                        "{:<8}{:>16.0}{:>16.0}{:>12.0}",
-                        d.bp.to_string(),
-                        d.payment_before,
-                        d.payment_after,
-                        d.gain()
-                    );
-                }
-            }
+    let report = match withholding_experiment(&mut market, &tm, Constraint::BaseLoad, &selector) {
+        Ok(report) => report,
+        Err(e) => {
+            println!("experiment infeasible: {e}");
+            return;
+        }
+    };
+    println!(
+        "baseline:  |SL| = {}, C(SL) = ${:.0}",
+        report.baseline.selected.len(),
+        report.baseline.total_cost
+    );
+    println!(
+        "colluded:  |SL| = {}, C(SL) = ${:.0}   (selected set unchanged: {})",
+        report.colluded.selected.len(),
+        report.colluded.total_cost,
+        report.baseline.selected == report.colluded.selected
+    );
+    println!("{:<8}{:>16}{:>16}{:>12}", "BP", "payment before", "payment after", "gain");
+    for d in &report.deltas {
+        if d.payment_before > 0.0 || d.payment_after > 0.0 {
             println!(
-                "coalition gain: ${:.0} (finite — bounded by virtual links)",
-                report.total_gain()
+                "{:<8}{:>16.0}{:>16.0}{:>12.0}",
+                d.bp.to_string(),
+                d.payment_before,
+                d.payment_after,
+                d.gain()
             );
         }
-        Err(e) => println!("experiment infeasible: {e}"),
     }
-}
+    println!("coalition gain: ${:.0} (finite — bounded by virtual links)", report.total_gain());
 
-fn bench_withholding(c: &mut Criterion) {
-    let (topo, tm) = instance();
-    let selector = GreedySelector::with_prune_budget(8);
-    c.bench_function("withholding_experiment_small", |b| {
-        b.iter(|| {
-            let mut market = Market::truthful(&topo, 3.0);
-            withholding_experiment(&mut market, &tm, Constraint::BaseLoad, &selector)
-                .expect("feasible")
-        })
-    });
-}
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10).measurement_time(Duration::from_secs(20));
-    targets = bench_withholding
-}
-
-fn main() {
-    print_collusion();
-    benches();
-    criterion::Criterion::default().configure_from_args().final_summary();
+    // With every BP withholding, a pivot's alternatives are at worst the
+    // contract-priced virtual links: P_α = C_α + C(SL_−α) − C(SL) and
+    // C(SL_−α) ≤ C(virtual-only), so every payment is capped at
+    // C_α + (C_virt − C(SL)).
+    let oracle = FeasibilityOracle::new(&topo, &tm, Constraint::BaseLoad);
+    let virtual_only = LinkSet::from_links(topo.n_links(), topo.virtual_links());
+    match selector.select(&market, &oracle, &virtual_only) {
+        Some(fallback) => {
+            let slack = report
+                .colluded
+                .settlements
+                .iter()
+                .filter(|s| s.payment > 0.0)
+                .map(|s| s.bid_cost + fallback.cost - report.colluded.total_cost - s.payment)
+                .fold(f64::INFINITY, f64::min);
+            println!(
+                "per-BP Clarke bound P_α ≤ C_α + (C_virt − C(SL)) with C_virt = ${:.0}: {} \
+                 (tightest slack ${slack:.0})",
+                fallback.cost,
+                if slack >= 0.0 { "holds for every BP" } else { "VIOLATED" },
+            );
+        }
+        None => println!("virtual-only fallback infeasible on this instance"),
+    }
 }

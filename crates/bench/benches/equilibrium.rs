@@ -2,13 +2,11 @@
 //! t* = (p*(t*) − ⟨rc⟩)/2 exists, is unique in practice, and the iterated
 //! best-response converges for every demand family.
 
-use criterion::{criterion_group, Criterion};
 use poc_econ::demand::{Exponential, Logistic, ParetoTail};
 use poc_econ::fees::bargaining_equilibrium;
 use poc_econ::Demand;
-use std::time::Duration;
 
-fn print_equilibria() {
+fn main() {
     println!("\n=== E-EQ / §4.5 renegotiation fixed points ===");
     let families: Vec<(&str, Box<dyn Demand>)> = vec![
         ("exponential λ=0.1", Box::new(Exponential::new(0.1))),
@@ -28,23 +26,4 @@ fn print_equilibria() {
             );
         }
     }
-}
-
-fn bench_equilibrium(c: &mut Criterion) {
-    let d = Exponential::new(0.1);
-    c.bench_function("bargaining_equilibrium_exponential", |b| {
-        b.iter(|| bargaining_equilibrium(&d, criterion::black_box(3.0)))
-    });
-}
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(20).measurement_time(Duration::from_secs(10));
-    targets = bench_equilibrium
-}
-
-fn main() {
-    print_equilibria();
-    benches();
-    criterion::Criterion::default().configure_from_args().final_summary();
 }

@@ -1,17 +1,16 @@
 //! E-F2 — Figure 2: payment-over-bid margins of the five largest BPs
-//! under Constraints #1/#2/#3, plus timing of one full VCG round.
+//! under Constraints #1/#2/#3, with each constraint's round wall time.
 //!
 //! `POC_PAPER_SCALE=1 cargo bench -p poc-bench --bench fig2_pob` prints the
 //! full-scale figure (several minutes); the default prints the same series
 //! on the laptop-scale instance.
 
-use criterion::{criterion_group, Criterion};
 use poc_auction::{run_auction, GreedySelector, Market};
 use poc_bench::{instance, paper_scale};
 use poc_flow::Constraint;
-use std::time::Duration;
+use std::time::Instant;
 
-fn print_figure2() {
+fn main() {
     let (topo, tm) = instance();
     let market = Market::truthful(&topo, 3.0);
     let selector = GreedySelector::with_prune_budget(16);
@@ -22,6 +21,7 @@ fn print_figure2() {
     );
     let mut rows: Vec<(String, Vec<(String, f64)>)> = Vec::new();
     for c in Constraint::paper_suite(stride) {
+        let started = Instant::now();
         match run_auction(&market, &tm, c, &selector) {
             Ok(out) => {
                 println!(
@@ -37,6 +37,7 @@ fn print_figure2() {
             }
             Err(e) => println!("constraint {} infeasible: {e}", c.label()),
         }
+        println!("constraint {}: round wall time {:.1?}", c.label(), started.elapsed());
     }
     print!("{:<10}", "BP");
     for (label, _) in &rows {
@@ -55,41 +56,4 @@ fn print_figure2() {
             println!();
         }
     }
-}
-
-fn bench_auction_round(c: &mut Criterion) {
-    let (topo, tm) = {
-        // Timing always on the small instance — a paper-scale VCG round is
-        // minutes long and belongs in the printed experiment, not the
-        // statistical timer.
-        let mut topo = poc_topology::ZooGenerator::new(poc_topology::ZooConfig::small()).generate();
-        poc_topology::zoo::attach_external_isps(
-            &mut topo,
-            &poc_topology::zoo::ExternalIspConfig::default(),
-            &poc_topology::CostModel::default(),
-        );
-        let tm = poc_traffic::TrafficScenario {
-            total_gbps: 2500.0,
-            ..poc_traffic::TrafficScenario::paper_default()
-        }
-        .generate(&topo);
-        (topo, tm)
-    };
-    let market = Market::truthful(&topo, 3.0);
-    let selector = GreedySelector::with_prune_budget(8);
-    c.bench_function("vcg_round_baseload_small", |b| {
-        b.iter(|| run_auction(&market, &tm, Constraint::BaseLoad, &selector).expect("feasible"))
-    });
-}
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10).measurement_time(Duration::from_secs(20));
-    targets = bench_auction_round
-}
-
-fn main() {
-    print_figure2();
-    benches();
-    criterion::Criterion::default().configure_from_args().final_summary();
 }

@@ -3,14 +3,11 @@
 //! lemma's hypotheses (and, as the paper's sufficiency caveat predicts,
 //! even for linear demand which violates them).
 
-use criterion::{criterion_group, Criterion};
 use poc_econ::demand::{Exponential, Linear, Logistic, ParetoTail};
-use poc_econ::fees::monopoly_price;
 use poc_econ::lemma::{is_strictly_increasing, price_response_curve};
 use poc_econ::Demand;
-use std::time::Duration;
 
-fn print_lemma() {
+fn main() {
     println!("\n=== E-L1 / Lemma 1: p*(t) sweeps ===");
     let families: Vec<(&str, Box<dyn Demand>)> = vec![
         ("exponential λ=0.1", Box::new(Exponential::new(0.1))),
@@ -31,27 +28,4 @@ fn print_lemma() {
         }
         println!("{:>14}", is_strictly_increasing(&curve, 1e-6));
     }
-}
-
-fn bench_pricing(c: &mut Criterion) {
-    let d = Exponential::new(0.1);
-    c.bench_function("monopoly_price_exponential", |b| {
-        b.iter(|| monopoly_price(&d, criterion::black_box(3.0)))
-    });
-    let p = ParetoTail::new(5.0, 2.0);
-    c.bench_function("monopoly_price_pareto", |b| {
-        b.iter(|| monopoly_price(&p, criterion::black_box(3.0)))
-    });
-}
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(30).measurement_time(Duration::from_secs(10));
-    targets = bench_pricing
-}
-
-fn main() {
-    print_lemma();
-    benches();
-    criterion::Criterion::default().configure_from_args().final_summary();
 }

@@ -2,12 +2,10 @@
 //! t = (p − r·c)/2 falls with the churn rate r, so incumbent LMPs (low r)
 //! extract more and incumbent CSPs (high churn threat) pay less.
 
-use criterion::{criterion_group, Criterion};
 use poc_econ::fees::nbs_fee;
 use poc_econ::Economy;
-use std::time::Duration;
 
-fn print_fee_sweep() {
+fn main() {
     println!("\n=== E-B1 / §4.5 NBS fee vs churn rate (p = 20, c = 50) ===");
     println!("{:>6}{:>10}", "r", "fee");
     for i in 0..=10 {
@@ -22,23 +20,4 @@ fn print_fee_sweep() {
             println!("  {lmp:<24} r = {r:>5.2}  t = {fee:>7.2}");
         }
     }
-}
-
-fn bench_fees(c: &mut Criterion) {
-    let economy = Economy::example();
-    c.bench_function("per_lmp_nbs_fees_all_csps", |b| {
-        b.iter(|| (0..economy.csps.len()).map(|s| economy.per_lmp_nbs_fees(s)).collect::<Vec<_>>())
-    });
-}
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(30).measurement_time(Duration::from_secs(10));
-    targets = bench_fees
-}
-
-fn main() {
-    print_fee_sweep();
-    benches();
-    criterion::Criterion::default().configure_from_args().final_summary();
 }

@@ -1,14 +1,12 @@
-//! E-R1 — failure drills across constraint levels: sets selected under
-//! stricter constraints survive fibre cuts with higher availability.
+//! E-R1 — failure drills across constraint levels: does a set selected
+//! under a stricter constraint survive fibre cuts with higher availability?
 
-use criterion::{criterion_group, Criterion};
 use poc_auction::{GreedySelector, Market, Selector};
 use poc_bench::instance;
 use poc_flow::{Constraint, FeasibilityOracle};
 use poc_netsim::drill::{run_drill, DrillSpec};
-use std::time::Duration;
 
-fn print_drills() {
+fn main() {
     let (topo, tm) = instance();
     let market = Market::truthful(&topo, 3.0);
     let selector = GreedySelector::with_prune_budget(16);
@@ -36,28 +34,4 @@ fn print_drills() {
             Err(e) => println!("{:<14} unroutable: {e}", c.label()),
         }
     }
-}
-
-fn bench_drill(c: &mut Criterion) {
-    let (topo, tm) = instance();
-    let market = Market::truthful(&topo, 3.0);
-    let selector = GreedySelector::with_prune_budget(8);
-    let oracle = FeasibilityOracle::new(&topo, &tm, Constraint::BaseLoad);
-    let sel = selector.select(&market, &oracle, market.offered()).expect("feasible");
-    let spec = DrillSpec { n_failures: 4, outage_hours: 1.0, gap_hours: 0.5 };
-    c.bench_function("failure_drill_baseload_small", |b| {
-        b.iter(|| run_drill(&topo, &sel.links, &tm, &spec).expect("routable"))
-    });
-}
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10).measurement_time(Duration::from_secs(20));
-    targets = bench_drill
-}
-
-fn main() {
-    print_drills();
-    benches();
-    criterion::Criterion::default().configure_from_args().final_summary();
 }

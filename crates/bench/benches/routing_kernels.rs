@@ -204,7 +204,7 @@ fn bench_fairness(c: &mut Criterion) {
         })
         .collect();
     c.bench_function(&format!("max_min_rates_{}_flows", flows.len()), |b| {
-        b.iter(|| max_min_rates(&topo, &flows, None))
+        b.iter(|| max_min_rates(&topo, &flows))
     });
 }
 

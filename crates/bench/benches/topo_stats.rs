@@ -1,12 +1,9 @@
 //! E-T1 — §3.3 instance statistics: 20 BPs, ≈4674 logical links, per-BP
-//! shares ≈2%–12%. Always printed at paper scale (generation is cheap);
-//! the timer measures instance generation.
+//! shares ≈2%–12%. Always printed at paper scale (generation is cheap).
 
-use criterion::{criterion_group, Criterion};
 use poc_topology::{TopologyStats, ZooConfig, ZooGenerator};
-use std::time::Duration;
 
-fn print_stats() {
+fn main() {
     let topo = ZooGenerator::new(ZooConfig::paper()).generate();
     let stats = TopologyStats::compute(&topo);
     println!("\n=== E-T1 / §3.3 instance statistics (paper: 20 BPs, 4674 links, 2%–12%) ===");
@@ -18,25 +15,4 @@ fn print_stats() {
         min * 100.0,
         max * 100.0
     );
-}
-
-fn bench_generation(c: &mut Criterion) {
-    c.bench_function("zoo_generate_paper_scale", |b| {
-        b.iter(|| ZooGenerator::new(ZooConfig::paper()).generate())
-    });
-    c.bench_function("zoo_generate_small", |b| {
-        b.iter(|| ZooGenerator::new(ZooConfig::small()).generate())
-    });
-}
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10).measurement_time(Duration::from_secs(10));
-    targets = bench_generation
-}
-
-fn main() {
-    print_stats();
-    benches();
-    criterion::Criterion::default().configure_from_args().final_summary();
 }

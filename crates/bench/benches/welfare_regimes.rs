@@ -1,11 +1,9 @@
 //! E-W1 — §4.3/4.4 social welfare by regime: NN ≥ UR-bargaining ≥
 //! UR-unilateral, with consumer surplus highest under NN.
 
-use criterion::{criterion_group, Criterion};
 use poc_econ::Economy;
-use std::time::Duration;
 
-fn print_regimes() {
+fn main() {
     let economy = Economy::example();
     let reports = economy.compare_regimes();
     println!("\n=== E-W1 / §4 welfare by regime ===");
@@ -33,21 +31,4 @@ fn print_regimes() {
             economy.csps[i].name, nn.per_csp[i].price, uni.per_csp[i].price, nbs.per_csp[i].price
         );
     }
-}
-
-fn bench_regimes(c: &mut Criterion) {
-    let economy = Economy::example();
-    c.bench_function("compare_regimes_example_economy", |b| b.iter(|| economy.compare_regimes()));
-}
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(20).measurement_time(Duration::from_secs(10));
-    targets = bench_regimes
-}
-
-fn main() {
-    print_regimes();
-    benches();
-    criterion::Criterion::default().configure_from_args().final_summary();
 }

@@ -1,11 +1,13 @@
-//! Shared fixtures for the criterion experiment benches.
+//! Shared fixtures for the experiment benches.
 //!
-//! Every bench target regenerates one experiment from DESIGN.md's index:
-//! it prints the table/series the paper reports (on a laptop-scale
-//! instance by default; set `POC_PAPER_SCALE=1` for the full §3.3
-//! instance) and then times the computational kernel behind it.
+//! Every bench target but `routing_kernels` regenerates one experiment
+//! from DESIGN.md's index: it prints the table/series the paper reports
+//! (on a laptop-scale instance by default; set `POC_PAPER_SCALE=1` for the
+//! full §3.3 instance) and times nothing. It is the only program that
+//! prints that table. `routing_kernels` times the flow and packet kernels
+//! with the criterion shim.
 //!
-//! Performance is not measured here: that is the package under
+//! End-to-end performance is not measured here: that is the package under
 //! `src/bin/benchmark/` (`BENCHMARK.json` at the repository root), which
 //! is not part of this crate or the workspace.
 

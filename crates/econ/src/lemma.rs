@@ -28,28 +28,6 @@ pub fn is_strictly_increasing(curve: &[(f64, f64)], tol: f64) -> bool {
         && curve.last().map(|l| l.1).unwrap_or(0.0) > curve.first().map(|f| f.1).unwrap_or(0.0)
 }
 
-/// Spot-check the lemma's hypotheses at a set of prices: positive,
-/// decreasing (D' < 0), convex (D'' > 0). Returns the first violated
-/// hypothesis, if any. Intended for diagnostics, not proofs.
-pub fn check_hypotheses(demand: &dyn Demand, prices: &[f64]) -> Option<String> {
-    for &p in prices {
-        let d = demand.d(p);
-        if d <= 0.0 {
-            return Some(format!("D({p}) = {d} not strictly positive"));
-        }
-        let dp = demand.d_prime(p);
-        if dp >= 0.0 {
-            return Some(format!("D'({p}) = {dp} not strictly negative"));
-        }
-        let h = (p.abs() * 1e-4).max(1e-5);
-        let d2 = (demand.d(p + h) - 2.0 * demand.d(p) + demand.d(p - h)) / (h * h);
-        if d2 <= 0.0 {
-            return Some(format!("D''({p}) = {d2} not strictly positive"));
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -89,14 +67,5 @@ mod tests {
         let d = Logistic::new(20.0, 4.0);
         let curve = price_response_curve(&d, 15.0, 31);
         assert!(is_strictly_increasing(&curve, 1e-6));
-    }
-
-    #[test]
-    fn hypotheses_pass_for_exponential_fail_for_linear() {
-        let exp = Exponential::new(0.1);
-        assert_eq!(check_hypotheses(&exp, &[1.0, 5.0, 20.0]), None);
-        let lin = Linear::new(40.0);
-        let violation = check_hypotheses(&lin, &[10.0, 45.0]);
-        assert!(violation.is_some(), "linear demand must violate a hypothesis");
     }
 }

@@ -25,12 +25,10 @@ pub mod entry;
 pub mod fees;
 pub mod lemma;
 pub mod model;
-pub mod qos;
 pub mod welfare;
 
 pub use demand::{Demand, Exponential, Linear, Logistic, ParetoTail};
 pub use entry::{deterrence_band, entry_decision, EntryOutcome};
 pub use fees::{bargaining_equilibrium, nbs_fee, unilateral_fee, BargainingOutcome};
 pub use model::{CspKind, Economy, LmpKind, Regime, RegimeReport};
-pub use qos::{degraded_welfare, equivalent_fee};
 pub use welfare::{consumer_surplus, social_welfare};

@@ -17,23 +17,12 @@ pub struct AllocFlow {
     pub demand_gbps: f64,
 }
 
-/// Compute max-min fair rates. `scale[l]` optionally derates a link's
-/// usable capacity (e.g. 0.0 while the link is down); pass `None` for full
-/// capacity. Returns one rate per flow (≤ demand).
-pub fn max_min_rates(topo: &PocTopology, flows: &[AllocFlow], scale: Option<&[f64]>) -> Vec<f64> {
+/// Compute max-min fair rates over every link's full capacity. Returns one
+/// rate per flow (≤ demand).
+pub fn max_min_rates(topo: &PocTopology, flows: &[AllocFlow]) -> Vec<f64> {
     let n_links = topo.n_links();
-    if let Some(s) = scale {
-        assert_eq!(s.len(), n_links, "scale vector must cover all links");
-    }
     // Residual capacity per (link, dir).
-    let cap = |l: usize| {
-        let base = topo.links[l].capacity_gbps;
-        match scale {
-            Some(s) => base * s[l].clamp(0.0, 1.0),
-            None => base,
-        }
-    };
-    let mut residual_fwd: Vec<f64> = (0..n_links).map(cap).collect();
+    let mut residual_fwd: Vec<f64> = topo.links.iter().map(|l| l.capacity_gbps).collect();
     let mut residual_rev = residual_fwd.clone();
 
     let mut rate = vec![0.0f64; flows.len()];
@@ -135,7 +124,7 @@ mod tests {
         let t = two_bp_square();
         let flows =
             vec![AllocFlow { hops: direct_hops(&t, RouterId(0), RouterId(1)), demand_gbps: 30.0 }];
-        let rates = max_min_rates(&t, &flows, None);
+        let rates = max_min_rates(&t, &flows);
         assert!((rates[0] - 30.0).abs() < 1e-9);
     }
 
@@ -148,7 +137,7 @@ mod tests {
             AllocFlow { hops: hops.clone(), demand_gbps: 80.0 },
             AllocFlow { hops, demand_gbps: 80.0 },
         ];
-        let rates = max_min_rates(&t, &flows, None);
+        let rates = max_min_rates(&t, &flows);
         assert!((rates[0] - 50.0).abs() < 1e-6, "{rates:?}");
         assert!((rates[1] - 50.0).abs() < 1e-6);
     }
@@ -161,7 +150,7 @@ mod tests {
             AllocFlow { hops: hops.clone(), demand_gbps: 10.0 },
             AllocFlow { hops, demand_gbps: 500.0 },
         ];
-        let rates = max_min_rates(&t, &flows, None);
+        let rates = max_min_rates(&t, &flows);
         assert!((rates[0] - 10.0).abs() < 1e-6, "{rates:?}");
         assert!((rates[1] - 90.0).abs() < 1e-6, "{rates:?}");
     }
@@ -175,28 +164,16 @@ mod tests {
             AllocFlow { hops: fwd, demand_gbps: 90.0 },
             AllocFlow { hops: rev, demand_gbps: 90.0 },
         ];
-        let rates = max_min_rates(&t, &flows, None);
+        let rates = max_min_rates(&t, &flows);
         assert!((rates[0] - 90.0).abs() < 1e-6);
         assert!((rates[1] - 90.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn link_scale_derates_capacity() {
-        let t = two_bp_square();
-        let hops = direct_hops(&t, RouterId(0), RouterId(1));
-        let link = hops[0].0;
-        let mut scale = vec![1.0; t.n_links()];
-        scale[link.index()] = 0.5; // degraded to 50G
-        let flows = vec![AllocFlow { hops, demand_gbps: 80.0 }];
-        let rates = max_min_rates(&t, &flows, Some(&scale));
-        assert!((rates[0] - 50.0).abs() < 1e-6, "{rates:?}");
     }
 
     #[test]
     fn empty_path_flow_passes_through() {
         let t = two_bp_square();
         let flows = vec![AllocFlow { hops: vec![], demand_gbps: 7.0 }];
-        let rates = max_min_rates(&t, &flows, None);
+        let rates = max_min_rates(&t, &flows);
         assert_eq!(rates[0], 7.0);
     }
 
@@ -207,7 +184,7 @@ mod tests {
         let l3 = t.links.iter().find(|l| l.connects(RouterId(0), RouterId(3))).unwrap();
         let dir = if l3.a == RouterId(0) { Dir::Fwd } else { Dir::Rev };
         let flows = vec![AllocFlow { hops: vec![(l3.id, dir)], demand_gbps: 100.0 }];
-        let rates = max_min_rates(&t, &flows, None);
+        let rates = max_min_rates(&t, &flows);
         assert!((rates[0] - 40.0).abs() < 1e-6);
     }
 }

@@ -407,7 +407,7 @@ impl<'t> Simulator<'t> {
                     }
                 }
             }
-            let rates = max_min_rates(self.topo, &seg_flows, None);
+            let rates = max_min_rates(self.topo, &seg_flows);
             let dt = t1 - t0;
             let mut seg_fwd = vec![0.0f64; self.topo.n_links()];
             let mut seg_rev = vec![0.0f64; self.topo.n_links()];

@@ -145,7 +145,7 @@ impl PocTopology {
     }
 
     /// Position of a router on the plane.
-    pub fn router_pos(&self, id: RouterId) -> Point {
+    fn router_pos(&self, id: RouterId) -> Point {
         self.city(self.router(id).city).pos
     }
 

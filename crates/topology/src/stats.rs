@@ -59,12 +59,6 @@ impl TopologyStats {
         (min, max)
     }
 
-    /// The `n` largest BPs by offered-link count (Figure 2 reports the five
-    /// largest).
-    pub fn largest_bps(&self, n: usize) -> Vec<BpId> {
-        self.bp_shares.iter().take(n).map(|x| x.0).collect()
-    }
-
     /// Render a small human-readable table.
     pub fn render_table(&self) -> String {
         let mut s = String::new();
@@ -92,14 +86,6 @@ mod tests {
         assert!((total - 1.0).abs() < 1e-12);
         assert_eq!(stats.n_bp_links, 6);
         assert_eq!(stats.n_virtual_links, 0);
-    }
-
-    #[test]
-    fn largest_bps_ordered_by_count() {
-        let stats = TopologyStats::compute(&two_bp_square());
-        assert_eq!(stats.largest_bps(2).len(), 2);
-        let (min, max) = stats.share_range();
-        assert!(min <= max);
     }
 
     #[test]

@@ -32,22 +32,6 @@ impl TrafficMatrix {
         Self { n, demand: vec![0.0; n * n] }
     }
 
-    /// Build from a dense row-major vector.
-    ///
-    /// # Panics
-    /// Panics if the length is not `n²`, any entry is negative/non-finite,
-    /// or the diagonal is non-zero.
-    pub fn from_dense(n: usize, demand: Vec<f64>) -> Self {
-        assert_eq!(demand.len(), n * n, "demand vector must be n^2 long");
-        for (i, &d) in demand.iter().enumerate() {
-            assert!(d.is_finite() && d >= 0.0, "invalid demand at flat index {i}");
-            if i / n == i % n {
-                assert_eq!(d, 0.0, "diagonal must be zero (router {})", i / n);
-            }
-        }
-        Self { n, demand }
-    }
-
     pub fn n_routers(&self) -> usize {
         self.n
     }
@@ -115,14 +99,6 @@ impl TrafficMatrix {
             .map(move |(i, &d)| (RouterId::from_index(i / n), RouterId::from_index(i % n), d))
     }
 
-    /// Undirected pair load: demand(a,b) + demand(b,a), for the feasibility
-    /// oracle's per-pair routing (links are undirected full-duplex, so the
-    /// binding load per direction is the directed demand; this helper is for
-    /// reporting).
-    pub fn pair_total(&self, a: RouterId, b: RouterId) -> f64 {
-        self.demand(a, b) + self.demand(b, a)
-    }
-
     /// Number of strictly positive demands.
     pub fn n_flows(&self) -> usize {
         self.demand.iter().filter(|&&d| d > 0.0).count()
@@ -152,7 +128,6 @@ mod tests {
         tm.set(r(2), r(0), 1.5);
         assert_eq!(tm.demand(r(0), r(2)), 4.5);
         assert_eq!(tm.demand(r(2), r(0)), 1.5);
-        assert_eq!(tm.pair_total(r(0), r(2)), 6.0);
         assert_eq!(tm.total(), 6.0);
         assert_eq!(tm.n_flows(), 2);
         assert_eq!(tm.max_demand(), 4.5);
@@ -180,15 +155,6 @@ mod tests {
         let mut tm = TrafficMatrix::zero(2);
         tm.scale_to_total(10.0);
         assert_eq!(tm.total(), 0.0);
-    }
-
-    #[test]
-    fn from_dense_validates_diagonal() {
-        let ok = TrafficMatrix::from_dense(2, vec![0.0, 1.0, 2.0, 0.0]);
-        assert_eq!(ok.demand(r(0), r(1)), 1.0);
-        let bad =
-            std::panic::catch_unwind(|| TrafficMatrix::from_dense(2, vec![1.0, 0.0, 0.0, 0.0]));
-        assert!(bad.is_err());
     }
 
     #[test]

@@ -1,77 +1,21 @@
-//! Section 4 reproduction (experiments E-W1, E-B1, E-L1, E-EQ): the
-//! economics of network neutrality.
+//! Entry deterrence (experiment E-I1): the innovation cost of termination
+//! fees, the §4.5 claim that fees "hinder innovation (by favoring
+//! incumbents)" made quantitative.
 //!
-//! Prints, for a representative economy of incumbent/entrant CSPs and
-//! LMPs:
-//!   1. Lemma 1: the price response p*(t) rising with the termination fee;
-//!   2. the welfare comparison NN vs UR-bargaining vs UR-unilateral;
-//!   3. the §4.5 incumbent advantage: per-LMP Nash-bargained fees;
-//!   4. entry deterrence: the innovation cost of the fee regime (E-I1);
-//!   5. the §4.5 renegotiation fixed points (E-EQ).
+//! For exponential demand, prints the largest entry cost an entrant CSP
+//! can recover under network neutrality and under bargained fees, across
+//! churn threats, and under unilateral fees. The other §4 tables (Lemma 1,
+//! welfare by regime, NBS fees, fixed points) are the `lemma1_monotonicity`,
+//! `welfare_regimes`, `nbs_fees` and `equilibrium` benches.
 //!
 //! Run with: `cargo run --release --example neutrality_welfare`
 
 use public_option_core::econ::entry::{deterrence_band, max_viable_entry_cost};
-use public_option_core::econ::lemma::{is_strictly_increasing, price_response_curve};
-use public_option_core::econ::{bargaining_equilibrium, Demand, Economy, Exponential, Regime};
+use public_option_core::econ::{Exponential, Regime};
 
 fn main() {
-    // --- 1. Lemma 1 (E-L1) ---------------------------------------------
-    println!("=== Lemma 1: p*(t) is strictly increasing ===");
     let demand = Exponential::new(0.1);
-    let curve = price_response_curve(&demand, 20.0, 6);
-    print!("t:      ");
-    for (t, _) in &curve {
-        print!("{t:>8.2}");
-    }
-    print!("\np*(t):  ");
-    for (_, p) in &curve {
-        print!("{p:>8.2}");
-    }
-    println!(
-        "\nstrictly increasing: {} (exponential demand, slope 1 — closed form p* = t + 1/λ)\n",
-        is_strictly_increasing(&curve, 1e-6)
-    );
-
-    // --- 2. Regime comparison (E-W1) ------------------------------------
-    println!("=== Social welfare by regime (per unit consumer mass) ===");
-    let economy = Economy::example();
-    let reports = economy.compare_regimes();
-    println!("{:<28}{:>10}{:>10}{:>10}{:>10}", "regime", "welfare", "consumer", "fees", "prices");
-    for r in &reports {
-        let avg_price = r.per_csp.iter().map(|c| c.price).sum::<f64>() / r.per_csp.len() as f64;
-        println!(
-            "{:<28}{:>10.2}{:>10.2}{:>10.2}{:>10.2}",
-            r.regime.label(),
-            r.total_welfare(),
-            r.total_consumer_surplus(),
-            r.total_fees(),
-            avg_price
-        );
-    }
-    let [nn, uni, nbs] = &reports;
-    println!(
-        "\nordering W_NN ≥ W_NBS ≥ W_unilateral: {} — \"termination fees strictly \
-         decrease social welfare\" (§4.4)\n",
-        nn.total_welfare() >= nbs.total_welfare() - 1e-9
-            && nbs.total_welfare() >= uni.total_welfare() - 1e-9
-    );
-
-    // --- 3. Incumbent advantage (E-B1) -----------------------------------
-    println!("=== Nash-bargained fees per LMP (t = (p − r·c)/2, §4.5) ===");
-    for (s, csp) in economy.csps.iter().enumerate() {
-        println!("{}:", csp.name);
-        for (lmp, r, fee) in economy.per_lmp_nbs_fees(s) {
-            println!("  {lmp:<24} churn r = {r:>5.2}  fee = {fee:>7.2}");
-        }
-    }
-    println!(
-        "\nincumbent LMPs (low churn) extract the highest fees; incumbent CSPs \
-         (high churn threat) pay the least — the §4.5 competitive distortion."
-    );
-
-    // --- 4. Entry deterrence (E-I1): the innovation cost of fees ---------
-    println!("\n=== Entry deterrence: max viable entry cost by regime ===");
+    println!("=== Entry deterrence: max viable entry cost by regime ===");
     println!("{:>8}{:>12}{:>12}{:>16}", "⟨rc⟩", "K_max(NN)", "K_max(UR)", "deterred band");
     for avg_rc in [0.2, 1.0, 3.0] {
         let (k_ur, k_nn) = deterrence_band(&demand, avg_rc);
@@ -80,20 +24,6 @@ fn main() {
     let k_uni = max_viable_entry_cost(&demand, 0.0, Regime::UnilateralFees);
     println!(
         "under unilateral fees viability drops to K ≤ {k_uni:.3} — every innovation \
-         with entry cost inside the band is foreclosed by the fee regime.\n"
+         with entry cost inside the band is foreclosed by the fee regime."
     );
-
-    // --- 5. Renegotiation fixed point (E-EQ) ----------------------------
-    println!("\n=== Renegotiation fixed point t* = (p*(t*) − ⟨rc⟩)/2 ===");
-    for avg_rc in [0.0, 2.0, 6.0, 12.0] {
-        let out = bargaining_equilibrium(&demand, avg_rc);
-        println!(
-            "⟨rc⟩ = {avg_rc:>5.1}: t* = {:>6.2}, p* = {:>6.2}, converged in {} iters \
-             (demand at p*: {:.3})",
-            out.fee,
-            out.price,
-            out.iterations,
-            demand.d(out.price)
-        );
-    }
 }

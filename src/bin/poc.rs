@@ -4,8 +4,6 @@
 //! poc topo-stats [--paper]            instance statistics (E-T1)
 //! poc auction [--paper] [--constraint 1|2|3]
 //!                                     one VCG round + PoB table (E-F2)
-//! poc welfare                         §4 regime comparison (E-W1)
-//! poc drill [--failures N]            failure drill (E-R1)
 //! poc transition [--headroom FACTOR] [--constraint N] [--max-extra N]
 //!                [--cut N] [--recall N] [--addr HOST:PORT] [--status]
 //!                                     safe lease migration (drill or live)
@@ -28,12 +26,9 @@
 //!
 //! Argument parsing is deliberately dependency-free (std only).
 
-use public_option_core::auction::Selector;
 use public_option_core::auction::{run_auction, GreedySelector, Market};
 use public_option_core::core::poc::{Poc, PocConfig};
-use public_option_core::econ::Economy;
-use public_option_core::flow::{Constraint, FeasibilityOracle};
-use public_option_core::netsim::drill::{run_drill, DrillSpec};
+use public_option_core::flow::Constraint;
 use public_option_core::topology::zoo::{attach_external_isps, ExternalIspConfig};
 use public_option_core::topology::{
     CostModel, PocTopology, TopologyStats, ZooConfig, ZooGenerator,
@@ -51,8 +46,6 @@ fn main() -> ExitCode {
     let result = match cmd.as_str() {
         "topo-stats" => cmd_topo_stats(rest),
         "auction" => cmd_auction(rest),
-        "welfare" => cmd_welfare(),
-        "drill" => cmd_drill(rest),
         "transition" => cmd_transition(rest),
         "dataplane" => cmd_dataplane(rest),
         "serve" => cmd_serve(rest),
@@ -80,8 +73,6 @@ usage: poc <command> [options]
 commands:
   topo-stats [--paper]                 synthetic instance statistics (E-T1)
   auction [--paper] [--constraint N]   run one VCG round, print PoB (E-F2)
-  welfare                              §4 regime comparison (E-W1)
-  drill [--failures N]                 failure drill on the leased fabric (E-R1)
   transition [--headroom FACTOR]       migrate the fabric to the set the auction
              [--constraint N]            selects under demand scaled by FACTOR
              [--max-extra N]             (default 1.5), every intermediate set
@@ -216,51 +207,6 @@ fn cmd_auction(rest: &[String]) -> Result<(), String> {
                 s.pob().unwrap_or(0.0)
             );
         }
-    }
-    Ok(())
-}
-
-fn cmd_welfare() -> Result<(), String> {
-    let economy = Economy::example();
-    let reports = economy.compare_regimes();
-    println!("{:<16}{:>10}{:>12}{:>10}", "regime", "welfare", "consumer", "fees");
-    for r in &reports {
-        println!(
-            "{:<16}{:>10.2}{:>12.2}{:>10.2}",
-            r.regime.label(),
-            r.total_welfare(),
-            r.total_consumer_surplus(),
-            r.total_fees()
-        );
-    }
-    Ok(())
-}
-
-fn cmd_drill(rest: &[String]) -> Result<(), String> {
-    let n_failures: usize = opt(rest, "--failures")
-        .unwrap_or("6")
-        .parse()
-        .map_err(|_| "--failures wants a number".to_string())?;
-    let (topo, tm) = build_instance(Preset::Small);
-    let market = Market::truthful(&topo, 3.0);
-    let selector = GreedySelector::with_prune_budget(16);
-    let spec = DrillSpec { n_failures, outage_hours: 1.0, gap_hours: 0.5 };
-    for c in Constraint::paper_suite(4) {
-        let oracle = FeasibilityOracle::new(&topo, &tm, c);
-        let Some(sel) = selector.select(&market, &oracle, market.offered()) else {
-            println!("{}: infeasible", c.label());
-            continue;
-        };
-        let drill = run_drill(&topo, &sel.links, &tm, &spec)
-            .map_err(|e| format!("drill unroutable: {e}"))?;
-        println!(
-            "{}: |SL| = {}, cost ${:.0}, availability {:.2}%, reroutes {}",
-            c.label(),
-            sel.links.len(),
-            sel.cost,
-            drill.availability * 100.0,
-            drill.total_reroutes
-        );
     }
     Ok(())
 }

@@ -632,7 +632,7 @@ proptest! {
             flows.push(AllocFlow { hops, demand_gbps: d });
         }
         prop_assume!(!flows.is_empty());
-        let rates = max_min_rates(&topo, &flows, None);
+        let rates = max_min_rates(&topo, &flows);
         prop_assert_eq!(rates.len(), flows.len());
         // Rates bounded by demand.
         for (r, f) in rates.iter().zip(&flows) {
