@@ -420,12 +420,17 @@ fn cmd_dataplane(rest: &[String]) -> Result<(), String> {
     let report = eng.run();
     let run_s = run_started.elapsed().as_secs_f64();
     println!(
-        "packets: {} events, {} injected / {} delivered / {} dropped, {:.1} Gbit/s delivered, \
-         availability {:.4}",
+        "packets: {} events, {} injected = {} delivered + {} dropped + {} queued + {} in flight \
+         at the horizon",
         report.events,
         report.packets_injected,
         report.packets_delivered,
         report.packets_dropped,
+        report.packets_queued,
+        report.packets_in_flight
+    );
+    println!(
+        "goodput: {:.1} Gbit/s delivered, availability {:.4}",
         report.delivered_gbps(),
         report.overall_availability()
     );
