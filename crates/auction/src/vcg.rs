@@ -23,6 +23,8 @@ use poc_flow::{Constraint, FeasibilityCache, FeasibilityOracle, LinkSet, Routing
 use poc_topology::BpId;
 use poc_traffic::TrafficMatrix;
 use serde::{Deserialize, Serialize};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// One BP's auction settlement.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -102,13 +104,20 @@ impl std::error::Error for AuctionError {}
 /// payment by re-selecting with that BP withdrawn.
 ///
 /// The pivot re-selections are independent of each other (each
-/// re-selects over `OL − L_α` with fixed inputs), so each runs on its own
-/// scoped thread against a private [`WarmOracle`] seeded with the routing
-/// of `SL` and a copy of the cut certificates the initial selection
-/// learned. Private, identically seeded oracles make the outcome a pure
+/// re-selects over `OL − L_α` with fixed inputs), so they run on a pool of
+/// `min(available_parallelism, pivots)` workers, the calling thread among
+/// them: a round's threads and memory are bounded by the machine's cores,
+/// not by the number of BPs. Each pivot builds its own [`WarmOracle`],
+/// seeded with the routing of `SL` and a copy of the cut certificates the
+/// initial selection learned, and drops it when done. No oracle is reused
+/// from one pivot to the next: an oracle's witness, and so its verdicts,
+/// depend on every probe it has answered, so a reused oracle would make a
+/// pivot's answer depend on which pivots its worker happened to run
+/// before. Private, identically seeded oracles make the outcome a pure
 /// function of the inputs: two rounds on the same inputs are
-/// bit-identical, which journal replay relies on (asserted by the
-/// `vcg_round_matches_one_at_a_time_reference` property test).
+/// bit-identical on any core count, which journal replay relies on
+/// (asserted by the `vcg_round_matches_one_at_a_time_reference` property
+/// test).
 ///
 /// Metrics (global `poc-obs` registry): round wall time lands in the
 /// `auction.round.parallel` histogram, each pivot re-selection in
@@ -210,35 +219,40 @@ fn run_round(
         Ok(BpSettlement { bp, n_selected_links, bid_cost, raw_pivot, payment })
     };
 
-    let results: Vec<(usize, Result<BpSettlement, AuctionError>)> = std::thread::scope(|scope| {
-        // Capture the round's trace context before fanning out: each
-        // pivot thread adopts it, so pivot spans parent to the round span
-        // across the thread boundary (a spawned thread starts with no
-        // context of its own).
-        let ctx = poc_obs::TraceCtx::current();
-        let handles: Vec<_> = jobs
-            .iter()
-            .map(|&(slot, bp, n, cost)| {
-                let run_pivot = &run_pivot;
-                (
-                    slot,
-                    scope.spawn(move || {
-                        let _trace = ctx.as_ref().map(poc_obs::TraceCtx::adopt);
-                        run_pivot(bp, n, cost)
-                    }),
-                )
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|(slot, h)| (slot, h.join().expect("pivot thread panicked")))
-            .collect()
+    // A pool of `min(cores, pivots)` workers, the calling thread among
+    // them, each taking the next job by an atomic index until none is
+    // left: a round's threads and oracles in flight are bounded by the
+    // machine, not by the number of BPs. The index publishes no data
+    // (results go through their `OnceLock`s and the scope's join), so it
+    // is `Relaxed`.
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get()).min(jobs.len());
+    let next = AtomicUsize::new(0);
+    let results: Vec<OnceLock<Result<BpSettlement, AuctionError>>> =
+        jobs.iter().map(|_| OnceLock::new()).collect();
+    let work = || loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        let Some(&(_, bp, n, cost)) = jobs.get(i) else { break };
+        let _ = results[i].set(run_pivot(bp, n, cost));
+    };
+    // Capture the round's trace context before fanning out: each spawned
+    // worker adopts it, so pivot spans parent to the round span across
+    // the thread boundary (a spawned thread starts with no context of its
+    // own; the calling thread already has it).
+    let ctx = poc_obs::TraceCtx::current();
+    std::thread::scope(|scope| {
+        for _ in 1..workers {
+            scope.spawn(|| {
+                let _trace = ctx.as_ref().map(poc_obs::TraceCtx::adopt);
+                work();
+            });
+        }
+        work();
     });
 
-    // Every pivot ran; joining in job order surfaces the failure of the
-    // lowest BP id, whichever thread finished first.
-    for (slot, result) in results {
-        settlements[slot] = Some(result?);
+    // Every pivot ran; reading the results in job order surfaces the
+    // failure of the lowest BP id, whichever worker finished first.
+    for (&(slot, ..), result) in jobs.iter().zip(results) {
+        settlements[slot] = Some(result.into_inner().expect("every job ran")?);
     }
 
     Ok(AuctionOutcome {

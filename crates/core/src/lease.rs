@@ -78,10 +78,18 @@ impl LeaseBook {
         Self::default()
     }
 
-    /// Ingest an auction outcome: one lease per selected BP link, with the
-    /// BP's payment allocated pro-rata by the topology's declared cost
-    /// (virtual links are contract-priced and not leased through the book).
+    /// Ingest an auction outcome. Afterwards every selected BP link holds
+    /// exactly one live lease and every active lease is on a selected
+    /// link, priced by allocating the BP's payment pro-rata by the
+    /// topology's declared cost (virtual links are contract-priced and not
+    /// leased through the book):
+    /// - a link already under an active lease keeps it, at this round's
+    ///   price;
+    /// - a link under a BP recall keeps its recalled lease, whose lifecycle
+    ///   the recall owns, and gets no second one;
+    /// - an active lease on a link the round dropped expires.
     pub fn ingest_auction(&mut self, topo: &PocTopology, outcome: &AuctionOutcome, period: u32) {
+        let mut priced: std::collections::BTreeMap<LinkId, Lease> = Default::default();
         for settlement in &outcome.settlements {
             if settlement.n_selected_links == 0 {
                 continue;
@@ -95,15 +103,31 @@ impl LeaseBook {
             for &l in &links {
                 let w = topo.link(l).true_monthly_cost;
                 let share = if weight_total > 0.0 { w / weight_total } else { 0.0 };
-                self.leases.push(Lease {
-                    link: l,
-                    bp: settlement.bp,
-                    monthly_payment: settlement.payment * share,
-                    started_period: period,
-                    state: LeaseState::Active,
-                });
+                priced.insert(
+                    l,
+                    Lease {
+                        link: l,
+                        bp: settlement.bp,
+                        monthly_payment: settlement.payment * share,
+                        started_period: period,
+                        state: LeaseState::Active,
+                    },
+                );
             }
         }
+        for lease in &mut self.leases {
+            match lease.state {
+                LeaseState::Active => match priced.remove(&lease.link) {
+                    Some(fresh) => lease.monthly_payment = fresh.monthly_payment,
+                    None => lease.state = LeaseState::Expired,
+                },
+                LeaseState::Recalled { .. } => {
+                    priced.remove(&lease.link);
+                }
+                LeaseState::Expired => {}
+            }
+        }
+        self.leases.extend(priced.into_values());
     }
 
     /// All leases (including recalled/expired).

@@ -572,6 +572,24 @@ mod tests {
     }
 
     #[test]
+    fn re_auctions_bill_each_lease_once_per_period() {
+        // Each period re-runs the round on the same demand and bills it: the
+        // BPs are owed, and the members charged, the same every period, not
+        // once more for every round run so far.
+        let mut p = poc();
+        let tm = demand(p.topo().n_routers());
+        let lmp = p.attach_lmp("lmp", RouterId(0)).unwrap();
+        let mut periods = Vec::new();
+        for _ in 0..3 {
+            p.run_auction_round(&tm).unwrap();
+            let due = p.leases().payments_due(p.period());
+            let outlay = p.billing_cycle(&[(lmp, 10.0)]).unwrap().total_outlay;
+            periods.push((p.leases().leases().len(), due, outlay));
+        }
+        assert!(periods.windows(2).all(|w| w[0] == w[1]), "{periods:?}");
+    }
+
+    #[test]
     fn billing_requires_fabric() {
         let mut p = poc();
         let lmp = p.attach_lmp("lmp", RouterId(0)).unwrap();
@@ -713,12 +731,18 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(32))]
         /// The fabric is derived from the installed set on first read, so
         /// whatever lease steps ran since the last read, a path query
-        /// answers as a fabric installed on that set now.
+        /// answers as a fabric installed on that set now. Re-auctions (at
+        /// ×1, ×1.5 or ×2 demand) and BP recalls interleave with the steps,
+        /// and no link ever holds two live leases: after a re-auction every
+        /// selected BP link holds one, and every active lease is on a
+        /// selected link (a recalled one lives out its notice).
         #[test]
         fn member_path_follows_any_interleaving_of_lease_steps(
-            steps in prop::collection::vec((0u8..2, 0usize..1 << 16), 0..24),
+            steps in prop::collection::vec((0u8..4, 0usize..1 << 16), 0..24),
             read_every in 1usize..5,
         ) {
+            use crate::lease::LeaseState;
+            use poc_topology::{LinkId, LinkOwner};
             let mut p = poc();
             let tm = demand(p.topo().n_routers());
             p.run_auction_round(&tm).unwrap();
@@ -729,12 +753,39 @@ mod tests {
                     (p.attach_lmp(&format!("lmp{i}"), router).unwrap(), router)
                 })
                 .collect();
-            for (i, (add, link)) in steps.into_iter().enumerate() {
-                let link = poc_topology::LinkId::from_index(link % p.topo().n_links());
-                if add == 1 {
-                    p.transition_add_link(&outcome, link).unwrap();
-                } else {
-                    p.transition_remove_link(link).unwrap();
+            let n_links = p.topo().n_links();
+            for (i, (kind, raw)) in steps.into_iter().enumerate() {
+                let link = LinkId::from_index(raw % n_links);
+                match kind {
+                    0 => match p.transition_remove_link(link) {
+                        Ok(()) | Err(LeaseOpError::RecallInFlight { .. }) => {}
+                        Err(e) => panic!("remove {link}: {e}"),
+                    },
+                    1 => p.transition_add_link(&outcome, link).unwrap(),
+                    2 => {
+                        let mut scaled = tm.clone();
+                        scaled.scale(1.0 + (raw % 3) as f64 * 0.5);
+                        p.run_auction_round(&scaled).unwrap();
+                    }
+                    _ => {
+                        let owner = p.topo().link(link).owner;
+                        if let LinkOwner::Bp(bp) = owner {
+                            p.recall_link(bp, link, 1);
+                        }
+                    }
+                }
+                let selected = p.last_outcome().unwrap().selected.clone();
+                for l in (0..n_links).map(LinkId::from_index) {
+                    let on_link = || p.leases().leases().iter().filter(move |x| x.link == l);
+                    let live = on_link().filter(|x| x.state != LeaseState::Expired).count();
+                    prop_assert!(live <= 1, "{l} holds {live} live leases");
+                    if kind == 2 {
+                        let bp_selected = selected.contains(l)
+                            && matches!(p.topo().link(l).owner, LinkOwner::Bp(_));
+                        prop_assert!(live == 1 || !bp_selected, "{l} selected, unleased");
+                        let active = on_link().any(|x| x.state == LeaseState::Active);
+                        prop_assert!(!active || selected.contains(l), "{l} active, unselected");
+                    }
                 }
                 if i % read_every != 0 {
                     continue;

@@ -225,6 +225,18 @@ impl EngineReport {
         }
     }
 
+    /// Delivered / (delivered + dropped) packets: the share of the packets
+    /// whose fate the horizon settled that arrived. Packets still queued
+    /// or in flight at the horizon are not losses. 1 when none settled.
+    pub fn settled_delivery(&self) -> f64 {
+        let settled = self.packets_delivered + self.packets_dropped;
+        if settled == 0 {
+            1.0
+        } else {
+            self.packets_delivered as f64 / settled as f64
+        }
+    }
+
     /// Availability of one traffic class, or `None` if no source carries
     /// the tag.
     pub(crate) fn availability_by_tag(&self, tag: &str) -> Option<f64> {

@@ -430,9 +430,10 @@ fn cmd_dataplane(rest: &[String]) -> Result<(), String> {
         report.packets_in_flight
     );
     println!(
-        "goodput: {:.1} Gbit/s delivered, availability {:.4}",
+        "goodput: {:.1} Gbit/s delivered, availability {:.4}, settled delivery {:.4}",
         report.delivered_gbps(),
-        report.overall_availability()
+        report.overall_availability(),
+        report.settled_delivery()
     );
     println!(
         "engine: build {build_ms:.2} ms, run {run_s:.3} s, {:.2} M events/s, drop ratio {:.4}, \

@@ -1,6 +1,7 @@
 //! The `poc` binary end to end: `poc dataplane` on the small preset, run
-//! locally (no `--addr`) for 5 ms of packets, must exit 0 and account on
-//! its packets line for every packet it injected.
+//! locally (no `--addr`) for 5 ms of packets, must exit 0, account on its
+//! packets line for every packet it injected, and print the settled
+//! delivery those counts imply.
 
 use std::process::Command;
 
@@ -38,4 +39,17 @@ fn dataplane_splits_every_injected_packet_four_ways() {
         injected,
         "{line}"
     );
+
+    // "goodput: G Gbit/s delivered, availability A, settled delivery S",
+    // with S = delivered / (delivered + dropped) from the packets line.
+    let goodput = stdout
+        .lines()
+        .find(|l| l.starts_with("goodput: "))
+        .unwrap_or_else(|| panic!("no goodput line in\n{stdout}"));
+    let settled: f64 = goodput
+        .rsplit_once("settled delivery ")
+        .and_then(|(_, value)| value.parse().ok())
+        .unwrap_or_else(|| panic!("no settled delivery in {goodput:?}"));
+    let (delivered, dropped) = (count("delivered") as f64, count("dropped") as f64);
+    assert!((settled - delivered / (delivered + dropped)).abs() <= 5e-5, "{goodput}\n{line}");
 }
