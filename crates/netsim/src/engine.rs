@@ -36,10 +36,29 @@
 //! which is numerically bits/ns — transmission times and delivered-rate
 //! conversions need no unit shuffling.
 //!
+//! A packet is one `u32`: its position in the *walks*, one flat vector
+//! holding each source's route of directional links followed by a
+//! terminator `WALK_END | source`. `walk[pos]` is the link carrying the
+//! packet and `walk[pos + 1]` the next one; when that is a terminator, the
+//! next departure delivers the packet and the terminator names whose it
+//! was. Owner and tag are the source's, so the hot path counts only
+//! deliveries per source and tail drops per walk position, one indexed add
+//! each, and [`Engine::run`] folds both into per-owner and per-tag totals
+//! when it builds the report. The drop counts are per link as well: a drop
+//! at `pos` happened entering `walk[pos]`.
+//!
+//! A propagation pipe stores, per packet, the `u32` gap since the arrival
+//! of the packet ahead of it instead of a `u64` arrival time: the head's
+//! arrival is its calendar event's time, and the link keeps the arrival of
+//! the last packet for the next push. Both packets of a gap are in the pipe
+//! together, so a gap is at most the link's one-way delay, which
+//! [`Engine::new`] holds to `u32::MAX` ns (4.29 s, about 859 000 km of
+//! fibre). A queued packet costs 4 bytes and a packet in flight 8.
+//!
 //! Determinism: two engines built with the same inputs and seed produce
 //! byte-identical reports. Everything that orders work — the link-event
 //! order `(time, seq)`, the injection-merge tie rule (link events first at
-//! equal times, then injections in source order), route interning,
+//! equal times, then injections in source order), walk layout,
 //! owner/tag interning, source phases drawn from a seeded ChaCha8 — is a
 //! function of construction order alone.
 //!
@@ -54,7 +73,7 @@ use poc_core::entity::EntityId;
 use poc_flow::graph::PathTree;
 use poc_flow::{CapacityGraph, LinkSet};
 use poc_topology::geo::propagation_delay_ms;
-use poc_topology::{PocTopology, RouterId};
+use poc_topology::{LinkId, PocTopology, RouterId};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -64,6 +83,10 @@ use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 
 /// Sentinel owner index for unattributed sources.
 const NO_OWNER: u16 = u16::MAX;
+
+/// Set on a walk's terminator, whose low bits name the source. Source
+/// indices and walk positions stay below it.
+const WALK_END: u32 = 1 << 31;
 
 /// Engine parameters. Times are nanoseconds.
 #[derive(Clone, Debug)]
@@ -130,6 +153,13 @@ pub enum EngineError {
     /// Owner/tag interning uses compact u16 ids; exceeding 65k distinct
     /// classes means the caller is attributing per-packet, not per-member.
     TooManyClasses,
+    /// An active link's one-way delay exceeds `u32::MAX` ns (4.29 s): a
+    /// propagation pipe stores the gaps between its arrivals in a `u32`.
+    LinkDelayTooLong { link: LinkId, prop_ns: u64 },
+    /// Source `source` would grow the walks to `walk_len` entries: a
+    /// packet is a walk position and a terminator names its source below
+    /// `2^31`, so neither may reach it.
+    WalkFull { source: usize, walk_len: usize },
 }
 
 impl std::fmt::Display for EngineError {
@@ -153,6 +183,17 @@ impl std::fmt::Display for EngineError {
             EngineError::TooManyClasses => {
                 write!(f, "more than 65534 distinct owners or tags")
             }
+            EngineError::LinkDelayTooLong { link, prop_ns } => write!(
+                f,
+                "link {link} has a one-way delay of {prop_ns} ns; the engine carries at most \
+                 {} ns (4.29 s)",
+                u32::MAX
+            ),
+            EngineError::WalkFull { source, walk_len } => write!(
+                f,
+                "source {source} would grow the walks to {walk_len} entries; sources and walk \
+                 entries must stay below 2^31"
+            ),
         }
     }
 }
@@ -249,6 +290,26 @@ impl EngineReport {
     }
 }
 
+/// The load the sources offer one directional link, `from → to` over
+/// `link`: each source's average injection rate, summed over the sources
+/// whose route crosses it. Read before the run, so it is what the routes
+/// ask of the link, not what reaches it past upstream drops.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct LinkLoad {
+    pub link: LinkId,
+    pub from: RouterId,
+    pub to: RouterId,
+    pub offered_gbps: f64,
+    pub capacity_gbps: f64,
+}
+
+impl LinkLoad {
+    /// Offered over capacity: above 1 the link is oversubscribed.
+    pub fn ratio(&self) -> f64 {
+        self.offered_gbps / self.capacity_gbps
+    }
+}
+
 /// One directional link: a rate server draining a FIFO byte buffer, plus
 /// a propagation pipe for packets in flight. Buffer occupancy lives in
 /// the separate [`Occupancy`] array: the tail-drop check — the single
@@ -261,17 +322,54 @@ struct DLink {
     /// cast, which the saturating event arithmetic pushes past any
     /// horizon.
     tx_ns: u64,
+    /// One-way delay, ns; at most `u32::MAX` on an active link.
     prop_ns: u64,
     queue: VecDeque<Packet>,
     /// A departure event is outstanding for the queue head.
     busy: bool,
-    /// Packets crossing the link, with their arrival times. Propagation
-    /// delay is constant per link and departures happen in time order, so
-    /// arrivals are FIFO — only the pipe head needs an event. A long fat
-    /// link holds ~bandwidth×delay packets in flight; keeping them here
-    /// keeps the event queue at O(links) entries rather than O(packets in
-    /// flight).
-    in_flight: VecDeque<(u64, Packet)>,
+    /// Packets crossing the link. A long fat link holds ~bandwidth×delay
+    /// packets in flight; keeping them here keeps the event queue at
+    /// O(links) entries rather than O(packets in flight).
+    pipe: Pipe,
+}
+
+/// A link's propagation pipe, in arrival order. Propagation delay is
+/// constant per link and departures happen in time order, so arrivals are
+/// FIFO and only the head needs an event: its arrival is that event's
+/// time. Every later entry stores the gap since the arrival of the entry
+/// ahead of it. The entry ahead is still in the pipe when the next one
+/// departs, so a gap is at most the link's delay, and no more than the
+/// horizon, since a packet due past the horizon never enters.
+#[derive(Clone, Debug, Default)]
+struct Pipe {
+    entries: VecDeque<(u32, Packet)>,
+    /// Arrival time of the last entry; stale while the pipe is empty.
+    last_arr: u64,
+}
+
+impl Pipe {
+    /// Append `pkt`, arriving at `t_arr`: no earlier than, and at most
+    /// `u32::MAX` ns after, the last entry. Returns whether the pipe was
+    /// empty, in which case `pkt` is the head and needs its exit scheduled.
+    fn push(&mut self, t_arr: u64, pkt: Packet) -> bool {
+        let empty = self.entries.is_empty();
+        let gap = if empty { 0 } else { t_arr - self.last_arr };
+        let gap = u32::try_from(gap).expect("a gap is at most a delay Engine::new held to u32");
+        self.entries.push_back((gap, pkt));
+        self.last_arr = t_arr;
+        empty
+    }
+
+    /// Remove the head, which arrives at `now`, and return it with the new
+    /// head's arrival time, if there is a new head.
+    fn pop(&mut self, now: u64) -> Option<(Packet, Option<u64>)> {
+        let (_, pkt) = self.entries.pop_front()?;
+        Some((pkt, self.entries.front().map(|&(gap, _)| now + gap as u64)))
+    }
+
+    fn len(&self) -> usize {
+        self.entries.len()
+    }
 }
 
 /// Byte occupancy of one directional link's buffer, split out of
@@ -283,30 +381,27 @@ struct Occupancy {
     buffer_bytes: u64,
 }
 
-/// A packet in flight, [`EngineConfig::pkt_bytes`] long. `route` indexes
-/// the interned route table; `hop` is the directional link currently
-/// carrying it.
-#[derive(Clone, Copy, Debug)]
-struct Packet {
-    route: u32,
-    hop: u16,
-    /// Total hops on the route, carried in the packet so delivery checks
-    /// don't touch the route table.
-    hops: u16,
-    owner: u16,
-    tag: u16,
-}
+/// A packet, [`EngineConfig::pkt_bytes`] long: its position in the walks.
+/// `walk[pos]` is the directional link carrying it, or whose queue it is
+/// entering; `walk[pos + 1]` is the next link or its source's terminator.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Packet(u32);
+
+const _: () = assert!(std::mem::size_of::<Packet>() == 4);
+const _: () = assert!(std::mem::size_of::<(u32, Packet)>() == 8);
 
 #[derive(Clone, Copy, Debug)]
 struct Source {
-    route: u32,
-    /// First directional link of the route, denormalized so the inject
-    /// path (the majority of events) skips the route table entirely.
+    /// Walk position of the route's first link: the packet a fire injects.
+    start: u32,
+    /// `walk[start]`, denormalized so the inject path (the majority of
+    /// events) skips the walk entirely.
     first_dl: u32,
-    /// Total hops on the route (for [`Packet::hops`]).
-    hops: u16,
     owner: u16,
     tag: u16,
+    /// Average injection rate (configured × throttle), Gbit/s: what the
+    /// source offers each link of its walk.
+    gbps: f64,
     /// Inter-packet gap at the (throttled, burst-scaled) injection rate.
     gap_ns: u64,
     kind: SourceKind,
@@ -430,23 +525,22 @@ impl Calendar {
 /// Mutable scheduler state for one [`Engine::run`]: the link-event
 /// calendar plus every counter the report is assembled from. Split out of
 /// the engine so the hot-path methods can borrow it mutably alongside the
-/// engine's link and route tables.
+/// engine's link table and walks.
 struct RunState {
     cal: Calendar,
     pkt_bytes: u64,
     link_events: u64,
     packets_injected: u64,
-    packets_delivered: u64,
-    packets_dropped: u64,
     packets_in_flight: u64,
-    owner_delivered: Vec<u64>,
-    tag_delivered: Vec<u64>,
-    tag_dropped: Vec<u64>,
+    /// Deliveries per source, named by the walk's terminator.
+    delivered: Vec<u64>,
+    /// Tail drops per walk position: a drop at `pos` entering `walk[pos]`.
+    dropped: Vec<u64>,
 }
 
 impl RunState {
-    /// Enqueue a packet at a directional link: tail-drop on overflow,
-    /// else start transmitting if the link is idle.
+    /// Enqueue a packet at directional link `dl`, which is `walk[pkt]`:
+    /// tail-drop on overflow, else start transmitting if the link is idle.
     fn arrive(
         &mut self,
         links: &mut [DLink],
@@ -458,8 +552,7 @@ impl RunState {
     ) {
         let o = &mut occ[dl as usize];
         if o.queued_bytes + self.pkt_bytes > o.buffer_bytes {
-            self.packets_dropped += 1;
-            self.tag_dropped[pkt.tag as usize] += 1;
+            self.dropped[pkt.0 as usize] += 1;
             return;
         }
         o.queued_bytes += self.pkt_bytes;
@@ -482,8 +575,7 @@ impl RunState {
         &mut self,
         links: &mut [DLink],
         occ: &mut [Occupancy],
-        route_data: &[u32],
-        route_starts: &[u32],
+        walk: &[u32],
         horizon: u64,
         until: u64,
     ) {
@@ -492,13 +584,11 @@ impl RunState {
             let dl = node / 2;
             let link = &mut links[dl as usize];
             if node % 2 == PIPE_OUT {
-                let (_, pkt) = link.in_flight.pop_front().expect("pipe head exists");
-                if let Some(&(at, _)) = link.in_flight.front() {
+                let (pkt, next) = link.pipe.pop(now).expect("pipe head exists");
+                if let Some(at) = next {
                     self.cal.push(at, node);
                 }
-                let next_dl =
-                    route_data[(route_starts[pkt.route as usize] + pkt.hop as u32) as usize];
-                self.arrive(links, occ, horizon, now, next_dl, pkt);
+                self.arrive(links, occ, horizon, now, walk[pkt.0 as usize], pkt);
                 continue;
             }
             let pkt = link.queue.pop_front().expect("a departure fires only for a queue head");
@@ -516,19 +606,12 @@ impl RunState {
                 self.packets_in_flight += 1;
                 continue;
             }
-            let next_hop = pkt.hop + 1;
-            if next_hop == pkt.hops {
-                self.packets_delivered += 1;
-                self.tag_delivered[pkt.tag as usize] += 1;
-                if pkt.owner != NO_OWNER {
-                    self.owner_delivered[pkt.owner as usize] += 1;
-                }
-            } else {
-                let pipe_idle = link.in_flight.is_empty();
-                link.in_flight.push_back((t_arr, Packet { hop: next_hop, ..pkt }));
-                if pipe_idle {
-                    self.cal.push(t_arr, 2 * dl + PIPE_OUT);
-                }
+            let next = pkt.0 + 1;
+            let ahead = walk[next as usize];
+            if ahead & WALK_END != 0 {
+                self.delivered[(ahead ^ WALK_END) as usize] += 1;
+            } else if link.pipe.push(t_arr, Packet(next)) {
+                self.cal.push(t_arr, 2 * dl + PIPE_OUT);
             }
         }
     }
@@ -615,21 +698,29 @@ impl Injector {
     }
 }
 
+/// Whether source index `source` and `walk_len`, the walks' length once
+/// its walk is added, stay below [`WALK_END`].
+fn walk_fits(source: usize, walk_len: usize) -> Result<(), EngineError> {
+    if source >= WALK_END as usize || walk_len >= WALK_END as usize {
+        return Err(EngineError::WalkFull { source, walk_len });
+    }
+    Ok(())
+}
+
 /// The packet engine. Build over a topology and the leased link set, add
 /// sources (directly or from a traffic matrix), then [`Engine::run`].
 pub struct Engine<'t> {
+    topo: &'t PocTopology,
     graph: CapacityGraph<'t>,
     cfg: EngineConfig,
     links: Vec<DLink>,
     occ: Vec<Occupancy>,
     distance: Vec<f64>,
-    /// Interned routes, flattened: route `r` is
-    /// `route_data[route_starts[r]..route_starts[r + 1]]`. Contiguous so
-    /// the per-hop lookups in the event loop stay in cache instead of
-    /// chasing one heap allocation per route.
-    route_data: Vec<u32>,
-    route_starts: Vec<u32>,
-    route_of: BTreeMap<(u32, u32), Option<u32>>,
+    /// Every source's route of directional links, each followed by its
+    /// terminator `WALK_END | source`; packets are positions in it.
+    /// Contiguous so the per-hop lookups in the event loop stay in cache
+    /// instead of chasing one heap allocation per route.
+    walk: Vec<u32>,
     /// Shortest-path tree per source router, built on the router's first
     /// demand.
     trees: Vec<Option<PathTree>>,
@@ -675,12 +766,16 @@ impl<'t> Engine<'t> {
         for l in &topo.links {
             let ns_per_byte =
                 if l.capacity_gbps > 0.0 { 8.0 / l.capacity_gbps } else { f64::INFINITY };
+            let prop_ns = (propagation_delay_ms(l.distance_km) * 1e6).round() as u64;
+            if prop_ns > u32::MAX as u64 && active.contains(l.id) {
+                return Err(EngineError::LinkDelayTooLong { link: l.id, prop_ns });
+            }
             let d = DLink {
                 tx_ns: (cfg.pkt_bytes as f64 * ns_per_byte).max(1.0) as u64,
-                prop_ns: (propagation_delay_ms(l.distance_km) * 1e6).round() as u64,
+                prop_ns,
                 queue: VecDeque::new(),
                 busy: false,
-                in_flight: VecDeque::new(),
+                pipe: Pipe::default(),
             };
             links.push(d.clone()); // forward direction
             links.push(d); // reverse direction
@@ -690,14 +785,13 @@ impl<'t> Engine<'t> {
         let occ =
             vec![Occupancy { queued_bytes: 0, buffer_bytes: cfg.buffer_bytes }; topo.n_links() * 2];
         Ok(Self {
+            topo,
             graph: CapacityGraph::new(topo, active),
             cfg,
             links,
             occ,
             distance,
-            route_data: Vec::new(),
-            route_starts: vec![0],
-            route_of: BTreeMap::new(),
+            walk: Vec::new(),
             trees: vec![None; topo.n_routers()],
             sources: Vec::new(),
             owners: Vec::new(),
@@ -711,26 +805,16 @@ impl<'t> Engine<'t> {
         })
     }
 
-    /// Intern the distance-shortest route `src → dst` over the active
-    /// links as a sequence of directional link indices, read off `src`'s
+    /// The distance-shortest route `src → dst` over the active links as a
+    /// sequence of directional link indices, read off `src`'s
     /// shortest-path tree.
-    fn route(&mut self, src: RouterId, dst: RouterId) -> Option<u32> {
-        if let Some(&cached) = self.route_of.get(&(src.0, dst.0)) {
-            return cached;
-        }
+    fn route(&mut self, src: RouterId, dst: RouterId) -> Option<Vec<u32>> {
         let tree = self.trees[src.index()].get_or_insert_with(|| {
             self.graph.shortest_path_tree(src, |l, _| self.distance[l.index()], |_, _| true)
         });
-        let found = tree.path_to(dst).and_then(|path| {
-            let dirs = self.graph.path_dirs(src, &path).ok()?;
-            let id = (self.route_starts.len() - 1) as u32;
-            self.route_data
-                .extend(path.iter().zip(dirs).map(|(&l, d)| (l.index() * 2 + d as usize) as u32));
-            self.route_starts.push(self.route_data.len() as u32);
-            Some(id)
-        });
-        self.route_of.insert((src.0, dst.0), found);
-        found
+        let path = tree.path_to(dst)?;
+        let dirs = self.graph.path_dirs(src, &path).ok()?;
+        Some(path.iter().zip(dirs).map(|(&l, d)| (l.index() * 2 + d as usize) as u32).collect())
     }
 
     fn intern_owner(&mut self, owner: Option<EntityId>) -> Result<u16, EngineError> {
@@ -792,6 +876,7 @@ impl<'t> Engine<'t> {
             self.unroutable_pairs += 1;
             return Ok(false);
         };
+        walk_fits(self.sources.len(), self.walk.len() + route.len() + 1)?;
         let owner_id = self.intern_owner(owner)?;
         let tag_id = self.intern_tag(tag)?;
         // Offered intent at the configured (unthrottled) rate: bits/ns ×
@@ -820,14 +905,15 @@ impl<'t> Engine<'t> {
             SourceKind::Persistent => self.rng.gen_range(0..gap_ns),
             SourceKind::OnOff { on_ns, off_ns } => self.rng.gen_range(0..on_ns + off_ns),
         };
-        let start = self.route_starts[route as usize] as usize;
-        let end = self.route_starts[route as usize + 1] as usize;
+        let start = self.walk.len() as u32;
+        self.walk.extend_from_slice(&route);
+        self.walk.push(WALK_END | self.sources.len() as u32);
         self.sources.push(Source {
-            route,
-            first_dl: self.route_data[start],
-            hops: (end - start) as u16,
+            start,
+            first_dl: route[0],
             owner: owner_id,
             tag: tag_id,
+            gbps: rate_gbps * throttle,
             gap_ns,
             kind,
             phase_ns,
@@ -867,6 +953,33 @@ impl<'t> Engine<'t> {
         self.n_user_flows
     }
 
+    /// Offered Gbit/s per directional link: each source's average
+    /// injection rate summed over the links of its walk.
+    pub(crate) fn offered_gbps(&self) -> Vec<f64> {
+        let mut load = vec![0.0; self.links.len()];
+        for s in &self.sources {
+            for &dl in self.walk[s.start as usize..].iter().take_while(|&&w| w & WALK_END == 0) {
+                load[dl as usize] += s.gbps;
+            }
+        }
+        load
+    }
+
+    /// The load offered to every directional link that carries any, most
+    /// oversubscribed first (equal ratios in link order).
+    pub fn link_loads(&self) -> Vec<LinkLoad> {
+        let mut loads: Vec<LinkLoad> = (self.offered_gbps().into_iter().enumerate())
+            .filter(|&(_, offered_gbps)| offered_gbps > 0.0)
+            .map(|(dl, offered_gbps)| {
+                let l = self.topo.link(LinkId::from_index(dl / 2));
+                let (from, to) = if dl % 2 == 0 { (l.a, l.b) } else { (l.b, l.a) };
+                LinkLoad { link: l.id, from, to, offered_gbps, capacity_gbps: l.capacity_gbps }
+            })
+            .collect();
+        loads.sort_by(|x, y| y.ratio().total_cmp(&x.ratio()));
+        loads
+    }
+
     /// Run to the horizon and report. Consumes the engine: queue state is
     /// not reusable across runs (build a fresh engine per trial).
     pub fn run(mut self) -> EngineReport {
@@ -877,12 +990,9 @@ impl<'t> Engine<'t> {
             pkt_bytes: self.cfg.pkt_bytes as u64,
             link_events: 0,
             packets_injected: 0,
-            packets_delivered: 0,
-            packets_dropped: 0,
             packets_in_flight: 0,
-            owner_delivered: vec![0u64; self.owners.len()],
-            tag_delivered: vec![0u64; self.tags.len()],
-            tag_dropped: vec![0u64; self.tags.len()],
+            delivered: vec![0; self.sources.len()],
+            dropped: vec![0; self.walk.len()],
         };
 
         // The injector and the calendar share one clock of slices. Each
@@ -901,20 +1011,11 @@ impl<'t> Engine<'t> {
             let fires = injector.bucket(&self.sources, bucket_start, horizon);
             for fire in fires.iter().map(Some).chain([None]) {
                 let until = fire.map_or(bucket_end - 1, |&(at, _)| at);
-                rt.drain_links(
-                    &mut self.links,
-                    &mut self.occ,
-                    &self.route_data,
-                    &self.route_starts,
-                    horizon,
-                    until,
-                );
+                rt.drain_links(&mut self.links, &mut self.occ, &self.walk, horizon, until);
                 let Some(&(at, si)) = fire else { break };
                 rt.packets_injected += 1;
                 let s = &self.sources[si as usize];
-                let pkt =
-                    Packet { route: s.route, hop: 0, hops: s.hops, owner: s.owner, tag: s.tag };
-                rt.arrive(&mut self.links, &mut self.occ, horizon, at, s.first_dl, pkt);
+                rt.arrive(&mut self.links, &mut self.occ, horizon, at, s.first_dl, Packet(s.start));
             }
             bucket_start = bucket_end;
             if bucket_end == u64::MAX {
@@ -925,18 +1026,36 @@ impl<'t> Engine<'t> {
             pkt_bytes,
             link_events,
             packets_injected,
-            packets_delivered,
-            packets_dropped,
             packets_in_flight,
-            owner_delivered,
-            tag_delivered,
-            tag_dropped,
+            delivered,
+            dropped,
             ..
         } = rt;
+        // Attribution: each walk ends in the terminator naming its source,
+        // so a scan credits the drops since the last terminator, and the
+        // source's deliveries, to the source's tag and owner.
+        let mut owner_delivered = vec![0u64; self.owners.len()];
+        let mut tag_delivered = vec![0u64; self.tags.len()];
+        let mut tag_dropped = vec![0u64; self.tags.len()];
+        let mut walk_dropped = 0;
+        for (&w, &n) in self.walk.iter().zip(&dropped) {
+            walk_dropped += n;
+            if w & WALK_END != 0 {
+                let si = (w ^ WALK_END) as usize;
+                let s = &self.sources[si];
+                tag_dropped[s.tag as usize] += std::mem::take(&mut walk_dropped);
+                tag_delivered[s.tag as usize] += delivered[si];
+                if s.owner != NO_OWNER {
+                    owner_delivered[s.owner as usize] += delivered[si];
+                }
+            }
+        }
         let events = link_events + packets_injected;
+        let packets_delivered = delivered.iter().sum();
+        let packets_dropped = dropped.iter().sum();
         let packets_queued = self.links.iter().map(|l| l.queue.len() as u64).sum();
         let packets_in_flight =
-            packets_in_flight + self.links.iter().map(|l| l.in_flight.len() as u64).sum::<u64>();
+            packets_in_flight + self.links.iter().map(|l| l.pipe.len() as u64).sum::<u64>();
 
         poc_obs::counter!("netsim.engine.events").add(events);
         poc_obs::counter!("netsim.engine.packets_injected").add(packets_injected);
@@ -1191,8 +1310,8 @@ mod tests {
         let mut e = Engine::new(topo, &only, EngineConfig::default()).unwrap();
         assert!(e.add_source(r(0), r(1), 5.0, None, "a", SourceKind::Persistent, 1).unwrap());
         assert!(!e.add_source(r(2), r(3), 5.0, None, "a", SourceKind::Persistent, 1).unwrap());
-        // Asked again, the pair is answered from the route cache and
-        // counted again; a reachable pair from the same tree is not.
+        // Asked again, the pair is counted again; a reachable pair from
+        // the same tree is not.
         assert!(!e.add_source(r(2), r(3), 5.0, None, "a", SourceKind::Persistent, 1).unwrap());
         assert!(!e.add_source(r(0), r(3), 5.0, None, "a", SourceKind::Persistent, 1).unwrap());
         assert!(e.add_source(r(1), r(0), 5.0, None, "a", SourceKind::Persistent, 1).unwrap());
@@ -1202,7 +1321,7 @@ mod tests {
         assert!(rep.packets_delivered > 0);
     }
 
-    /// Every ordered pair's interned route against the early-exit search it
+    /// Every ordered pair's route against the early-exit search it
     /// used to come from, as directional link indices.
     fn assert_routes_match_per_pair_searches(topo: &PocTopology, active: &LinkSet) {
         let mut e = Engine::new(topo, active, EngineConfig::default()).unwrap();
@@ -1219,11 +1338,7 @@ mod tests {
                             .map(|(l, d)| (l.index() * 2 + d as usize) as u32)
                             .collect::<Vec<_>>()
                     });
-                let got = e.route(src, dst).map(|id| {
-                    let (from, to) = (e.route_starts[id as usize], e.route_starts[id as usize + 1]);
-                    e.route_data[from as usize..to as usize].to_vec()
-                });
-                assert_eq!(got, expected, "{src:?} → {dst:?}");
+                assert_eq!(e.route(src, dst), expected, "{src:?} → {dst:?}");
                 match expected {
                     Some(_) => found += 1,
                     None => missing += 1,
@@ -1270,7 +1385,7 @@ mod tests {
     }
 
     fn firing(gap_ns: u64, phase_ns: u64, kind: SourceKind) -> Source {
-        Source { route: 0, first_dl: 0, hops: 1, owner: NO_OWNER, tag: 0, gap_ns, kind, phase_ns }
+        Source { start: 0, first_dl: 0, owner: NO_OWNER, tag: 0, gbps: 0.0, gap_ns, kind, phase_ns }
     }
 
     /// Every fire up to `horizon` with no slicing at all, sorted on
@@ -1388,6 +1503,48 @@ mod tests {
                 e.add_source(r(src), r((src + step) % 4), gbps as f64, None, "a", kind, 1).unwrap();
             }
             accounted(e.run());
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        /// Random scripts of pushes and pops against a reference queue of
+        /// `(arrival, packet)`, each pop at the head's arrival as the
+        /// calendar delivers it: every pop returns the same packet and the
+        /// same next arrival. Pushes land at the last arrival (equal
+        /// times), a few ns or a slice after it, or within a few ns of
+        /// `u32::MAX` after it; pops outnumber pushes in some scripts, so
+        /// the pipe empties and refills, and a push into an empty pipe
+        /// lands any gap after the last pop.
+        #[test]
+        fn pipe_pops_what_a_timed_queue_pops(
+            script in prop::collection::vec((0u8..5, 0u8..4, 0u32..1 << 20), 1..200),
+        ) {
+            let mut pipe = Pipe::default();
+            let mut reference: VecDeque<(u64, Packet)> = VecDeque::new();
+            // The last pop's time: pushes into an empty pipe land after it.
+            let mut now = 0u64;
+            for (n, (op, class, x)) in script.into_iter().enumerate() {
+                if op < 2 {
+                    let gap = match class {
+                        0 => 0,
+                        1 => x as u64 % 4,
+                        2 => x as u64 % BUCKET_NS,
+                        _ => u32::MAX as u64 - x as u64 % 4,
+                    };
+                    let t_arr = reference.back().map_or(now, |&(at, _)| at) + gap;
+                    let pkt = Packet(n as u32);
+                    prop_assert_eq!(pipe.push(t_arr, pkt), reference.is_empty());
+                    reference.push_back((t_arr, pkt));
+                } else if let Some((at, pkt)) = reference.pop_front() {
+                    now = at;
+                    let next = reference.front().map(|&(at, _)| at);
+                    prop_assert_eq!(pipe.pop(now), Some((pkt, next)));
+                } else {
+                    prop_assert_eq!(pipe.pop(now), None);
+                }
+                prop_assert_eq!(pipe.len(), reference.len());
+            }
         }
     }
 
@@ -1515,6 +1672,59 @@ mod tests {
             e.add_source(r(0), r(1), 1.0, None, "a", SourceKind::OnOff { on_ns: 0, off_ns: 5 }, 1),
             Err(EngineError::ZeroOnWindow)
         ));
+    }
+
+    #[test]
+    fn delays_past_u32_ns_and_full_walks_are_refused() {
+        // 858 993 km of fibre is 4 294 965 000 ns, just under u32::MAX.
+        let mut topo = two_bp_square();
+        let all = LinkSet::full(topo.n_links());
+        topo.links[0].distance_km = 858_993.0;
+        assert!(Engine::new(&topo, &all, EngineConfig::default()).is_ok());
+        topo.links[0].distance_km = 900_000.0;
+        let err = Engine::new(&topo, &all, EngineConfig::default()).err().unwrap();
+        assert_eq!(
+            err,
+            EngineError::LinkDelayTooLong { link: topo.links[0].id, prop_ns: 4_500_000_000 }
+        );
+        assert_eq!(
+            err.to_string(),
+            "link l0 has a one-way delay of 4500000000 ns; the engine carries at most \
+             4294967295 ns (4.29 s)"
+        );
+        // A link outside the active set carries nothing and is not refused.
+        let rest = LinkSet::from_links(topo.n_links(), topo.links[1..].iter().map(|l| l.id));
+        assert!(Engine::new(&topo, &rest, EngineConfig::default()).is_ok());
+
+        let end = WALK_END as usize;
+        assert_eq!(walk_fits(0, 2), Ok(()));
+        assert_eq!(walk_fits(end - 1, end - 1), Ok(()));
+        assert_eq!(
+            walk_fits(end, end - 1),
+            Err(EngineError::WalkFull { source: end, walk_len: end - 1 })
+        );
+        let err = walk_fits(7, end).unwrap_err();
+        assert_eq!(err, EngineError::WalkFull { source: 7, walk_len: end });
+        assert_eq!(
+            err.to_string(),
+            "source 7 would grow the walks to 2147483648 entries; sources and walk entries \
+             must stay below 2^31"
+        );
+    }
+
+    #[test]
+    fn offered_load_sums_each_source_over_its_walk() {
+        // 3 × 100 Gbit/s into the direct 100 Gbit/s r0 → r1 link, 40 back.
+        let mut e = engine(EngineConfig::default());
+        for tag in ["x", "y", "z"] {
+            e.add_source(r(0), r(1), 100.0, None, tag, SourceKind::Persistent, 1).unwrap();
+        }
+        e.add_source(r(1), r(0), 40.0, None, "x", SourceKind::Persistent, 1).unwrap();
+        let direct = e.topo.links.iter().find(|l| l.connects(r(0), r(1))).unwrap().id;
+        let loads = e.link_loads();
+        let seen: Vec<_> = loads.iter().map(|l| (l.link, l.from, l.to, l.ratio())).collect();
+        assert_eq!(seen, [(direct, r(0), r(1), 3.0), (direct, r(1), r(0), 0.4)]);
+        assert_eq!(e.offered_gbps().iter().sum::<f64>(), 340.0);
     }
 
     #[test]

@@ -32,7 +32,7 @@ pub use drill::{
     run_drill, run_transition_drill, DrillError, DrillReport, DrillSpec, TransitionDrillError,
     TransitionDrillReport, TransitionDrillSpec,
 };
-pub use engine::{Engine, EngineConfig, EngineError, EngineReport, SourceKind, TagStats};
+pub use engine::{Engine, EngineConfig, EngineError, EngineReport, LinkLoad, SourceKind, TagStats};
 pub use fairness::max_min_rates;
 pub use sim::{FlowSpec, SimConfig, SimError, SimReport, Simulator};
 pub use workload::{generate_onoff, WorkloadConfig};

@@ -416,6 +416,7 @@ fn cmd_dataplane(rest: &[String]) -> Result<(), String> {
         eng.n_sources(),
         eng.n_user_flows()
     );
+    let loads = eng.link_loads();
     let run_started = std::time::Instant::now();
     let report = eng.run();
     let run_s = run_started.elapsed().as_secs_f64();
@@ -434,6 +435,17 @@ fn cmd_dataplane(rest: &[String]) -> Result<(), String> {
         report.delivered_gbps(),
         report.overall_availability(),
         report.settled_delivery()
+    );
+    // What single-path routes ask of each link, against its capacity.
+    let over = loads.iter().take_while(|l| l.ratio() > 1.0).count();
+    let worst: Vec<String> = loads[..over.min(5)]
+        .iter()
+        .map(|l| format!("{} {}->{} {:.3}x", l.link, l.from, l.to, l.ratio()))
+        .collect();
+    println!(
+        "oversubscribed: {over} of {} loaded links offered more than capacity{}",
+        loads.len(),
+        if worst.is_empty() { String::new() } else { format!("; worst: {}", worst.join(", ")) }
     );
     println!(
         "engine: build {build_ms:.2} ms, run {run_s:.3} s, {:.2} M events/s, drop ratio {:.4}, \

@@ -1,23 +1,29 @@
 //! The `poc` binary end to end: `poc dataplane` on the small preset, run
 //! locally (no `--addr`) for 5 ms of packets, must exit 0, account on its
-//! packets line for every packet it injected, and print the settled
-//! delivery those counts imply.
+//! packets line for every packet it injected, print the settled delivery
+//! those counts imply, and name its most oversubscribed links worst first.
 
 use std::process::Command;
 
-#[test]
-fn dataplane_splits_every_injected_packet_four_ways() {
+/// `poc dataplane --horizon-ms 5`'s standard output, once it exited 0.
+fn dataplane_stdout() -> String {
     let out = Command::new(env!("CARGO_BIN_EXE_poc"))
         .args(["dataplane", "--horizon-ms", "5"])
         .output()
         .expect("the poc binary starts");
-    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
     assert!(
         out.status.success(),
         "poc dataplane exited with {}\n{stdout}\n{}",
         out.status,
         String::from_utf8_lossy(&out.stderr)
     );
+    stdout
+}
+
+#[test]
+fn dataplane_splits_every_injected_packet_four_ways() {
+    let stdout = dataplane_stdout();
     // "packets: E events, I injected = D delivered + X dropped + Q queued
     // + F in flight at the horizon"
     let line = stdout
@@ -52,4 +58,35 @@ fn dataplane_splits_every_injected_packet_four_ways() {
         .unwrap_or_else(|| panic!("no settled delivery in {goodput:?}"));
     let (delivered, dropped) = (count("delivered") as f64, count("dropped") as f64);
     assert!((settled - delivered / (delivered + dropped)).abs() <= 5e-5, "{goodput}\n{line}");
+}
+
+#[test]
+fn dataplane_lists_at_most_five_oversubscribed_links_worst_first() {
+    // "oversubscribed: N of L loaded links offered more than capacity;
+    // worst: l79 r6->r7 4.028x, ..." — the worst part only when N > 0.
+    let stdout = dataplane_stdout();
+    let line = stdout
+        .lines()
+        .find(|l| l.starts_with("oversubscribed: "))
+        .unwrap_or_else(|| panic!("no oversubscribed line in\n{stdout}"));
+    let after_goodput = stdout.lines().skip_while(|l| !l.starts_with("goodput: ")).nth(1);
+    assert_eq!(after_goodput, Some(line), "the line follows goodput:\n{stdout}");
+    let over: usize = line
+        .split_whitespace()
+        .nth(1)
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no link count in {line:?}"));
+    let ratios: Vec<f64> = match line.split_once("; worst: ") {
+        None => Vec::new(),
+        Some((_, rows)) => rows
+            .split(", ")
+            .map(|row| {
+                let ratio = row.rsplit(' ').next().and_then(|r| r.strip_suffix('x'));
+                ratio.and_then(|r| r.parse().ok()).unwrap_or_else(|| panic!("row {row:?}"))
+            })
+            .collect(),
+    };
+    assert_eq!(ratios.len(), over.min(5), "{line}");
+    assert!(ratios.iter().all(|&r| r > 1.0), "{line}");
+    assert!(ratios.windows(2).all(|w| w[0] >= w[1]), "{line}");
 }
