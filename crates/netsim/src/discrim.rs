@@ -1,14 +1,14 @@
 //! Observable discrimination: the data-plane half of experiment E-N1.
 //!
 //! The ToS engine (`poc-core::tos`) rules on *declared* policies; a
-//! cheating LMP would not declare. This module shows what cheating looks
-//! like on the wire — a tagged traffic class throttled at ingress — and
-//! provides a detector comparing normalized goodput between a suspect
-//! class and a control class, the way an auditor (or the POC, §3.4's
-//! "if widespread cheating is anticipated" discussion) would measure it.
+//! cheating LMP would not declare. On the wire, cheating is a tagged
+//! traffic class throttled at ingress ([`crate::engine::IngressThrottle`]);
+//! this module's detector compares normalized packet goodput between a
+//! suspect class and a control class, the way an auditor (or the POC,
+//! §3.4's "if widespread cheating is anticipated" discussion) would
+//! measure it.
 
 use crate::engine::EngineReport;
-use crate::sim::SimReport;
 use serde::{Deserialize, Serialize};
 
 /// A suspected throttle to probe for.
@@ -38,112 +38,70 @@ pub struct ThrottleFinding {
     pub throttled: bool,
 }
 
-/// The comparison itself, shared by the flow-level and packet-level
-/// detectors: normalized goodput of the suspect class against the control.
-fn judge(suspect: f64, control: f64, spec: &ThrottleSpec) -> ThrottleFinding {
+/// Compare normalized goodput, delivered / offered bytes per class in an
+/// [`EngineReport`], of the suspect class against the control class.
+/// Packet availability also reflects queueing losses and the packets
+/// still in propagation at the horizon, so thresholds should leave
+/// headroom for what affects both classes alike — the *ratio* is the
+/// signal, exactly as an external auditor measuring on the wire would
+/// compute it. Returns `None` when either class has no sources in the
+/// report.
+pub fn detect_throttling(report: &EngineReport, spec: &ThrottleSpec) -> Option<ThrottleFinding> {
+    assert!((0.0..=1.0).contains(&spec.threshold), "threshold must be in [0,1]");
+    let suspect = report.availability_by_tag(&spec.suspect_tag)?;
+    let control = report.availability_by_tag(&spec.control_tag)?;
     let ratio = if control > 0.0 { suspect / control } else { 1.0 };
-    ThrottleFinding {
+    Some(ThrottleFinding {
         suspect_availability: suspect,
         control_availability: control,
         ratio,
         throttled: ratio < spec.threshold,
-    }
-}
-
-/// Compare goodput of the suspect class against the control class.
-/// Returns `None` when either class has no flows in the report.
-pub fn detect_throttling(report: &SimReport, spec: &ThrottleSpec) -> Option<ThrottleFinding> {
-    assert!((0.0..=1.0).contains(&spec.threshold), "threshold must be in [0,1]");
-    let suspect = report.availability_by_tag(&spec.suspect_tag)?;
-    let control = report.availability_by_tag(&spec.control_tag)?;
-    Some(judge(suspect, control, spec))
-}
-
-/// The same detector over packet-level evidence: delivered/offered bytes
-/// per class from an [`EngineReport`]. Packet availability also reflects
-/// queueing losses, so thresholds should leave headroom for congestion
-/// affecting both classes equally — the *ratio* is the signal, exactly as
-/// an external auditor measuring on the wire would compute it.
-pub fn detect_throttling_packets(
-    report: &EngineReport,
-    spec: &ThrottleSpec,
-) -> Option<ThrottleFinding> {
-    assert!((0.0..=1.0).contains(&spec.threshold), "threshold must be in [0,1]");
-    let suspect = report.availability_by_tag(&spec.suspect_tag)?;
-    let control = report.availability_by_tag(&spec.control_tag)?;
-    Some(judge(suspect, control, spec))
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::{FlowSpec, IngressThrottle, SimConfig, Simulator};
+    use crate::engine::{Engine, EngineConfig, IngressThrottle, SourceKind};
     use poc_flow::LinkSet;
     use poc_topology::builder::two_bp_square;
     use poc_topology::RouterId;
 
-    fn r(i: u32) -> RouterId {
-        RouterId(i)
-    }
-
-    fn run(throttles: Vec<IngressThrottle>) -> SimReport {
+    /// 100 ms of a 20 G suspect source r0 → r1 beside a 20 G control
+    /// source r2 → r1, the suspect throttled to `factor`.
+    fn run(factor: f64) -> EngineReport {
         let t = two_bp_square();
         let all = LinkSet::full(t.n_links());
-        let mut sim =
-            Simulator::new(&t, &all, SimConfig { horizon: 1.0, outages: vec![], throttles })
-                .unwrap();
-        sim.add_flow(FlowSpec::persistent(r(0), r(1), 30.0, 1.0, "suspect")).unwrap();
-        sim.add_flow(FlowSpec::persistent(r(2), r(1), 30.0, 1.0, "control")).unwrap();
-        sim.run()
-    }
-
-    #[test]
-    fn clean_lmp_not_flagged() {
-        let rep = run(vec![]);
-        let finding = detect_throttling(&rep, &ThrottleSpec::default()).unwrap();
-        assert!(!finding.throttled, "{finding:?}");
-        assert!((finding.ratio - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn cheating_lmp_flagged() {
-        let rep = run(vec![IngressThrottle { tag: "suspect".into(), factor: 0.5 }]);
-        let finding = detect_throttling(&rep, &ThrottleSpec::default()).unwrap();
-        assert!(finding.throttled, "{finding:?}");
-        assert!((finding.ratio - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn mild_degradation_below_threshold_tolerated() {
-        let rep = run(vec![IngressThrottle { tag: "suspect".into(), factor: 0.9 }]);
-        let finding = detect_throttling(&rep, &ThrottleSpec::default()).unwrap();
-        assert!(!finding.throttled, "0.9 >= 0.8 threshold: {finding:?}");
-    }
-
-    #[test]
-    fn missing_class_returns_none() {
-        let rep = run(vec![]);
-        let spec = ThrottleSpec { suspect_tag: "ghost".into(), ..Default::default() };
-        assert!(detect_throttling(&rep, &spec).is_none());
-    }
-
-    #[test]
-    fn packet_level_detector_agrees() {
-        use crate::engine::{Engine, EngineConfig, SourceKind};
-        let t = two_bp_square();
-        let all = LinkSet::full(t.n_links());
-        let throttled_cfg = EngineConfig {
-            horizon_ns: 50_000_000,
-            throttles: vec![IngressThrottle { tag: "suspect".into(), factor: 0.25 }],
+        let cfg = EngineConfig {
+            horizon_ns: 100_000_000,
+            throttles: vec![IngressThrottle { tag: "suspect".into(), factor }],
             ..Default::default()
         };
-        for (cfg, expect_flag) in [(throttled_cfg, true), (EngineConfig::default(), false)] {
-            let mut eng = Engine::new(&t, &all, cfg).unwrap();
-            eng.add_source(r(0), r(1), 20.0, None, "suspect", SourceKind::Persistent, 1).unwrap();
-            eng.add_source(r(2), r(1), 20.0, None, "control", SourceKind::Persistent, 1).unwrap();
-            let rep = eng.run();
-            let finding = detect_throttling_packets(&rep, &ThrottleSpec::default()).unwrap();
-            assert_eq!(finding.throttled, expect_flag, "{finding:?}");
+        let mut eng = Engine::new(&t, &all, cfg).unwrap();
+        for (src, tag) in [(0, "suspect"), (2, "control")] {
+            let kind = SourceKind::Persistent;
+            eng.add_source(RouterId(src), RouterId(1), 20.0, None, tag, kind, 1).unwrap();
         }
+        eng.run()
+    }
+
+    /// The ratio tracks the throttle: the propagation fill at the horizon
+    /// biases both classes' availability by a common factor, so it cancels
+    /// against the unthrottled run. Only factors below the 0.8 threshold
+    /// flag, and a class no source carries has no finding.
+    #[test]
+    fn ratio_tracks_the_throttle_and_flags_below_threshold() {
+        let spec = ThrottleSpec::default();
+        let factors = [1.0, 0.9, 0.5, 0.25];
+        let reports: Vec<EngineReport> = factors.iter().map(|&f| run(f)).collect();
+        let honest = detect_throttling(&reports[0], &spec).unwrap();
+        for (&factor, report) in factors.iter().zip(&reports) {
+            let finding = detect_throttling(report, &spec).unwrap();
+            let relative = finding.ratio / honest.ratio;
+            assert!((relative - factor).abs() < 0.01, "factor {factor}: {finding:?}");
+            assert_eq!(finding.throttled, factor < 0.8, "factor {factor}: {finding:?}");
+        }
+        let ghost = ThrottleSpec { suspect_tag: "ghost".into(), ..Default::default() };
+        assert!(detect_throttling(&reports[0], &ghost).is_none());
     }
 }

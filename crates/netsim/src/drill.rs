@@ -119,18 +119,11 @@ pub fn run_drill(
         })
         .collect();
 
-    let mut sim =
-        Simulator::new(topo, active, SimConfig { horizon, outages, throttles: Vec::new() })?;
+    let mut sim = Simulator::new(topo, active, SimConfig { horizon, outages })?;
     // Traffic-engineered placement from the base routing: each split share
     // is pinned to its path and falls back to dynamic rerouting during an
     // outage — the behaviour the resilience constraints provision for.
-    for flow in &base.flows {
-        for (path, gbps) in &flow.paths {
-            let mut f = crate::sim::FlowSpec::persistent(flow.src, flow.dst, *gbps, horizon, "tm");
-            f.pinned_path = Some(path.clone());
-            sim.add_flow(f)?;
-        }
-    }
+    sim.add_routing(&base, |_| None);
     let report = sim.run();
     Ok(DrillReport {
         availability: report.overall_availability(),

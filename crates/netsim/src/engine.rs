@@ -1,6 +1,6 @@
 //! The packet-level discrete-event data plane.
 //!
-//! Where [`crate::sim`] sweeps fluid rate allocations between flow
+//! Where [`crate::sim`] sweeps fluid rate allocations between outage
 //! boundaries, this module moves individual packets: per-link directional
 //! FIFO queues with finite byte buffers and tail drops, store-and-forward
 //! transmission at link rate plus propagation delay derived from
@@ -28,11 +28,10 @@
 //! (4-ary) heap only makes each sift cheaper, and it measured slower than
 //! `std`'s binary heap at this depth.
 //!
-//! The loop closes exactly where the flow sim's does: per-owner delivered
-//! bytes aggregate into the same `usage_by_owner` shape
-//! ([`SimReport::usage_by_owner`](crate::sim::SimReport)), so an
-//! [`EngineReport`] feeds `ReportUsage` → settlement ledger →
-//! neutrality-violation detection unchanged. One unit of rate is Gbit/s,
+//! Per-owner delivered bytes aggregate into `usage_by_owner`, average
+//! delivered Gbit/s per owner, so an [`EngineReport`] feeds `ReportUsage`
+//! → settlement ledger unchanged, and per-tag delivery feeds the
+//! throttling detector ([`crate::discrim`]). One unit of rate is Gbit/s,
 //! which is numerically bits/ns — transmission times and delivered-rate
 //! conversions need no unit shuffling.
 //!
@@ -68,7 +67,6 @@
 //! first time the router sources a demand) answers every pair leaving it:
 //! a matrix costs `n_routers` searches, not `n_pairs`.
 
-use crate::sim::IngressThrottle;
 use poc_core::entity::EntityId;
 use poc_flow::graph::PathTree;
 use poc_flow::{CapacityGraph, LinkSet};
@@ -88,6 +86,14 @@ const NO_OWNER: u16 = u16::MAX;
 /// indices and walk positions stay below it.
 const WALK_END: u32 = 1 << 31;
 
+/// An ingress throttle applied by a (misbehaving) LMP: sources whose tag
+/// matches inject at `factor` (in `[0, 1]`) × their configured rate.
+#[derive(Clone, Debug, Serialize, Deserialize)]
+pub struct IngressThrottle {
+    pub tag: String,
+    pub factor: f64,
+}
+
 /// Engine parameters. Times are nanoseconds.
 #[derive(Clone, Debug)]
 pub struct EngineConfig {
@@ -100,10 +106,9 @@ pub struct EngineConfig {
     pub buffer_bytes: u64,
     /// Seed for source phase staggering (and nothing else).
     pub seed: u64,
-    /// Ingress throttles applied by (misbehaving) LMPs: sources whose tag
-    /// matches inject at `factor` × their configured rate. Offered bytes
+    /// Ingress throttles applied by (misbehaving) LMPs. Offered bytes
     /// still count at the configured rate, so throttling is visible as
-    /// lost availability — same semantics as the flow sim.
+    /// lost availability.
     pub throttles: Vec<IngressThrottle>,
 }
 
@@ -132,7 +137,7 @@ pub enum SourceKind {
 
 /// Errors from engine construction and source admission. Library callers
 /// feed these from user input (CLI flags, wire requests), so they surface
-/// as values — the same panic-free contract as [`crate::sim::SimError`].
+/// as values — the same panic-free contract as `poc_flow::FlowError`.
 #[derive(Clone, Debug, PartialEq)]
 pub enum EngineError {
     /// `horizon_ns == 0`: nothing would ever be simulated.
@@ -205,7 +210,7 @@ impl std::error::Error for EngineError {}
 pub struct TagStats {
     pub tag: String,
     /// Bytes the class *intended* to send over the horizon (configured
-    /// rate × horizon — unthrottled, matching the flow sim's offered).
+    /// rate × horizon, unthrottled).
     pub offered_bytes: f64,
     /// Bytes that reached their destination within the horizon.
     pub delivered_bytes: u64,
@@ -244,7 +249,7 @@ pub struct EngineReport {
     pub packets_in_flight: u64,
     pub bytes_delivered: u64,
     /// Average delivered Gbit/s per owner over the horizon — the billing
-    /// input, same shape as the flow sim's.
+    /// input.
     pub usage_by_owner: Vec<(EntityId, f64)>,
     pub per_tag: Vec<TagStats>,
     pub n_sources: usize,

@@ -1,5 +1,4 @@
-//! §3.1 network services: anycast, multicast, posted-price QoS — plus a
-//! diurnal on/off workload on the leased fabric.
+//! §3.1 network services: anycast, multicast, posted-price QoS.
 //!
 //! "The POC could support multicast and anycast delivery mechanisms ...
 //! the presence of a neutral and nonprofit core might provide a place
@@ -11,8 +10,6 @@
 use public_option_core::core::fabric::ForwardingState;
 use public_option_core::core::services::{AnycastGroup, MulticastTree, QosCatalog, QosTier};
 use public_option_core::flow::LinkSet;
-use public_option_core::netsim::sim::{SimConfig, Simulator};
-use public_option_core::netsim::workload::{generate_onoff, WorkloadConfig};
 use public_option_core::topology::zoo::{attach_external_isps, ExternalIspConfig};
 use public_option_core::topology::{CostModel, RouterId, ZooConfig, ZooGenerator};
 
@@ -71,24 +68,5 @@ fn main() {
     println!(
         "  identical purchases price identically (${:.0}) — no favoritism possible",
         a.monthly_charge
-    );
-
-    // --- Diurnal on/off workload -------------------------------------------
-    println!("\n=== 24h diurnal on/off workload on the fabric ===");
-    let cfg = WorkloadConfig { n_flows: 300, ..Default::default() };
-    let flows = generate_onoff(&topo, &cfg);
-    let mut sim = Simulator::new(&topo, &all, SimConfig { horizon: 24.0, ..Default::default() })
-        .expect("valid sim config");
-    let n_flows = flows.len();
-    for f in flows {
-        sim.add_flow(f).expect("generated flows are valid");
-    }
-    let report = sim.run();
-    println!(
-        "{} flows over 24h: availability {:.2}%, offered {:.0} Gb·h, delivered {:.0} Gb·h",
-        n_flows,
-        report.overall_availability() * 100.0,
-        report.per_flow.iter().map(|f| f.offered_gbh).sum::<f64>(),
-        report.per_flow.iter().map(|f| f.delivered_gbh).sum::<f64>()
     );
 }

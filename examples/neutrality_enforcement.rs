@@ -4,7 +4,8 @@
 //! Control plane: LMP policies are reviewed against the ToS engine, which
 //! distinguishes posted-price QoS (allowed) from discrimination
 //! (conditions i–iii). Data plane: a cheating LMP that silently throttles
-//! a CSP leaves an observable goodput signature the auditor detects.
+//! a CSP leaves an observable packet-goodput signature the auditor
+//! detects.
 //!
 //! Run with: `cargo run --release --example neutrality_enforcement`
 
@@ -12,10 +13,11 @@ use public_option_core::core::poc::{Poc, PocConfig};
 use public_option_core::core::tos::{PolicyAction, PolicyBasis, PolicyMatch, TrafficPolicy};
 use public_option_core::flow::LinkSet;
 use public_option_core::netsim::discrim::{detect_throttling, ThrottleSpec};
-use public_option_core::netsim::sim::{FlowSpec, IngressThrottle, SimConfig, Simulator};
+use public_option_core::netsim::engine::{Engine, EngineConfig, IngressThrottle, SourceKind};
 use public_option_core::topology::builder::two_bp_square;
 use public_option_core::topology::zoo::{attach_external_isps, ExternalIspConfig};
 use public_option_core::topology::{CostModel, RouterId};
+use public_option_core::traffic::{TrafficMatrix, UserFlowModel};
 
 fn main() {
     let mut topo = two_bp_square();
@@ -94,28 +96,26 @@ fn main() {
 
     // --- Data plane: undeclared cheating --------------------------------
     println!("\n=== Observable throttling (auditor's view) ===");
+    // Two 30 G classes into r1 for 1 s of packets: at a horizon this long
+    // the packets still propagating at its end barely dent availability.
     let topo = poc.topo();
     let all = LinkSet::full(topo.n_links());
+    let mut tm = TrafficMatrix::zero(topo.n_routers());
+    tm.set(RouterId(0), RouterId(1), 30.0);
+    tm.set(RouterId(2), RouterId(1), 30.0);
+    let classify =
+        |src: RouterId| (None, if src == RouterId(0) { "suspect" } else { "control" }.to_string());
     for (scenario, factor) in [("honest LMP", 1.0), ("cheating LMP", 0.4)] {
-        let mut sim = Simulator::new(
-            topo,
-            &all,
-            SimConfig {
-                horizon: 1.0,
-                outages: vec![],
-                throttles: if factor < 1.0 {
-                    vec![IngressThrottle { tag: "suspect".into(), factor }]
-                } else {
-                    vec![]
-                },
-            },
-        )
-        .expect("valid sim config");
-        sim.add_flow(FlowSpec::persistent(RouterId(0), RouterId(1), 30.0, 1.0, "suspect"))
-            .expect("valid flow");
-        sim.add_flow(FlowSpec::persistent(RouterId(2), RouterId(1), 30.0, 1.0, "control"))
-            .expect("valid flow");
-        let report = sim.run();
+        let cfg = EngineConfig {
+            horizon_ns: 1_000_000_000,
+            throttles: vec![IngressThrottle { tag: "suspect".into(), factor }],
+            ..Default::default()
+        };
+        let mut engine = Engine::new(topo, &all, cfg).expect("valid engine config");
+        engine
+            .add_traffic_matrix(&tm, &UserFlowModel::default(), SourceKind::Persistent, classify)
+            .expect("valid sources");
+        let report = engine.run();
         let finding = detect_throttling(&report, &ThrottleSpec::default()).expect("both classes");
         println!(
             "  {scenario}: suspect/control goodput ratio {:.2} → {}",

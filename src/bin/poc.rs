@@ -176,15 +176,21 @@ fn cmd_topo_stats(rest: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// `--constraint N`, 1 (the default), 2 or 3. Constraint #2 samples every
+/// 4th failure scenario on the small preset and every 32nd on the others.
+fn constraint(rest: &[String], preset: Preset) -> Result<Constraint, String> {
+    let stride = if preset == Preset::Small { 4 } else { 32 };
+    match opt(rest, "--constraint").unwrap_or("1") {
+        "1" => Ok(Constraint::BaseLoad),
+        "2" => Ok(Constraint::SinglePathFailure { sample_every: stride }),
+        "3" => Ok(Constraint::AllPairsBackup),
+        other => Err(format!("unknown constraint {other:?} (use 1, 2 or 3)")),
+    }
+}
+
 fn cmd_auction(rest: &[String]) -> Result<(), String> {
     let preset = preset(rest)?;
-    let stride = if preset == Preset::Small { 4 } else { 32 };
-    let constraint = match opt(rest, "--constraint").unwrap_or("1") {
-        "1" => Constraint::BaseLoad,
-        "2" => Constraint::SinglePathFailure { sample_every: stride },
-        "3" => Constraint::AllPairsBackup,
-        other => return Err(format!("unknown constraint {other:?} (use 1, 2 or 3)")),
-    };
+    let constraint = constraint(rest, preset)?;
     let (topo, tm) = build_instance(preset);
     let market = Market::truthful(&topo, 3.0);
     let selector = GreedySelector::with_prune_budget(16);
@@ -265,14 +271,9 @@ fn cmd_transition(rest: &[String]) -> Result<(), String> {
         return Ok(());
     }
 
-    let stride = if preset(rest)? == Preset::Small { 4 } else { 32 };
-    let constraint = match opt(rest, "--constraint").unwrap_or("1") {
-        "1" => Constraint::BaseLoad,
-        "2" => Constraint::SinglePathFailure { sample_every: stride },
-        "3" => Constraint::AllPairsBackup,
-        other => return Err(format!("unknown constraint {other:?} (use 1, 2 or 3)")),
-    };
-    let (topo, tm) = build_instance(preset(rest)?);
+    let preset = preset(rest)?;
+    let constraint = constraint(rest, preset)?;
+    let (topo, tm) = build_instance(preset);
     let mut poc = Poc::new(topo, PocConfig { constraint, ..PocConfig::default() });
     poc.run_auction_round(&tm).map_err(|e| format!("auction failed: {e}"))?;
     let from = poc.last_outcome().expect("round just ran").selected.clone();
@@ -326,9 +327,8 @@ fn cmd_transition(rest: &[String]) -> Result<(), String> {
 /// running `poc serve` with `--addr`.
 fn cmd_dataplane(rest: &[String]) -> Result<(), String> {
     use public_option_core::ctrlplane::AttachRole;
-    use public_option_core::netsim::engine::{Engine, EngineConfig, SourceKind};
-    use public_option_core::netsim::sim::IngressThrottle;
-    use public_option_core::netsim::{detect_throttling_packets, ThrottleSpec};
+    use public_option_core::netsim::engine::{Engine, EngineConfig, IngressThrottle, SourceKind};
+    use public_option_core::netsim::{detect_throttling, ThrottleSpec};
     use public_option_core::topology::RouterId;
     use public_option_core::traffic::UserFlowModel;
 
@@ -456,7 +456,7 @@ fn cmd_dataplane(rest: &[String]) -> Result<(), String> {
     );
 
     // The auditor's view: packet goodput, suspect vs control.
-    if let Some(finding) = detect_throttling_packets(&report, &ThrottleSpec::default()) {
+    if let Some(finding) = detect_throttling(&report, &ThrottleSpec::default()) {
         println!(
             "neutrality: suspect/control goodput ratio {:.3} → {}",
             finding.ratio,

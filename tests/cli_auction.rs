@@ -1,12 +1,13 @@
 //! The `poc` binary's `auction` subcommand end to end: one VCG round on
 //! the small preset prints its header and one row per BP holding links in
-//! `SL`, each paid at least its bid; an unknown constraint is refused.
+//! `SL`, each paid at least its bid; an unknown constraint is refused, by
+//! `auction` and by `transition`, which parse it the same way.
 
 use std::process::{Command, Output};
 
-fn poc_auction(args: &[&str]) -> Output {
+fn poc(command: &str, args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_poc"))
-        .arg("auction")
+        .arg(command)
         .args(args)
         .output()
         .expect("the poc binary starts")
@@ -14,7 +15,7 @@ fn poc_auction(args: &[&str]) -> Output {
 
 #[test]
 fn auction_prints_one_row_per_bp_paid_at_least_its_bid() {
-    let out = poc_auction(&[]);
+    let out = poc("auction", &[]);
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(
         out.status.success(),
@@ -49,8 +50,18 @@ fn auction_prints_one_row_per_bp_paid_at_least_its_bid() {
 
 #[test]
 fn auction_refuses_an_unknown_constraint() {
-    let out = poc_auction(&["--constraint", "7"]);
+    let out = poc("auction", &["--constraint", "7"]);
     assert!(!out.status.success(), "poc auction --constraint 7 succeeded");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("unknown constraint"), "{stderr}");
+}
+
+#[test]
+fn transition_refuses_an_unknown_constraint() {
+    // Refused before either auction of the walk runs.
+    let out = poc("transition", &["--constraint", "7"]);
+    assert!(!out.status.success(), "poc transition --constraint 7 succeeded");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown constraint"), "{stderr}");
+    assert!(out.stdout.is_empty(), "{}", String::from_utf8_lossy(&out.stdout));
 }

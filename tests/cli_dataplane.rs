@@ -2,15 +2,22 @@
 //! locally (no `--addr`) for 5 ms of packets, must exit 0, account on its
 //! packets line for every packet it injected, print the settled delivery
 //! those counts imply, and name its most oversubscribed links worst first.
+//! With `--cheat` the auditor's detector must flag the throttled class,
+//! and a factor outside `[0, 1]` is refused.
 
-use std::process::Command;
+use std::process::{Command, Output};
 
-/// `poc dataplane --horizon-ms 5`'s standard output, once it exited 0.
-fn dataplane_stdout() -> String {
-    let out = Command::new(env!("CARGO_BIN_EXE_poc"))
+fn poc_dataplane(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_poc"))
         .args(["dataplane", "--horizon-ms", "5"])
+        .args(args)
         .output()
-        .expect("the poc binary starts");
+        .expect("the poc binary starts")
+}
+
+/// `poc dataplane --horizon-ms 5 ARGS`'s standard output, once it exited 0.
+fn dataplane_stdout(args: &[&str]) -> String {
+    let out = poc_dataplane(args);
     let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
     assert!(
         out.status.success(),
@@ -23,7 +30,7 @@ fn dataplane_stdout() -> String {
 
 #[test]
 fn dataplane_splits_every_injected_packet_four_ways() {
-    let stdout = dataplane_stdout();
+    let stdout = dataplane_stdout(&[]);
     // "packets: E events, I injected = D delivered + X dropped + Q queued
     // + F in flight at the horizon"
     let line = stdout
@@ -64,7 +71,7 @@ fn dataplane_splits_every_injected_packet_four_ways() {
 fn dataplane_lists_at_most_five_oversubscribed_links_worst_first() {
     // "oversubscribed: N of L loaded links offered more than capacity;
     // worst: l79 r6->r7 4.028x, ..." — the worst part only when N > 0.
-    let stdout = dataplane_stdout();
+    let stdout = dataplane_stdout(&[]);
     let line = stdout
         .lines()
         .find(|l| l.starts_with("oversubscribed: "))
@@ -89,4 +96,23 @@ fn dataplane_lists_at_most_five_oversubscribed_links_worst_first() {
     assert_eq!(ratios.len(), over.min(5), "{line}");
     assert!(ratios.iter().all(|&r| r > 1.0), "{line}");
     assert!(ratios.windows(2).all(|w| w[0] >= w[1]), "{line}");
+}
+
+#[test]
+fn dataplane_cheat_is_flagged_by_the_packet_detector() {
+    // "neutrality: suspect/control goodput ratio R → FLAGGED (ToS breach)"
+    let stdout = dataplane_stdout(&["--cheat", "0.4"]);
+    let line = stdout
+        .lines()
+        .find(|l| l.starts_with("neutrality: "))
+        .unwrap_or_else(|| panic!("no neutrality line in\n{stdout}"));
+    assert!(line.ends_with("FLAGGED (ToS breach)"), "{line}");
+}
+
+#[test]
+fn dataplane_refuses_a_cheat_factor_outside_the_unit_interval() {
+    let out = poc_dataplane(&["--cheat", "1.5"]);
+    assert!(!out.status.success(), "poc dataplane --cheat 1.5 succeeded");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--cheat wants a factor in [0,1]"), "{stderr}");
 }

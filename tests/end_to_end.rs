@@ -160,58 +160,11 @@ fn unknown_usage_entity_rejected_without_state_change() {
     assert_eq!(poc.period(), before, "failed billing must not advance the period");
 }
 
-#[test]
-fn diurnal_workload_revenue_cycle() {
-    use public_option_core::netsim::workload::{generate_onoff, WorkloadConfig};
-
-    let (mut poc, tm) = build_poc(Constraint::BaseLoad);
-    poc.run_auction_round(&tm).expect("feasible");
-    let selected = poc.last_outcome().unwrap().selected.clone();
-    let lmp = poc.attach_lmp("metro", RouterId(0)).unwrap();
-
-    // A day of on/off flows, all attributed to the one LMP.
-    let cfg = WorkloadConfig { n_flows: 150, ..Default::default() };
-    let flows = generate_onoff(poc.topo(), &cfg);
-    let mut sim = Simulator::new(
-        poc.topo(),
-        &selected,
-        SimConfig { horizon: cfg.horizon, ..Default::default() },
-    )
-    .expect("valid sim config");
-    for mut f in flows {
-        f.owner = Some(lmp);
-        sim.add_flow(f).expect("generated flows are valid");
-    }
-    let report = sim.run();
-    assert!(report.overall_availability() > 0.5, "most bursty traffic delivered");
-    assert_eq!(report.usage_by_owner.len(), 1);
-
-    // Hot links exist and utilization is sane.
-    let hottest = report.hottest_links(3);
-    assert_eq!(hottest.len(), 3);
-    assert!(hottest[0].1 >= hottest[2].1);
-    for (l, _) in &hottest {
-        let u = report.mean_utilization(poc.topo(), *l);
-        assert!((0.0..=1.0).contains(&u), "utilization {u} out of range");
-    }
-
-    // Settlement from the simulated usage; the break-even invariant holds
-    // for bursty workloads exactly as for static matrices.
-    let bill = poc.billing_cycle(&report.usage_by_owner).expect("billing");
-    assert!(bill.poc_net.abs() < 1e-6);
-    assert!(bill.charges[0].1 > 0.0);
-
-    // The member's statement shows the charge.
-    let statement =
-        poc.ledger().statement(public_option_core::core::settlement::Account::Entity(lmp));
-    assert!(statement.contains("transit"), "{statement}");
-    assert!(statement.contains("debit"), "{statement}");
-}
-
 /// The tentpole loop, in process: auction → leases → *packets* → money.
 /// Delivered bytes from the packet engine are the billing input, and the
 /// ledger's double-entry invariants hold on packet-metered usage exactly
-/// as they do on flow-level usage.
+/// as they do on flow-level usage — for constant-rate sources and, in the
+/// next billing period, for bursty on/off ones.
 #[test]
 fn packet_engine_usage_settles_through_ledger() {
     use public_option_core::netsim::engine::{Engine, EngineConfig, SourceKind};
@@ -223,29 +176,42 @@ fn packet_engine_usage_settles_through_ledger() {
     let lmp_a = poc.attach_lmp("pk-a", RouterId(0)).unwrap();
     let lmp_b = poc.attach_lmp("pk-b", RouterId::from_index(poc.topo().n_routers() - 1)).unwrap();
 
-    let cfg = EngineConfig { horizon_ns: 10_000_000, ..Default::default() };
-    let mut eng = Engine::new(poc.topo(), &selected, cfg).expect("valid engine config");
-    eng.add_traffic_matrix(&tm, &UserFlowModel::default(), SourceKind::Persistent, |src| {
-        (Some(if src.index().is_multiple_of(2) { lmp_a } else { lmp_b }), "tm".to_string())
-    })
-    .expect("matrix routable on the leased fabric");
-    assert!(eng.n_user_flows() > 100_000, "paper-scale aggregation");
-    let report = eng.run();
-    assert!(report.packets_delivered > 0, "{report:?}");
-    assert_eq!(report.usage_by_owner.len(), 2, "both LMPs metered");
-    let metered: f64 = report.usage_by_owner.iter().map(|&(_, g)| g).sum();
-    assert!(metered > 0.0);
+    let bursty = SourceKind::OnOff { on_ns: 1_000_000, off_ns: 1_000_000 };
+    for kind in [SourceKind::Persistent, bursty] {
+        let cfg = EngineConfig { horizon_ns: 10_000_000, ..Default::default() };
+        let mut eng = Engine::new(poc.topo(), &selected, cfg).expect("valid engine config");
+        eng.add_traffic_matrix(&tm, &UserFlowModel::default(), kind, |src| {
+            (Some(if src.index().is_multiple_of(2) { lmp_a } else { lmp_b }), "tm".to_string())
+        })
+        .expect("matrix routable on the leased fabric");
+        assert!(eng.n_user_flows() > 100_000, "paper-scale aggregation");
+        let report = eng.run();
+        assert!(report.packets_delivered > 0, "{kind:?}: {report:?}");
+        assert_eq!(report.usage_by_owner.len(), 2, "{kind:?}: both LMPs metered");
+        let metered: f64 = report.usage_by_owner.iter().map(|&(_, g)| g).sum();
+        assert!(metered > 0.0);
 
-    // Delivered bytes are the billing input; break-even and conservation
-    // hold on the packet-metered period.
-    let bill = poc.billing_cycle(&report.usage_by_owner).expect("billing");
-    assert!((bill.total_usage_gbps - metered).abs() < 1e-9, "bill reflects the meter");
-    assert!(bill.poc_net.abs() < 1e-6, "nonprofit break-even");
-    assert!(poc.ledger().conservation_error().abs() < 1e-9);
-    for &(owner, gbps) in &report.usage_by_owner {
-        let balance = poc.ledger().balance(Account::Entity(owner));
-        assert!(balance < 0.0, "metered member owes transit: {owner:?} {gbps} → {balance}");
+        // Delivered bytes are the billing input; break-even and
+        // conservation hold on the packet-metered period.
+        let before: Vec<f64> = report
+            .usage_by_owner
+            .iter()
+            .map(|&(owner, _)| poc.ledger().balance(Account::Entity(owner)))
+            .collect();
+        let bill = poc.billing_cycle(&report.usage_by_owner).expect("billing");
+        assert!((bill.total_usage_gbps - metered).abs() < 1e-9, "bill reflects the meter");
+        assert!(bill.poc_net.abs() < 1e-6, "{kind:?}: nonprofit break-even");
+        assert!(poc.ledger().conservation_error().abs() < 1e-9);
+        for (&(owner, gbps), before) in report.usage_by_owner.iter().zip(before) {
+            let balance = poc.ledger().balance(Account::Entity(owner));
+            assert!(balance < before, "metered member owes transit: {owner:?} {gbps} → {balance}");
+        }
     }
+
+    // The member's statement shows the charges.
+    let statement = poc.ledger().statement(Account::Entity(lmp_a));
+    assert!(statement.contains("transit"), "{statement}");
+    assert!(statement.contains("debit"), "{statement}");
 }
 
 /// The same loop over the wire: engine usage flows through `ReportUsage`
