@@ -4,9 +4,15 @@
 //! backup capacity; a drill injects outages on the busiest selected links
 //! and measures how much of the offered traffic is still delivered. Sets
 //! selected under stricter constraints should show higher availability.
+//!
+//! The drill is a fluid model: between outage boundaries every routed
+//! share runs at its max-min fair rate ([`max_min_rates`]) over the links
+//! that are up, on its pinned path while that path survives, else on the
+//! distance-shortest surviving path, else not at all.
 
-use crate::sim::{LinkOutage, SimConfig, SimError, SimReport, Simulator};
-use poc_flow::{route_tm, LinkSet, Routing};
+use crate::fairness::{max_min_rates, AllocFlow};
+use poc_flow::graph::Dir;
+use poc_flow::{route_tm, CapacityGraph, LinkSet, Routing};
 use poc_topology::{LinkId, PocTopology};
 use poc_traffic::TrafficMatrix;
 use serde::{Deserialize, Serialize};
@@ -32,11 +38,12 @@ impl Default for DrillSpec {
 /// Drill outcome.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct DrillReport {
+    /// Delivered over offered Gbit/s·h, across the whole drill.
     pub availability: f64,
+    /// Times a split share changed path, summed over shares.
     pub total_reroutes: u32,
     /// Links failed, in schedule order.
     pub failed_links: Vec<LinkId>,
-    pub sim: SimReport,
 }
 
 /// Errors from [`run_drill`]. A bad [`DrillSpec`] is a caller
@@ -45,26 +52,24 @@ pub struct DrillReport {
 /// user input.
 #[derive(Clone, Debug, PartialEq)]
 pub enum DrillError {
-    /// `n_failures == 0` or a non-positive/non-finite outage window:
-    /// the drill would fail nothing or never end.
-    DegenerateSpec { n_failures: usize, outage_hours: f64 },
+    /// `n_failures == 0`, a non-positive/non-finite outage window or a
+    /// negative/non-finite gap: the drill would fail nothing, never end
+    /// or run its windows out of order.
+    DegenerateSpec { n_failures: usize, outage_hours: f64, gap_hours: f64 },
     /// The base traffic matrix could not be routed over the active set.
     Route(poc_flow::RouteError),
-    /// The derived simulation was rejected by the simulator (e.g. a
-    /// negative `gap_hours` producing an unordered outage interval).
-    Sim(SimError),
 }
 
 impl std::fmt::Display for DrillError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            DrillError::DegenerateSpec { n_failures, outage_hours } => write!(
+            DrillError::DegenerateSpec { n_failures, outage_hours, gap_hours } => write!(
                 f,
-                "degenerate drill spec: n_failures {n_failures}, outage_hours {outage_hours} \
-                 (need >= 1 failure and a positive finite outage)"
+                "degenerate drill spec: n_failures {n_failures}, outage_hours {outage_hours}, \
+                 gap_hours {gap_hours} (need >= 1 failure, a positive finite outage and a \
+                 non-negative finite gap)"
             ),
             DrillError::Route(e) => write!(f, "drill unroutable: {e}"),
-            DrillError::Sim(e) => write!(f, "drill simulation rejected: {e}"),
         }
     }
 }
@@ -77,15 +82,12 @@ impl From<poc_flow::RouteError> for DrillError {
     }
 }
 
-impl From<SimError> for DrillError {
-    fn from(e: SimError) -> Self {
-        DrillError::Sim(e)
-    }
-}
-
 /// Run a drill: route the matrix over `active` to find the busiest links,
 /// then fail the top `spec.n_failures` of them one after another while the
-/// matrix's flows run continuously.
+/// matrix's flows run continuously. Each split share of that routing is
+/// traffic-engineered placement: pinned to its path, falling back to
+/// dynamic rerouting during an outage — the behaviour the resilience
+/// constraints provision for.
 pub fn run_drill(
     topo: &PocTopology,
     active: &LinkSet,
@@ -101,37 +103,100 @@ pub fn run_drill(
         return Err(DrillError::DegenerateSpec {
             n_failures: spec.n_failures,
             outage_hours: spec.outage_hours,
+            gap_hours: spec.gap_hours,
         });
     }
     let base = route_tm(topo, active, tm)?;
     let failed_links: Vec<LinkId> =
         busiest_links(&base, active).into_iter().take(spec.n_failures).collect();
 
+    // Segment ends, each with the link down in the segment it closes: a
+    // gap with every link up before each failure window, the window, and
+    // a final gap.
     let window = spec.outage_hours + spec.gap_hours;
     let horizon = window * failed_links.len() as f64 + spec.gap_hours;
-    let outages = failed_links
-        .iter()
-        .enumerate()
-        .map(|(i, &link)| LinkOutage {
-            link,
-            down_at: spec.gap_hours + i as f64 * window,
-            up_at: spec.gap_hours + i as f64 * window + spec.outage_hours,
-        })
-        .collect();
+    let mut ends: Vec<(f64, Option<LinkId>)> = Vec::with_capacity(2 * failed_links.len() + 1);
+    for (i, &link) in failed_links.iter().enumerate() {
+        let down_at = spec.gap_hours + i as f64 * window;
+        ends.push((down_at, None));
+        ends.push((down_at + spec.outage_hours, Some(link)));
+    }
+    ends.push((horizon, None));
+    // At a gap of ≈ 0 a window's end can round an ulp past the next
+    // window's start (or the horizon): the earlier boundary wins.
+    for k in (1..ends.len()).rev() {
+        ends[k - 1].0 = ends[k - 1].0.min(ends[k].0);
+    }
 
-    let mut sim = Simulator::new(topo, active, SimConfig { horizon, outages })?;
-    // Traffic-engineered placement from the base routing: each split share
-    // is pinned to its path and falls back to dynamic rerouting during an
-    // outage — the behaviour the resilience constraints provision for.
-    sim.add_routing(&base, |_| None);
-    let report = sim.run();
+    // (flow, pinned path, Gbit/s) per split share of the base routing.
+    let shares: Vec<_> = base
+        .flows
+        .iter()
+        .flat_map(|f| f.paths.iter().map(move |(path, gbps)| (f, path, *gbps)))
+        .collect();
+    let mut offered_gbh = vec![0.0f64; shares.len()];
+    let mut delivered_gbh = vec![0.0f64; shares.len()];
+    // Each share's hops in the previous segment (none before the first).
+    let mut last_routes: Vec<Option<Hops>> = Vec::new();
+    let mut total_reroutes = 0u32;
+    let mut start = 0.0f64;
+    for (end, down) in ends {
+        // A segment of at most 1e-12 h merges into the next one, which
+        // then starts where this one did.
+        if end - start <= 1e-12 {
+            continue;
+        }
+        let dt = end - start;
+        start = end;
+        let mut up = active.clone();
+        if let Some(link) = down {
+            up.remove(link);
+        }
+        let g = CapacityGraph::new(topo, &up);
+        let routes: Vec<Option<Hops>> = shares
+            .iter()
+            .map(|&(f, pinned, _)| {
+                let hops_of = |p: &[LinkId]| g.hops(f.src, p).collect::<Result<Vec<_>, _>>().ok();
+                Some(pinned)
+                    .filter(|p| p.iter().all(|&l| up.contains(l)))
+                    .and_then(|p| hops_of(p))
+                    .or_else(|| {
+                        g.shortest_path(f.src, f.dst, |l, _| topo.link(l).distance_km, |_, _| true)
+                            .and_then(|p| hops_of(&p))
+                    })
+            })
+            .collect();
+        total_reroutes +=
+            routes.iter().zip(&last_routes).filter(|(now, was)| now != was).count() as u32;
+
+        // Every share with demand offers it; a disconnected one delivers
+        // nothing.
+        let mut carried: Vec<usize> = Vec::new();
+        let mut alloc: Vec<AllocFlow> = Vec::new();
+        for (i, &(_, _, gbps)) in shares.iter().enumerate().filter(|(_, s)| s.2 > 0.0) {
+            offered_gbh[i] += gbps * dt;
+            if let Some(hops) = &routes[i] {
+                carried.push(i);
+                alloc.push(AllocFlow { hops: hops.clone(), demand_gbps: gbps });
+            }
+        }
+        for (&i, rate) in carried.iter().zip(max_min_rates(topo, &alloc)) {
+            delivered_gbh[i] += rate * dt;
+        }
+        last_routes = routes;
+    }
+
+    let offered: f64 = offered_gbh.iter().sum();
+    let delivered: f64 = delivered_gbh.iter().sum();
     Ok(DrillReport {
-        availability: report.overall_availability(),
-        total_reroutes: report.total_reroutes(),
+        availability: if offered <= 0.0 { 1.0 } else { delivered / offered },
+        total_reroutes,
         failed_links,
-        sim: report,
     })
 }
+
+/// The `(link, direction)` hops of a path, from its source.
+type Hops = Vec<(LinkId, Dir)>;
 
 /// `active`'s links, busiest first by total directed load under `base`
 /// (ties by link id): the order both drills fail links in.
@@ -341,40 +406,35 @@ mod tests {
         RouterId(i)
     }
 
+    /// The drill's fluid sweep on `two_bp_square`, 1 h outages: a pinned
+    /// share moves to a backup and back, a severed one loses its window,
+    /// windows at gap 0 run back to back, boundaries under 1e-12 h apart
+    /// merge, and a 150 G demand split over several paths shares what
+    /// survives max-min fairly.
     #[test]
-    fn redundant_fabric_survives_drill() {
+    fn drill_table_on_two_bp_square() {
         let t = two_bp_square();
-        let all = LinkSet::full(t.n_links());
-        let mut tm = TrafficMatrix::zero(t.n_routers());
-        tm.set(r(0), r(1), 10.0);
-        tm.set(r(2), r(3), 5.0);
-        let rep = run_drill(
-            &t,
-            &all,
-            &tm,
-            &DrillSpec { n_failures: 3, outage_hours: 1.0, gap_hours: 0.5 },
-        )
-        .unwrap();
-        assert!(rep.availability > 0.99, "{rep:?}");
-        assert!(rep.total_reroutes > 0, "failures must have caused reroutes");
-        assert_eq!(rep.failed_links.len(), 3);
-    }
-
-    #[test]
-    fn fragile_fabric_loses_traffic() {
-        // Spanning tree: every failure severs something.
-        let t = two_bp_square();
+        let full = LinkSet::full(t.n_links());
         let tree = LinkSet::from_links(t.n_links(), [LinkId(0), LinkId(1), LinkId(5)]);
-        let mut tm = TrafficMatrix::zero(t.n_routers());
-        tm.set(r(0), r(1), 10.0);
-        let rep = run_drill(
-            &t,
-            &tree,
-            &tm,
-            &DrillSpec { n_failures: 1, outage_hours: 1.0, gap_hours: 0.5 },
-        )
-        .unwrap();
-        assert!(rep.availability < 1.0, "{rep:?}");
+        // (fabric, Gbit/s r0→r1, failures, gap hours, availability, reroutes)
+        let rows: [(&LinkSet, f64, usize, f64, f64, u32); 7] = [
+            (&full, 10.0, 1, 0.5, 1.0, 2),
+            (&tree, 10.0, 1, 0.5, 0.5, 2),
+            (&tree, 10.0, 3, 0.5, 0.8, 2),
+            (&full, 10.0, 2, 0.0, 1.0, 1),
+            (&tree, 10.0, 2, 0.0, 0.5, 1),
+            (&tree, 10.0, 2, 5e-13, 0.5, 1),
+            (&full, 150.0, 2, 0.5, 17.0 / 21.0, 4),
+        ];
+        for (active, gbps, n_failures, gap_hours, availability, reroutes) in rows {
+            let mut tm = TrafficMatrix::zero(t.n_routers());
+            tm.set(r(0), r(1), gbps);
+            let spec = DrillSpec { n_failures, outage_hours: 1.0, gap_hours };
+            let rep = run_drill(&t, active, &tm, &spec).unwrap();
+            assert!((rep.availability - availability).abs() < 1e-12, "{spec:?} -> {rep:?}");
+            assert_eq!(rep.total_reroutes, reroutes, "{spec:?} -> {rep:?}");
+            assert_eq!(rep.failed_links.len(), n_failures, "{spec:?} -> {rep:?}");
+        }
     }
 
     #[test]
@@ -393,6 +453,10 @@ mod tests {
         ] {
             let err = run_drill(&t, &all, &tm, &spec).unwrap_err();
             assert!(matches!(err, DrillError::DegenerateSpec { .. }), "{spec:?} -> {err:?}");
+            if spec.gap_hours != 0.5 {
+                let msg = err.to_string();
+                assert!(msg.contains(&format!("gap_hours {}", spec.gap_hours)), "{msg}");
+            }
         }
     }
 

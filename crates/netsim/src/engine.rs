@@ -1,13 +1,13 @@
 //! The packet-level discrete-event data plane.
 //!
-//! Where [`crate::sim`] sweeps fluid rate allocations between outage
-//! boundaries, this module moves individual packets: per-link directional
-//! FIFO queues with finite byte buffers and tail drops, store-and-forward
-//! transmission at link rate plus propagation delay derived from
-//! `distance_km`, and flow sources — persistent or on/off — injecting
-//! MTU-sized packets from the same gravity/hotspot traffic matrices the
-//! auction is sized on, scaled to millions of user-flows via
-//! [`poc_traffic::UserFlowModel`].
+//! Where the failure drill ([`crate::drill`]) sweeps fluid rate
+//! allocations between outage boundaries, this module moves individual
+//! packets: per-link directional FIFO queues with finite byte buffers and
+//! tail drops, store-and-forward transmission at link rate plus
+//! propagation delay derived from `distance_km`, and flow sources —
+//! persistent or on/off — injecting MTU-sized packets from the same
+//! gravity/hotspot traffic matrices the auction is sized on, scaled to
+//! millions of user-flows via [`poc_traffic::UserFlowModel`].
 //!
 //! The scheduler runs on one clock of 8 192 ns time-slices. Periodic source
 //! injections are generated per slice by scanning the source table and put

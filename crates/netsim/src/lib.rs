@@ -1,24 +1,23 @@
 //! Discrete-event simulation of the POC fabric.
 //!
 //! The paper's POC is "a transparent fabric" between attachment points
-//! (§1.2); this crate simulates it twice over. The packet engine moves
-//! persistent and on/off sources' packets over the leased links, meters
-//! per-member usage for the settlement ledger, and throttles traffic
-//! classes for the neutrality-enforcement experiment. The fluid
-//! simulator keeps what the engine lacks: link failures with rerouting
-//! and split, pinned traffic-engineered placement.
+//! (§1.2); this crate simulates it. The packet engine moves persistent
+//! and on/off sources' packets over the leased links, meters per-member
+//! usage for the settlement ledger, and throttles traffic classes for the
+//! neutrality-enforcement experiment. The failure drill keeps the one
+//! thing the engine lacks, link outages with rerouting, as its own fluid
+//! sweep over split, pinned traffic-engineered placement.
 //!
 //! * [`fairness`] — progressive-filling max-min fair rate allocation;
-//! * [`sim`] — the fluid event loop: link down/up, rerouting, pinned
-//!   placement, usage metering;
 //! * [`engine`] — the packet-level discrete-event core: ns-resolution
 //!   event queue, directional FIFO link buffers with tail drops,
 //!   store-and-forward + propagation latency, millions of user-flows,
 //!   ingress throttles;
 //! * [`drill`] — failure drills measuring delivered-traffic availability
-//!   (experiment E-R1), plus mid-transition drills that cut and recall
-//!   links while a lease migration is in flight and prove the executor
-//!   replans instead of ever applying an infeasible intermediate set;
+//!   by a fluid sweep over outage windows (experiment E-R1), plus
+//!   mid-transition drills that cut and recall links while a lease
+//!   migration is in flight and prove the executor replans instead of
+//!   ever applying an infeasible intermediate set;
 //! * [`discrim`] — the throttling detector over the engine's per-class
 //!   goodput (experiment E-N1's data-plane half).
 
@@ -26,7 +25,6 @@ pub mod discrim;
 pub mod drill;
 pub mod engine;
 pub mod fairness;
-pub mod sim;
 
 pub use discrim::{detect_throttling, ThrottleSpec};
 pub use drill::{
@@ -38,4 +36,3 @@ pub use engine::{
     TagStats,
 };
 pub use fairness::max_min_rates;
-pub use sim::{FlowSpec, SimConfig, SimError, SimReport, Simulator};

@@ -6,7 +6,7 @@
 //! routers". This crate generates such matrices — gravity-model (the
 //! standard synthetic WAN workload), uniform, and hotspot variants — and
 //! provides the [`TrafficMatrix`] container consumed by the feasibility
-//! oracle and by the flow-level simulator.
+//! oracle, the failure drills and the packet engine.
 
 pub mod arrivals;
 pub mod matrix;

@@ -1,18 +1,20 @@
 //! Quickstart: stand up a small POC end-to-end.
 //!
 //! Builds a synthetic topology with external-ISP fallback, runs a VCG
-//! bandwidth auction, attaches LMPs and a directly-connected CSP, simulates
-//! a day of traffic on the leased fabric, and settles the books — checking
-//! the §3.2 invariant that the nonprofit POC breaks even.
+//! bandwidth auction, attaches LMPs and a directly-connected CSP, routes the
+//! traffic estimate on the leased fabric, and bills every member for the
+//! traffic its routers source — checking the §3.2 invariant that the
+//! nonprofit POC breaks even.
 //!
 //! Run with: `cargo run --release --example quickstart`
 
 use public_option_core::core::entity::EntityId;
 use public_option_core::core::poc::{Poc, PocConfig};
-use public_option_core::netsim::sim::{SimConfig, Simulator};
+use public_option_core::flow::route_tm;
 use public_option_core::topology::zoo::{attach_external_isps, ExternalIspConfig};
 use public_option_core::topology::{CostModel, RouterId, ZooConfig, ZooGenerator};
 use public_option_core::traffic::{TrafficModel, TrafficScenario};
+use std::collections::BTreeMap;
 
 fn main() {
     // 1. A small synthetic WAN: ~6 BPs over 24 cities, plus one external
@@ -61,27 +63,26 @@ fn main() {
     let csp = poc.attach_direct_csp("big-video", csp_router).expect("attach");
     println!("attached {} LMPs and 1 direct CSP", lmps.len());
 
-    // 5. A day of traffic on the leased fabric.
+    // 5. Place the estimate on the leased fabric; each member uses what
+    //    its routers source.
     let selected = poc.last_outcome().expect("ran").selected.clone();
-    let mut sim =
-        Simulator::new(poc.topo(), &selected, SimConfig { horizon: 24.0, ..Default::default() })
-            .expect("valid sim config");
+    let routing = route_tm(poc.topo(), &selected, &tm).expect("leased fabric carries the estimate");
     let owners: Vec<EntityId> = lmps.iter().copied().chain([csp]).collect();
-    sim.add_traffic_matrix_routed(&tm, |router| {
+    let mut usage: BTreeMap<EntityId, f64> = BTreeMap::new();
+    for flow in &routing.flows {
         // Round-robin attribution for the demo.
-        Some(owners[router.index() % owners.len()])
-    })
-    .expect("leased fabric carries the estimate");
-    let report = sim.run();
+        *usage.entry(owners[flow.src.index() % owners.len()]).or_default() += flow.demand_gbps;
+    }
+    let usage: Vec<(EntityId, f64)> = usage.into_iter().collect();
     println!(
-        "simulated 24h: availability {:.4}, usage by {} members",
-        report.overall_availability(),
-        report.usage_by_owner.len()
+        "routed {} flows on the leased fabric, usage by {} members",
+        routing.flows.len(),
+        usage.len()
     );
 
     // 6. Settle: members pay usage-proportional transit, BPs get their VCG
     //    payments, and the POC nets zero.
-    let bill = poc.billing_cycle(&report.usage_by_owner).expect("billing");
+    let bill = poc.billing_cycle(&usage).expect("billing");
     println!(
         "billing period {}: outlay ${:.0}, unit price ${:.2}/Gbps, POC net ${:+.6}",
         bill.period, bill.total_outlay, bill.unit_price, bill.poc_net

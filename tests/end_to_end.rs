@@ -1,13 +1,12 @@
 //! Cross-crate integration: the full POC lifecycle on a generated
-//! instance — topology → traffic → auction → leases → fabric → simulation
+//! instance — topology → traffic → auction → leases → fabric → routing
 //! → settlement — with the system-level invariants the paper's design
 //! rests on.
 
 use public_option_core::core::entity::EntityId;
 use public_option_core::core::poc::{Poc, PocConfig};
 use public_option_core::core::settlement::Account;
-use public_option_core::flow::Constraint;
-use public_option_core::netsim::sim::{SimConfig, Simulator};
+use public_option_core::flow::{route_tm, Constraint};
 use public_option_core::topology::zoo::{attach_external_isps, ExternalIspConfig};
 use public_option_core::topology::{CostModel, RouterId, ZooConfig, ZooGenerator};
 use public_option_core::traffic::{TrafficModel, TrafficScenario};
@@ -51,24 +50,23 @@ fn full_lifecycle_invariants() {
     // Fabric reaches every router pair.
     assert!(poc.fabric().unwrap().fully_connected(), "selected set must connect all routers");
 
-    // Members, simulation, settlement.
+    // Members, routing, settlement: each LMP uses what its routers source.
     let lmp_a = poc.attach_lmp("it-a", RouterId(0)).unwrap();
     let lmp_b = poc.attach_lmp("it-b", RouterId::from_index(poc.topo().n_routers() - 1)).unwrap();
-    let mut sim =
-        Simulator::new(poc.topo(), &selected, SimConfig { horizon: 6.0, ..Default::default() })
-            .expect("valid sim config");
-    sim.add_traffic_matrix_routed(&tm, |r| {
-        Some(if r.index().is_multiple_of(2) { lmp_a } else { lmp_b })
-    })
-    .expect("selected fabric carries the matrix");
-    let report = sim.run();
-    assert!(
-        report.overall_availability() > 0.999,
-        "TE placement on the auction-sized fabric must deliver: {}",
-        report.overall_availability()
-    );
+    let routing = route_tm(poc.topo(), &selected, &tm).expect("selected fabric carries the matrix");
+    for (i, link) in poc.topo().links.iter().enumerate() {
+        let load = routing.load_fwd[i].max(routing.load_rev[i]);
+        if !selected.contains(link.id) {
+            assert_eq!(load, 0.0, "{:?} carries load outside the selection", link.id);
+        }
+        assert!(load <= link.capacity_gbps + 1e-6, "{:?} over capacity: {load}", link.id);
+    }
+    let mut usage = [(lmp_a, 0.0), (lmp_b, 0.0)];
+    for flow in &routing.flows {
+        usage[flow.src.index() % 2].1 += flow.demand_gbps;
+    }
 
-    let bill = poc.billing_cycle(&report.usage_by_owner).expect("billing");
+    let bill = poc.billing_cycle(&usage).expect("billing");
     assert!(bill.total_outlay > 0.0);
     assert!(bill.poc_net.abs() < 1e-6, "nonprofit break-even");
     assert!(poc.ledger().conservation_error().abs() < 1e-9, "double-entry conservation");
@@ -163,7 +161,7 @@ fn unknown_usage_entity_rejected_without_state_change() {
 /// The tentpole loop, in process: auction → leases → *packets* → money.
 /// Delivered bytes from the packet engine are the billing input, and the
 /// ledger's double-entry invariants hold on packet-metered usage exactly
-/// as they do on flow-level usage — for constant-rate sources and, in the
+/// as they do on routed usage — for constant-rate sources and, in the
 /// next billing period, for bursty on/off ones.
 #[test]
 fn packet_engine_usage_settles_through_ledger() {
