@@ -2,7 +2,7 @@
 //!
 //! Finding the cheapest link subset that carries a traffic matrix is
 //! NP-hard (it generalizes fixed-charge network design), and the paper does
-//! not prescribe an algorithm. Two selectors are provided:
+//! not prescribe an algorithm. Two selectors do the work:
 //!
 //! * [`GreedySelector`] — paper-scale heuristic: demands are routed
 //!   largest-first over the *offered* graph with edge weights equal to a
@@ -16,7 +16,15 @@
 //!   property tests (VCG truthfulness is only exact under exact
 //!   optimization).
 //!
-//! Both selectors are deterministic, which matters: the paper stresses the
+//! Two more are ablation arms:
+//!
+//! * [`ForwardGreedySelector`] — cheapest capacity first, with no regard
+//!   for where demand flows; a shortest acceptable rank-prefix, then
+//!   reverse-pruned (the `ablation_optimizer` bench).
+//! * [`CompositeSelector`] — best of several selectors, at one full
+//!   selection run per member (the `composite_probe` example).
+//!
+//! Every selector is deterministic, which matters: the paper stresses the
 //! POC must "use an open algorithm so that it cannot be accused of
 //! favoritism", and VCG payments difference two selection runs.
 

@@ -1,15 +1,14 @@
 //! Shared fixtures for the experiment benches.
 //!
-//! Every bench target but `routing_kernels` regenerates one experiment
-//! from DESIGN.md's index: it prints the table/series the paper reports
-//! (on a laptop-scale instance by default; set `POC_PAPER_SCALE=1` for the
-//! full §3.3 instance) and times nothing. It is the only program that
-//! prints that table. `routing_kernels` times the flow and packet kernels
-//! with the criterion shim.
+//! Every bench target regenerates one experiment from DESIGN.md's index:
+//! it prints the table/series the paper reports (on a laptop-scale
+//! instance by default; set `POC_PAPER_SCALE=1` for the full §3.3
+//! instance) and times nothing. It is the only program that prints that
+//! table.
 //!
-//! End-to-end performance is not measured here: that is the package under
-//! `src/bin/benchmark/` (`BENCHMARK.json` at the repository root), which
-//! is not part of this crate or the workspace.
+//! Performance is not measured here: end to end and per layer, that is the
+//! package under `src/bin/benchmark/` (`BENCHMARK.json` at the repository
+//! root), which is not part of this crate or the workspace.
 
 use poc_topology::zoo::{attach_external_isps, ExternalIspConfig};
 use poc_topology::{CostModel, PocTopology, ZooConfig, ZooGenerator};
@@ -28,14 +27,5 @@ pub fn instance() -> (PocTopology, TrafficMatrix) {
     attach_external_isps(&mut topo, &ExternalIspConfig::default(), &CostModel::default());
     let tm =
         TrafficScenario { total_gbps: total, ..TrafficScenario::paper_default() }.generate(&topo);
-    (topo, tm)
-}
-
-/// Paper-scale instance regardless of the env toggle (cheap consumers
-/// like topology statistics always use the real thing).
-pub fn paper_instance() -> (PocTopology, TrafficMatrix) {
-    let mut topo = ZooGenerator::new(ZooConfig::paper()).generate();
-    attach_external_isps(&mut topo, &ExternalIspConfig::default(), &CostModel::default());
-    let tm = TrafficScenario::paper_default().generate(&topo);
     (topo, tm)
 }

@@ -155,12 +155,14 @@ impl LeaseBook {
     }
 
     /// BP recalls one of its leased links with `notice_periods` of notice.
-    /// Returns whether a matching active lease was found.
+    /// Returns whether a matching active lease was found. A notice that
+    /// runs past the last period keeps the lease until then.
     pub fn recall(&mut self, bp: BpId, link: LinkId, now: u32, notice_periods: u32) -> bool {
         let mut found = false;
         for l in &mut self.leases {
             if l.bp == bp && l.link == link && matches!(l.state, LeaseState::Active) {
-                l.state = LeaseState::Recalled { effective_period: now + notice_periods };
+                l.state =
+                    LeaseState::Recalled { effective_period: now.saturating_add(notice_periods) };
                 found = true;
             }
         }
@@ -341,6 +343,20 @@ mod tests {
         let expired = book.advance_to(3);
         assert_eq!(expired, vec![lease.link]);
         assert!(!book.active_links(t.n_links(), 3).contains(lease.link));
+    }
+
+    #[test]
+    fn longest_recall_notice_keeps_the_lease_active_and_paid() {
+        let (t, out) = outcome_and_topo();
+        let mut book = LeaseBook::new();
+        book.ingest_auction(&t, &out, 1);
+        let lease = book.leases()[0].clone();
+        let due = book.payments_due(1);
+        assert!(book.recall(lease.bp, lease.link, 1, u32::MAX));
+        assert_eq!(book.leases()[0].state, LeaseState::Recalled { effective_period: u32::MAX });
+        assert!(book.active_links(t.n_links(), 1).contains(lease.link));
+        assert_eq!(book.payments_due(1), due);
+        assert!(book.advance_to(2).is_empty());
     }
 
     #[test]

@@ -71,6 +71,12 @@ pub enum PocError {
     NoFabric,
     /// Usage reported for an entity that may not send traffic.
     NotAuthorized(EntityId),
+    /// The period's usage prices at no finite unit price: Σ usage
+    /// overflowed, or is so small that outlay ÷ Σ usage did.
+    Unbillable {
+        total_usage_gbps: f64,
+        total_outlay: f64,
+    },
 }
 
 impl std::fmt::Display for PocError {
@@ -80,6 +86,11 @@ impl std::fmt::Display for PocError {
             PocError::Auction(e) => write!(f, "auction: {e}"),
             PocError::NoFabric => write!(f, "no fabric installed (run an auction round first)"),
             PocError::NotAuthorized(e) => write!(f, "{e} is not authorized to send traffic"),
+            PocError::Unbillable { total_usage_gbps, total_outlay } => write!(
+                f,
+                "usage of {total_usage_gbps} Gbit/s against an outlay of {total_outlay} has no \
+                 finite unit price"
+            ),
         }
     }
 }
@@ -353,9 +364,36 @@ impl Poc {
         }
         let period = self.period;
 
-        // Outlay: BP lease payments...
+        // Outlay: BP lease payments plus external-ISP contract costs for
+        // selected virtual links, split per ISP pro-rata by their links'
+        // costs. Everything is priced before anything is posted, so a
+        // refused cycle leaves the ledger as it was.
+        let lease_payments = self.leases.payments_due(period);
         let mut total_outlay = 0.0;
-        for (bp, amount) in self.leases.payments_due(period) {
+        for (_, amount) in &lease_payments {
+            total_outlay += amount;
+        }
+        let market = Market::truthful(&self.topo, self.config.virtual_price_factor);
+        let virtual_cost = market.virtual_cost(&outcome.selected);
+        let mut isp_payments: std::collections::BTreeMap<u32, f64> = Default::default();
+        if virtual_cost > 0.0 {
+            for l in outcome.selected.iter() {
+                if let poc_topology::LinkOwner::Virtual(i) = self.topo.link(l).owner {
+                    *isp_payments.entry(i).or_insert(0.0) +=
+                        self.topo.link(l).true_monthly_cost * self.config.virtual_price_factor;
+                }
+            }
+            total_outlay += virtual_cost;
+        }
+
+        // Charges: usage-proportional, summing exactly to the outlay.
+        let total_usage_gbps: f64 = usage.iter().map(|(_, u)| u).sum();
+        let unit_price = if total_usage_gbps > 0.0 { total_outlay / total_usage_gbps } else { 0.0 };
+        if !total_usage_gbps.is_finite() || !unit_price.is_finite() {
+            return Err(PocError::Unbillable { total_usage_gbps, total_outlay });
+        }
+
+        for (bp, amount) in lease_payments {
             let bp_entity = self
                 .registry
                 .by_name(&format!("bp:{}", self.topo.bps[bp.index()].name))
@@ -368,40 +406,18 @@ impl Poc {
                 amount,
                 &format!("lease payment to {bp}"),
             );
-            total_outlay += amount;
         }
-        // ...plus external-ISP contract costs for selected virtual links.
-        let market = Market::truthful(&self.topo, self.config.virtual_price_factor);
-        let virtual_cost = market.virtual_cost(&outcome.selected);
-        if virtual_cost > 0.0 {
-            // Split per ISP index pro-rata by their links' costs.
-            let mut per_isp: std::collections::BTreeMap<u32, f64> = Default::default();
-            for l in outcome.selected.iter() {
-                if let poc_topology::LinkOwner::Virtual(i) = self.topo.link(l).owner {
-                    *per_isp.entry(i).or_insert(0.0) +=
-                        self.topo.link(l).true_monthly_cost * self.config.virtual_price_factor;
-                }
-            }
-            for (isp, amount) in per_isp {
-                let isp_entity = self
-                    .registry
-                    .by_name(&format!("isp:ext{isp}"))
-                    .expect("ISPs pre-registered")
-                    .id;
-                self.ledger.post(
-                    period,
-                    Account::Poc,
-                    Account::Entity(isp_entity),
-                    amount,
-                    &format!("virtual-link contract, ext ISP {isp}"),
-                );
-            }
-            total_outlay += virtual_cost;
+        for (isp, amount) in isp_payments {
+            let isp_entity =
+                self.registry.by_name(&format!("isp:ext{isp}")).expect("ISPs pre-registered").id;
+            self.ledger.post(
+                period,
+                Account::Poc,
+                Account::Entity(isp_entity),
+                amount,
+                &format!("virtual-link contract, ext ISP {isp}"),
+            );
         }
-
-        // Charges: usage-proportional, summing exactly to the outlay.
-        let total_usage_gbps: f64 = usage.iter().map(|(_, u)| u).sum();
-        let unit_price = if total_usage_gbps > 0.0 { total_outlay / total_usage_gbps } else { 0.0 };
         let mut charges = Vec::with_capacity(usage.len());
         for &(id, gbps) in usage {
             let charge = gbps * unit_price;

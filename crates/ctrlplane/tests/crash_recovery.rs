@@ -170,6 +170,53 @@ fn clean_restart_preserves_lifecycle_state() {
     let _ = join.join();
 }
 
+/// A billing cycle whose usage has no finite unit price is refused with
+/// an `Error` answer and leaves nothing posted: not when a lone report is
+/// so small that outlay ÷ Σ usage overflows, nor when two reports sum past
+/// `f64::MAX`. The journaled `RunBilling` replays to the same refusal, so
+/// a restart answers the same balances and refuses the same bill.
+#[test]
+fn unbillable_usage_is_refused_live_and_on_replay() {
+    let dir = fresh_dir("unbillable-usage");
+    let (handle, join) = start_durable(&dir, 0, CrashSwitch::new());
+    let mut client = PocClient::connect(handle.local_addr).unwrap();
+    let a = client.attach("lmp-a", AttachRole::Lmp { router: RouterId(0) }).unwrap();
+    let b = client.attach("lmp-b", AttachRole::Lmp { router: RouterId(1) }).unwrap();
+    client.run_auction().unwrap();
+    let refused = |client: &mut PocClient| match client.run_billing() {
+        Err(ClientError::Server(message)) => assert!(message.contains("unit price"), "{message}"),
+        other => panic!("expected a refusal, got {other:?}"),
+    };
+
+    client.report_usage(a, 1e-310).unwrap();
+    refused(&mut client);
+    client.ping().unwrap();
+    assert_eq!((client.balance(a).unwrap(), client.balance(b).unwrap()), (0.0, 0.0));
+    // The refused report stays on the shard; more usage makes it billable.
+    client.report_usage(a, 12.0).unwrap();
+    client.report_usage(b, 8.0).unwrap();
+    let bill = client.run_billing().unwrap();
+    assert_eq!(bill.period, 0);
+
+    client.report_usage(a, 1e308).unwrap();
+    client.report_usage(b, 1e308).unwrap();
+    refused(&mut client);
+    let balances = (client.balance(a).unwrap(), client.balance(b).unwrap());
+    assert!(balances.0 < 0.0 && balances.1 < 0.0, "{balances:?}");
+    let leases = client.leases().unwrap();
+    handle.shutdown();
+    let _ = join.join();
+
+    let (handle, join) = start_durable(&dir, 0, CrashSwitch::new());
+    let mut client = PocClient::connect(handle.local_addr).unwrap();
+    assert_eq!((client.balance(a).unwrap(), client.balance(b).unwrap()), balances);
+    assert_eq!(client.leases().unwrap(), leases);
+    refused(&mut client);
+    handle.shutdown();
+    let _ = join.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Kill a live server at `point` while it executes `RunBilling`,
 /// restart from the same directory, and return (client, pre-crash
 /// outcome, pre-crash leases, recovery info, handles) for assertions.

@@ -79,7 +79,7 @@ impl CutCertificate {
     /// across the cut is below the crossing demand by more than the
     /// margin. `topo` must be the topology the certificate was made over;
     /// a set over another universe proves nothing.
-    pub fn violated_by(&self, topo: &PocTopology, links: &LinkSet) -> bool {
+    pub(crate) fn violated_by(&self, topo: &PocTopology, links: &LinkSet) -> bool {
         if links.universe() != self.crossing.universe() || topo.n_links() != links.universe() {
             return false;
         }

@@ -235,9 +235,9 @@ impl<'t> CapacityGraph<'t> {
     /// scratch. Stops as soon as `target` is settled; `None` settles every
     /// reachable router.
     // Kept out of line: inlined into `shortest_path` and on into its
-    // caller, `routing_kernels`' `dijkstra_paper_scale` read 19.7 µs
-    // against 15.7 µs for the same search (the loop before it took a
-    // target read 15.8); no `BENCHMARK.json` workload tells the two apart.
+    // callers, one paper-scale search read ≈ 25 % slower; no
+    // `BENCHMARK.json` workload tells the two builds apart (EXPERIMENTS.md,
+    // "Packet engine: build and merge").
     #[inline(never)]
     fn dijkstra(
         &self,

@@ -340,8 +340,11 @@ impl TransitionHooks for DrillHooks<'_> {
 /// Drill a migration `from → to`: plan it, then — at the chosen round
 /// boundary — cut the busiest target links and recall the next-busiest
 /// while the executor is mid-walk. The executor must replan (or unwind)
-/// rather than ever applying a state the cold oracle rejects; the report
-/// carries the violation counters for callers to assert on.
+/// rather than ever applying a state the verifier rejects: an
+/// independently seeded [`WarmOracle`] at the head of the same witness
+/// chain, which follows the applied states and `evaluate`s each one (a
+/// warm failure falls back to a full cold evaluation). The report carries
+/// the violation counters for callers to assert on.
 pub fn run_transition_drill(
     topo: &PocTopology,
     tm: &TrafficMatrix,

@@ -4,7 +4,7 @@
 //! rests on.
 
 use public_option_core::core::entity::EntityId;
-use public_option_core::core::poc::{Poc, PocConfig};
+use public_option_core::core::poc::{Poc, PocConfig, PocError};
 use public_option_core::core::settlement::Account;
 use public_option_core::flow::{route_tm, Constraint};
 use public_option_core::topology::zoo::{attach_external_isps, ExternalIspConfig};
@@ -156,6 +156,33 @@ fn unknown_usage_entity_rejected_without_state_change() {
     let before = poc.period();
     assert!(poc.billing_cycle(&[(EntityId(4242), 1.0)]).is_err());
     assert_eq!(poc.period(), before, "failed billing must not advance the period");
+}
+
+/// Usage that prices at no finite unit price is refused before anything
+/// is posted: a report so small that outlay ÷ Σ usage overflows, and two
+/// so large that Σ usage does. Ledger, leases and period stay as they were.
+#[test]
+fn unbillable_usage_rejected_without_state_change() {
+    let (mut poc, tm) = build_poc(Constraint::BaseLoad);
+    poc.run_auction_round(&tm).expect("feasible");
+    let lmp = poc.attach_lmp("tiny", RouterId(0)).unwrap();
+    let csp = poc.attach_hosted_csp("huge", lmp).unwrap();
+    let n_links = poc.topo().n_links();
+    let (period, postings) = (poc.period(), poc.ledger().postings().to_vec());
+    let (leased, due) =
+        (poc.leases().active_links(n_links, period), poc.leases().payments_due(period));
+    for usage in [vec![(lmp, 1e-310)], vec![(lmp, 1e308), (csp, 1e308)]] {
+        let err = poc.billing_cycle(&usage).expect_err("no finite unit price");
+        assert!(matches!(err, PocError::Unbillable { .. }), "{usage:?}: {err}");
+        assert_eq!(poc.period(), period, "{usage:?}");
+        assert_eq!(poc.ledger().postings(), &postings[..], "{usage:?}");
+        assert_eq!(poc.leases().active_links(n_links, period), leased, "{usage:?}");
+        assert_eq!(poc.leases().payments_due(period), due, "{usage:?}");
+    }
+    // The same members bill normally once their usage prices.
+    let bill = poc.billing_cycle(&[(lmp, 1.0), (csp, 3.0)]).expect("billing");
+    assert_eq!(bill.period, period);
+    assert!(bill.unit_price.is_finite() && bill.unit_price > 0.0);
 }
 
 /// The tentpole loop, in process: auction → leases → *packets* → money.
