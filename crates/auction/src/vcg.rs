@@ -127,7 +127,9 @@ impl std::error::Error for AuctionError {}
 /// `flow.warm.reused_flows` / `flow.warm.rerouted_flows` /
 /// `flow.warm.fallbacks` counters, and `flow.cut.learned` /
 /// `flow.cut.rejects` count the cut certificates the round's oracles keep
-/// and the probes those answer without routing. Instrumentation is
+/// and the probes those answer without routing, and `flow.route.stopped`
+/// the losing routing passes stopped at the first router they can no
+/// longer serve. Instrumentation is
 /// lock-free on the pivot threads (pre-resolved atomic handles);
 /// `tests/round_metrics.rs` pins what a round records, in its own process.
 pub fn run_auction(

@@ -162,6 +162,17 @@ impl<'t> CapacityGraph<'t> {
         self.hops(src, path).try_for_each(|hop| hop.map(|(l, d)| self.release(l, d, gbps)))
     }
 
+    /// Every arc over the active links as (tail, head, residual).
+    pub(crate) fn arcs(&self) -> impl Iterator<Item = (RouterId, RouterId, f64)> + '_ {
+        (0..self.topo.n_routers()).map(RouterId::from_index).flat_map(move |from| {
+            let arcs = self.arc_range(from);
+            self.arcs[arcs.clone()]
+                .iter()
+                .zip(&self.arc_dir[arcs])
+                .map(move |(&(l, to), &dir)| (from, to, self.residual(l, dir)))
+        })
+    }
+
     /// The routers `from` can still send to (`Reach::From`) or that can
     /// still send to it (`Reach::To`) over arcs whose residual exceeds
     /// `floor`, `from` included, as a mask indexed by router. Every arc

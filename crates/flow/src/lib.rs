@@ -18,9 +18,10 @@
 //! ([`maxflow`]) as an exact single-commodity oracle, failure-scenario
 //! checking ([`failure`]), the top-level [`oracle::FeasibilityOracle`]
 //! with the cut certificates ([`cut`]) that spare it a routing pass on
-//! sets already proven infeasible, and its incremental counterpart
-//! [`warm::WarmOracle`] that warm-starts the auction's Clarke-pivot probes
-//! from the previous accepted routing.
+//! sets already proven infeasible and the early stop that ends a losing
+//! pass at the first router it can no longer serve, and its incremental
+//! counterpart [`warm::WarmOracle`] that warm-starts the auction's
+//! Clarke-pivot probes from the previous accepted routing.
 
 pub mod cut;
 pub mod failure;

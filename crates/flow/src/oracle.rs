@@ -7,7 +7,7 @@
 use crate::cut::CutCertificate;
 use crate::failure::{self, FailReason};
 use crate::linkset::LinkSet;
-use crate::route::{route_tm, route_tm_learning, RouteError, Routing};
+use crate::route::{route_tm, route_tm_learning, PassError, RouteError, Routing, Until};
 use poc_topology::{PocTopology, RouterId};
 use poc_traffic::TrafficMatrix;
 use serde::{Deserialize, Serialize};
@@ -20,6 +20,17 @@ pub enum Rejection {
     BaseRoute(RouteError),
     /// Base routing fits but a resilience scenario fails for this pair.
     Resilience { pair: (RouterId, RouterId), reason: FailReason },
+}
+
+impl std::fmt::Display for Rejection {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Rejection::BaseRoute(e) => write!(f, "{e}"),
+            Rejection::Resilience { pair: (src, dst), reason } => {
+                write!(f, "{src}->{dst} fails its resilience check: {reason}")
+            }
+        }
+    }
 }
 
 /// The paper's three constraint levels (Figure 2).
@@ -115,12 +126,14 @@ impl std::error::Error for CacheMismatch {}
 /// [`FeasibilityCache::for_instance`]), and
 /// [`FeasibilityOracle::with_cache`] returns a typed [`CacheMismatch`] —
 /// and bumps the `flow.cache.mismatch` counter — when a different
-/// instance tries to reuse it. The intended use is one cache per auction
-/// round, shared by the round's per-BP Clarke-pivot re-selections (which
-/// probe heavily overlapping link sets, sequentially or from parallel
-/// threads). Thread-safe: reads take a shared lock, inserts an exclusive
-/// one; the oracle computation itself runs outside any lock, so
-/// concurrent probes of distinct sets never serialize on each other.
+/// instance tries to reuse it. `run_auction` makes one per round, and it
+/// serves only the round's initial selection: the per-BP Clarke-pivot
+/// re-selections never read or write it, because their
+/// [`crate::WarmOracle`] verdicts depend on each pivot's witness chain
+/// and a cache must hold pure functions of the instance. Thread-safe:
+/// reads take a shared lock, inserts an exclusive one; the oracle
+/// computation itself runs outside any lock, so concurrent probes of
+/// distinct sets never serialize on each other.
 ///
 /// Every lookup is bridged into the global metrics registry as the
 /// `flow.cache.hit` / `flow.cache.miss` counters (aggregated across all
@@ -306,14 +319,16 @@ impl<'a> FeasibilityOracle<'a> {
     /// Whether `links ∈ A(OL)`: the subset carries the matrix under the
     /// constraint. Memoized when the oracle was built
     /// [`Self::with_cache`]; a set one of the oracle's cut certificates
-    /// proves infeasible is rejected without routing. Every call counts
-    /// toward the `flow.oracle.check` metric.
+    /// proves infeasible is rejected without routing, and a routing pass
+    /// stops at the first router it can no longer serve, which decides
+    /// the same verdict sooner (DESIGN.md §4, "Stopping a lost pass").
+    /// Every call counts toward the `flow.oracle.check` metric.
     pub fn acceptable(&self, links: &LinkSet) -> bool {
         poc_obs::counter!("flow.oracle.check").inc();
         if let Some(verdict) = self.cache.and_then(|cache| cache.lookup(links)) {
             return verdict;
         }
-        let verdict = !self.cut_rejects(links) && self.evaluate(links).is_ok();
+        let verdict = !self.cut_rejects(links) && self.accepted_routing(links).is_some();
         if let Some(cache) = self.cache {
             cache.record(links, verdict);
         }
@@ -404,10 +419,31 @@ impl<'a> FeasibilityOracle<'a> {
     /// was rejected.
     pub(crate) fn evaluate(&self, links: &LinkSet) -> Result<Routing, Rejection> {
         let _span = poc_obs::span!("flow.oracle.evaluate");
-        let base = route_tm_learning(self.topo, links, self.tm).map_err(|(e, sides)| {
+        let base = self
+            .base_route(links, Until::Failure)
+            .map_err(|e| Rejection::BaseRoute(e.unstopped()))?;
+        self.resilient(links, base)
+    }
+
+    /// [`Self::evaluate`]'s routing on an accept, for a caller that needs
+    /// no reason for a rejection: a losing base pass may stop at the first
+    /// router it can no longer serve, which gives the same verdict.
+    pub(crate) fn accepted_routing(&self, links: &LinkSet) -> Option<Routing> {
+        let _span = poc_obs::span!("flow.oracle.evaluate");
+        let base = self.base_route(links, Until::Verdict).ok()?;
+        self.resilient(links, base).ok()
+    }
+
+    /// The base routing of `links`, learning cuts from its failed passes.
+    fn base_route(&self, links: &LinkSet, until: Until) -> Result<Routing, PassError> {
+        route_tm_learning(self.topo, links, self.tm, until).map_err(|(e, sides)| {
             self.learn_cuts(links, &sides);
-            Rejection::BaseRoute(e)
-        })?;
+            e
+        })
+    }
+
+    /// `base` if its set also meets the constraint's resilience check.
+    fn resilient(&self, links: &LinkSet, base: Routing) -> Result<Routing, Rejection> {
         let mut failed =
             failure::failing_scenarios(self.topo, links, self.tm, &base, self.constraint, 1);
         match failed.pop() {
@@ -783,6 +819,24 @@ mod tests {
         let fresh = FeasibilityOracle::new(&t, &heavy, Constraint::BaseLoad);
         fresh.adopt_cuts(&wide);
         assert_eq!(fresh.cuts(), taught);
+    }
+
+    #[test]
+    fn rejections_print_the_router_and_failure_texts() {
+        let base = Rejection::BaseRoute(RouteError::Unroutable {
+            src: RouterId(3),
+            dst: RouterId(1),
+            remaining_gbps: 12.5,
+        });
+        assert_eq!(base.to_string(), "no residual capacity for 12.50 Gbps of r3->r1");
+        let resilience = Rejection::Resilience {
+            pair: (RouterId(0), RouterId(2)),
+            reason: FailReason::ZeroBackupResidual { pair: (RouterId(0), RouterId(2)) },
+        };
+        assert_eq!(
+            resilience.to_string(),
+            "r0->r2 fails its resilience check: zero backup residual for r0->r2"
+        );
     }
 
     #[test]

@@ -134,15 +134,17 @@ pub fn route_tm(
 
 /// As [`route_tm`], for the oracle: a failure also carries the router
 /// sets its failed passes left saturated (see [`saturated_sides`]), from
-/// which the oracle learns cut certificates.
+/// which the oracle learns cut certificates. A pass stopped early under
+/// [`Until::Verdict`] leaves no sides.
 pub(crate) fn route_tm_learning(
     topo: &PocTopology,
     active: &LinkSet,
     tm: &TrafficMatrix,
-) -> Result<Routing, (RouteError, Vec<Vec<bool>>)> {
+    until: Until,
+) -> Result<Routing, (PassError, Vec<Vec<bool>>)> {
     let _span = poc_obs::span!("flow.route_tm");
     let mut sides = Vec::new();
-    route_passes(topo, active, tm, |_, _| true, |g, e| sides.extend(saturated_sides(g, e)))
+    route_passes(topo, active, tm, |_, _| true, until, |g, e| sides.extend(saturated_sides(g, e)))
         .map_err(|e| (e, sides))
 }
 
@@ -156,21 +158,63 @@ pub(crate) fn route_tm_with_veto(
     tm: &TrafficMatrix,
     allowed: impl Fn(usize, LinkId) -> bool,
 ) -> Result<Routing, RouteError> {
-    route_passes(topo, active, tm, allowed, |_, _| {})
+    route_passes(topo, active, tm, allowed, Until::Failure, |_, _| {}).map_err(PassError::unstopped)
+}
+
+/// How far a pass routes once it can no longer succeed.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Until {
+    /// To the demand it fails on, which the error names and the pass's
+    /// residual graph explains.
+    Failure,
+    /// Only until the verdict is fixed: the pass stops as soon as its
+    /// [`Ledger`] shows a router short of what it still has to carry.
+    Verdict,
+}
+
+/// Why a pass returned no routing.
+#[derive(Clone, Debug, PartialEq)]
+pub(crate) enum PassError {
+    /// The demand the pass could not place.
+    Route(RouteError),
+    /// Stopped under [`Until::Verdict`] before any demand failed.
+    Stopped,
+}
+
+impl From<RouteError> for PassError {
+    fn from(e: RouteError) -> Self {
+        PassError::Route(e)
+    }
+}
+
+impl PassError {
+    /// The error of a pass routed [`Until::Failure`], which never stops.
+    pub(crate) fn unstopped(self) -> RouteError {
+        match self {
+            PassError::Route(e) => e,
+            PassError::Stopped => unreachable!("only a pass routed until its verdict stops"),
+        }
+    }
 }
 
 /// The pass and its conditional retry behind every public entry point.
-/// `failed_pass` sees each failed pass's residual graph and error.
+/// `failed_pass` sees the residual graph and error of each pass that
+/// failed on a demand; a stopped pass shows it nothing.
 fn route_passes(
     topo: &PocTopology,
     active: &LinkSet,
     tm: &TrafficMatrix,
     allowed: impl Fn(usize, LinkId) -> bool,
+    until: Until,
     mut failed_pass: impl FnMut(&CapacityGraph<'_>, &RouteError),
-) -> Result<Routing, RouteError> {
+) -> Result<Routing, PassError> {
     let mut pass = |virtual_penalty| {
         let mut g = CapacityGraph::new(topo, active);
-        route_tm_on(&mut g, tm, &allowed, virtual_penalty).inspect_err(|e| failed_pass(&g, e))
+        route_tm_on(&mut g, tm, &allowed, virtual_penalty, until).inspect_err(|e| {
+            if let PassError::Route(e) = e {
+                failed_pass(&g, e);
+            }
+        })
     };
     let first = match pass(1.0) {
         Ok(routing) => return Ok(routing),
@@ -218,10 +262,12 @@ fn route_tm_on(
     tm: &TrafficMatrix,
     allowed: impl Fn(usize, LinkId) -> bool,
     virtual_penalty: f64,
-) -> Result<Routing, RouteError> {
+    until: Until,
+) -> Result<Routing, PassError> {
     poc_obs::counter!("flow.route.passes").inc();
     let topo = g.topo();
     let demands = sorted_demands(tm);
+    let mut ledger = (until == Until::Verdict).then(|| Ledger::new(g, &demands));
 
     let mut routing = Routing {
         flows: Vec::with_capacity(demands.len()),
@@ -231,9 +277,90 @@ fn route_tm_on(
 
     for (fi, (src, dst, demand)) in demands.into_iter().enumerate() {
         let flow = place_flow(g, &mut routing, fi, src, dst, demand, &allowed, virtual_penalty)?;
+        if ledger.as_mut().is_some_and(|ledger| ledger.book(g, &flow)) {
+            poc_obs::counter!("flow.route.stopped").inc();
+            return Err(PassError::Stopped);
+        }
         routing.flows.push(flow);
     }
     Ok(routing)
+}
+
+/// One way through one router in a [`Ledger`], Gbit/s.
+#[derive(Clone, Copy, Debug, Default)]
+struct Account {
+    /// The matrix's demand still to leave (or reach) the router.
+    demand: f64,
+    /// The residual of the active arcs leaving (or entering) it.
+    residual: f64,
+    /// [`CUT_MARGIN_GBPS`] per such arc and per such demand.
+    margin: f64,
+}
+
+impl Account {
+    /// Whether the rest of the pass cannot carry the demand.
+    fn short(&self) -> bool {
+        self.demand > self.residual + self.margin
+    }
+}
+
+/// The one-router cuts `{v}` of a pass in progress, booked after each
+/// placed flow. Every path of a demand out of `v` leaves over one of
+/// `v`'s arcs, and the pass places on an arc only what fits its residual
+/// up to [`PLACE_EPS`] — the tolerances a cut certificate's margin pays
+/// for. So once the demand `v` still has to send exceeds what its arcs
+/// have left by more than [`CUT_MARGIN_GBPS`] per arc and demand, the
+/// pass fails whatever it places next; the same holds for what `v` still
+/// has to receive. Demand falls only at a flow's ends and residual only
+/// along its paths, so booking a flow costs its hops, and only the
+/// routers on them can have turned short.
+struct Ledger {
+    /// Indexed by router.
+    out: Vec<Account>,
+    into: Vec<Account>,
+}
+
+impl Ledger {
+    fn new(g: &CapacityGraph<'_>, demands: &[(RouterId, RouterId, f64)]) -> Self {
+        let n = g.topo().n_routers();
+        let (mut out, mut into) = (vec![Account::default(); n], vec![Account::default(); n]);
+        for (from, to, residual) in g.arcs() {
+            for account in [&mut out[from.index()], &mut into[to.index()]] {
+                account.residual += residual;
+                account.margin += CUT_MARGIN_GBPS;
+            }
+        }
+        for &(src, dst, gbps) in demands {
+            for account in [&mut out[src.index()], &mut into[dst.index()]] {
+                account.demand += gbps;
+                account.margin += CUT_MARGIN_GBPS;
+            }
+        }
+        Ledger { out, into }
+    }
+
+    /// Book `flow`, just placed on `g`: whether it left a router on its
+    /// paths short.
+    fn book(&mut self, g: &CapacityGraph<'_>, flow: &FlowRoute) -> bool {
+        let mut short = false;
+        for (path, gbps) in &flow.paths {
+            self.out[flow.src.index()].demand -= gbps;
+            self.into[flow.dst.index()].demand -= gbps;
+            // The path was just loaded, so every hop chains.
+            for (l, dir) in g.hops(flow.src, path).flatten() {
+                let link = g.topo().link(l);
+                let (from, to) = match dir {
+                    Dir::Fwd => (link.a, link.b),
+                    Dir::Rev => (link.b, link.a),
+                };
+                for account in [&mut self.out[from.index()], &mut self.into[to.index()]] {
+                    account.residual -= gbps;
+                    short |= account.short();
+                }
+            }
+        }
+        short
+    }
 }
 
 /// Place one `src → dst` demand on `g`: consume residuals, record the
@@ -475,10 +602,16 @@ mod tests {
     fn retry_de_preferring_virtual_links_routes_what_plain_distances_cannot() {
         let (t, active) = square_with_lured_virtual_link();
         let tm = lured_matrix(&t, 70.0);
-        let plain = route_tm_on(&mut CapacityGraph::new(&t, &active), &tm, |_, _| true, 1.0);
+        let plain = route_tm_on(
+            &mut CapacityGraph::new(&t, &active),
+            &tm,
+            |_, _| true,
+            1.0,
+            Until::Failure,
+        );
         assert_eq!(
             plain,
-            Err(RouteError::Unroutable { src: r(2), dst: r(1), remaining_gbps: 20.0 })
+            Err(RouteError::Unroutable { src: r(2), dst: r(1), remaining_gbps: 20.0 }.into())
         );
         // The routing recorded before the retry became conditional.
         let flow = |src, dst, paths: &[(&[u32], f64)]| FlowRoute {
@@ -517,6 +650,42 @@ mod tests {
     }
 
     #[test]
+    fn a_pass_for_a_verdict_stops_once_a_router_cannot_send_what_it_owes() {
+        use crate::oracle::{Constraint, FeasibilityOracle, Rejection};
+        // The path r0 –l3– r3 –l4– r2 (40G a link), and r1 on r2 by l1 so
+        // that r2 can take in what it is sent. The 40G r0→r2 transit fills
+        // r3→r2 and leaves r3 40G out for the 55G it still has to send.
+        let t = two_bp_square();
+        let active = LinkSet::from_links(t.n_links(), [1, 3, 4].map(LinkId));
+        let mut tm = TrafficMatrix::zero(t.n_routers());
+        tm.set(r(0), r(2), 40.0);
+        tm.set(r(3), r(0), 30.0);
+        tm.set(r(3), r(2), 25.0);
+        let failure = Err(RouteError::Unroutable { src: r(3), dst: r(2), remaining_gbps: 25.0 });
+        let stopped = || poc_obs::counter!("flow.route.stopped").get();
+
+        // Routed to the failure, the pass also places r3→r0 on l3.
+        let mut full = CapacityGraph::new(&t, &active);
+        let pass = route_tm_on(&mut full, &tm, |_, _| true, 1.0, Until::Failure);
+        assert_eq!(pass, failure.clone().map_err(PassError::from));
+        assert_eq!(full.residual(LinkId(3), Dir::Rev), 10.0);
+
+        // Routed for its verdict, it stops after the transit.
+        let before = stopped();
+        let mut short = CapacityGraph::new(&t, &active);
+        let pass = route_tm_on(&mut short, &tm, |_, _| true, 1.0, Until::Verdict);
+        assert_eq!(pass, Err(PassError::Stopped));
+        assert!(stopped() > before, "the stop is counted");
+        assert_eq!(short.residual(LinkId(4), Dir::Rev), 0.0, "the transit was placed");
+        assert_eq!(short.residual(LinkId(3), Dir::Rev), 40.0, "r3→r0 was not");
+
+        // The oracle's verdict is `evaluate`'s, whose error is the router's.
+        let o = FeasibilityOracle::new(&t, &tm, Constraint::BaseLoad);
+        assert!(!o.acceptable(&active));
+        assert_eq!(o.evaluate(&active), failure.map_err(Rejection::BaseRoute));
+    }
+
+    #[test]
     fn set_holding_a_virtual_link_still_takes_the_retry() {
         // Both passes fail here, on different remainders (30 then 10).
         let (t, active) = square_with_lured_virtual_link();
@@ -526,10 +695,11 @@ mod tests {
             &tm,
             |_, _| true,
             VIRTUAL_RETRY_PENALTY,
+            Until::Failure,
         );
         assert_eq!(
             penalised,
-            Err(RouteError::Unroutable { src: r(2), dst: r(1), remaining_gbps: 10.0 })
+            Err(RouteError::Unroutable { src: r(2), dst: r(1), remaining_gbps: 10.0 }.into())
         );
         // Tests share the counter, so others can only add to the delta.
         let before = retries();

@@ -23,7 +23,10 @@
 //! - **Warm failure is never a rejection**: if the warm re-route fails, the
 //!   delta exceeds `MAX_INVALID_FRAC` (half the flows), or the warm base
 //!   fails its resilience check, the oracle falls back to a full
-//!   from-scratch evaluation and returns *its* verdict.
+//!   from-scratch evaluation and returns *its* verdict. Under
+//!   `acceptable` that fallback's losing pass stops at the first router
+//!   it can no longer serve, which decides the same verdict sooner and
+//!   learns no cut.
 //! - **A violated cut is a rejection with no attempt at all**: when a
 //!   [`crate::CutCertificate`] the cold oracle holds shows the candidate's
 //!   capacity across some router cut below the demand across it, no
@@ -120,21 +123,22 @@ impl<'a> WarmOracle<'a> {
     /// trait's `evaluate`; tests and benches use it to observe reuse.
     pub fn evaluate_traced(&self, links: &LinkSet) -> (Result<Routing, Rejection>, WarmOutcome) {
         let mut slot = self.witness.lock();
-        let (res, outcome) = self.probe(&mut slot, links);
+        let (res, outcome) = self.probe(&mut slot, links, || self.inner.evaluate(links));
         (res.cloned(), outcome)
     }
 
     /// One probe against the witness in `slot`, which the caller holds
-    /// locked for the duration. The witness is *taken*: a warm accept
-    /// moves its surviving flows into the new witness, a warm failure puts
-    /// it back untouched, and a cold accept replaces it. The accepted
-    /// routing is lent from the slot, so a verdict-only caller copies
-    /// nothing.
-    fn probe<'s>(
+    /// locked for the duration, with `cold` the fallback evaluation. The
+    /// witness is *taken*: a warm accept moves its surviving flows into
+    /// the new witness, a warm failure puts it back untouched, and a cold
+    /// accept replaces it. The accepted routing is lent from the slot, so
+    /// a verdict-only caller copies nothing.
+    fn probe<'s, E>(
         &self,
         slot: &'s mut Option<Routing>,
         links: &LinkSet,
-    ) -> (Result<&'s Routing, Rejection>, WarmOutcome) {
+        cold: impl FnOnce() -> Result<Routing, E>,
+    ) -> (Result<&'s Routing, E>, WarmOutcome) {
         let _span = poc_obs::span!("flow.warm.evaluate");
         if let Some(prev) = slot.take() {
             match self.try_warm(links, prev) {
@@ -145,7 +149,7 @@ impl<'a> WarmOracle<'a> {
             }
         }
         poc_obs::counter!("flow.warm.fallbacks").inc();
-        (self.inner.evaluate(links).map(|routing| &*slot.insert(routing)), WarmOutcome::Cold)
+        (cold().map(|routing| &*slot.insert(routing)), WarmOutcome::Cold)
     }
 
     /// Attempt a warm evaluation of `links` against witness `prev`:
@@ -288,9 +292,15 @@ impl AcceptabilityOracle for WarmOracle<'_> {
         self.inner.constraint()
     }
 
+    /// The cold fallback needs only a verdict, so its losing passes stop
+    /// at the first router they can no longer serve.
     fn acceptable(&self, links: &LinkSet) -> bool {
         poc_obs::counter!("flow.oracle.check").inc();
-        !self.inner.cut_rejects(links) && self.probe(&mut self.witness.lock(), links).0.is_ok()
+        if self.inner.cut_rejects(links) {
+            return false;
+        }
+        let cold = || self.inner.accepted_routing(links).ok_or(());
+        self.probe(&mut self.witness.lock(), links, cold).0.is_ok()
     }
 
     fn evaluate(&self, links: &LinkSet) -> Result<Routing, Rejection> {

@@ -140,7 +140,7 @@ impl std::fmt::Display for TransitionError {
             TransitionError::UniverseMismatch { from, to } => {
                 write!(f, "link universes differ: from={from}, to={to}")
             }
-            TransitionError::TargetInfeasible(r) => write!(f, "target set infeasible: {r:?}"),
+            TransitionError::TargetInfeasible(r) => write!(f, "target set infeasible: {r}"),
             TransitionError::NoSafePlan { explored } => {
                 write!(f, "no safe transition order exists ({explored} states explored)")
             }
@@ -423,6 +423,10 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, TransitionError::TargetInfeasible(_)), "got {err}");
+        assert_eq!(
+            err.to_string(),
+            "target set infeasible: r0 and r1 are disconnected in the active set"
+        );
     }
 
     #[test]

@@ -479,15 +479,24 @@ fn assert_genuine_cut(
     assert!(cut.margin_gbps() >= 1e-9 * (crossing.len() + crossing_demands.len()) as f64);
 }
 
+/// Cases of `cut_certificates_never_change_a_verdict`; the last checks
+/// that the run stopped a pass early.
+const CUT_CASES: u32 = 48;
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases(CUT_CASES))]
     /// Certificates never change a verdict: along random probe chains (a
     /// BP withdrawal, then batches of link toggles) and at all three
     /// constraints, an oracle that has been learning cuts since the chain
     /// began answers `acceptable` exactly as an oracle that has never seen
     /// a set before evaluates it, and a warm oracle learning beside it
     /// never rejects what that fresh oracle accepts. Every certificate
-    /// either of them holds at the end is re-derived from scratch.
+    /// either of them holds at the end is re-derived from scratch. Both
+    /// `acceptable`s stop a losing pass at the first router it can no
+    /// longer serve where `evaluate` routes to the failure, so the same
+    /// comparison proves the stopping rule; the run sums
+    /// `flow.route.stopped` over its cases and fails if the rule never
+    /// fired (tests beside it in this process can only add to the sum).
     #[test]
     fn cut_certificates_never_change_a_verdict(
         withdrawn_bp in 0u32..6,
@@ -495,6 +504,11 @@ proptest! {
         toggles in prop::collection::vec(prop::collection::vec(0usize..4096, 1..30), 4..24),
     ) {
         use public_option_core::flow::{AcceptabilityOracle, FeasibilityOracle, WarmOracle};
+        use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+        static CASES_RUN: AtomicU32 = AtomicU32::new(0);
+        static STOPPED: AtomicU64 = AtomicU64::new(0);
+        let stopped = public_option_core::obs::global().counter("flow.route.stopped");
+        let stopped_before = stopped.get();
         let (topo, tm) = small_zoo_with_isps(total_gbps);
         let full = LinkSet::full(topo.n_links());
         let mut probe = full.clone();
@@ -530,6 +544,10 @@ proptest! {
             for cut in learning.cuts().iter().chain(&warm.cuts()) {
                 assert_genuine_cut(&topo, &tm, cut);
             }
+        }
+        STOPPED.fetch_add(stopped.get() - stopped_before, Ordering::Relaxed);
+        if CASES_RUN.fetch_add(1, Ordering::Relaxed) + 1 == CUT_CASES {
+            prop_assert!(STOPPED.load(Ordering::Relaxed) > 0, "no pass of the run stopped early");
         }
     }
 }

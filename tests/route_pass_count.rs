@@ -1,6 +1,6 @@
-//! Count gate on the routing work of one auction round: how many full
-//! routing passes it makes (the retry rule) and how many it is spared (the
-//! cut certificates). Alone in its file, so alone in its process, and the
+//! Count gate on the routing work of one auction round: how many routing
+//! passes it makes (the retry rule), how many it is spared (the cut
+//! certificates) and how many it stops early (the stopping rule). Alone in its file, so alone in its process, and the
 //! global registry's deltas are exact; a count repeats on any runner, which
 //! a timing does not.
 
@@ -13,8 +13,9 @@ use public_option_core::traffic::TrafficScenario;
 /// One round over `topo`, set up as
 /// `vcg_round_matches_one_at_a_time_reference_on_zoo_instance` does, and the
 /// `[flow.route.passes, flow.route.retries, flow.cut.learned,
-/// flow.cut.rejects, flow.oracle.check, flow.warm.fallbacks]` it added.
-fn round(topo: &PocTopology) -> ([u64; 6], AuctionOutcome) {
+/// flow.cut.rejects, flow.oracle.check, flow.warm.fallbacks,
+/// flow.route.stopped]` it added.
+fn round(topo: &PocTopology) -> ([u64; 7], AuctionOutcome) {
     let tm =
         TrafficScenario { total_gbps: 2500.0, ..TrafficScenario::paper_default() }.generate(topo);
     let market = Market::truthful(topo, 3.0);
@@ -28,6 +29,7 @@ fn round(topo: &PocTopology) -> ([u64; 6], AuctionOutcome) {
             "flow.cut.rejects",
             "flow.oracle.check",
             "flow.warm.fallbacks",
+            "flow.route.stopped",
         ]
         .map(|name| snapshot.counter(name).unwrap_or(0))
     };
@@ -53,12 +55,16 @@ fn one_round_routes_a_rejected_set_twice_only_if_it_holds_a_virtual_link() {
     // No virtual link exists, so no rejected set holds one and nothing is
     // retried. Before the retry became conditional each of the 45 failed
     // passes was run again: 95 passes. Before the certificates: (50, 0);
-    // the one cut learned answers 8 of the 45 rejections unrouted. Every
-    // probe of the round reaches an oracle (56) and 33 of the pivots' fall
-    // back to a cold pass: recorded with the warm oracle's verdict memo
-    // still in place (`53d42be`), which therefore answered none of them.
+    // with them (42, 0), the one cut learned answering 8 of the 45
+    // rejections unrouted. Every probe of the round reaches an oracle (56);
+    // recorded with the warm oracle's verdict memo still in place
+    // (`53d42be`), which therefore answered none of them. Since a losing
+    // `acceptable` pass stops at the first router it can no longer serve,
+    // 30 of the 50 passes stop early; the pass that taught the cut is one
+    // of them and teaches nothing, so the 8 rejections are routed again
+    // (42 → 50 passes) and 7 more pivot probes fall back cold (33 → 40).
     let (counts, outcome) = round(&topo);
-    assert_eq!(counts, [42, 0, 1, 8, 56, 33]);
+    assert_eq!(counts, [50, 0, 0, 0, 56, 40, 30]);
     assert_outcome(
         &outcome,
         &[
@@ -78,11 +84,14 @@ fn one_round_routes_a_rejected_set_twice_only_if_it_holds_a_virtual_link() {
 
     // The six-BP instance itself. Its `SL` keeps a virtual link, so 42 of
     // its 43 rejected sets hold one and were retried (all 43 were, before
-    // the rule: 94). Before the certificates: (93, 42); 14 cuts answer 14
-    // of the 43 unrouted, each sparing the pass and the retry.
+    // the rule: 94). Before the certificates: (93, 42); 14 cuts answered
+    // 14 of the 43 unrouted, each sparing the pass and the retry (65, 28).
+    // With the stopping rule 58 of the 85 passes stop early: the stopped
+    // ones teach nothing, so 6 cuts answer 4 rejections, and the 10 more
+    // routed again cost a pass and a retry each.
     attach_external_isps(&mut topo, &ExternalIspConfig::default(), &CostModel::default());
     let (counts, outcome) = round(&topo);
-    assert_eq!(counts, [65, 28, 14, 14, 56, 26]);
+    assert_eq!(counts, [85, 38, 6, 4, 56, 36, 58]);
     assert_outcome(
         &outcome,
         &[
