@@ -25,11 +25,12 @@ use poc_traffic::TrafficMatrix;
 use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 
+/// Contract premium applied to external-ISP virtual links.
+const VIRTUAL_PRICE_FACTOR: f64 = 3.0;
+
 /// POC operating parameters.
 #[derive(Clone, Debug)]
 pub struct PocConfig {
-    /// Contract premium applied to external-ISP virtual links.
-    pub virtual_price_factor: f64,
     /// Feasibility constraint for auction rounds.
     pub constraint: Constraint,
     /// Selection heuristic parameters.
@@ -38,11 +39,7 @@ pub struct PocConfig {
 
 impl Default for PocConfig {
     fn default() -> Self {
-        Self {
-            virtual_price_factor: 3.0,
-            constraint: Constraint::BaseLoad,
-            selector: GreedySelector::default(),
-        }
+        Self { constraint: Constraint::BaseLoad, selector: GreedySelector::default() }
     }
 }
 
@@ -265,7 +262,7 @@ impl Poc {
     /// planner uses this to obtain the target link set before deciding how
     /// to migrate the live fabric onto it.
     pub fn compute_auction_outcome(&self, tm: &TrafficMatrix) -> Result<AuctionOutcome, PocError> {
-        let market = Market::truthful(&self.topo, self.config.virtual_price_factor);
+        let market = Market::truthful(&self.topo, VIRTUAL_PRICE_FACTOR);
         run_auction(&market, tm, self.config.constraint, &self.config.selector)
             .map_err(PocError::Auction)
     }
@@ -373,14 +370,14 @@ impl Poc {
         for (_, amount) in &lease_payments {
             total_outlay += amount;
         }
-        let market = Market::truthful(&self.topo, self.config.virtual_price_factor);
+        let market = Market::truthful(&self.topo, VIRTUAL_PRICE_FACTOR);
         let virtual_cost = market.virtual_cost(&outcome.selected);
         let mut isp_payments: std::collections::BTreeMap<u32, f64> = Default::default();
         if virtual_cost > 0.0 {
             for l in outcome.selected.iter() {
                 if let poc_topology::LinkOwner::Virtual(i) = self.topo.link(l).owner {
                     *isp_payments.entry(i).or_insert(0.0) +=
-                        self.topo.link(l).true_monthly_cost * self.config.virtual_price_factor;
+                        self.topo.link(l).true_monthly_cost * VIRTUAL_PRICE_FACTOR;
                 }
             }
             total_outlay += virtual_cost;

@@ -67,28 +67,26 @@ impl From<CodecError> for ClientError {
     }
 }
 
+/// The cap on one retry's backoff, before jitter.
+const MAX_BACKOFF: Duration = Duration::from_secs(2);
+
+/// Seed for the retry jitter stream (the in-tree `rand` shim), so a run's
+/// retry schedule is reproducible.
+const JITTER_SEED: u64 = 0x90c_0b5e;
+
 /// Reconnect-and-retry policy for idempotent requests.
 #[derive(Clone, Debug)]
 pub struct RetryPolicy {
     /// Retries after the first attempt (0 disables retrying).
     pub max_retries: u32,
     /// Backoff before retry `n` is `base_backoff * 2^(n-1)`, capped at
-    /// [`RetryPolicy::max_backoff`], scaled by jitter in `[0.5, 1.0)`.
+    /// 2 s (`MAX_BACKOFF`), scaled by jitter in `[0.5, 1.0)`.
     pub base_backoff: Duration,
-    pub max_backoff: Duration,
-    /// Seed for the jitter stream (the in-tree `rand` shim), so a test
-    /// run's retry schedule is reproducible.
-    pub jitter_seed: u64,
 }
 
 impl Default for RetryPolicy {
     fn default() -> Self {
-        Self {
-            max_retries: 3,
-            base_backoff: Duration::from_millis(50),
-            max_backoff: Duration::from_secs(2),
-            jitter_seed: 0x90c_0b5e,
-        }
+        Self { max_retries: 3, base_backoff: Duration::from_millis(50) }
     }
 }
 
@@ -149,7 +147,7 @@ impl PocClient {
     pub fn connect_with(addr: std::net::SocketAddr, config: ClientConfig) -> std::io::Result<Self> {
         let stream = Self::open(addr, &config)?;
         let reader = std::io::BufReader::with_capacity(4096, stream.try_clone()?);
-        let jitter = ChaCha8Rng::seed_from_u64(config.retry.jitter_seed);
+        let jitter = ChaCha8Rng::seed_from_u64(JITTER_SEED);
         Ok(Self { stream, reader, addr, config, jitter, trace_id: None })
     }
 
@@ -398,7 +396,7 @@ fn backoff_delay(retry: &RetryPolicy, attempt: u32, jitter: &mut ChaCha8Rng) -> 
     let nominal = retry
         .base_backoff
         .saturating_mul(1u32.checked_shl(attempt - 1).unwrap_or(u32::MAX))
-        .min(retry.max_backoff);
+        .min(MAX_BACKOFF);
     nominal.mul_f64(jitter.gen_range(0.5..1.0))
 }
 
@@ -408,24 +406,22 @@ mod tests {
 
     #[test]
     fn backoff_is_capped_and_jittered() {
-        let retry = RetryPolicy {
-            max_retries: 10,
-            base_backoff: Duration::from_millis(100),
-            max_backoff: Duration::from_millis(400),
-            jitter_seed: 7,
-        };
-        let mut jitter = ChaCha8Rng::seed_from_u64(retry.jitter_seed);
+        let retry = RetryPolicy { max_retries: 10, base_backoff: Duration::from_millis(100) };
+        let mut jitter = ChaCha8Rng::seed_from_u64(JITTER_SEED);
         let mut saw_below_nominal = false;
         for attempt in 1..=10u32 {
             let d = backoff_delay(&retry, attempt, &mut jitter);
-            assert!(d <= retry.max_backoff, "attempt {attempt}: {d:?}");
+            assert!(d <= MAX_BACKOFF, "attempt {attempt}: {d:?}");
             assert!(d >= retry.base_backoff.mul_f64(0.5), "attempt {attempt}: {d:?}");
-            saw_below_nominal |= d < retry.max_backoff.mul_f64(0.99);
+            // From attempt 6 the nominal delay (3.2 s) is past the cap.
+            if attempt >= 6 {
+                saw_below_nominal |= d < MAX_BACKOFF.mul_f64(0.99);
+            }
         }
         assert!(saw_below_nominal, "jitter never moved the delay off the cap");
         // Same seed ⇒ same schedule (deterministic tests).
-        let mut a = ChaCha8Rng::seed_from_u64(retry.jitter_seed);
-        let mut b = ChaCha8Rng::seed_from_u64(retry.jitter_seed);
+        let mut a = ChaCha8Rng::seed_from_u64(JITTER_SEED);
+        let mut b = ChaCha8Rng::seed_from_u64(JITTER_SEED);
         for attempt in 1..=5u32 {
             assert_eq!(
                 backoff_delay(&retry, attempt, &mut a),

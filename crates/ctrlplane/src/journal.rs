@@ -19,7 +19,8 @@
 //! is truncated, oversized, CRC-mismatched, or unparsable, and reports
 //! the byte offset of the last *valid* record so recovery can truncate
 //! the tail and keep appending. A torn tail is an expected artifact of
-//! a crash mid-append, never an error.
+//! a crash mid-append, never an error. Snapshot files use the same
+//! `frame` / `unframe` pair, without the journal's 1 MiB record cap.
 //!
 //! # Fsync policy
 //!
@@ -117,6 +118,29 @@ pub(crate) fn crc32(bytes: &[u8]) -> u32 {
         c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
+}
+
+/// Frame `payload` as `[len][crc][payload]`: the on-disk framing of every
+/// journal record and snapshot file.
+pub(crate) fn frame(payload: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(RECORD_HEADER + payload.len());
+    out.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+    out.extend_from_slice(&crc32(payload).to_be_bytes());
+    out.extend_from_slice(payload);
+    out
+}
+
+/// The payload of the frame at the head of `bytes`; `None` if the frame is
+/// torn, its length exceeds `max_len`, or its CRC does not match.
+pub(crate) fn unframe(bytes: &[u8], max_len: usize) -> Option<&[u8]> {
+    let header = bytes.get(..RECORD_HEADER)?;
+    let len = u32::from_be_bytes(header[..4].try_into().expect("4 bytes")) as usize;
+    let crc = u32::from_be_bytes(header[4..].try_into().expect("4 bytes"));
+    if len > max_len {
+        return None;
+    }
+    let payload = bytes.get(RECORD_HEADER..RECORD_HEADER + len)?;
+    (crc32(payload) == crc).then_some(payload)
 }
 
 // ---------------------------------------------------------------------------
@@ -471,23 +495,14 @@ pub(crate) fn scan(path: &Path) -> std::io::Result<ScanResult> {
             // Clean end at a record boundary.
             return Ok(ScanResult { records, valid_len: offset as u64, torn_tail: false });
         }
-        if rest.len() < RECORD_HEADER {
-            break; // torn header
-        }
-        let len = u32::from_be_bytes(rest[..4].try_into().expect("4 bytes")) as usize;
-        let crc = u32::from_be_bytes(rest[4..8].try_into().expect("4 bytes"));
-        if len > MAX_RECORD as usize || rest.len() < RECORD_HEADER + len {
-            break; // corrupt length or torn payload
-        }
-        let payload = &rest[RECORD_HEADER..RECORD_HEADER + len];
-        if crc32(payload) != crc {
-            break; // bit rot or torn write inside the payload
-        }
+        let Some(payload) = unframe(rest, MAX_RECORD as usize) else {
+            break; // torn header or payload, corrupt length, or bit rot
+        };
         let Ok(record) = serde_json::from_slice::<JournalRecord>(payload) else {
             break; // framing valid but payload unparsable: treat as corrupt
         };
         records.push(record);
-        offset += RECORD_HEADER + len;
+        offset += RECORD_HEADER + payload.len();
     }
     Ok(ScanResult { records, valid_len: offset as u64, torn_tail: true })
 }
@@ -532,10 +547,7 @@ impl FrameWriter {
         if payload.len() > MAX_RECORD as usize {
             return Err(JournalError::RecordTooLarge(payload.len()));
         }
-        let mut frame = Vec::with_capacity(RECORD_HEADER + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-        frame.extend_from_slice(&crc32(&payload).to_be_bytes());
-        frame.extend_from_slice(&payload);
+        let frame = frame(&payload);
 
         if crash.fire_if(CrashPoint::MidAppend) {
             // The process "dies" with only the header and half the

@@ -21,7 +21,7 @@
 //! faults) is *detected* and skipped rather than trusted, falling back
 //! to the previous generation.
 
-use crate::journal::{crc32, CrashPoint, CrashSwitch, RECORD_HEADER};
+use crate::journal::{frame, unframe, CrashPoint, CrashSwitch};
 use poc_core::entity::EntityId;
 use poc_core::poc::PocState;
 use serde::{Deserialize, Serialize};
@@ -75,32 +75,6 @@ fn snapshot_path(dir: &Path, seq: u64) -> PathBuf {
     dir.join(format!("snap-{seq:020}.snap"))
 }
 
-/// Frame a snapshot exactly like a journal record: length, CRC,
-/// payload.
-fn frame(snapshot: &ControllerSnapshot) -> std::io::Result<Vec<u8>> {
-    let payload = serde_json::to_vec(snapshot).map_err(|e| std::io::Error::other(e.to_string()))?;
-    let mut out = Vec::with_capacity(RECORD_HEADER + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-    out.extend_from_slice(&crc32(&payload).to_be_bytes());
-    out.extend_from_slice(&payload);
-    Ok(out)
-}
-
-/// Parse a framed snapshot file; `None` if torn, corrupt, or
-/// unparsable (the caller falls back to an older generation).
-fn unframe(bytes: &[u8]) -> Option<ControllerSnapshot> {
-    if bytes.len() < RECORD_HEADER {
-        return None;
-    }
-    let len = u32::from_be_bytes(bytes[..4].try_into().ok()?) as usize;
-    let crc = u32::from_be_bytes(bytes[4..8].try_into().ok()?);
-    let payload = bytes.get(RECORD_HEADER..RECORD_HEADER + len)?;
-    if crc32(payload) != crc {
-        return None;
-    }
-    serde_json::from_slice(payload).ok()
-}
-
 /// Write `snapshot` atomically into `dir`. On success the newest valid
 /// generation on disk is `snapshot`; on a crash injection the disk is
 /// left exactly as a real crash at that point would leave it.
@@ -109,7 +83,8 @@ pub fn write_snapshot(
     snapshot: &ControllerSnapshot,
     crash: &CrashSwitch,
 ) -> Result<(), SnapshotError> {
-    let bytes = frame(snapshot)?;
+    let payload = serde_json::to_vec(snapshot).map_err(|e| std::io::Error::other(e.to_string()))?;
+    let bytes = frame(&payload);
     let final_path = snapshot_path(dir, snapshot.seq);
 
     if crash.fire_if(CrashPoint::TornSnapshotWrite) {
@@ -192,7 +167,10 @@ pub(crate) fn load_newest(dir: &Path) -> std::io::Result<LoadedSnapshot> {
     let mut skipped = 0u64;
     for (_, path) in generations {
         let bytes = std::fs::read(&path)?;
-        if let Some(snapshot) = unframe(&bytes) {
+        // No record cap here: a snapshot holds the whole state, and
+        // only a CRC-valid frame that parses is trusted.
+        let payload = unframe(&bytes, usize::MAX);
+        if let Some(snapshot) = payload.and_then(|p| serde_json::from_slice(p).ok()) {
             return Ok(LoadedSnapshot { snapshot: Some(snapshot), skipped_invalid: skipped });
         }
         skipped += 1;
@@ -294,6 +272,21 @@ mod tests {
             })
             .collect();
         assert!(tmps.is_empty());
+    }
+
+    /// The journal caps one record at 1 MiB; a snapshot holds the whole
+    /// state, so it has no cap.
+    #[test]
+    fn a_snapshot_past_the_journal_record_cap_loads() {
+        let dir = tmp_dir("large");
+        let mut big = snap(3);
+        big.usage = (0..80_000).map(|i| (EntityId(i), i as f64 * 0.5)).collect();
+        write_snapshot(&dir, &big, &CrashSwitch::new()).unwrap();
+        let bytes = std::fs::read(snapshot_path(&dir, 3)).unwrap();
+        assert!(bytes.len() > crate::journal::MAX_RECORD as usize, "{} bytes", bytes.len());
+        let loaded = load_newest(&dir).unwrap();
+        assert_eq!(loaded.skipped_invalid, 0);
+        assert_eq!(loaded.snapshot.unwrap().usage, big.usage);
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! packets: per-link directional FIFO queues with finite byte buffers and
 //! tail drops, store-and-forward transmission at link rate plus
 //! propagation delay derived from `distance_km`, and flow sources —
-//! persistent or on/off — injecting MTU-sized packets from the same
-//! gravity/hotspot traffic matrices the auction is sized on, scaled to
+//! persistent or on/off — injecting [`PKT_BYTES`]-byte packets from the
+//! same gravity traffic matrices the auction is sized on, scaled to
 //! millions of user-flows via [`poc_traffic::UserFlowModel`].
 //!
 //! The scheduler runs on one clock of 8 192 ns time-slices. Periodic source
@@ -86,6 +86,9 @@ const NO_OWNER: u16 = u16::MAX;
 /// indices and walk positions stay below it.
 const WALK_END: u32 = 1 << 31;
 
+/// Packet size, bytes: every packet is one MTU-sized frame.
+pub const PKT_BYTES: u64 = 1500;
+
 /// An ingress throttle applied by a (misbehaving) LMP: sources whose tag
 /// matches inject at `factor` (in `[0, 1]`) × their configured rate.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -99,8 +102,6 @@ pub struct IngressThrottle {
 pub struct EngineConfig {
     /// Simulation horizon, ns.
     pub horizon_ns: u64,
-    /// Packet size, bytes (MTU-sized frames).
-    pub pkt_bytes: u32,
     /// Buffer per directional link, bytes; arrivals that would overflow
     /// it tail-drop.
     pub buffer_bytes: u64,
@@ -116,8 +117,7 @@ impl Default for EngineConfig {
     fn default() -> Self {
         Self {
             horizon_ns: 20_000_000, // 20 ms: well past any one-way propagation delay
-            pkt_bytes: 1500,
-            buffer_bytes: 1 << 20, // 1 MiB per direction
+            buffer_bytes: 1 << 20,  // 1 MiB per direction
             seed: 1,
             throttles: Vec::new(),
         }
@@ -142,11 +142,9 @@ pub enum SourceKind {
 pub enum EngineError {
     /// `horizon_ns == 0`: nothing would ever be simulated.
     ZeroHorizon,
-    /// `pkt_bytes == 0`: packets must carry bytes.
-    ZeroPacketSize,
-    /// The buffer cannot hold even one packet, so every arrival would
-    /// tail-drop.
-    BufferBelowPacket { buffer_bytes: u64, pkt_bytes: u32 },
+    /// The buffer cannot hold even one [`PKT_BYTES`] packet, so every
+    /// arrival would tail-drop.
+    BufferBelowPacket { buffer_bytes: u64 },
     /// A throttle factor outside `[0, 1]`.
     BadThrottleFactor { tag: String, factor: f64 },
     /// A non-finite or negative source rate.
@@ -171,9 +169,8 @@ impl std::fmt::Display for EngineError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             EngineError::ZeroHorizon => write!(f, "engine horizon must be positive"),
-            EngineError::ZeroPacketSize => write!(f, "packet size must be positive"),
-            EngineError::BufferBelowPacket { buffer_bytes, pkt_bytes } => {
-                write!(f, "link buffer of {buffer_bytes} B cannot hold one {pkt_bytes} B packet")
+            EngineError::BufferBelowPacket { buffer_bytes } => {
+                write!(f, "link buffer of {buffer_bytes} B cannot hold one {PKT_BYTES} B packet")
             }
             EngineError::BadThrottleFactor { tag, factor } => {
                 write!(f, "throttle factor for tag {tag:?} must be in [0,1], got {factor}")
@@ -386,7 +383,7 @@ struct Occupancy {
     buffer_bytes: u64,
 }
 
-/// A packet, [`EngineConfig::pkt_bytes`] long: its position in the walks.
+/// A packet, [`PKT_BYTES`] long: its position in the walks.
 /// `walk[pos]` is the directional link carrying it, or whose queue it is
 /// entering; `walk[pos + 1]` is the next link or its source's terminator.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -533,7 +530,6 @@ impl Calendar {
 /// engine's link table and walks.
 struct RunState {
     cal: Calendar,
-    pkt_bytes: u64,
     link_events: u64,
     packets_injected: u64,
     packets_in_flight: u64,
@@ -556,11 +552,11 @@ impl RunState {
         pkt: Packet,
     ) {
         let o = &mut occ[dl as usize];
-        if o.queued_bytes + self.pkt_bytes > o.buffer_bytes {
+        if o.queued_bytes + PKT_BYTES > o.buffer_bytes {
             self.dropped[pkt.0 as usize] += 1;
             return;
         }
-        o.queued_bytes += self.pkt_bytes;
+        o.queued_bytes += PKT_BYTES;
         let link = &mut links[dl as usize];
         link.queue.push_back(pkt);
         if !link.busy {
@@ -597,7 +593,7 @@ impl RunState {
                 continue;
             }
             let pkt = link.queue.pop_front().expect("a departure fires only for a queue head");
-            occ[dl as usize].queued_bytes -= self.pkt_bytes;
+            occ[dl as usize].queued_bytes -= PKT_BYTES;
             if link.queue.is_empty() {
                 link.busy = false;
             } else {
@@ -749,14 +745,8 @@ impl<'t> Engine<'t> {
         if cfg.horizon_ns == 0 {
             return Err(EngineError::ZeroHorizon);
         }
-        if cfg.pkt_bytes == 0 {
-            return Err(EngineError::ZeroPacketSize);
-        }
-        if cfg.buffer_bytes < cfg.pkt_bytes as u64 {
-            return Err(EngineError::BufferBelowPacket {
-                buffer_bytes: cfg.buffer_bytes,
-                pkt_bytes: cfg.pkt_bytes,
-            });
+        if cfg.buffer_bytes < PKT_BYTES {
+            return Err(EngineError::BufferBelowPacket { buffer_bytes: cfg.buffer_bytes });
         }
         for t in &cfg.throttles {
             if !(0.0..=1.0).contains(&t.factor) {
@@ -776,7 +766,7 @@ impl<'t> Engine<'t> {
                 return Err(EngineError::LinkDelayTooLong { link: l.id, prop_ns });
             }
             let d = DLink {
-                tx_ns: (cfg.pkt_bytes as f64 * ns_per_byte).max(1.0) as u64,
+                tx_ns: (PKT_BYTES as f64 * ns_per_byte).max(1.0) as u64,
                 prop_ns,
                 queue: VecDeque::new(),
                 busy: false,
@@ -905,7 +895,7 @@ impl<'t> Engine<'t> {
             // Zero rate (or throttled to zero): offers, never injects.
             return Ok(true);
         }
-        let gap_ns = ((self.cfg.pkt_bytes as f64 * 8.0) / peak).max(1.0) as u64;
+        let gap_ns = ((PKT_BYTES as f64 * 8.0) / peak).max(1.0) as u64;
         let phase_ns = match kind {
             SourceKind::Persistent => self.rng.gen_range(0..gap_ns),
             SourceKind::OnOff { on_ns, off_ns } => self.rng.gen_range(0..on_ns + off_ns),
@@ -992,7 +982,6 @@ impl<'t> Engine<'t> {
         let horizon = self.cfg.horizon_ns;
         let mut rt = RunState {
             cal: Calendar::new(self.links.len() * 2),
-            pkt_bytes: self.cfg.pkt_bytes as u64,
             link_events: 0,
             packets_injected: 0,
             packets_in_flight: 0,
@@ -1028,13 +1017,7 @@ impl<'t> Engine<'t> {
             }
         }
         let RunState {
-            pkt_bytes,
-            link_events,
-            packets_injected,
-            packets_in_flight,
-            delivered,
-            dropped,
-            ..
+            link_events, packets_injected, packets_in_flight, delivered, dropped, ..
         } = rt;
         // Attribution: each walk ends in the terminator naming its source,
         // so a scan credits the drops since the last terminator, and the
@@ -1071,7 +1054,7 @@ impl<'t> Engine<'t> {
             .owners
             .iter()
             .zip(&owner_delivered)
-            .map(|(&o, &n)| (o, (n * pkt_bytes) as f64 * 8.0 / horizon as f64))
+            .map(|(&o, &n)| (o, (n * PKT_BYTES) as f64 * 8.0 / horizon as f64))
             .collect();
         usage_by_owner.sort_by_key(|&(o, _)| o);
         let per_tag: Vec<TagStats> = self
@@ -1081,7 +1064,7 @@ impl<'t> Engine<'t> {
             .map(|(i, tag)| TagStats {
                 tag: tag.clone(),
                 offered_bytes: self.tag_offered[i],
-                delivered_bytes: tag_delivered[i] * pkt_bytes,
+                delivered_bytes: tag_delivered[i] * PKT_BYTES,
                 dropped_pkts: tag_dropped[i],
             })
             .collect();
@@ -1093,7 +1076,7 @@ impl<'t> Engine<'t> {
             packets_dropped,
             packets_queued,
             packets_in_flight,
-            bytes_delivered: packets_delivered * pkt_bytes,
+            bytes_delivered: packets_delivered * PKT_BYTES,
             usage_by_owner,
             per_tag,
             n_sources: self.sources.len(),

@@ -26,7 +26,7 @@ pub mod drill;
 pub mod engine;
 pub mod fairness;
 
-pub use discrim::{detect_throttling, ThrottleSpec};
+pub use discrim::detect_throttling;
 pub use drill::{
     run_drill, run_transition_drill, DrillError, DrillReport, DrillSpec, TransitionDrillError,
     TransitionDrillReport, TransitionDrillSpec,

@@ -37,7 +37,32 @@ pub enum InternalStyle {
     HubAndSpoke,
 }
 
-/// Generator parameters. All randomness flows from `seed`.
+/// Skew of the BP size distribution (1 = linear ramp, >1 = heavier tail of
+/// small BPs).
+const COVERAGE_GAMMA: f64 = 2.0;
+
+/// A BP offers a logical link between two of its POC-router cities only if
+/// its internal path between them has at most this many hops.
+const MAX_LOGICAL_HOPS: u32 = 6;
+
+/// Probability that an eligible router pair is actually offered (models
+/// BPs not productizing every internal path).
+const PAIR_OFFER_PROB: f64 = 0.80;
+
+/// Capacity menu in Gbit/s with selection weights.
+const CAPACITY_MENU: [(f64, f64); 3] = [(10.0, 0.45), (40.0, 0.35), (100.0, 0.20)];
+
+/// Physical-route detour factor over straight-line city distance.
+const FIBRE_DETOUR: f64 = 1.25;
+
+/// BP efficiency multipliers are drawn uniformly from this range.
+const EFFICIENCY_RANGE: (f64, f64) = (0.82, 1.22);
+
+/// Per-link idiosyncratic cost noise, uniform multiplicative range.
+const NOISE_RANGE: (f64, f64) = (0.85, 1.18);
+
+/// Generator parameters. All randomness flows from `seed`; links are
+/// priced by [`CostModel::default`].
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct ZooConfig {
     pub seed: u64,
@@ -53,25 +78,6 @@ pub struct ZooConfig {
     /// Fraction of cities covered by the smallest / largest BP.
     pub coverage_min: f64,
     pub coverage_max: f64,
-    /// Skew of the BP size distribution (1 = linear ramp, >1 = heavier tail
-    /// of small BPs).
-    pub coverage_gamma: f64,
-    /// A BP offers a logical link between two of its POC-router cities only
-    /// if its internal path between them has at most this many hops.
-    pub max_logical_hops: u32,
-    /// Probability that an eligible router pair is actually offered
-    /// (models BPs not productizing every internal path).
-    pub pair_offer_prob: f64,
-    /// Capacity menu in Gbit/s with selection weights.
-    pub capacity_menu: Vec<(f64, f64)>,
-    /// Physical-route detour factor over straight-line city distance.
-    pub fibre_detour: f64,
-    /// Cost model and BP heterogeneity.
-    pub cost: CostModel,
-    /// BP efficiency multipliers are drawn uniformly from this range.
-    pub efficiency_range: (f64, f64),
-    /// Per-link idiosyncratic cost noise, uniform multiplicative range.
-    pub noise_range: (f64, f64),
     /// BP internal-network wiring style.
     pub internal_style: InternalStyle,
 }
@@ -88,14 +94,6 @@ impl ZooConfig {
             colocation_threshold: 4,
             coverage_min: 0.25,
             coverage_max: 0.78,
-            coverage_gamma: 2.0,
-            max_logical_hops: 6,
-            pair_offer_prob: 0.80,
-            capacity_menu: vec![(10.0, 0.45), (40.0, 0.35), (100.0, 0.20)],
-            fibre_detour: 1.25,
-            cost: CostModel::default(),
-            efficiency_range: (0.82, 1.22),
-            noise_range: (0.85, 1.18),
             internal_style: InternalStyle::MstPlusShortcuts,
         }
     }
@@ -166,8 +164,6 @@ impl ZooGenerator {
                 && cfg.coverage_max <= 1.0,
             "coverage fractions must satisfy 0 <= min <= max <= 1"
         );
-        assert!((0.0..=1.0).contains(&cfg.pair_offer_prob), "pair_offer_prob must be in [0,1]");
-        assert!(!cfg.capacity_menu.is_empty(), "capacity menu must be non-empty");
         Self { cfg }
     }
 
@@ -219,7 +215,7 @@ impl ZooGenerator {
                 let t = if n_bps == 1 { 0.0 } else { b as f64 / (n_bps - 1) as f64 };
                 let cov = self.cfg.coverage_max
                     - (self.cfg.coverage_max - self.cfg.coverage_min)
-                        * t.powf(1.0 / self.cfg.coverage_gamma);
+                        * t.powf(1.0 / COVERAGE_GAMMA);
                 let size = ((cov * cities.len() as f64).round() as usize).clamp(2, cities.len());
                 let members = grow_region(cities, size, rng);
                 let edges = match self.cfg.internal_style {
@@ -247,9 +243,10 @@ impl ZooGenerator {
         let router_at_city: HashMap<PopId, RouterId> =
             routers.iter().map(|r| (r.city, r.id)).collect();
         let mut links = Vec::new();
-        let (eff_lo, eff_hi) = self.cfg.efficiency_range;
-        let (noise_lo, noise_hi) = self.cfg.noise_range;
-        let cap_total: f64 = self.cfg.capacity_menu.iter().map(|(_, w)| w).sum();
+        let (eff_lo, eff_hi) = EFFICIENCY_RANGE;
+        let (noise_lo, noise_hi) = NOISE_RANGE;
+        let cap_total: f64 = CAPACITY_MENU.iter().map(|(_, w)| w).sum();
+        let cost_model = CostModel::default();
 
         for bp in bps {
             let efficiency = rng.gen_range(eff_lo..=eff_hi);
@@ -259,18 +256,18 @@ impl ZooGenerator {
             // All-pairs bounded-hop internal paths among those cities.
             let paths = internal_paths(cities, bp, &bp_router_cities);
             for ((ca, cb), (dist_km, hops)) in paths {
-                if hops > self.cfg.max_logical_hops {
+                if hops > MAX_LOGICAL_HOPS {
                     continue;
                 }
-                if !rng.gen_bool(self.cfg.pair_offer_prob) {
+                if !rng.gen_bool(PAIR_OFFER_PROB) {
                     continue;
                 }
                 let (ra, rb) = (router_at_city[&ca], router_at_city[&cb]);
                 let (a, b) = if ra < rb { (ra, rb) } else { (rb, ra) };
-                let capacity = pick_weighted(&self.cfg.capacity_menu, cap_total, rng);
-                let distance_km = dist_km * self.cfg.fibre_detour;
+                let capacity = pick_weighted(&CAPACITY_MENU, cap_total, rng);
+                let distance_km = dist_km * FIBRE_DETOUR;
                 let noise = rng.gen_range(noise_lo..=noise_hi);
-                let cost = self.cfg.cost.monthly_cost(capacity, distance_km, efficiency, noise);
+                let cost = cost_model.monthly_cost(capacity, distance_km, efficiency, noise);
                 links.push(LogicalLink {
                     id: LinkId::from_index(links.len()),
                     owner: LinkOwner::Bp(bp.id),
@@ -625,6 +622,7 @@ fn sample_std_normal(rng: &mut ChaCha8Rng) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::Fnv1a;
 
     #[test]
     fn generation_is_deterministic() {
@@ -678,7 +676,7 @@ mod tests {
         let cfg = ZooConfig::small();
         let t = ZooGenerator::new(cfg.clone()).generate();
         for l in &t.links {
-            assert!(l.hop_count <= cfg.max_logical_hops);
+            assert!(l.hop_count <= MAX_LOGICAL_HOPS);
             let bp = l.owner.as_bp().expect("generator emits only BP links");
             let (ca, cb) = (t.router(l.a).city, t.router(l.b).city);
             assert!(t.bps[bp.index()].present_in(ca));
@@ -696,6 +694,26 @@ mod tests {
         assert_eq!(added, 2 * (4 * 3 / 2));
         t.validate().unwrap();
         assert_eq!(t.virtual_links().len(), added);
+    }
+
+    /// FNV-1a over the JSON bytes of an instance: every city, BP network,
+    /// router and link field, including the distances, costs and hop counts
+    /// that [`PocTopology::fingerprint`] skips.
+    fn json_hash(t: &PocTopology) -> u64 {
+        let mut h = Fnv1a::new();
+        for b in serde_json::to_vec(t).unwrap() {
+            h.mix(b as u64);
+        }
+        h.finish()
+    }
+
+    #[test]
+    fn presets_generate_the_pinned_instances() {
+        let got: Vec<String> = [ZooConfig::small(), ZooConfig::paper(), ZooConfig::scale()]
+            .into_iter()
+            .map(|cfg| format!("{:#018x}", json_hash(&ZooGenerator::new(cfg).generate())))
+            .collect();
+        assert_eq!(got, ["0xcb8ff5d0616164fa", "0x860781ebf3300adf", "0x977d7fa1fc6cb30d"]);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! User-flow scaling: from aggregate traffic matrices to packet sources.
 //!
-//! The gravity/hotspot matrices describe aggregate Gbit/s between router
+//! The gravity matrices describe aggregate Gbit/s between router
 //! pairs; the packet engine wants *sources* that stand in for the user
 //! flows behind each aggregate. [`UserFlowModel`] fixes the per-user-flow
 //! rate (a video stream, a bulk transfer share) and [`pair_demands`]

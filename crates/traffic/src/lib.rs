@@ -3,9 +3,8 @@
 //! The paper's auction (§3.3) assumes "some upper-bound estimate of its
 //! traffic matrix (how much traffic flows between each pair of attachment
 //! points)" and evaluates on "a synthetic traffic matrix between all POC
-//! routers". This crate generates such matrices — gravity-model (the
-//! standard synthetic WAN workload), uniform, and hotspot variants — and
-//! provides the [`TrafficMatrix`] container consumed by the feasibility
+//! routers". This crate generates such matrices with the gravity model
+//! (the standard synthetic WAN workload) and provides the [`TrafficMatrix`] container consumed by the feasibility
 //! oracle, the failure drills and the packet engine.
 
 pub mod arrivals;
@@ -14,4 +13,4 @@ pub mod models;
 
 pub use arrivals::{pair_demands, total_user_flows, PairDemand, UserFlowModel};
 pub use matrix::TrafficMatrix;
-pub use models::{TrafficModel, TrafficScenario};
+pub use models::TrafficScenario;

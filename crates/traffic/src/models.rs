@@ -1,14 +1,9 @@
-//! Traffic-matrix generators.
+//! Traffic-matrix generator.
 //!
-//! Three synthetic workload families, all seeded and deterministic:
-//!
-//! * **Gravity** — the classic WAN model: demand(a→b) ∝ w(a)·w(b), where
-//!   `w` is the city weight of the router's location. This is the default
-//!   used by the Figure-2 reproduction.
-//! * **Uniform** — equal demand between every ordered pair; stresses the
-//!   auction's feasibility oracle uniformly.
-//! * **Hotspot** — gravity plus `k` content-heavy sources (modelling large
-//!   CSPs attached directly to the POC, §1.2) whose egress is multiplied.
+//! One synthetic workload family, seeded and deterministic: the classic
+//! WAN **gravity** model, demand(a→b) ∝ w(a)·w(b) × a lognormal jitter,
+//! where `w` is the city weight of the router's location. The Figure-2
+//! reproduction and every example run on it.
 
 use crate::matrix::TrafficMatrix;
 use poc_topology::{PocTopology, RouterId};
@@ -16,49 +11,32 @@ use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
-/// Which demand structure to generate.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub enum TrafficModel {
-    /// Gravity model with multiplicative lognormal-ish jitter (sigma as
-    /// given; 0 disables jitter).
-    Gravity { jitter_sigma: f64 },
-    /// Same demand between every ordered pair.
-    Uniform,
-    /// Gravity plus `hotspots` sources whose egress demand is scaled by
-    /// `multiplier` (models directly-attached content providers).
-    Hotspot { hotspots: usize, multiplier: f64, jitter_sigma: f64 },
-}
+/// Per-pair demand ceiling, Gbit/s, applied after scaling: 1.5× the
+/// largest (100G) link. Gravity matrices produce elephant pairs; the cap
+/// keeps single demands routable without extreme splitting, so the
+/// realized total may fall below `total_gbps` when it binds.
+pub const DEMAND_CAP_GBPS: f64 = 150.0;
 
-/// A complete workload description: model, seed, and target total load.
+/// A complete workload description: jitter, seed, and target total load.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct TrafficScenario {
-    pub model: TrafficModel,
+    /// Sigma of the gravity model's multiplicative lognormal-ish jitter
+    /// (0 disables it).
+    pub jitter_sigma: f64,
     pub seed: u64,
-    /// Total offered load across all pairs, Gbit/s.
+    /// Total offered load across all pairs before the cap, Gbit/s.
     pub total_gbps: f64,
-    /// Optional per-pair demand ceiling, Gbit/s, applied after scaling
-    /// (the realized total may fall below `total_gbps` when it binds).
-    /// Gravity matrices produce elephant pairs; a cap around the largest
-    /// link capacity keeps single demands routable without extreme
-    /// splitting.
-    #[serde(default)]
-    pub cap_gbps: Option<f64>,
 }
 
 impl TrafficScenario {
     /// The workload used by the Figure-2 reproduction: gravity with mild
-    /// jitter, sized so the paper-scale topology runs at moderate load,
-    /// with per-pair demands capped at 1.5× the largest (100G) link.
+    /// jitter, sized so the paper-scale topology runs at moderate load.
     pub fn paper_default() -> Self {
-        Self {
-            model: TrafficModel::Gravity { jitter_sigma: 0.3 },
-            seed: 42,
-            total_gbps: 24000.0,
-            cap_gbps: Some(150.0),
-        }
+        Self { jitter_sigma: 0.3, seed: 42, total_gbps: 24000.0 }
     }
 
-    /// Generate the matrix for `topo`.
+    /// Generate the matrix for `topo`: gravity demands scaled to
+    /// `total_gbps`, then capped at [`DEMAND_CAP_GBPS`].
     pub fn generate(&self, topo: &PocTopology) -> TrafficMatrix {
         let n = topo.n_routers();
         let mut tm = TrafficMatrix::zero(n);
@@ -67,42 +45,9 @@ impl TrafficScenario {
         }
         let mut rng = ChaCha8Rng::seed_from_u64(self.seed);
         let weights: Vec<f64> = topo.routers.iter().map(|r| topo.city(r.city).weight).collect();
-        match &self.model {
-            TrafficModel::Uniform => {
-                for a in 0..n {
-                    for b in 0..n {
-                        if a != b {
-                            tm.set(RouterId::from_index(a), RouterId::from_index(b), 1.0);
-                        }
-                    }
-                }
-            }
-            TrafficModel::Gravity { jitter_sigma } => {
-                fill_gravity(&mut tm, &weights, *jitter_sigma, &mut rng);
-            }
-            TrafficModel::Hotspot { hotspots, multiplier, jitter_sigma } => {
-                assert!(*multiplier >= 1.0, "hotspot multiplier must be >= 1");
-                fill_gravity(&mut tm, &weights, *jitter_sigma, &mut rng);
-                // The k highest-weight routers are the content hotspots.
-                let mut order: Vec<usize> = (0..n).collect();
-                order.sort_by(|&x, &y| weights[y].partial_cmp(&weights[x]).unwrap());
-                for &h in order.iter().take(*hotspots) {
-                    let src = RouterId::from_index(h);
-                    for b in 0..n {
-                        if b != h {
-                            let dst = RouterId::from_index(b);
-                            let d = tm.demand(src, dst);
-                            tm.set(src, dst, d * multiplier);
-                        }
-                    }
-                }
-            }
-        }
+        fill_gravity(&mut tm, &weights, self.jitter_sigma, &mut rng);
         tm.scale_to_total(self.total_gbps);
-        if let Some(cap) = self.cap_gbps {
-            assert!(cap > 0.0, "demand cap must be positive");
-            tm.cap_demands(cap);
-        }
+        tm.cap_demands(DEMAND_CAP_GBPS);
         tm
     }
 }
@@ -134,17 +79,41 @@ fn fill_gravity(tm: &mut TrafficMatrix, weights: &[f64], sigma: f64, rng: &mut C
 #[cfg(test)]
 mod tests {
     use super::*;
-    use poc_topology::{ZooConfig, ZooGenerator};
+    use poc_topology::zoo::{attach_external_isps, ExternalIspConfig};
+    use poc_topology::{CostModel, Fnv1a, ZooConfig, ZooGenerator};
 
     fn topo() -> PocTopology {
         ZooGenerator::new(ZooConfig::small()).generate()
     }
 
+    /// FNV-1a over a matrix's JSON bytes: every demand, bit for bit.
+    fn json_hash(tm: &TrafficMatrix) -> u64 {
+        let mut h = Fnv1a::new();
+        for b in serde_json::to_vec(tm).unwrap() {
+            h.mix(b as u64);
+        }
+        h.finish()
+    }
+
+    #[test]
+    fn scenarios_generate_the_pinned_matrices() {
+        let paper = TrafficScenario::paper_default().generate(&topo());
+        // The quickstart example's workload, on its topology.
+        let mut quick = topo();
+        attach_external_isps(&mut quick, &ExternalIspConfig::default(), &CostModel::default());
+        let quickstart =
+            TrafficScenario { jitter_sigma: 0.2, seed: 7, total_gbps: 2000.0 }.generate(&quick);
+        let got = [paper, quickstart].map(|tm| format!("{:#018x}", json_hash(&tm)));
+        assert_eq!(got, ["0x6ae0e03bab14c12f", "0x004816b5306b9ad7"]);
+    }
+
     #[test]
     fn gravity_total_matches_target() {
         let t = topo();
-        let s = TrafficScenario { cap_gbps: None, ..TrafficScenario::paper_default() };
+        // A total whose largest pair stays under the cap.
+        let s = TrafficScenario { total_gbps: 1000.0, ..TrafficScenario::paper_default() };
         let tm = s.generate(&t);
+        assert!(tm.max_demand() < DEMAND_CAP_GBPS, "cap bound: {}", tm.max_demand());
         assert!((tm.total() - s.total_gbps).abs() < 1e-6);
         assert_eq!(tm.n_routers(), t.n_routers());
     }
@@ -154,7 +123,7 @@ mod tests {
         let t = topo();
         let capped = TrafficScenario::paper_default();
         let tm = capped.generate(&t);
-        assert!(tm.max_demand() <= capped.cap_gbps.unwrap() + 1e-9);
+        assert!(tm.max_demand() <= DEMAND_CAP_GBPS + 1e-9);
         assert!(tm.total() <= capped.total_gbps + 1e-6);
     }
 
@@ -168,69 +137,10 @@ mod tests {
     }
 
     #[test]
-    fn uniform_has_equal_demands() {
-        let t = topo();
-        let s = TrafficScenario {
-            model: TrafficModel::Uniform,
-            seed: 0,
-            total_gbps: 100.0,
-            cap_gbps: None,
-        };
-        let tm = s.generate(&t);
-        let n = tm.n_routers();
-        let expect = 100.0 / (n * (n - 1)) as f64;
-        for (_, _, d) in tm.iter_demands() {
-            assert!((d - expect).abs() < 1e-9);
-        }
-        assert_eq!(tm.n_flows(), n * (n - 1));
-    }
-
-    #[test]
-    fn hotspot_sources_dominate_egress() {
-        let t = topo();
-        let base = TrafficScenario {
-            model: TrafficModel::Gravity { jitter_sigma: 0.0 },
-            seed: 7,
-            total_gbps: 1000.0,
-            cap_gbps: None,
-        };
-        let hot = TrafficScenario {
-            model: TrafficModel::Hotspot { hotspots: 1, multiplier: 10.0, jitter_sigma: 0.0 },
-            seed: 7,
-            total_gbps: 1000.0,
-            cap_gbps: None,
-        };
-        let tm_base = base.generate(&t);
-        let tm_hot = hot.generate(&t);
-        // Identify the hotspot (highest-weight router).
-        let weights: Vec<f64> = t.routers.iter().map(|r| t.city(r.city).weight).collect();
-        let h = (0..weights.len())
-            .max_by(|&x, &y| weights[x].partial_cmp(&weights[y]).unwrap())
-            .unwrap();
-        let egress = |tm: &TrafficMatrix, src: usize| -> f64 {
-            (0..tm.n_routers())
-                .filter(|&b| b != src)
-                .map(|b| tm.demand(RouterId::from_index(src), RouterId::from_index(b)))
-                .sum()
-        };
-        // Hotspot egress share must strictly grow vs the gravity baseline.
-        let share_base = egress(&tm_base, h) / tm_base.total();
-        let share_hot = egress(&tm_hot, h) / tm_hot.total();
-        assert!(
-            share_hot > share_base * 2.0,
-            "hotspot share {share_hot:.3} vs base {share_base:.3}"
-        );
-    }
-
-    #[test]
     fn gravity_favors_heavy_pairs() {
         let t = topo();
-        let s = TrafficScenario {
-            model: TrafficModel::Gravity { jitter_sigma: 0.0 },
-            seed: 1,
-            total_gbps: 100.0,
-            cap_gbps: None,
-        };
+        // 100 Gbit/s in all: no pair can reach the cap.
+        let s = TrafficScenario { jitter_sigma: 0.0, seed: 1, total_gbps: 100.0 };
         let tm = s.generate(&t);
         let weights: Vec<f64> = t.routers.iter().map(|r| t.city(r.city).weight).collect();
         // demand(a,b)/demand(c,b) == w(a)/w(c) exactly when jitter is off.

@@ -11,19 +11,13 @@ use public_option_core::core::poc::{Poc, PocConfig};
 use public_option_core::ctrlplane::{AttachRole, PocClient, PocServer};
 use public_option_core::topology::zoo::{attach_external_isps, ExternalIspConfig};
 use public_option_core::topology::{CostModel, RouterId, ZooConfig, ZooGenerator};
-use public_option_core::traffic::{TrafficModel, TrafficScenario};
+use public_option_core::traffic::TrafficScenario;
 
 fn main() {
     // Controller state: a small synthetic POC.
     let mut topo = ZooGenerator::new(ZooConfig::small()).generate();
     attach_external_isps(&mut topo, &ExternalIspConfig::default(), &CostModel::default());
-    let tm = TrafficScenario {
-        model: TrafficModel::Gravity { jitter_sigma: 0.2 },
-        seed: 5,
-        total_gbps: 1500.0,
-        cap_gbps: Some(150.0),
-    }
-    .generate(&topo);
+    let tm = TrafficScenario { jitter_sigma: 0.2, seed: 5, total_gbps: 1500.0 }.generate(&topo);
     let n_routers = topo.n_routers();
     let poc = Poc::new(topo, PocConfig::default());
 

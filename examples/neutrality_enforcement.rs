@@ -12,7 +12,7 @@
 use public_option_core::core::poc::{Poc, PocConfig};
 use public_option_core::core::tos::{PolicyAction, PolicyBasis, PolicyMatch, TrafficPolicy};
 use public_option_core::flow::LinkSet;
-use public_option_core::netsim::discrim::{detect_throttling, ThrottleSpec};
+use public_option_core::netsim::discrim::{detect_throttling, CONTROL_TAG, SUSPECT_TAG};
 use public_option_core::netsim::engine::{Engine, EngineConfig, IngressThrottle, SourceKind};
 use public_option_core::topology::builder::two_bp_square;
 use public_option_core::topology::zoo::{attach_external_isps, ExternalIspConfig};
@@ -104,11 +104,11 @@ fn main() {
     tm.set(RouterId(0), RouterId(1), 30.0);
     tm.set(RouterId(2), RouterId(1), 30.0);
     let classify =
-        |src: RouterId| (None, if src == RouterId(0) { "suspect" } else { "control" }.to_string());
+        |src: RouterId| (None, if src == RouterId(0) { SUSPECT_TAG } else { CONTROL_TAG }.into());
     for (scenario, factor) in [("honest LMP", 1.0), ("cheating LMP", 0.4)] {
         let cfg = EngineConfig {
             horizon_ns: 1_000_000_000,
-            throttles: vec![IngressThrottle { tag: "suspect".into(), factor }],
+            throttles: vec![IngressThrottle { tag: SUSPECT_TAG.into(), factor }],
             ..Default::default()
         };
         let mut engine = Engine::new(topo, &all, cfg).expect("valid engine config");
@@ -116,7 +116,7 @@ fn main() {
             .add_traffic_matrix(&tm, &UserFlowModel::default(), SourceKind::Persistent, classify)
             .expect("valid sources");
         let report = engine.run();
-        let finding = detect_throttling(&report, &ThrottleSpec::default()).expect("both classes");
+        let finding = detect_throttling(&report).expect("both classes");
         println!(
             "  {scenario}: suspect/control goodput ratio {:.2} → {}",
             finding.ratio,

@@ -13,7 +13,7 @@ use public_option_core::core::poc::{Poc, PocConfig};
 use public_option_core::flow::route_tm;
 use public_option_core::topology::zoo::{attach_external_isps, ExternalIspConfig};
 use public_option_core::topology::{CostModel, RouterId, ZooConfig, ZooGenerator};
-use public_option_core::traffic::{TrafficModel, TrafficScenario};
+use public_option_core::traffic::TrafficScenario;
 use std::collections::BTreeMap;
 
 fn main() {
@@ -29,12 +29,7 @@ fn main() {
     );
 
     // 2. The POC's upper-bound traffic estimate.
-    let scenario = TrafficScenario {
-        model: TrafficModel::Gravity { jitter_sigma: 0.2 },
-        seed: 7,
-        total_gbps: 2000.0,
-        cap_gbps: Some(150.0),
-    };
+    let scenario = TrafficScenario { jitter_sigma: 0.2, seed: 7, total_gbps: 2000.0 };
     let tm = scenario.generate(&topo);
     println!("traffic matrix: {} flows, {:.0} Gbps total", tm.n_flows(), tm.total());
 

@@ -28,12 +28,14 @@
 
 use public_option_core::auction::{run_auction, GreedySelector, Market};
 use public_option_core::core::poc::{Poc, PocConfig};
+use public_option_core::ctrlplane::{ClientConfig, PocClient};
 use public_option_core::flow::Constraint;
 use public_option_core::topology::zoo::{attach_external_isps, ExternalIspConfig};
 use public_option_core::topology::{
     CostModel, PocTopology, TopologyStats, ZooConfig, ZooGenerator,
 };
 use public_option_core::traffic::{TrafficMatrix, TrafficScenario};
+use std::net::SocketAddr;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -137,6 +139,21 @@ fn num_opt<T: std::str::FromStr>(rest: &[String], name: &str) -> Result<Option<T
         .transpose()
 }
 
+/// The address `serve` listens on, and `metrics`, `round` and `trace`
+/// connect to, without `--addr`.
+const DEFAULT_ADDR: &str = "127.0.0.1:7700";
+
+/// Connect to a running `poc serve` at `addr` with the command's own
+/// deadlines and retry policy. Every client command reaches the server
+/// through here, so a bad address and an absent server read the same in
+/// all of them.
+fn connect(addr: &str, config: ClientConfig) -> Result<(PocClient, SocketAddr), String> {
+    let addr: SocketAddr = addr.parse().map_err(|e| format!("bad --addr {addr:?}: {e}"))?;
+    let client = PocClient::connect_with(addr, config)
+        .map_err(|e| format!("connect {addr}: {e} (is `poc serve` running?)"))?;
+    Ok((client, addr))
+}
+
 /// Instance preset shared by `topo-stats`, `auction`, and `serve`.
 #[derive(Clone, Copy, PartialEq)]
 enum Preset {
@@ -232,19 +249,16 @@ fn cmd_transition(rest: &[String]) -> Result<(), String> {
     }
     let max_extra = num_opt::<usize>(rest, "--max-extra")?;
 
-    if let Some(raw) = opt(rest, "--addr") {
-        let addr: std::net::SocketAddr =
-            raw.parse().map_err(|e| format!("bad --addr {raw:?}: {e}"))?;
+    if let Some(addr) = opt(rest, "--addr") {
         // Transitions verify every intermediate set; give them the same
         // generous deadline as auction rounds.
-        let config = public_option_core::ctrlplane::ClientConfig {
+        let config = ClientConfig {
             read_timeout: std::time::Duration::from_millis(
                 num_opt::<u64>(rest, "--timeout-ms")?.unwrap_or(600_000),
             ),
             ..Default::default()
         };
-        let mut client = public_option_core::ctrlplane::PocClient::connect_with(addr, config)
-            .map_err(|e| format!("connect {addr}: {e} (is `poc serve` running?)"))?;
+        let (mut client, _) = connect(addr, config)?;
         let summary = if flag(rest, "--status") {
             match client.transition_status().map_err(|e| format!("status: {e}"))? {
                 Some(s) => s,
@@ -327,8 +341,8 @@ fn cmd_transition(rest: &[String]) -> Result<(), String> {
 /// running `poc serve` with `--addr`.
 fn cmd_dataplane(rest: &[String]) -> Result<(), String> {
     use public_option_core::ctrlplane::AttachRole;
+    use public_option_core::netsim::discrim::{detect_throttling, CONTROL_TAG, SUSPECT_TAG};
     use public_option_core::netsim::engine::{Engine, EngineConfig, IngressThrottle, SourceKind};
-    use public_option_core::netsim::{detect_throttling, ThrottleSpec};
     use public_option_core::topology::RouterId;
     use public_option_core::traffic::UserFlowModel;
 
@@ -357,14 +371,7 @@ fn cmd_dataplane(rest: &[String]) -> Result<(), String> {
     // traffic metro-a originates (the class --cheat throttles).
     let last = RouterId::from_index(poc.topo().n_routers() - 1);
     let mut remote = match opt(rest, "--addr") {
-        Some(raw) => {
-            let addr: std::net::SocketAddr =
-                raw.parse().map_err(|e| format!("bad --addr {raw:?}: {e}"))?;
-            Some(
-                public_option_core::ctrlplane::PocClient::connect(addr)
-                    .map_err(|e| format!("connect {addr}: {e} (is `poc serve` running?)"))?,
-            )
-        }
+        Some(addr) => Some(connect(addr, ClientConfig::default())?.0),
         None => None,
     };
     let (lmp_a, lmp_b) = match &mut remote {
@@ -389,16 +396,16 @@ fn cmd_dataplane(rest: &[String]) -> Result<(), String> {
     let cfg = EngineConfig {
         horizon_ns: horizon_ms * 1_000_000,
         throttles: match cheat {
-            Some(factor) => vec![IngressThrottle { tag: "suspect".into(), factor }],
+            Some(factor) => vec![IngressThrottle { tag: SUSPECT_TAG.into(), factor }],
             None => vec![],
         },
         ..Default::default()
     };
     let classify = |src: RouterId| {
         if src.index().is_multiple_of(2) {
-            (Some(lmp_a), "suspect".to_string())
+            (Some(lmp_a), SUSPECT_TAG.to_string())
         } else {
-            (Some(lmp_b), "control".to_string())
+            (Some(lmp_b), CONTROL_TAG.to_string())
         }
     };
     let build_started = std::time::Instant::now();
@@ -456,7 +463,7 @@ fn cmd_dataplane(rest: &[String]) -> Result<(), String> {
     );
 
     // The auditor's view: packet goodput, suspect vs control.
-    if let Some(finding) = detect_throttling(&report, &ThrottleSpec::default()) {
+    if let Some(finding) = detect_throttling(&report) {
         println!(
             "neutrality: suspect/control goodput ratio {:.3} → {}",
             finding.ratio,
@@ -498,10 +505,6 @@ fn cmd_dataplane(rest: &[String]) -> Result<(), String> {
 }
 
 fn cmd_metrics(rest: &[String]) -> Result<(), String> {
-    use public_option_core::ctrlplane::ClientConfig;
-    let addr = opt(rest, "--addr").unwrap_or("127.0.0.1:7700");
-    let addr: std::net::SocketAddr =
-        addr.parse().map_err(|e| format!("bad --addr {addr:?}: {e}"))?;
     let mut config = ClientConfig::default();
     if let Some(ms) = num_opt::<u64>(rest, "--timeout-ms")? {
         config.read_timeout = std::time::Duration::from_millis(ms);
@@ -512,8 +515,7 @@ fn cmd_metrics(rest: &[String]) -> Result<(), String> {
     if let Some(ms) = num_opt::<u64>(rest, "--backoff-ms")? {
         config.retry.base_backoff = std::time::Duration::from_millis(ms);
     }
-    let mut client = public_option_core::ctrlplane::PocClient::connect_with(addr, config)
-        .map_err(|e| format!("connect {addr}: {e} (is `poc serve` running?)"))?;
+    let (mut client, _) = connect(opt(rest, "--addr").unwrap_or(DEFAULT_ADDR), config)?;
     let snap = client.metrics().map_err(|e| format!("scrape: {e}"))?;
     if flag(rest, "--json") {
         println!("{}", snap.to_json());
@@ -554,10 +556,6 @@ fn cmd_metrics(rest: &[String]) -> Result<(), String> {
 /// Trigger one auction round over the wire, tagged with a trace id, so
 /// `poc trace` can show where the round's time went.
 fn cmd_round(rest: &[String]) -> Result<(), String> {
-    use public_option_core::ctrlplane::ClientConfig;
-    let addr = opt(rest, "--addr").unwrap_or("127.0.0.1:7700");
-    let addr: std::net::SocketAddr =
-        addr.parse().map_err(|e| format!("bad --addr {addr:?}: {e}"))?;
     let mut config = ClientConfig::default().no_retry();
     // Rounds at --scale run for minutes; default the deadline high.
     config.read_timeout =
@@ -566,8 +564,7 @@ fn cmd_round(rest: &[String]) -> Result<(), String> {
         Some(id) => id,
         None => public_option_core::obs::trace::new_trace_id(),
     };
-    let mut client = public_option_core::ctrlplane::PocClient::connect_with(addr, config)
-        .map_err(|e| format!("connect {addr}: {e} (is `poc serve` running?)"))?;
+    let (mut client, addr) = connect(opt(rest, "--addr").unwrap_or(DEFAULT_ADDR), config)?;
     client.set_trace(Some(trace_id));
     let summary = client.run_auction().map_err(|e| format!("round: {e}"))?;
     println!(
@@ -580,18 +577,13 @@ fn cmd_round(rest: &[String]) -> Result<(), String> {
 
 /// Scrape and render recorded trace trees from a running server.
 fn cmd_trace(rest: &[String]) -> Result<(), String> {
-    use public_option_core::ctrlplane::ClientConfig;
-    let addr = opt(rest, "--addr").unwrap_or("127.0.0.1:7700");
-    let addr: std::net::SocketAddr =
-        addr.parse().map_err(|e| format!("bad --addr {addr:?}: {e}"))?;
     let mut config = ClientConfig::default();
     if let Some(ms) = num_opt::<u64>(rest, "--timeout-ms")? {
         config.read_timeout = std::time::Duration::from_millis(ms);
     }
     let trace_id = num_opt::<u64>(rest, "--id")?;
     let last_n = num_opt::<usize>(rest, "--last")?;
-    let mut client = public_option_core::ctrlplane::PocClient::connect_with(addr, config)
-        .map_err(|e| format!("connect {addr}: {e} (is `poc serve` running?)"))?;
+    let (mut client, _) = connect(opt(rest, "--addr").unwrap_or(DEFAULT_ADDR), config)?;
     let traces = client.traces(trace_id, last_n).map_err(|e| format!("scrape: {e}"))?;
     if traces.is_empty() {
         return Err("no traces recorded (run `poc round` first, and check the server \
@@ -625,7 +617,7 @@ fn cmd_trace(rest: &[String]) -> Result<(), String> {
 
 fn cmd_serve(rest: &[String]) -> Result<(), String> {
     use public_option_core::ctrlplane::ServerConfig;
-    let addr = opt(rest, "--addr").unwrap_or("127.0.0.1:7700").to_string();
+    let addr = opt(rest, "--addr").unwrap_or(DEFAULT_ADDR).to_string();
     let mut config = ServerConfig::default();
     if let Some(n) = num_opt::<usize>(rest, "--max-conns")? {
         config.max_connections = n;

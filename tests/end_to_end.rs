@@ -9,18 +9,12 @@ use public_option_core::core::settlement::Account;
 use public_option_core::flow::{route_tm, Constraint};
 use public_option_core::topology::zoo::{attach_external_isps, ExternalIspConfig};
 use public_option_core::topology::{CostModel, RouterId, ZooConfig, ZooGenerator};
-use public_option_core::traffic::{TrafficModel, TrafficScenario};
+use public_option_core::traffic::TrafficScenario;
 
 fn build_poc(constraint: Constraint) -> (Poc, public_option_core::traffic::TrafficMatrix) {
     let mut topo = ZooGenerator::new(ZooConfig::small()).generate();
     attach_external_isps(&mut topo, &ExternalIspConfig::default(), &CostModel::default());
-    let tm = TrafficScenario {
-        model: TrafficModel::Gravity { jitter_sigma: 0.2 },
-        seed: 99,
-        total_gbps: 2000.0,
-        cap_gbps: Some(150.0),
-    }
-    .generate(&topo);
+    let tm = TrafficScenario { jitter_sigma: 0.2, seed: 99, total_gbps: 2000.0 }.generate(&topo);
     let config = PocConfig { constraint, ..PocConfig::default() };
     (Poc::new(topo, config), tm)
 }

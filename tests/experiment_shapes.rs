@@ -14,7 +14,7 @@ use public_option_core::topology::zoo::{attach_external_isps, ExternalIspConfig}
 use public_option_core::topology::{
     CostModel, PocTopology, TopologyStats, ZooConfig, ZooGenerator,
 };
-use public_option_core::traffic::{TrafficMatrix, TrafficModel, TrafficScenario};
+use public_option_core::traffic::{TrafficMatrix, TrafficScenario};
 
 fn small_instance() -> (PocTopology, TrafficMatrix) {
     let mut topo = ZooGenerator::new(ZooConfig::small()).generate();
@@ -22,13 +22,7 @@ fn small_instance() -> (PocTopology, TrafficMatrix) {
     // even under maximal withholding (the paper's A(OL − L_α) assumption).
     let isp = ExternalIspConfig { attach_points: 64, ..Default::default() };
     attach_external_isps(&mut topo, &isp, &CostModel::default());
-    let tm = TrafficScenario {
-        model: TrafficModel::Gravity { jitter_sigma: 0.2 },
-        seed: 17,
-        total_gbps: 2500.0,
-        cap_gbps: Some(150.0),
-    }
-    .generate(&topo);
+    let tm = TrafficScenario { jitter_sigma: 0.2, seed: 17, total_gbps: 2500.0 }.generate(&topo);
     (topo, tm)
 }
 
