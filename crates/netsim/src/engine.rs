@@ -46,13 +46,17 @@
 //! when it builds the report. The drop counts are per link as well: a drop
 //! at `pos` happened entering `walk[pos]`.
 //!
-//! A propagation pipe stores, per packet, the `u32` gap since the arrival
-//! of the packet ahead of it instead of a `u64` arrival time: the head's
-//! arrival is its calendar event's time, and the link keeps the arrival of
-//! the last packet for the next push. Both packets of a gap are in the pipe
+//! A propagation pipe stores, per packet, the gap since the arrival of the
+//! packet ahead of it instead of a `u64` arrival time: the head's arrival
+//! is its calendar event's time, and the link keeps the arrival of the
+//! last packet for the next push. Both packets of a gap are in the pipe
 //! together, so a gap is at most the link's one-way delay, which
 //! [`Engine::new`] holds to `u32::MAX` ns (4.29 s, about 859 000 km of
-//! fibre). A queued packet costs 4 bytes and a packet in flight 8.
+//! fibre). A pipe entry is one `u32`: the packet's walk position in the low
+//! bits — as many as the walks' length needs, fixed when [`Engine::run`]
+//! starts — and the gap in the rest. A gap too wide for its field is
+//! written as the field's all-ones escape, with the full `u32` gap in the
+//! next slot. A packet costs 4 bytes, queued or in flight.
 //!
 //! Determinism: two engines built with the same inputs and seed produce
 //! byte-identical reports. Everything that orders work — the link-event
@@ -342,36 +346,76 @@ struct DLink {
 /// ahead of it. The entry ahead is still in the pipe when the next one
 /// departs, so a gap is at most the link's delay, and no more than the
 /// horizon, since a packet due past the horizon never enters.
+///
+/// An entry packs the gap above the packet, which takes the low
+/// `pos_bits` bits ([`pos_bits`]). A gap of `u32::MAX >> pos_bits` or more
+/// does not fit its field: the field holds that all-ones escape and the
+/// next slot the full gap.
 #[derive(Clone, Debug, Default)]
 struct Pipe {
-    entries: VecDeque<(u32, Packet)>,
+    entries: VecDeque<PipeEntry>,
     /// Arrival time of the last entry; stale while the pipe is empty.
     last_arr: u64,
 }
 
+/// `gap << pos_bits | pos`, or an escaped gap's full value.
+type PipeEntry = u32;
+
+const _: () = assert!(std::mem::size_of::<PipeEntry>() == 4);
+
 impl Pipe {
     /// Append `pkt`, arriving at `t_arr`: no earlier than, and at most
-    /// `u32::MAX` ns after, the last entry. Returns whether the pipe was
-    /// empty, in which case `pkt` is the head and needs its exit scheduled.
-    fn push(&mut self, t_arr: u64, pkt: Packet) -> bool {
+    /// `u32::MAX` ns after, the last entry. `pkt` is below `2^pos_bits`.
+    /// Returns whether the pipe was empty, in which case `pkt` is the head
+    /// and needs its exit scheduled.
+    fn push(&mut self, t_arr: u64, pkt: Packet, pos_bits: u32) -> bool {
         let empty = self.entries.is_empty();
         let gap = if empty { 0 } else { t_arr - self.last_arr };
         let gap = u32::try_from(gap).expect("a gap is at most a delay Engine::new held to u32");
-        self.entries.push_back((gap, pkt));
+        let escape = u32::MAX >> pos_bits;
+        self.entries.push_back(gap.min(escape) << pos_bits | pkt.0);
+        if gap >= escape {
+            self.entries.push_back(gap);
+        }
         self.last_arr = t_arr;
         empty
     }
 
     /// Remove the head, which arrives at `now`, and return it with the new
     /// head's arrival time, if there is a new head.
-    fn pop(&mut self, now: u64) -> Option<(Packet, Option<u64>)> {
-        let (_, pkt) = self.entries.pop_front()?;
-        Some((pkt, self.entries.front().map(|&(gap, _)| now + gap as u64)))
+    fn pop(&mut self, now: u64, pos_bits: u32) -> Option<(Packet, Option<u64>)> {
+        let escape = u32::MAX >> pos_bits;
+        let head = self.entries.pop_front()?;
+        if head >> pos_bits == escape {
+            self.entries.pop_front();
+        }
+        let next = self.entries.front().map(|&e| match e >> pos_bits {
+            gap if gap == escape => self.entries[1],
+            gap => gap,
+        });
+        Some((Packet(head & !(u32::MAX << pos_bits)), next.map(|gap| now + gap as u64)))
     }
 
-    fn len(&self) -> usize {
-        self.entries.len()
+    /// Packets in the pipe: entries, less the slots holding escaped gaps.
+    fn len(&self, pos_bits: u32) -> usize {
+        let escape = u32::MAX >> pos_bits;
+        let mut entries = self.entries.iter();
+        let mut n = 0;
+        while let Some(&e) = entries.next() {
+            if e >> pos_bits == escape {
+                entries.next();
+            }
+            n += 1;
+        }
+        n
     }
+}
+
+/// Bits a pipe entry gives the walk position: the width of `walk_len`,
+/// and at least one. The walks stay below `2^31` entries ([`WALK_END`]),
+/// so the gap keeps at least one bit.
+fn pos_bits(walk_len: usize) -> u32 {
+    (usize::BITS - walk_len.leading_zeros()).max(1)
 }
 
 /// Byte occupancy of one directional link's buffer, split out of
@@ -390,7 +434,6 @@ struct Occupancy {
 struct Packet(u32);
 
 const _: () = assert!(std::mem::size_of::<Packet>() == 4);
-const _: () = assert!(std::mem::size_of::<(u32, Packet)>() == 8);
 
 #[derive(Clone, Copy, Debug)]
 struct Source {
@@ -530,6 +573,9 @@ impl Calendar {
 /// engine's link table and walks.
 struct RunState {
     cal: Calendar,
+    /// Bits a pipe entry gives the walk position: [`pos_bits`] of the
+    /// walks' length.
+    pos_bits: u32,
     link_events: u64,
     packets_injected: u64,
     packets_in_flight: u64,
@@ -585,7 +631,7 @@ impl RunState {
             let dl = node / 2;
             let link = &mut links[dl as usize];
             if node % 2 == PIPE_OUT {
-                let (pkt, next) = link.pipe.pop(now).expect("pipe head exists");
+                let (pkt, next) = link.pipe.pop(now, self.pos_bits).expect("pipe head exists");
                 if let Some(at) = next {
                     self.cal.push(at, node);
                 }
@@ -611,7 +657,7 @@ impl RunState {
             let ahead = walk[next as usize];
             if ahead & WALK_END != 0 {
                 self.delivered[(ahead ^ WALK_END) as usize] += 1;
-            } else if link.pipe.push(t_arr, Packet(next)) {
+            } else if link.pipe.push(t_arr, Packet(next), self.pos_bits) {
                 self.cal.push(t_arr, 2 * dl + PIPE_OUT);
             }
         }
@@ -980,8 +1026,10 @@ impl<'t> Engine<'t> {
     pub fn run(mut self) -> EngineReport {
         let _span = poc_obs::span!("netsim.engine.run");
         let horizon = self.cfg.horizon_ns;
+        let bits = pos_bits(self.walk.len());
         let mut rt = RunState {
             cal: Calendar::new(self.links.len() * 2),
+            pos_bits: bits,
             link_events: 0,
             packets_injected: 0,
             packets_in_flight: 0,
@@ -1043,7 +1091,7 @@ impl<'t> Engine<'t> {
         let packets_dropped = dropped.iter().sum();
         let packets_queued = self.links.iter().map(|l| l.queue.len() as u64).sum();
         let packets_in_flight =
-            packets_in_flight + self.links.iter().map(|l| l.pipe.len() as u64).sum::<u64>();
+            packets_in_flight + self.links.iter().map(|l| l.pipe.len(bits) as u64).sum::<u64>();
 
         poc_obs::counter!("netsim.engine.events").add(events);
         poc_obs::counter!("netsim.engine.packets_injected").add(packets_injected);
@@ -1499,39 +1547,45 @@ mod tests {
         /// Random scripts of pushes and pops against a reference queue of
         /// `(arrival, packet)`, each pop at the head's arrival as the
         /// calendar delivers it: every pop returns the same packet and the
-        /// same next arrival. Pushes land at the last arrival (equal
-        /// times), a few ns or a slice after it, or within a few ns of
-        /// `u32::MAX` after it; pops outnumber pushes in some scripts, so
-        /// the pipe empties and refills, and a push into an empty pipe
-        /// lands any gap after the last pop.
+        /// same next arrival. The position takes 1 to 31 bits of an entry;
+        /// at 31 every non-zero gap escapes. Pushes land at the last
+        /// arrival (equal times), a few ns or a slice after it, within a
+        /// few ns of `u32::MAX` after it, or one below, at or one above the
+        /// escape; positions are drawn anywhere in their field or at its
+        /// top. Pops outnumber pushes in some scripts, so the pipe empties
+        /// and refills, and a push into an empty pipe lands any gap after
+        /// the last pop.
         #[test]
         fn pipe_pops_what_a_timed_queue_pops(
-            script in prop::collection::vec((0u8..5, 0u8..4, 0u32..1 << 20), 1..200),
+            pos_bits in 1u32..=31,
+            script in prop::collection::vec((0u8..5, 0u8..7, 0u32..1 << 20, 0u8..2), 1..200),
         ) {
             let mut pipe = Pipe::default();
             let mut reference: VecDeque<(u64, Packet)> = VecDeque::new();
+            let (escape, top) = (u32::MAX >> pos_bits, !(u32::MAX << pos_bits));
             // The last pop's time: pushes into an empty pipe land after it.
             let mut now = 0u64;
-            for (n, (op, class, x)) in script.into_iter().enumerate() {
+            for (op, class, x, at_top) in script {
                 if op < 2 {
                     let gap = match class {
                         0 => 0,
-                        1 => x as u64 % 4,
-                        2 => x as u64 % BUCKET_NS,
-                        _ => u32::MAX as u64 - x as u64 % 4,
+                        1 => x % 4,
+                        2 => x % BUCKET_NS as u32,
+                        3 => u32::MAX - x % 4,
+                        c => escape + c as u32 - 5,
                     };
-                    let t_arr = reference.back().map_or(now, |&(at, _)| at) + gap;
-                    let pkt = Packet(n as u32);
-                    prop_assert_eq!(pipe.push(t_arr, pkt), reference.is_empty());
+                    let t_arr = reference.back().map_or(now, |&(at, _)| at) + gap as u64;
+                    let pkt = Packet(if at_top == 1 { top - x % 2 } else { x & top });
+                    prop_assert_eq!(pipe.push(t_arr, pkt, pos_bits), reference.is_empty());
                     reference.push_back((t_arr, pkt));
                 } else if let Some((at, pkt)) = reference.pop_front() {
                     now = at;
                     let next = reference.front().map(|&(at, _)| at);
-                    prop_assert_eq!(pipe.pop(now), Some((pkt, next)));
+                    prop_assert_eq!(pipe.pop(now, pos_bits), Some((pkt, next)));
                 } else {
-                    prop_assert_eq!(pipe.pop(now), None);
+                    prop_assert_eq!(pipe.pop(now, pos_bits), None);
                 }
-                prop_assert_eq!(pipe.len(), reference.len());
+                prop_assert_eq!(pipe.len(pos_bits), reference.len());
             }
         }
     }
