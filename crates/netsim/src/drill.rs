@@ -9,6 +9,12 @@
 //! share runs at its max-min fair rate ([`max_min_rates`]) over the links
 //! that are up, on its pinned path while that path survives, else on the
 //! distance-shortest surviving path, else not at all.
+//!
+//! [`run_transition_drill`] fails the fabric *while it migrates*: it cuts
+//! and recalls the target's busiest links at a chosen round boundary and
+//! audits every state the executor applies with its own [`Invariants`],
+//! the one rule the planner and the executor admit states by, and checks
+//! that no cut link comes back.
 
 use crate::fairness::{max_min_rates, AllocFlow};
 use poc_flow::graph::Dir;
@@ -211,10 +217,10 @@ fn busiest_links(base: &Routing, active: &LinkSet) -> Vec<LinkId> {
 // Transition drills: fail the fabric *while it is migrating*.
 // ---------------------------------------------------------------------------
 
-use poc_flow::{AcceptabilityOracle, Constraint, WarmOracle};
+use poc_flow::Constraint;
 use poc_transition::{
-    execute_transition, plan_transition, seeded_oracle, PlanConfig, TransitionError,
-    TransitionEvent, TransitionHooks, TransitionOp, TransitionOutcome,
+    execute_transition, plan_transition, Invariants, PlanConfig, TransitionError, TransitionEvent,
+    TransitionHooks, TransitionOp, TransitionReport,
 };
 use std::collections::HashSet;
 
@@ -242,24 +248,19 @@ impl Default for TransitionDrillSpec {
 /// What a mid-transition drill proved.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct TransitionDrillReport {
-    pub outcome: TransitionOutcome,
-    pub steps_applied: usize,
-    pub replans: u32,
-    pub rollbacks: u32,
+    /// What the executor did: outcome, steps, replans, rollbacks and the
+    /// live set it finished on.
+    pub report: TransitionReport,
     /// Links cut / recalled, in injection order.
     pub cut_links: Vec<LinkId>,
     pub recalled_links: Vec<LinkId>,
-    /// Applied intermediate states an *independent* oracle rejected
-    /// (a fresh [`WarmOracle`], separate from the executor's — warm
-    /// accepts carry a genuine routing witness, warm failures fall back
-    /// to a full cold evaluation). The whole point of the planner is
-    /// that this is zero, whatever was injected.
+    /// Applied intermediate states the drill's *independent*
+    /// [`Invariants`] (not the executor's) refused to admit. The whole
+    /// point of the planner is that this is zero, whatever was injected.
     pub unsafe_intermediates: usize,
     /// Applied states containing an already-cut link (must be zero: a
     /// dead link may never re-enter the fabric).
     pub dead_link_reappearances: usize,
-    /// The live set when the executor finished.
-    pub final_state: LinkSet,
 }
 
 /// Errors from [`run_transition_drill`].
@@ -289,14 +290,15 @@ impl std::error::Error for TransitionDrillError {}
 
 /// Hooks that deliver a scheduled batch of events at one poll and
 /// independently re-verify every state the executor applies. The
-/// verifier is its own [`WarmOracle`] (not the executor's), seeded by
-/// the same [`seeded_oracle`] recipe as the planner and the executor. It
-/// then follows the applied state sequence one link at a time, so its
-/// witness chain tracks the fabric, and any rejection it produces is a
-/// genuine safety violation — an unseeded or cold-only check would
-/// misreport feasible sets its greedy router happens not to pack.
+/// verifier is its own [`Invariants`] (not the executor's), built for the
+/// walk the way the planner and the executor build theirs. It then
+/// admits the applied state sequence one link at a time, so its witness
+/// chain tracks the fabric, and any refusal is a genuine safety
+/// violation — an unseeded or cold-only check would misreport feasible
+/// sets its greedy router happens not to pack. Whether a cut link came
+/// back is checked here too: only injected events cut links.
 struct DrillHooks<'a> {
-    verifier: WarmOracle<'a>,
+    verifier: Invariants<'a>,
     events: Vec<TransitionEvent>,
     at_poll: usize,
     polls: usize,
@@ -312,10 +314,7 @@ impl TransitionHooks for DrillHooks<'_> {
         _op: TransitionOp,
         state_after: &LinkSet,
     ) -> Result<(), String> {
-        // `evaluate` (not `acceptable`): it always routes, so every state
-        // is judged by the router from the current witness, never by a
-        // cut certificate.
-        if self.verifier.evaluate(state_after).is_err() {
+        if !self.verifier.admit(state_after) {
             self.unsafe_intermediates += 1;
         }
         if self.delivered_cuts.iter().any(|&l| state_after.contains(l)) {
@@ -340,11 +339,11 @@ impl TransitionHooks for DrillHooks<'_> {
 /// Drill a migration `from → to`: plan it, then — at the chosen round
 /// boundary — cut the busiest target links and recall the next-busiest
 /// while the executor is mid-walk. The executor must replan (or unwind)
-/// rather than ever applying a state the verifier rejects: an
-/// independently seeded [`WarmOracle`] at the head of the same witness
-/// chain, which follows the applied states and `evaluate`s each one (a
-/// warm failure falls back to a full cold evaluation). The report carries
-/// the violation counters for callers to assert on.
+/// rather than ever applying a state the verifier refuses: an
+/// independent [`Invariants`] at the head of the same witness chain,
+/// which follows the applied states and admits each one (a warm failure
+/// falls back to a cold evaluation). The report carries the violation
+/// counters for callers to assert on.
 pub fn run_transition_drill(
     topo: &PocTopology,
     tm: &TrafficMatrix,
@@ -371,7 +370,7 @@ pub fn run_transition_drill(
         .collect();
     // The verifier stands at the head of the same witness chain as the
     // planner and the executor, and then follows the applied states.
-    let verifier = seeded_oracle(topo, tm, constraint, from, to)
+    let verifier = Invariants::new(topo, tm, constraint, from, to, &cfg)
         .map_err(|r| TransitionDrillError::Plan(TransitionError::TargetInfeasible(r)))?;
     let mut hooks = DrillHooks {
         verifier,
@@ -386,15 +385,11 @@ pub fn run_transition_drill(
         .map_err(|e| TransitionDrillError::Exec(e.to_string()))?;
 
     Ok(TransitionDrillReport {
-        outcome: report.outcome,
-        steps_applied: report.steps_applied,
-        replans: report.replans,
-        rollbacks: report.rollbacks,
+        report,
         cut_links,
         recalled_links,
         unsafe_intermediates: hooks.unsafe_intermediates,
         dead_link_reappearances: hooks.dead_link_reappearances,
-        final_state: report.final_state,
     })
 }
 
@@ -404,6 +399,7 @@ mod tests {
     use poc_flow::FeasibilityOracle;
     use poc_topology::builder::two_bp_square;
     use poc_topology::RouterId;
+    use poc_transition::TransitionOutcome;
 
     fn r(i: u32) -> RouterId {
         RouterId(i)
@@ -512,15 +508,15 @@ mod tests {
         // must end committed — on the shrunken target, after a replan.
         let spec = TransitionDrillSpec { n_cuts: 1, n_recalls: 0, at_poll: 0 };
         let rep = run_transition_drill(&t, &tm, c, &from, &to, &spec).unwrap();
-        assert_eq!(rep.outcome, TransitionOutcome::Committed, "{rep:?}");
-        assert!(rep.replans >= 1, "cut must force a replan: {rep:?}");
+        assert_eq!(rep.report.outcome, TransitionOutcome::Committed, "{rep:?}");
+        assert!(rep.report.replans >= 1, "cut must force a replan: {rep:?}");
         assert_eq!(rep.cut_links.len(), 1);
-        assert!(!rep.final_state.contains(rep.cut_links[0]));
+        assert!(!rep.report.final_state.contains(rep.cut_links[0]));
         assert_eq!(rep.unsafe_intermediates, 0, "{rep:?}");
         assert_eq!(rep.dead_link_reappearances, 0, "{rep:?}");
         let mut want = to.clone();
         want.remove(rep.cut_links[0]);
-        assert_eq!(rep.final_state, want);
+        assert_eq!(rep.report.final_state, want);
     }
 
     #[test]
@@ -533,10 +529,10 @@ mod tests {
 
         let spec = TransitionDrillSpec { n_cuts: 0, n_recalls: 2, at_poll: 0 };
         let rep = run_transition_drill(&t, &tm, c, &from, &to, &spec).unwrap();
-        assert_eq!(rep.outcome, TransitionOutcome::Committed, "{rep:?}");
+        assert_eq!(rep.report.outcome, TransitionOutcome::Committed, "{rep:?}");
         assert_eq!(rep.recalled_links.len(), 2);
         for &l in &rep.recalled_links {
-            assert!(!rep.final_state.contains(l), "recalled link must drain out: {rep:?}");
+            assert!(!rep.report.final_state.contains(l), "recalled link must drain out: {rep:?}");
         }
         assert_eq!(rep.unsafe_intermediates, 0, "{rep:?}");
     }
@@ -560,11 +556,11 @@ mod tests {
         assert_eq!(rep.unsafe_intermediates, 0, "{rep:?}");
         assert_eq!(rep.dead_link_reappearances, 0, "{rep:?}");
         for &l in &rep.cut_links {
-            assert!(!rep.final_state.contains(l), "dead link in final state: {rep:?}");
+            assert!(!rep.report.final_state.contains(l), "dead link in final state: {rep:?}");
         }
-        if rep.outcome == TransitionOutcome::Committed {
+        if rep.report.outcome == TransitionOutcome::Committed {
             for &l in &rep.recalled_links {
-                assert!(!rep.final_state.contains(l), "{rep:?}");
+                assert!(!rep.report.final_state.contains(l), "{rep:?}");
             }
         }
     }
@@ -577,9 +573,9 @@ mod tests {
         let set = LinkSet::full(t.n_links());
         let rep =
             run_transition_drill(&t, &tm, c, &set, &set, &TransitionDrillSpec::default()).unwrap();
-        assert_eq!(rep.outcome, TransitionOutcome::Committed);
-        assert_eq!(rep.steps_applied, 0);
-        assert_eq!(rep.final_state, set);
+        assert_eq!(rep.report.outcome, TransitionOutcome::Committed);
+        assert_eq!(rep.report.steps_applied, 0);
+        assert_eq!(rep.report.final_state, set);
     }
 
     #[test]
@@ -593,8 +589,8 @@ mod tests {
             run_transition_drill(&t, &tm, c, &from, &to, &TransitionDrillSpec::default()).unwrap();
         let json = serde_json::to_string(&rep).unwrap();
         let back: TransitionDrillReport = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.outcome, rep.outcome);
-        assert_eq!(back.steps_applied, rep.steps_applied);
-        assert_eq!(back.final_state, rep.final_state);
+        assert_eq!(back.report.outcome, rep.report.outcome);
+        assert_eq!(back.report.steps_applied, rep.report.steps_applied);
+        assert_eq!(back.report.final_state, rep.report.final_state);
     }
 }

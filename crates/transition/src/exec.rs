@@ -4,15 +4,17 @@
 //! The executor walks the plan's homogeneous rounds (all-add / all-remove
 //! runs: ops within a round commute). Before each round it polls
 //! [`TransitionHooks::poll_events`] for the outside world intruding — a
-//! link cut, a BP recall — and re-verifies the round's states in plan
-//! order, one probe per step, on the oracle the planner's own seeding
-//! recipe produced ([`seeded_oracle`]). Warm verdicts depend on the
-//! witness chain; standing where the planner stood and probing what it
-//! probed, an undisturbed walk replays the chain the planner accepted.
-//! Anything off plan triggers a replan from the live state toward the
-//! (possibly shrunken) target; when no safe forward plan remains, the
-//! executor plans a rollback to the original set, and as a last resort
-//! force-restores it atomically.
+//! link cut, a BP recall — and re-admits the round's states in plan
+//! order, one probe per step, through [`Invariants`] built for the plan
+//! exactly as the planner builds them: the same lease budget from the
+//! `cfg` it was given, the same seeding of the witness chain. Warm
+//! verdicts depend on that chain; standing where the planner stood and
+//! probing what it probed, an undisturbed walk replays the chain the
+//! planner accepted, and a caller's plan over the budget is replanned,
+//! not applied. Anything off plan triggers a replan from the live state
+//! toward the (possibly shrunken) target; when no safe forward plan
+//! remains, the executor plans a rollback to the original set, and as a
+//! last resort force-restores it atomically.
 //!
 //! The original set — where an unwind ends — is an input of that one
 //! loop, and there are two ways in: [`execute_transition`] walks a plan
@@ -26,8 +28,8 @@
 //! plane can journal it durably *before* mutating the lease book —
 //! that's what makes a crash at any point recoverable.
 
-use crate::plan::{plan_transition, seeded_oracle, PlanConfig, TransitionOp, TransitionPlan};
-use poc_flow::{AcceptabilityOracle, Constraint, LinkSet};
+use crate::plan::{plan_transition, Invariants, PlanConfig, TransitionOp, TransitionPlan};
+use poc_flow::{Constraint, LinkSet};
 use poc_topology::{LinkId, PocTopology};
 use poc_traffic::TrafficMatrix;
 use serde::{Deserialize, Serialize};
@@ -218,22 +220,23 @@ fn run_walk(
         };
 
         // Every plan, the caller's and each replan's, is re-verified from
-        // the head of its own witness chain. A target that no longer
-        // passes verifies nothing, and the replan above reports it.
-        let oracle = seeded_oracle(topo, tm, constraint, &plan.from, &plan.to).ok();
+        // the head of its own witness chain, under `cfg`'s budget. A
+        // target that no longer passes verifies nothing, and the replan
+        // above reports it.
+        let invariants = Invariants::new(topo, tm, constraint, &plan.from, &plan.to, cfg).ok();
         let states = plan.states();
         for round in plan.rounds() {
             // 1. Let the outside world intrude.
             let events = hooks.poll_events();
             let drifted = apply_events(&events, &mut current, &mut target, &mut original);
 
-            // 2. Re-verify this round's states in plan order, one probe
+            // 2. Re-admit this round's states in plan order, one probe
             //    per step.
             let verified = !drifted
-                && oracle.as_ref().is_some_and(|oracle| {
+                && invariants.as_ref().is_some_and(|invariants| {
                     states[round.clone()].iter().all(|state| {
                         let _span = poc_obs::span!("transition.verify");
-                        oracle.acceptable(state)
+                        invariants.admit(state)
                     })
                 });
 
@@ -399,6 +402,28 @@ mod tests {
         // Step indices are the journal sequence: 0..n in order.
         assert!(rec.applied.iter().enumerate().all(|(i, (idx, _))| i == *idx));
         assert_eq!(rec.states.last().unwrap(), &b);
+    }
+
+    #[test]
+    fn the_executor_enforces_the_budget_it_is_given() {
+        let t = two_bp_square();
+        let tm = tm_for(&t);
+        let c = Constraint::BaseLoad;
+        let (a, b) = two_minimal_sets(&t, &tm, c);
+        assert_eq!((a.len(), b.len()), (3, 3));
+        // Unbounded, the adds-first walk peaks at 5 links.
+        let plan = plan_transition(&t, &tm, c, &a, &b, &PlanConfig::default()).unwrap();
+        assert_eq!(plan.steps.len(), 4);
+        assert_eq!(plan.states().iter().map(LinkSet::len).max(), Some(5));
+        // Handed to an executor told to hold at most 3, no step of it
+        // lands; no order within 3 exists, so the walk stays put.
+        let cfg = PlanConfig { max_extra_links: Some(0) };
+        let mut rec = Recorder::default();
+        let report = execute_transition(&t, &tm, c, &cfg, plan, &mut rec).unwrap();
+        assert!(rec.states.iter().all(|s| s.len() <= 3), "over budget: {:?}", rec.states);
+        assert_eq!(report.outcome, TransitionOutcome::RolledBack);
+        assert_eq!(report.steps_applied, 0);
+        assert_eq!(report.final_state, a);
     }
 
     #[test]

@@ -7,18 +7,23 @@
 //! operations is what members actually ride on. This crate makes that
 //! migration *safe*:
 //!
+//! * [`plan::Invariants`] states once what every intermediate link set of
+//!   a walk must satisfy: it holds no more than the lease budget
+//!   (`max(|from|, |to|) + max_extra_links`), and it is **feasible and
+//!   resilient** under the operating [`Constraint`](poc_flow::Constraint)
+//!   — verified with the incremental
+//!   [`WarmOracle`](poc_flow::WarmOracle), carrying the routing witness
+//!   from step to step. The planner, the executor and the drill in
+//!   `poc-netsim` each admit states through their own.
 //! * [`plan::plan_transition`] orders the lease add/remove operations so
-//!   that **every intermediate link set is feasible and resilient** under
-//!   the operating [`Constraint`](poc_flow::Constraint) — verified with
-//!   the incremental [`WarmOracle`](poc_flow::WarmOracle), carrying the
-//!   routing witness from step to step. A greedy order that dead-ends is
-//!   repaired by backtracking; if no safe order exists at all, the typed
-//!   [`TransitionError::NoSafePlan`] says so rather than shipping an
-//!   unsafe plan.
+//!   that every intermediate set is admitted. A greedy order that
+//!   dead-ends is repaired by backtracking; if no safe order exists at
+//!   all, the typed [`TransitionError::NoSafePlan`] says so rather than
+//!   shipping an unsafe plan.
 //! * [`exec::execute_transition`] runs a plan round by round (a round is
-//!   a run of consecutive same-kind operations), re-verifying each
-//!   round's states in plan order on an oracle seeded exactly as the
-//!   planner's was ([`plan::seeded_oracle`]), and applying each step
+//!   a run of consecutive same-kind operations), re-admitting each
+//!   round's states in plan order through `Invariants` built exactly as
+//!   the planner's were, and applying each step
 //!   through [`exec::TransitionHooks`] so a controller can journal it
 //!   durably before touching the lease book. Mid-flight events — link
 //!   cuts, BP recalls — trigger a replan toward the (possibly shrunken)
@@ -40,5 +45,5 @@ pub use exec::{
     TransitionOutcome, TransitionReport,
 };
 pub use plan::{
-    plan_transition, seeded_oracle, PlanConfig, TransitionError, TransitionOp, TransitionPlan,
+    plan_transition, Invariants, PlanConfig, TransitionError, TransitionOp, TransitionPlan,
 };

@@ -1,9 +1,10 @@
 //! Ordering lease migrations so every intermediate state is safe.
 //!
 //! The planner searches over interleavings of the add set `to ∖ from` and
-//! the remove set `from ∖ to`. Each candidate prefix state is checked
-//! with a [`WarmOracle`]: the accepted routing of one state is the warm
-//! witness for the next probe, so verifying a whole plan costs little
+//! the remove set `from ∖ to`. Each candidate prefix state is admitted
+//! through the walk's [`Invariants`]: within the lease budget, and
+//! accepted by a [`WarmOracle`] whose accepted routing of one state is the
+//! warm witness for the next probe, so verifying a whole plan costs little
 //! more than repairing one routing step by step. Greedy order (adds
 //! before removes — extra capacity never hurts) is tried first; when a
 //! branch dead-ends the search backtracks, memoizing dead states so the
@@ -115,10 +116,6 @@ impl TransitionPlan {
         }
         out
     }
-
-    pub fn is_noop(&self) -> bool {
-        self.steps.is_empty()
-    }
 }
 
 /// Why no plan was produced.
@@ -151,8 +148,9 @@ impl std::fmt::Display for TransitionError {
 impl std::error::Error for TransitionError {}
 
 /// Plan a safe migration `from → to`: an ordering of the add/remove
-/// operations in which **every** intermediate link set passes the
-/// feasibility-and-resilience oracle at `constraint`.
+/// operations in which **every** intermediate link set is admitted by
+/// the walk's [`Invariants`] (within `cfg`'s budget, feasible and
+/// resilient at `constraint`).
 ///
 /// `from` itself is *not* required to pass — it is whatever the fabric is
 /// currently on, possibly degraded by a link cut; the plan's job is to
@@ -171,50 +169,65 @@ pub fn plan_transition(
     }
     let _span = poc_obs::span!("transition.plan");
 
-    let oracle =
-        seeded_oracle(topo, tm, constraint, from, to).map_err(TransitionError::TargetInfeasible)?;
+    let invariants = Invariants::new(topo, tm, constraint, from, to, cfg)
+        .map_err(TransitionError::TargetInfeasible)?;
 
-    let budget = from.len().max(to.len()).saturating_add(cfg.max_extra_links.unwrap_or(usize::MAX));
-
-    let mut search =
-        Search { oracle: &oracle, to, budget, explored: 0, probes: 0, dead: HashSet::new() };
+    let mut search = Search { invariants: &invariants, to, probes: 0, dead: HashSet::new() };
     let mut steps = Vec::new();
     if search.dfs(from.clone(), &mut steps) {
         poc_obs::counter!("transition.plans").inc();
         Ok(TransitionPlan { from: from.clone(), to: to.clone(), steps, probes: search.probes })
     } else {
-        Err(TransitionError::NoSafePlan { explored: search.explored })
+        Err(TransitionError::NoSafePlan { explored: search.probes })
     }
 }
 
-/// The oracle a `from → to` walk is probed with, standing at the head of
-/// its witness chain. The target anchors the chain (it must pass, and its
-/// routing is the first witness); `from` is evaluated second, so a walk
-/// starts from a witness near its first step when `from` still routes, and
-/// from the target's when `from` is degraded.
+/// What every state of one `from → to` walk must satisfy, stated once:
+/// it holds at most `budget` links, and it passes the warm oracle at the
+/// head of the walk's witness chain. The planner, the executor
+/// re-verifying a plan and a drill auditing the applied states each
+/// build their own and [`admit`](Self::admit) states through it.
 ///
-/// Warm verdicts depend on the witness chain, so everyone who judges the
-/// states of one walk — the planner, the executor re-verifying its plan,
-/// a drill auditing the applied sequence — seeds here and then probes in
-/// walk order: the same chain gives the same verdicts.
-pub fn seeded_oracle<'a>(
-    topo: &'a PocTopology,
-    tm: &'a TrafficMatrix,
-    constraint: Constraint,
-    from: &LinkSet,
-    to: &LinkSet,
-) -> Result<WarmOracle<'a>, Rejection> {
-    let oracle = WarmOracle::new(topo, tm, constraint);
-    oracle.evaluate(to)?;
-    let _ = oracle.evaluate(from);
-    Ok(oracle)
+/// The chain is anchored on the target (it must pass, and its routing is
+/// the first witness); `from` is evaluated second, so a walk starts from
+/// a witness near its first step when `from` still routes, and from the
+/// target's when `from` is degraded. Warm verdicts depend on the witness
+/// chain, so whoever seeds here and then probes in walk order sees the
+/// verdicts the planner saw.
+pub struct Invariants<'a> {
+    oracle: WarmOracle<'a>,
+    /// `max(|from|, |to|) + max_extra_links`: the lease budget.
+    budget: usize,
+}
+
+impl<'a> Invariants<'a> {
+    /// Seed the chain for `from → to` under `cfg`'s budget; the target's
+    /// rejection if it does not pass.
+    pub fn new(
+        topo: &'a PocTopology,
+        tm: &'a TrafficMatrix,
+        constraint: Constraint,
+        from: &LinkSet,
+        to: &LinkSet,
+        cfg: &PlanConfig,
+    ) -> Result<Self, Rejection> {
+        let oracle = WarmOracle::new(topo, tm, constraint);
+        oracle.evaluate(to)?;
+        let _ = oracle.evaluate(from);
+        let extra = cfg.max_extra_links.unwrap_or(usize::MAX);
+        Ok(Self { oracle, budget: from.len().max(to.len()).saturating_add(extra) })
+    }
+
+    /// Whether `state` is within budget and acceptable. Probes the oracle
+    /// only for a state within budget, and moves the chain on an accept.
+    pub fn admit(&self, state: &LinkSet) -> bool {
+        state.len() <= self.budget && self.oracle.acceptable(state)
+    }
 }
 
 struct Search<'a, 'o> {
-    oracle: &'a WarmOracle<'o>,
+    invariants: &'a Invariants<'o>,
     to: &'a LinkSet,
-    budget: usize,
-    explored: usize,
     probes: usize,
     /// States from which no safe completion exists.
     dead: HashSet<LinkSet>,
@@ -226,14 +239,14 @@ impl Search<'_, '_> {
         if &state == self.to {
             return true;
         }
-        if self.explored >= MAX_EXPLORED {
+        if self.probes >= MAX_EXPLORED {
             return false;
         }
 
         // Candidate ops, greedy order: adds first (extra capacity only
         // helps), both in ascending link order for determinism.
         let mut candidates: Vec<TransitionOp> = Vec::new();
-        if state.len() < self.budget {
+        if state.len() < self.invariants.budget {
             candidates.extend(self.to.difference(&state).iter().map(TransitionOp::Add));
         }
         candidates.extend(state.difference(self.to).iter().map(TransitionOp::Remove));
@@ -243,11 +256,10 @@ impl Search<'_, '_> {
             if self.dead.contains(&next) {
                 continue;
             }
-            self.explored += 1;
             self.probes += 1;
             // A state reached again through a different interleaving is
             // in `dead` by then: no set is probed twice in one search.
-            if !self.oracle.acceptable(&next) {
+            if !self.invariants.admit(&next) {
                 self.dead.insert(next);
                 continue;
             }
@@ -309,7 +321,7 @@ mod tests {
         let plan =
             plan_transition(&t, &tm, Constraint::BaseLoad, &full, &full, &PlanConfig::default())
                 .unwrap();
-        assert!(plan.is_noop());
+        assert!(plan.steps.is_empty());
         assert!(plan.states().is_empty());
         assert!(plan.rounds().is_empty());
     }

@@ -121,7 +121,7 @@ fn resuming_from_a_plans_start_applies_the_plans_own_steps_at_every_constraint()
         let a = minimal_set(&topo, &tm, c, 0..topo.n_links());
         let b = minimal_set(&topo, &tm, c, (0..topo.n_links()).rev());
         let plan = plan_transition(&topo, &tm, c, &a, &b, &cfg).expect("plannable");
-        assert!(!plan.is_noop(), "nothing to migrate at {}", c.label());
+        assert!(!plan.steps.is_empty(), "nothing to migrate at {}", c.label());
 
         let mut executed = Applied::default();
         let ran = execute_transition(&topo, &tm, c, &cfg, plan.clone(), &mut executed).unwrap();

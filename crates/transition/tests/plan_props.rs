@@ -3,15 +3,36 @@
 //! passes the *cold* feasibility oracle at the operating constraint —
 //! the planner verifies with the warm oracle, so this cross-checks that
 //! the warm witness chain never vouches for a state the from-scratch
-//! oracle would flag, at all three paper constraint levels.
+//! oracle would flag, at all three paper constraint levels — and the
+//! executor, given the plan and the budget it was planned under, admits
+//! every state the planner did.
 
 use poc_auction::{run_auction, GreedySelector, Market};
 use poc_flow::{Constraint, FeasibilityOracle, LinkSet};
 use poc_topology::builder::two_bp_square;
 use poc_topology::RouterId;
 use poc_traffic::TrafficMatrix;
-use poc_transition::{plan_transition, PlanConfig, TransitionError};
+use poc_transition::{
+    execute_transition, plan_transition, PlanConfig, TransitionError, TransitionHooks,
+    TransitionOp, TransitionOutcome,
+};
 use proptest::prelude::*;
+
+/// Hooks that record the state after every applied step.
+#[derive(Default)]
+struct Applied(Vec<LinkSet>);
+
+impl TransitionHooks for Applied {
+    fn apply_step(
+        &mut self,
+        _: usize,
+        _: TransitionOp,
+        state_after: &LinkSet,
+    ) -> Result<(), String> {
+        self.0.push(state_after.clone());
+        Ok(())
+    }
+}
 
 /// Random sparse demand over the square's four routers.
 fn tm_from(demands: &[(u8, u8, u8)]) -> TrafficMatrix {
@@ -53,7 +74,7 @@ proptest! {
 
             // The migration runs under the *new* round's demand: that is
             // what the fabric must keep carrying while leases move.
-            let cfg = PlanConfig { max_extra_links: Some(headroom) };
+            let mut cfg = PlanConfig { max_extra_links: Some(headroom) };
             let plan = match plan_transition(
                 &topo, &tm_b, constraint, &out_a.selected, &out_b.selected, &cfg,
             ) {
@@ -63,9 +84,9 @@ proptest! {
                 // unbounded fallback must then succeed (add-first order is
                 // always safe when capacity may grow).
                 Err(TransitionError::NoSafePlan { .. }) => {
-                    let unbounded = PlanConfig::default();
+                    cfg = PlanConfig::default();
                     plan_transition(
-                        &topo, &tm_b, constraint, &out_a.selected, &out_b.selected, &unbounded,
+                        &topo, &tm_b, constraint, &out_a.selected, &out_b.selected, &cfg,
                     ).expect("unbounded plan between feasible outcomes must exist")
                 }
                 Err(e) => panic!("unexpected planner error: {e}"),
@@ -82,6 +103,17 @@ proptest! {
                     state.len(), plan.from, plan.to
                 );
             }
+
+            // Executed under the budget it was planned with, the plan
+            // lands as planned: the executor's checks agree with the
+            // planner's, so they cause no replan.
+            let mut applied = Applied::default();
+            let states = plan.states();
+            let report = execute_transition(&topo, &tm_b, constraint, &cfg, plan, &mut applied)
+                .expect("the recording hooks refuse nothing");
+            prop_assert_eq!(report.outcome, TransitionOutcome::Committed);
+            prop_assert_eq!(report.replans, 0);
+            prop_assert_eq!(applied.0, states);
         }
     }
 

@@ -78,12 +78,13 @@ commands:
   transition [--headroom FACTOR]       migrate the fabric to the set the auction
              [--constraint N]            selects under demand scaled by FACTOR
              [--max-extra N]             (default 1.5), every intermediate set
-             [--cut N] [--recall N]      verified feasible. --max-extra caps
-             [--addr HOST:PORT]          headroom links held mid-walk; --cut/
-             [--status]                  --recall inject faults mid-transition
-                                         (local drill only). --addr runs the
-                                         migration on a live server instead;
-                                         --status asks it how the last one ended.
+             [--cut N] [--recall N]      verified feasible. --cut/--recall
+             [--addr HOST:PORT]          inject faults mid-transition (local
+             [--status]                  drill only). --addr runs the migration
+                                         on a live server instead, where
+                                         --max-extra caps the headroom links
+                                         held mid-walk (it requires --addr);
+                                         --status asks how the last one ended.
   dataplane [--horizon-ms N]           auction → leases → packets → money: run one
             [--cheat FACTOR]             VCG round, replay the traffic matrix as
             [--addr HOST:PORT]           packets on the leased fabric, settle the
@@ -285,6 +286,9 @@ fn cmd_transition(rest: &[String]) -> Result<(), String> {
         return Ok(());
     }
 
+    if max_extra.is_some() {
+        return Err("--max-extra requires --addr".into());
+    }
     let preset = preset(rest)?;
     let constraint = constraint(rest, preset)?;
     let (topo, tm) = build_instance(preset);
@@ -316,11 +320,11 @@ fn cmd_transition(rest: &[String]) -> Result<(), String> {
         .map_err(|e| format!("{e}"))?;
     println!(
         "{:?}: {} steps, {} replans, {} rollbacks, final {} links",
-        rep.outcome,
-        rep.steps_applied,
-        rep.replans,
-        rep.rollbacks,
-        rep.final_state.len()
+        rep.report.outcome,
+        rep.report.steps_applied,
+        rep.report.replans,
+        rep.report.rollbacks,
+        rep.report.final_state.len()
     );
     if !rep.cut_links.is_empty() {
         println!("cut mid-walk: {:?}", rep.cut_links);

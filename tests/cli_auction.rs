@@ -1,7 +1,9 @@
 //! The `poc` binary's `auction` subcommand end to end: one VCG round on
 //! the small preset prints its header and one row per BP holding links in
 //! `SL`, each paid at least its bid; an unknown constraint is refused, by
-//! `auction` and by `transition`, which parse it the same way.
+//! `auction` and by `transition`, which parse it the same way. The local
+//! `transition` drill runs with a cut and a recall and reports no unsafe
+//! state, and refuses `--max-extra`, which only a server walk honours.
 
 use std::process::{Command, Output};
 
@@ -64,4 +66,33 @@ fn transition_refuses_an_unknown_constraint() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("unknown constraint"), "{stderr}");
     assert!(out.stdout.is_empty(), "{}", String::from_utf8_lossy(&out.stdout));
+}
+
+#[test]
+fn transition_refuses_max_extra_without_addr() {
+    // The local drill walks under the default budget, so a cap it would
+    // ignore is refused before either auction runs.
+    let out = poc("transition", &["--max-extra", "0"]);
+    assert!(!out.status.success(), "poc transition --max-extra 0 succeeded");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--max-extra requires --addr"), "{stderr}");
+    assert!(out.stdout.is_empty(), "{}", String::from_utf8_lossy(&out.stdout));
+}
+
+#[test]
+fn transition_drill_under_a_cut_and_a_recall_applies_no_unsafe_state() {
+    let out = poc("transition", &["--cut", "1", "--recall", "1"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "poc transition exited with {}\n{stdout}\n{}",
+        out.status,
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(
+        stdout
+            .lines()
+            .any(|l| l == "safety: 0 infeasible intermediates, 0 dead-link reappearances"),
+        "{stdout}"
+    );
 }
