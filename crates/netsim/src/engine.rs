@@ -9,24 +9,26 @@
 //! same gravity traffic matrices the auction is sized on, scaled to
 //! millions of user-flows via [`poc_traffic::UserFlowModel`].
 //!
+//! A directional link is a FIFO with one packet size and no preemption, so
+//! Lindley's recursion gives each packet's departure when the link accepts
+//! it: `dep = max(t, free_at) + tx`, `free_at` being the last accepted
+//! packet's. A departure is therefore not an event. An arrival at `t`
+//! finds `ceil((free_at − t) / tx)` packets in a buffer of `cap` and
+//! tail-drops unless `free_at − t ≤ (cap − 1)·tx`: it sees every departure
+//! at `t` as complete (the tie rule). An accepted packet departs after the
+//! horizon (queued), arrives after it (in flight), is delivered by its last
+//! hop, or enters the link's propagation pipe, due at `dep + prop`.
+//!
 //! The scheduler runs on one clock of 8 192 ns time-slices. Periodic source
 //! injections are generated per slice by scanning the source table and put
 //! in `(time, source)` order by a counting pass over the slice's nanosecond
 //! offsets: the scan already yields each source's fires in time order and
-//! the sources in index order, so no comparison is needed. Link events —
-//! departures and propagation-pipe exits — wait in a calendar with one
-//! FIFO per nanosecond offset of the same slice; only those due after the
-//! slice wait in a binary heap. The fires are merge-joined against the link
-//! events under a fixed tie rule: link events first at equal times.
-//!
-//! The calendar pops link events in exactly the `(time, seq)` order one
-//! heap would, `seq` being push order: when a slice begins, its events move
-//! out of the heap into their offsets' FIFOs, in heap order, before
-//! anything is pushed in that slice, and every later push appends. Nearly
-//! every departure reschedules within its slice, so most events cost a
-//! FIFO append and a `trailing_zeros` scan and no sift at all. A wider
-//! (4-ary) heap only makes each sift cheaper, and it measured slower than
-//! `std`'s binary heap at this depth.
+//! the sources in index order, so no comparison is needed. Pipe exits, the
+//! only link events, wait in a calendar with one FIFO per nanosecond offset
+//! of the same slice and pop in exactly the `(time, seq)` order one heap
+//! would, `seq` being push order; only those due after the slice wait in a
+//! binary heap (a 4-ary one measured slower). The fires are merge-joined
+//! against the pipe exits under a fixed tie rule: pipe exits first.
 //!
 //! Per-owner delivered bytes aggregate into `usage_by_owner`, average
 //! delivered Gbit/s per owner, so an [`EngineReport`] feeds `ReportUsage`
@@ -39,8 +41,8 @@
 //! holding each source's route of directional links followed by a
 //! terminator `WALK_END | source`. `walk[pos]` is the link carrying the
 //! packet and `walk[pos + 1]` the next one; when that is a terminator, the
-//! next departure delivers the packet and the terminator names whose it
-//! was. Owner and tag are the source's, so the hot path counts only
+//! link that accepts the packet delivers it and the terminator names whose
+//! it was. Owner and tag are the source's, so the hot path counts only
 //! deliveries per source and tail drops per walk position, one indexed add
 //! each, and [`Engine::run`] folds both into per-owner and per-tag totals
 //! when it builds the report. The drop counts are per link as well: a drop
@@ -49,18 +51,19 @@
 //! A propagation pipe stores, per packet, the gap since the arrival of the
 //! packet ahead of it instead of a `u64` arrival time: the head's arrival
 //! is its calendar event's time, and the link keeps the arrival of the
-//! last packet for the next push. Both packets of a gap are in the pipe
-//! together, so a gap is at most the link's one-way delay, which
-//! [`Engine::new`] holds to `u32::MAX` ns (4.29 s, about 859 000 km of
-//! fibre). A pipe entry is one `u32`: the packet's walk position in the low
-//! bits — as many as the walks' length needs, fixed when [`Engine::run`]
-//! starts — and the gap in the rest. A gap too wide for its field is
-//! written as the field's all-ones escape, with the full `u32` gap in the
-//! next slot. A packet costs 4 bytes, queued or in flight.
+//! last packet for the next push. A packet joins the pipe on acceptance,
+//! while the packet ahead is still in it, so a gap is below the link's
+//! delay plus a full buffer's drain, `prop + cap·tx`, and at most the
+//! horizon; [`Engine::new`] holds the smaller to `u32::MAX` ns (4.29 s). A
+//! pipe entry is one `u32`: the packet's walk position in the low bits —
+//! as many as the walks' length needs, fixed when [`Engine::run`] starts —
+//! and the gap in the rest. A gap too wide for its field is written as the
+//! field's all-ones escape, with the full `u32` gap in the next slot. A
+//! packet in flight costs 4 bytes; a queued one costs nothing.
 //!
 //! Determinism: two engines built with the same inputs and seed produce
-//! byte-identical reports. Everything that orders work — the link-event
-//! order `(time, seq)`, the injection-merge tie rule (link events first at
+//! byte-identical reports. Everything that orders work — the pipe-exit
+//! order `(time, seq)`, the injection-merge tie rule (pipe exits first at
 //! equal times, then injections in source order), walk layout,
 //! owner/tag interning, source phases drawn from a seeded ChaCha8 — is a
 //! function of construction order alone.
@@ -163,6 +166,10 @@ pub enum EngineError {
     /// An active link's one-way delay exceeds `u32::MAX` ns (4.29 s): a
     /// propagation pipe stores the gaps between its arrivals in a `u32`.
     LinkDelayTooLong { link: LinkId, prop_ns: u64 },
+    /// An active link can hold a packet for `span_ns > u32::MAX` ns from
+    /// acceptance to arrival (its delay plus a full buffer's drain, or the
+    /// horizon if shorter), and so could the gaps in its pipe.
+    LinkSpanTooLong { link: LinkId, span_ns: u64 },
     /// Source `source` would grow the walks to `walk_len` entries: a
     /// packet is a walk position and a terminator names its source below
     /// `2^31`, so neither may reach it.
@@ -193,6 +200,12 @@ impl std::fmt::Display for EngineError {
                 f,
                 "link {link} has a one-way delay of {prop_ns} ns; the engine carries at most \
                  {} ns (4.29 s)",
+                u32::MAX
+            ),
+            EngineError::LinkSpanTooLong { link, span_ns } => write!(
+                f,
+                "link {link} can hold a packet for {span_ns} ns from acceptance to arrival; \
+                 the engine carries at most {} ns (4.29 s)",
                 u32::MAX
             ),
             EngineError::WalkFull { source, walk_len } => write!(
@@ -237,14 +250,14 @@ impl TagStats {
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct EngineReport {
     pub horizon_ns: u64,
-    /// Discrete events processed: link events (departures, pipe exits)
-    /// plus `packets_injected`.
+    /// Discrete events processed: propagation-pipe exits plus
+    /// `packets_injected`. A departure is not an event.
     pub events: u64,
     /// Every injected packet ends in exactly one of the next four counts.
     pub packets_injected: u64,
     pub packets_delivered: u64,
     pub packets_dropped: u64,
-    /// Still in a link's FIFO at the horizon.
+    /// Accepted by a link's FIFO, departing after the horizon.
     pub packets_queued: u64,
     /// Departed a link but not arrived at its far end by the horizon.
     pub packets_in_flight: u64,
@@ -316,36 +329,55 @@ impl LinkLoad {
     }
 }
 
-/// One directional link: a rate server draining a FIFO byte buffer, plus
-/// a propagation pipe for packets in flight. Buffer occupancy lives in
-/// the separate [`Occupancy`] array: the tail-drop check — the single
-/// hottest path under overload — then touches a compact cache-resident
-/// table instead of this struct.
+/// One directional link's buffer as Lindley's recursion sees it, kept in
+/// one compact per-link array apart from [`DLink`]: the tail-drop check,
+/// the hottest path under overload, reads 24 bytes per arrival.
+#[derive(Clone, Copy, Debug)]
+struct Fifo {
+    /// Departure time of the last accepted packet; 0 before the first.
+    free_at: u64,
+    /// `(cap − 1)·tx_ns` for a buffer of `cap` packets.
+    limit: u64,
+    /// Serialization time of one packet, ns, in `[1, horizon + 1]`: a link
+    /// too slow to send a packet within the horizon, a zero-rate one among
+    /// them, takes `horizon + 1`. Its packets depart after the horizon
+    /// either way, and `free_at` counts them in steps of `tx_ns` that
+    /// `limit` stops at `cap`. The arithmetic saturates; it is exact while
+    /// `horizon + cap·tx_ns` fits in 64 bits.
+    tx_ns: u64,
+}
+
+impl Fifo {
+    fn new(cap: u64, tx_ns: u64) -> Self {
+        Fifo { free_at: 0, limit: (cap - 1).saturating_mul(tx_ns), tx_ns }
+    }
+
+    /// The departure time of a packet arriving at `t`, no earlier than the
+    /// last arrival, or `None` if the buffer is full and it tail-drops.
+    fn admit(&mut self, t: u64) -> Option<u64> {
+        if self.free_at.saturating_sub(t) > self.limit {
+            return None;
+        }
+        self.free_at = self.free_at.max(t).saturating_add(self.tx_ns);
+        Some(self.free_at)
+    }
+}
+
+/// One directional link's far side: its one-way delay and the pipe of the
+/// packets it accepted that arrive within the horizon. Keeping them here
+/// keeps the event queue at O(links) entries, not O(packets in flight).
 #[derive(Clone, Debug)]
 struct DLink {
-    /// Store-and-forward serialization time of one packet, ns (≥ 1). A
-    /// zero-rate link never drains: `∞` saturates to `u64::MAX` on the
-    /// cast, which the saturating event arithmetic pushes past any
-    /// horizon.
-    tx_ns: u64,
     /// One-way delay, ns; at most `u32::MAX` on an active link.
     prop_ns: u64,
-    queue: VecDeque<Packet>,
-    /// A departure event is outstanding for the queue head.
-    busy: bool,
-    /// Packets crossing the link. A long fat link holds ~bandwidth×delay
-    /// packets in flight; keeping them here keeps the event queue at
-    /// O(links) entries rather than O(packets in flight).
     pipe: Pipe,
 }
 
 /// A link's propagation pipe, in arrival order. Propagation delay is
-/// constant per link and departures happen in time order, so arrivals are
-/// FIFO and only the head needs an event: its arrival is that event's
+/// constant per link and a FIFO departs in acceptance order, so arrivals
+/// are FIFO and only the head needs an event: its arrival is that event's
 /// time. Every later entry stores the gap since the arrival of the entry
-/// ahead of it. The entry ahead is still in the pipe when the next one
-/// departs, so a gap is at most the link's delay, and no more than the
-/// horizon, since a packet due past the horizon never enters.
+/// ahead of it, which the module doc bounds.
 ///
 /// An entry packs the gap above the packet, which takes the low
 /// `pos_bits` bits ([`pos_bits`]). A gap of `u32::MAX >> pos_bits` or more
@@ -371,7 +403,7 @@ impl Pipe {
     fn push(&mut self, t_arr: u64, pkt: Packet, pos_bits: u32) -> bool {
         let empty = self.entries.is_empty();
         let gap = if empty { 0 } else { t_arr - self.last_arr };
-        let gap = u32::try_from(gap).expect("a gap is at most a delay Engine::new held to u32");
+        let gap = u32::try_from(gap).expect("a gap is at most a span Engine::new held to u32");
         let escape = u32::MAX >> pos_bits;
         self.entries.push_back(gap.min(escape) << pos_bits | pkt.0);
         if gap >= escape {
@@ -395,20 +427,6 @@ impl Pipe {
         });
         Some((Packet(head & !(u32::MAX << pos_bits)), next.map(|gap| now + gap as u64)))
     }
-
-    /// Packets in the pipe: entries, less the slots holding escaped gaps.
-    fn len(&self, pos_bits: u32) -> usize {
-        let escape = u32::MAX >> pos_bits;
-        let mut entries = self.entries.iter();
-        let mut n = 0;
-        while let Some(&e) = entries.next() {
-            if e >> pos_bits == escape {
-                entries.next();
-            }
-            n += 1;
-        }
-        n
-    }
 }
 
 /// Bits a pipe entry gives the walk position: the width of `walk_len`,
@@ -418,17 +436,8 @@ fn pos_bits(walk_len: usize) -> u32 {
     (usize::BITS - walk_len.leading_zeros()).max(1)
 }
 
-/// Byte occupancy of one directional link's buffer, split out of
-/// [`DLink`] so the (majority, under overload) drop path reads 16 bytes
-/// per arrival instead of a whole `DLink`.
-#[derive(Clone, Copy, Debug)]
-struct Occupancy {
-    queued_bytes: u64,
-    buffer_bytes: u64,
-}
-
 /// A packet, [`PKT_BYTES`] long: its position in the walks.
-/// `walk[pos]` is the directional link carrying it, or whose queue it is
+/// `walk[pos]` is the directional link carrying it, or whose buffer it is
 /// entering; `walk[pos + 1]` is the next link or its source's terminator.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Packet(u32);
@@ -454,15 +463,10 @@ struct Source {
     phase_ns: u64,
 }
 
-/// Calendar node kinds. Directional link `dl`'s pending pipe exit is node
-/// `2·dl + PIPE_OUT`: the head of its propagation pipe reaches the far end
-/// (and is forwarded to the next hop's queue). Its pending departure is
-/// node `2·dl + DEPART`: the head of its FIFO finishes serializing. A link
-/// has at most one of each outstanding, so a node is never queued twice.
-const PIPE_OUT: u32 = 0;
-const DEPART: u32 = 1;
-
-/// The link-event queue, on the injector's clock: one FIFO per nanosecond
+/// The pipe-exit queue, on the injector's clock. Its nodes are the
+/// directional links: node `dl` is pending while the head of `dl`'s
+/// propagation pipe is on its way to the far end, and a link's pipe has one
+/// head, so a node is never queued twice. It holds one FIFO per nanosecond
 /// offset of the current [`BUCKET_NS`] slice, linked through `next` and
 /// found through the `occupied` bitmap's lowest set bit, plus a binary heap
 /// keyed `(at, seq)` for events due after the slice. Injections are not
@@ -567,17 +571,19 @@ impl Calendar {
     }
 }
 
-/// Mutable scheduler state for one [`Engine::run`]: the link-event
-/// calendar plus every counter the report is assembled from. Split out of
-/// the engine so the hot-path methods can borrow it mutably alongside the
-/// engine's link table and walks.
+/// Mutable scheduler state for one [`Engine::run`]: the pipe-exit calendar
+/// plus every counter the report is assembled from. Split out of the engine
+/// so the hot-path methods can borrow it mutably alongside the engine's
+/// link tables and walks.
 struct RunState {
     cal: Calendar,
+    horizon: u64,
     /// Bits a pipe entry gives the walk position: [`pos_bits`] of the
     /// walks' length.
     pos_bits: u32,
-    link_events: u64,
+    pipe_exits: u64,
     packets_injected: u64,
+    packets_queued: u64,
     packets_in_flight: u64,
     /// Deliveries per source, named by the walk's terminator.
     delivered: Vec<u64>,
@@ -586,80 +592,54 @@ struct RunState {
 }
 
 impl RunState {
-    /// Enqueue a packet at directional link `dl`, which is `walk[pkt]`:
-    /// tail-drop on overflow, else start transmitting if the link is idle.
+    /// Offer a packet to directional link `dl`, which is `walk[pkt]`, at
+    /// `now`: tail-drop it, or accept it and settle on the spot whether it
+    /// is queued or in flight at the horizon, delivered, or piped onward.
     fn arrive(
         &mut self,
+        fifos: &mut [Fifo],
         links: &mut [DLink],
-        occ: &mut [Occupancy],
-        horizon: u64,
+        walk: &[u32],
         now: u64,
         dl: u32,
         pkt: Packet,
     ) {
-        let o = &mut occ[dl as usize];
-        if o.queued_bytes + PKT_BYTES > o.buffer_bytes {
+        let Some(dep) = fifos[dl as usize].admit(now) else {
             self.dropped[pkt.0 as usize] += 1;
             return;
+        };
+        if dep > self.horizon {
+            self.packets_queued += 1;
+            return;
         }
-        o.queued_bytes += PKT_BYTES;
         let link = &mut links[dl as usize];
-        link.queue.push_back(pkt);
-        if !link.busy {
-            link.busy = true;
-            let at = now.saturating_add(link.tx_ns);
-            if at <= horizon {
-                self.cal.push(at, 2 * dl + DEPART);
-            }
+        let t_arr = dep.saturating_add(link.prop_ns);
+        if t_arr > self.horizon {
+            self.packets_in_flight += 1;
+            return;
+        }
+        let next = pkt.0 + 1;
+        let ahead = walk[next as usize];
+        if ahead & WALK_END != 0 {
+            self.delivered[(ahead ^ WALK_END) as usize] += 1;
+        } else if link.pipe.push(t_arr, Packet(next), self.pos_bits) {
+            self.cal.push(t_arr, dl);
         }
     }
 
-    /// Process every link event scheduled at or before `until`, which lies
+    /// Process every pipe exit scheduled at or before `until`, which lies
     /// in the calendar's slice. The injection merge calls this with each
-    /// fire's timestamp, so link events win ties at equal times — a fixed
+    /// fire's timestamp, so pipe exits win ties at equal times — a fixed
     /// rule, which is all determinism needs.
-    fn drain_links(
-        &mut self,
-        links: &mut [DLink],
-        occ: &mut [Occupancy],
-        walk: &[u32],
-        horizon: u64,
-        until: u64,
-    ) {
-        while let Some((now, node)) = self.cal.pop(until) {
-            self.link_events += 1;
-            let dl = node / 2;
-            let link = &mut links[dl as usize];
-            if node % 2 == PIPE_OUT {
-                let (pkt, next) = link.pipe.pop(now, self.pos_bits).expect("pipe head exists");
-                if let Some(at) = next {
-                    self.cal.push(at, node);
-                }
-                self.arrive(links, occ, horizon, now, walk[pkt.0 as usize], pkt);
-                continue;
+    fn drain_links(&mut self, fifos: &mut [Fifo], links: &mut [DLink], walk: &[u32], until: u64) {
+        while let Some((now, dl)) = self.cal.pop(until) {
+            self.pipe_exits += 1;
+            let (pkt, next) =
+                links[dl as usize].pipe.pop(now, self.pos_bits).expect("pipe head exists");
+            if let Some(at) = next {
+                self.cal.push(at, dl);
             }
-            let pkt = link.queue.pop_front().expect("a departure fires only for a queue head");
-            occ[dl as usize].queued_bytes -= PKT_BYTES;
-            if link.queue.is_empty() {
-                link.busy = false;
-            } else {
-                let at = now.saturating_add(link.tx_ns);
-                if at <= horizon {
-                    self.cal.push(at, node);
-                }
-            }
-            let t_arr = now.saturating_add(link.prop_ns);
-            if t_arr > horizon {
-                self.packets_in_flight += 1;
-                continue;
-            }
-            let next = pkt.0 + 1;
-            let ahead = walk[next as usize];
-            if ahead & WALK_END != 0 {
-                self.delivered[(ahead ^ WALK_END) as usize] += 1;
-            } else if link.pipe.push(t_arr, Packet(next), self.pos_bits) {
-                self.cal.push(t_arr, 2 * dl + PIPE_OUT);
-            }
+            self.arrive(fifos, links, walk, now, walk[pkt.0 as usize], pkt);
         }
     }
 }
@@ -760,8 +740,9 @@ pub struct Engine<'t> {
     topo: &'t PocTopology,
     graph: CapacityGraph<'t>,
     cfg: EngineConfig,
+    /// Each directional link's buffer; `links` holds its delay and pipe.
+    fifos: Vec<Fifo>,
     links: Vec<DLink>,
-    occ: Vec<Occupancy>,
     distance: Vec<f64>,
     /// Every source's route of directional links, each followed by its
     /// terminator `WALK_END | source`; packets are positions in it.
@@ -802,35 +783,43 @@ impl<'t> Engine<'t> {
                 });
             }
         }
+        let horizon = cfg.horizon_ns;
+        let cap = cfg.buffer_bytes / PKT_BYTES;
+        let mut fifos = Vec::with_capacity(topo.n_links() * 2);
         let mut links = Vec::with_capacity(topo.n_links() * 2);
         let mut distance = Vec::with_capacity(topo.n_links());
         for l in &topo.links {
             let ns_per_byte =
                 if l.capacity_gbps > 0.0 { 8.0 / l.capacity_gbps } else { f64::INFINITY };
+            // `∞` saturates to `u64::MAX` on the cast; past the horizon any
+            // time is as good as `horizon + 1` (see `Fifo::tx_ns`).
+            let tx_ns =
+                ((PKT_BYTES as f64 * ns_per_byte).max(1.0) as u64).min(horizon.saturating_add(1));
             let prop_ns = (propagation_delay_ms(l.distance_km) * 1e6).round() as u64;
-            if prop_ns > u32::MAX as u64 && active.contains(l.id) {
-                return Err(EngineError::LinkDelayTooLong { link: l.id, prop_ns });
+            if active.contains(l.id) {
+                if prop_ns > u32::MAX as u64 {
+                    return Err(EngineError::LinkDelayTooLong { link: l.id, prop_ns });
+                }
+                // A link that sends a packet within the horizon puts it in
+                // its pipe; the gaps there stay within this span.
+                let span_ns = prop_ns.saturating_add(cap.saturating_mul(tx_ns)).min(horizon);
+                if tx_ns <= horizon && span_ns > u32::MAX as u64 {
+                    return Err(EngineError::LinkSpanTooLong { link: l.id, span_ns });
+                }
             }
-            let d = DLink {
-                tx_ns: (PKT_BYTES as f64 * ns_per_byte).max(1.0) as u64,
-                prop_ns,
-                queue: VecDeque::new(),
-                busy: false,
-                pipe: Pipe::default(),
-            };
-            links.push(d.clone()); // forward direction
-            links.push(d); // reverse direction
+            // Forward and reverse direction.
+            let d = DLink { prop_ns, pipe: Pipe::default() };
+            fifos.extend([Fifo::new(cap, tx_ns); 2]);
+            links.extend([d.clone(), d]);
             distance.push(l.distance_km);
         }
         let seed = cfg.seed;
-        let occ =
-            vec![Occupancy { queued_bytes: 0, buffer_bytes: cfg.buffer_bytes }; topo.n_links() * 2];
         Ok(Self {
             topo,
             graph: CapacityGraph::new(topo, active),
             cfg,
+            fifos,
             links,
-            occ,
             distance,
             walk: Vec::new(),
             trees: vec![None; topo.n_routers()],
@@ -1026,12 +1015,13 @@ impl<'t> Engine<'t> {
     pub fn run(mut self) -> EngineReport {
         let _span = poc_obs::span!("netsim.engine.run");
         let horizon = self.cfg.horizon_ns;
-        let bits = pos_bits(self.walk.len());
         let mut rt = RunState {
-            cal: Calendar::new(self.links.len() * 2),
-            pos_bits: bits,
-            link_events: 0,
+            cal: Calendar::new(self.links.len()),
+            horizon,
+            pos_bits: pos_bits(self.walk.len()),
+            pipe_exits: 0,
             packets_injected: 0,
+            packets_queued: 0,
             packets_in_flight: 0,
             delivered: vec![0; self.sources.len()],
             dropped: vec![0; self.walk.len()],
@@ -1039,12 +1029,13 @@ impl<'t> Engine<'t> {
 
         // The injector and the calendar share one clock of slices. Each
         // slice's fires come from the injector already in (time, source)
-        // order and are merge-joined against the link events. The tie rule
-        // at equal timestamps — link events first, then injections in
+        // order and are merge-joined against the pipe exits. The tie rule
+        // at equal timestamps — pipe exits first, then injections in
         // source order — is fixed, which is all the determinism guarantee
         // needs. One drain past the last fire empties the slice, so the
         // calendar is empty when the next slice begins and after the last,
-        // the one holding the horizon: nothing is scheduled beyond it.
+        // the one holding the horizon: nothing is scheduled beyond it, so
+        // every pipe is empty too.
         let mut injector = Injector::new(&self.sources);
         let mut bucket_start: u64 = 0;
         while bucket_start <= horizon {
@@ -1053,19 +1044,30 @@ impl<'t> Engine<'t> {
             let fires = injector.bucket(&self.sources, bucket_start, horizon);
             for fire in fires.iter().map(Some).chain([None]) {
                 let until = fire.map_or(bucket_end - 1, |&(at, _)| at);
-                rt.drain_links(&mut self.links, &mut self.occ, &self.walk, horizon, until);
+                rt.drain_links(&mut self.fifos, &mut self.links, &self.walk, until);
                 let Some(&(at, si)) = fire else { break };
                 rt.packets_injected += 1;
                 let s = &self.sources[si as usize];
-                rt.arrive(&mut self.links, &mut self.occ, horizon, at, s.first_dl, Packet(s.start));
+                let (dl, pkt) = (s.first_dl, Packet(s.start));
+                rt.arrive(&mut self.fifos, &mut self.links, &self.walk, at, dl, pkt);
             }
             bucket_start = bucket_end;
             if bucket_end == u64::MAX {
                 break;
             }
         }
+        debug_assert!(
+            self.links.iter().all(|l| l.pipe.entries.is_empty()),
+            "a pipe outlived the run"
+        );
         let RunState {
-            link_events, packets_injected, packets_in_flight, delivered, dropped, ..
+            pipe_exits,
+            packets_injected,
+            packets_queued,
+            packets_in_flight,
+            delivered,
+            dropped,
+            ..
         } = rt;
         // Attribution: each walk ends in the terminator naming its source,
         // so a scan credits the drops since the last terminator, and the
@@ -1086,12 +1088,9 @@ impl<'t> Engine<'t> {
                 }
             }
         }
-        let events = link_events + packets_injected;
+        let events = pipe_exits + packets_injected;
         let packets_delivered = delivered.iter().sum();
         let packets_dropped = dropped.iter().sum();
-        let packets_queued = self.links.iter().map(|l| l.queue.len() as u64).sum();
-        let packets_in_flight =
-            packets_in_flight + self.links.iter().map(|l| l.pipe.len(bits) as u64).sum::<u64>();
 
         poc_obs::counter!("netsim.engine.events").add(events);
         poc_obs::counter!("netsim.engine.packets_injected").add(packets_injected);
@@ -1284,6 +1283,28 @@ mod tests {
             "nothing outruns propagation: prop {prop_ns} ns, horizon {} ns",
             rep.horizon_ns
         );
+    }
+
+    #[test]
+    fn zero_rate_link_holds_its_buffer_and_drops_the_rest() {
+        // A link of capacity 0 never finishes serializing a packet: it
+        // queues what its 1 MiB buffer holds, 699 packets, and tail-drops
+        // every later arrival. Nothing crosses it.
+        let mut topo = two_bp_square();
+        let direct = topo.links.iter().position(|l| l.connects(r(0), r(1))).unwrap();
+        topo.links[direct].capacity_gbps = 0.0;
+        let all = LinkSet::full(topo.n_links());
+        let mut e =
+            Engine::new(&topo, &all, EngineConfig { horizon_ns: 1_000_000, ..Default::default() })
+                .unwrap();
+        e.add_source(r(0), r(1), 10.0, None, "a", SourceKind::Persistent, 1).unwrap();
+        let rep = accounted(e.run());
+        let cap = EngineConfig::default().buffer_bytes / PKT_BYTES;
+        assert_eq!(cap, 699);
+        assert!(rep.packets_injected > cap, "{rep:?}");
+        assert_eq!(rep.packets_queued, cap, "{rep:?}");
+        assert_eq!(rep.packets_dropped, rep.packets_injected - cap, "{rep:?}");
+        assert_eq!((rep.packets_delivered, rep.packets_in_flight), (0, 0), "{rep:?}");
     }
 
     #[test]
@@ -1585,8 +1606,106 @@ mod tests {
                 } else {
                     prop_assert_eq!(pipe.pop(now, pos_bits), None);
                 }
-                prop_assert_eq!(pipe.len(pos_bits), reference.len());
+                prop_assert_eq!(pipe.entries.is_empty(), reference.is_empty());
             }
+        }
+    }
+
+    /// A FIFO of `cap` packets that schedules each departure as an event:
+    /// the head leaves `tx` after its service starts, and the departures due
+    /// at or before an arrival's time happen before it is offered.
+    struct ReferenceFifo {
+        cap: usize,
+        tx: u64,
+        /// Indices of the queued arrivals, head first.
+        queue: VecDeque<usize>,
+        /// The head's pending departure.
+        departure: Option<u64>,
+        /// Each arrival's departure time, once it has departed.
+        departed: Vec<Option<u64>>,
+    }
+
+    impl ReferenceFifo {
+        /// Fire every departure due at or before `t`.
+        fn advance(&mut self, t: u64) {
+            while let Some(at) = self.departure.filter(|&at| at <= t) {
+                let id = self.queue.pop_front().expect("a departure is the head's");
+                self.departed[id] = Some(at);
+                self.departure = (!self.queue.is_empty()).then_some(at + self.tx);
+            }
+        }
+
+        /// Offer the next arrival at `t`; whether the buffer took it.
+        fn offer(&mut self, t: u64) -> bool {
+            self.advance(t);
+            self.departed.push(None);
+            if self.queue.len() == self.cap {
+                return false;
+            }
+            self.queue.push_back(self.departed.len() - 1);
+            self.departure.get_or_insert(t + self.tx);
+            true
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        /// Random arrival scripts on one link — bursts at one nanosecond,
+        /// arrivals on a departure's nanosecond, gaps up to twice a full
+        /// buffer's drain, `tx` of 1 to 200 ns, buffers of 1 to 12 packets,
+        /// a horizon that later arrivals pass — against a FIFO that
+        /// schedules each departure as an event: every arrival gets the same
+        /// accept or drop verdict and every accepted packet the same
+        /// departure, and at the horizon the reference still holds exactly
+        /// the accepted packets departing after it.
+        #[test]
+        fn lindley_link_matches_a_fifo_queue(
+            tx in 1u64..=200,
+            cap in 1u64..=12,
+            script in prop::collection::vec((0u8..4, 0u64..1 << 16), 1..160),
+            horizon_pct in 0u64..=100,
+        ) {
+            let mut t = 0;
+            let arrivals: Vec<u64> = script
+                .into_iter()
+                .map(|(class, x)| {
+                    t += match class {
+                        0 => 0,
+                        1 => x % tx,
+                        2 => x % (2 * cap * tx),
+                        _ => x % 4 * tx,
+                    };
+                    t
+                })
+                .collect();
+            let horizon = t * horizon_pct / 100;
+            let mut fifo = Fifo::new(cap, tx);
+            let mut reference = ReferenceFifo {
+                cap: cap as usize,
+                tx,
+                queue: VecDeque::new(),
+                departure: None,
+                departed: Vec::new(),
+            };
+            let mut deps = Vec::new();
+            // What the reference holds when the horizon strikes.
+            let mut held = None;
+            for &t in &arrivals {
+                if t > horizon && held.is_none() {
+                    reference.advance(horizon);
+                    held = Some(reference.queue.len());
+                }
+                let dep = fifo.admit(t);
+                prop_assert_eq!(dep.is_some(), reference.offer(t), "arrival {} at {}", deps.len(), t);
+                deps.push(dep);
+            }
+            reference.advance(horizon);
+            let held = held.unwrap_or(reference.queue.len());
+            let by_horizon = arrivals.partition_point(|&t| t <= horizon);
+            let queued = deps[..by_horizon].iter().filter(|d| d.is_some_and(|d| d > horizon));
+            prop_assert_eq!(held, queued.count());
+            reference.advance(u64::MAX);
+            prop_assert_eq!(deps, reference.departed);
         }
     }
 
@@ -1737,6 +1856,36 @@ mod tests {
         // A link outside the active set carries nothing and is not refused.
         let rest = LinkSet::from_links(topo.n_links(), topo.links[1..].iter().map(|l| l.id));
         assert!(Engine::new(&topo, &rest, EngineConfig::default()).is_ok());
+
+        // A packet waits in the buffer before it crosses: a pipe's gaps stay
+        // within the delay plus a full buffer's drain, or the horizon. At
+        // 1 Gbit/s a packet takes 12 000 ns; 357 913 of them drain in
+        // 4 294 956 000 ns, and 2.259 km add the last 11 295 to `u32::MAX`.
+        let span = |distance_km: f64, capacity_gbps: f64, horizon_ns: u64| {
+            let mut topo = two_bp_square();
+            (topo.links[0].distance_km, topo.links[0].capacity_gbps) = (distance_km, capacity_gbps);
+            let buffer_bytes = 357_913 * PKT_BYTES;
+            let cfg = EngineConfig { horizon_ns, buffer_bytes, ..Default::default() };
+            Engine::new(&topo, &all, cfg).err()
+        };
+        let l0 = topo.links[0].id;
+        assert_eq!(span(2.259, 1.0, 10_000_000_000), None);
+        let err = span(2.2592, 1.0, 10_000_000_000).unwrap();
+        assert_eq!(err, EngineError::LinkSpanTooLong { link: l0, span_ns: 1 << 32 });
+        assert_eq!(
+            err.to_string(),
+            "link l0 can hold a packet for 4294967296 ns from acceptance to arrival; the engine \
+             carries at most 4294967295 ns (4.29 s)"
+        );
+        // A 1 Mbit/s link takes over an hour to drain its buffer: the
+        // horizon bounds the span instead.
+        assert_eq!(span(2.259, 0.001, u32::MAX as u64), None);
+        assert_eq!(
+            span(2.259, 0.001, 1 << 32),
+            Some(EngineError::LinkSpanTooLong { link: l0, span_ns: 1 << 32 })
+        );
+        // A link that sends nothing within the horizon fills no pipe.
+        assert_eq!(span(2.259, 0.0, 1 << 40), None);
 
         let end = WALK_END as usize;
         assert_eq!(walk_fits(0, 2), Ok(()));

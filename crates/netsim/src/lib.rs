@@ -10,9 +10,10 @@
 //!
 //! * [`fairness`] — progressive-filling max-min fair rate allocation;
 //! * [`engine`] — the packet-level discrete-event core: ns-resolution
-//!   event queue, directional FIFO link buffers with tail drops,
-//!   store-and-forward + propagation latency, millions of user-flows,
-//!   ingress throttles;
+//!   event queue of propagation-pipe exits, directional FIFO links that
+//!   compute each departure on acceptance (Lindley's recursion) and
+//!   tail-drop at full buffers, store-and-forward + propagation latency,
+//!   millions of user-flows, ingress throttles;
 //! * [`drill`] — failure drills measuring delivered-traffic availability
 //!   by a fluid sweep over outage windows (experiment E-R1), plus
 //!   mid-transition drills that cut and recall links while a lease
