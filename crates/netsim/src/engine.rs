@@ -23,12 +23,19 @@
 //! injections are generated per slice by scanning the source table and put
 //! in `(time, source)` order by a counting pass over the slice's nanosecond
 //! offsets: the scan already yields each source's fires in time order and
-//! the sources in index order, so no comparison is needed. Pipe exits, the
-//! only link events, wait in a calendar with one FIFO per nanosecond offset
-//! of the same slice and pop in exactly the `(time, seq)` order one heap
-//! would, `seq` being push order; only those due after the slice wait in a
-//! binary heap (a 4-ary one measured slower). The fires are merge-joined
-//! against the pipe exits under a fixed tie rule: pipe exits first.
+//! the sources in index order, so no comparison is needed. A fire is one
+//! 16-byte entry, its time with the packet and first link of its source,
+//! copied out as the scan reads the source, so injecting it reads nothing
+//! else. Pipe exits, the only link events, wait in a calendar with one FIFO
+//! per nanosecond offset of the same slice and pop in exactly the
+//! `(time, seq)` order one heap would, `seq` being push order; only those
+//! due after the slice wait in a binary heap (a 4-ary one measured slower).
+//! The fires are merge-joined against the pipe exits under a fixed tie
+//! rule: pipe exits first. Before each fire the merge drains the exits due
+//! by its time, but the calendar keeps a lower bound on its earliest event
+//! in the slice, and a fire before it skips the drain. Most fires do,
+//! because fires outnumber pipe exits: 11.67 M to 1.78 M on the benchmark's
+//! zoo14 fabric over 20 ms.
 //!
 //! Per-owner delivered bytes aggregate into `usage_by_owner`, average
 //! delivered Gbit/s per owner, so an [`EngineReport`] feeds `ReportUsage`
@@ -46,7 +53,8 @@
 //! deliveries per source and tail drops per walk position, one indexed add
 //! each, and [`Engine::run`] folds both into per-owner and per-tag totals
 //! when it builds the report. The drop counts are per link as well: a drop
-//! at `pos` happened entering `walk[pos]`.
+//! at `pos` happened entering `walk[pos]`, so the same fold yields the
+//! report's tail drops per directional link with no hot-path counter.
 //!
 //! A propagation pipe stores, per packet, the gap since the arrival of the
 //! packet ahead of it instead of a `u64` arrival time: the head's arrival
@@ -78,7 +86,7 @@ use poc_core::entity::EntityId;
 use poc_flow::graph::PathTree;
 use poc_flow::{CapacityGraph, LinkSet};
 use poc_topology::geo::propagation_delay_ms;
-use poc_topology::{LinkId, PocTopology, RouterId};
+use poc_topology::{LinkId, LogicalLink, PocTopology, RouterId};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -272,6 +280,9 @@ pub struct EngineReport {
     pub n_user_flows: u64,
     /// Demand pairs with no route over the active links.
     pub unroutable_pairs: u32,
+    /// Tail drops per directional link that dropped any, most first (equal
+    /// counts in link order). They sum to `packets_dropped`.
+    pub link_drops: Vec<LinkDrops>,
 }
 
 impl EngineReport {
@@ -327,6 +338,16 @@ impl LinkLoad {
     pub fn ratio(&self) -> f64 {
         self.offered_gbps / self.capacity_gbps
     }
+}
+
+/// The packets one directional link, `from → to` over `link`, tail-dropped
+/// at its full buffer.
+#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+pub struct LinkDrops {
+    pub link: LinkId,
+    pub from: RouterId,
+    pub to: RouterId,
+    pub dropped: u64,
 }
 
 /// One directional link's buffer as Lindley's recursion sees it, kept in
@@ -448,8 +469,8 @@ const _: () = assert!(std::mem::size_of::<Packet>() == 4);
 struct Source {
     /// Walk position of the route's first link: the packet a fire injects.
     start: u32,
-    /// `walk[start]`, denormalized so the inject path (the majority of
-    /// events) skips the walk entirely.
+    /// `walk[start]`, denormalized so a fire (the majority of events)
+    /// carries its first link and the inject path skips the walk.
     first_dl: u32,
     owner: u16,
     tag: u16,
@@ -473,6 +494,9 @@ struct Source {
 /// link events: periodic source fires are generated per slice by
 /// [`Injector`] and merge-joined against this queue instead.
 ///
+/// It also keeps `due`, a lower bound on the slice's earliest event, so the
+/// merge asks it for pipe exits only when one can be due.
+///
 /// Pops come out in `(at, seq)` order, `seq` being push order. Offsets
 /// pop in time order, and each offset's FIFO holds its events in push
 /// order: [`Calendar::begin_slice`] moves the slice's heap events in, in
@@ -483,6 +507,10 @@ struct Source {
 /// engine guarantees.
 struct Calendar {
     base: u64,
+    /// No event is due before this time: at most the earliest event of the
+    /// current slice, and at most the slice's end. A push into the slice
+    /// lowers it; a [`Calendar::pop`] that finds nothing due raises it.
+    due: u64,
     /// No word of `occupied` below this one has a bit set.
     word: usize,
     occupied: Vec<u64>,
@@ -498,6 +526,7 @@ impl Calendar {
     fn new(n_nodes: usize) -> Self {
         Calendar {
             base: 0,
+            due: 0,
             word: 0,
             occupied: vec![0; BUCKET_NS as usize / 64],
             slots: vec![[0; 2]; BUCKET_NS as usize],
@@ -513,6 +542,7 @@ impl Calendar {
         self.base = base;
         self.word = 0;
         let end = base.saturating_add(BUCKET_NS);
+        self.due = end;
         while let Some(&Reverse(key)) = self.far.peek() {
             let at = (key >> 64) as u64;
             if at >= end {
@@ -532,6 +562,7 @@ impl Calendar {
             self.seq = self.seq.wrapping_add(1);
             return;
         }
+        self.due = self.due.min(at);
         let off = off as usize;
         let (word, bit) = (&mut self.occupied[off / 64], 1 << (off % 64));
         let slot = &mut self.slots[off];
@@ -546,11 +577,13 @@ impl Calendar {
 
     /// Remove and return the first event `(at, node)` if it is due at or
     /// before `until`, which lies in the current slice and is no earlier
-    /// than the last `until`.
+    /// than the last `until`. A call that finds nothing due raises `due`.
     fn pop(&mut self, until: u64) -> Option<(u64, u32)> {
         let last = ((until - self.base) / 64) as usize;
         while self.occupied[self.word] == 0 {
             if self.word == last {
+                // Every word up to `last` is empty.
+                self.due = self.base.saturating_add((last as u64 + 1) * 64);
                 return None;
             }
             self.word += 1;
@@ -559,6 +592,7 @@ impl Calendar {
         let off = self.word * 64 + bits.trailing_zeros() as usize;
         let at = self.base + off as u64;
         if at > until {
+            self.due = at;
             return None;
         }
         let [head, tail] = self.slots[off];
@@ -628,9 +662,10 @@ impl RunState {
     }
 
     /// Process every pipe exit scheduled at or before `until`, which lies
-    /// in the calendar's slice. The injection merge calls this with each
-    /// fire's timestamp, so pipe exits win ties at equal times — a fixed
-    /// rule, which is all determinism needs.
+    /// in the calendar's slice. The injection merge calls this with a
+    /// fire's timestamp whenever an exit can be due by it, so pipe exits
+    /// win ties at equal times — a fixed rule, which is all determinism
+    /// needs.
     fn drain_links(&mut self, fifos: &mut [Fifo], links: &mut [DLink], walk: &[u32], until: u64) {
         while let Some((now, dl)) = self.cal.pop(until) {
             self.pipe_exits += 1;
@@ -647,6 +682,20 @@ impl RunState {
 /// Width of one injection time-slice, ns.
 const BUCKET_NS: u64 = 8192;
 
+/// One source fire: its time and the packet it injects, with the link that
+/// packet enters. It is copied out of the source when the injector scans
+/// it, so the merge reads nothing else per injection.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Fire {
+    at: u64,
+    /// The source's `start`.
+    pkt: Packet,
+    /// The source's `first_dl`, `walk[start]`.
+    dl: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<Fire>() == 16);
+
 /// Generates the sources' fires one [`BUCKET_NS`] slice at a time, each
 /// slice in `(time, source)` order. Every source is a periodic arithmetic
 /// progression, so a slice's fires come from one scan of the source table;
@@ -661,9 +710,9 @@ struct Injector {
     slots: Vec<usize>,
     /// The slice's fires as scanned: by source, ascending in time within
     /// one source.
-    scanned: Vec<(u64, u32)>,
+    scanned: Vec<Fire>,
     /// The slice's fires in `(time, source)` order.
-    batch: Vec<(u64, u32)>,
+    batch: Vec<Fire>,
 }
 
 impl Injector {
@@ -676,10 +725,10 @@ impl Injector {
         }
     }
 
-    /// The fires `(time, source index)` in `[bucket_start, bucket_start +
-    /// BUCKET_NS)` that are not past `horizon`. Slices must be asked for in
-    /// ascending order, each once.
-    fn bucket(&mut self, sources: &[Source], bucket_start: u64, horizon: u64) -> &[(u64, u32)] {
+    /// The fires in `[bucket_start, bucket_start + BUCKET_NS)` that are not
+    /// past `horizon`. Slices must be asked for in ascending order, each
+    /// once.
+    fn bucket(&mut self, sources: &[Source], bucket_start: u64, horizon: u64) -> &[Fire] {
         let bucket_end = bucket_start.saturating_add(BUCKET_NS);
         self.scanned.clear();
         for (i, s) in sources.iter().enumerate() {
@@ -703,7 +752,7 @@ impl Injector {
                     }
                 }
                 self.slots[(t - bucket_start) as usize] += 1;
-                self.scanned.push((t, i as u32));
+                self.scanned.push(Fire { at: t, pkt: Packet(s.start), dl: s.first_dl });
                 t = t.saturating_add(s.gap_ns);
             }
             self.next_at[i] = t;
@@ -714,9 +763,9 @@ impl Injector {
             at += std::mem::replace(slot, at);
         }
         self.batch.clear();
-        self.batch.resize(self.scanned.len(), (0, 0));
+        self.batch.resize(self.scanned.len(), Fire { at: 0, pkt: Packet(0), dl: 0 });
         for &fire in &self.scanned {
-            let slot = &mut self.slots[(fire.0 - bucket_start) as usize];
+            let slot = &mut self.slots[(fire.at - bucket_start) as usize];
             self.batch[*slot] = fire;
             *slot += 1;
         }
@@ -995,14 +1044,24 @@ impl<'t> Engine<'t> {
         load
     }
 
+    /// Directional link `dl`: its logical link, then the routers it runs
+    /// from and to.
+    fn direction(&self, dl: usize) -> (&LogicalLink, RouterId, RouterId) {
+        let l = self.topo.link(LinkId::from_index(dl / 2));
+        if dl.is_multiple_of(2) {
+            (l, l.a, l.b)
+        } else {
+            (l, l.b, l.a)
+        }
+    }
+
     /// The load offered to every directional link that carries any, most
     /// oversubscribed first (equal ratios in link order).
     pub fn link_loads(&self) -> Vec<LinkLoad> {
         let mut loads: Vec<LinkLoad> = (self.offered_gbps().into_iter().enumerate())
             .filter(|&(_, offered_gbps)| offered_gbps > 0.0)
             .map(|(dl, offered_gbps)| {
-                let l = self.topo.link(LinkId::from_index(dl / 2));
-                let (from, to) = if dl % 2 == 0 { (l.a, l.b) } else { (l.b, l.a) };
+                let (l, from, to) = self.direction(dl);
                 LinkLoad { link: l.id, from, to, offered_gbps, capacity_gbps: l.capacity_gbps }
             })
             .collect();
@@ -1032,23 +1091,25 @@ impl<'t> Engine<'t> {
         // order and are merge-joined against the pipe exits. The tie rule
         // at equal timestamps — pipe exits first, then injections in
         // source order — is fixed, which is all the determinism guarantee
-        // needs. One drain past the last fire empties the slice, so the
-        // calendar is empty when the next slice begins and after the last,
-        // the one holding the horizon: nothing is scheduled beyond it, so
-        // every pipe is empty too.
+        // needs. Nothing is due before the calendar's `due`, so a fire
+        // before it skips the drain. One drain past the last fire empties
+        // the slice (or `due` shows it empty), so the calendar is empty
+        // when the next slice begins and after the last, the one holding
+        // the horizon: nothing is scheduled beyond it, so every pipe is
+        // empty too.
         let mut injector = Injector::new(&self.sources);
         let mut bucket_start: u64 = 0;
         while bucket_start <= horizon {
             let bucket_end = bucket_start.saturating_add(BUCKET_NS);
             rt.cal.begin_slice(bucket_start);
             let fires = injector.bucket(&self.sources, bucket_start, horizon);
+            rt.packets_injected += fires.len() as u64;
             for fire in fires.iter().map(Some).chain([None]) {
-                let until = fire.map_or(bucket_end - 1, |&(at, _)| at);
-                rt.drain_links(&mut self.fifos, &mut self.links, &self.walk, until);
-                let Some(&(at, si)) = fire else { break };
-                rt.packets_injected += 1;
-                let s = &self.sources[si as usize];
-                let (dl, pkt) = (s.first_dl, Packet(s.start));
+                let until = fire.map_or(bucket_end - 1, |f| f.at);
+                if until >= rt.cal.due {
+                    rt.drain_links(&mut self.fifos, &mut self.links, &self.walk, until);
+                }
+                let Some(&Fire { at, pkt, dl }) = fire else { break };
                 rt.arrive(&mut self.fifos, &mut self.links, &self.walk, at, dl, pkt);
             }
             bucket_start = bucket_end;
@@ -1071,14 +1132,18 @@ impl<'t> Engine<'t> {
         } = rt;
         // Attribution: each walk ends in the terminator naming its source,
         // so a scan credits the drops since the last terminator, and the
-        // source's deliveries, to the source's tag and owner.
+        // source's deliveries, to the source's tag and owner. A drop at a
+        // link's position happened entering that link.
         let mut owner_delivered = vec![0u64; self.owners.len()];
         let mut tag_delivered = vec![0u64; self.tags.len()];
         let mut tag_dropped = vec![0u64; self.tags.len()];
+        let mut link_dropped = vec![0u64; self.links.len()];
         let mut walk_dropped = 0;
         for (&w, &n) in self.walk.iter().zip(&dropped) {
-            walk_dropped += n;
-            if w & WALK_END != 0 {
+            if w & WALK_END == 0 {
+                walk_dropped += n;
+                link_dropped[w as usize] += n;
+            } else {
                 let si = (w ^ WALK_END) as usize;
                 let s = &self.sources[si];
                 tag_dropped[s.tag as usize] += std::mem::take(&mut walk_dropped);
@@ -1091,6 +1156,14 @@ impl<'t> Engine<'t> {
         let events = pipe_exits + packets_injected;
         let packets_delivered = delivered.iter().sum();
         let packets_dropped = dropped.iter().sum();
+        let mut link_drops: Vec<LinkDrops> = (link_dropped.into_iter().enumerate())
+            .filter(|&(_, dropped)| dropped > 0)
+            .map(|(dl, dropped)| {
+                let (l, from, to) = self.direction(dl);
+                LinkDrops { link: l.id, from, to, dropped }
+            })
+            .collect();
+        link_drops.sort_by_key(|d| Reverse(d.dropped));
 
         poc_obs::counter!("netsim.engine.events").add(events);
         poc_obs::counter!("netsim.engine.packets_injected").add(packets_injected);
@@ -1129,6 +1202,7 @@ impl<'t> Engine<'t> {
             n_sources: self.sources.len(),
             n_user_flows: self.n_user_flows,
             unroutable_pairs: self.unroutable_pairs,
+            link_drops,
         }
     }
 }
@@ -1220,6 +1294,22 @@ mod tests {
         assert!(gbps < line + 2.0, "delivery cannot exceed line rate: {gbps} vs {line}");
         assert!(gbps > line - 5.0, "the link should run near saturation: {gbps} vs {line}");
         assert!(rep.overall_availability() < 0.5, "{rep:?}");
+    }
+
+    #[test]
+    fn link_drops_sum_to_the_dropped_count_on_the_oversubscribed_direction() {
+        // 3 × 100 Gbit/s into the direct 100 Gbit/s r0 → r1 link, 40 back:
+        // only the forward direction overflows its buffer.
+        let mut e = engine(EngineConfig { horizon_ns: 10_000_000, ..Default::default() });
+        for tag in ["x", "y", "z"] {
+            e.add_source(r(0), r(1), 100.0, None, tag, SourceKind::Persistent, 1).unwrap();
+        }
+        e.add_source(r(1), r(0), 40.0, None, "x", SourceKind::Persistent, 1).unwrap();
+        let direct = e.topo.links.iter().find(|l| l.connects(r(0), r(1))).unwrap().id;
+        let rep = accounted(e.run());
+        assert!(rep.packets_dropped > 0, "{rep:?}");
+        let dropped = rep.packets_dropped;
+        assert_eq!(rep.link_drops, [LinkDrops { link: direct, from: r(0), to: r(1), dropped }]);
     }
 
     #[test]
@@ -1441,13 +1531,13 @@ mod tests {
         }
     }
 
-    fn firing(gap_ns: u64, phase_ns: u64, kind: SourceKind) -> Source {
-        Source { start: 0, first_dl: 0, owner: NO_OWNER, tag: 0, gbps: 0.0, gap_ns, kind, phase_ns }
+    fn firing(start: u32, first_dl: u32, gap_ns: u64, phase_ns: u64, kind: SourceKind) -> Source {
+        Source { start, first_dl, owner: NO_OWNER, tag: 0, gbps: 0.0, gap_ns, kind, phase_ns }
     }
 
     /// Every fire up to `horizon` with no slicing at all, sorted on
-    /// `(time, source)`.
-    fn reference_fires(sources: &[Source], horizon: u64) -> Vec<(u64, u32)> {
+    /// `(time, source)`, as `(time, start, first_dl)`.
+    fn reference_fires(sources: &[Source], horizon: u64) -> Vec<(u64, u32, u32)> {
         let mut fires = Vec::new();
         for (i, s) in sources.iter().enumerate() {
             let mut t = s.phase_ns;
@@ -1466,6 +1556,9 @@ mod tests {
         }
         fires.sort();
         fires
+            .into_iter()
+            .map(|(t, i)| (t, sources[i as usize].start, sources[i as usize].first_dl))
+            .collect()
     }
 
     proptest! {
@@ -1474,7 +1567,9 @@ mod tests {
         /// 1 ns (a fire in every slot) to thousands, phases drawn from a
         /// handful of values so sources collide, a horizon that ends
         /// mid-slice: the slices' counting placements, end to end, are the
-        /// comparison sort of all fires on `(time, source)`.
+        /// comparison sort of all fires on `(time, source)`, and each fire
+        /// carries its own source's packet and first link, distinct per
+        /// source.
         #[test]
         fn injector_slices_concatenate_to_the_sorted_fire_list(
             table in prop::collection::vec(
@@ -1483,24 +1578,24 @@ mod tests {
             ),
             horizon in 1u64..45_000,
         ) {
-            let sources: Vec<Source> = table
-                .into_iter()
-                .map(|((gap_class, gap), (phase_class, phase), (onoff, on_ns, off_ns))| {
+            let sources: Vec<Source> = (0u32..)
+                .zip(table)
+                .map(|(i, ((gap_class, gap), (phase_class, phase), (onoff, on_ns, off_ns)))| {
                     let gap_ns = 1 + gap % [2, 64, 6000][gap_class as usize];
                     let phase_ns = phase % [8, 30_000][phase_class as usize];
                     let kind = match onoff {
                         0 => SourceKind::Persistent,
                         _ => SourceKind::OnOff { on_ns, off_ns },
                     };
-                    firing(gap_ns, phase_ns, kind)
+                    firing(3 * i + 1, 1000 - 7 * i, gap_ns, phase_ns, kind)
                 })
                 .collect();
             let mut injector = Injector::new(&sources);
             let mut got = Vec::new();
             for bucket_start in (0..=horizon).step_by(BUCKET_NS as usize) {
                 let fires = injector.bucket(&sources, bucket_start, horizon);
-                prop_assert!(fires.iter().all(|&(t, _)| (bucket_start..bucket_start + BUCKET_NS).contains(&t)));
-                got.extend_from_slice(fires);
+                prop_assert!(fires.iter().all(|f| (bucket_start..bucket_start + BUCKET_NS).contains(&f.at)));
+                got.extend(fires.iter().map(|f| (f.at, f.pkt.0, f.dl)));
             }
             prop_assert_eq!(got, reference_fires(&sources, horizon));
         }
@@ -1513,7 +1608,9 @@ mod tests {
         /// as a zero-distance link's pipe exit does; schedules and drains
         /// reach one or several slices ahead, over empty slices; and a drain
         /// usually stops mid-slice, with later pushes landing in the same
-        /// slice.
+        /// slice. After every push, pop and slice change the calendar's
+        /// `due` is at most the earliest pending event, so the pops it
+        /// skips are ones that would have found nothing due.
         #[test]
         fn calendar_pops_in_heap_order(
             script in prop::collection::vec((0u8..3, 0u8..4, 0u64..1 << 20), 1..120),
@@ -1763,6 +1860,14 @@ mod tests {
             self.cal.push(at, node);
             self.reference.push(Reverse((at, self.seq, node)));
             self.seq += 1;
+            self.check_due();
+        }
+
+        /// `due` bounds every pending event from below.
+        fn check_due(&self) {
+            if let Some(&Reverse((at, _, _))) = self.reference.peek() {
+                assert!(self.cal.due <= at, "due {} past a pending event at {at}", self.cal.due);
+            }
         }
 
         /// Pop everything due by `until`, beginning each slice on the way.
@@ -1770,7 +1875,11 @@ mod tests {
             loop {
                 let end = self.cal.base + BUCKET_NS;
                 let stop = until.min(end - 1);
-                while let Some((at, node)) = self.cal.pop(stop) {
+                // As in `Engine::run`, a drain before `due` is skipped.
+                while stop >= self.cal.due {
+                    let popped = self.cal.pop(stop);
+                    self.check_due();
+                    let Some((at, node)) = popped else { break };
                     let Reverse((want_at, _, want_node)) =
                         self.reference.pop().expect("the calendar pops only what was pushed");
                     assert_eq!((at, node), (want_at, want_node), "pop {}", self.pops);
@@ -1790,6 +1899,7 @@ mod tests {
                     break;
                 }
                 self.cal.begin_slice(end);
+                self.check_due();
             }
             self.now = until;
         }

@@ -33,7 +33,7 @@ pub use drill::{
     TransitionDrillReport, TransitionDrillSpec,
 };
 pub use engine::{
-    Engine, EngineConfig, EngineError, EngineReport, IngressThrottle, LinkLoad, SourceKind,
-    TagStats,
+    Engine, EngineConfig, EngineError, EngineReport, IngressThrottle, LinkDrops, LinkLoad,
+    SourceKind, TagStats,
 };
 pub use fairness::max_min_rates;

@@ -354,6 +354,9 @@ fn cmd_dataplane(rest: &[String]) -> Result<(), String> {
     if horizon_ms == 0 {
         return Err("--horizon-ms must be at least 1".into());
     }
+    let horizon_ns = horizon_ms.checked_mul(1_000_000).ok_or_else(|| {
+        format!("--horizon-ms must be at most {}, got {horizon_ms}", u64::MAX / 1_000_000)
+    })?;
     let cheat = num_opt::<f64>(rest, "--cheat")?;
     if let Some(f) = cheat {
         if !(0.0..=1.0).contains(&f) {
@@ -398,7 +401,7 @@ fn cmd_dataplane(rest: &[String]) -> Result<(), String> {
 
     // Packets on the leased fabric.
     let cfg = EngineConfig {
-        horizon_ns: horizon_ms * 1_000_000,
+        horizon_ns,
         throttles: match cheat {
             Some(factor) => vec![IngressThrottle { tag: SUSPECT_TAG.into(), factor }],
             None => vec![],
@@ -455,6 +458,16 @@ fn cmd_dataplane(rest: &[String]) -> Result<(), String> {
         .collect();
     println!(
         "oversubscribed: {over} of {} loaded links offered more than capacity{}",
+        loads.len(),
+        if worst.is_empty() { String::new() } else { format!("; worst: {}", worst.join(", ")) }
+    );
+    // Where the packets were lost, worst first.
+    let worst: Vec<String> = (report.link_drops.iter().take(5))
+        .map(|d| format!("{} {}->{} {}", d.link, d.from, d.to, d.dropped))
+        .collect();
+    println!(
+        "drops: {} of {} loaded links tail-dropped packets{}",
+        report.link_drops.len(),
         loads.len(),
         if worst.is_empty() { String::new() } else { format!("; worst: {}", worst.join(", ")) }
     );

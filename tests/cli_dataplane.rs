@@ -1,18 +1,20 @@
 //! The `poc` binary end to end: `poc dataplane` on the small preset, run
 //! locally (no `--addr`) for 5 ms of packets, must exit 0, account on its
 //! packets line for every packet it injected, print the settled delivery
-//! those counts imply, and name its most oversubscribed links worst first.
-//! With `--cheat` the auditor's detector must flag the throttled class,
-//! and a factor outside `[0, 1]` is refused.
+//! those counts imply, name its most oversubscribed links worst first, and
+//! the links that dropped the most, no more than it dropped in all. With
+//! `--cheat` the auditor's detector must flag the throttled class, and a
+//! factor outside `[0, 1]` is refused, as is a horizon past the engine's
+//! nanosecond clock.
 
 use std::process::{Command, Output};
 
+fn poc(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_poc")).args(args).output().expect("the poc binary starts")
+}
+
 fn poc_dataplane(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_poc"))
-        .args(["dataplane", "--horizon-ms", "5"])
-        .args(args)
-        .output()
-        .expect("the poc binary starts")
+    poc(&[&["dataplane", "--horizon-ms", "5"], args].concat())
 }
 
 /// `poc dataplane --horizon-ms 5 ARGS`'s standard output, once it exited 0.
@@ -115,4 +117,58 @@ fn dataplane_refuses_a_cheat_factor_outside_the_unit_interval() {
     assert!(!out.status.success(), "poc dataplane --cheat 1.5 succeeded");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("--cheat wants a factor in [0,1]"), "{stderr}");
+}
+
+#[test]
+fn dataplane_lists_the_links_that_dropped_the_most_within_the_dropped_count() {
+    // "drops: N of L loaded links tail-dropped packets; worst: l79 r6->r7
+    // 33438, ..." — the worst part only when N > 0.
+    let stdout = dataplane_stdout(&[]);
+    let line = stdout
+        .lines()
+        .find(|l| l.starts_with("drops: "))
+        .unwrap_or_else(|| panic!("no drops line in\n{stdout}"));
+    let after_oversubscribed =
+        stdout.lines().skip_while(|l| !l.starts_with("oversubscribed: ")).nth(1);
+    assert_eq!(after_oversubscribed, Some(line), "the line follows oversubscribed:\n{stdout}");
+    let dropped: u64 = stdout
+        .lines()
+        .find(|l| l.starts_with("packets: "))
+        .and_then(|l| l.split(" + ").nth(1))
+        .and_then(|part| part.strip_suffix(" dropped"))
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no dropped count in\n{stdout}"));
+    let links: usize = line
+        .split_whitespace()
+        .nth(1)
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no link count in {line:?}"));
+    let counts: Vec<u64> = match line.split_once("; worst: ") {
+        None => Vec::new(),
+        Some((_, rows)) => rows
+            .split(", ")
+            .map(|row| {
+                let count = row.rsplit(' ').next().and_then(|n| n.parse().ok());
+                count.unwrap_or_else(|| panic!("row {row:?}"))
+            })
+            .collect(),
+    };
+    assert_eq!(counts.len(), links.min(5), "{line}");
+    assert!(counts.iter().all(|&n| n > 0), "{line}");
+    assert!(counts.windows(2).all(|w| w[0] >= w[1]), "{line}");
+    assert!(counts.iter().sum::<u64>() <= dropped, "{line}\n{dropped} dropped");
+    // The small preset overloads its fabric at 5 ms, so some link drops.
+    assert!(dropped > 0 && links > 0, "{line}\n{dropped} dropped");
+}
+
+#[test]
+fn dataplane_refuses_a_horizon_past_the_nanosecond_clock() {
+    // 18 446 744 073 710 ms is one past what u64 nanoseconds can count.
+    let out = poc(&["dataplane", "--horizon-ms", "18446744073710"]);
+    assert!(!out.status.success(), "poc dataplane --horizon-ms 18446744073710 succeeded");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("--horizon-ms must be at most 18446744073709, got 18446744073710"),
+        "{stderr}"
+    );
 }
