@@ -26,10 +26,20 @@
 //! the sources in index order, so no comparison is needed. A fire is one
 //! 16-byte entry, its time with the packet and first link of its source,
 //! copied out as the scan reads the source, so injecting it reads nothing
-//! else. Pipe exits, the only link events, wait in a calendar with one FIFO
-//! per nanosecond offset of the same slice and pop in exactly the
-//! `(time, seq)` order one heap would, `seq` being push order; only those
-//! due after the slice wait in a binary heap (a 4-ary one measured slower).
+//! else. A helper thread builds the slices, one ahead of the event loop: a
+//! slice is a pure function of the source table and its index, so the
+//! helper fills the next while the event loop merges the last. It sends
+//! every slice, empty ones included, in order over a bounded channel of
+//! `SLICES_AHEAD` recycled buffers, which the calling thread sizes so no
+//! slice outgrows one, then hangs up; the event loop takes slices until it
+//! does. A side with nothing to take yields its CPU and looks again for up
+//! to `HANDOFF_SPIN` before it blocks: on a virtual machine a blocked
+//! thread can take a millisecond to wake, five slices' merge, so a
+//! handoff that slept on every slice stalled the event loop. Pipe exits,
+//! the only link events, wait in a calendar with one FIFO per nanosecond
+//! offset of the same slice and pop in exactly the `(time, seq)` order one
+//! heap would, `seq` being push order; only those due after the slice wait
+//! in a binary heap (a 4-ary one measured slower).
 //! The fires are merge-joined against the pipe exits under a fixed tie
 //! rule: pipe exits first. Before each fire the merge drains the exits due
 //! by its time, but the calendar keeps a lower bound on its earliest event
@@ -93,6 +103,8 @@ use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TryRecvError};
+use std::time::{Duration, Instant};
 
 /// Sentinel owner index for unattributed sources.
 const NO_OWNER: u16 = u16::MAX;
@@ -168,6 +180,9 @@ pub enum EngineError {
     LoopSource { router: RouterId },
     /// An on/off source with an empty on window would never inject.
     ZeroOnWindow,
+    /// An on/off cycle `on_ns + off_ns`, or the horizon plus that cycle,
+    /// overflows the `u64` nanosecond clock the injector steps it on.
+    OnOffCycleOverflow { on_ns: u64, off_ns: u64, horizon_ns: u64 },
     /// Owner/tag interning uses compact u16 ids; exceeding 65k distinct
     /// classes means the caller is attributing per-packet, not per-member.
     TooManyClasses,
@@ -201,6 +216,11 @@ impl std::fmt::Display for EngineError {
                 write!(f, "source endpoints coincide at router {router:?}")
             }
             EngineError::ZeroOnWindow => write!(f, "on/off source needs a non-empty on window"),
+            EngineError::OnOffCycleOverflow { on_ns, off_ns, horizon_ns } => write!(
+                f,
+                "on/off cycle of {on_ns} + {off_ns} ns past a horizon of {horizon_ns} ns \
+                 overflows the 64-bit nanosecond clock"
+            ),
             EngineError::TooManyClasses => {
                 write!(f, "more than 65534 distinct owners or tags")
             }
@@ -677,10 +697,76 @@ impl RunState {
             self.arrive(fifos, links, walk, now, walk[pkt.0 as usize], pkt);
         }
     }
+
+    /// Merge-join every slice `full` delivers, in the order sent, against
+    /// the pipe exits, and return each emptied buffer on `free`. The
+    /// injector sends every slice up to the one holding the horizon and
+    /// then hangs up, so the loop ends with the last slice.
+    ///
+    /// The tie rule at equal timestamps — pipe exits first, then
+    /// injections in source order — is fixed, which is all the determinism
+    /// guarantee needs. Nothing is due before the calendar's `due`, so a
+    /// fire before it skips the drain. One drain past the last fire empties
+    /// the slice (or `due` shows it empty), so the calendar is empty when
+    /// the next slice begins and after the last: nothing is scheduled
+    /// beyond the horizon, so every pipe is empty too.
+    fn merge(
+        &mut self,
+        fifos: &mut [Fifo],
+        links: &mut [DLink],
+        walk: &[u32],
+        full: Receiver<(u64, Vec<Fire>)>,
+        free: SyncSender<Vec<Fire>>,
+    ) {
+        while let Some((bucket_start, fires)) = take(&full) {
+            let bucket_end = bucket_start.saturating_add(BUCKET_NS);
+            self.cal.begin_slice(bucket_start);
+            self.packets_injected += fires.len() as u64;
+            for fire in fires.iter().map(Some).chain([None]) {
+                let until = fire.map_or(bucket_end - 1, |f| f.at);
+                if until >= self.cal.due {
+                    self.drain_links(fifos, links, walk, until);
+                }
+                let Some(&Fire { at, pkt, dl }) = fire else { break };
+                self.arrive(fifos, links, walk, at, dl, pkt);
+            }
+            // Once the injector has sent its last slice it needs no buffer.
+            let _ = free.send(fires);
+        }
+    }
 }
 
 /// Width of one injection time-slice, ns.
 const BUCKET_NS: u64 = 8192;
+
+/// Slice buffers in circulation between the injector and the event loop:
+/// the injector fills the next slice while the event loop merges one.
+const SLICES_AHEAD: usize = 2;
+
+/// How long a side of the slice handoff yields and looks again before it
+/// blocks. On two CPUs the injector waits about half a slice's merge for
+/// each buffer and the event loop hardly at all, so neither blocks; on one
+/// CPU the yield runs the other side at once.
+const HANDOFF_SPIN: Duration = Duration::from_millis(1);
+
+/// The next message on `rx`, or `None` once its sender has hung up. While
+/// none is there, yield the CPU and look again, for up to
+/// [`HANDOFF_SPIN`]; then block.
+fn take<T>(rx: &Receiver<T>) -> Option<T> {
+    let mut since = None;
+    loop {
+        match rx.try_recv() {
+            Ok(msg) => return Some(msg),
+            Err(TryRecvError::Disconnected) => return None,
+            Err(TryRecvError::Empty) => {
+                if since.get_or_insert_with(Instant::now).elapsed() >= HANDOFF_SPIN {
+                    return rx.recv().ok();
+                }
+                std::thread::yield_now();
+            }
+        }
+    }
+}
 
 /// One source fire: its time and the packet it injects, with the link that
 /// packet enters. It is copied out of the source when the injector scans
@@ -709,10 +795,15 @@ struct Injector {
     /// write cursor. All zero between slices.
     slots: Vec<usize>,
     /// The slice's fires as scanned: by source, ascending in time within
-    /// one source.
+    /// one source. Room for [`slice_capacity`] fires, so it never grows.
     scanned: Vec<Fire>,
-    /// The slice's fires in `(time, source)` order.
-    batch: Vec<Fire>,
+}
+
+/// The most fires one slice can hold. A source's consecutive fires are at
+/// least its `gap_ns` apart, an off window only delaying the next, so it
+/// fires at most `BUCKET_NS / gap_ns + 1` times in a slice.
+fn slice_capacity(sources: &[Source]) -> usize {
+    sources.iter().map(|s| (BUCKET_NS / s.gap_ns + 1) as usize).sum()
 }
 
 impl Injector {
@@ -720,15 +811,21 @@ impl Injector {
         Injector {
             next_at: sources.iter().map(|s| s.phase_ns).collect(),
             slots: vec![0; BUCKET_NS as usize],
-            scanned: Vec::new(),
-            batch: Vec::new(),
+            scanned: Vec::with_capacity(slice_capacity(sources)),
         }
     }
 
-    /// The fires in `[bucket_start, bucket_start + BUCKET_NS)` that are not
-    /// past `horizon`. Slices must be asked for in ascending order, each
-    /// once.
-    fn bucket(&mut self, sources: &[Source], bucket_start: u64, horizon: u64) -> &[Fire] {
+    /// Fill `fires` with the fires in `[bucket_start, bucket_start +
+    /// BUCKET_NS)` that are not past `horizon`, in `(time, source)` order.
+    /// Slices must be asked for in ascending order, each once. A `fires`
+    /// with room for [`slice_capacity`] fires never grows.
+    fn bucket(
+        &mut self,
+        sources: &[Source],
+        bucket_start: u64,
+        horizon: u64,
+        fires: &mut Vec<Fire>,
+    ) {
         let bucket_end = bucket_start.saturating_add(BUCKET_NS);
         self.scanned.clear();
         for (i, s) in sources.iter().enumerate() {
@@ -762,15 +859,39 @@ impl Injector {
         for slot in &mut self.slots {
             at += std::mem::replace(slot, at);
         }
-        self.batch.clear();
-        self.batch.resize(self.scanned.len(), Fire { at: 0, pkt: Packet(0), dl: 0 });
+        fires.clear();
+        fires.resize(self.scanned.len(), Fire { at: 0, pkt: Packet(0), dl: 0 });
         for &fire in &self.scanned {
             let slot = &mut self.slots[(fire.at - bucket_start) as usize];
-            self.batch[*slot] = fire;
+            fires[*slot] = fire;
             *slot += 1;
         }
         self.slots.fill(0);
-        &self.batch
+    }
+
+    /// Build every slice from 0 to the one holding `horizon`, in order,
+    /// each into a buffer taken from `free`, and send it on `full` with its
+    /// start, empty slices included; then hang up by returning. Returns
+    /// early if the event loop hung up.
+    fn feed(
+        mut self,
+        sources: &[Source],
+        horizon: u64,
+        free: Receiver<Vec<Fire>>,
+        full: SyncSender<(u64, Vec<Fire>)>,
+    ) {
+        let mut bucket_start = 0;
+        loop {
+            let Some(mut fires) = take(&free) else { return };
+            self.bucket(sources, bucket_start, horizon, &mut fires);
+            if full.send((bucket_start, fires)).is_err() {
+                return;
+            }
+            match bucket_start.checked_add(BUCKET_NS) {
+                Some(next) if next <= horizon => bucket_start = next,
+                _ => return,
+            }
+        }
     }
 }
 
@@ -946,9 +1067,14 @@ impl<'t> Engine<'t> {
         if src == dst {
             return Err(EngineError::LoopSource { router: src });
         }
-        if let SourceKind::OnOff { on_ns, .. } = kind {
+        if let SourceKind::OnOff { on_ns, off_ns } = kind {
             if on_ns == 0 {
                 return Err(EngineError::ZeroOnWindow);
+            }
+            // The injector steps a fire at `t ≤ horizon` by up to a cycle.
+            let horizon_ns = self.cfg.horizon_ns;
+            if on_ns.checked_add(off_ns).and_then(|c| c.checked_add(horizon_ns)).is_none() {
+                return Err(EngineError::OnOffCycleOverflow { on_ns, off_ns, horizon_ns });
             }
         }
         let Some(route) = self.route(src, dst) else {
@@ -1070,7 +1196,9 @@ impl<'t> Engine<'t> {
     }
 
     /// Run to the horizon and report. Consumes the engine: queue state is
-    /// not reusable across runs (build a fresh engine per trial).
+    /// not reusable across runs (build a fresh engine per trial). The
+    /// source fires are built on one helper thread, joined before this
+    /// returns.
     pub fn run(mut self) -> EngineReport {
         let _span = poc_obs::span!("netsim.engine.run");
         let horizon = self.cfg.horizon_ns;
@@ -1086,37 +1214,28 @@ impl<'t> Engine<'t> {
             dropped: vec![0; self.walk.len()],
         };
 
-        // The injector and the calendar share one clock of slices. Each
-        // slice's fires come from the injector already in (time, source)
-        // order and are merge-joined against the pipe exits. The tie rule
-        // at equal timestamps — pipe exits first, then injections in
-        // source order — is fixed, which is all the determinism guarantee
-        // needs. Nothing is due before the calendar's `due`, so a fire
-        // before it skips the drain. One drain past the last fire empties
-        // the slice (or `due` shows it empty), so the calendar is empty
-        // when the next slice begins and after the last, the one holding
-        // the horizon: nothing is scheduled beyond it, so every pipe is
-        // empty too.
-        let mut injector = Injector::new(&self.sources);
-        let mut bucket_start: u64 = 0;
-        while bucket_start <= horizon {
-            let bucket_end = bucket_start.saturating_add(BUCKET_NS);
-            rt.cal.begin_slice(bucket_start);
-            let fires = injector.bucket(&self.sources, bucket_start, horizon);
-            rt.packets_injected += fires.len() as u64;
-            for fire in fires.iter().map(Some).chain([None]) {
-                let until = fire.map_or(bucket_end - 1, |f| f.at);
-                if until >= rt.cal.due {
-                    rt.drain_links(&mut self.fifos, &mut self.links, &self.walk, until);
-                }
-                let Some(&Fire { at, pkt, dl }) = fire else { break };
-                rt.arrive(&mut self.fifos, &mut self.links, &self.walk, at, dl, pkt);
-            }
-            bucket_start = bucket_end;
-            if bucket_end == u64::MAX {
-                break;
-            }
+        // The injector and the calendar share one clock of slices. The
+        // injector runs on its own thread, a slice ahead of the merge, and
+        // the buffers it fills are made here, at their largest, so its
+        // loop never allocates. Each channel end is moved into the code
+        // that uses it: if either side panics, its ends drop and the other
+        // side's next send or receive fails, so it returns instead of
+        // waiting forever.
+        let injector = Injector::new(&self.sources);
+        let (free_tx, free_rx) = sync_channel(SLICES_AHEAD);
+        let (full_tx, full_rx) = sync_channel(SLICES_AHEAD);
+        let capacity = slice_capacity(&self.sources);
+        for _ in 0..SLICES_AHEAD {
+            free_tx.send(Vec::with_capacity(capacity)).expect("the channel holds every buffer");
         }
+        let sources = &self.sources;
+        std::thread::scope(|scope| {
+            std::thread::Builder::new()
+                .name("netsim-injector".into())
+                .spawn_scoped(scope, move || injector.feed(sources, horizon, free_rx, full_tx))
+                .expect("spawn the injector thread");
+            rt.merge(&mut self.fifos, &mut self.links, &self.walk, full_rx, free_tx);
+        });
         debug_assert!(
             self.links.iter().all(|l| l.pipe.entries.is_empty()),
             "a pipe outlived the run"
@@ -1569,7 +1688,8 @@ mod tests {
         /// mid-slice: the slices' counting placements, end to end, are the
         /// comparison sort of all fires on `(time, source)`, and each fire
         /// carries its own source's packet and first link, distinct per
-        /// source.
+        /// source. One buffer is refilled for every slice, and no slice
+        /// holds more than [`slice_capacity`] fires.
         #[test]
         fn injector_slices_concatenate_to_the_sorted_fire_list(
             table in prop::collection::vec(
@@ -1591,9 +1711,11 @@ mod tests {
                 })
                 .collect();
             let mut injector = Injector::new(&sources);
+            let mut fires = Vec::new();
             let mut got = Vec::new();
             for bucket_start in (0..=horizon).step_by(BUCKET_NS as usize) {
-                let fires = injector.bucket(&sources, bucket_start, horizon);
+                injector.bucket(&sources, bucket_start, horizon, &mut fires);
+                prop_assert!(fires.len() <= slice_capacity(&sources));
                 prop_assert!(fires.iter().all(|f| (bucket_start..bucket_start + BUCKET_NS).contains(&f.at)));
                 got.extend(fires.iter().map(|f| (f.at, f.pkt.0, f.dl)));
             }
@@ -1631,6 +1753,51 @@ mod tests {
                 cal.drain(last);
             }
             prop_assert!(cal.reference.is_empty());
+        }
+    }
+
+    #[test]
+    fn every_slice_crosses_to_the_event_loop_once() {
+        // Horizons inside the first slice, at its last nanosecond, on the
+        // next slice's first and one past it, and over many more slices
+        // than the channel holds buffers. In the dense table a 12 000
+        // Gbit/s source fires every nanosecond, so every slice is full; in
+        // the sparse one a single on/off source is on for 100 ns in every
+        // six slices, so most slices are empty. Only the chain r0 – r1 –
+        // r2 – r3 of the square is active, its links shortened to 1 km
+        // (5 µs): the on/off source's packets cross three of them within
+        // the longest horizon, so pipe exits fall in the empty slices.
+        let mut square = two_bp_square();
+        let chain = [(0, 1), (1, 2), (2, 3)];
+        let on_chain = |l: &LogicalLink| chain.iter().any(|&(a, b)| l.connects(r(a), r(b)));
+        for l in square.links.iter_mut().filter(|l| on_chain(l)) {
+            l.distance_km = 1.0;
+        }
+        let topo: &'static PocTopology = Box::leak(Box::new(square));
+        let active = LinkSet::from_links(
+            topo.n_links(),
+            topo.links.iter().filter(|l| on_chain(l)).map(|l| l.id),
+        );
+        let many = (4 * SLICES_AHEAD as u64 + 3) * BUCKET_NS + 17;
+        for horizon_ns in [1, BUCKET_NS - 1, BUCKET_NS, BUCKET_NS + 1, many] {
+            for dense in [true, false] {
+                let cfg = EngineConfig { horizon_ns, ..Default::default() };
+                let mut e = Engine::new(topo, &active, cfg).unwrap();
+                if dense {
+                    e.add_source(r(0), r(1), 12_000.0, None, "a", SourceKind::Persistent, 1)
+                        .unwrap();
+                    e.add_source(r(1), r(3), 40.0, None, "a", SourceKind::Persistent, 1).unwrap();
+                }
+                let on_off = SourceKind::OnOff { on_ns: 100, off_ns: 6 * BUCKET_NS - 100 };
+                e.add_source(r(0), r(3), 1.0, None, "b", on_off, 1).unwrap();
+                let want = reference_fires(&e.sources, horizon_ns).len() as u64;
+                assert!(!dense || want > horizon_ns, "horizon {horizon_ns}: {want} fires");
+                let rep = accounted(e.run());
+                assert_eq!(rep.packets_injected, want, "horizon {horizon_ns}, dense {dense}");
+                if horizon_ns == many {
+                    assert!(rep.packets_delivered > 0, "dense {dense}: {rep:?}");
+                }
+            }
         }
     }
 
@@ -1943,6 +2110,32 @@ mod tests {
             e.add_source(r(0), r(1), 1.0, None, "a", SourceKind::OnOff { on_ns: 0, off_ns: 5 }, 1),
             Err(EngineError::ZeroOnWindow)
         ));
+
+        // An on/off cycle the nanosecond clock cannot step past the
+        // horizon is refused through the public matrix path, whether the
+        // cycle itself overflows or only the horizon plus the cycle does.
+        let mut tm = poc_traffic::TrafficMatrix::zero(topo.n_routers());
+        tm.set(r(0), r(1), 8.0);
+        let model = poc_traffic::UserFlowModel { per_flow_gbps: 0.004 };
+        let horizon_ns = EngineConfig::default().horizon_ns;
+        let add = |on_ns, off_ns| {
+            let mut e = Engine::new(&topo, &all, EngineConfig::default()).unwrap();
+            let kind = SourceKind::OnOff { on_ns, off_ns };
+            e.add_traffic_matrix(&tm, &model, kind, |_| (None, "tm".into()))
+        };
+        let err = add(u64::MAX, 1).unwrap_err();
+        assert_eq!(err, EngineError::OnOffCycleOverflow { on_ns: u64::MAX, off_ns: 1, horizon_ns });
+        assert_eq!(
+            err.to_string(),
+            "on/off cycle of 18446744073709551615 + 1 ns past a horizon of 20000000 ns overflows \
+             the 64-bit nanosecond clock"
+        );
+        let on_ns = u64::MAX - horizon_ns - 1;
+        assert_eq!(
+            add(on_ns + 1, 1),
+            Err(EngineError::OnOffCycleOverflow { on_ns: on_ns + 1, off_ns: 1, horizon_ns })
+        );
+        assert_eq!(add(on_ns, 1), Ok(1));
     }
 
     #[test]
