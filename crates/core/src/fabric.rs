@@ -2,10 +2,12 @@
 //!
 //! After an auction round selects `SL`, the POC forwards along shortest
 //! paths over the leased links: one [`PathTree`] per router from
-//! `poc-flow`'s Dijkstra, the kernel the packet engine routes on, so a path
-//! query and a simulated packet name the same links. The fabric is a
-//! "transparent fabric" (§1.2): it forwards between attachment routers and
-//! applies no policy of its own.
+//! `poc-flow`'s Dijkstra. The packet engine's `add_traffic_matrix` takes
+//! each pair's path from here, so a path query and a packet it injects
+//! name the same links; a run on the auction's witness takes the witness's
+//! splits instead, which no path query names. The fabric is a "transparent
+//! fabric" (§1.2): it forwards between attachment routers and applies no
+//! policy of its own.
 
 use poc_flow::graph::PathTree;
 use poc_flow::{CapacityGraph, LinkSet};
@@ -156,6 +158,34 @@ mod tests {
         // r3 cut off: unreachable pairs stay `None`.
         let bp0 = LinkSet::from_links(t.n_links(), t.links_of_bp(poc_topology::BpId(0)));
         assert_matches_the_kernel(&t, &bp0);
+    }
+
+    /// The benchmark's zoo10 at two instance seeds, over every link and
+    /// over every fifth. BPs sharing a city pair offer parallel links of
+    /// equal length, so ties are the norm, and the thin set leaves pairs
+    /// with no path at all.
+    #[test]
+    fn paths_are_the_flow_kernels_on_zoo10() {
+        use poc_topology::zoo::{attach_external_isps, ExternalIspConfig};
+        use poc_topology::{CostModel, ZooConfig, ZooGenerator};
+
+        for seed in [0x9e37_79b9_7f4a_7c15, 7] {
+            let zoo = ZooConfig {
+                n_cities: 40,
+                n_bps: 10,
+                coverage_min: 0.30,
+                coverage_max: 0.80,
+                ..ZooConfig::paper()
+            };
+            let mut t = ZooGenerator::new(zoo.with_seed(seed)).generate();
+            attach_external_isps(&mut t, &ExternalIspConfig::default(), &CostModel::default());
+            assert_matches_the_kernel(&t, &LinkSet::full(t.n_links()));
+            let every_fifth = LinkSet::from_links(
+                t.n_links(),
+                (0..t.n_links()).step_by(5).map(LinkId::from_index),
+            );
+            assert_matches_the_kernel(&t, &every_fifth);
+        }
     }
 
     /// The benchmark's zoo14 live selection: 40 routers, and equal-length

@@ -130,7 +130,7 @@ fn failing_single_path_scenarios(
         if i % sample_every != 0 {
             continue;
         }
-        let Some(primary) = flow.primary() else { continue };
+        let Some((primary, _)) = flow.primary() else { continue };
         let veto: HashSet<LinkId> = primary.iter().copied().collect();
         if let Err(reason) = fail_primary(&mut g, topo, flow, &veto) {
             failures.push(((flow.src, flow.dst), reason));

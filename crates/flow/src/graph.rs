@@ -295,12 +295,7 @@ impl<'t> CapacityGraph<'t> {
     /// the caller may consume residual along the way. A link not
     /// incident to the router the walk has reached yields a [`PathMiss`].
     pub fn hops<'p>(&self, src: RouterId, path: &'p [LinkId]) -> PathHops<'t, 'p> {
-        PathHops { topo: self.topo, at: src, links: path.iter() }
-    }
-
-    /// The directions in which `path` traverses its links, starting at `src`.
-    pub fn path_dirs(&self, src: RouterId, path: &[LinkId]) -> Result<Vec<Dir>, PathMiss> {
-        self.hops(src, path).map(|hop| hop.map(|(_, dir)| dir)).collect()
+        PathHops::new(self.topo, src, path)
     }
 }
 
@@ -327,12 +322,28 @@ pub struct PathHops<'t, 'p> {
     links: std::slice::Iter<'p, LinkId>,
 }
 
+impl<'t, 'p> PathHops<'t, 'p> {
+    /// Walk `path` over any of `topo`'s links from `src`. A link id the
+    /// topology does not have is incident to no router: a [`PathMiss`].
+    pub fn new(topo: &'t PocTopology, src: RouterId, path: &'p [LinkId]) -> Self {
+        PathHops { topo, at: src, links: path.iter() }
+    }
+
+    /// The router the walk has reached: `src` before the first hop, the
+    /// path's far end once every hop is taken.
+    pub fn at(&self) -> RouterId {
+        self.at
+    }
+}
+
 impl Iterator for PathHops<'_, '_> {
     type Item = Result<(LinkId, Dir), PathMiss>;
 
     fn next(&mut self) -> Option<Self::Item> {
         let &l = self.links.next()?;
-        let link = self.topo.link(l);
+        let Some(link) = self.topo.links.get(l.index()) else {
+            return Some(Err(PathMiss { link: l, at: self.at }));
+        };
         let (dir, next) = if link.a == self.at {
             (Dir::Fwd, link.b)
         } else if link.b == self.at {
@@ -652,14 +663,16 @@ mod tests {
     }
 
     #[test]
-    fn path_dirs_follow_traversal() {
+    fn hops_follow_traversal() {
         let t = two_bp_square();
         let g = CapacityGraph::new(&t, &LinkSet::full(t.n_links()));
         let path = g
             .shortest_path(RouterId(3), RouterId(0), |l, _| t.link(l).distance_km, |_, _| true)
             .unwrap();
-        let dirs = g.path_dirs(RouterId(3), &path).unwrap();
+        let mut hops = g.hops(RouterId(3), &path);
+        let dirs: Vec<Dir> = hops.by_ref().map(|hop| hop.unwrap().1).collect();
         assert_eq!(dirs.len(), path.len());
+        assert_eq!(hops.at(), RouterId(0), "the walk ends at the path's far end");
         // First hop leaves r3; stored endpoints are ordered a<b so r3 is `b`
         // on all its links → traversal starts Rev.
         assert_eq!(dirs[0], Dir::Rev);
@@ -673,7 +686,11 @@ mod tests {
             .map(LinkId::from_index)
             .find(|&l| t.link(l).other_end(RouterId(3)).is_none())
             .unwrap();
-        assert_eq!(g.path_dirs(RouterId(3), &[l]), Err(PathMiss { link: l, at: RouterId(3) }));
+        let miss = |path: &[LinkId]| g.hops(RouterId(3), path).find_map(Result::err);
+        assert_eq!(miss(&[l]), Some(PathMiss { link: l, at: RouterId(3) }));
+        // A link id past the topology's is incident to nothing.
+        let ghost = LinkId::from_index(t.n_links());
+        assert_eq!(miss(&[ghost]), Some(PathMiss { link: ghost, at: RouterId(3) }));
     }
 
     #[test]

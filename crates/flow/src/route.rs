@@ -25,10 +25,10 @@ pub struct FlowRoute {
 }
 
 impl FlowRoute {
-    /// The *primary* path: the one carrying the largest share, the last of
-    /// equal shares; `None` for a flow with no path.
-    pub(crate) fn primary(&self) -> Option<&[LinkId]> {
-        self.paths.iter().max_by(|a, b| a.1.total_cmp(&b.1)).map(|(p, _)| p.as_slice())
+    /// The *primary* split: the `(path, share)` carrying the largest share,
+    /// the last of equal shares; `None` for a flow with no path.
+    pub fn primary(&self) -> Option<&(Vec<LinkId>, f64)> {
+        self.paths.iter().max_by(|a, b| a.1.total_cmp(&b.1))
     }
 }
 
@@ -45,7 +45,11 @@ impl Routing {
     /// The [`FlowRoute::primary`] path of the flow `src → dst`, if the
     /// flow exists and was routed.
     pub(crate) fn primary_path(&self, src: RouterId, dst: RouterId) -> Option<&[LinkId]> {
-        self.flows.iter().find(|f| f.src == src && f.dst == dst)?.primary()
+        self.flows
+            .iter()
+            .find(|f| f.src == src && f.dst == dst)?
+            .primary()
+            .map(|(p, _)| p.as_slice())
     }
 
     /// Maximum directional utilization over links in `active`, given their

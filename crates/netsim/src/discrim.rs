@@ -71,7 +71,7 @@ mod tests {
         let mut eng = Engine::new(&t, &all, cfg).unwrap();
         for (src, tag) in [0, 2].into_iter().zip(tags) {
             let kind = SourceKind::Persistent;
-            eng.add_source(RouterId(src), RouterId(1), 20.0, None, tag, kind, 1).unwrap();
+            eng.add_pair(RouterId(src), RouterId(1), 20.0, None, tag, kind).unwrap();
         }
         eng.run()
     }

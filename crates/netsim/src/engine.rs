@@ -7,7 +7,7 @@
 //! propagation delay derived from `distance_km`, and flow sources —
 //! persistent or on/off — injecting [`PKT_BYTES`]-byte packets from the
 //! same gravity traffic matrices the auction is sized on, scaled to
-//! millions of user-flows via [`poc_traffic::UserFlowModel`].
+//! millions of user-flows via [`UserFlowModel`].
 //!
 //! A directional link is a FIFO with one packet size and no preemption, so
 //! Lindley's recursion gives each packet's departure when the link accepts
@@ -86,21 +86,28 @@
 //! owner/tag interning, source phases drawn from a seeded ChaCha8 — is a
 //! function of construction order alone.
 //!
-//! Routes are the distance-shortest paths over the active links. Weight
-//! and link set are fixed for an engine's lifetime, so one full Dijkstra
-//! per *source router* ([`CapacityGraph::shortest_path_tree`], built the
-//! first time the router sources a demand) answers every pair leaving it:
-//! a matrix costs `n_routers` searches, not `n_pairs`.
+//! The engine does not route. Sources enter through one door,
+//! [`Engine::add_routing`], which takes a routing made outside it: one
+//! source per `(path, share)` split, in the order given, its walk read off
+//! the path's links in place. The auction's witness — the routing that
+//! proved the selection carries the matrix — goes in as it is, splits and
+//! all. [`Engine::add_traffic_matrix`] is the same door fed one path per
+//! pair from the installed forwarding state ([`ForwardingState`]), so the
+//! engine's packets take the paths a `GetPath` query names.
 
 use poc_core::entity::EntityId;
-use poc_flow::graph::PathTree;
-use poc_flow::{CapacityGraph, LinkSet};
+use poc_core::ForwardingState;
+use poc_flow::graph::{PathHops, PathMiss};
+use poc_flow::route::FlowRoute;
+use poc_flow::LinkSet;
 use poc_topology::geo::propagation_delay_ms;
 use poc_topology::{LinkId, LogicalLink, PocTopology, RouterId};
+use poc_traffic::{TrafficMatrix, UserFlowModel};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TryRecvError};
@@ -174,10 +181,20 @@ pub enum EngineError {
     BufferBelowPacket { buffer_bytes: u64 },
     /// A throttle factor outside `[0, 1]`.
     BadThrottleFactor { tag: String, factor: f64 },
-    /// A non-finite or negative source rate.
-    BadRate { gbps: f64 },
+    /// A split's share of the flow `src → dst` is NaN, infinite or
+    /// negative.
+    BadShare { src: RouterId, dst: RouterId, gbps: f64 },
     /// Source endpoints coincide.
     LoopSource { router: RouterId },
+    /// A path of the flow `src → dst` crosses `link`, which is not among
+    /// the engine's active links: [`Engine::new`] never checked its delay.
+    InactiveLink { src: RouterId, dst: RouterId, link: LinkId },
+    /// A path of the flow `src → dst` does not chain from `src`.
+    PathMiss { src: RouterId, dst: RouterId, miss: PathMiss },
+    /// A path of the flow `src → dst` ends at `end`, not at `dst`.
+    PathEndsOff { src: RouterId, dst: RouterId, end: RouterId },
+    /// A path of the flow `src → dst`, two routers apart, has no link.
+    EmptyPath { src: RouterId, dst: RouterId },
     /// An on/off source with an empty on window would never inject.
     ZeroOnWindow,
     /// An on/off cycle `on_ns + off_ns`, or the horizon plus that cycle,
@@ -209,12 +226,20 @@ impl std::fmt::Display for EngineError {
             EngineError::BadThrottleFactor { tag, factor } => {
                 write!(f, "throttle factor for tag {tag:?} must be in [0,1], got {factor}")
             }
-            EngineError::BadRate { gbps } => {
-                write!(f, "source rate must be finite and non-negative, got {gbps}")
+            EngineError::BadShare { src, dst, gbps } => {
+                write!(f, "a share of {src}->{dst} must be finite and non-negative, got {gbps}")
             }
             EngineError::LoopSource { router } => {
                 write!(f, "source endpoints coincide at router {router:?}")
             }
+            EngineError::InactiveLink { src, dst, link } => {
+                write!(f, "a path of {src}->{dst} crosses {link}, which is not an active link")
+            }
+            EngineError::PathMiss { src, dst, miss } => write!(f, "a path of {src}->{dst}: {miss}"),
+            EngineError::PathEndsOff { src, dst, end } => {
+                write!(f, "a path of {src}->{dst} ends at {end}")
+            }
+            EngineError::EmptyPath { src, dst } => write!(f, "a path of {src}->{dst} has no link"),
             EngineError::ZeroOnWindow => write!(f, "on/off source needs a non-empty on window"),
             EngineError::OnOffCycleOverflow { on_ns, off_ns, horizon_ns } => write!(
                 f,
@@ -295,10 +320,10 @@ pub struct EngineReport {
     pub usage_by_owner: Vec<(EntityId, f64)>,
     pub per_tag: Vec<TagStats>,
     pub n_sources: usize,
-    /// User-flows the sources aggregate (a pair source stands in for
-    /// `ceil(rate / per_flow_rate)` user flows).
+    /// User-flows the sources aggregate (a pair's sources stand in for
+    /// [`UserFlowModel::user_flows`] of its demand).
     pub n_user_flows: u64,
-    /// Demand pairs with no route over the active links.
+    /// Flows added with no path.
     pub unroutable_pairs: u32,
     /// Tail drops per directional link that dropped any, most first (equal
     /// counts in link order). They sum to `packets_dropped`.
@@ -905,23 +930,20 @@ fn walk_fits(source: usize, walk_len: usize) -> Result<(), EngineError> {
 }
 
 /// The packet engine. Build over a topology and the leased link set, add
-/// sources (directly or from a traffic matrix), then [`Engine::run`].
+/// sources from a routing or a traffic matrix, then [`Engine::run`].
 pub struct Engine<'t> {
     topo: &'t PocTopology,
-    graph: CapacityGraph<'t>,
+    /// The links [`Engine::new`] admitted; a path may cross only these.
+    active: LinkSet,
     cfg: EngineConfig,
     /// Each directional link's buffer; `links` holds its delay and pipe.
     fifos: Vec<Fifo>,
     links: Vec<DLink>,
-    distance: Vec<f64>,
     /// Every source's route of directional links, each followed by its
     /// terminator `WALK_END | source`; packets are positions in it.
     /// Contiguous so the per-hop lookups in the event loop stay in cache
     /// instead of chasing one heap allocation per route.
     walk: Vec<u32>,
-    /// Shortest-path tree per source router, built on the router's first
-    /// demand.
-    trees: Vec<Option<PathTree>>,
     sources: Vec<Source>,
     owners: Vec<EntityId>,
     owner_of: BTreeMap<EntityId, u16>,
@@ -957,7 +979,6 @@ impl<'t> Engine<'t> {
         let cap = cfg.buffer_bytes / PKT_BYTES;
         let mut fifos = Vec::with_capacity(topo.n_links() * 2);
         let mut links = Vec::with_capacity(topo.n_links() * 2);
-        let mut distance = Vec::with_capacity(topo.n_links());
         for l in &topo.links {
             let ns_per_byte =
                 if l.capacity_gbps > 0.0 { 8.0 / l.capacity_gbps } else { f64::INFINITY };
@@ -981,18 +1002,15 @@ impl<'t> Engine<'t> {
             let d = DLink { prop_ns, pipe: Pipe::default() };
             fifos.extend([Fifo::new(cap, tx_ns); 2]);
             links.extend([d.clone(), d]);
-            distance.push(l.distance_km);
         }
         let seed = cfg.seed;
         Ok(Self {
             topo,
-            graph: CapacityGraph::new(topo, active),
+            active: active.clone(),
             cfg,
             fifos,
             links,
-            distance,
             walk: Vec::new(),
-            trees: vec![None; topo.n_routers()],
             sources: Vec::new(),
             owners: Vec::new(),
             owner_of: BTreeMap::new(),
@@ -1003,18 +1021,6 @@ impl<'t> Engine<'t> {
             unroutable_pairs: 0,
             rng: ChaCha8Rng::seed_from_u64(seed),
         })
-    }
-
-    /// The distance-shortest route `src → dst` over the active links as a
-    /// sequence of directional link indices, read off `src`'s
-    /// shortest-path tree.
-    fn route(&mut self, src: RouterId, dst: RouterId) -> Option<Vec<u32>> {
-        let tree = self.trees[src.index()].get_or_insert_with(|| {
-            self.graph.shortest_path_tree(src, |l, _| self.distance[l.index()], |_, _| true)
-        });
-        let path = tree.path_to(dst)?;
-        let dirs = self.graph.path_dirs(src, &path).ok()?;
-        Some(path.iter().zip(dirs).map(|(&l, d)| (l.index() * 2 + d as usize) as u32).collect())
     }
 
     fn intern_owner(&mut self, owner: Option<EntityId>) -> Result<u16, EngineError> {
@@ -1045,28 +1051,61 @@ impl<'t> Engine<'t> {
         Ok(id)
     }
 
-    /// Add one aggregate source standing in for `user_flows` user flows.
-    /// Returns `false` (without adding) when no route exists over the
-    /// active links; the pair is counted in `unroutable_pairs`.
-    // One parameter per independent knob of the source; bundling them
-    // into a spec struct would just move the field list.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn add_source(
+    /// Add the sources of a routing made outside the engine: one per
+    /// `(path, share)` split of each flow, in the order given, injecting
+    /// the split's share (Gbit/s) along its path. `classify` names each
+    /// flow's billing owner and traffic tag from its source router. The
+    /// flow's user flows under `model` go to its [`FlowRoute::primary`]
+    /// split; a flow with no path adds nothing and counts as one unroutable
+    /// pair. Returns the number of splits added.
+    ///
+    /// Every path must run over active links from the flow's `src` to its
+    /// `dst`, and every share must be finite and non-negative; a refusal
+    /// keeps the sources added before it.
+    pub fn add_routing<F>(
         &mut self,
-        src: RouterId,
-        dst: RouterId,
-        rate_gbps: f64,
-        owner: Option<EntityId>,
-        tag: &str,
+        flows: impl IntoIterator<Item = impl Borrow<FlowRoute>>,
+        model: &UserFlowModel,
         kind: SourceKind,
-        user_flows: u64,
-    ) -> Result<bool, EngineError> {
-        if !(rate_gbps.is_finite() && rate_gbps >= 0.0) {
-            return Err(EngineError::BadRate { gbps: rate_gbps });
+        mut classify: F,
+    ) -> Result<usize, EngineError>
+    where
+        F: FnMut(RouterId) -> (Option<EntityId>, String),
+    {
+        self.check_kind(kind)?;
+        let mut added = 0;
+        for flow in flows {
+            let flow = flow.borrow();
+            if flow.src == flow.dst {
+                return Err(EngineError::LoopSource { router: flow.src });
+            }
+            let Some(primary) = flow.primary() else {
+                self.unroutable_pairs += 1;
+                continue;
+            };
+            let (owner, tag) = classify(flow.src);
+            let owner = self.intern_owner(owner)?;
+            let tag_id = self.intern_tag(&tag)?;
+            let throttle: f64 = (self.cfg.throttles.iter())
+                .filter(|t| t.tag == tag)
+                .map(|t| t.factor)
+                .fold(1.0, f64::min);
+            for split in &flow.paths {
+                let user_flows = if std::ptr::eq(split, primary) {
+                    model.user_flows(flow.demand_gbps)
+                } else {
+                    0
+                };
+                self.add_source(flow, split, owner, tag_id, throttle, kind, user_flows)?;
+                added += 1;
+            }
         }
-        if src == dst {
-            return Err(EngineError::LoopSource { router: src });
-        }
+        Ok(added)
+    }
+
+    /// Refuse an on/off source that never injects or whose cycle the
+    /// nanosecond clock cannot step past the horizon.
+    fn check_kind(&self, kind: SourceKind) -> Result<(), EngineError> {
         if let SourceKind::OnOff { on_ns, off_ns } = kind {
             if on_ns == 0 {
                 return Err(EngineError::ZeroOnWindow);
@@ -1077,24 +1116,41 @@ impl<'t> Engine<'t> {
                 return Err(EngineError::OnOffCycleOverflow { on_ns, off_ns, horizon_ns });
             }
         }
-        let Some(route) = self.route(src, dst) else {
-            self.unroutable_pairs += 1;
-            return Ok(false);
-        };
-        walk_fits(self.sources.len(), self.walk.len() + route.len() + 1)?;
-        let owner_id = self.intern_owner(owner)?;
-        let tag_id = self.intern_tag(tag)?;
+        Ok(())
+    }
+
+    /// Add the source of one split of `flow`, standing in for `user_flows`
+    /// user flows: its walk, then its fires' schedule.
+    // One parameter per independent knob of the source; bundling them
+    // into a spec struct would just move the field list.
+    #[allow(clippy::too_many_arguments)]
+    fn add_source(
+        &mut self,
+        flow: &FlowRoute,
+        (path, rate_gbps): &(Vec<LinkId>, f64),
+        owner: u16,
+        tag: u16,
+        throttle: f64,
+        kind: SourceKind,
+        user_flows: u64,
+    ) -> Result<(), EngineError> {
+        let (src, dst, rate_gbps) = (flow.src, flow.dst, *rate_gbps);
+        if !(rate_gbps.is_finite() && rate_gbps >= 0.0) {
+            return Err(EngineError::BadShare { src, dst, gbps: rate_gbps });
+        }
+        if path.is_empty() {
+            return Err(EngineError::EmptyPath { src, dst });
+        }
+        let start = self.walk.len();
+        walk_fits(self.sources.len(), start + path.len() + 1)?;
+        if let Err(e) = self.push_walk(src, dst, path) {
+            self.walk.truncate(start);
+            return Err(e);
+        }
         // Offered intent at the configured (unthrottled) rate: bits/ns ×
         // ns / 8 = bytes.
-        self.tag_offered[tag_id as usize] += rate_gbps * self.cfg.horizon_ns as f64 / 8.0;
+        self.tag_offered[tag as usize] += rate_gbps * self.cfg.horizon_ns as f64 / 8.0;
         self.n_user_flows += user_flows;
-        let throttle: f64 = self
-            .cfg
-            .throttles
-            .iter()
-            .filter(|t| t.tag == tag)
-            .map(|t| t.factor)
-            .fold(1.0, f64::min);
         let peak = match kind {
             SourceKind::Persistent => rate_gbps * throttle,
             SourceKind::OnOff { on_ns, off_ns } => {
@@ -1103,51 +1159,76 @@ impl<'t> Engine<'t> {
         };
         if peak <= 0.0 {
             // Zero rate (or throttled to zero): offers, never injects.
-            return Ok(true);
+            self.walk.truncate(start);
+            return Ok(());
         }
         let gap_ns = ((PKT_BYTES as f64 * 8.0) / peak).max(1.0) as u64;
         let phase_ns = match kind {
             SourceKind::Persistent => self.rng.gen_range(0..gap_ns),
             SourceKind::OnOff { on_ns, off_ns } => self.rng.gen_range(0..on_ns + off_ns),
         };
-        let start = self.walk.len() as u32;
-        self.walk.extend_from_slice(&route);
         self.walk.push(WALK_END | self.sources.len() as u32);
         self.sources.push(Source {
-            start,
-            first_dl: route[0],
-            owner: owner_id,
-            tag: tag_id,
+            start: start as u32,
+            first_dl: self.walk[start],
+            owner,
+            tag,
             gbps: rate_gbps * throttle,
             gap_ns,
             kind,
             phase_ns,
         });
-        Ok(true)
+        Ok(())
+    }
+
+    /// Append `path`'s directional links to the walks, each the link's
+    /// index times two plus the direction `path` crosses it in from `src`,
+    /// refusing a path that leaves the active links, does not chain from
+    /// `src` or ends off `dst`.
+    fn push_walk(
+        &mut self,
+        src: RouterId,
+        dst: RouterId,
+        path: &[LinkId],
+    ) -> Result<(), EngineError> {
+        let mut hops = PathHops::new(self.topo, src, path);
+        for hop in &mut hops {
+            let (link, dir) = hop.map_err(|miss| EngineError::PathMiss { src, dst, miss })?;
+            if !self.active.contains(link) {
+                return Err(EngineError::InactiveLink { src, dst, link });
+            }
+            self.walk.push((link.index() * 2 + dir as usize) as u32);
+        }
+        match hops.at() {
+            end if end == dst => Ok(()),
+            end => Err(EngineError::PathEndsOff { src, dst, end }),
+        }
     }
 
     /// Scale a traffic matrix to user-flows and add one source per demand
-    /// pair, classifying each by its source router (`classify` returns the
-    /// billing owner and traffic tag). Returns the number of routable
+    /// pair, on the pair's path in the forwarding state installed over the
+    /// active links, in the matrix's row-major order: [`Engine::add_routing`]
+    /// fed one flow at a time. `classify` returns each source router's
+    /// billing owner and traffic tag. Returns the number of routable
     /// sources added.
     pub fn add_traffic_matrix<F>(
         &mut self,
-        tm: &poc_traffic::TrafficMatrix,
-        model: &poc_traffic::UserFlowModel,
+        tm: &TrafficMatrix,
+        model: &UserFlowModel,
         kind: SourceKind,
-        mut classify: F,
+        classify: F,
     ) -> Result<usize, EngineError>
     where
         F: FnMut(RouterId) -> (Option<EntityId>, String),
     {
-        let mut added = 0;
-        for d in poc_traffic::pair_demands(tm, model) {
-            let (owner, tag) = classify(d.src);
-            if self.add_source(d.src, d.dst, d.rate_gbps, owner, &tag, kind, d.user_flows)? {
-                added += 1;
-            }
-        }
-        Ok(added)
+        let fabric = ForwardingState::install(self.topo, &self.active);
+        let flows = tm.iter_demands().map(|(src, dst, demand_gbps)| FlowRoute {
+            src,
+            dst,
+            demand_gbps,
+            paths: fabric.path(src, dst).map(|path| (path, demand_gbps)).into_iter().collect(),
+        });
+        self.add_routing(flows, model, kind, classify)
     }
 
     pub fn n_sources(&self) -> usize {
@@ -1327,11 +1408,31 @@ impl<'t> Engine<'t> {
 }
 
 #[cfg(test)]
+impl Engine<'_> {
+    /// Add one source `src → dst` of `rate_gbps` through
+    /// [`Engine::add_routing`], on the pair's path in the forwarding state
+    /// over the active links, or none: an unroutable pair. Returns the
+    /// splits added.
+    pub(crate) fn add_pair(
+        &mut self,
+        src: RouterId,
+        dst: RouterId,
+        rate_gbps: f64,
+        owner: Option<EntityId>,
+        tag: &str,
+        kind: SourceKind,
+    ) -> Result<usize, EngineError> {
+        let path = ForwardingState::install(self.topo, &self.active).path(src, dst);
+        let paths = path.map(|path| (path, rate_gbps)).into_iter().collect();
+        let flow = FlowRoute { src, dst, demand_gbps: rate_gbps, paths };
+        self.add_routing([flow], &UserFlowModel::default(), kind, |_| (owner, tag.to_string()))
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use poc_topology::builder::two_bp_square;
-    use poc_topology::zoo::{attach_external_isps, ExternalIspConfig};
-    use poc_topology::{CostModel, ZooConfig, ZooGenerator};
     use proptest::prelude::*;
 
     fn r(i: u32) -> RouterId {
@@ -1376,7 +1477,7 @@ mod tests {
     #[test]
     fn uncongested_source_delivers_its_rate() {
         let mut e = engine(EngineConfig { horizon_ns: H100MS, ..Default::default() });
-        e.add_source(r(0), r(1), 10.0, None, "a", SourceKind::Persistent, 1).unwrap();
+        e.add_pair(r(0), r(1), 10.0, None, "a", SourceKind::Persistent).unwrap();
         let rep = accounted(e.run());
         assert!(rep.packets_delivered > 0, "{rep:?}");
         assert_eq!(rep.packets_dropped, 0);
@@ -1395,16 +1496,8 @@ mod tests {
         // horizon edge effect).
         let mut e = engine(EngineConfig { horizon_ns: H100MS, ..Default::default() });
         for (i, tag) in ["x", "y", "z"].iter().enumerate() {
-            e.add_source(
-                r(0),
-                r(1),
-                100.0,
-                Some(EntityId(i as u32)),
-                tag,
-                SourceKind::Persistent,
-                1,
-            )
-            .unwrap();
+            let owner = Some(EntityId(i as u32));
+            e.add_pair(r(0), r(1), 100.0, owner, tag, SourceKind::Persistent).unwrap();
         }
         let rep = accounted(e.run());
         assert!(rep.packets_dropped > 0, "overload must tail-drop: {rep:?}");
@@ -1421,9 +1514,9 @@ mod tests {
         // only the forward direction overflows its buffer.
         let mut e = engine(EngineConfig { horizon_ns: 10_000_000, ..Default::default() });
         for tag in ["x", "y", "z"] {
-            e.add_source(r(0), r(1), 100.0, None, tag, SourceKind::Persistent, 1).unwrap();
+            e.add_pair(r(0), r(1), 100.0, None, tag, SourceKind::Persistent).unwrap();
         }
-        e.add_source(r(1), r(0), 40.0, None, "x", SourceKind::Persistent, 1).unwrap();
+        e.add_pair(r(1), r(0), 40.0, None, "x", SourceKind::Persistent).unwrap();
         let direct = e.topo.links.iter().find(|l| l.connects(r(0), r(1))).unwrap().id;
         let rep = accounted(e.run());
         assert!(rep.packets_dropped > 0, "{rep:?}");
@@ -1435,19 +1528,10 @@ mod tests {
     fn same_seed_same_inputs_byte_identical_reports() {
         let build = || {
             let mut e = engine(EngineConfig { horizon_ns: 2_000_000, ..Default::default() });
-            e.add_source(r(0), r(1), 40.0, Some(EntityId(7)), "a", SourceKind::Persistent, 1000)
-                .unwrap();
-            e.add_source(
-                r(2),
-                r(3),
-                25.0,
-                Some(EntityId(8)),
-                "b",
-                SourceKind::OnOff { on_ns: 100_000, off_ns: 100_000 },
-                500,
-            )
-            .unwrap();
-            e.add_source(r(1), r(2), 60.0, None, "a", SourceKind::Persistent, 1).unwrap();
+            e.add_pair(r(0), r(1), 40.0, Some(EntityId(7)), "a", SourceKind::Persistent).unwrap();
+            let on_off = SourceKind::OnOff { on_ns: 100_000, off_ns: 100_000 };
+            e.add_pair(r(2), r(3), 25.0, Some(EntityId(8)), "b", on_off).unwrap();
+            e.add_pair(r(1), r(2), 60.0, None, "a", SourceKind::Persistent).unwrap();
             accounted(e.run())
         };
         let (a, b) = (build(), build());
@@ -1458,7 +1542,7 @@ mod tests {
     fn different_seed_different_phases() {
         let run = |seed| {
             let mut e = engine(EngineConfig { seed, horizon_ns: 1_000_000, ..Default::default() });
-            e.add_source(r(0), r(1), 40.0, None, "a", SourceKind::Persistent, 1).unwrap();
+            e.add_pair(r(0), r(1), 40.0, None, "a", SourceKind::Persistent).unwrap();
             accounted(e.run())
         };
         // Same totals to within edge effects, but not the same event count
@@ -1484,7 +1568,7 @@ mod tests {
         let mut e =
             Engine::new(topo, &all, EngineConfig { horizon_ns: prop_ns / 2, ..Default::default() })
                 .unwrap();
-        e.add_source(r(0), r(1), 50.0, None, "a", SourceKind::Persistent, 1).unwrap();
+        e.add_pair(r(0), r(1), 50.0, None, "a", SourceKind::Persistent).unwrap();
         let rep = accounted(e.run());
         assert!(rep.packets_injected > 0);
         assert_eq!(
@@ -1506,7 +1590,7 @@ mod tests {
         let mut e =
             Engine::new(&topo, &all, EngineConfig { horizon_ns: 1_000_000, ..Default::default() })
                 .unwrap();
-        e.add_source(r(0), r(1), 10.0, None, "a", SourceKind::Persistent, 1).unwrap();
+        e.add_pair(r(0), r(1), 10.0, None, "a", SourceKind::Persistent).unwrap();
         let rep = accounted(e.run());
         let cap = EngineConfig::default().buffer_bytes / PKT_BYTES;
         assert_eq!(cap, 699);
@@ -1522,7 +1606,7 @@ mod tests {
         // delivery matches a persistent source of the same rate.
         let run = |kind| {
             let mut e = engine(EngineConfig { horizon_ns: H100MS, ..Default::default() });
-            e.add_source(r(0), r(1), 20.0, None, "a", kind, 1).unwrap();
+            e.add_pair(r(0), r(1), 20.0, None, "a", kind).unwrap();
             accounted(e.run()).delivered_gbps()
         };
         let persistent = run(SourceKind::Persistent);
@@ -1536,9 +1620,9 @@ mod tests {
     fn usage_attribution_sums_per_owner() {
         let mut e = engine(EngineConfig { horizon_ns: H100MS, ..Default::default() });
         let owner = EntityId(5);
-        e.add_source(r(0), r(1), 30.0, Some(owner), "a", SourceKind::Persistent, 1).unwrap();
-        e.add_source(r(1), r(2), 10.0, Some(owner), "b", SourceKind::Persistent, 1).unwrap();
-        e.add_source(r(2), r(3), 10.0, None, "c", SourceKind::Persistent, 1).unwrap();
+        e.add_pair(r(0), r(1), 30.0, Some(owner), "a", SourceKind::Persistent).unwrap();
+        e.add_pair(r(1), r(2), 10.0, Some(owner), "b", SourceKind::Persistent).unwrap();
+        e.add_pair(r(2), r(3), 10.0, None, "c", SourceKind::Persistent).unwrap();
         let rep = accounted(e.run());
         assert_eq!(rep.usage_by_owner.len(), 1);
         let (o, gbps) = rep.usage_by_owner[0];
@@ -1558,8 +1642,8 @@ mod tests {
             ..Default::default()
         };
         let mut e = engine(cfg);
-        e.add_source(r(0), r(1), 40.0, None, "victim", SourceKind::Persistent, 1).unwrap();
-        e.add_source(r(2), r(1), 40.0, None, "control", SourceKind::Persistent, 1).unwrap();
+        e.add_pair(r(0), r(1), 40.0, None, "victim", SourceKind::Persistent).unwrap();
+        e.add_pair(r(2), r(1), 40.0, None, "control", SourceKind::Persistent).unwrap();
         let rep = accounted(e.run());
         let victim = rep.availability_by_tag("victim").unwrap();
         let control = rep.availability_by_tag("control").unwrap();
@@ -1574,80 +1658,19 @@ mod tests {
         let direct = topo.links.iter().find(|l| l.connects(r(0), r(1))).unwrap().id;
         let only = LinkSet::from_links(topo.n_links(), [direct]);
         let mut e = Engine::new(topo, &only, EngineConfig::default()).unwrap();
-        assert!(e.add_source(r(0), r(1), 5.0, None, "a", SourceKind::Persistent, 1).unwrap());
-        assert!(!e.add_source(r(2), r(3), 5.0, None, "a", SourceKind::Persistent, 1).unwrap());
+        let mut add =
+            |a, b| e.add_pair(r(a), r(b), 5.0, None, "a", SourceKind::Persistent).unwrap();
+        assert_eq!(add(0, 1), 1);
+        assert_eq!(add(2, 3), 0);
         // Asked again, the pair is counted again; a reachable pair from
-        // the same tree is not.
-        assert!(!e.add_source(r(2), r(3), 5.0, None, "a", SourceKind::Persistent, 1).unwrap());
-        assert!(!e.add_source(r(0), r(3), 5.0, None, "a", SourceKind::Persistent, 1).unwrap());
-        assert!(e.add_source(r(1), r(0), 5.0, None, "a", SourceKind::Persistent, 1).unwrap());
+        // the same router is not.
+        assert_eq!(add(2, 3), 0);
+        assert_eq!(add(0, 3), 0);
+        assert_eq!(add(1, 0), 1);
         let rep = accounted(e.run());
         assert_eq!(rep.unroutable_pairs, 3);
         assert_eq!(rep.n_sources, 2);
         assert!(rep.packets_delivered > 0);
-    }
-
-    /// Every ordered pair's route against the early-exit search it
-    /// used to come from, as directional link indices.
-    fn assert_routes_match_per_pair_searches(topo: &PocTopology, active: &LinkSet) {
-        let mut e = Engine::new(topo, active, EngineConfig::default()).unwrap();
-        let g = CapacityGraph::new(topo, active);
-        let (mut found, mut missing) = (0, 0);
-        for src in (0..topo.n_routers()).map(RouterId::from_index) {
-            for dst in (0..topo.n_routers()).map(RouterId::from_index).filter(|&d| d != src) {
-                let expected = g
-                    .shortest_path(src, dst, |l, _| topo.link(l).distance_km, |_, _| true)
-                    .map(|path| {
-                        let dirs = g.path_dirs(src, &path).unwrap();
-                        path.iter()
-                            .zip(dirs)
-                            .map(|(l, d)| (l.index() * 2 + d as usize) as u32)
-                            .collect::<Vec<_>>()
-                    });
-                assert_eq!(e.route(src, dst), expected, "{src:?} → {dst:?}");
-                match expected {
-                    Some(_) => found += 1,
-                    None => missing += 1,
-                }
-            }
-        }
-        assert!(found > 0, "no routable pair: {missing} unreachable");
-    }
-
-    #[test]
-    fn tree_routes_equal_per_pair_shortest_paths_link_for_link() {
-        let square = two_bp_square();
-        assert_routes_match_per_pair_searches(&square, &LinkSet::full(square.n_links()));
-        // Two BP-0 links only: some pairs have no route at all.
-        let thin = LinkSet::from_links(
-            square.n_links(),
-            square.links_of_bp(poc_topology::BpId(0)).into_iter().take(2),
-        );
-        assert_routes_match_per_pair_searches(&square, &thin);
-
-        // The benchmark's zoo10 at two instance seeds. BPs sharing a city
-        // pair offer parallel links of equal length, so ties are the norm:
-        // the full search must break each one as the early exit did.
-        for seed in [0x9e37_79b9_7f4a_7c15, 7] {
-            let mut zoo = ZooGenerator::new(
-                ZooConfig {
-                    n_cities: 40,
-                    n_bps: 10,
-                    coverage_min: 0.30,
-                    coverage_max: 0.80,
-                    ..ZooConfig::paper()
-                }
-                .with_seed(seed),
-            )
-            .generate();
-            attach_external_isps(&mut zoo, &ExternalIspConfig::default(), &CostModel::default());
-            assert_routes_match_per_pair_searches(&zoo, &LinkSet::full(zoo.n_links()));
-            let mut every_fifth = LinkSet::empty(zoo.n_links());
-            for l in (0..zoo.n_links()).step_by(5) {
-                every_fifth.insert(poc_topology::LinkId::from_index(l));
-            }
-            assert_routes_match_per_pair_searches(&zoo, &every_fifth);
-        }
     }
 
     fn firing(start: u32, first_dl: u32, gap_ns: u64, phase_ns: u64, kind: SourceKind) -> Source {
@@ -1784,12 +1807,11 @@ mod tests {
                 let cfg = EngineConfig { horizon_ns, ..Default::default() };
                 let mut e = Engine::new(topo, &active, cfg).unwrap();
                 if dense {
-                    e.add_source(r(0), r(1), 12_000.0, None, "a", SourceKind::Persistent, 1)
-                        .unwrap();
-                    e.add_source(r(1), r(3), 40.0, None, "a", SourceKind::Persistent, 1).unwrap();
+                    e.add_pair(r(0), r(1), 12_000.0, None, "a", SourceKind::Persistent).unwrap();
+                    e.add_pair(r(1), r(3), 40.0, None, "a", SourceKind::Persistent).unwrap();
                 }
                 let on_off = SourceKind::OnOff { on_ns: 100, off_ns: 6 * BUCKET_NS - 100 };
-                e.add_source(r(0), r(3), 1.0, None, "b", on_off, 1).unwrap();
+                e.add_pair(r(0), r(3), 1.0, None, "b", on_off).unwrap();
                 let want = reference_fires(&e.sources, horizon_ns).len() as u64;
                 assert!(!dense || want > horizon_ns, "horizon {horizon_ns}: {want} fires");
                 let rep = accounted(e.run());
@@ -1821,7 +1843,7 @@ mod tests {
                     0 => SourceKind::Persistent,
                     _ => SourceKind::OnOff { on_ns: 20_000, off_ns: 30_000 },
                 };
-                e.add_source(r(src), r((src + step) % 4), gbps as f64, None, "a", kind, 1).unwrap();
+                e.add_pair(r(src), r((src + step) % 4), gbps as f64, None, "a", kind).unwrap();
             }
             accounted(e.run());
         }
@@ -2099,17 +2121,74 @@ mod tests {
         ));
         let mut e = Engine::new(&topo, &all, EngineConfig::default()).unwrap();
         assert!(matches!(
-            e.add_source(r(0), r(0), 1.0, None, "a", SourceKind::Persistent, 1),
+            e.add_pair(r(0), r(0), 1.0, None, "a", SourceKind::Persistent),
             Err(EngineError::LoopSource { .. })
         ));
         assert!(matches!(
-            e.add_source(r(0), r(1), f64::NAN, None, "a", SourceKind::Persistent, 1),
-            Err(EngineError::BadRate { .. })
-        ));
-        assert!(matches!(
-            e.add_source(r(0), r(1), 1.0, None, "a", SourceKind::OnOff { on_ns: 0, off_ns: 5 }, 1),
+            e.add_pair(r(0), r(1), 1.0, None, "a", SourceKind::OnOff { on_ns: 0, off_ns: 5 }),
             Err(EngineError::ZeroOnWindow)
         ));
+
+        // A routing from outside the engine is data: each bad split is
+        // refused with its own error, before it adds a source or a walk
+        // entry. The square's links: l0 r0–r1, l1 r1–r2, l2 r0–r2, l3
+        // r0–r3, l4 r2–r3, l5 r1–r3.
+        let (l0, l4) = (LinkId(0), LinkId(4));
+        let flow = |dst, paths: &[(&[LinkId], f64)]| FlowRoute {
+            src: r(0),
+            dst: r(dst),
+            demand_gbps: 1.0,
+            paths: paths.iter().map(|&(p, gbps)| (p.to_vec(), gbps)).collect(),
+        };
+        let without_l0 = LinkSet::from_links(topo.n_links(), topo.links[1..].iter().map(|l| l.id));
+        let mut thin = Engine::new(&topo, &without_l0, EngineConfig::default()).unwrap();
+        let refuse = |e: &mut Engine, flow| {
+            let kind = SourceKind::Persistent;
+            let got =
+                e.add_routing([flow], &UserFlowModel::default(), kind, |_| (None, "a".into()));
+            assert_eq!((e.n_sources(), e.walk.len()), (0, 0), "{got:?}");
+            got.unwrap_err()
+        };
+        let refusals = [
+            refuse(&mut thin, flow(1, &[(&[l0], 1.0)])),
+            refuse(&mut e, flow(1, &[(&[l4], 1.0)])),
+            refuse(&mut e, flow(3, &[(&[l0], 1.0)])),
+            refuse(&mut e, flow(1, &[(&[], 1.0)])),
+            refuse(&mut e, flow(1, &[(&[l0], f64::NAN)])),
+            refuse(&mut e, flow(1, &[(&[l0], -1.0)])),
+        ];
+        // Debug text, as NaN is not equal to itself.
+        let miss = PathMiss { link: l4, at: r(0) };
+        assert_eq!(
+            refusals.each_ref().map(|err| format!("{err:?}")),
+            [
+                EngineError::InactiveLink { src: r(0), dst: r(1), link: l0 },
+                EngineError::PathMiss { src: r(0), dst: r(1), miss },
+                EngineError::PathEndsOff { src: r(0), dst: r(3), end: r(1) },
+                EngineError::EmptyPath { src: r(0), dst: r(1) },
+                EngineError::BadShare { src: r(0), dst: r(1), gbps: f64::NAN },
+                EngineError::BadShare { src: r(0), dst: r(1), gbps: -1.0 },
+            ]
+            .map(|want| format!("{want:?}"))
+        );
+        assert_eq!(
+            refusals.map(|err| err.to_string()),
+            [
+                "a path of r0->r1 crosses l0, which is not an active link",
+                "a path of r0->r1: path link l4 is not incident to r0",
+                "a path of r0->r3 ends at r1",
+                "a path of r0->r1 has no link",
+                "a share of r0->r1 must be finite and non-negative, got NaN",
+                "a share of r0->r1 must be finite and non-negative, got -1",
+            ]
+        );
+        // The source kind is checked once, before the first flow adds
+        // anything.
+        let good = flow(1, &[(&[l0], 1.0)]);
+        let zero_on = SourceKind::OnOff { on_ns: 0, off_ns: 5 };
+        let got = e.add_routing([good], &UserFlowModel::default(), zero_on, |_| (None, "a".into()));
+        assert_eq!(got, Err(EngineError::ZeroOnWindow));
+        assert_eq!((e.n_sources(), e.walk.len(), e.n_user_flows()), (0, 0, 0));
 
         // An on/off cycle the nanosecond clock cannot step past the
         // horizon is refused through the public matrix path, whether the
@@ -2211,9 +2290,9 @@ mod tests {
         // 3 × 100 Gbit/s into the direct 100 Gbit/s r0 → r1 link, 40 back.
         let mut e = engine(EngineConfig::default());
         for tag in ["x", "y", "z"] {
-            e.add_source(r(0), r(1), 100.0, None, tag, SourceKind::Persistent, 1).unwrap();
+            e.add_pair(r(0), r(1), 100.0, None, tag, SourceKind::Persistent).unwrap();
         }
-        e.add_source(r(1), r(0), 40.0, None, "x", SourceKind::Persistent, 1).unwrap();
+        e.add_pair(r(1), r(0), 40.0, None, "x", SourceKind::Persistent).unwrap();
         let direct = e.topo.links.iter().find(|l| l.connects(r(0), r(1))).unwrap().id;
         let loads = e.link_loads();
         let seen: Vec<_> = loads.iter().map(|l| (l.link, l.from, l.to, l.ratio())).collect();

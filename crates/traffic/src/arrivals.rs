@@ -19,6 +19,14 @@ pub struct UserFlowModel {
     pub per_flow_gbps: f64,
 }
 
+impl UserFlowModel {
+    /// How many user flows an aggregate of `rate_gbps` stands in for:
+    /// `ceil(rate / per_flow_rate)`, at least 1.
+    pub fn user_flows(&self, rate_gbps: f64) -> u64 {
+        (rate_gbps / self.per_flow_gbps.max(f64::MIN_POSITIVE)).ceil().max(1.0) as u64
+    }
+}
+
 impl Default for UserFlowModel {
     fn default() -> Self {
         // 4 Mbit/s: an HD video stream, the canonical eyeball flow.
@@ -42,13 +50,12 @@ pub struct PairDemand {
 /// Zero-demand pairs are skipped; iteration order (and thus output order)
 /// is the matrix's deterministic row-major order.
 pub fn pair_demands(tm: &TrafficMatrix, model: &UserFlowModel) -> Vec<PairDemand> {
-    let per_flow = model.per_flow_gbps.max(f64::MIN_POSITIVE);
     tm.iter_demands()
         .map(|(src, dst, rate_gbps)| PairDemand {
             src,
             dst,
             rate_gbps,
-            user_flows: (rate_gbps / per_flow).ceil().max(1.0) as u64,
+            user_flows: model.user_flows(rate_gbps),
         })
         .collect()
 }

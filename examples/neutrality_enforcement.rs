@@ -11,7 +11,7 @@
 
 use public_option_core::core::poc::{Poc, PocConfig};
 use public_option_core::core::tos::{PolicyAction, PolicyBasis, PolicyMatch, TrafficPolicy};
-use public_option_core::flow::LinkSet;
+use public_option_core::flow::{route_tm, LinkSet};
 use public_option_core::netsim::discrim::{detect_throttling, CONTROL_TAG, SUSPECT_TAG};
 use public_option_core::netsim::engine::{Engine, EngineConfig, IngressThrottle, SourceKind};
 use public_option_core::topology::builder::two_bp_square;
@@ -98,11 +98,13 @@ fn main() {
     println!("\n=== Observable throttling (auditor's view) ===");
     // Two 30 G classes into r1 for 1 s of packets: at a horizon this long
     // the packets still propagating at its end barely dent availability.
+    // They ride the routing that proves the fabric carries them.
     let topo = poc.topo();
     let all = LinkSet::full(topo.n_links());
     let mut tm = TrafficMatrix::zero(topo.n_routers());
     tm.set(RouterId(0), RouterId(1), 30.0);
     tm.set(RouterId(2), RouterId(1), 30.0);
+    let witness = route_tm(topo, &all, &tm).expect("the fabric carries both classes");
     let classify =
         |src: RouterId| (None, if src == RouterId(0) { SUSPECT_TAG } else { CONTROL_TAG }.into());
     for (scenario, factor) in [("honest LMP", 1.0), ("cheating LMP", 0.4)] {
@@ -113,7 +115,12 @@ fn main() {
         };
         let mut engine = Engine::new(topo, &all, cfg).expect("valid engine config");
         engine
-            .add_traffic_matrix(&tm, &UserFlowModel::default(), SourceKind::Persistent, classify)
+            .add_routing(
+                &witness.flows,
+                &UserFlowModel::default(),
+                SourceKind::Persistent,
+                classify,
+            )
             .expect("valid sources");
         let report = engine.run();
         let finding = detect_throttling(&report).expect("both classes");

@@ -340,11 +340,13 @@ fn cmd_transition(rest: &[String]) -> Result<(), String> {
 }
 
 /// The paper's full loop in one command: a VCG round leases the fabric,
-/// the packet engine replays the traffic matrix on those leases, and the
-/// delivered bytes settle through the ledger — locally, or against a
-/// running `poc serve` with `--addr`.
+/// the packet engine replays the traffic matrix on those leases along the
+/// routing that proved they carry it, and the delivered bytes settle
+/// through the ledger — locally, or against a running `poc serve` with
+/// `--addr`.
 fn cmd_dataplane(rest: &[String]) -> Result<(), String> {
     use public_option_core::ctrlplane::AttachRole;
+    use public_option_core::flow::route_tm;
     use public_option_core::netsim::discrim::{detect_throttling, CONTROL_TAG, SUSPECT_TAG};
     use public_option_core::netsim::engine::{Engine, EngineConfig, IngressThrottle, SourceKind};
     use public_option_core::topology::RouterId;
@@ -373,6 +375,9 @@ fn cmd_dataplane(rest: &[String]) -> Result<(), String> {
     let outcome = poc.last_outcome().expect("round just ran");
     let selected = outcome.selected.clone();
     println!("auction: |SL| = {} links, C(SL) = ${:.0}/mo", selected.len(), outcome.total_cost);
+    // The routing that proves SL carries the matrix, which settlement
+    // bills from: the packets take its paths and splits.
+    let witness = route_tm(poc.topo(), &selected, &tm).map_err(|e| format!("witness: {e}"))?;
 
     // Two LMPs split the attachment points; the suspect class is the
     // traffic metro-a originates (the class --cheat throttles).
@@ -420,8 +425,13 @@ fn cmd_dataplane(rest: &[String]) -> Result<(), String> {
         let _span = public_option_core::obs::span!("netsim.engine.build");
         let mut eng =
             Engine::new(poc.topo(), &selected, cfg).map_err(|e| format!("engine: {e}"))?;
-        eng.add_traffic_matrix(&tm, &UserFlowModel::default(), SourceKind::Persistent, classify)
-            .map_err(|e| format!("engine ingest: {e}"))?;
+        eng.add_routing(
+            &witness.flows,
+            &UserFlowModel::default(),
+            SourceKind::Persistent,
+            classify,
+        )
+        .map_err(|e| format!("engine ingest: {e}"))?;
         eng
     };
     let build_ms = build_started.elapsed().as_secs_f64() * 1e3;
@@ -450,7 +460,7 @@ fn cmd_dataplane(rest: &[String]) -> Result<(), String> {
         report.overall_availability(),
         report.settled_delivery()
     );
-    // What single-path routes ask of each link, against its capacity.
+    // What the witness's splits ask of each link, against its capacity.
     let over = loads.iter().take_while(|l| l.ratio() > 1.0).count();
     let worst: Vec<String> = loads[..over.min(5)]
         .iter()
@@ -496,8 +506,10 @@ fn cmd_dataplane(rest: &[String]) -> Result<(), String> {
                 .map_err(|e| format!("report usage: {e}"))?;
             let bill = client.run_billing().map_err(|e| format!("billing: {e}"))?;
             println!(
-                "billing (remote): outlay ${:.0}, unit price ${:.4}/Gbit/s, POC net ${:.4}",
-                bill.total_outlay, bill.unit_price, bill.poc_net
+                "billing (remote): outlay ${:.0}, unit price ${:.4}/Gbit/s, POC net ${}",
+                bill.total_outlay,
+                bill.unit_price,
+                four_decimals(bill.poc_net)
             );
             for (name, id) in [("metro-a", lmp_a), ("metro-b", lmp_b)] {
                 let bal = client.balance(id).map_err(|e| format!("balance: {e}"))?;
@@ -508,8 +520,10 @@ fn cmd_dataplane(rest: &[String]) -> Result<(), String> {
             let bill =
                 poc.billing_cycle(&report.usage_by_owner).map_err(|e| format!("billing: {e}"))?;
             println!(
-                "billing: outlay ${:.0}, unit price ${:.4}/Gbit/s, POC net ${:.4}",
-                bill.total_outlay, bill.unit_price, bill.poc_net
+                "billing: outlay ${:.0}, unit price ${:.4}/Gbit/s, POC net ${}",
+                bill.total_outlay,
+                bill.unit_price,
+                four_decimals(bill.poc_net)
             );
             for (name, id) in [("metro-a", lmp_a), ("metro-b", lmp_b)] {
                 use public_option_core::core::settlement::Account;
@@ -519,6 +533,16 @@ fn cmd_dataplane(rest: &[String]) -> Result<(), String> {
         }
     }
     Ok(())
+}
+
+/// `x` to four decimals, with no minus sign on a value that rounds to
+/// zero: a break-even net of −3e-11 prints `0.0000`.
+fn four_decimals(x: f64) -> String {
+    let text = format!("{x:.4}");
+    match text.strip_prefix('-') {
+        Some(digits) if digits.bytes().all(|b| matches!(b, b'0' | b'.')) => digits.to_string(),
+        _ => text,
+    }
 }
 
 fn cmd_metrics(rest: &[String]) -> Result<(), String> {
@@ -695,4 +719,19 @@ fn cmd_serve(rest: &[String]) -> Result<(), String> {
     // Blocks in the accept loop; Ctrl-C terminates the process.
     server.run();
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::four_decimals;
+
+    #[test]
+    fn four_decimals_drops_the_sign_of_a_zero() {
+        assert_eq!(four_decimals(-2.9e-11), "0.0000");
+        assert_eq!(four_decimals(-0.0), "0.0000");
+        assert_eq!(four_decimals(0.0), "0.0000");
+        assert_eq!(four_decimals(-0.0001), "-0.0001");
+        assert_eq!(four_decimals(-12.5), "-12.5000");
+        assert_eq!(four_decimals(3.25), "3.2500");
+    }
 }

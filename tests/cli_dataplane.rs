@@ -1,11 +1,12 @@
 //! The `poc` binary end to end: `poc dataplane` on the small preset, run
 //! locally (no `--addr`) for 5 ms of packets, must exit 0, account on its
 //! packets line for every packet it injected, print the settled delivery
-//! those counts imply, name its most oversubscribed links worst first, and
-//! the links that dropped the most, no more than it dropped in all. With
-//! `--cheat` the auditor's detector must flag the throttled class, and a
-//! factor outside `[0, 1]` is refused, as is a horizon past the engine's
-//! nanosecond clock.
+//! those counts imply, and find no link oversubscribed: its packets ride
+//! the auction's witness, which fits every link. At the 20 ms default it
+//! names the links that dropped the most, no more than it dropped in all.
+//! With `--cheat` the auditor's detector must flag the throttled class,
+//! and a factor outside `[0, 1]` is refused, as is a horizon past the
+//! engine's nanosecond clock.
 
 use std::process::{Command, Output};
 
@@ -19,7 +20,11 @@ fn poc_dataplane(args: &[&str]) -> Output {
 
 /// `poc dataplane --horizon-ms 5 ARGS`'s standard output, once it exited 0.
 fn dataplane_stdout(args: &[&str]) -> String {
-    let out = poc_dataplane(args);
+    stdout_of(poc_dataplane(args))
+}
+
+/// A `poc dataplane` run's standard output, once it exited 0.
+fn stdout_of(out: Output) -> String {
     let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
     assert!(
         out.status.success(),
@@ -70,9 +75,10 @@ fn dataplane_splits_every_injected_packet_four_ways() {
 }
 
 #[test]
-fn dataplane_lists_at_most_five_oversubscribed_links_worst_first() {
+fn dataplane_on_the_witness_oversubscribes_no_link() {
     // "oversubscribed: N of L loaded links offered more than capacity;
-    // worst: l79 r6->r7 4.028x, ..." — the worst part only when N > 0.
+    // worst: l79 r6->r7 4.028x, ..." — the worst part only when N > 0. The
+    // witness fits every link, so N is 0.
     let stdout = dataplane_stdout(&[]);
     let line = stdout
         .lines()
@@ -80,24 +86,14 @@ fn dataplane_lists_at_most_five_oversubscribed_links_worst_first() {
         .unwrap_or_else(|| panic!("no oversubscribed line in\n{stdout}"));
     let after_goodput = stdout.lines().skip_while(|l| !l.starts_with("goodput: ")).nth(1);
     assert_eq!(after_goodput, Some(line), "the line follows goodput:\n{stdout}");
-    let over: usize = line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|n| n.parse().ok())
-        .unwrap_or_else(|| panic!("no link count in {line:?}"));
-    let ratios: Vec<f64> = match line.split_once("; worst: ") {
-        None => Vec::new(),
-        Some((_, rows)) => rows
-            .split(", ")
-            .map(|row| {
-                let ratio = row.rsplit(' ').next().and_then(|r| r.strip_suffix('x'));
-                ratio.and_then(|r| r.parse().ok()).unwrap_or_else(|| panic!("row {row:?}"))
-            })
-            .collect(),
+    let words: Vec<&str> = line.split_whitespace().collect();
+    let count = |i: usize| -> usize {
+        words.get(i).and_then(|n| n.parse().ok()).unwrap_or_else(|| panic!("no count in {line:?}"))
     };
-    assert_eq!(ratios.len(), over.min(5), "{line}");
-    assert!(ratios.iter().all(|&r| r > 1.0), "{line}");
-    assert!(ratios.windows(2).all(|w| w[0] >= w[1]), "{line}");
+    let (over, loaded) = (count(1), count(3));
+    assert!(loaded > 0, "{line}");
+    assert_eq!(over, 0, "{line}");
+    assert!(!line.contains("; worst: "), "{line}");
 }
 
 #[test]
@@ -121,9 +117,10 @@ fn dataplane_refuses_a_cheat_factor_outside_the_unit_interval() {
 
 #[test]
 fn dataplane_lists_the_links_that_dropped_the_most_within_the_dropped_count() {
-    // "drops: N of L loaded links tail-dropped packets; worst: l79 r6->r7
-    // 33438, ..." — the worst part only when N > 0.
-    let stdout = dataplane_stdout(&[]);
+    // "drops: N of L loaded links tail-dropped packets; worst: l79 r7->r6
+    // 278, ..." — the worst part only when N > 0. At the 20 ms default, not
+    // at 5 ms, buffers the witness fills to the brim overflow.
+    let stdout = stdout_of(poc(&["dataplane"]));
     let line = stdout
         .lines()
         .find(|l| l.starts_with("drops: "))
@@ -157,7 +154,8 @@ fn dataplane_lists_the_links_that_dropped_the_most_within_the_dropped_count() {
     assert!(counts.iter().all(|&n| n > 0), "{line}");
     assert!(counts.windows(2).all(|w| w[0] >= w[1]), "{line}");
     assert!(counts.iter().sum::<u64>() <= dropped, "{line}\n{dropped} dropped");
-    // The small preset overloads its fabric at 5 ms, so some link drops.
+    // The witness fills some link of the small preset to the brim, and by
+    // 20 ms its buffer overflows, so some link drops.
     assert!(dropped > 0 && links > 0, "{line}\n{dropped} dropped");
 }
 

@@ -179,7 +179,8 @@ fn unbillable_usage_rejected_without_state_change() {
     assert!(bill.unit_price.is_finite() && bill.unit_price > 0.0);
 }
 
-/// The tentpole loop, in process: auction → leases → *packets* → money.
+/// The tentpole loop, in process: auction → leases → *packets* → money,
+/// the packets on the routing that proved the leases carry the matrix.
 /// Delivered bytes from the packet engine are the billing input, and the
 /// ledger's double-entry invariants hold on packet-metered usage exactly
 /// as they do on routed usage — for constant-rate sources and, in the
@@ -195,14 +196,16 @@ fn packet_engine_usage_settles_through_ledger() {
     let lmp_a = poc.attach_lmp("pk-a", RouterId(0)).unwrap();
     let lmp_b = poc.attach_lmp("pk-b", RouterId::from_index(poc.topo().n_routers() - 1)).unwrap();
 
+    let witness = route_tm(poc.topo(), &selected, &tm).expect("selected fabric carries the matrix");
+
     let bursty = SourceKind::OnOff { on_ns: 1_000_000, off_ns: 1_000_000 };
     for kind in [SourceKind::Persistent, bursty] {
         let cfg = EngineConfig { horizon_ns: 10_000_000, ..Default::default() };
         let mut eng = Engine::new(poc.topo(), &selected, cfg).expect("valid engine config");
-        eng.add_traffic_matrix(&tm, &UserFlowModel::default(), kind, |src| {
+        eng.add_routing(&witness.flows, &UserFlowModel::default(), kind, |src| {
             (Some(if src.index().is_multiple_of(2) { lmp_a } else { lmp_b }), "tm".to_string())
         })
-        .expect("matrix routable on the leased fabric");
+        .expect("the witness runs on the leased fabric");
         assert!(eng.n_user_flows() > 100_000, "paper-scale aggregation");
         let report = eng.run();
         assert!(report.packets_delivered > 0, "{kind:?}: {report:?}");
@@ -256,9 +259,10 @@ fn packet_engine_usage_settles_over_the_wire() {
     let (mut mirror, _) = build_poc(Constraint::BaseLoad);
     mirror.run_auction_round(&tm).expect("feasible");
     let selected = mirror.last_outcome().unwrap().selected.clone();
+    let witness = route_tm(mirror.topo(), &selected, &tm).unwrap();
     let cfg = EngineConfig { horizon_ns: 5_000_000, ..Default::default() };
     let mut eng = Engine::new(mirror.topo(), &selected, cfg).unwrap();
-    eng.add_traffic_matrix(&tm, &UserFlowModel::default(), SourceKind::Persistent, |src| {
+    eng.add_routing(&witness.flows, &UserFlowModel::default(), SourceKind::Persistent, |src| {
         (Some(if src.index().is_multiple_of(2) { a } else { b }), "tm".to_string())
     })
     .unwrap();
@@ -297,10 +301,11 @@ fn packet_engine_deterministic_through_facade() {
     let (mut poc, tm) = build_poc(Constraint::BaseLoad);
     poc.run_auction_round(&tm).expect("feasible");
     let selected = poc.last_outcome().unwrap().selected.clone();
+    let witness = route_tm(poc.topo(), &selected, &tm).unwrap();
     let run = || {
         let cfg = EngineConfig { horizon_ns: 5_000_000, seed: 7, ..Default::default() };
         let mut eng = Engine::new(poc.topo(), &selected, cfg).unwrap();
-        eng.add_traffic_matrix(&tm, &UserFlowModel::default(), SourceKind::Persistent, |src| {
+        eng.add_routing(&witness.flows, &UserFlowModel::default(), SourceKind::Persistent, |src| {
             (Some(EntityId(src.0 % 3)), format!("class-{}", src.0 % 2))
         })
         .unwrap();
