@@ -30,8 +30,9 @@
 
 use crate::market::Market;
 use poc_flow::graph::{CapacityGraph, Dir};
+use poc_flow::route::PLACE_EPS;
 use poc_flow::{sorted_demands, AcceptabilityOracle, Constraint, LinkSet, Routing};
-use poc_topology::{LinkId, RouterId};
+use poc_topology::{LinkId, PocTopology, RouterId};
 use std::collections::HashSet;
 
 /// A selected link set with its declared cost.
@@ -120,7 +121,7 @@ impl GreedySelector {
     fn select_demand(
         &self,
         prices: &[f64],
-        topo: &poc_topology::PocTopology,
+        topo: &PocTopology,
         g: &mut CapacityGraph,
         selected: &mut LinkSet,
         veto_ok: &dyn Fn(LinkId) -> bool,
@@ -131,23 +132,20 @@ impl GreedySelector {
         let mut remaining = demand;
         let mut best_path: Option<(Vec<LinkId>, f64)> = None;
         let mut splits = 0;
-        while remaining > 1e-9 {
+        while remaining > PLACE_EPS {
             let want = remaining;
-            let weight = |l: LinkId, _dir: Dir| {
-                let base = if selected.contains(l) { 0.0 } else { prices[l.index()] };
-                base + EPSILON_PER_KM * topo.link(l).distance_km
-            };
+            let weight = |l: LinkId, _: Dir| arc_price(prices, topo, selected, l);
             let path = g
                 .shortest_path(src, dst, weight, |l, dir| {
-                    veto_ok(l) && g.residual(l, dir) >= want - 1e-9
+                    veto_ok(l) && g.residual(l, dir) >= want - PLACE_EPS
                 })
                 .or_else(|| {
                     g.shortest_path(src, dst, weight, |l, dir| {
-                        veto_ok(l) && g.residual(l, dir) > 1e-9
+                        veto_ok(l) && g.residual(l, dir) > PLACE_EPS
                     })
                 })?;
             let amount = remaining.min(g.bottleneck(src, &path).ok()?);
-            if amount <= 1e-9 {
+            if amount <= PLACE_EPS {
                 return None;
             }
             g.consume_path(src, &path, amount).ok()?;
@@ -160,7 +158,7 @@ impl GreedySelector {
                 Some((_, a)) if *a >= amount => {}
                 _ => best_path = Some((path, amount)),
             }
-            if splits > MAX_SPLITS && remaining > 1e-9 {
+            if splits > MAX_SPLITS && remaining > PLACE_EPS {
                 return None;
             }
         }
@@ -277,10 +275,7 @@ impl GreedySelector {
             .unwrap_or_default();
 
         let g = CapacityGraph::new(topo, available);
-        let weight = |l: LinkId, _dir: Dir| {
-            let base = if selected.contains(l) { 0.0 } else { prices[l.index()] };
-            base + EPSILON_PER_KM * topo.link(l).distance_km
-        };
+        let weight = |l: LinkId, _: Dir| arc_price(prices, topo, selected, l);
         // Attempt 1: cheapest disjoint path with a big-enough single link
         // capacity; may ride existing selected links.
         let path1 = g
@@ -391,17 +386,15 @@ impl GreedySelector {
             }
         }
     }
+}
 
-    /// Reverse prune: try dropping the most expensive selected links while
-    /// the set stays acceptable *and* strictly cheaper.
-    fn prune(
-        &self,
-        market: &Market<'_>,
-        oracle: &dyn AcceptabilityOracle,
-        links: LinkSet,
-    ) -> LinkSet {
-        prune_links(market, oracle, links, self.prune_budget)
-    }
+/// The selector's price of routing over `l`: its declared price while the
+/// selection does not hold it yet, nothing once it does, plus the distance
+/// tie-break.
+#[inline]
+fn arc_price(prices: &[f64], topo: &PocTopology, selected: &LinkSet, l: LinkId) -> f64 {
+    let base = if selected.contains(l) { 0.0 } else { prices[l.index()] };
+    base + EPSILON_PER_KM * topo.link(l).distance_km
 }
 
 /// Reverse prune shared by the selectors: try dropping the most expensive
@@ -503,7 +496,7 @@ impl Selector for GreedySelector {
         };
 
         // Phase 4: prune.
-        let links = self.prune(market, oracle, selected);
+        let links = prune_links(market, oracle, selected, self.prune_budget);
         let cost = market.total_cost(&links);
         Some(SelectionResult { links, cost })
     }
@@ -706,7 +699,7 @@ mod tests {
         let tm = light_tm(t.n_routers());
         let oracle = FeasibilityOracle::new(&t, &tm, Constraint::BaseLoad);
         let full = m.offered().clone();
-        let pruned = GreedySelector::default().prune(&m, &oracle, full.clone());
+        let pruned = prune_links(&m, &oracle, full.clone(), GreedySelector::default().prune_budget);
         assert!(market_cost(&m, &pruned) <= market_cost(&m, &full) + 1e-9);
         assert!(oracle.acceptable(&pruned));
     }

@@ -5,7 +5,7 @@
 //! from the POC when needed". A recall deactivates the lease after its
 //! notice period and flags that a re-auction is due.
 
-use poc_auction::AuctionOutcome;
+use poc_auction::{AuctionOutcome, BpSettlement};
 use poc_flow::LinkSet;
 use poc_topology::{BpId, LinkId, LinkOwner, PocTopology};
 use serde::{Deserialize, Serialize};
@@ -94,26 +94,8 @@ impl LeaseBook {
             if settlement.n_selected_links == 0 {
                 continue;
             }
-            let links: Vec<LinkId> = outcome
-                .selected
-                .iter()
-                .filter(|&l| topo.link(l).owner == LinkOwner::Bp(settlement.bp))
-                .collect();
-            let weight_total: f64 = links.iter().map(|&l| topo.link(l).true_monthly_cost).sum();
-            for &l in &links {
-                let w = topo.link(l).true_monthly_cost;
-                let share = if weight_total > 0.0 { w / weight_total } else { 0.0 };
-                priced.insert(
-                    l,
-                    Lease {
-                        link: l,
-                        bp: settlement.bp,
-                        monthly_payment: settlement.payment * share,
-                        started_period: period,
-                        state: LeaseState::Active,
-                    },
-                );
-            }
+            let fresh = Lease::priced_for(topo, outcome, settlement, period);
+            priced.extend(fresh.map(|lease| (lease.link, lease)));
         }
         for lease in &mut self.leases {
             match lease.state {
@@ -247,11 +229,38 @@ impl LeaseBook {
 }
 
 impl Lease {
-    /// Price a single link's lease from an auction outcome, with the BP's
-    /// VCG payment allocated pro-rata by declared cost — the same formula
-    /// [`LeaseBook::ingest_auction`] applies to the whole selected set.
-    /// `None` for links the outcome did not select or that no BP owns
-    /// (virtual links are contract-priced, not leased).
+    /// The leases one BP's settlement buys: its VCG payment split pro rata
+    /// by declared cost over its links in `outcome.selected`, with the
+    /// weights summed in selection order. The one pricing rule of the book:
+    /// [`LeaseBook::ingest_auction`] and [`Lease::priced_from`] both take
+    /// their leases from here.
+    fn priced_for<'t>(
+        topo: &'t PocTopology,
+        outcome: &AuctionOutcome,
+        settlement: &BpSettlement,
+        period: u32,
+    ) -> impl Iterator<Item = Lease> + 't {
+        let (bp, payment) = (settlement.bp, settlement.payment);
+        let links: Vec<LinkId> =
+            outcome.selected.iter().filter(|&l| topo.link(l).owner == LinkOwner::Bp(bp)).collect();
+        let weight_total: f64 = links.iter().map(|&l| topo.link(l).true_monthly_cost).sum();
+        links.into_iter().map(move |link| {
+            let w = topo.link(link).true_monthly_cost;
+            let share = if weight_total > 0.0 { w / weight_total } else { 0.0 };
+            Lease {
+                link,
+                bp,
+                monthly_payment: payment * share,
+                started_period: period,
+                state: LeaseState::Active,
+            }
+        })
+    }
+
+    /// Price a single link's lease from an auction outcome by
+    /// [`Lease::priced_for`]'s rule. `None` for links the outcome did not
+    /// select or that no BP owns (virtual links are contract-priced, not
+    /// leased).
     pub(crate) fn priced_from(
         topo: &PocTopology,
         outcome: &AuctionOutcome,
@@ -259,25 +268,8 @@ impl Lease {
         period: u32,
     ) -> Option<Lease> {
         let LinkOwner::Bp(bp) = topo.link(link).owner else { return None };
-        if !outcome.selected.contains(link) {
-            return None;
-        }
-        let settlement = outcome.settlements.iter().find(|s| s.bp == bp)?;
-        let weight_total: f64 = outcome
-            .selected
-            .iter()
-            .filter(|&l| topo.link(l).owner == LinkOwner::Bp(bp))
-            .map(|l| topo.link(l).true_monthly_cost)
-            .sum();
-        let w = topo.link(link).true_monthly_cost;
-        let share = if weight_total > 0.0 { w / weight_total } else { 0.0 };
-        Some(Lease {
-            link,
-            bp,
-            monthly_payment: settlement.payment * share,
-            started_period: period,
-            state: LeaseState::Active,
-        })
+        let settlement = outcome.settlement(bp)?;
+        Lease::priced_for(topo, outcome, settlement, period).find(|l| l.link == link)
     }
 
     fn is_active_in(&self, period: u32) -> bool {

@@ -35,4 +35,4 @@ pub use lease::{Lease, LeaseBook, LeaseOpError, LeaseState};
 pub use poc::{BillingSummary, Poc, PocConfig};
 pub use services::{AnycastGroup, MulticastTree, QosCatalog, QosTier};
 pub use settlement::{Account, Ledger, Posting};
-pub use tos::{NeutralityEngine, PolicyAction, PolicyBasis, TrafficPolicy, Verdict};
+pub use tos::{PolicyAction, PolicyBasis, TrafficPolicy, Verdict};

@@ -17,7 +17,7 @@ use crate::entity::{EntityId, EntityKind, Registry, RegistryError};
 use crate::fabric::ForwardingState;
 use crate::lease::{Lease, LeaseBook, LeaseOpError};
 use crate::settlement::{Account, Ledger};
-use crate::tos::{NeutralityEngine, TrafficPolicy, Verdict};
+use crate::tos::{TrafficPolicy, Verdict};
 use poc_auction::{run_auction, AuctionOutcome, GreedySelector, Market};
 use poc_flow::{Constraint, LinkSet};
 use poc_topology::{PocTopology, RouterId};
@@ -68,6 +68,11 @@ pub enum PocError {
     NoFabric,
     /// Usage reported for an entity that may not send traffic.
     NotAuthorized(EntityId),
+    /// A usage entry that is negative or not finite: no charge prices it.
+    InvalidUsage {
+        entity: EntityId,
+        gbps: f64,
+    },
     /// The period's usage prices at no finite unit price: Σ usage
     /// overflowed, or is so small that outlay ÷ Σ usage did.
     Unbillable {
@@ -83,6 +88,9 @@ impl std::fmt::Display for PocError {
             PocError::Auction(e) => write!(f, "auction: {e}"),
             PocError::NoFabric => write!(f, "no fabric installed (run an auction round first)"),
             PocError::NotAuthorized(e) => write!(f, "{e} is not authorized to send traffic"),
+            PocError::InvalidUsage { entity, gbps } => {
+                write!(f, "usage of {gbps} Gbit/s for {entity} is not a finite, non-negative rate")
+            }
             PocError::Unbillable { total_usage_gbps, total_outlay } => write!(
                 f,
                 "usage of {total_usage_gbps} Gbit/s against an outlay of {total_outlay} has no \
@@ -105,8 +113,7 @@ impl From<RegistryError> for PocError {
 /// lease book, recorded violations, the last auction outcome, and the
 /// period counter. Deliberately excludes everything derivable at
 /// restore time from the topology and config — the forwarding fabric is
-/// reinstalled from `last_outcome`, and the neutrality engine is
-/// stateless.
+/// reinstalled from `last_outcome`.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct PocState {
     pub registry: Registry,
@@ -128,6 +135,18 @@ pub fn topology_fingerprint(topo: &PocTopology) -> u64 {
     topo.fingerprint()
 }
 
+/// The registry name of the BP called `name`: [`Poc::new`] registers it and
+/// billing pays it. Snapshots persist it, so it must not change.
+fn bp_entity_name(name: &str) -> String {
+    format!("bp:{name}")
+}
+
+/// The registry name of external ISP `isp`, registered and paid like
+/// [`bp_entity_name`]'s.
+fn isp_entity_name(isp: u32) -> String {
+    format!("isp:ext{isp}")
+}
+
 /// The Public Option for the Core.
 pub struct Poc {
     topo: PocTopology,
@@ -142,7 +161,6 @@ pub struct Poc {
     /// Forwarding state over `installed`, built when first read after a
     /// change: a migration's lease steps do no shortest-path work.
     fabric: OnceLock<ForwardingState>,
-    engine: NeutralityEngine,
     violations: Vec<(EntityId, Verdict)>,
     last_outcome: Option<AuctionOutcome>,
     period: u32,
@@ -154,7 +172,7 @@ impl Poc {
         // Infrastructure roles are pre-registered from the topology.
         for bp in &topo.bps {
             registry
-                .register(&format!("bp:{}", bp.name), EntityKind::BandwidthProvider { bp: bp.id })
+                .register(&bp_entity_name(&bp.name), EntityKind::BandwidthProvider { bp: bp.id })
                 .expect("BP names unique by construction");
         }
         let mut isps: Vec<u32> = topo
@@ -169,7 +187,7 @@ impl Poc {
         isps.dedup();
         for isp in isps {
             registry
-                .register(&format!("isp:ext{isp}"), EntityKind::ExternalIsp { isp_index: isp })
+                .register(&isp_entity_name(isp), EntityKind::ExternalIsp { isp_index: isp })
                 .expect("ISP names unique by construction");
         }
         Self {
@@ -180,7 +198,6 @@ impl Poc {
             leases: LeaseBook::new(),
             installed: None,
             fabric: OnceLock::new(),
-            engine: NeutralityEngine::new(),
             violations: Vec::new(),
             last_outcome: None,
             period: 0,
@@ -351,12 +368,16 @@ impl Poc {
 
     /// Settle one period. `usage` is billable usage per member (Gbit/s
     /// averaged over the period, sent + received). The POC prices transit
-    /// at exactly outlay/usage — nonprofit break-even.
+    /// at exactly outlay/usage — nonprofit break-even. Every entry must be
+    /// a finite, non-negative rate; a refused cycle posts nothing.
     pub fn billing_cycle(&mut self, usage: &[(EntityId, f64)]) -> Result<BillingSummary, PocError> {
         let outcome = self.last_outcome.as_ref().ok_or(PocError::NoFabric)?;
-        for &(id, _) in usage {
+        for &(id, gbps) in usage {
             if !self.registry.may_send_traffic(id) {
                 return Err(PocError::NotAuthorized(id));
+            }
+            if !(gbps.is_finite() && gbps >= 0.0) {
+                return Err(PocError::InvalidUsage { entity: id, gbps });
             }
         }
         let period = self.period;
@@ -376,8 +397,7 @@ impl Poc {
         if virtual_cost > 0.0 {
             for l in outcome.selected.iter() {
                 if let poc_topology::LinkOwner::Virtual(i) = self.topo.link(l).owner {
-                    *isp_payments.entry(i).or_insert(0.0) +=
-                        self.topo.link(l).true_monthly_cost * VIRTUAL_PRICE_FACTOR;
+                    *isp_payments.entry(i).or_insert(0.0) += market.unit_price(l);
                 }
             }
             total_outlay += virtual_cost;
@@ -393,7 +413,7 @@ impl Poc {
         for (bp, amount) in lease_payments {
             let bp_entity = self
                 .registry
-                .by_name(&format!("bp:{}", self.topo.bps[bp.index()].name))
+                .by_name(&bp_entity_name(&self.topo.bps[bp.index()].name))
                 .expect("BPs pre-registered")
                 .id;
             self.ledger.post(
@@ -406,7 +426,7 @@ impl Poc {
         }
         for (isp, amount) in isp_payments {
             let isp_entity =
-                self.registry.by_name(&format!("isp:ext{isp}")).expect("ISPs pre-registered").id;
+                self.registry.by_name(&isp_entity_name(isp)).expect("ISPs pre-registered").id;
             self.ledger.post(
                 period,
                 Account::Poc,
@@ -465,7 +485,7 @@ impl Poc {
 
     /// Review a traffic policy against the ToS; violations are recorded.
     pub fn review_policy(&mut self, policy: &TrafficPolicy) -> Verdict {
-        let verdict = self.engine.review(policy);
+        let verdict = crate::tos::review(policy);
         if verdict.is_violation() {
             self.violations.push((policy.lmp, verdict.clone()));
         }
@@ -478,8 +498,7 @@ impl Poc {
     }
 
     /// Export the persistent state (for snapshots). The forwarding
-    /// fabric and neutrality engine are excluded: both are rebuilt by
-    /// [`Poc::restore_state`].
+    /// fabric is excluded: [`Poc::restore_state`] rebuilds it.
     pub fn export_state(&self) -> PocState {
         PocState {
             registry: self.registry.clone(),
@@ -616,6 +635,32 @@ mod tests {
         p.run_auction_round(&tm).unwrap();
         let bp = p.registry().by_name("bp:BP-A").unwrap().id;
         assert!(matches!(p.billing_cycle(&[(bp, 1.0)]), Err(PocError::NotAuthorized(_))));
+    }
+
+    #[test]
+    fn billing_refuses_a_negative_or_non_finite_entry_before_posting() {
+        let mut p = poc();
+        let tm = demand(p.topo().n_routers());
+        p.run_auction_round(&tm).unwrap();
+        let a = p.attach_lmp("a", RouterId(0)).unwrap();
+        let b = p.attach_lmp("b", RouterId(1)).unwrap();
+        let accounts: Vec<Account> = std::iter::once(Account::Poc)
+            .chain((0..p.registry().len() as u32).map(|i| Account::Entity(EntityId(i))))
+            .collect();
+        let balances =
+            |p: &Poc| accounts.iter().map(|&x| p.ledger().balance(x)).collect::<Vec<_>>();
+        let (postings, before) = (p.ledger().postings().to_vec(), balances(&p));
+        for bad in [-1.0, f64::NAN, f64::INFINITY] {
+            let err = p.billing_cycle(&[(a, 5.0), (b, bad)]).unwrap_err();
+            assert!(matches!(err, PocError::InvalidUsage { entity, .. } if entity == b), "{err}");
+            assert!(err.to_string().contains("not a finite, non-negative rate"), "{err}");
+            assert_eq!(p.ledger().postings(), &postings[..], "{bad}");
+            assert_eq!(balances(&p), before, "{bad}");
+            assert_eq!(p.period(), 0, "{bad}");
+        }
+        // The same members bill once the entry is a rate.
+        p.billing_cycle(&[(a, 5.0), (b, 1.0)]).unwrap();
+        assert_eq!(p.period(), 1);
     }
 
     #[test]

@@ -103,16 +103,15 @@ impl Verdict {
     }
 }
 
-/// The neutrality-enforcement engine. Stateless: each policy is judged
-/// against the peering conditions; [`NeutralityEngine::review_all`] batches.
+/// Judge one policy against the peering conditions. A ruling depends on
+/// the policy alone; [`review_all`] batches.
 ///
 /// ```
 /// use poc_core::tos::*;
 /// use poc_core::entity::EntityId;
 ///
-/// let engine = NeutralityEngine::new();
 /// // Source-based blocking without a security basis violates condition (i):
-/// let verdict = engine.review(&TrafficPolicy {
+/// let verdict = review(&TrafficPolicy {
 ///     lmp: EntityId(0),
 ///     matches: PolicyMatch { source: Some(EntityId(7)), ..PolicyMatch::any() },
 ///     action: PolicyAction::Block,
@@ -120,114 +119,99 @@ impl Verdict {
 /// });
 /// assert!(verdict.is_violation());
 /// ```
-#[derive(Clone, Debug, Default)]
-pub struct NeutralityEngine;
-
-impl NeutralityEngine {
-    pub fn new() -> Self {
-        Self
-    }
-
-    /// Judge one policy.
-    pub fn review(&self, policy: &TrafficPolicy) -> Verdict {
-        let differential = policy.matches.is_differential();
-        match (&policy.action, &policy.basis) {
-            // Security blocking is the explicit carve-out — even targeted.
-            (PolicyAction::Block, PolicyBasis::Security) => {
-                Verdict::Allowed { rationale: "security exception (ToS carve-out)".into() }
-            }
-            // Maintenance priority likewise.
-            (PolicyAction::Prioritize(_), PolicyBasis::Maintenance) => {
-                Verdict::Allowed { rationale: "internal maintenance exception".into() }
-            }
-            // Posted-price QoS / services must be openly offered and not
-            // single out traffic the buyer didn't choose: the *offer* is
-            // uniform even though only payers receive it.
-            (
-                PolicyAction::Prioritize(_) | PolicyAction::ProvideEnhancement { .. },
-                PolicyBasis::PostedPrice { price, openly_offered },
-            ) => {
-                if *openly_offered && *price >= 0.0 {
-                    Verdict::Allowed {
-                        rationale: format!(
-                            "QoS/enhancement at posted price ${price:.2}, openly offered"
-                        ),
-                    }
-                } else {
-                    Verdict::Violation {
-                        condition: if matches!(policy.action, PolicyAction::Prioritize(_)) {
-                            1
-                        } else {
-                            2
-                        },
-                        rationale: "priced service not openly offered".into(),
-                    }
+pub fn review(policy: &TrafficPolicy) -> Verdict {
+    let differential = policy.matches.is_differential();
+    match (&policy.action, &policy.basis) {
+        // Security blocking is the explicit carve-out — even targeted.
+        (PolicyAction::Block, PolicyBasis::Security) => {
+            Verdict::Allowed { rationale: "security exception (ToS carve-out)".into() }
+        }
+        // Maintenance priority likewise.
+        (PolicyAction::Prioritize(_), PolicyBasis::Maintenance) => {
+            Verdict::Allowed { rationale: "internal maintenance exception".into() }
+        }
+        // Posted-price QoS / services must be openly offered and not
+        // single out traffic the buyer didn't choose: the *offer* is
+        // uniform even though only payers receive it.
+        (
+            PolicyAction::Prioritize(_) | PolicyAction::ProvideEnhancement { .. },
+            PolicyBasis::PostedPrice { price, openly_offered },
+        ) => {
+            if *openly_offered && *price >= 0.0 {
+                Verdict::Allowed {
+                    rationale: format!(
+                        "QoS/enhancement at posted price ${price:.2}, openly offered"
+                    ),
                 }
-            }
-            // Blocking without a security basis.
-            (PolicyAction::Block, _) => Verdict::Violation {
-                condition: 1,
-                rationale: if differential {
-                    "blocking traffic by source/destination/application".into()
-                } else {
-                    "blanket blocking of peer traffic".into()
-                },
-            },
-            // Differential priority without an allowed basis.
-            (PolicyAction::Prioritize(_), _) => {
-                if differential {
-                    Verdict::Violation {
-                        condition: 1,
-                        rationale: "differential priority based on traffic identity".into(),
-                    }
-                } else {
-                    Verdict::Allowed {
-                        rationale: "uniform scheduling change affects all traffic equally".into(),
-                    }
-                }
-            }
-            // Enhancement services granted to a subset without posted price.
-            (PolicyAction::ProvideEnhancement { .. }, _) => {
-                if differential {
-                    Verdict::Violation {
-                        condition: 2,
-                        rationale: "CDN/enhancement provided only to selected traffic".into(),
-                    }
-                } else {
-                    Verdict::Allowed {
-                        rationale: "enhancement applied uniformly to all traffic".into(),
-                    }
-                }
-            }
-            // Third-party installs must be open to all comers.
-            (PolicyAction::AllowThirdPartyEnhancement { .. }, basis) => {
-                if differential {
-                    Verdict::Violation {
-                        condition: 3,
-                        rationale: "third-party enhancement permitted only for a subset of traffic"
-                            .into(),
-                    }
-                } else if matches!(basis, PolicyBasis::PostedPrice { openly_offered: false, .. }) {
-                    Verdict::Violation {
-                        condition: 3,
-                        rationale: "third-party install terms not openly offered".into(),
-                    }
-                } else {
-                    Verdict::Allowed {
-                        rationale: "third-party enhancement open to all traffic".into(),
-                    }
+            } else {
+                Verdict::Violation {
+                    condition: if matches!(policy.action, PolicyAction::Prioritize(_)) {
+                        1
+                    } else {
+                        2
+                    },
+                    rationale: "priced service not openly offered".into(),
                 }
             }
         }
+        // Blocking without a security basis.
+        (PolicyAction::Block, _) => Verdict::Violation {
+            condition: 1,
+            rationale: if differential {
+                "blocking traffic by source/destination/application".into()
+            } else {
+                "blanket blocking of peer traffic".into()
+            },
+        },
+        // Differential priority without an allowed basis.
+        (PolicyAction::Prioritize(_), _) => {
+            if differential {
+                Verdict::Violation {
+                    condition: 1,
+                    rationale: "differential priority based on traffic identity".into(),
+                }
+            } else {
+                Verdict::Allowed {
+                    rationale: "uniform scheduling change affects all traffic equally".into(),
+                }
+            }
+        }
+        // Enhancement services granted to a subset without posted price.
+        (PolicyAction::ProvideEnhancement { .. }, _) => {
+            if differential {
+                Verdict::Violation {
+                    condition: 2,
+                    rationale: "CDN/enhancement provided only to selected traffic".into(),
+                }
+            } else {
+                Verdict::Allowed {
+                    rationale: "enhancement applied uniformly to all traffic".into(),
+                }
+            }
+        }
+        // Third-party installs must be open to all comers.
+        (PolicyAction::AllowThirdPartyEnhancement { .. }, basis) => {
+            if differential {
+                Verdict::Violation {
+                    condition: 3,
+                    rationale: "third-party enhancement permitted only for a subset of traffic"
+                        .into(),
+                }
+            } else if matches!(basis, PolicyBasis::PostedPrice { openly_offered: false, .. }) {
+                Verdict::Violation {
+                    condition: 3,
+                    rationale: "third-party install terms not openly offered".into(),
+                }
+            } else {
+                Verdict::Allowed { rationale: "third-party enhancement open to all traffic".into() }
+            }
+        }
     }
+}
 
-    /// Judge a batch, returning only the violations.
-    pub fn review_all<'p>(
-        &self,
-        policies: &'p [TrafficPolicy],
-    ) -> Vec<(&'p TrafficPolicy, Verdict)> {
-        policies.iter().map(|p| (p, self.review(p))).filter(|(_, v)| v.is_violation()).collect()
-    }
+/// Judge a batch, returning only the violations.
+pub fn review_all(policies: &[TrafficPolicy]) -> Vec<(&TrafficPolicy, Verdict)> {
+    policies.iter().map(|p| (p, review(p))).filter(|(_, v)| v.is_violation()).collect()
 }
 
 #[cfg(test)]
@@ -244,8 +228,7 @@ mod tests {
 
     #[test]
     fn source_based_blocking_violates_condition_1() {
-        let e = NeutralityEngine::new();
-        let v = e.review(&TrafficPolicy {
+        let v = review(&TrafficPolicy {
             lmp: lmp(),
             matches: PolicyMatch { source: Some(src()), ..PolicyMatch::any() },
             action: PolicyAction::Block,
@@ -262,8 +245,7 @@ mod tests {
 
     #[test]
     fn security_blocking_allowed() {
-        let e = NeutralityEngine::new();
-        let v = e.review(&TrafficPolicy {
+        let v = review(&TrafficPolicy {
             lmp: lmp(),
             matches: PolicyMatch { source: Some(src()), ..PolicyMatch::any() },
             action: PolicyAction::Block,
@@ -275,8 +257,7 @@ mod tests {
     #[test]
     fn application_throttling_violates_condition_1() {
         // The §2.4.2 cellular-provider scenario: throttle video.
-        let e = NeutralityEngine::new();
-        let v = e.review(&TrafficPolicy {
+        let v = review(&TrafficPolicy {
             lmp: lmp(),
             matches: PolicyMatch { application: Some("video".into()), ..PolicyMatch::any() },
             action: PolicyAction::Prioritize(-10),
@@ -288,8 +269,7 @@ mod tests {
     #[test]
     fn posted_price_qos_allowed() {
         // The paper's QoS-vs-discrimination distinction.
-        let e = NeutralityEngine::new();
-        let v = e.review(&TrafficPolicy {
+        let v = review(&TrafficPolicy {
             lmp: lmp(),
             matches: PolicyMatch { application: Some("voip".into()), ..PolicyMatch::any() },
             action: PolicyAction::Prioritize(5),
@@ -297,7 +277,7 @@ mod tests {
         });
         assert!(!v.is_violation(), "{v:?}");
         // Same action, secret pricing: violation.
-        let v2 = e.review(&TrafficPolicy {
+        let v2 = review(&TrafficPolicy {
             lmp: lmp(),
             matches: PolicyMatch { application: Some("voip".into()), ..PolicyMatch::any() },
             action: PolicyAction::Prioritize(5),
@@ -308,8 +288,7 @@ mod tests {
 
     #[test]
     fn selective_cdn_violates_condition_2() {
-        let e = NeutralityEngine::new();
-        let v = e.review(&TrafficPolicy {
+        let v = review(&TrafficPolicy {
             lmp: lmp(),
             matches: PolicyMatch { source: Some(src()), ..PolicyMatch::any() },
             action: PolicyAction::ProvideEnhancement { service: "cdn-cache".into() },
@@ -317,7 +296,7 @@ mod tests {
         });
         assert!(matches!(v, Verdict::Violation { condition: 2, .. }), "{v:?}");
         // Uniform CDN for everyone is fine.
-        let v2 = e.review(&TrafficPolicy {
+        let v2 = review(&TrafficPolicy {
             lmp: lmp(),
             matches: PolicyMatch::any(),
             action: PolicyAction::ProvideEnhancement { service: "cdn-cache".into() },
@@ -330,8 +309,7 @@ mod tests {
     fn exclusive_third_party_install_violates_condition_3() {
         // The paper's example: letting Netflix install enhancement boxes
         // while refusing others.
-        let e = NeutralityEngine::new();
-        let v = e.review(&TrafficPolicy {
+        let v = review(&TrafficPolicy {
             lmp: lmp(),
             matches: PolicyMatch { source: Some(src()), ..PolicyMatch::any() },
             action: PolicyAction::AllowThirdPartyEnhancement { provider: "netflix".into() },
@@ -339,7 +317,7 @@ mod tests {
         });
         assert!(matches!(v, Verdict::Violation { condition: 3, .. }), "{v:?}");
         // Open install program at a set fee is fine.
-        let v2 = e.review(&TrafficPolicy {
+        let v2 = review(&TrafficPolicy {
             lmp: lmp(),
             matches: PolicyMatch::any(),
             action: PolicyAction::AllowThirdPartyEnhancement { provider: "anyone".into() },
@@ -350,8 +328,7 @@ mod tests {
 
     #[test]
     fn maintenance_priority_allowed() {
-        let e = NeutralityEngine::new();
-        let v = e.review(&TrafficPolicy {
+        let v = review(&TrafficPolicy {
             lmp: lmp(),
             matches: PolicyMatch { application: Some("ospf".into()), ..PolicyMatch::any() },
             action: PolicyAction::Prioritize(100),
@@ -362,8 +339,7 @@ mod tests {
 
     #[test]
     fn uniform_priority_change_allowed() {
-        let e = NeutralityEngine::new();
-        let v = e.review(&TrafficPolicy {
+        let v = review(&TrafficPolicy {
             lmp: lmp(),
             matches: PolicyMatch::any(),
             action: PolicyAction::Prioritize(-1),
@@ -374,7 +350,6 @@ mod tests {
 
     #[test]
     fn review_all_filters_violations() {
-        let e = NeutralityEngine::new();
         let policies = vec![
             TrafficPolicy {
                 lmp: lmp(),
@@ -389,7 +364,7 @@ mod tests {
                 basis: PolicyBasis::Commercial,
             },
         ];
-        let violations = e.review_all(&policies);
+        let violations = review_all(&policies);
         assert_eq!(violations.len(), 1);
     }
 }

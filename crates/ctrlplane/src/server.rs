@@ -649,62 +649,42 @@ fn handle(shared: &Shared, request: Request) -> Result<Response, CrashPoint> {
     }
 }
 
-/// Apply one replayable mutation under the locks it needs. `live`
-/// requests journal first — write-ahead, under those same locks (the
-/// determinism contract in [`crate::shard`]) — and a journaling refusal
-/// is returned without applying; journal replay passes `live = false`
-/// and only applies. Both then run the same `apply_*` function, which is
-/// what makes replay deterministic: an event that failed validation live
-/// fails identically when replayed. `Err(point)` means an armed
-/// [`CrashPoint`] fired.
+/// Apply one replayable mutation under the locks it needs, through
+/// [`write_ahead`]. Live requests and journal replay run the same
+/// `apply_*` function, which is what makes replay deterministic: an event
+/// that failed validation live fails identically when replayed.
+/// `Err(point)` means an armed [`CrashPoint`] fired.
 fn mutate(shared: &Shared, event: JournalEvent, live: bool) -> Result<Response, CrashPoint> {
-    let journal = || if live { journal_event(shared, event.clone()) } else { Ok(None) };
-    Ok(match &event {
+    match &event {
         // The hot path: one shard lock, no global state.
         JournalEvent::ReportUsage { entity, gbps } => {
             let _span = poc_obs::span!("ctrl.shard.apply", op = "report_usage");
             let mut shard = shared.state.shard(*entity).lock();
-            match journal()? {
-                Some(refusal) => refusal,
-                None => apply_usage(&mut shard, *entity, *gbps),
-            }
+            write_ahead(shared, &event, live, || apply_usage(&mut shard, *entity, *gbps))
         }
         // Global mutations that touch usage/authorization state take
         // every lock; the rest take only the global lock.
         JournalEvent::Attach { name, role } => {
             let (mut g, mut shards) = shared.state.lock_all();
-            match journal()? {
-                Some(refusal) => refusal,
-                None => apply_attach(&mut g, &mut shards, name, role),
-            }
+            write_ahead(shared, &event, live, || apply_attach(&mut g, &mut shards, name, role))
         }
         JournalEvent::RunBilling => {
             let (mut g, mut shards) = shared.state.lock_all();
-            match journal()? {
-                Some(refusal) => refusal,
-                None => apply_billing(&mut g, &mut shards),
-            }
+            write_ahead(shared, &event, live, || apply_billing(&mut g, &mut shards))
         }
         JournalEvent::RunAuction => {
             let mut g = shared.state.global.lock();
-            match journal()? {
-                Some(refusal) => refusal,
-                None => apply_auction(&mut g),
-            }
+            write_ahead(shared, &event, live, || apply_auction(&mut g))
         }
         JournalEvent::RecallLink { bp, link, notice_periods } => {
             let mut g = shared.state.global.lock();
-            match journal()? {
-                Some(refusal) => refusal,
-                None => apply_recall(&mut g, *bp, *link, *notice_periods),
-            }
+            write_ahead(shared, &event, live, || apply_recall(&mut g, *bp, *link, *notice_periods))
         }
         JournalEvent::ReviewPolicy { policy } => {
             let mut g = shared.state.global.lock();
-            match journal()? {
-                Some(refusal) => refusal,
-                None => Response::PolicyVerdict(g.poc.review_policy(policy)),
-            }
+            write_ahead(shared, &event, live, || {
+                Response::PolicyVerdict(g.poc.review_policy(policy))
+            })
         }
         // A transition record is a fragment of a `BeginTransition`, not a
         // mutation of its own: live, `crate::transition::run_transition`
@@ -713,9 +693,27 @@ fn mutate(shared: &Shared, event: JournalEvent, live: bool) -> Result<Response, 
         | JournalEvent::TransitionStep { .. }
         | JournalEvent::TransitionCommitted
         | JournalEvent::TransitionAborted => {
-            Response::Error { message: format!("not a replayable mutation: {}", event.label()) }
+            Ok(Response::Error { message: format!("not a replayable mutation: {}", event.label()) })
         }
-    })
+    }
+}
+
+/// The write-ahead rule, under the locks the caller already holds (the
+/// determinism contract in [`crate::shard`]): a `live` event is journaled
+/// first, and a journaling refusal is returned without running `apply`.
+/// Journal replay passes `live = false` and only applies.
+fn write_ahead(
+    shared: &Shared,
+    event: &JournalEvent,
+    live: bool,
+    apply: impl FnOnce() -> Response,
+) -> Result<Response, CrashPoint> {
+    if live {
+        if let Some(refusal) = journal_event(shared, event.clone())? {
+            return Ok(refusal);
+        }
+    }
+    Ok(apply())
 }
 
 /// Validate and record one usage report on its shard. Validation runs

@@ -19,7 +19,7 @@
 use crate::graph::{CapacityGraph, PathMiss};
 use crate::linkset::LinkSet;
 use crate::oracle::Constraint;
-use crate::route::{route_tm_with_veto, sorted_demands, FlowRoute, RouteError, Routing};
+use crate::route::{route_tm_with_veto, sorted_demands, FlowRoute, RouteError, Routing, PLACE_EPS};
 use poc_topology::{LinkId, PocTopology, RouterId};
 use poc_traffic::TrafficMatrix;
 use std::collections::HashSet;
@@ -205,21 +205,21 @@ fn reroute_demand(
     let mut remaining = demand;
     let mut placed: Vec<(Vec<LinkId>, f64)> = Vec::new();
     let mut splits = 0;
-    while remaining > 1e-9 {
+    while remaining > PLACE_EPS {
         let want = remaining;
         let path = g
             .shortest_path(
                 src,
                 dst,
                 |l, _| topo.link(l).distance_km,
-                |l, dir| !veto.contains(&l) && g.residual(l, dir) >= want - 1e-9,
+                |l, dir| !veto.contains(&l) && g.residual(l, dir) >= want - PLACE_EPS,
             )
             .or_else(|| {
                 g.shortest_path(
                     src,
                     dst,
                     |l, _| topo.link(l).distance_km,
-                    |l, dir| !veto.contains(&l) && g.residual(l, dir) > 1e-9,
+                    |l, dir| !veto.contains(&l) && g.residual(l, dir) > PLACE_EPS,
                 )
             });
         let Some(path) = path else {
@@ -227,7 +227,7 @@ fn reroute_demand(
             return Err(FailReason::NoBackupRoute { pair: (src, dst), remaining_gbps: remaining });
         };
         let amount = remaining.min(g.bottleneck(src, &path)?);
-        if amount <= 1e-9 {
+        if amount <= PLACE_EPS {
             undo(g, src, &placed)?;
             return Err(FailReason::ZeroBackupResidual { pair: (src, dst) });
         }
@@ -235,7 +235,7 @@ fn reroute_demand(
         remaining -= amount;
         placed.push((path, amount));
         splits += 1;
-        if splits > MAX_REROUTE_SPLITS && remaining > 1e-9 {
+        if splits > MAX_REROUTE_SPLITS && remaining > PLACE_EPS {
             undo(g, src, &placed)?;
             return Err(FailReason::SplitBudgetExceeded { pair: (src, dst) });
         }

@@ -105,7 +105,9 @@ pub(crate) const VIRTUAL_RETRY_PENALTY: f64 = 8.0;
 /// The placement loop's tolerance, Gbit/s: a demand counts as placed once
 /// `remaining <= PLACE_EPS`, a path fits `want` when every arc's residual
 /// is `>= want - PLACE_EPS`, and an arc with residual `<= PLACE_EPS` is full.
-pub(crate) const PLACE_EPS: f64 = 1e-9;
+/// The one placement tolerance: the resilience reroute and the auction's
+/// selector place demands by it too.
+pub const PLACE_EPS: f64 = 1e-9;
 
 /// What each arc and each demand crossing a cut may hide from the cut
 /// condition, Gbit/s. A routing this crate accepts can overdraw an arc by

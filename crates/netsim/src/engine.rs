@@ -123,6 +123,10 @@ const WALK_END: u32 = 1 << 31;
 /// Packet size, bytes: every packet is one MTU-sized frame.
 pub const PKT_BYTES: u64 = 1500;
 
+/// Buffer per directional link, bytes: 1 MiB, 699 whole packets. An
+/// arrival that would overflow it tail-drops.
+const BUFFER_BYTES: u64 = 1 << 20;
+
 /// An ingress throttle applied by a (misbehaving) LMP: sources whose tag
 /// matches inject at `factor` (in `[0, 1]`) × their configured rate.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -136,9 +140,6 @@ pub struct IngressThrottle {
 pub struct EngineConfig {
     /// Simulation horizon, ns.
     pub horizon_ns: u64,
-    /// Buffer per directional link, bytes; arrivals that would overflow
-    /// it tail-drop.
-    pub buffer_bytes: u64,
     /// Seed for source phase staggering (and nothing else).
     pub seed: u64,
     /// Ingress throttles applied by (misbehaving) LMPs. Offered bytes
@@ -151,7 +152,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         Self {
             horizon_ns: 20_000_000, // 20 ms: well past any one-way propagation delay
-            buffer_bytes: 1 << 20,  // 1 MiB per direction
             seed: 1,
             throttles: Vec::new(),
         }
@@ -176,9 +176,6 @@ pub enum SourceKind {
 pub enum EngineError {
     /// `horizon_ns == 0`: nothing would ever be simulated.
     ZeroHorizon,
-    /// The buffer cannot hold even one [`PKT_BYTES`] packet, so every
-    /// arrival would tail-drop.
-    BufferBelowPacket { buffer_bytes: u64 },
     /// A throttle factor outside `[0, 1]`.
     BadThrottleFactor { tag: String, factor: f64 },
     /// A split's share of the flow `src → dst` is NaN, infinite or
@@ -220,9 +217,6 @@ impl std::fmt::Display for EngineError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             EngineError::ZeroHorizon => write!(f, "engine horizon must be positive"),
-            EngineError::BufferBelowPacket { buffer_bytes } => {
-                write!(f, "link buffer of {buffer_bytes} B cannot hold one {PKT_BYTES} B packet")
-            }
             EngineError::BadThrottleFactor { tag, factor } => {
                 write!(f, "throttle factor for tag {tag:?} must be in [0,1], got {factor}")
             }
@@ -929,6 +923,26 @@ fn walk_fits(source: usize, walk_len: usize) -> Result<(), EngineError> {
     Ok(())
 }
 
+/// The compact id of `key` in a class table (owners or tags), minted in
+/// first-seen order: `keys[id]` names it and `ids` maps it back. Ids stay
+/// below [`NO_OWNER`].
+fn intern<K, Q>(keys: &mut Vec<K>, ids: &mut BTreeMap<K, u16>, key: &Q) -> Result<u16, EngineError>
+where
+    K: Ord + Borrow<Q>,
+    Q: Ord + ToOwned<Owned = K> + ?Sized,
+{
+    if let Some(&id) = ids.get(key) {
+        return Ok(id);
+    }
+    if keys.len() >= NO_OWNER as usize {
+        return Err(EngineError::TooManyClasses);
+    }
+    let id = keys.len() as u16;
+    keys.push(key.to_owned());
+    ids.insert(key.to_owned(), id);
+    Ok(id)
+}
+
 /// The packet engine. Build over a topology and the leased link set, add
 /// sources from a routing or a traffic matrix, then [`Engine::run`].
 pub struct Engine<'t> {
@@ -961,11 +975,18 @@ impl<'t> Engine<'t> {
         active: &LinkSet,
         cfg: EngineConfig,
     ) -> Result<Self, EngineError> {
+        Self::with_buffer(topo, active, cfg, BUFFER_BYTES / PKT_BYTES)
+    }
+
+    /// [`Engine::new`] with a buffer of `cap` packets per directional link.
+    fn with_buffer(
+        topo: &'t PocTopology,
+        active: &LinkSet,
+        cfg: EngineConfig,
+        cap: u64,
+    ) -> Result<Self, EngineError> {
         if cfg.horizon_ns == 0 {
             return Err(EngineError::ZeroHorizon);
-        }
-        if cfg.buffer_bytes < PKT_BYTES {
-            return Err(EngineError::BufferBelowPacket { buffer_bytes: cfg.buffer_bytes });
         }
         for t in &cfg.throttles {
             if !(0.0..=1.0).contains(&t.factor) {
@@ -976,7 +997,6 @@ impl<'t> Engine<'t> {
             }
         }
         let horizon = cfg.horizon_ns;
-        let cap = cfg.buffer_bytes / PKT_BYTES;
         let mut fifos = Vec::with_capacity(topo.n_links() * 2);
         let mut links = Vec::with_capacity(topo.n_links() * 2);
         for l in &topo.links {
@@ -1023,34 +1043,6 @@ impl<'t> Engine<'t> {
         })
     }
 
-    fn intern_owner(&mut self, owner: Option<EntityId>) -> Result<u16, EngineError> {
-        let Some(owner) = owner else { return Ok(NO_OWNER) };
-        if let Some(&id) = self.owner_of.get(&owner) {
-            return Ok(id);
-        }
-        if self.owners.len() >= NO_OWNER as usize {
-            return Err(EngineError::TooManyClasses);
-        }
-        let id = self.owners.len() as u16;
-        self.owners.push(owner);
-        self.owner_of.insert(owner, id);
-        Ok(id)
-    }
-
-    fn intern_tag(&mut self, tag: &str) -> Result<u16, EngineError> {
-        if let Some(&id) = self.tag_of.get(tag) {
-            return Ok(id);
-        }
-        if self.tags.len() >= NO_OWNER as usize {
-            return Err(EngineError::TooManyClasses);
-        }
-        let id = self.tags.len() as u16;
-        self.tags.push(tag.to_string());
-        self.tag_of.insert(tag.to_string(), id);
-        self.tag_offered.push(0.0);
-        Ok(id)
-    }
-
     /// Add the sources of a routing made outside the engine: one per
     /// `(path, share)` split of each flow, in the order given, injecting
     /// the split's share (Gbit/s) along its path. `classify` names each
@@ -1084,8 +1076,12 @@ impl<'t> Engine<'t> {
                 continue;
             };
             let (owner, tag) = classify(flow.src);
-            let owner = self.intern_owner(owner)?;
-            let tag_id = self.intern_tag(&tag)?;
+            let owner = match owner {
+                Some(owner) => intern(&mut self.owners, &mut self.owner_of, &owner)?,
+                None => NO_OWNER,
+            };
+            let tag_id = intern(&mut self.tags, &mut self.tag_of, tag.as_str())?;
+            self.tag_offered.resize(self.tags.len(), 0.0);
             let throttle: f64 = (self.cfg.throttles.iter())
                 .filter(|t| t.tag == tag)
                 .map(|t| t.factor)
@@ -1592,7 +1588,7 @@ mod tests {
                 .unwrap();
         e.add_pair(r(0), r(1), 10.0, None, "a", SourceKind::Persistent).unwrap();
         let rep = accounted(e.run());
-        let cap = EngineConfig::default().buffer_bytes / PKT_BYTES;
+        let cap = BUFFER_BYTES / PKT_BYTES;
         assert_eq!(cap, 699);
         assert!(rep.packets_injected > cap, "{rep:?}");
         assert_eq!(rep.packets_queued, cap, "{rep:?}");
@@ -1835,9 +1831,12 @@ mod tests {
         fn every_injected_packet_ends_in_exactly_one_place(
             table in prop::collection::vec((0u32..4, 1u32..4, 0u64..150, 0u8..2), 1..6),
             horizon_ns in 1u64..9_000_000,
-            buffer_bytes in 1500u64..20_000,
+            buffer_pkts in 1u64..14,
         ) {
-            let mut e = engine(EngineConfig { horizon_ns, buffer_bytes, ..Default::default() });
+            let topo = two_bp_square();
+            let all = LinkSet::full(topo.n_links());
+            let cfg = EngineConfig { horizon_ns, ..Default::default() };
+            let mut e = Engine::with_buffer(&topo, &all, cfg, buffer_pkts).unwrap();
             for (src, step, gbps, onoff) in table {
                 let kind = match onoff {
                     0 => SourceKind::Persistent,
@@ -2105,10 +2104,6 @@ mod tests {
             EngineError::ZeroHorizon
         );
         assert!(matches!(
-            Engine::new(&topo, &all, EngineConfig { buffer_bytes: 100, ..Default::default() }),
-            Err(EngineError::BufferBelowPacket { .. })
-        ));
-        assert!(matches!(
             Engine::new(
                 &topo,
                 &all,
@@ -2246,9 +2241,8 @@ mod tests {
         let span = |distance_km: f64, capacity_gbps: f64, horizon_ns: u64| {
             let mut topo = two_bp_square();
             (topo.links[0].distance_km, topo.links[0].capacity_gbps) = (distance_km, capacity_gbps);
-            let buffer_bytes = 357_913 * PKT_BYTES;
-            let cfg = EngineConfig { horizon_ns, buffer_bytes, ..Default::default() };
-            Engine::new(&topo, &all, cfg).err()
+            let cfg = EngineConfig { horizon_ns, ..Default::default() };
+            Engine::with_buffer(&topo, &all, cfg, 357_913).err()
         };
         let l0 = topo.links[0].id;
         assert_eq!(span(2.259, 1.0, 10_000_000_000), None);

@@ -23,10 +23,9 @@ use crate::trace::TraceEvent;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// Default slot count of the process-global recorder (see
-/// [`crate::trace::recorder`]); override at startup with the
-/// `POC_TRACE_CAPACITY` environment variable. At roughly 150 bytes per
-/// slot this bounds the recorder near 2.5 MiB.
+/// Slot count of the process-global recorder (see
+/// [`crate::trace::recorder`]), 16 Ki. At roughly 150 bytes per slot this
+/// bounds the recorder near 2.5 MiB.
 pub(crate) const DEFAULT_CAPACITY: usize = 16 * 1024;
 
 /// One ring slot: the claim ticket that last wrote it plus the event.

@@ -100,16 +100,10 @@ pub struct TraceWire {
 static RECORDER: OnceLock<FlightRecorder> = OnceLock::new();
 
 /// The process-global flight recorder every traced span lands in.
-/// Created on first use — **disabled** — with 16 Ki slots
-/// (`POC_TRACE_CAPACITY` overrides the capacity at first touch).
+/// Created on first use — **disabled** — with 16 Ki slots.
 pub fn recorder() -> &'static FlightRecorder {
     RECORDER.get_or_init(|| {
-        let capacity = std::env::var("POC_TRACE_CAPACITY")
-            .ok()
-            .and_then(|raw| raw.parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(DEFAULT_CAPACITY);
-        let ring = FlightRecorder::with_capacity(capacity);
+        let ring = FlightRecorder::with_capacity(DEFAULT_CAPACITY);
         ring.set_enabled(false);
         ring
     })
