@@ -163,6 +163,11 @@ pub struct Poc {
     fabric: OnceLock<ForwardingState>,
     violations: Vec<(EntityId, Verdict)>,
     last_outcome: Option<AuctionOutcome>,
+    /// The current round's demand and the outcome it cleared to, set by
+    /// every `run_auction_round`. A transition stays in the round, so
+    /// `commit_transition` keeps it; it is never persisted, so
+    /// `restore_state` drops it.
+    round: Option<(TrafficMatrix, AuctionOutcome)>,
     period: u32,
 }
 
@@ -200,6 +205,7 @@ impl Poc {
             fabric: OnceLock::new(),
             violations: Vec::new(),
             last_outcome: None,
+            round: None,
             period: 0,
         }
     }
@@ -274,23 +280,41 @@ impl Poc {
         Ok(self.registry.register(name, EntityKind::HostedCsp { via_lmp })?)
     }
 
-    /// Run the auction without touching any state: the deterministic
-    /// "what would the next round select" computation. The safe-transition
-    /// planner uses this to obtain the target link set before deciding how
-    /// to migrate the live fabric onto it.
-    pub fn compute_auction_outcome(&self, tm: &TrafficMatrix) -> Result<AuctionOutcome, PocError> {
+    /// Clear the auction on `tm`. The market is the fixed topology's
+    /// truthful bids and the constraint and selector are the fixed config,
+    /// so the outcome is a pure function of `tm`, and `tm` is the whole key
+    /// under which [`Poc::compute_auction_outcome`] reuses the round's
+    /// outcome. Any input a later change feeds into the market (a BP's
+    /// recalls, say) must join that key.
+    fn clear(&self, tm: &TrafficMatrix) -> Result<AuctionOutcome, PocError> {
         let market = Market::truthful(&self.topo, VIRTUAL_PRICE_FACTOR);
         run_auction(&market, tm, self.config.constraint, &self.config.selector)
             .map_err(PocError::Auction)
     }
 
+    /// The outcome an auction on `tm` clears to, without touching any
+    /// state: "what would the next round select". The safe-transition
+    /// planner uses this to obtain the target link set before deciding how
+    /// to migrate the live fabric onto it. When `tm` is bit for bit the
+    /// current round's demand, the answer is that round's outcome, cloned,
+    /// because a clear on the same demand recomputes it exactly; any other
+    /// demand clears.
+    pub fn compute_auction_outcome(&self, tm: &TrafficMatrix) -> Result<AuctionOutcome, PocError> {
+        match &self.round {
+            Some((demand, outcome)) if demand.same_bits(tm) => Ok(outcome.clone()),
+            _ => self.clear(tm),
+        }
+    }
+
     /// Run one auction round against the upper-bound traffic matrix,
-    /// ingest leases, install the fabric.
+    /// ingest leases, install the fabric. The round always clears, and
+    /// records its demand beside its outcome.
     pub fn run_auction_round(&mut self, tm: &TrafficMatrix) -> Result<&AuctionOutcome, PocError> {
-        let outcome = self.compute_auction_outcome(tm)?;
+        let outcome = self.clear(tm)?;
         self.leases.ingest_auction(&self.topo, &outcome, self.period);
         self.leases.mark_reauctioned();
         self.set_installed(Some(outcome.selected.clone()));
+        self.round = Some((tm.clone(), outcome.clone()));
         self.last_outcome = Some(outcome);
         Ok(self.last_outcome.as_ref().expect("just set"))
     }
@@ -513,9 +537,11 @@ impl Poc {
     /// Replace the persistent state wholesale (recovery). The fabric is
     /// reinstalled from the restored outcome's selected set, so a
     /// recovered controller answers `GetPath` identically to the
-    /// pre-crash one.
+    /// pre-crash one. The round's record is not state and is dropped: the
+    /// next target at the round's demand clears again.
     pub fn restore_state(&mut self, state: PocState) {
         let PocState { registry, ledger, leases, violations, last_outcome, period } = state;
+        self.round = None;
         self.registry = registry;
         self.ledger = ledger;
         self.leases = leases;

@@ -175,7 +175,10 @@ pub enum JournalEvent {
     /// A lease transition began. Replay recomputes the target outcome
     /// deterministically (`Poc::compute_auction_outcome` against the
     /// journaled-state traffic matrix scaled by `demand_scale`), so the
-    /// record only needs the planner budget and the demand knob.
+    /// record only needs the planner budget and the demand knob. After a
+    /// replayed `RunAuction`, a target at the round's own demand is that
+    /// round's outcome and clears no auction; after a snapshot it clears
+    /// to the same bits.
     TransitionBegun {
         max_extra_links: Option<usize>,
         demand_scale: Option<f64>,

@@ -386,10 +386,22 @@ const SHIFTED_SCALE: f64 = 12.0;
 
 #[test]
 fn committed_transition_survives_restart_and_reverses() {
-    let dir = fresh_dir("txn-lifecycle");
-    let (handle, join) = start_durable(&dir, 0, CrashSwitch::new());
+    // Journal-only, recovery replays the round and then each transition's
+    // begin record, so the walk down after the restart reuses the replayed
+    // round's outcome. With a snapshot after every mutation, recovery
+    // starts from a snapshot, holds no round, and the walk down clears
+    // again. Both must land on the same state.
+    for snapshot_every in [0, 1] {
+        transition_round_trip(snapshot_every);
+    }
+}
+
+fn transition_round_trip(snapshot_every: u64) {
+    let dir = fresh_dir(&format!("txn-lifecycle-{snapshot_every}"));
+    let (handle, join) = start_durable(&dir, snapshot_every, CrashSwitch::new());
     let mut client = PocClient::connect(handle.local_addr).unwrap();
-    run_setup(&mut client);
+    let (a, b) = run_setup(&mut client);
+    let outcome_round = client.outcome().unwrap().unwrap();
 
     // Migrate onto the set the auction selects at 12× forecast demand.
     let up = client.begin_transition(None, Some(SHIFTED_SCALE)).unwrap();
@@ -404,19 +416,43 @@ fn committed_transition_survives_restart_and_reverses() {
 
     // Restart: the journaled transition family replays into the same
     // committed state (5 setup records + Begun/Step/Step/Committed).
-    let (handle, join) = start_durable(&dir, 0, CrashSwitch::new());
+    let (handle, join) = start_durable(&dir, snapshot_every, CrashSwitch::new());
     let mut client = PocClient::connect(handle.local_addr).unwrap();
-    assert_eq!(client.recovery_info().unwrap().unwrap().replayed_records, 9);
+    let info = client.recovery_info().unwrap().unwrap();
+    if snapshot_every == 0 {
+        assert_eq!(info.replayed_records, 9);
+    } else {
+        assert!(info.snapshot_seq.is_some());
+        assert_eq!(info.replayed_records, 0);
+    }
     assert_eq!(client.outcome().unwrap().unwrap(), outcome_up);
     assert_eq!(client.leases().unwrap(), leases_up);
     // A fully *replayed* (not resumed) transition leaves no status: the
     // summary is in-memory operator feedback, not recovered state.
     assert!(client.transition_status().unwrap().is_none());
 
-    // And the migration reverses: back down to the live-demand set.
+    // And the migration reverses: back down to the live-demand set, which
+    // is the round's outcome.
     let down = client.begin_transition(None, None).unwrap();
     assert_eq!(down.outcome, "committed");
     assert_eq!(down.steps_applied, 2);
+    assert_eq!(client.outcome().unwrap().unwrap(), outcome_round);
+    let leases_down = client.leases().unwrap();
+    // Bill the period, so the balances carry the walks' lease prices.
+    client.run_billing().unwrap();
+    let balances_down = (client.balance(a).unwrap(), client.balance(b).unwrap());
+    assert!(balances_down.0 < 0.0 && balances_down.1 < 0.0, "{balances_down:?}");
+    handle.shutdown();
+    let _ = join.join();
+
+    // Restart once more: replay crosses both walks, and the state holds.
+    let (handle, join) = start_durable(&dir, snapshot_every, CrashSwitch::new());
+    let mut client = PocClient::connect(handle.local_addr).unwrap();
+    assert_eq!(client.outcome().unwrap().unwrap(), outcome_round);
+    assert_eq!(client.leases().unwrap(), leases_down);
+    let balances = (client.balance(a).unwrap(), client.balance(b).unwrap());
+    assert_eq!(balances.0.to_bits(), balances_down.0.to_bits());
+    assert_eq!(balances.1.to_bits(), balances_down.1.to_bits());
     handle.shutdown();
     let _ = join.join();
 }

@@ -103,6 +103,13 @@ impl TrafficMatrix {
     pub fn n_flows(&self) -> usize {
         self.demand.iter().filter(|&&d| d > 0.0).count()
     }
+
+    /// Whether `other` holds the same demands bit for bit
+    /// (`f64::to_bits`), which `==` does not say: it reads `0.0 == -0.0`.
+    pub fn same_bits(&self, other: &Self) -> bool {
+        self.n == other.n
+            && self.demand.iter().zip(&other.demand).all(|(a, b)| a.to_bits() == b.to_bits())
+    }
 }
 
 #[cfg(test)]
@@ -164,5 +171,21 @@ mod tests {
         tm.set(r(0), r(1), 2.0);
         let v: Vec<_> = tm.iter_demands().collect();
         assert_eq!(v, vec![(r(0), r(1), 2.0), (r(2), r(0), 1.0)]);
+    }
+
+    #[test]
+    fn same_bits_tells_a_negative_zero_and_a_scale_apart() {
+        let mut a = TrafficMatrix::zero(3);
+        a.set(r(0), r(1), 0.1);
+        let mut b = a.clone();
+        assert!(a.same_bits(&b));
+        b.scale(1.0);
+        assert!(a.same_bits(&b), "x1.0 keeps every bit");
+        b.set(r(2), r(0), -0.0);
+        assert!(a == b && !a.same_bits(&b));
+        let mut c = a.clone();
+        c.scale(1.5);
+        assert!(!a.same_bits(&c));
+        assert!(!a.same_bits(&TrafficMatrix::zero(2)));
     }
 }

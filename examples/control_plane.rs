@@ -2,8 +2,8 @@
 //!
 //! Spins up the controller on an ephemeral port, then drives it from
 //! three clients: two LMPs attaching (concurrently, on their own threads)
-//! and reporting usage, and an operator running the auction round and
-//! billing cycle.
+//! and reporting usage, and an operator running the auction round, the
+//! billing cycle, and a lease walk to a x1.5 demand forecast and back.
 //!
 //! Run with: `cargo run --release --example control_plane`
 
@@ -70,6 +70,16 @@ fn main() {
     }
     let bal = client_a.balance(lmp_a).expect("balance");
     println!("lmp-alpha ledger balance: ${bal:.0}");
+
+    // Operator walks the fabric to the forecast's selection and back to
+    // the round's demand, whose target is the round's own outcome.
+    for (label, scale) in [("walk to x1.5", Some(1.5)), ("walk back to x1.0", None)] {
+        let walk = operator.begin_transition(None, scale).expect("transition");
+        println!(
+            "{label}: {} {} -> {} links, {} steps",
+            walk.outcome, walk.n_from_links, walk.n_final_links, walk.steps_applied
+        );
+    }
 
     handle.shutdown();
     let _ = server_thread.join();
